@@ -16,14 +16,10 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .bits import has_bit, iter_bits, mask_of
+from .order import _freeze
 from .quantale import EhresmannQuantale, partial_isometries
 from .reports import BoundExceeded, Report
 from .topcat import UNDEF, FiniteTopCategory, make_category, topology_from_base
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,20 +297,45 @@ class IdealCompletion:
         return self.index[self.source.downset_mask(s)]
 
 
+def _partial_join_table(s: CompleteRestrictionMonoid) -> np.ndarray:
+    """join_table[a, b] = the least upper bound of a and b in the stored
+    order, or -1 where it does not exist; the table is symmetric."""
+    join_table = np.full((s.n, s.n), -1, dtype=np.int64)
+    for a in range(s.n):
+        for b in range(a, s.n):
+            j = crm_lub(s, (a, b))
+            if j is not None:
+                join_table[a, b] = join_table[b, a] = j
+    return join_table
+
+
 def _ideal_closure(s: CompleteRestrictionMonoid, mask: int,
                    down: list[int], join_table: np.ndarray) -> int:
+    """The least order-ideal containing mask and the zero that is closed
+    under the existing binary joins of join_table.
+
+    Semi-naive evaluation: every round joins only the pairs that involve an
+    element added in the previous round, since all other pairs of the ideal
+    were joined before; the distinct joins (np.unique) that fall outside the
+    ideal are down-closed and become the next round's new elements.  Each
+    pair of the result is read at most twice over all rounds, so a closure
+    costs O(|ideal|^2) table reads in NumPy plus, per round, one Python step
+    per distinct join (at most n).
+    """
     mask |= 1 << s.zero
-    while True:
-        closed = 0
-        for x in iter_bits(mask):
-            closed |= down[x]
-        idx = list(iter_bits(closed))
-        joins = join_table[np.ix_(idx, idx)]
-        extra = mask_of(int(j) for j in joins[joins >= 0].ravel())
-        new = closed | extra
-        if new == mask:
-            return mask
-        mask = new
+    closed = 0
+    for x in iter_bits(mask):
+        closed |= down[x]
+    new = closed
+    while new:
+        joins = join_table[list(iter_bits(new))][:, list(iter_bits(closed))]
+        grown = closed
+        for j in np.unique(joins).tolist():
+            if j >= 0 and not (grown >> j) & 1:
+                grown |= down[j]
+        new = grown & ~closed
+        closed = grown
+    return closed
 
 
 def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealCompletion:
@@ -331,12 +352,7 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealComple
 
     n = s.n
     down = [s.downset_mask(i) for i in range(n)]
-    join_table = np.full((n, n), -1, dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            j = crm_lub(s, (a, b))
-            if j is not None:
-                join_table[a, b] = j
+    join_table = _partial_join_table(s)
 
     bottom_ideal = _ideal_closure(s, 0, down, join_table)
     ideals = {bottom_ideal}
@@ -482,12 +498,7 @@ def theta_extension(theta, lv_src: IdealCompletion, lv_dst: IdealCompletion) -> 
     theta = np.asarray(theta, dtype=np.int64)
     s, t = lv_src.source, lv_dst.source
     down = [t.downset_mask(i) for i in range(t.n)]
-    join_table = np.full((t.n, t.n), -1, dtype=np.int64)
-    for a in range(t.n):
-        for b in range(t.n):
-            j = crm_lub(t, (a, b))
-            if j is not None:
-                join_table[a, b] = j
+    join_table = _partial_join_table(t)
     out = np.zeros(lv_src.rqf.n, dtype=np.int64)
     for i, mask in enumerate(lv_src.ideals):
         image = mask_of(int(theta[x]) for x in iter_bits(mask))
@@ -503,19 +514,9 @@ def theta_extension_well_defined(theta, lv_src: IdealCompletion, lv_dst: IdealCo
     s, t = lv_src.source, lv_dst.source
     ext = theta_extension(theta, lv_src, lv_dst)
     down_s = [s.downset_mask(i) for i in range(s.n)]
-    jt_s = np.full((s.n, s.n), -1, dtype=np.int64)
-    for a in range(s.n):
-        for b in range(s.n):
-            j = crm_lub(s, (a, b))
-            if j is not None:
-                jt_s[a, b] = j
+    jt_s = _partial_join_table(s)
     down_t = [t.downset_mask(i) for i in range(t.n)]
-    jt_t = np.full((t.n, t.n), -1, dtype=np.int64)
-    for a in range(t.n):
-        for b in range(t.n):
-            j = crm_lub(t, (a, b))
-            if j is not None:
-                jt_t[a, b] = j
+    jt_t = _partial_join_table(t)
     for i, mask in enumerate(lv_src.ideals):
         elems = list(iter_bits(mask))
         if len(elems) > exact_limit:

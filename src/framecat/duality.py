@@ -18,15 +18,11 @@ import numpy as np
 from .bits import has_bit, iter_bits, mask_of
 from .functors import (FilterCategoryResult, OmegaResult, c_object,
                        omega_object)
+from .order import _freeze
 from .quantale import EhresmannQuantale, partial_isometries
 from .reports import BoundExceeded, Report
 from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
                      continuity_check, validate_covering_functor)
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -20,17 +20,12 @@ from typing import Optional
 import numpy as np
 
 from .bits import full_mask, has_bit, iter_bits, is_submask, mask_of
-from .order import (FiniteFrame, FiniteLattice, FinitePoset, FiniteTopSpace,
+from .order import (FiniteFrame, FiniteLattice, FinitePoset, FiniteTopSpace, _freeze,
                     enumerate_cp_filters, pt_topology, subframe)
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
 from .reports import BoundExceeded
 from .topcat import (UNDEF, FiniteTopCategory,
                      is_etale, make_category, topology_from_base)
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 # ---------------------------------------------------------------------------

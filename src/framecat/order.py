@@ -120,8 +120,27 @@ class FiniteTopSpace:
 # ---------------------------------------------------------------------------
 # construction helpers
 
+def _rank_bitsets(rows: np.ndarray) -> list[int]:
+    """Row r of a boolean matrix as an int with bit k set iff rows[r, k]."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+
+
 def lattice_from_leq(leq) -> FiniteLattice:
-    """Compute meet/join/bottom/top from an order table; raises if not a lattice."""
+    """Compute meet/join/bottom/top from an order table; raises if not a lattice.
+
+    Elements are ranked by down-set size, a linear extension of the order,
+    and every down-set and up-set is held as an int bitset over ranks.  For
+    a pair (a, b) the candidate meet is the highest-ranked element of
+    down(a) & down(b): it is the meet exactly when its own down-set is that
+    whole intersection.  The join is dually the lowest-ranked element of
+    up(a) & up(b).  Both tables are symmetric, so only index pairs (i, j)
+    with i <= j are computed, in row-major order; the first pair in
+    row-major order without a meet or join has i <= j too, so the error names
+    the same pair as a scan of all n^2 pairs would.  Cost: O(n^2) bitset
+    operations on n-bit ints, i.e. O(n^3 / w) machine-word operations, after
+    the O(n^3) poset validation.
+    """
     p = FinitePoset.from_leq(leq)
     rep = validate_poset(p)
     if not rep.ok:
@@ -129,18 +148,31 @@ def lattice_from_leq(leq) -> FiniteLattice:
     n = p.n
     if n == 0:
         raise ValueError("lattices must be non-empty")
-    down = {p.leq[:, i].tobytes(): i for i in range(n)}
-    up = {p.leq[i, :].tobytes(): i for i in range(n)}
-    meet = np.zeros((n, n), dtype=np.int64)
-    join = np.zeros((n, n), dtype=np.int64)
+    by_rank = np.argsort(p.leq.sum(axis=0), kind="stable")
+    ranked = p.leq[np.ix_(by_rank, by_rank)]    # ranked[r, s]: rank r <= rank s
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_rank] = np.arange(n)
+    down_r = _rank_bitsets(ranked.T)            # indexed by rank
+    up_r = _rank_bitsets(ranked)
+    down = [down_r[r] for r in rank.tolist()]  # indexed by element
+    up = [up_r[r] for r in rank.tolist()]
+    elem = by_rank.tolist()
+    meet = np.empty((n, n), dtype=np.int64)
+    join = np.empty((n, n), dtype=np.int64)
     for i in range(n):
-        for j in range(n):
-            lo = (p.leq[:, i] & p.leq[:, j]).tobytes()
-            hi = (p.leq[i, :] & p.leq[j, :]).tobytes()
-            if lo not in down or hi not in up:
+        di, ui = down[i], up[i]
+        meet_row, join_row = [], []
+        for j in range(i, n):
+            lo = di & down[j]
+            hi = ui & up[j]
+            m = lo.bit_length() - 1
+            k = (hi & -hi).bit_length() - 1
+            if m < 0 or k < 0 or down_r[m] != lo or up_r[k] != hi:
                 raise ValueError(f"not a lattice: no meet/join for ({i},{j})")
-            meet[i, j] = down[lo]
-            join[i, j] = up[hi]
+            meet_row.append(elem[m])
+            join_row.append(elem[k])
+        meet[i, i:] = meet[i:, i] = meet_row
+        join[i, i:] = join[i:, i] = join_row
     bottom = int(np.flatnonzero(p.leq.all(axis=1))[0])
     top = int(np.flatnonzero(p.leq.all(axis=0))[0])
     return FiniteLattice(p, _freeze(meet), _freeze(join), bottom, top)

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
+from acceptance_log import acceptance_lines
 from framecat.corpus import pair_groupoid
 from framecat.functors import c_object, omega_object
-
-acceptance_lines: list[str] = []
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -10,7 +10,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from conftest import acceptance_lines
+from acceptance_log import acceptance_lines
 
 from framecat import corpus as cor
 from framecat.bits import iter_bits, mask_of

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from framecat.bits import iter_bits, mask_of
-from framecat.corpus import (chain_frame, negative_crm_fixture, pair_groupoid,
-                             semilattice_monoid_category)
+from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, negative_crm_fixture,
+                             pair_groupoid, semilattice_monoid_category)
 from framecat.crm import (crm_compatible, crm_lub, enumerate_callitic_morphisms,
                           is_callitic, is_proper, l_vee, make_crm,
                           pi_restriction_monoid, preserves_finite_meets,
@@ -82,6 +82,41 @@ def test_ideal_completion_of_partial_bijections(i2):
     iso = np.array([q.frame.join_fold([carrier[x] for x in iter_bits(m)])
                     for m in lv.ideals], dtype=np.int64)
     assert quantale_isomorphism_ok(iso, lv.rqf, q)
+
+
+def closed_ideals_bruteforce(s):
+    """Every subset of S that is down-closed, contains the zero (the empty
+    join) and contains the join of each pair of its elements that has one."""
+    leq = np.asarray(s.leq)
+    down = [mask_of(np.flatnonzero(leq[:, x])) for x in range(s.n)]
+    joins = []
+    for a in range(s.n):
+        for b in range(a + 1, s.n):
+            uppers = np.flatnonzero(leq[a, :] & leq[b, :])
+            least = [u for u in uppers if leq[u, uppers].all()]
+            if least:
+                joins.append((a, b, int(least[0])))
+    found = []
+    for mask in range(1 << s.n):
+        if not (mask >> s.zero) & 1:
+            continue
+        if any((mask >> x) & 1 and down[x] & ~mask for x in range(s.n)):
+            continue
+        if all((mask >> j) & 1 for a, b, j in joins if (mask >> a) & 1 and (mask >> b) & 1):
+            found.append(mask)
+    return found
+
+
+def _small_completion_inputs():
+    out = [(i.name, i.obj) for i in corpus_crms()]
+    out += [(f"pi-{i.name}", pi_restriction_monoid(i.obj)[0]) for i in corpus_rqfs()]
+    return [pytest.param(s, id=name) for name, s in out if s.n <= 16]
+
+
+@pytest.mark.parametrize("s", _small_completion_inputs())
+def test_closed_ideals_match_bruteforce(s):
+    found = closed_ideals_bruteforce(s)
+    assert sorted(found, key=lambda m: (m.bit_count(), m)) == list(l_vee(s).ideals)
 
 
 def test_principal_ideals_are_the_partial_isometries(i2):

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framecat.bits import has_bit, iter_bits
-from framecat.corpus import boolean_frame, chain_frame, m3_lattice, product_frame
+from framecat.corpus import (boolean_frame, chain_frame, corpus_frames, corpus_rqfs,
+                             m3_lattice, product_frame)
 from framecat.order import (FinitePoset, cp_filters_bruteforce,
                             enumerate_cp_filters, frame_from_leq,
-                            frame_spatial_check, is_frame, meet_prime_elements, pt_topology, subframe,
+                            frame_spatial_check, is_frame, lattice_from_leq,
+                            meet_prime_elements, pt_topology, subframe,
                             validate_frame, validate_lattice, validate_poset)
 
 
@@ -209,3 +211,99 @@ def test_filter_oracle_agrees_on_downset_lattices(f):
 @given(small_frames())
 def test_x_set_laws_on_downset_lattices(f):
     pt_topology(f)  # raises if any X-law fails
+
+
+# ---------------------------------------------------------------------------
+# lattice_from_leq against the pairwise construction: meet(i, j) is the
+# element whose down-set equals down(i) & down(j), join(i, j) the element
+# whose up-set equals up(i) & up(j)
+
+def lattice_tables_oracle(leq):
+    p = FinitePoset.from_leq(leq)
+    rep = validate_poset(p)
+    if not rep.ok:
+        raise ValueError(f"not a poset: {rep.violations[0]}")
+    n = p.n
+    if n == 0:
+        raise ValueError("lattices must be non-empty")
+    down = {p.leq[:, i].tobytes(): i for i in range(n)}
+    up = {p.leq[i, :].tobytes(): i for i in range(n)}
+    meet = np.zeros((n, n), dtype=np.int64)
+    join = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            lo = (p.leq[:, i] & p.leq[:, j]).tobytes()
+            hi = (p.leq[i, :] & p.leq[j, :]).tobytes()
+            if lo not in down or hi not in up:
+                raise ValueError(f"not a lattice: no meet/join for ({i},{j})")
+            meet[i, j] = down[lo]
+            join[i, j] = up[hi]
+    bottom = int(np.flatnonzero(p.leq.all(axis=1))[0])
+    top = int(np.flatnonzero(p.leq.all(axis=0))[0])
+    return meet, join, bottom, top
+
+
+def assert_lattice_matches_oracle(leq):
+    try:
+        expected = lattice_tables_oracle(leq)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            lattice_from_leq(leq)
+        assert str(got.value) == str(e)
+        return
+    lat = lattice_from_leq(leq)
+    meet, join, bottom, top = expected
+    assert np.array_equal(lat.meet, meet)
+    assert np.array_equal(lat.join, join)
+    assert (lat.bottom, lat.top) == (bottom, top)
+
+
+@pytest.mark.parametrize("inst", corpus_frames(), ids=lambda i: i.name)
+def test_lattice_tables_match_oracle_on_corpus_frames(inst):
+    assert_lattice_matches_oracle(np.array(inst.obj.leq))
+
+
+@pytest.mark.parametrize("inst", corpus_rqfs(), ids=lambda i: i.name)
+def test_lattice_tables_match_oracle_on_corpus_rqf_frames(inst):
+    assert_lattice_matches_oracle(np.array(inst.obj.leq))
+
+
+def test_lattice_oracle_agrees_on_non_lattices():
+    m3 = np.array(m3_lattice().leq)
+    no_top = m3[:4, :4]                  # bottom plus three atoms
+    no_bottom = m3[1:, 1:]               # three atoms plus top
+    antichain = np.eye(3, dtype=bool)
+    for leq in (no_top, no_bottom, antichain, m3):
+        assert_lattice_matches_oracle(leq)
+    with pytest.raises(ValueError, match=r"not a lattice: no meet/join for \(1,2\)"):
+        lattice_from_leq(no_top)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_frames())
+def test_lattice_tables_match_oracle_on_downset_lattices(f):
+    assert_lattice_matches_oracle(np.array(f.leq))
+
+
+@st.composite
+def random_dag_orders(draw):
+    """Transitive closures of random DAGs on n <= 10 vertices, with the
+    vertices relabelled so that the order is not triangular."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    perm = draw(st.permutations(range(n)))
+    rel = np.eye(n, dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rel[i, j] = bits[i * n + j]
+    for k in range(n):
+        for i in range(n):
+            if rel[i, k]:
+                rel[i, :] |= rel[k, :]
+    return rel[np.ix_(perm, perm)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_dag_orders())
+def test_lattice_oracle_agrees_on_random_orders(leq):
+    assert_lattice_matches_oracle(leq)
