@@ -1,9 +1,12 @@
 """Command-line surface of the workbench.
 
 Commands: validate, omega, cpoints, roundtrip, crm, adjoint, corpus.
-Exit codes: 0 all checks pass, 1 some check failed, 2 input error,
-3 size bound exceeded.  Check reports stream as they complete; with
---format json the canonical (sorted) summary is printed once at the end.
+roundtrip, crm and adjoint run the suite's check bodies on a one-instance
+object built from the document; `corpus run` runs the whole suite, one
+check after the other.  Exit codes: 0 all checks pass, 1 some check failed,
+2 input error, 3 size bound exceeded.  Check reports stream as they
+complete; with --format json the canonical (sorted) summary is printed once
+at the end.
 """
 
 from __future__ import annotations
@@ -15,24 +18,21 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import corpus as cor
-from .bits import iter_bits, mask_of
-from .crm import (is_callitic, l_vee,
-                  pi_restriction_monoid, preserves_finite_meets,
-                  s_filter_bijection, s_filters, validate_crm,
-                  validate_crm_morphism, verify_adjunction_II)
+from .crm import (is_callitic, validate_crm, validate_crm_morphism,
+                  verify_adjunction_II)
 from .documents import (ParseError, StructMorphism, WorkbenchDocument,
                         parse_document, serialize_document)
-from .duality import (build_chi, build_omega_map, chi_is_isomorphism, is_sober,
-                      is_spatial, omega_is_isomorphism, quantale_isomorphism_ok,
-                      validate_rqf_morphism, verify_adjunction_I)
+from .duality import (is_sober, is_spatial, validate_rqf_morphism,
+                      verify_adjunction_I)
 from .functors import c_object, omega_object
 from .order import validate_frame, validate_poset
-from .quantale import EhresmannQuantale, validate_quantale, validate_rqf
+from .quantale import validate_quantale, validate_rqf
 from .reports import BoundExceeded, CheckReport, Report, WorkbenchError, run_check, sort_reports
-from .suite import full_suite_pending, run_pending
+from .suite import (Instance, _validate_any, adjunction_outcome, chi_roundtrip,
+                    filter_category_correspondence, full_suite_pending,
+                    ideals_of_isometries_roundtrip, isometries_of_ideals_roundtrip,
+                    omega_roundtrip, run_pending)
 from .topcat import (FiniteTopCategory, Topology,
                      continuity_check, is_etale, validate_covering_functor,
                      validate_topcategory)
@@ -172,42 +172,19 @@ def cmd_roundtrip(args, out: _Output) -> int:
     doc = _load(args.file)
     name = doc.name or Path(args.file).stem
     if doc.kind in ("category", "topcategory"):
-        tc = _as_topcategory(doc)
-
-        def omega_check():
-            res = build_omega_map(tc)
-            ok, why = omega_is_isomorphism(tc, res)
-            return ok, None if ok else (tc.n,), why
-        out.emit(run_check(name, "omega-isomorphism", omega_check))
-
-        def chi_check():
-            q = omega_object(tc, max_elements=args.max_elements).rqf
-            ok, why = chi_is_isomorphism(build_chi(q))
-            return ok, None if ok else (q.n,), why
-        out.emit(run_check(name, "chi-on-omega-image", chi_check))
+        inst = Instance(tc=_as_topcategory(doc), max_elements=args.max_elements)
+        out.emit(run_check(name, "omega-isomorphism", lambda: omega_roundtrip(inst)))
+        out.emit(run_check(name, "chi-on-omega-image", lambda: chi_roundtrip(inst)))
     elif doc.kind == "rqf":
-        q: EhresmannQuantale = doc.obj
-        rep = validate_rqf(q)
+        rep = validate_rqf(doc.obj)
         if not rep.ok:
             _report_to_checks(name, rep, out)
             return out.finish()
-
-        def chi_check():
-            chi = build_chi(q)
-            ok, why = chi_is_isomorphism(chi)
-            return ok, None if ok else (q.n,), why
-        out.emit(run_check(name, "chi-isomorphism", chi_check))
-
-        def spatial_check():
-            ok, wit = is_spatial(q)
-            return ok, wit, ""
-        out.emit(run_check(name, "spatial", spatial_check))
-
-        def sober_points():
-            fc = c_object(q)
-            ok, wit = is_sober(fc.topcat)
-            return ok, wit, ""
-        out.emit(run_check(name, "filter-category-sober", sober_points))
+        inst = Instance(q=doc.obj, max_elements=args.max_elements)
+        out.emit(run_check(name, "chi-isomorphism", lambda: chi_roundtrip(inst)))
+        out.emit(run_check(name, "spatial", lambda: (*is_spatial(inst.rqf, inst.fc), "")))
+        out.emit(run_check(name, "filter-category-sober",
+                           lambda: (*is_sober(inst.fc.topcat), "")))
     else:
         raise WorkbenchError(f"roundtrip expects a category or rqf document, got '{doc.kind}'")
     return out.finish()
@@ -217,59 +194,28 @@ def cmd_crm(args, out: _Output) -> int:
     doc = _load(args.file)
     name = doc.name or Path(args.file).stem
     if doc.kind == "rqf":
-        q = doc.obj
-        rep = validate_rqf(q)
+        rep = validate_rqf(doc.obj)
         if not rep.ok:
             _report_to_checks(name, rep, out)
             return out.finish()
+        inst = Instance(q=doc.obj, max_elements=args.max_elements)
 
-        def roundtrip_a():
-            s, carrier = pi_restriction_monoid(q)
-            crep = validate_crm(s)
+        def roundtrip():
+            crep = validate_crm(inst.crm)
             if not crep.ok:
                 return False, crep.violations[0].witness, crep.violations[0].law
-            lv = l_vee(s, max_elements=args.max_elements)
-            iso = np.array([q.frame.join_fold([carrier[x] for x in iter_bits(m)])
-                            for m in lv.ideals], dtype=np.int64)
-            ok = quantale_isomorphism_ok(iso, lv.rqf, q)
-            return ok, None if ok else (lv.rqf.n, q.n), ""
-        out.emit(run_check(name, "ideals-of-isometries-roundtrip", roundtrip_a))
+            return ideals_of_isometries_roundtrip(inst)
+        out.emit(run_check(name, "ideals-of-isometries-roundtrip", roundtrip))
     elif doc.kind == "crm":
-        s = doc.obj
-        rep = validate_crm(s)
+        rep = validate_crm(doc.obj)
         if not rep.ok:
             _report_to_checks(name, rep, out)
             return out.finish()
-
-        def roundtrip_b():
-            lv = l_vee(s, max_elements=args.max_elements)
-            s2, carrier2 = pi_restriction_monoid(lv.rqf)
-            pos = {e: i for i, e in enumerate(carrier2)}
-            iso = np.array([pos[lv.principal(x)] for x in range(s.n)], dtype=np.int64)
-            if sorted(iso.tolist()) != list(range(s2.n)):
-                return False, (s.n, s2.n), "not bijective"
-            if not validate_crm_morphism(iso, s, s2).ok:
-                return False, (s.n,), "not a morphism"
-            ok, wit = preserves_finite_meets(iso, s, s2)
-            return ok, wit if not ok else None, ""
-        out.emit(run_check(name, "isometries-of-ideals-roundtrip", roundtrip_b))
-
-        def filter_cat():
-            lv = l_vee(s, max_elements=args.max_elements)
-            sf = s_filters(s)
-            fc = c_object(lv.rqf)
-            bij = s_filter_bijection(sf, lv)
-            if sorted(bij.tolist()) != list(range(fc.n)):
-                return False, (sf.n, fc.n), "not bijective"
-            frep = validate_covering_functor(bij, sf.topcat.cat, fc.topcat.cat)
-            if not frep.ok:
-                return False, frep.violations[0].witness, frep.violations[0].law
-            for a in range(s.n):
-                lhs = mask_of(int(bij[k]) for k in iter_bits(sf.x_mask(a)))
-                if lhs != fc.calc.x_mask(lv.principal(a)):
-                    return False, (a,), "X-set correspondence fails"
-            return True, None, ""
-        out.emit(run_check(name, "filter-category-correspondence", filter_cat))
+        inst = Instance(s=doc.obj, max_elements=args.max_elements)
+        out.emit(run_check(name, "isometries-of-ideals-roundtrip",
+                           lambda: isometries_of_ideals_roundtrip(inst)))
+        out.emit(run_check(name, "filter-category-correspondence",
+                           lambda: filter_category_correspondence(inst)))
     else:
         raise WorkbenchError(f"crm expects an rqf or crm document, got '{doc.kind}'")
     return out.finish()
@@ -280,22 +226,13 @@ def cmd_adjoint(args, out: _Output) -> int:
     alg_doc = _load(args.algebra_file)
     tc = _as_topcategory(cat_doc)
     name = f"{cat_doc.name or 'category'}/{alg_doc.name or 'algebra'}"
+    bounds = {"max_arrows": args.max_arrows, "max_elements": args.max_elements}
     if alg_doc.kind == "rqf":
-        def fn():
-            adj = verify_adjunction_I(tc, alg_doc.obj, max_arrows=args.max_arrows,
-                                      max_elements=args.max_elements)
-            if not adj.ok:
-                return False, tuple(adj.failures[0]), "transposes not mutually inverse"
-            return True, None, f"homset sizes {adj.sizes}"
-        out.emit(run_check(name, "adjunction-homsets", fn))
+        out.emit(run_check(name, "adjunction-homsets", lambda: adjunction_outcome(
+            verify_adjunction_I(tc, alg_doc.obj, **bounds))))
     elif alg_doc.kind == "crm":
-        def fn():
-            adj = verify_adjunction_II(tc, alg_doc.obj, max_arrows=args.max_arrows,
-                                       max_elements=args.max_elements)
-            if not adj.ok:
-                return False, tuple(adj.failures[0]), "transposes not mutually inverse"
-            return True, None, f"homset sizes {adj.sizes}"
-        out.emit(run_check(name, "adjunction-II-homsets", fn))
+        out.emit(run_check(name, "adjunction-II-homsets", lambda: adjunction_outcome(
+            verify_adjunction_II(tc, alg_doc.obj, **bounds))))
     else:
         raise WorkbenchError(f"adjoint expects an rqf or crm document, got '{alg_doc.kind}'")
     return out.finish()
@@ -331,18 +268,12 @@ def cmd_corpus(args, out: _Output) -> int:
                 law = (doc.expected or {}).get("violated_law")
                 if law:
                     inst = cor.CorpusInstance(doc.name, _fixture_kind(doc), doc.obj, law)
-                    from .suite import _validate_any
                     rep = _validate_any(inst)
                     if rep.ok or law not in rep.laws():
                         return False, tuple(rep.laws()[:3]), f"expected {law}"
                 return True, None, ""
             out.emit(run_check(path.name, "parses", fn))
-    pending = full_suite_pending()
-    if args.seed is not None:
-        # the suite's guarded tiers are deterministic; the seed is reserved
-        # for sampled completeness tiers on oversized monoids
-        np.random.seed(args.seed)
-    run_pending(pending, jobs=args.jobs, stream=out.emit)
+    run_pending(full_suite_pending(), stream=out.emit)
     return out.finish()
 
 
@@ -356,10 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bound for hom-set enumeration")
     parser.add_argument("--max-elements", type=int, default=1024,
                         help="bound for quantale/ideal constructions")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for sampled completeness tiers")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel check execution; summary order is canonical")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="layered axiom checks for a document")

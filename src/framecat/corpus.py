@@ -19,7 +19,7 @@ import numpy as np
 from .crm import make_crm
 from .order import FiniteFrame, FinitePoset, frame_from_leq, lattice_from_leq
 from .quantale import EhresmannQuantale, frame_as_quantale, make_eq
-from .reports import BoundExceeded
+from .reports import MAX_TABLE_SIDE, BoundExceeded
 from .topcat import (FiniteTopCategory, Topology,
                      make_category)
 
@@ -266,42 +266,52 @@ def corpus_frames() -> list[CorpusInstance]:
     ]
 
 
+# the corpus rqfs whose monoid of partial isometries is a corpus crm, pi-<name>
+PI_OF_RQFS = ("omega-pair1", "omega-pair2", "omega-pair3", "omega-semilattice-monoid",
+              "qframe-chain3")
+
+
+def omega_images(max_elements: int = 1024) -> list[tuple[str, CorpusInstance]]:
+    """The corpus rqf names omega-<name> of the etale categories with at most
+    `max_elements` opens, each with its category."""
+    return [(f"omega-{inst.name}", inst) for inst in etale_categories()
+            if inst.obj.topology.open_count() <= max_elements]
+
+
+def quantale_frames() -> list[CorpusInstance]:
+    """Corpus frames as quantales, multiplication being the meet."""
+    frames = {i.name: i.obj for i in corpus_frames()}
+    return [CorpusInstance(f"qframe-{name}", "rqf", frame_as_quantale(frames[name]))
+            for name in ("chain3", "chain64", "bool2", "bool6", "prod-3x3")]
+
+
 def corpus_rqfs(max_elements: int = 1024) -> list[CorpusInstance]:
     """Omega images of the etale categories plus frames as quantales."""
     from .functors import omega_object
 
-    out = []
-    for inst in etale_categories():
-        tc: FiniteTopCategory = inst.obj
-        if tc.topology.open_count() > max_elements:
-            continue
-        om = omega_object(tc, max_elements=max_elements)
-        out.append(CorpusInstance(f"omega-{inst.name}", "rqf", om.rqf))
-    for name in ("chain3", "chain64", "bool2", "bool6", "prod-3x3"):
-        frame = next(i.obj for i in corpus_frames() if i.name == name)
-        out.append(CorpusInstance(f"qframe-{name}", "rqf", frame_as_quantale(frame)))
-    return out
+    out = [CorpusInstance(name, "rqf", omega_object(inst.obj, max_elements=max_elements).rqf)
+           for name, inst in omega_images(max_elements)]
+    return out + quantale_frames()
 
 
-def corpus_crms() -> list[CorpusInstance]:
-    from .crm import pi_restriction_monoid
-    from .functors import omega_object
-
-    out = [
+def hand_built_crms() -> list[CorpusInstance]:
+    return [
         CorpusInstance("trivial-crm", "crm",
                        make_crm(1, [[True]], [[0]], 0, 0, [0], [0], [[0]])),
         CorpusInstance("zero-unit-crm", "crm",
                        make_crm(2, [[True, True], [False, True]], [[0, 0], [0, 1]],
                                 1, 0, [0, 1], [0, 1], [[0, 0], [0, 1]])),
     ]
-    for name in ("pair1", "pair2", "pair3", "semilattice-monoid"):
-        tc = next(i.obj for i in etale_categories() if i.name == name)
-        om = omega_object(tc)
-        s, _ = pi_restriction_monoid(om.rqf)
-        out.append(CorpusInstance(f"pi-omega-{name}", "crm", s))
-    frame = chain_frame(3)
-    s, _ = pi_restriction_monoid(frame_as_quantale(frame))
-    out.append(CorpusInstance("pi-qframe-chain3", "crm", s))
+
+
+def corpus_crms() -> list[CorpusInstance]:
+    from .crm import pi_restriction_monoid
+
+    out = hand_built_crms()
+    for inst in corpus_rqfs():
+        if inst.name in PI_OF_RQFS:
+            s, _ = pi_restriction_monoid(inst.obj)
+            out.append(CorpusInstance(f"pi-{inst.name}", "crm", s))
     return out
 
 
@@ -402,15 +412,15 @@ def negative_fixtures() -> list[CorpusInstance]:
     return out
 
 
-def generate_corpus(max_elements: int = 1024, hard_limit: int = 4096):
+def generate_corpus(max_elements: int = 1024):
     """The whole corpus as workbench documents: categories with their
     quantale images, frames, monoids, and the perturbed negative fixtures
     (those carry the violated law in their expected block)."""
     from .documents import WorkbenchDocument
     from .order import FiniteFrame
 
-    if max_elements > hard_limit:
-        raise BoundExceeded(f"max_elements {max_elements} exceeds hard limit {hard_limit}")
+    if max_elements > MAX_TABLE_SIDE:
+        raise BoundExceeded(f"max_elements {max_elements} exceeds hard limit {MAX_TABLE_SIDE}")
     docs = []
     for inst in etale_categories():
         docs.append(WorkbenchDocument("topcategory", inst.name, inst.obj))

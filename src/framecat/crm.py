@@ -635,12 +635,14 @@ def s_filters(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> SFilterCat
                            d_idx=_freeze(d_idx), r_idx=_freeze(r_idx), source=s)
 
 
-def s_filter_bijection(sf: SFilterCategory, lv: IdealCompletion) -> np.ndarray:
+def s_filter_bijection(sf: SFilterCategory, lv: IdealCompletion,
+                       fc=None) -> np.ndarray:
     """A' -> (A')^up-in-R: the R-filter of all ideals meeting A'.
-    Returns the arrow map S-filter index -> C(L(S)) filter index."""
-    from .functors import c_object
-
-    fc = c_object(lv.rqf)
+    Returns the arrow map S-filter index -> C(L(S)) filter index; `fc` is
+    C(L(S)) when already built."""
+    if fc is None:
+        from .functors import c_object
+        fc = c_object(lv.rqf)
     out = np.zeros(sf.n, dtype=np.int64)
     for k, m in enumerate(sf.filters):
         members = mask_of(i for i, ideal in enumerate(lv.ideals) if ideal & m)

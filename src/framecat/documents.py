@@ -18,7 +18,7 @@ from .bits import iter_bits, mask_of
 from .crm import CompleteRestrictionMonoid, make_crm
 from .order import (FiniteFrame, FiniteLattice, FinitePoset)
 from .quantale import EhresmannQuantale, FiniteQuantale, make_eq
-from .reports import WorkbenchError
+from .reports import MAX_TABLE_SIDE, BoundExceeded, WorkbenchError
 from .topcat import FiniteCategory, FiniteTopCategory, Topology, make_category
 
 KINDS = ("poset", "frame", "quantale", "rqf", "category", "topcategory",
@@ -131,6 +131,9 @@ def _parse_rqf(p: dict, path: str) -> EhresmannQuantale:
 
 def _parse_category(p: dict, path: str) -> FiniteCategory:
     n = _int_in_range(_need(p, "arrows", path), 0, 1 << 20, f"{path}.arrows")
+    if n > MAX_TABLE_SIDE:
+        # the composition table is n x n however short the document is
+        raise BoundExceeded(f"{n} arrows > {MAX_TABLE_SIDE} at {path}.arrows")
     ids_raw = _need(p, "identities", path)
     if not isinstance(ids_raw, list):
         raise ParseError("expected a list", f"{path}.identities")

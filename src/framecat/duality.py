@@ -134,10 +134,14 @@ class OmegaMapResult:
     report: Report
 
 
-def build_omega_map(tc: FiniteTopCategory, om: Optional[OmegaResult] = None) -> OmegaMapResult:
+def build_omega_map(tc: FiniteTopCategory, om: Optional[OmegaResult] = None,
+                    fc: Optional[FilterCategoryResult] = None) -> OmegaMapResult:
+    """omega: C -> C(Omega(C)); `om` and `fc` are Omega(C) and C(Omega(C))
+    when already built."""
     if om is None:
         om = omega_object(tc)
-    fc = c_object(om.rqf, max_opens=1 << 20)
+    if fc is None:
+        fc = c_object(om.rqf, max_opens=1 << 20)
     omega = np.zeros(tc.n, dtype=np.int64)
     for x in range(tc.n):
         members = mask_of(i for i, u in enumerate(om.opens) if has_bit(u, x))

@@ -204,7 +204,10 @@ def validate_poset(p: FinitePoset) -> Report:
     if anti.any():
         i, j = np.argwhere(anti)[0]
         rep.add("poset.antisymmetry", (int(i), int(j)))
-    closed = leq @ leq  # boolean matmul: reachability in two steps
+    # reachability in two steps; float32 products of 0/1 entries are exact
+    # for n < 2**24, and unlike a boolean matmul they go through BLAS
+    f = leq.astype(np.float32)
+    closed = (f @ f) > 0
     bad = closed & ~leq
     if bad.any():
         i, k = np.argwhere(bad)[0]

@@ -1,115 +1,248 @@
-"""The standard check suite over the generated corpus.
+"""The standard check suite over the generated corpus, and the check bodies
+the CLI shares with it.
+
+An Instance holds one etale category, restriction quantal frame or complete
+restriction monoid and builds each object derived from it once, on first
+use.  The round-trip checks are module-level functions of an Instance: the
+suite runs them over the corpus, the CLI on a one-instance object built from
+a document.  The corpus is built once per run; the omega-X quantales and
+the pi-omega-X monoids are checked on the Instance of the category X.
 
 Check builders return pending (instance, check, thunk) triples; run_pending
-executes them, streaming each CheckReport as it completes, and returns the
-canonically sorted list.  All checks are exact; the only tolerances anywhere
-are wall-clock budgets, asserted by the acceptance suite.
+executes them in order, streaming each CheckReport as it completes, and
+returns the canonically sorted list.  All checks are exact; the only
+tolerances anywhere are wall-clock budgets, asserted by the acceptance
+suite.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from typing import Callable, Iterable, Optional
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import corpus as cor
 from .bits import iter_bits, mask_of
-from .crm import (l_vee, pi_restriction_monoid, preserves_finite_meets,
+from .crm import (CompleteRestrictionMonoid, IdealCompletion, SFilterCategory,
+                  l_vee, pi_restriction_monoid, preserves_finite_meets,
                   s_filter_bijection, s_filters, validate_crm,
                   validate_crm_morphism, verify_adjunction_II)
-from .duality import (build_chi, build_omega_map, check_naturality_in_category,
-                      check_naturality_in_quantale, chi_is_isomorphism,
-                      is_sober, is_spatial, omega_is_isomorphism,
-                      quantale_isomorphism_ok, verify_adjunction_I)
-from .functors import c_object, omega_object
+from .duality import (AdjunctionReport, ChiResult, build_chi, build_omega_map,
+                      check_naturality_in_category, check_naturality_in_quantale,
+                      chi_is_isomorphism, is_sober, is_spatial,
+                      omega_is_isomorphism, quantale_isomorphism_ok,
+                      verify_adjunction_I)
+from .functors import (FilterCategoryResult, OmegaResult, c_object,
+                       omega_morphism, omega_object)
 from .order import (FiniteFrame, cp_filters_bruteforce, enumerate_cp_filters,
                     frame_spatial_check, validate_frame, validate_poset)
-from .quantale import (compatibility_lemma_check, every_element_is_join_of_pi,
-                       partial_isometries, pi_is_order_ideal, validate_rqf)
+from .quantale import (EhresmannQuantale, compatibility_lemma_check,
+                       every_element_is_join_of_pi, partial_isometries,
+                       pi_is_order_ideal, validate_rqf)
 from .reports import CheckReport, Report, run_check, sort_reports
-from .topcat import (is_etale, local_bisections, validate_covering_functor,
-                     validate_topcategory)
+from .topcat import (FiniteTopCategory, is_etale, local_bisections,
+                     validate_covering_functor, validate_topcategory)
 
-Pending = tuple[str, str, Callable[[], tuple[bool, Optional[tuple], str]]]
+CheckResult = tuple[bool, Optional[tuple], str]
+Pending = tuple[str, str, Callable[[], CheckResult]]
 
 ADJUNCTION_I_PAIRS = ("pair2", "cyclic2-monoid", "parallel-pair",
                       "semilattice-monoid", "empty")
 
 
-def run_pending(pending: list[Pending], jobs: int = 1,
-                stream: Optional[Callable[[CheckReport], None]] = None) -> list[CheckReport]:
-    out: list[CheckReport] = []
-    if jobs <= 1:
-        for inst, name, fn in pending:
-            r = run_check(inst, name, fn)
-            if stream:
-                stream(r)
-            out.append(r)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(run_check, inst, name, fn): (inst, name)
-                       for inst, name, fn in pending}
-            for fut in as_completed(futures):
-                r = fut.result()
-                if stream:
-                    stream(r)
-                out.append(r)
-    return sort_reports(out)
+class Instance:
+    """An etale category `tc`, a restriction quantal frame `q` or a complete
+    restriction monoid `s`, with the objects derived from it.  The levels
+    below the given one are derived too: the rqf of a category is Omega(C)
+    and the monoid of an rqf is PI(Q).  `max_elements` bounds Omega and
+    L^vee."""
+
+    def __init__(self, tc: Optional[FiniteTopCategory] = None,
+                 q: Optional[EhresmannQuantale] = None,
+                 s: Optional[CompleteRestrictionMonoid] = None,
+                 max_elements: int = 1024):
+        self.tc = tc
+        self._q = q
+        self._s = s
+        self.max_elements = max_elements
+
+    @cached_property
+    def omega(self) -> OmegaResult:
+        return omega_object(self.tc, max_elements=self.max_elements)
+
+    @property
+    def rqf(self) -> EhresmannQuantale:
+        return self.omega.rqf if self._q is None else self._q
+
+    @cached_property
+    def fc(self) -> FilterCategoryResult:
+        """C(Q)."""
+        return c_object(self.rqf)
+
+    @cached_property
+    def chi(self) -> ChiResult:
+        return build_chi(self.rqf, self.fc)
+
+    @cached_property
+    def pi(self) -> tuple[CompleteRestrictionMonoid, list[int]]:
+        """PI(Q) and its carrier list in Q."""
+        return pi_restriction_monoid(self.rqf)
+
+    @property
+    def crm(self) -> CompleteRestrictionMonoid:
+        return self.pi[0] if self._s is None else self._s
+
+    @cached_property
+    def lv(self) -> IdealCompletion:
+        return l_vee(self.crm, max_elements=self.max_elements)
+
+    @cached_property
+    def lv_fc(self) -> FilterCategoryResult:
+        """C(L^vee(S))."""
+        return c_object(self.lv.rqf)
+
+    @cached_property
+    def sf(self) -> SFilterCategory:
+        return s_filters(self.crm)
 
 
-def _simple(ok_wit, detail: str = "") -> tuple[bool, Optional[tuple], str]:
+# ---------------------------------------------------------------------------
+# check bodies shared with the CLI
+
+def omega_roundtrip(inst: Instance) -> CheckResult:
+    """omega: C -> C(Omega(C)) is an isomorphism of topological categories."""
+    tc = inst.tc
+    ok, why = omega_is_isomorphism(tc, build_omega_map(tc, inst.omega, inst.fc))
+    return ok, None if ok else (tc.n,), why
+
+
+def chi_roundtrip(inst: Instance) -> CheckResult:
+    """chi: Q -> Omega(C(Q)) is an isomorphism, and Q is spatial."""
+    q = inst.rqf
+    ok, why = chi_is_isomorphism(inst.chi)
+    if not ok:
+        return False, (q.n,), why
+    sp, wit = is_spatial(q, inst.fc)
+    if not sp:
+        return False, wit, "not spatial"
+    return True, None, ""
+
+
+def ideals_of_isometries_roundtrip(inst: Instance) -> CheckResult:
+    """L^vee(PI(Q)) is isomorphic to Q by the join of each ideal."""
+    q = inst.rqf
+    _, carrier = inst.pi
+    lv = inst.lv
+    iso = np.array([q.frame.join_fold([carrier[x] for x in iter_bits(m)])
+                    for m in lv.ideals], dtype=np.int64)
+    if not quantale_isomorphism_ok(iso, lv.rqf, q):
+        return False, (lv.rqf.n, q.n), "explicit isomorphism fails"
+    return True, None, ""
+
+
+def isometries_of_ideals_roundtrip(inst: Instance) -> CheckResult:
+    """PI(L^vee(S)) is isomorphic to S by the principal ideals."""
+    s, lv = inst.crm, inst.lv
+    s2, carrier2 = pi_restriction_monoid(lv.rqf)
+    pos = {e: i for i, e in enumerate(carrier2)}
+    iso = np.array([pos[lv.principal(x)] for x in range(s.n)], dtype=np.int64)
+    if sorted(iso.tolist()) != list(range(s2.n)):
+        return False, (s.n, s2.n), "not bijective"
+    if not validate_crm_morphism(iso, s, s2).ok:
+        return False, (s.n,), "not a morphism"
+    ok, wit = preserves_finite_meets(iso, s, s2)
+    if not ok:
+        return False, wit, "meets not preserved"
+    return True, None, ""
+
+
+def filter_category_correspondence(inst: Instance) -> CheckResult:
+    """The S-filter category is isomorphic to C(L^vee(S)), X-sets to X-sets."""
+    s, lv, sf, fc = inst.crm, inst.lv, inst.sf, inst.lv_fc
+    bij = s_filter_bijection(sf, lv, fc)
+    if sorted(bij.tolist()) != list(range(fc.n)):
+        return False, (sf.n, fc.n), "filter map not bijective"
+    rep = validate_covering_functor(bij, sf.topcat.cat, fc.topcat.cat)
+    if not rep.ok:
+        return False, rep.violations[0].witness, "not a functor isomorphism"
+    for a in range(s.n):
+        lhs = mask_of(int(bij[k]) for k in iter_bits(sf.x_mask(a)))
+        if lhs != fc.calc.x_mask(lv.principal(a)):
+            return False, (a,), "X-set correspondence fails"
+    return True, None, ""
+
+
+def adjunction_outcome(adj: AdjunctionReport) -> CheckResult:
+    if not adj.ok:
+        return False, tuple(adj.failures[0]), "transposes not mutually inverse"
+    return True, None, f"homset sizes {adj.sizes}"
+
+
+# ---------------------------------------------------------------------------
+# the other check bodies of the suite
+
+def _simple(ok_wit, detail: str = "") -> CheckResult:
     ok, wit = ok_wit
     return ok, (None if ok else (wit if isinstance(wit, tuple) else (wit,))), detail
 
 
-def _from_report(rep: Report) -> tuple[bool, Optional[tuple], str]:
+def _from_report(rep: Report) -> CheckResult:
     if rep.ok:
         return True, None, ""
     v = rep.violations[0]
     return False, v.witness, v.law
 
 
-def _etale_check(tc) -> tuple[bool, Optional[tuple], str]:
-    ok, law, wit = is_etale(tc)
+def _etale_check(inst: Instance) -> CheckResult:
+    ok, law, wit = is_etale(inst.tc)
     return ok, (None if ok else (wit,)), law or ""
 
 
-def check_positive_corpus() -> list[Pending]:
-    out: list[Pending] = []
-    for inst in cor.etale_categories():
-        out.append((inst.name, "topcategory-axioms",
-                    lambda tc=inst.obj: _from_report(validate_topcategory(tc))))
-        out.append((inst.name, "etale", lambda tc=inst.obj: _etale_check(tc)))
-    for inst in cor.corpus_frames():
-        out.append((inst.name, "frame-axioms",
-                    lambda f=inst.obj: _from_report(validate_frame(f))))
-        out.append((inst.name, "spatial",
-                    lambda f=inst.obj: _simple(frame_spatial_check(f))))
-    for inst in cor.corpus_rqfs():
-        out.append((inst.name, "rqf-axioms",
-                    lambda q=inst.obj: _from_report(validate_rqf(q))))
-    for inst in cor.corpus_crms():
-        out.append((inst.name, "crm-axioms",
-                    lambda s=inst.obj: _from_report(validate_crm(s))))
-    return out
+def omega_nonsober(inst: Instance) -> CheckResult:
+    """omega is still a continuous covering functor, and sobriety is
+    reported false."""
+    tc = inst.tc
+    res = build_omega_map(tc, inst.omega, inst.fc)
+    if not res.report.ok:
+        return False, res.report.violations[0].witness, res.report.violations[0].law
+    sober, _ = is_sober(tc, res)
+    if sober:
+        return False, (tc.n,), "expected a non-sober instance"
+    return True, None, ""
 
 
-def check_negative_fixtures() -> list[Pending]:
-    out: list[Pending] = []
-    for inst in cor.negative_fixtures() + [cor.negative_crm_fixture()]:
-        def fn(inst=inst) -> tuple[bool, Optional[tuple], str]:
-            rep = _validate_any(inst)
-            if rep.ok:
-                return False, ("accepted",), "fixture was accepted"
-            if inst.expect_fail not in rep.laws():
-                return False, tuple(rep.laws()[:3]), f"expected {inst.expect_fail}"
-            v = next(v for v in rep.violations if v.law == inst.expect_fail)
-            if len(v.witness) == 0:
-                return False, (), "violation carries no witness"
-            return True, None, ""
-        out.append((inst.name, "rejected-with-witness", fn))
-    return out
+def isometries_are_open_bisections(inst: Instance) -> CheckResult:
+    """PI(Omega(C)) is exactly the set of open local bisections of C."""
+    om, tc = inst.omega, inst.tc
+    pis = {om.opens[p] for p in partial_isometries(om.rqf)}
+    olbs = {m for m in local_bisections(tc.cat) if tc.topology.is_open(m)}
+    if pis != olbs:
+        return False, (len(pis), len(olbs)), "sets differ"
+    return True, None, ""
+
+
+def filter_oracle(f) -> CheckResult:
+    """enumerate_cp_filters equals the subset-by-subset oracle, element for
+    element."""
+    fast = enumerate_cp_filters(f)
+    brute = cp_filters_bruteforce(f)
+    if [(x.cogenerator, x.members) for x in fast] != \
+       [(x.cogenerator, x.members) for x in brute]:
+        return False, (len(fast), len(brute)), "filter sets differ"
+    return True, None, ""
+
+
+def rejected_with_witness(inst: cor.CorpusInstance) -> CheckResult:
+    rep = _validate_any(inst)
+    if rep.ok:
+        return False, ("accepted",), "fixture was accepted"
+    if inst.expect_fail not in rep.laws():
+        return False, tuple(rep.laws()[:3]), f"expected {inst.expect_fail}"
+    v = next(v for v in rep.violations if v.law == inst.expect_fail)
+    if len(v.witness) == 0:
+        return False, (), "violation carries no witness"
+    return True, None, ""
 
 
 def _validate_any(inst: cor.CorpusInstance) -> Report:
@@ -134,219 +267,104 @@ def _validate_any(inst: cor.CorpusInstance) -> Report:
     raise ValueError(inst.kind)
 
 
-def check_filter_oracle(limit: int = 64) -> list[Pending]:
-    """enumerate_cp_filters equals the subset-by-subset oracle, element for
-    element, on every corpus frame with at most `limit` elements."""
-    out: list[Pending] = []
-    frames = [(i.name, i.obj) for i in cor.corpus_frames()]
-    frames += [(f"frame-of-{i.name}", i.obj.frame) for i in cor.corpus_rqfs()]
-    for name, f in frames:
-        if f.n > limit:
-            continue
-
-        def fn(f=f) -> tuple[bool, Optional[tuple], str]:
-            fast = enumerate_cp_filters(f)
-            brute = cp_filters_bruteforce(f)
-            if [(c.cogenerator, c.members) for c in fast] != \
-               [(c.cogenerator, c.members) for c in brute]:
-                return False, (len(fast), len(brute)), "filter sets differ"
-            return True, None, ""
-        out.append((name, "filter-oracle", fn))
-    return out
+def adjunction_naturality(inst: Instance) -> CheckResult:
+    """Both naturality squares, for the swap automorphism of a category."""
+    tc, om = inst.tc, inst.omega
+    q = om.rqf
+    swap = np.array([3, 2, 1, 0], dtype=np.int64)
+    ok1, w1 = check_naturality_in_category(swap, tc, tc, q)
+    if not ok1:
+        return False, w1, "naturality square in the category argument"
+    psi = omega_morphism(swap, om, om)
+    ok2, w2 = check_naturality_in_quantale(psi, q, q, tc)
+    if not ok2:
+        return False, w2, "naturality square in the quantale argument"
+    return True, None, ""
 
 
-def check_pi_characterization() -> list[Pending]:
-    """PI(Omega(C)) is exactly the set of open local bisections of C."""
-    out: list[Pending] = []
-    for inst in cor.etale_categories():
-        tc = inst.obj
-        if tc.n > 12:
-            continue
-
-        def fn(tc=tc) -> tuple[bool, Optional[tuple], str]:
-            om = omega_object(tc)
-            pis = {om.opens[p] for p in partial_isometries(om.rqf)}
-            olbs = {m for m in local_bisections(tc.cat) if tc.topology.is_open(m)}
-            if pis != olbs:
-                return False, (len(pis), len(olbs)), "sets differ"
-            return True, None, ""
-        out.append((inst.name, "isometries-are-open-bisections", fn))
-    return out
-
-
-def check_compatibility_lemma() -> list[Pending]:
-    out: list[Pending] = []
-    for inst in cor.corpus_rqfs():
-        out.append((inst.name, "compatible-join-lemma",
-                    lambda q=inst.obj: _simple(compatibility_lemma_check(q))))
-        out.append((inst.name, "isometries-order-ideal",
-                    lambda q=inst.obj: _simple(pi_is_order_ideal(q))))
-        out.append((inst.name, "elements-are-joins-of-isometries",
-                    lambda q=inst.obj: _simple(every_element_is_join_of_pi(q))))
-    return out
-
-
-def check_chi_roundtrips(max_elements: int = 1024) -> list[Pending]:
-    out: list[Pending] = []
-    for inst in cor.corpus_rqfs():
-        q = inst.obj
-        if q.n > max_elements:
-            continue
-
-        def fn(q=q) -> tuple[bool, Optional[tuple], str]:
-            chi = build_chi(q)
-            ok, why = chi_is_isomorphism(chi)
-            if not ok:
-                return False, (q.n,), why
-            sp, wit = is_spatial(q, chi.fc)
-            if not sp:
-                return False, wit, "not spatial"
-            return True, None, ""
-        out.append((inst.name, "chi-isomorphism", fn))
-    return out
-
-
-def check_omega_roundtrips() -> list[Pending]:
-    out: list[Pending] = []
-    for inst in cor.etale_categories():
-        if inst.sober:
-            def fn(tc=inst.obj) -> tuple[bool, Optional[tuple], str]:
-                res = build_omega_map(tc)
-                ok, why = omega_is_isomorphism(tc, res)
-                if not ok:
-                    return False, (tc.n,), why
-                sober, wit = is_sober(tc, res)
-                if not sober:
-                    return False, wit, "not sober"
-                return True, None, ""
-            out.append((inst.name, "omega-isomorphism", fn))
-        else:
-            # not sober: omega is still a continuous covering functor and
-            # sobriety must be reported false
-            def fn(tc=inst.obj) -> tuple[bool, Optional[tuple], str]:
-                res = build_omega_map(tc)
-                if not res.report.ok:
-                    return False, res.report.violations[0].witness, \
-                        res.report.violations[0].law
-                sober, _ = is_sober(tc, res)
-                if sober:
-                    return False, (tc.n,), "expected a non-sober instance"
-                return True, None, ""
-            out.append((inst.name, "omega-covering-functor-nonsober", fn))
-    return out
-
-
-def check_crm_roundtrips(max_elements: int = 1024) -> list[Pending]:
-    out: list[Pending] = []
-    for inst in cor.corpus_rqfs():
-        q = inst.obj
-        if q.n > max_elements:
-            continue
-
-        def fn_a(q=q) -> tuple[bool, Optional[tuple], str]:
-            s, carrier = pi_restriction_monoid(q)
-            lv = l_vee(s, max_elements=max_elements)
-            iso = np.array([q.frame.join_fold([carrier[x] for x in iter_bits(m)])
-                            for m in lv.ideals], dtype=np.int64)
-            if not quantale_isomorphism_ok(iso, lv.rqf, q):
-                return False, (lv.rqf.n, q.n), "explicit isomorphism fails"
-            return True, None, ""
-        out.append((inst.name, "ideals-of-isometries-roundtrip", fn_a))
-    for inst in cor.corpus_crms():
-        s = inst.obj
-
-        def fn_b(s=s) -> tuple[bool, Optional[tuple], str]:
-            lv = l_vee(s, max_elements=max_elements)
-            s2, carrier2 = pi_restriction_monoid(lv.rqf)
-            pos = {e: i for i, e in enumerate(carrier2)}
-            iso = np.array([pos[lv.principal(x)] for x in range(s.n)], dtype=np.int64)
-            if sorted(iso.tolist()) != list(range(s2.n)):
-                return False, (s.n, s2.n), "not bijective"
-            if not validate_crm_morphism(iso, s, s2).ok:
-                return False, (s.n,), "not a morphism"
-            ok, wit = preserves_finite_meets(iso, s, s2)
-            if not ok:
-                return False, wit, "meets not preserved"
-            return True, None, ""
-        out.append((inst.name, "isometries-of-ideals-roundtrip", fn_b))
-
-        def fn_c(s=s) -> tuple[bool, Optional[tuple], str]:
-            lv = l_vee(s, max_elements=max_elements)
-            sf = s_filters(s)
-            fc = c_object(lv.rqf)
-            bij = s_filter_bijection(sf, lv)
-            if sorted(bij.tolist()) != list(range(fc.n)):
-                return False, (sf.n, fc.n), "filter map not bijective"
-            rep = validate_covering_functor(bij, sf.topcat.cat, fc.topcat.cat)
-            if not rep.ok:
-                return False, rep.violations[0].witness, "not a functor isomorphism"
-            for a in range(s.n):
-                lhs = mask_of(int(bij[k]) for k in iter_bits(sf.x_mask(a)))
-                if lhs != fc.calc.x_mask(lv.principal(a)):
-                    return False, (a,), "X-set correspondence fails"
-            return True, None, ""
-        out.append((inst.name, "filter-category-correspondence", fn_c))
-    return out
-
-
-def check_adjunction_I(names: Iterable[str] = ADJUNCTION_I_PAIRS) -> list[Pending]:
-    out: list[Pending] = []
-    cats = {i.name: i.obj for i in cor.etale_categories()}
-    for name in names:
-        tc = cats[name]
-
-        def fn(tc=tc) -> tuple[bool, Optional[tuple], str]:
-            q = omega_object(tc).rqf
-            adj = verify_adjunction_I(tc, q)
-            if not adj.ok:
-                return False, tuple(adj.failures[0]), "transposes not mutually inverse"
-            return True, None, f"homset sizes {adj.sizes}"
-        out.append((name, "adjunction-homsets", fn))
-
-    def fn_nat() -> tuple[bool, Optional[tuple], str]:
-        tc = cats["pair2"]
-        om = omega_object(tc)
-        q = om.rqf
-        swap = np.array([3, 2, 1, 0], dtype=np.int64)
-        ok1, w1 = check_naturality_in_category(swap, tc, tc, q)
-        if not ok1:
-            return False, w1, "naturality square in the category argument"
-        from .functors import omega_morphism
-        psi = omega_morphism(swap, om, om)
-        ok2, w2 = check_naturality_in_quantale(psi, q, q, tc)
-        if not ok2:
-            return False, w2, "naturality square in the quantale argument"
-        return True, None, ""
-    out.append(("pair2", "adjunction-naturality", fn_nat))
-    return out
-
-
-def check_adjunction_II() -> list[Pending]:
-    def fn() -> tuple[bool, Optional[tuple], str]:
-        tc = cor.pair_groupoid(2)
-        q = omega_object(tc).rqf
-        s, _ = pi_restriction_monoid(q)
-        adj2 = verify_adjunction_II(tc, s)
-        if not adj2.ok:
-            return False, tuple(adj2.failures[0]), "transposes not mutually inverse"
-        lv = l_vee(s)
-        adj1 = verify_adjunction_I(tc, lv.rqf)
+def adjunction_II_translated(inst: Instance) -> CheckResult:
+    """Adjunction II for (C, PI(Omega(C))), with the hom-set sizes of
+    adjunction I for the translated pair (C, L^vee(PI(Omega(C))))."""
+    tc = inst.tc
+    adj2 = verify_adjunction_II(tc, inst.crm)
+    if adj2.ok:
+        adj1 = verify_adjunction_I(tc, inst.lv.rqf)
         if adj1.sizes != adj2.sizes:
             return False, adj1.sizes + adj2.sizes, "sizes differ from translated pair"
-        return True, None, f"homset sizes {adj2.sizes}"
-    return [("pair2/partial-bijections", "adjunction-II-homsets", fn)]
+    return adjunction_outcome(adj2)
+
+
+# ---------------------------------------------------------------------------
+# the suite
+
+CATEGORY_CHECKS = (
+    ("topcategory-axioms", lambda inst: _from_report(validate_topcategory(inst.tc))),
+    ("etale", _etale_check),
+    ("isometries-are-open-bisections", isometries_are_open_bisections),
+)
+RQF_CHECKS = (
+    ("rqf-axioms", lambda inst: _from_report(validate_rqf(inst.rqf))),
+    ("compatible-join-lemma", lambda inst: _simple(compatibility_lemma_check(inst.rqf))),
+    ("isometries-order-ideal", lambda inst: _simple(pi_is_order_ideal(inst.rqf))),
+    ("elements-are-joins-of-isometries",
+     lambda inst: _simple(every_element_is_join_of_pi(inst.rqf))),
+    ("chi-isomorphism", chi_roundtrip),
+    ("ideals-of-isometries-roundtrip", ideals_of_isometries_roundtrip),
+)
+CRM_CHECKS = (
+    ("crm-axioms", lambda inst: _from_report(validate_crm(inst.crm))),
+    ("isometries-of-ideals-roundtrip", isometries_of_ideals_roundtrip),
+    ("filter-category-correspondence", filter_category_correspondence),
+)
+FILTER_ORACLE_LIMIT = 64  # largest frame the subset-by-subset oracle runs on
+
+
+def run_pending(pending: list[Pending],
+                stream: Optional[Callable[[CheckReport], None]] = None) -> list[CheckReport]:
+    out: list[CheckReport] = []
+    for inst, name, fn in pending:
+        r = run_check(inst, name, fn)
+        if stream:
+            stream(r)
+        out.append(r)
+    return sort_reports(out)
+
+
+def _per_instance(named: list[tuple[str, Instance]], checks) -> list[Pending]:
+    return [(name, check, partial(body, inst))
+            for name, inst in named for check, body in checks]
 
 
 def full_suite_pending() -> list[Pending]:
-    out: list[Pending] = []
-    out += check_positive_corpus()
-    out += check_negative_fixtures()
-    out += check_filter_oracle()
-    out += check_pi_characterization()
-    out += check_compatibility_lemma()
-    out += check_chi_roundtrips()
-    out += check_omega_roundtrips()
-    out += check_crm_roundtrips()
-    out += check_adjunction_I()
-    out += check_adjunction_II()
+    """Every check of the suite over one build of the corpus."""
+    cats = [(c, Instance(tc=c.obj)) for c in cor.etale_categories()]
+    by_name = {c.name: inst for c, inst in cats}
+    rqfs = [(name, by_name[c.name]) for name, c in cor.omega_images()]
+    rqfs += [(c.name, Instance(q=c.obj)) for c in cor.quantale_frames()]
+    crms = [(c.name, Instance(s=c.obj)) for c in cor.hand_built_crms()]
+    crms += [(f"pi-{name}", inst) for name, inst in rqfs if name in cor.PI_OF_RQFS]
+
+    out = _per_instance([(c.name, inst) for c, inst in cats], CATEGORY_CHECKS)
+    for c, inst in cats:
+        if c.sober:
+            out.append((c.name, "omega-isomorphism", partial(omega_roundtrip, inst)))
+        else:
+            out.append((c.name, "omega-covering-functor-nonsober",
+                        partial(omega_nonsober, inst)))
+    out += _per_instance(rqfs, RQF_CHECKS)
+    out += _per_instance(crms, CRM_CHECKS)
+    frames = [(f.name, f.obj) for f in cor.corpus_frames()]
+    for name, f in frames:
+        out.append((name, "frame-axioms", lambda f=f: _from_report(validate_frame(f))))
+        out.append((name, "spatial", lambda f=f: _simple(frame_spatial_check(f))))
+    frames += [(f"frame-of-{name}", inst.rqf.frame) for name, inst in rqfs]
+    out += [(name, "filter-oracle", partial(filter_oracle, f))
+            for name, f in frames if f.n <= FILTER_ORACLE_LIMIT]
+    out += [(c.name, "rejected-with-witness", partial(rejected_with_witness, c))
+            for c in cor.negative_fixtures() + [cor.negative_crm_fixture()]]
+    out += [(name, "adjunction-homsets", lambda inst=by_name[name]: adjunction_outcome(
+        verify_adjunction_I(inst.tc, inst.rqf))) for name in ADJUNCTION_I_PAIRS]
+    out.append(("pair2", "adjunction-naturality", partial(adjunction_naturality, by_name["pair2"])))
+    out.append(("pair2/partial-bijections", "adjunction-II-homsets",
+                partial(adjunction_II_translated, by_name["pair2"])))
     return out

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,8 @@ from framecat.cli import main
 from framecat.corpus import m3_lattice, pair_groupoid
 from framecat.documents import WorkbenchDocument, serialize_document
 from framecat.order import FiniteFrame
+
+EXPECTED_CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "corpus.json"
 
 
 @pytest.fixture(scope="module")
@@ -121,17 +124,23 @@ def test_json_format_summary(fixture_dir, capsys):
     assert payload["checks"]
 
 
-def test_corpus_run_is_deterministic_across_jobs(capsys):
-    def run(jobs):
-        code = main(["--format", "json", "--jobs", jobs, "corpus", "run"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        return [(c["instance"], c["check"], c["status"], c.get("witness"))
-                for c in payload["checks"]]
+def test_corpus_run_matches_expected_summary(capsys):
+    expected = json.loads(EXPECTED_CORPUS.read_text(encoding="utf-8"))
+    assert main(["--format", "json", "corpus", "run"]) == 0
+    payload = json.loads(capsys.readouterr().out)
 
-    first = run("1")
-    second = run("4")
-    assert first == second
+    def without_seconds(checks):
+        return [{k: v for k, v in c.items() if k != "seconds"} for c in checks]
+    assert without_seconds(payload["checks"]) == without_seconds(expected["checks"])
+    assert (payload["total"], payload["failed"]) == (expected["total"], expected["failed"])
+
+
+def test_category_document_above_arrow_limit_exits_3(tmp_path):
+    doc = {"kind": "category", "name": "huge",
+           "payload": {"arrows": 1048575, "identities": [], "d": [], "r": [], "comp": []}}
+    path = tmp_path / "huge.category.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 3
 
 
 def test_validate_functor_document(tmp_path, capsys):

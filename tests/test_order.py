@@ -307,3 +307,41 @@ def random_dag_orders(draw):
 @given(random_dag_orders())
 def test_lattice_oracle_agrees_on_random_orders(leq):
     assert_lattice_matches_oracle(leq)
+
+
+def transitivity_oracle(leq) -> list[tuple[int, int, int]]:
+    """The transitivity witness by the boolean matrix product: the first
+    (i, k) in row-major order with i <= j <= k but not i <= k, and the
+    first such j."""
+    bad = (leq @ leq) & ~leq
+    if not bad.any():
+        return []
+    i, k = np.argwhere(bad)[0]
+    j = int(np.flatnonzero(leq[i, :] & leq[:, k])[0])
+    return [(int(i), j, int(k))]
+
+
+def assert_transitivity_matches_oracle(leq):
+    rep = validate_poset(FinitePoset.from_leq(leq))
+    got = [v.witness for v in rep.violations if v.law == "poset.transitivity"]
+    assert got == transitivity_oracle(np.asarray(leq, dtype=bool))
+
+
+@st.composite
+def random_relations(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    return np.array(bits, dtype=bool).reshape(n, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(random_relations(), random_dag_orders()))
+def test_transitivity_matches_boolean_oracle(leq):
+    assert_transitivity_matches_oracle(leq)
+
+
+@pytest.mark.parametrize("density", [0.002, 0.01, 0.05])
+def test_transitivity_matches_boolean_oracle_on_large_relations(density):
+    rng = np.random.default_rng(7)
+    leq = rng.random((300, 300)) < density
+    assert_transitivity_matches_oracle(leq)
