@@ -656,46 +656,84 @@ def s_filter_bijection(sf: SFilterCategory, lv: IdealCompletion,
 def enumerate_callitic_morphisms(s: CompleteRestrictionMonoid,
                                  t: CompleteRestrictionMonoid,
                                  max_elements: int = 64) -> list[np.ndarray]:
+    """All callitic morphisms s -> t, by backtracking over the element map.
+
+    The elements of s are visited by down-set size, ties in index order.
+    Each element of t is a candidate image, pruned by zero, unit, star,
+    plus and the order, multiplication and meet of the elements assigned
+    so far; the pruning reads Python lists of the tables, built once per
+    call.
+
+    Forced joins: where a is the join of a compatible pair x, y visited
+    before a, theta(a) must be the join of theta(x) and theta(y) in t, the
+    only candidate tried, and none is tried when that join does not exist.
+    No morphism is lost, since validate_crm_morphism requires compatible
+    joins to be preserved; none is added, since every complete assignment
+    is still kept only if validate_crm_morphism and is_callitic pass.  The
+    candidate lists are sub-lists of the full ones, so the morphisms come
+    out in the same order."""
     if s.n > max_elements or t.n > max_elements:
         raise BoundExceeded(f"callitic enumeration bounded to {max_elements} elements")
     order = sorted(range(s.n), key=lambda a: int(s.leq[:, a].sum()))
-    assign: dict[int, int] = {}
+    rank = {a: i for i, a in enumerate(order)}
+    s_joins = _partial_join_table(s).tolist()
+    forced: list[Optional[tuple[int, int]]] = [None] * s.n
+    for x in range(s.n):
+        for y in range(x, s.n):
+            j = s_joins[x][y]
+            if (j >= 0 and forced[j] is None and rank[x] < rank[j] and rank[y] < rank[j]
+                    and crm_compatible(s, x, y)):
+                forced[j] = (x, y)
+    t_joins = _partial_join_table(t).tolist()
+    s_leq, s_mul, s_meet = s.leq.tolist(), s.mul.tolist(), s.meet.tolist()
+    s_star, s_plus = s.star.tolist(), s.plus.tolist()
+    t_leq, t_mul, t_meet = t.leq.tolist(), t.mul.tolist(), t.meet.tolist()
+    t_star, t_plus = t.star.tolist(), t.plus.tolist()
+    every_image = range(t.n)
+    assign = [-1] * s.n
     found: list[np.ndarray] = []
 
-    def consistent(a: int) -> bool:
+    def consistent(i: int) -> bool:
+        a = order[i]
         ta = assign[a]
         if a == s.zero and ta != t.zero:
             return False
         if a == s.unit and ta != t.unit:
             return False
-        if int(s.star[a]) in assign and int(t.star[ta]) != assign[int(s.star[a])]:
+        if assign[s_star[a]] >= 0 and t_star[ta] != assign[s_star[a]]:
             return False
-        if int(s.plus[a]) in assign and int(t.plus[ta]) != assign[int(s.plus[a])]:
+        if assign[s_plus[a]] >= 0 and t_plus[ta] != assign[s_plus[a]]:
             return False
-        for o, to in assign.items():
-            if s.leq[a, o] and not t.leq[ta, to]:
+        for o in order[:i + 1]:
+            to = assign[o]
+            if s_leq[a][o] and not t_leq[ta][to]:
                 return False
-            if s.leq[o, a] and not t.leq[to, ta]:
+            if s_leq[o][a] and not t_leq[to][ta]:
                 return False
             for x, y, tx, ty in ((a, o, ta, to), (o, a, to, ta)):
-                m = int(s.mul[x, y])
-                if m in assign and int(t.mul[tx, ty]) != assign[m]:
+                m = s_mul[x][y]
+                if assign[m] >= 0 and t_mul[tx][ty] != assign[m]:
                     return False
-                m = int(s.meet[x, y])
-                if m in assign and int(t.meet[tx, ty]) != assign[m]:
+                m = s_meet[x][y]
+                if assign[m] >= 0 and t_meet[tx][ty] != assign[m]:
                     return False
         return True
 
     def backtrack(i: int) -> None:
         if i == s.n:
-            found.append(np.array([assign[a] for a in range(s.n)], dtype=np.int64))
+            found.append(np.array(assign, dtype=np.int64))
             return
         a = order[i]
-        for v in range(t.n):
+        candidates = every_image
+        if forced[a] is not None:
+            x, y = forced[a]
+            v = t_joins[assign[x]][assign[y]]
+            candidates = (v,) if v >= 0 else ()
+        for v in candidates:
             assign[a] = v
-            if consistent(a):
+            if consistent(i):
                 backtrack(i + 1)
-            del assign[a]
+        assign[a] = -1
 
     backtrack(0)
     out = []

@@ -292,64 +292,105 @@ def enumerate_covering_functors(src: FiniteTopCategory, dst: FiniteTopCategory,
 def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
                             max_elements: int = 64) -> list[np.ndarray]:
     """All RQF morphisms q -> r.  A morphism preserves joins and every element
-    is a join of partial isometries, so it is determined by its restriction to
-    the partial isometries; backtrack over those, extend by joins, validate."""
+    is a join of partial isometries (PIs), so it is determined by its
+    restriction to the PIs; backtrack over those, extend by joins, validate.
+
+    The PIs of q are visited by down-set size, ties in index order, so every
+    PI strictly below p is assigned before p.  Each PI of r is a candidate
+    image, pruned by bottom, unit, star, plus and the order, multiplication,
+    meet and join of the PIs assigned so far; the pruning reads Python lists
+    of the PI x PI blocks of the tables, built once per call.
+
+    Forced joins: where p = x v y for PIs x, y visited before p, theta(p)
+    must be r.join[theta(x), theta(y)], the only candidate tried, and none
+    is tried when that join is not a PI of r.  No morphism is lost, since a
+    morphism preserves joins and maps PIs to PIs; none is added, since
+    every complete assignment is still extended by joins and kept only if
+    validate_rqf_morphism passes.  The candidate lists are sub-lists of the
+    full ones, so the morphisms come out in the same order."""
     if q.n > max_elements or r.n > max_elements:
         raise BoundExceeded(f"morphism enumeration bounded to {max_elements} elements")
     q_pis = partial_isometries(q)
     r_pis = partial_isometries(r)
-    q_rank = {p: i for i, p in enumerate(sorted(q_pis, key=lambda p: int(q.leq[:, p].sum())))}
-    order = sorted(q_pis, key=lambda p: q_rank[p])
-    assign: dict[int, int] = {}
-    found: list[dict[int, int]] = []
+    # PIs are named by their positions in q_pis and r_pis from here on
+    q_pos = {p: i for i, p in enumerate(q_pis)}
+    r_pos = {t: i for i, t in enumerate(r_pis)}
+    q_leq = q.leq[np.ix_(q_pis, q_pis)].tolist()
+    r_leq = r.leq[np.ix_(r_pis, r_pis)].tolist()
+    q_mul, q_meet, q_join = (_pi_block(a, q_pis, q_pos) for a in (q.mul, q.meet, q.join))
+    r_mul, r_meet, r_join = (_pi_block(a, r_pis, r_pos) for a in (r.mul, r.meet, r.join))
+    q_star, q_plus = ([q_pos.get(int(a[p]), -1) for p in q_pis] for a in (q.star, q.plus))
+    r_star, r_plus = ([r_pos.get(int(a[t]), -1) for t in r_pis] for a in (r.star, r.plus))
+    q_bottom, q_unit = q_pos.get(q.bottom, -1), q_pos.get(q.unit, -1)
+    r_bottom, r_unit = r_pos.get(r.bottom, -1), r_pos.get(r.unit, -1)
 
-    def consistent(p: int) -> bool:
+    order = sorted(range(len(q_pis)), key=lambda i: int(q.leq[:, q_pis[i]].sum()))
+    rank = {p: i for i, p in enumerate(order)}
+    forced: list[Optional[tuple[int, int]]] = [None] * len(q_pis)
+    for x in range(len(q_pis)):
+        for y in range(x, len(q_pis)):
+            j = q_join[x][y]
+            if j >= 0 and forced[j] is None and rank[x] < rank[j] and rank[y] < rank[j]:
+                forced[j] = (x, y)
+    every_image = range(len(r_pis))
+    assign = [-1] * len(q_pis)
+    found: list[list[int]] = []
+
+    def consistent(i: int) -> bool:
+        p = order[i]
         tp = assign[p]
-        if p == q.bottom and tp != r.bottom:
+        if p == q_bottom and tp != r_bottom:
             return False
-        if p == q.unit and tp != r.unit:
+        if p == q_unit and tp != r_unit:
             return False
-        sp = int(q.star[p])
-        if sp in assign and int(r.star[tp]) != assign[sp]:
+        sp = q_star[p]
+        if sp >= 0 and assign[sp] >= 0 and r_star[tp] != assign[sp]:
             return False
-        pp = int(q.plus[p])
-        if pp in assign and int(r.plus[tp]) != assign[pp]:
+        pp = q_plus[p]
+        if pp >= 0 and assign[pp] >= 0 and r_plus[tp] != assign[pp]:
             return False
-        for o, to in assign.items():
-            if q.leq[p, o] and not r.leq[tp, to]:
+        for o in order[:i + 1]:
+            to = assign[o]
+            if q_leq[p][o] and not r_leq[tp][to]:
                 return False
-            if q.leq[o, p] and not r.leq[to, tp]:
+            if q_leq[o][p] and not r_leq[to][tp]:
                 return False
             for x, y, tx, ty in ((p, o, tp, to), (o, p, to, tp)):
-                m = int(q.mul[x, y])
-                if m in assign and int(r.mul[tx, ty]) != assign[m]:
+                m = q_mul[x][y]
+                if m >= 0 and assign[m] >= 0 and r_mul[tx][ty] != assign[m]:
                     return False
-                m = int(q.meet[x, y])
-                if m in assign and int(r.meet[tx, ty]) != assign[m]:
+                m = q_meet[x][y]
+                if m >= 0 and assign[m] >= 0 and r_meet[tx][ty] != assign[m]:
                     return False
-                j = int(q.join[x, y])
-                if j in assign and j in q_rank and int(r.join[tx, ty]) != assign[j]:
+                j = q_join[x][y]
+                if j >= 0 and assign[j] >= 0 and r_join[tx][ty] != assign[j]:
                     return False
         return True
 
     def backtrack(i: int) -> None:
         if i == len(order):
-            found.append(dict(assign))
+            found.append(list(assign))
             return
         p = order[i]
-        for t in r_pis:
+        candidates = every_image
+        if forced[p] is not None:
+            x, y = forced[p]
+            t = r_join[assign[x]][assign[y]]
+            candidates = (t,) if t >= 0 else ()
+        for t in candidates:
             assign[p] = t
-            if consistent(p):
+            if consistent(i):
                 backtrack(i + 1)
-            del assign[p]
+        assign[p] = -1
 
     backtrack(0)
+    pis_below = [np.flatnonzero(col).tolist() for col in q.leq[q_pis, :].T]
     out = []
     seen = set()
-    for a in found:
-        theta = np.zeros(q.n, dtype=np.int64)
-        for x in range(q.n):
-            theta[x] = _join_fold(r, [a[p] for p in q_pis if q.leq[p, x]])
+    for images in found:
+        a = [r_pis[t] for t in images]
+        theta = np.array([_join_fold(r, [a[i] for i in below]) for below in pis_below],
+                         dtype=np.int64)
         key = theta.tobytes()
         if key in seen:
             continue
@@ -357,6 +398,12 @@ def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
         if validate_rqf_morphism(theta, q, r).ok:
             out.append(_freeze(theta))
     return out
+
+
+def _pi_block(table: np.ndarray, pis: list[int], pos: dict[int, int]) -> list[list[int]]:
+    """table on pis x pis as lists, each value replaced by its position in
+    pis, or by -1 where it is not in pis."""
+    return [[pos.get(v, -1) for v in row] for row in table[np.ix_(pis, pis)].tolist()]
 
 
 def _join_fold(r: EhresmannQuantale, xs: list[int]) -> int:
@@ -382,13 +429,18 @@ class AdjunctionReport:
 
 
 def verify_adjunction_I(tc: FiniteTopCategory, q: EhresmannQuantale,
-                        max_arrows: int = 12, max_elements: int = 64) -> AdjunctionReport:
+                        max_arrows: int = 12, max_elements: int = 64,
+                        fc: Optional[FilterCategoryResult] = None,
+                        om: Optional[OmegaResult] = None) -> AdjunctionReport:
     """Enumerate all continuous covering functors C -> C(Q) and all RQF
     morphisms Q -> Omega(C), and verify the two transposes are mutually
-    inverse bijections between the hom-sets."""
+    inverse bijections between the hom-sets.  `fc` and `om` are C(Q) and
+    Omega(C) when already built."""
     rep = AdjunctionReport()
-    fc = c_object(q)
-    om = omega_object(tc)
+    if fc is None:
+        fc = c_object(q)
+    if om is None:
+        om = omega_object(tc)
     if fc.n > max_arrows:
         raise BoundExceeded(f"C(Q) has {fc.n} arrows > {max_arrows}")
     rep.functor_homset = enumerate_covering_functors(tc, fc.topcat, max_arrows)
@@ -424,15 +476,24 @@ def verify_adjunction_I(tc: FiniteTopCategory, q: EhresmannQuantale,
 
 
 def check_naturality_in_category(g, tc_src: FiniteTopCategory, tc_dst: FiniteTopCategory,
-                                 q: EhresmannQuantale) -> tuple[bool, Optional[tuple]]:
+                                 q: EhresmannQuantale,
+                                 fc: Optional[FilterCategoryResult] = None,
+                                 om_src: Optional[OmegaResult] = None,
+                                 om_dst: Optional[OmegaResult] = None
+                                 ) -> tuple[bool, Optional[tuple]]:
     """For a continuous covering functor G: C' -> C, precomposition commutes
-    with the forward transpose: T(alpha o G) = Omega(G) o T(alpha)."""
+    with the forward transpose: T(alpha o G) = Omega(G) o T(alpha).  `fc`,
+    `om_src` and `om_dst` are C(Q), Omega(C') and Omega(C) when already
+    built."""
     from .functors import omega_morphism
 
     g = np.asarray(g, dtype=np.int64)
-    fc = c_object(q)
-    om_src = omega_object(tc_src)
-    om_dst = omega_object(tc_dst)
+    if fc is None:
+        fc = c_object(q)
+    if om_src is None:
+        om_src = omega_object(tc_src)
+    if om_dst is None:
+        om_dst = omega_object(tc_dst)
     omega_g = omega_morphism(g, om_src, om_dst)
     for alpha in enumerate_covering_functors(tc_dst, fc.topcat):
         lhs = transpose_forward(alpha[g], tc_src, q, fc, om_src)
@@ -443,15 +504,24 @@ def check_naturality_in_category(g, tc_src: FiniteTopCategory, tc_dst: FiniteTop
 
 
 def check_naturality_in_quantale(psi, q_src: EhresmannQuantale, q_dst: EhresmannQuantale,
-                                 tc: FiniteTopCategory) -> tuple[bool, Optional[tuple]]:
+                                 tc: FiniteTopCategory,
+                                 fc_src: Optional[FilterCategoryResult] = None,
+                                 fc_dst: Optional[FilterCategoryResult] = None,
+                                 om: Optional[OmegaResult] = None
+                                 ) -> tuple[bool, Optional[tuple]]:
     """For an RQF morphism psi: Q -> Q', postcomposition by C(psi) commutes
-    with the forward transpose: T(C(psi) o alpha) = T(alpha) o psi."""
+    with the forward transpose: T(C(psi) o alpha) = T(alpha) o psi.
+    `fc_src`, `fc_dst` and `om` are C(Q), C(Q') and Omega(C) when already
+    built."""
     from .functors import c_morphism
 
     psi = np.asarray(psi, dtype=np.int64)
-    fc_src = c_object(q_src)
-    fc_dst = c_object(q_dst)
-    om = omega_object(tc)
+    if fc_src is None:
+        fc_src = c_object(q_src)
+    if fc_dst is None:
+        fc_dst = c_object(q_dst)
+    if om is None:
+        om = omega_object(tc)
     c_psi = c_morphism(psi, fc_src, fc_dst)
     for alpha in enumerate_covering_functors(tc, fc_dst.topcat):
         lhs = transpose_forward(c_psi[alpha], tc, q_src, fc_src, om)

@@ -269,14 +269,14 @@ def _validate_any(inst: cor.CorpusInstance) -> Report:
 
 def adjunction_naturality(inst: Instance) -> CheckResult:
     """Both naturality squares, for the swap automorphism of a category."""
-    tc, om = inst.tc, inst.omega
+    tc, om, fc = inst.tc, inst.omega, inst.fc
     q = om.rqf
     swap = np.array([3, 2, 1, 0], dtype=np.int64)
-    ok1, w1 = check_naturality_in_category(swap, tc, tc, q)
+    ok1, w1 = check_naturality_in_category(swap, tc, tc, q, fc, om, om)
     if not ok1:
         return False, w1, "naturality square in the category argument"
     psi = omega_morphism(swap, om, om)
-    ok2, w2 = check_naturality_in_quantale(psi, q, q, tc)
+    ok2, w2 = check_naturality_in_quantale(psi, q, q, tc, fc, fc, om)
     if not ok2:
         return False, w2, "naturality square in the quantale argument"
     return True, None, ""
@@ -288,7 +288,7 @@ def adjunction_II_translated(inst: Instance) -> CheckResult:
     tc = inst.tc
     adj2 = verify_adjunction_II(tc, inst.crm)
     if adj2.ok:
-        adj1 = verify_adjunction_I(tc, inst.lv.rqf)
+        adj1 = verify_adjunction_I(tc, inst.lv.rqf, fc=inst.lv_fc, om=inst.omega)
         if adj1.sizes != adj2.sizes:
             return False, adj1.sizes + adj2.sizes, "sizes differ from translated pair"
     return adjunction_outcome(adj2)
@@ -363,7 +363,8 @@ def full_suite_pending() -> list[Pending]:
     out += [(c.name, "rejected-with-witness", partial(rejected_with_witness, c))
             for c in cor.negative_fixtures() + [cor.negative_crm_fixture()]]
     out += [(name, "adjunction-homsets", lambda inst=by_name[name]: adjunction_outcome(
-        verify_adjunction_I(inst.tc, inst.rqf))) for name in ADJUNCTION_I_PAIRS]
+        verify_adjunction_I(inst.tc, inst.rqf, fc=inst.fc, om=inst.omega)))
+        for name in ADJUNCTION_I_PAIRS]
     out.append(("pair2", "adjunction-naturality", partial(adjunction_naturality, by_name["pair2"])))
     out.append(("pair2/partial-bijections", "adjunction-II-homsets",
                 partial(adjunction_II_translated, by_name["pair2"])))
