@@ -13,8 +13,9 @@ __version__ = "0.1.0"
 from .order import (CPFilter, FiniteFrame, FiniteLattice, FinitePoset,
                     cp_filters_bruteforce, enumerate_cp_filters,
                     frame_from_leq, frame_spatial_check, is_frame,
-                    lattice_from_leq, meet_prime_elements, pt_topology,
-                    validate_frame, validate_lattice, validate_poset)
+                    join_irreducibles, lattice_from_leq, meet_prime_elements,
+                    pt_topology, validate_frame, validate_lattice,
+                    validate_poset)
 from .quantale import (EhresmannQuantale, FiniteQuantale,
                        RestrictionQuantalFrame, cat_of_ehresmann, compatible,
                        compatibility_lemma_check, every_element_is_join_of_pi,

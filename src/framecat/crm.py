@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bits import has_bit, iter_bits, mask_of
+from .bits import has_bit, is_submask, iter_bits, mask_of
 from .order import _freeze
 from .quantale import EhresmannQuantale, partial_isometries
 from .reports import BoundExceeded, Report
@@ -342,6 +342,11 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealComple
     """The restriction quantal frame of order-ideals of S closed under all
     existing joins, ordered by inclusion.
 
+    The closed ideals are found breadth-first from the least one, extending
+    each ideal I by one minimal element g of its complement at a time.  That
+    reaches every closed K above I: a minimal g in K - I has all of its
+    strict down-set in I, so the closure of I + {g} lies inside K.
+
     The closed ideals form a closure system, so the lattice tables come from
     the containment order directly; the closure of a finite set is the
     lattice join of the principal ideals of its elements, which turns the
@@ -354,6 +359,7 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealComple
     down = [s.downset_mask(i) for i in range(n)]
     join_table = _partial_join_table(s)
 
+    strict_down = [down[g] & ~(1 << g) for g in range(n)]
     bottom_ideal = _ideal_closure(s, 0, down, join_table)
     ideals = {bottom_ideal}
     frontier = [bottom_ideal]
@@ -361,7 +367,7 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealComple
         nxt = []
         for i_mask in frontier:
             for g in range(n):
-                if has_bit(i_mask, g):
+                if has_bit(i_mask, g) or not is_submask(strict_down[g], i_mask):
                     continue
                 bigger = _ideal_closure(s, i_mask | (1 << g), down, join_table)
                 if bigger not in ideals:

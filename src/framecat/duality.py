@@ -28,10 +28,13 @@ from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
 # ---------------------------------------------------------------------------
 # morphisms of restriction quantal frames
 
-def validate_rqf_morphism(theta, q: EhresmannQuantale, r: EhresmannQuantale) -> Report:
+def validate_rqf_morphism(theta, q: EhresmannQuantale, r: EhresmannQuantale,
+                          q_pis: Optional[list[int]] = None,
+                          r_pis: Optional[list[int]] = None) -> Report:
     """The five defining conditions, each checked exhaustively:
     all joins, finite meets, Ehresmann + semigroup morphism, top and unit,
-    partial isometries to partial isometries."""
+    partial isometries to partial isometries.  The partial isometries of q
+    and r are computed unless given as q_pis and r_pis."""
     theta = np.asarray(theta, dtype=np.int64)
     rep = Report(subject="rqf-morphism")
     rep.layers_run.append("rqf-morphism")
@@ -68,9 +71,9 @@ def validate_rqf_morphism(theta, q: EhresmannQuantale, r: EhresmannQuantale) -> 
     if theta[q.unit] != r.unit:
         rep.add("morphism.preserves_unit", (q.unit,))
 
-    r_pis = set(partial_isometries(r))
-    for a in partial_isometries(q):
-        if int(theta[a]) not in r_pis:
+    r_pi_set = set(partial_isometries(r) if r_pis is None else r_pis)
+    for a in (partial_isometries(q) if q_pis is None else q_pis):
+        if int(theta[a]) not in r_pi_set:
             rep.add("morphism.preserves_isometries", (a, int(theta[a])))
             break
     return rep
@@ -395,7 +398,7 @@ def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
         if key in seen:
             continue
         seen.add(key)
-        if validate_rqf_morphism(theta, q, r).ok:
+        if validate_rqf_morphism(theta, q, r, q_pis, r_pis).ok:
             out.append(_freeze(theta))
     return out
 

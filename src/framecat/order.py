@@ -5,6 +5,19 @@ meet/join are n-by-n element tables.  A finite frame is a finite bounded
 distributive lattice: binary distributivity plus the lattice axioms imply
 that finite meets distribute over arbitrary (= finite) joins.
 
+How each layer is decided.  Every validator runs one exact test of its
+whole layer first; only when that test fails does the literal law-by-law
+scan run, to name the first violated law and its witness, so the reports
+are those of the scan.
+- Poset: two-step reachability as one BLAS product, O(n^3) flops.
+- Lattice: the given meet, join, bottom and top must equal the ones
+  `lattice_from_leq` computes from the order: O(n^2) bitset operations on
+  n-bit ints.  The scan is O(n^3).
+- Frame: a finite lattice is distributive iff each of its join-irreducible
+  elements J (`join_irreducibles`) is join-prime (Birkhoff; Davey &
+  Priestley, Introduction to Lattices and Order, ch. 5): one n-by-n
+  comparison per j, O(n^2 |J|).  The scan of all (x, y, z) is O(n^3).
+
 Completely prime filters are stored by their meet-prime co-generator m:
 the member set is exactly {x : x not<= m}.  The brute-force enumerator
 `cp_filters_bruteforce` is the independent oracle for `enumerate_cp_filters`.
@@ -145,6 +158,11 @@ def lattice_from_leq(leq) -> FiniteLattice:
     rep = validate_poset(p)
     if not rep.ok:
         raise ValueError(f"not a poset: {rep.violations[0]}")
+    return FiniteLattice(p, *_lattice_tables(p))
+
+
+def _lattice_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """meet, join, bottom and top of a valid poset; raises if not a lattice."""
     n = p.n
     if n == 0:
         raise ValueError("lattices must be non-empty")
@@ -175,7 +193,7 @@ def lattice_from_leq(leq) -> FiniteLattice:
         join[i, i:] = join[i:, i] = join_row
     bottom = int(np.flatnonzero(p.leq.all(axis=1))[0])
     top = int(np.flatnonzero(p.leq.all(axis=0))[0])
-    return FiniteLattice(p, _freeze(meet), _freeze(join), bottom, top)
+    return _freeze(meet), _freeze(join), bottom, top
 
 
 def frame_from_leq(leq) -> FiniteFrame:
@@ -222,6 +240,8 @@ def validate_lattice(l: FiniteLattice) -> Report:
         return rep
     rep.subject = "lattice"
     rep.layers_run.append("lattice")
+    if _has_lattice_tables(l):
+        return rep
     n, leq = l.n, l.leq
     idx = np.arange(n)
     for name, table in (("meet", l.meet), ("join", l.join)):
@@ -264,8 +284,52 @@ def validate_lattice(l: FiniteLattice) -> Report:
     return rep
 
 
+def _has_lattice_tables(l: FiniteLattice) -> bool:
+    """Whether meet, join, bottom and top are those of the (valid) order."""
+    try:
+        meet, join, bottom, top = _lattice_tables(l.poset)
+    except ValueError:
+        return False
+    return (np.array_equal(l.meet, meet) and np.array_equal(l.join, join)
+            and l.bottom == bottom and l.top == top)
+
+
+def _irreducibles(table: np.ndarray, extreme: int) -> list[int]:
+    """The x != extreme that are not table[y, z] for any y, z both != x."""
+    n = table.shape[0]
+    idx = np.arange(n)
+    split = (table != idx[:, None]) & (table != idx[None, :])
+    reducible = np.zeros(n, dtype=bool)
+    reducible[table[split]] = True
+    reducible[extreme] = True
+    return np.flatnonzero(~reducible).tolist()
+
+
+def join_irreducibles(l: FiniteLattice) -> list[int]:
+    """J: the x != bottom whose strict down-set does not join to x.
+
+    In a lattice y \\/ z = x with y, z != x means y, z < x, so these are the
+    x that are the join of no two elements other than x; one O(n^2) pass
+    over the join table finds them."""
+    return _irreducibles(l.join, l.bottom)
+
+
+def _is_distributive(l: FiniteLattice) -> bool:
+    """Whether every j in J is join-prime, j <= y \\/ z implying j <= y or
+    j <= z: then x -> J & down(x) embeds the lattice into a powerset."""
+    leq, join = l.leq, l.join
+    return all(np.array_equal(leq[j, join], leq[j, :, None] | leq[j, None, :])
+               for j in join_irreducibles(l))
+
+
 def is_frame(l: FiniteLattice) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """Binary distributivity; in a finite lattice this is the whole frame law."""
+    """Binary distributivity; in a finite lattice this is the whole frame law.
+
+    `l` must be a lattice (validate_lattice passes).  Distributivity is
+    decided on J (`_is_distributive`), one n-by-n comparison per j; only a
+    failure runs the scan of all (x, y, z) that finds the first witness."""
+    if _is_distributive(l):
+        return True, None
     n = l.n
     meet, join = l.meet, l.join
     for x in range(n):
@@ -294,14 +358,16 @@ def validate_frame(f: FiniteFrame) -> Report:
 # meet-primes and completely prime filters
 
 def meet_prime_elements(f: FiniteFrame) -> list[int]:
-    """All m != top with x /\\ y <= m implying x <= m or y <= m."""
-    n, leq, meet = f.n, f.leq, f.meet
+    """All m != top with x /\\ y <= m implying x <= m or y <= m.
+
+    Only the meet-irreducible m, those that are the meet of no two elements
+    other than m, are tested: m = x /\\ y with x, y > m is not prime.  So
+    this is exact in every lattice; in a frame every candidate passes."""
+    leq, meet = f.leq, f.meet
     out = []
-    for m in range(n):
-        if m == f.top:
-            continue
+    for m in _irreducibles(meet, f.top):
         below = leq[:, m]
-        bad = leq[meet, m] & ~below[:, None] & ~below[None, :]
+        bad = below[meet] & ~below[:, None] & ~below[None, :]
         if not bad.any():
             out.append(m)
     return out

@@ -4,7 +4,8 @@ import pytest
 from framecat.bits import iter_bits, mask_of
 from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, negative_crm_fixture,
                              pair_groupoid, semilattice_monoid_category)
-from framecat.crm import (crm_compatible, crm_lub, enumerate_callitic_morphisms,
+from framecat.crm import (_ideal_closure, _partial_join_table, crm_compatible,
+                          crm_lub, enumerate_callitic_morphisms,
                           is_callitic, is_proper, l_vee, make_crm,
                           pi_restriction_monoid, preserves_finite_meets,
                           s_filter_bijection, s_filters, s_filters_list,
@@ -117,6 +118,33 @@ def _small_completion_inputs():
 def test_closed_ideals_match_bruteforce(s):
     found = closed_ideals_bruteforce(s)
     assert sorted(found, key=lambda m: (m.bit_count(), m)) == list(l_vee(s).ideals)
+
+
+def closed_ideals_by_full_search(s):
+    """Breadth-first search of the closed ideals that extends each ideal by
+    every element outside it, not only by the minimal ones."""
+    down = [s.downset_mask(i) for i in range(s.n)]
+    join_table = _partial_join_table(s)
+    bottom_ideal = _ideal_closure(s, 0, down, join_table)
+    ideals = {bottom_ideal}
+    frontier = [bottom_ideal]
+    while frontier:
+        nxt = []
+        for i_mask in frontier:
+            for g in range(s.n):
+                if (i_mask >> g) & 1:
+                    continue
+                bigger = _ideal_closure(s, i_mask | (1 << g), down, join_table)
+                if bigger not in ideals:
+                    ideals.add(bigger)
+                    nxt.append(bigger)
+        frontier = nxt
+    return sorted(ideals, key=lambda m: (m.bit_count(), m))
+
+
+def test_closed_ideals_match_full_search_on_pi_omega_pair3(omega_pair3):
+    s, _ = pi_restriction_monoid(omega_pair3.rqf)
+    assert list(l_vee(s).ideals) == closed_ideals_by_full_search(s)
 
 
 def test_principal_ideals_are_the_partial_isometries(i2):

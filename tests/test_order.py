@@ -4,12 +4,15 @@ from hypothesis import given, settings, strategies as st
 
 from framecat.bits import has_bit, iter_bits
 from framecat.corpus import (boolean_frame, chain_frame, corpus_frames, corpus_rqfs,
-                             m3_lattice, product_frame)
-from framecat.order import (FinitePoset, cp_filters_bruteforce,
-                            enumerate_cp_filters, frame_from_leq,
-                            frame_spatial_check, is_frame, lattice_from_leq,
+                             m3_lattice, negative_fixtures, product_frame)
+from framecat.order import (FiniteFrame, FiniteLattice, FinitePoset,
+                            _has_lattice_tables, _is_distributive,
+                            cp_filters_bruteforce, enumerate_cp_filters,
+                            frame_from_leq, frame_spatial_check, is_frame,
+                            join_irreducibles, lattice_from_leq,
                             meet_prime_elements, pt_topology, subframe,
                             validate_frame, validate_lattice, validate_poset)
+from framecat.reports import Report
 
 
 def test_two_chain_is_a_poset():
@@ -345,3 +348,203 @@ def test_transitivity_matches_boolean_oracle_on_large_relations(density):
     rng = np.random.default_rng(7)
     leq = rng.random((300, 300)) < density
     assert_transitivity_matches_oracle(leq)
+
+
+# ---------------------------------------------------------------------------
+# the lattice, frame and meet-prime fast paths against oracles: the bodies
+# below are the law-by-law scans over all pairs and triples, and the whole
+# Report (laws, witnesses, layers_run) must agree
+
+def validate_lattice_oracle(l: FiniteLattice) -> Report:
+    rep = validate_poset(l.poset)
+    if not rep.ok:
+        return rep
+    rep.subject = "lattice"
+    rep.layers_run.append("lattice")
+    n, leq = l.n, l.leq
+    idx = np.arange(n)
+    for name, table in (("meet", l.meet), ("join", l.join)):
+        t = np.asarray(table)
+        if t.shape != (n, n) or (t < 0).any() or (t >= n).any():
+            rep.add(f"lattice.{name}_table_range", (int(t.flat[0]) if t.size else 0,))
+            return rep
+    for i in range(n):
+        m = l.meet[i, :]
+        bad = ~(leq[m, i] & leq[m, idx])
+        if bad.any():
+            j = int(np.flatnonzero(bad)[0])
+            rep.add("lattice.meet_not_lower_bound", (i, j, int(m[j])))
+            break
+        common = leq[:, i][:, None] & leq
+        viol = common & ~leq[:, m]
+        if viol.any():
+            x, j = np.argwhere(viol)[0]
+            rep.add("lattice.meet_not_greatest", (i, int(j), int(x)))
+            break
+    for i in range(n):
+        jn = l.join[i, :]
+        bad = ~(leq[i, jn] & leq[idx, jn])
+        if bad.any():
+            j = int(np.flatnonzero(bad)[0])
+            rep.add("lattice.join_not_upper_bound", (i, j, int(jn[j])))
+            break
+        common = leq[i, :][None, :].T & leq.T
+        viol = common & ~leq[jn, :].T
+        if viol.any():
+            x, j = np.argwhere(viol)[0]
+            rep.add("lattice.join_not_least", (i, int(j), int(x)))
+            break
+    if not leq[l.bottom, :].all():
+        rep.add("lattice.bottom", (l.bottom,))
+    if not leq[:, l.top].all():
+        rep.add("lattice.top", (l.top,))
+    return rep
+
+
+def is_frame_oracle(l: FiniteLattice):
+    n = l.n
+    meet, join = l.meet, l.join
+    for x in range(n):
+        lhs = meet[x, join]
+        rhs = join[np.ix_(meet[x, :], meet[x, :])]
+        diff = lhs != rhs
+        if diff.any():
+            y, z = np.argwhere(diff)[0]
+            return False, (x, int(y), int(z))
+    return True, None
+
+
+def validate_frame_oracle(f: FiniteFrame) -> Report:
+    rep = validate_lattice_oracle(f.lattice)
+    if not rep.ok:
+        return rep
+    rep.subject = "frame"
+    rep.layers_run.append("frame")
+    ok, wit = is_frame_oracle(f.lattice)
+    if not ok:
+        rep.add("frame.distributivity", wit)
+    return rep
+
+
+def meet_prime_elements_oracle(f: FiniteFrame) -> list[int]:
+    n, leq, meet = f.n, f.leq, f.meet
+    out = []
+    for m in range(n):
+        if m == f.top:
+            continue
+        below = leq[:, m]
+        bad = leq[meet, m] & ~below[:, None] & ~below[None, :]
+        if not bad.any():
+            out.append(m)
+    return out
+
+
+def join_irreducibles_by_definition(l: FiniteLattice) -> list[int]:
+    out = []
+    for x in range(l.n):
+        strictly_below = [y for y in range(l.n) if l.leq[y, x] and y != x]
+        if x != l.bottom and FiniteFrame(l).join_fold(strictly_below) != x:
+            out.append(x)
+    return out
+
+
+def assert_order_layers_match_oracles(lat: FiniteLattice):
+    """The frame report holds the lattice report, and is_frame's witness
+    when the lattice layer passes.  The fast tests must also pass exactly
+    when the scans do, so that no passing input pays for a scan."""
+    f = FiniteFrame(lat)
+    rep = validate_frame(f)
+    assert rep == validate_frame_oracle(f)
+    if "lattice" in rep.layers_run:
+        assert _has_lattice_tables(lat) == ("frame" in rep.layers_run)
+    if "frame" in rep.layers_run:
+        assert _is_distributive(lat) == rep.ok
+        assert meet_prime_elements(f) == meet_prime_elements_oracle(f)
+        assert join_irreducibles(lat) == join_irreducibles_by_definition(lat)
+
+
+def _corpus_lattices():
+    out = [(i.name, i.obj.lattice) for i in corpus_frames()]
+    out += [(f"frame-of-{i.name}", i.obj.frame.lattice) for i in corpus_rqfs()]
+    out += [(i.name, i.obj) for i in negative_fixtures() if i.kind == "lattice"]
+    return [pytest.param(lat, id=name) for name, lat in out]
+
+
+@pytest.mark.parametrize("lat", _corpus_lattices())
+def test_order_layers_match_oracles_on_corpus(lat):
+    assert_order_layers_match_oracles(lat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_frames())
+def test_order_layers_match_oracles_on_downset_lattices(f):
+    assert_order_layers_match_oracles(f.lattice)
+
+
+def _ordinal_sum(a, b):
+    """a below b, the top of a identified with the bottom of b."""
+    na, nb = a.shape[0], b.shape[0]
+    b_bottom = int(np.flatnonzero(b.all(axis=1))[0])
+    rest = [k for k in range(nb) if k != b_bottom]
+    leq = np.zeros((na + nb - 1, na + nb - 1), dtype=bool)
+    leq[:na, :na] = a
+    leq[:na, na:] = True
+    leq[na:, na:] = b[np.ix_(rest, rest)]
+    return leq
+
+
+def _product(a, b):
+    na, nb = a.shape[0], b.shape[0]
+    return (a[:, None, :, None] & b[None, :, None, :]).reshape(na * nb, na * nb)
+
+
+def _n5():
+    """0 < x < y < 1 and 0 < z < 1, z incomparable with x and y."""
+    leq = np.eye(5, dtype=bool)
+    leq[0, :] = True
+    leq[:, 4] = True
+    leq[1, 2] = True
+    return leq
+
+
+@st.composite
+def glued_lattices(draw):
+    """A down-set lattice with M3 or N5 glued below, above or as a factor,
+    randomly relabelled: a lattice that is not distributive."""
+    d = np.array(draw(small_frames()).leq)
+    bad = draw(st.sampled_from([np.array(m3_lattice().leq), _n5()]))
+    how = draw(st.sampled_from(["below", "above", "product"]))
+    if how == "below":
+        leq = _ordinal_sum(bad, d)
+    elif how == "above":
+        leq = _ordinal_sum(d, bad)
+    else:
+        leq = _product(d, bad)
+    perm = draw(st.permutations(range(leq.shape[0])))
+    return lattice_from_leq(leq[np.ix_(perm, perm)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(glued_lattices())
+def test_order_layers_match_oracles_on_glued_lattices(lat):
+    assert not is_frame(lat)[0]
+    assert_order_layers_match_oracles(lat)
+
+
+def _single_cell_mutations(lat: FiniteLattice, count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        name = ("meet", "join")[int(rng.integers(2))]
+        i, j = (int(v) for v in rng.integers(lat.n, size=2))
+        tables = {"meet": np.array(lat.meet), "join": np.array(lat.join)}
+        old = int(tables[name][i, j])
+        tables[name][i, j] = (old + 1 + int(rng.integers(lat.n - 1))) % lat.n
+        yield FiniteLattice(lat.poset, tables["meet"], tables["join"], lat.bottom, lat.top)
+
+
+@pytest.mark.parametrize("lat", [p for p in _corpus_lattices()
+                                 if 1 < p.values[0].n <= 64 and validate_lattice(p.values[0]).ok])
+def test_order_layers_match_oracles_on_mutated_tables(lat):
+    for bad in _single_cell_mutations(lat, 25, seed=lat.n):
+        assert not validate_lattice(bad).ok
+        assert_order_layers_match_oracles(bad)

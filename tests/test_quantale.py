@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from framecat.bits import mask_of
-from framecat.corpus import (boolean_frame, chain_frame,
-                             non_closed_isometries_quantale,
+from framecat.bits import iter_bits, mask_of
+from framecat.corpus import (boolean_frame, chain_frame, corpus_rqfs,
+                             negative_fixtures, non_closed_isometries_quantale,
                              non_etale_chain_quantale, pair_groupoid,
                              parity_pair_groupoid)
 from framecat.functors import omega_object
-from framecat.quantale import (cat_of_ehresmann, compatibility_lemma_check,
+from framecat.order import FiniteFrame, FiniteLattice, validate_frame
+from framecat.quantale import (FiniteQuantale, _quantale_laws_hold,
+                               cat_of_ehresmann, compatibility_lemma_check,
                                compatible, every_element_is_join_of_pi,
                                frame_as_quantale, make_eq, partial_isometries,
                                pi_is_order_ideal, validate_ehresmann,
-                               validate_rqf)
+                               validate_quantale, validate_rqf)
+from framecat.reports import Report
 from framecat.topcat import validate_category, validate_topcategory
 
 
@@ -149,3 +153,128 @@ def test_star_plus_fix_projections_exactly(q2):
     for f in q2.projections():
         assert int(q2.star[f]) == f
         assert int(q2.plus[f]) == f
+
+
+# ---------------------------------------------------------------------------
+# the quantale fast path against an oracle: the body below is the law-by-law
+# scan over all pairs and triples; the frame layer is compared with its own
+# scan in test_order.py
+
+def validate_quantale_oracle(q: FiniteQuantale) -> Report:
+    rep = validate_frame(q.frame)
+    if not rep.ok:
+        return rep
+    rep.subject = "quantale"
+    rep.layers_run.append("quantale")
+    n, mul, join, bot = q.n, q.mul, q.join, q.bottom
+    if mul.shape != (n, n) or (mul < 0).any() or (mul >= n).any():
+        rep.add("quantale.mul_table_range", (0,))
+        return rep
+    for a in range(n):
+        lhs = mul[mul[a, :], :]
+        rhs = mul[a, mul]
+        diff = lhs != rhs
+        if diff.any():
+            b, c = np.argwhere(diff)[0]
+            rep.add("quantale.associativity", (a, int(b), int(c)))
+            break
+    e = q.unit
+    bad = np.flatnonzero(mul[e, :] != np.arange(n))
+    if bad.size:
+        rep.add("quantale.unit_left", (int(bad[0]),))
+    bad = np.flatnonzero(mul[:, e] != np.arange(n))
+    if bad.size:
+        rep.add("quantale.unit_right", (int(bad[0]),))
+    for a in range(n):
+        lhs = mul[a, join]
+        rhs = join[np.ix_(mul[a, :], mul[a, :])]
+        diff = lhs != rhs
+        if diff.any():
+            b, c = np.argwhere(diff)[0]
+            rep.add("quantale.join_distributivity_left", (a, int(b), int(c)))
+            break
+        lhs = mul[join, a]
+        rhs = join[np.ix_(mul[:, a], mul[:, a])]
+        diff = lhs != rhs
+        if diff.any():
+            b, c = np.argwhere(diff)[0]
+            rep.add("quantale.join_distributivity_right", (int(b), int(c), a))
+            break
+    bad = np.flatnonzero(mul[:, bot] != bot)
+    if bad.size:
+        rep.add("quantale.zero_right", (int(bad[0]),))
+    bad = np.flatnonzero(mul[bot, :] != bot)
+    if bad.size:
+        rep.add("quantale.zero_left", (int(bad[0]),))
+    return rep
+
+
+def _corpus_quantales():
+    out = [(i.name, i.obj.quantale) for i in corpus_rqfs()]
+    out += [(i.name, i.obj.quantale) for i in negative_fixtures() if i.kind == "rqf"]
+    return [pytest.param(q, id=name) for name, q in out]
+
+
+def assert_quantale_layer_matches_oracle(q: FiniteQuantale):
+    """Same report as the scan; and the fast test passes exactly when the
+    scan does, so that no passing input pays for a scan."""
+    rep = validate_quantale(q)
+    assert rep == validate_quantale_oracle(q)
+    if "quantale" in rep.layers_run and "quantale.mul_table_range" not in rep.laws():
+        assert _quantale_laws_hold(q) == rep.ok
+
+
+@pytest.mark.parametrize("q", _corpus_quantales())
+def test_quantale_layer_matches_oracle_on_corpus(q):
+    assert_quantale_layer_matches_oracle(q)
+
+
+def _single_cell_mutations(q: FiniteQuantale, count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    lat = q.frame.lattice
+    for _ in range(count):
+        name = ("mul", "mul", "meet", "join")[int(rng.integers(4))]
+        i, j = (int(v) for v in rng.integers(q.n, size=2))
+        tables = {"mul": np.array(q.mul), "meet": np.array(lat.meet),
+                  "join": np.array(lat.join)}
+        old = int(tables[name][i, j])
+        tables[name][i, j] = (old + 1 + int(rng.integers(q.n - 1))) % q.n
+        frame = FiniteFrame(FiniteLattice(lat.poset, tables["meet"], tables["join"],
+                                          lat.bottom, lat.top))
+        yield FiniteQuantale(frame, tables["mul"], q.unit)
+
+
+@pytest.mark.parametrize("q", [p for p in _corpus_quantales()
+                               if 1 < p.values[0].n <= 64
+                               and validate_quantale(p.values[0]).ok])
+def test_quantale_layer_matches_oracle_on_mutated_tables(q):
+    for bad in _single_cell_mutations(q, 25, seed=q.n):
+        assert_quantale_layer_matches_oracle(bad)
+
+
+@st.composite
+def magma_powerset_quantales(draw):
+    """Subsets of a unital magma on k <= 3 points with the elementwise
+    product: join-preserving on both sides with unit {0}, and associative
+    exactly when the magma is, which the fast test decides on J^3 (the
+    singletons)."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    table = np.zeros((k, k), dtype=np.int64)
+    table[0, :] = table[:, 0] = np.arange(k)
+    for a in range(1, k):
+        for b in range(1, k):
+            table[a, b] = draw(st.integers(min_value=0, max_value=k - 1))
+    n = 1 << k
+    mul = np.zeros((n, n), dtype=np.int64)
+    for x in range(n):
+        for y in range(n):
+            for a in iter_bits(x):
+                for b in iter_bits(y):
+                    mul[x, y] |= 1 << int(table[a, b])
+    return FiniteQuantale(boolean_frame(k), mul, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(magma_powerset_quantales())
+def test_quantale_layer_matches_oracle_on_magma_powersets(q):
+    assert_quantale_layer_matches_oracle(q)
