@@ -27,10 +27,9 @@ from .topcat import (FiniteCategory, FiniteTopCategory, Topology,
                      local_bisections, make_category, open_local_bisections,
                      topology_from_base, validate_category,
                      validate_covering_functor, validate_topcategory)
-from .functors import (FilterCalculus, FilterCategoryResult, OmegaResult,
-                       QFilter, c_morphism, c_object, filter_plus,
-                       filter_product, filter_star, identity_space_vs_pt,
-                       omega_morphism, omega_object)
+from .functors import (FilterCategoryResult, OmegaResult, c_morphism,
+                       c_object, identity_space_vs_pt, omega_morphism,
+                       omega_object)
 from .duality import (build_chi, build_omega_map, chi_is_isomorphism,
                       enumerate_covering_functors, enumerate_rqf_morphisms,
                       find_category_isomorphism, is_sober, is_spatial,
@@ -42,5 +41,6 @@ from .crm import (CompleteRestrictionMonoid, IdealCompletion, crm_compatible,
                   make_crm, pi_restriction_monoid, s_filter_bijection,
                   s_filters, theta_extension, validate_crm,
                   validate_crm_morphism, verify_adjunction_II)
-from .reports import BoundExceeded, CheckReport, Report, Violation, WorkbenchError
+from .reports import (BoundExceeded, CheckReport, InternalError, Report, Violation,
+                      WorkbenchError)
 from .documents import ParseError, WorkbenchDocument, parse_document, serialize_document

@@ -4,7 +4,8 @@ Commands: validate, omega, cpoints, roundtrip, crm, adjoint, corpus.
 roundtrip, crm and adjoint run the suite's check bodies on a one-instance
 object built from the document; `corpus run` runs the whole suite, one
 check after the other.  Exit codes: 0 all checks pass, 1 some check failed,
-2 input error, 3 size bound exceeded.  Check reports stream as they
+2 input error, 3 size bound exceeded, 4 internal error (an invariant that
+holds for every valid input failed).  Check reports stream as they
 complete; with --format json the canonical (sorted) summary is printed once
 at the end.
 """
@@ -28,7 +29,8 @@ from .duality import (is_sober, is_spatial, validate_rqf_morphism,
 from .functors import c_object, omega_object
 from .order import validate_frame, validate_poset
 from .quantale import validate_quantale, validate_rqf
-from .reports import BoundExceeded, CheckReport, Report, WorkbenchError, run_check, sort_reports
+from .reports import (BoundExceeded, CheckReport, InternalError, Report, WorkbenchError,
+                      run_check, sort_reports)
 from .suite import (Instance, _validate_any, adjunction_outcome, chi_roundtrip,
                     filter_category_correspondence, full_suite_pending,
                     ideals_of_isometries_roundtrip, isometries_of_ideals_roundtrip,
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BOUND_EXCEEDED = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 class _Output:
@@ -336,6 +339,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, WorkbenchError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except InternalError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -512,41 +512,6 @@ def theta_extension(theta, lv_src: IdealCompletion, lv_dst: IdealCompletion) -> 
     return _freeze(out)
 
 
-def theta_extension_well_defined(theta, lv_src: IdealCompletion, lv_dst: IdealCompletion,
-                                 exact_limit: int = 12) -> tuple[bool, Optional[tuple]]:
-    """Different generating decompositions of the same ideal must give the
-    same extension value; exhaustive over generating subsets when small."""
-    theta = np.asarray(theta, dtype=np.int64)
-    s, t = lv_src.source, lv_dst.source
-    ext = theta_extension(theta, lv_src, lv_dst)
-    down_s = [s.downset_mask(i) for i in range(s.n)]
-    jt_s = _partial_join_table(s)
-    down_t = [t.downset_mask(i) for i in range(t.n)]
-    jt_t = _partial_join_table(t)
-    for i, mask in enumerate(lv_src.ideals):
-        elems = list(iter_bits(mask))
-        if len(elems) > exact_limit:
-            decomps = [mask, mask_of(x for x in elems
-                                     if not any(s.leq[x, y] and x != y for y in elems))]
-        else:
-            decomps = [m for m in _submasks(mask)
-                       if _ideal_closure(s, m, down_s, jt_s) == mask]
-        for dm in decomps:
-            image = mask_of(int(theta[x]) for x in iter_bits(dm))
-            if lv_dst.index[_ideal_closure(t, image, down_t, jt_t)] != int(ext[i]):
-                return False, (i, dm)
-    return True, None
-
-
-def _submasks(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 # ---------------------------------------------------------------------------
 # S-filters and their category
 
@@ -652,7 +617,7 @@ def s_filter_bijection(sf: SFilterCategory, lv: IdealCompletion,
     out = np.zeros(sf.n, dtype=np.int64)
     for k, m in enumerate(sf.filters):
         members = mask_of(i for i, ideal in enumerate(lv.ideals) if ideal & m)
-        out[k] = fc.calc.filter_of(members, "(A')^up")
+        out[k] = fc.filter_of(members, "(A')^up")
     return out
 
 

@@ -58,6 +58,16 @@ def _int_in_range(v, lo: int, hi: int, path: str) -> int:
     return v
 
 
+def _table_side(p: dict, key: str, lo: int, path: str) -> int:
+    """The field `key`, read as the side of the n x n tables of the document.
+    The tables are n x n however short the document is, so a side above
+    MAX_TABLE_SIDE is refused before any of them is allocated."""
+    n = _int_in_range(_need(p, key, path), lo, 1 << 20, f"{path}.{key}")
+    if n > MAX_TABLE_SIDE:
+        raise BoundExceeded(f"table side {n} > {MAX_TABLE_SIDE} at {path}.{key}")
+    return n
+
+
 def _int_matrix(v, n: int, m: int, hi: int, path: str) -> np.ndarray:
     if not isinstance(v, list) or len(v) != n:
         raise ParseError(f"expected {n} rows", path)
@@ -95,7 +105,7 @@ def _int_vector(v, n: int, hi: int, path: str) -> np.ndarray:
 # per-kind parsing
 
 def _parse_poset(p: dict, path: str) -> FinitePoset:
-    n = _int_in_range(_need(p, "n", path), 0, 1 << 20, f"{path}.n")
+    n = _table_side(p, "n", 0, path)
     leq = _bool_matrix(_need(p, "leq", path), n, f"{path}.leq")
     return FinitePoset.from_leq(leq)
 
@@ -130,10 +140,7 @@ def _parse_rqf(p: dict, path: str) -> EhresmannQuantale:
 
 
 def _parse_category(p: dict, path: str) -> FiniteCategory:
-    n = _int_in_range(_need(p, "arrows", path), 0, 1 << 20, f"{path}.arrows")
-    if n > MAX_TABLE_SIDE:
-        # the composition table is n x n however short the document is
-        raise BoundExceeded(f"{n} arrows > {MAX_TABLE_SIDE} at {path}.arrows")
+    n = _table_side(p, "arrows", 0, path)
     ids_raw = _need(p, "identities", path)
     if not isinstance(ids_raw, list):
         raise ParseError("expected a list", f"{path}.identities")
@@ -174,7 +181,7 @@ def _parse_topcategory(p: dict, path: str) -> FiniteTopCategory:
 
 
 def _parse_crm(p: dict, path: str) -> CompleteRestrictionMonoid:
-    n = _int_in_range(_need(p, "n", path), 1, 1 << 20, f"{path}.n")
+    n = _table_side(p, "n", 1, path)
     leq = _bool_matrix(_need(p, "leq", path), n, f"{path}.leq")
     mul = _int_matrix(_need(p, "mul", path), n, n, n, f"{path}.mul")
     unit = _int_in_range(_need(p, "unit", path), 0, n, f"{path}.unit")

@@ -94,7 +94,7 @@ def build_chi(q: EhresmannQuantale, fc: Optional[FilterCategoryResult] = None) -
     if fc is None:
         fc = c_object(q)
     om = omega_object(fc.topcat, max_elements=1 << 20)
-    chi = np.array([om.index[fc.calc.x_mask(a)] for a in range(q.n)], dtype=np.int64)
+    chi = np.array([om.index[fc.x_mask(a)] for a in range(q.n)], dtype=np.int64)
     rep = validate_rqf_morphism(chi, q, om.rqf)
     rep.subject = "chi"
     return ChiResult(chi=_freeze(chi), fc=fc, om=om, report=rep)
@@ -108,7 +108,7 @@ def is_spatial(q: EhresmannQuantale,
         fc = c_object(q)
     seen: dict[int, int] = {}
     for a in range(q.n):
-        m = fc.calc.x_mask(a)
+        m = fc.x_mask(a)
         if m in seen:
             return False, (seen[m], a)
         seen[m] = a
@@ -148,7 +148,7 @@ def build_omega_map(tc: FiniteTopCategory, om: Optional[OmegaResult] = None,
     omega = np.zeros(tc.n, dtype=np.int64)
     for x in range(tc.n):
         members = mask_of(i for i, u in enumerate(om.opens) if has_bit(u, x))
-        omega[x] = fc.calc.filter_of(members, f"O_{x}")
+        omega[x] = fc.filter_of(members, f"O_{x}")
     rep = validate_covering_functor(omega, tc.cat, fc.topcat.cat)
     rep.subject = "omega-map"
     ok, wit = continuity_check(omega, tc, fc.topcat)
@@ -156,7 +156,7 @@ def build_omega_map(tc: FiniteTopCategory, om: Optional[OmegaResult] = None,
         rep.add("omega.continuous", (wit,))
     # omega^{-1}(X_U) = U, per element of Omega(C)
     for i in range(om.n):
-        xu = fc.calc.x_mask(i)
+        xu = fc.x_mask(i)
         pre = mask_of(x for x in range(tc.n) if has_bit(xu, int(omega[x])))
         if pre != om.opens[i]:
             rep.add("omega.preimage_of_xset", (i,))
@@ -175,7 +175,7 @@ def is_sober(tc: FiniteTopCategory,
     for i in range(res.om.n):
         u = res.om.opens[i]
         image = mask_of(int(omega[x]) for x in iter_bits(u))
-        if image != fc.calc.x_mask(i):
+        if image != fc.x_mask(i):
             return False, ("image_of_open", i)
     return True, None
 
@@ -227,7 +227,7 @@ def transpose_backward(beta, tc: FiniteTopCategory, q: EhresmannQuantale,
     out = np.zeros(tc.n, dtype=np.int64)
     for c in range(tc.n):
         members = mask_of(a for a in range(q.n) if has_bit(om.opens[int(beta[a])], c))
-        out[c] = fc.calc.filter_of(members, f"beta^-1(O_{c})")
+        out[c] = fc.filter_of(members, f"beta^-1(O_{c})")
     return _freeze(out)
 
 

@@ -1,11 +1,24 @@
-"""The two contravariant constructions and the filter calculus.
+"""The two contravariant constructions.
 
 omega_object sends an etale topological category to the restriction quantal
 frame of its open sets: multiplication is the pointwise product of opens,
 star/plus collect d/r images, the unit is the identity set and the order is
-inclusion.  c_object sends a restriction quantal frame to its category of
-completely prime filters with the product A.B = (AB)^up, topologized by the
-sets X_a over partial isometries a.
+inclusion.
+
+c_object sends a restriction quantal frame Q to its category of completely
+prime filters with the product A.B = (AB)^up, topologized by the sets X_a
+over partial isometries a.  It reads all of this off the join-irreducible
+elements J of Q.  In a finite frame the completely prime filters are
+exactly the principal up-sets up-j for j in J, so filter k is named by its
+least member j_k.  Star, plus and multiplication are monotone, so the least
+element of {x* : x in up-j} is j*, d(up-j) = up-(j*), r(up-j) = up-(j+),
+and (up-j . up-k)^up = up-(j.k).  X_a is {k : j_k <= a}, a column of the
+order.  C(Q) is thus a category on J, and the member sets of the filters
+are never multiplied.  This is the finite case of Resende's view of an
+etale groupoid quantale as generated by its partial isometries (Etale
+groupoids and their quantales, Adv. Math. 208, 2007).  The tests keep a
+filter calculus that multiplies whole member sets as the oracle for this
+reading.
 
 Quantale elements of an omega result are indexed by their open set's arrow
 bitmask in ascending order, so for discrete topologies index == mask and
@@ -23,7 +36,7 @@ from .bits import full_mask, has_bit, iter_bits, is_submask, mask_of
 from .order import (FiniteFrame, FiniteLattice, FinitePoset, FiniteTopSpace, _freeze,
                     enumerate_cp_filters, pt_topology, subframe)
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
-from .reports import BoundExceeded
+from .reports import BoundExceeded, InternalError
 from .topcat import (UNDEF, FiniteTopCategory,
                      is_etale, make_category, topology_from_base)
 
@@ -164,46 +177,26 @@ def omega_morphism(fmap, om_src: OmegaResult, om_dst: OmegaResult) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# filter calculus over a restriction quantal frame
+# c: restriction quantal frame -> etale topological category
 
-@dataclass(frozen=True)
-class QFilter:
-    """Completely prime filter of the quantale, materialized as a member bitmask."""
+@dataclass(frozen=True, eq=False)
+class FilterCategoryResult:
+    topcat: FiniteTopCategory
+    q: EhresmannQuantale
+    filters: tuple  # order.CPFilter, in enumerate_cp_filters order
+    index: dict  # member bitmask -> filter index
+    d_idx: np.ndarray
+    r_idx: np.ndarray
+    base: dict  # partial isometry a -> X_a point mask
+    x_masks: tuple  # x_masks[a] = X_a over filter indices, for every element a
 
-    members: int
-    cogenerator: int
+    @property
+    def n(self) -> int:
+        return len(self.filters)
 
-
-class FilterCalculus:
-    """Completely prime filters of a restriction quantal frame with the
-    star/plus image sets, d/r filters and the partial product (AB)^up."""
-
-    def __init__(self, q: EhresmannQuantale):
-        self.q = q
-        self.upset = [mask_of(np.flatnonzero(q.leq[i, :])) for i in range(q.n)]
-        self.filters = [QFilter(c.members, c.cogenerator)
-                        for c in enumerate_cp_filters(q.frame)]
-        self.index = {f.members: k for k, f in enumerate(self.filters)}
-        self.proj_mask = q.projection_mask()
-        self.pis = partial_isometries(q)
-
-    def up_close(self, mask: int) -> int:
-        out = 0
-        for x in iter_bits(mask):
-            out |= self.upset[x]
-        return out
-
-    def star_set(self, members: int) -> int:
-        return mask_of(int(self.q.star[x]) for x in iter_bits(members))
-
-    def plus_set(self, members: int) -> int:
-        return mask_of(int(self.q.plus[x]) for x in iter_bits(members))
-
-    def d_members(self, members: int) -> int:
-        return self.up_close(self.star_set(members))
-
-    def r_members(self, members: int) -> int:
-        return self.up_close(self.plus_set(members))
+    def x_mask(self, a: int) -> int:
+        """X_a: the filters containing a."""
+        return self.x_masks[a]
 
     def filter_of(self, members: int, what: str = "set") -> int:
         k = self.index.get(members)
@@ -211,119 +204,68 @@ class FilterCalculus:
             raise ValueError(f"{what} is not a completely prime filter")
         return k
 
-    def product_members(self, a_members: int, b_members: int) -> Optional[int]:
-        """(AB)^up when A* = B+ (equivalently d(A) = r(B)); None otherwise."""
-        if self.star_set(a_members) != self.plus_set(b_members):
-            return None
-        mul = self.q.mul
-        ai = list(iter_bits(a_members))
-        bi = list(iter_bits(b_members))
-        prods = set(int(p) for p in mul[np.ix_(ai, bi)].ravel())
-        return self.up_close(mask_of(prods))
-
-    def is_identity_filter(self, members: int) -> bool:
-        return members & self.proj_mask != 0
-
-    def x_mask(self, a: int) -> int:
-        """X_a over filter indices."""
-        return mask_of(k for k, f in enumerate(self.filters) if has_bit(f.members, a))
-
-    def x_mask_via_pi_union(self, a: int) -> int:
-        out = 0
-        for p in self.pis:
-            if self.q.leq[p, a]:
-                out |= self.x_mask(p)
-        return out
-
-
-def filter_star(calc: FilterCalculus, f: QFilter) -> QFilter:
-    members = calc.d_members(f.members)
-    return calc.filters[calc.filter_of(members, "d(A)")]
-
-
-def filter_plus(calc: FilterCalculus, f: QFilter) -> QFilter:
-    members = calc.r_members(f.members)
-    return calc.filters[calc.filter_of(members, "r(A)")]
-
-
-def filter_product(calc: FilterCalculus, a: QFilter, b: QFilter) -> Optional[QFilter]:
-    members = calc.product_members(a.members, b.members)
-    if members is None:
-        return None
-    return calc.filters[calc.filter_of(members, "A.B")]
-
-
-# ---------------------------------------------------------------------------
-# c: restriction quantal frame -> etale topological category
-
-@dataclass(frozen=True, eq=False)
-class FilterCategoryResult:
-    topcat: FiniteTopCategory
-    calc: FilterCalculus
-    d_idx: np.ndarray
-    r_idx: np.ndarray
-    base: dict  # partial isometry a -> X_a point mask
-
-    @property
-    def filters(self):
-        return self.calc.filters
-
-    @property
-    def n(self) -> int:
-        return len(self.calc.filters)
-
 
 def c_object(q: EhresmannQuantale, max_opens: int = 4096) -> FilterCategoryResult:
-    calc = FilterCalculus(q)
-    nf = len(calc.filters)
-    d_idx = np.array([calc.filter_of(calc.d_members(f.members), "d(A)")
-                      for f in calc.filters], dtype=np.int64)
-    r_idx = np.array([calc.filter_of(calc.r_members(f.members), "r(A)")
-                      for f in calc.filters], dtype=np.int64)
-    identity_filters = [k for k, f in enumerate(calc.filters)
-                        if calc.is_identity_filter(f.members)]
+    """C(Q), read off the join-irreducibles as the module docstring says."""
+    filters = enumerate_cp_filters(q.frame)
+    nf = len(filters)
+    gens = np.array([q.frame.meet_fold(iter_bits(f.members)) for f in filters],
+                    dtype=np.int64)  # j_k, the least member of filter k
+    filter_at = np.full(q.n, UNDEF, dtype=np.int64)  # filter_at[j_k] = k
+    filter_at[gens] = np.arange(nf)
+
+    def locate(elements: np.ndarray, what: str) -> np.ndarray:
+        k = filter_at[elements]
+        if (k == UNDEF).any():
+            raise ValueError(f"{what} is not a completely prime filter")
+        return k
+
+    d_idx = locate(q.star[gens], "d(A)")
+    r_idx = locate(q.plus[gens], "r(A)")
+    composable = d_idx[:, None] == r_idx[None, :]
+    products = q.mul[np.ix_(gens, gens)][composable]
     comp = np.full((nf, nf), UNDEF, dtype=np.int64)
-    for i in range(nf):
-        for j in range(nf):
-            if d_idx[i] != r_idx[j]:
-                continue
-            members = calc.product_members(calc.filters[i].members, calc.filters[j].members)
-            if members is None:
-                raise AssertionError("d(A)=r(B) must force A* = B+")
-            comp[i, j] = calc.filter_of(members, "A.B")
+    comp[composable] = locate(products, "A.B")
 
-    cat = make_category(nf, identity_filters,
-                        d=[int(d_idx[k]) for k in range(nf)],
-                        r=[int(r_idx[k]) for k in range(nf)],
-                        comp_table=comp)
+    x_masks = [0] * q.n
+    for k, j in enumerate(gens.tolist()):
+        for a in np.flatnonzero(q.leq[j]).tolist():
+            x_masks[a] |= 1 << k
 
-    base = {a: calc.x_mask(a) for a in calc.pis}
+    cat = make_category(nf, iter_bits(x_masks[q.unit]), d_idx, r_idx, comp_table=comp)
+    pis = partial_isometries(q)
+    base = {a: x_masks[a] for a in pis}
     topology = topology_from_base(nf, base.values())
     if topology.open_count() > max_opens:
         raise BoundExceeded(f"filter topology has {topology.open_count()} opens > {max_opens}")
 
-    # every X_a is open, via the union-of-isometries formula, cross-checked
+    # every X_a is open and is the union of the X_p over isometries p <= a
+    via_pis = [0] * q.n
+    for p in pis:
+        for a in np.flatnonzero(q.leq[p]).tolist():
+            via_pis[a] |= x_masks[p]
     for a in range(q.n):
-        xa = calc.x_mask_via_pi_union(a)
-        if xa != calc.x_mask(a):
-            raise AssertionError(f"X_{a} disagrees with its isometry decomposition")
-        if not topology.is_open(xa):
-            raise AssertionError(f"X_{a} is not open")
+        if via_pis[a] != x_masks[a]:
+            raise InternalError(f"X_{a} disagrees with its isometry decomposition")
+        if not topology.is_open(x_masks[a]):
+            raise InternalError(f"X_{a} is not open")
 
     tc = FiniteTopCategory(cat=cat, topology=topology)
-    return FilterCategoryResult(topcat=tc, calc=calc, d_idx=_freeze(d_idx),
-                                r_idx=_freeze(r_idx), base=base)
+    return FilterCategoryResult(topcat=tc, q=q, filters=tuple(filters),
+                                index={f.members: k for k, f in enumerate(filters)},
+                                d_idx=_freeze(d_idx), r_idx=_freeze(r_idx), base=base,
+                                x_masks=tuple(x_masks))
 
 
 def c_morphism(phi, fc_src: FilterCategoryResult, fc_dst: FilterCategoryResult) -> np.ndarray:
     """The functor C(S) -> C(R) induced by an RQF morphism phi: R -> S,
     sending a filter B of S to its preimage in R."""
     phi = np.asarray(phi, dtype=np.int64)
-    n_r = fc_src.calc.q.n
+    n_r = fc_src.q.n
     out = np.zeros(fc_dst.n, dtype=np.int64)
     for j, b in enumerate(fc_dst.filters):
         pre = mask_of(x for x in range(n_r) if has_bit(b.members, int(phi[x])))
-        out[j] = fc_src.calc.filter_of(pre, "preimage filter")
+        out[j] = fc_src.filter_of(pre, "preimage filter")
     return _freeze(out)
 
 
@@ -345,10 +287,8 @@ def identity_space_vs_pt(q: EhresmannQuantale,
     to the points of the projection frame e-down, by A -> A /\\ e-down."""
     if fc is None:
         fc = c_object(q)
-    calc = fc.calc
-    id_indices = [k for k, f in enumerate(calc.filters)
-                  if calc.is_identity_filter(f.members)]
-    id_space = subspace(fc.n, fc.topcat.topology.iter_opens(), mask_of(id_indices))
+    id_indices = fc.topcat.cat.identities()
+    id_space = subspace(fc.n, fc.topcat.topology.iter_opens(), fc.topcat.cat.identity_mask)
 
     projs = q.projections()
     pframe, pos = subframe(q.frame, projs)
@@ -359,10 +299,10 @@ def identity_space_vs_pt(q: EhresmannQuantale,
     if len(id_indices) != len(pt_filters):
         return False, (f"identity filters {len(id_indices)} != points of e-down {len(pt_filters)}")
 
+    proj_mask = q.projection_mask()
     bij = {}
     for slot, k in enumerate(id_indices):
-        members = calc.filters[k].members
-        sub_members = mask_of(pos[x] for x in iter_bits(members & calc.proj_mask))
+        sub_members = mask_of(pos[x] for x in iter_bits(fc.filters[k].members & proj_mask))
         i = pt_index.get(sub_members)
         if i is None:
             return False, f"A /\\ e-down of filter {k} is not a point of e-down"

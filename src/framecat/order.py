@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .bits import full_mask, has_bit, iter_bits, is_submask, mask_of
-from .reports import Report
+from .reports import InternalError, Report
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -473,15 +473,15 @@ def pt_topology(f: FiniteFrame) -> FiniteTopSpace:
     xs = [x_set_mask(f, filters, a) for a in range(f.n)]
     npts = len(filters)
     if xs[f.bottom] != 0:
-        raise AssertionError("X_bottom must be empty")
+        raise InternalError("X_bottom must be empty")
     if xs[f.top] != full_mask(npts):
-        raise AssertionError("X_top must be the full point set")
+        raise InternalError("X_top must be the full point set")
     for a in range(f.n):
         for b in range(f.n):
             if xs[a] & xs[b] != xs[int(f.meet[a, b])]:
-                raise AssertionError(f"X-law for meet fails at ({a},{b})")
+                raise InternalError(f"X-law for meet fails at ({a},{b})")
             if xs[a] | xs[b] != xs[int(f.join[a, b])]:
-                raise AssertionError(f"X-law for join fails at ({a},{b})")
+                raise InternalError(f"X-law for join fails at ({a},{b})")
     return FiniteTopSpace(n_points=npts, opens=frozenset(xs))
 
 

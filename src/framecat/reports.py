@@ -21,6 +21,11 @@ class BoundExceeded(WorkbenchError):
     """A size guard was hit before running a check."""
 
 
+class InternalError(Exception):
+    """An invariant that holds for every valid input failed: a fault of the
+    program, not of the input or of a checked law."""
+
+
 # hard limit on the side of a table built from outside input: the arrows of
 # a document's category, the elements of a generated corpus
 MAX_TABLE_SIDE = 4096

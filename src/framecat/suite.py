@@ -168,7 +168,7 @@ def filter_category_correspondence(inst: Instance) -> CheckResult:
         return False, rep.violations[0].witness, "not a functor isomorphism"
     for a in range(s.n):
         lhs = mask_of(int(bij[k]) for k in iter_bits(sf.x_mask(a)))
-        if lhs != fc.calc.x_mask(lv.principal(a)):
+        if lhs != fc.x_mask(lv.principal(a)):
             return False, (a,), "X-set correspondence fails"
     return True, None, ""
 

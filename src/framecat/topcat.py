@@ -67,18 +67,9 @@ class Topology:
 
 def topology_from_base(n: int, base: Iterable[int]) -> Topology:
     """Close a family of basic open masks under union; adds the empty set."""
-    base = sorted(set(base) | {0})
     opens = {0}
-    frontier = list(base)
-    while frontier:
-        new = []
-        for b in frontier:
-            for o in list(opens):
-                u = o | b
-                if u not in opens:
-                    opens.add(u)
-                    new.append(u)
-        frontier = new
+    for b in set(base):  # opens = the unions of the basic sets seen so far
+        opens |= {o | b for o in opens}
     return Topology(n, frozenset(opens))
 
 
@@ -333,11 +324,6 @@ def c_o_is_open(tc: FiniteTopCategory) -> bool:
 
 def identity_functor(c: FiniteCategory) -> np.ndarray:
     return np.arange(c.n, dtype=np.int64)
-
-
-def compose_functors(f2: np.ndarray, f1: np.ndarray) -> np.ndarray:
-    """Arrow map of (f2 after f1)."""
-    return f2[f1]
 
 
 def validate_covering_functor(fmap, src: FiniteCategory, dst: FiniteCategory) -> Report:

@@ -237,7 +237,7 @@ def test_criterion_08_crm_translation():
             ok = False
         for a in range(s.n):
             image = mask_of(int(bij[k]) for k in iter_bits(sf.x_mask(a)))
-            if image != fc.calc.x_mask(lv.principal(a)):
+            if image != fc.x_mask(lv.principal(a)):
                 announce(f"  {inst.name}: X-set correspondence fails at {a}")
                 ok = False
                 break

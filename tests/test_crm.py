@@ -9,7 +9,7 @@ from framecat.crm import (_ideal_closure, _partial_join_table, crm_compatible,
                           is_callitic, is_proper, l_vee, make_crm,
                           pi_restriction_monoid, preserves_finite_meets,
                           s_filter_bijection, s_filters, s_filters_list,
-                          theta_extension, theta_extension_well_defined,
+                          theta_extension,
                           validate_crm, validate_crm_morphism,
                           verify_adjunction_II)
 from framecat.duality import (find_category_isomorphism,
@@ -214,6 +214,35 @@ def test_proper_morphisms_hit_every_filter(i2):
             assert any(x in image for x in iter_bits(mask))
 
 
+def _submasks(mask: int):
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def theta_extension_well_defined(theta, lv_src, lv_dst):
+    """Every generating subset of an ideal gives the same extension value:
+    exhaustive over all subsets of every ideal of the source."""
+    theta = np.asarray(theta, dtype=np.int64)
+    s, t = lv_src.source, lv_dst.source
+    ext = theta_extension(theta, lv_src, lv_dst)
+    down_s = [s.downset_mask(i) for i in range(s.n)]
+    jt_s = _partial_join_table(s)
+    down_t = [t.downset_mask(i) for i in range(t.n)]
+    jt_t = _partial_join_table(t)
+    for i, mask in enumerate(lv_src.ideals):
+        for dm in _submasks(mask):
+            if _ideal_closure(s, dm, down_s, jt_s) != mask:
+                continue
+            image = mask_of(int(theta[x]) for x in iter_bits(dm))
+            if lv_dst.index[_ideal_closure(t, image, down_t, jt_t)] != int(ext[i]):
+                return False, (i, dm)
+    return True, None
+
+
 def test_theta_extension_of_identity_is_identity(i2):
     s, _, _ = i2
     lv = l_vee(s)
@@ -282,7 +311,7 @@ def test_s_filter_bijection_with_ideal_filter_category(i2):
     # opens correspond: X'_a maps onto the X-set of the principal ideal
     for a in range(s.n):
         image = mask_of(int(bij[k]) for k in iter_bits(sf.x_mask(a)))
-        assert image == fc.calc.x_mask(lv.principal(a))
+        assert image == fc.x_mask(lv.principal(a))
 
 
 def test_s_filter_d_r_transfer(i2):

@@ -59,7 +59,7 @@ def test_chi_at_bottom_top_unit(omega_pair2):
     assert chi.om.opens[chi.chi[q.bottom]] == 0
     assert chi.om.opens[chi.chi[q.top]] == (1 << chi.fc.n) - 1
     id_mask = mask_of(k for k, f in enumerate(chi.fc.filters)
-                      if chi.fc.calc.is_identity_filter(f.members))
+                      if f.members & q.projection_mask())
     assert chi.om.opens[chi.chi[q.unit]] == id_mask
 
 
@@ -100,7 +100,7 @@ def test_omega_map_identities_to_identity_filters(pair2):
     res = build_omega_map(pair2)
     for e in pair2.cat.identities():
         k = int(res.omega[e])
-        assert res.fc.calc.is_identity_filter(res.fc.filters[k].members)
+        assert res.fc.filters[k].members & res.om.rqf.projection_mask()
 
 
 def test_omega_filter_contains_exactly_the_opens_containing_the_arrow(pair2):

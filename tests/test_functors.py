@@ -1,20 +1,167 @@
+from typing import Optional
+
 import numpy as np
 import pytest
 
 from framecat.bits import has_bit, iter_bits, mask_of
-from framecat.corpus import (chain_frame, empty_category, monoid_category,
-                             parity_pair_groupoid)
+from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, empty_category,
+                             monoid_category, parity_pair_groupoid)
+from framecat.crm import l_vee
 from framecat.duality import validate_rqf_morphism
-from framecat.functors import (c_morphism, c_object,
-                               filter_plus, filter_product, filter_star,
-                               identity_space_vs_pt, omega_morphism,
-                               omega_object)
+from framecat.functors import (c_morphism, c_object, identity_space_vs_pt,
+                               omega_morphism, omega_object)
 from framecat.order import enumerate_cp_filters, frame_from_leq, subframe
 from framecat.quantale import (frame_as_quantale, partial_isometries,
                                validate_rqf)
 from framecat.reports import BoundExceeded
-from framecat.topcat import (identity_functor, is_etale, validate_category,
+from framecat.topcat import (UNDEF, identity_functor, is_etale, make_category,
+                             topology_from_base, validate_category,
                              validate_covering_functor, validate_topcategory)
+
+
+# ---------------------------------------------------------------------------
+# the filter calculus: the oracle for c_object, which reads C(Q) off the
+# join-irreducibles instead.  It works on whole member sets, multiplying
+# every member of one filter by every member of the other.
+
+class FilterCalculus:
+    """Completely prime filters of a restriction quantal frame with the
+    star/plus image sets, d/r filters and the partial product (AB)^up."""
+
+    def __init__(self, q):
+        self.q = q
+        self.upset = [mask_of(np.flatnonzero(q.leq[i, :])) for i in range(q.n)]
+        self.filters = enumerate_cp_filters(q.frame)
+        self.index = {f.members: k for k, f in enumerate(self.filters)}
+        self.proj_mask = q.projection_mask()
+        self.pis = partial_isometries(q)
+
+    def up_close(self, mask: int) -> int:
+        out = 0
+        for x in iter_bits(mask):
+            out |= self.upset[x]
+        return out
+
+    def star_set(self, members: int) -> int:
+        return mask_of(int(self.q.star[x]) for x in iter_bits(members))
+
+    def plus_set(self, members: int) -> int:
+        return mask_of(int(self.q.plus[x]) for x in iter_bits(members))
+
+    def d_members(self, members: int) -> int:
+        return self.up_close(self.star_set(members))
+
+    def r_members(self, members: int) -> int:
+        return self.up_close(self.plus_set(members))
+
+    def filter_of(self, members: int, what: str = "set") -> int:
+        k = self.index.get(members)
+        if k is None:
+            raise ValueError(f"{what} is not a completely prime filter")
+        return k
+
+    def product_members(self, a_members: int, b_members: int) -> Optional[int]:
+        """(AB)^up when A* = B+ (equivalently d(A) = r(B)); None otherwise."""
+        if self.star_set(a_members) != self.plus_set(b_members):
+            return None
+        mul = self.q.mul
+        ai = list(iter_bits(a_members))
+        bi = list(iter_bits(b_members))
+        prods = set(int(p) for p in mul[np.ix_(ai, bi)].ravel())
+        return self.up_close(mask_of(prods))
+
+    def is_identity_filter(self, members: int) -> bool:
+        return members & self.proj_mask != 0
+
+    def x_mask(self, a: int) -> int:
+        """X_a over filter indices."""
+        return mask_of(k for k, f in enumerate(self.filters) if has_bit(f.members, a))
+
+    def x_mask_via_pi_union(self, a: int) -> int:
+        out = 0
+        for p in self.pis:
+            if self.q.leq[p, a]:
+                out |= self.x_mask(p)
+        return out
+
+
+def filter_star(calc, f):
+    members = calc.d_members(f.members)
+    return calc.filters[calc.filter_of(members, "d(A)")]
+
+
+def filter_plus(calc, f):
+    members = calc.r_members(f.members)
+    return calc.filters[calc.filter_of(members, "r(A)")]
+
+
+def filter_product(calc, a, b):
+    members = calc.product_members(a.members, b.members)
+    if members is None:
+        return None
+    return calc.filters[calc.filter_of(members, "A.B")]
+
+
+def oracle_c_object(q, max_opens: int = 4096):
+    """C(Q) by the filter calculus: (filters, d, r, composition table,
+    opens, base), each d(A), r(A) and A.B computed on member sets."""
+    calc = FilterCalculus(q)
+    nf = len(calc.filters)
+    d_idx = np.array([calc.filter_of(calc.d_members(f.members), "d(A)")
+                      for f in calc.filters], dtype=np.int64)
+    r_idx = np.array([calc.filter_of(calc.r_members(f.members), "r(A)")
+                      for f in calc.filters], dtype=np.int64)
+    identity_filters = [k for k, f in enumerate(calc.filters)
+                        if calc.is_identity_filter(f.members)]
+    comp = np.full((nf, nf), UNDEF, dtype=np.int64)
+    for i in range(nf):
+        for j in range(nf):
+            if d_idx[i] != r_idx[j]:
+                continue
+            members = calc.product_members(calc.filters[i].members, calc.filters[j].members)
+            assert members is not None, "d(A)=r(B) must force A* = B+"
+            comp[i, j] = calc.filter_of(members, "A.B")
+    cat = make_category(nf, identity_filters, d_idx, r_idx, comp_table=comp)
+    base = {a: calc.x_mask(a) for a in calc.pis}
+    topology = topology_from_base(nf, base.values())
+    assert topology.open_count() <= max_opens
+    for a in range(q.n):
+        xa = calc.x_mask_via_pi_union(a)
+        assert xa == calc.x_mask(a), f"X_{a} disagrees with its isometry decomposition"
+        assert topology.is_open(xa), f"X_{a} is not open"
+    return calc.filters, cat, topology, base
+
+
+def assert_c_object_matches_oracle(q, name):
+    fc = c_object(q)
+    filters, cat, topology, base = oracle_c_object(q)
+    got = fc.topcat.cat
+    assert [(f.members, f.cogenerator) for f in fc.filters] == \
+        [(f.members, f.cogenerator) for f in filters], name
+    assert np.array_equal(fc.d_idx, cat.d) and np.array_equal(got.d, cat.d), name
+    assert np.array_equal(fc.r_idx, cat.r) and np.array_equal(got.r, cat.r), name
+    assert np.array_equal(got.comp, cat.comp), name
+    assert got.identity_mask == cat.identity_mask, name
+    assert fc.topcat.topology.opens == topology.opens, name
+    assert fc.base == base, name
+    calc = FilterCalculus(q)
+    assert [fc.x_mask(a) for a in range(q.n)] == [calc.x_mask(a) for a in range(q.n)], name
+
+
+def test_c_object_matches_filter_calculus_on_corpus_rqfs():
+    for inst in corpus_rqfs():
+        assert_c_object_matches_oracle(inst.obj, inst.name)
+
+
+def test_c_object_matches_filter_calculus_on_ideal_completions():
+    # every C(L^vee(S)) the suite builds: S runs over the corpus monoids
+    for inst in corpus_crms():
+        assert_c_object_matches_oracle(l_vee(inst.obj).rqf, f"lvee-{inst.name}")
+
+
+@pytest.fixture(scope="module")
+def calc_pair2(fc_pair2):
+    return FilterCalculus(fc_pair2.q)
 
 
 def principal_filter_at(calc, element):
@@ -112,25 +259,25 @@ def test_omega_contravariant_composition(pair2, omega_pair2):
 
 
 # ---------------------------------------------------------------------------
-# the filter calculus
+# lemmas of the filter calculus, on the oracle
 
-def test_identity_filter_is_fixed_by_star(fc_pair2):
-    calc = fc_pair2.calc
+def test_identity_filter_is_fixed_by_star(calc_pair2):
+    calc = calc_pair2
     for f in calc.filters:
         if calc.is_identity_filter(f.members):
             assert filter_star(calc, f) == f
             assert filter_plus(calc, f) == f
 
 
-def test_filter_star_on_principal_filters(fc_pair2):
-    calc = fc_pair2.calc
+def test_filter_star_on_principal_filters(calc_pair2):
+    calc = calc_pair2
     f01 = principal_filter_at(calc, 1 << 1)   # singleton open {(0,1)}
     f11 = principal_filter_at(calc, 1 << 3)   # singleton open {(1,1)}
     assert filter_star(calc, calc.filters[f01]) == calc.filters[f11]
 
 
-def test_filter_product_of_singletons(fc_pair2):
-    calc = fc_pair2.calc
+def test_filter_product_of_singletons(calc_pair2):
+    calc = calc_pair2
     f01 = calc.filters[principal_filter_at(calc, 1 << 1)]
     f10 = calc.filters[principal_filter_at(calc, 1 << 2)]
     f00 = calc.filters[principal_filter_at(calc, 1 << 0)]
@@ -138,15 +285,15 @@ def test_filter_product_of_singletons(fc_pair2):
     assert filter_product(calc, f01, f01) is None
 
 
-def test_filter_product_with_own_domain(fc_pair2):
-    calc = fc_pair2.calc
+def test_filter_product_with_own_domain(calc_pair2):
+    calc = calc_pair2
     for f in calc.filters:
         assert filter_product(calc, f, filter_star(calc, f)) == f
         assert filter_product(calc, filter_plus(calc, f), f) == f
 
 
-def test_star_image_set_equality_is_the_product_condition(fc_pair2):
-    calc = fc_pair2.calc
+def test_star_image_set_equality_is_the_product_condition(calc_pair2):
+    calc = calc_pair2
     for a in calc.filters:
         for b in calc.filters:
             cond1 = calc.star_set(a.members) == calc.plus_set(b.members)
@@ -154,8 +301,8 @@ def test_star_image_set_equality_is_the_product_condition(fc_pair2):
             assert cond1 == cond2
 
 
-def test_filter_product_associative_where_defined(fc_pair2):
-    calc = fc_pair2.calc
+def test_filter_product_associative_where_defined(calc_pair2):
+    calc = calc_pair2
     fs = calc.filters
     for a in fs:
         for b in fs:
@@ -167,9 +314,9 @@ def test_filter_product_associative_where_defined(fc_pair2):
                 assert lhs == rhs
 
 
-def test_filter_construction_lemma_items(fc_pair2):
-    q = fc_pair2.calc.q
-    calc = fc_pair2.calc
+def test_filter_construction_lemma_items(calc_pair2):
+    calc = calc_pair2
+    q = calc.q
     pis = set(partial_isometries(q))
     for f in calc.filters:
         members = list(iter_bits(f.members))
@@ -193,10 +340,10 @@ def test_filter_construction_lemma_items(fc_pair2):
                 assert f == g
 
 
-def test_filters_built_from_identity_filter_and_isometry(fc_pair2):
+def test_filters_built_from_identity_filter_and_isometry(calc_pair2):
     # for an identity filter A and an isometry a with a* in A, the up-closure
     # of aA is a completely prime filter with domain A
-    calc = fc_pair2.calc
+    calc = calc_pair2
     q = calc.q
     pis = partial_isometries(q)
     for f in calc.filters:
@@ -222,8 +369,8 @@ def test_filter_category_of_relation_quantale(fc_pair2, pair2):
     assert find_category_isomorphism(fc_pair2.topcat.cat, pair2.cat) is not None
 
 
-def test_filter_category_identities_are_projection_filters(fc_pair2):
-    calc = fc_pair2.calc
+def test_filter_category_identities_are_projection_filters(fc_pair2, calc_pair2):
+    calc = calc_pair2
     cat = fc_pair2.topcat.cat
     for k, f in enumerate(calc.filters):
         assert cat.is_identity(k) == calc.is_identity_filter(f.members)
@@ -253,29 +400,27 @@ def test_base_sets_are_open_local_bisections(fc_pair2):
 
 def test_d_image_of_base_is_base_of_star(fc_pair2):
     # d(X_s) = X_{s*} for partial isometries s
-    calc = fc_pair2.calc
     cat = fc_pair2.topcat.cat
     for s, x in fc_pair2.base.items():
         image = mask_of(int(cat.d[k]) for k in iter_bits(x))
-        assert image == calc.x_mask(int(calc.q.star[s]))
+        assert image == fc_pair2.x_mask(int(fc_pair2.q.star[s]))
 
 
-def test_x_set_laws(fc_pair2):
-    calc = fc_pair2.calc
-    q = calc.q
+def test_x_set_laws(fc_pair2, calc_pair2):
+    q = fc_pair2.q
     full = (1 << fc_pair2.n) - 1
-    assert calc.x_mask(q.top) == full
-    id_mask = mask_of(k for k, f in enumerate(calc.filters)
-                      if calc.is_identity_filter(f.members))
-    assert calc.x_mask(q.unit) == id_mask
+    assert fc_pair2.x_mask(q.top) == full
+    id_mask = mask_of(k for k, f in enumerate(calc_pair2.filters)
+                      if calc_pair2.is_identity_filter(f.members))
+    assert fc_pair2.x_mask(q.unit) == id_mask
     for a in range(q.n):
         for b in range(q.n):
-            assert calc.x_mask(a) & calc.x_mask(b) == calc.x_mask(int(q.meet[a, b]))
-            assert calc.x_mask(a) | calc.x_mask(b) == calc.x_mask(int(q.join[a, b]))
+            assert fc_pair2.x_mask(a) & fc_pair2.x_mask(b) == fc_pair2.x_mask(int(q.meet[a, b]))
+            assert fc_pair2.x_mask(a) | fc_pair2.x_mask(b) == fc_pair2.x_mask(int(q.join[a, b]))
 
 
 def test_identity_space_matches_points_of_projections(fc_pair2):
-    assert identity_space_vs_pt(fc_pair2.calc.q, fc_pair2) == (True, "")
+    assert identity_space_vs_pt(fc_pair2.q, fc_pair2) == (True, "")
 
 
 def test_identity_space_vs_pt_on_corpus():
@@ -286,9 +431,9 @@ def test_identity_space_vs_pt_on_corpus():
         assert ok, why
 
 
-def test_identity_filter_bijection_with_projection_filters(fc_pair2):
+def test_identity_filter_bijection_with_projection_filters(calc_pair2):
     # F -> F^up is a bijection from points of e-down onto identity filters
-    calc = fc_pair2.calc
+    calc = calc_pair2
     q = calc.q
     projs = q.projections()
     pframe, pos = subframe(q.frame, projs)

@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from framecat.corpus import (empty_category, indiscrete_pair_groupoid,
                              monoid_category, pair_groupoid,
@@ -113,6 +114,20 @@ def test_etale_opens_are_unions_of_open_bisections():
 def test_topology_from_base_closes_unions():
     t = topology_from_base(3, [0b001, 0b010])
     assert t.opens == frozenset({0, 0b001, 0b010, 0b011})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, (1 << 6) - 1), max_size=6))
+def test_topology_from_base_is_every_union_of_basic_sets(base):
+    # oracle: the union of each subset of the base, the empty union included
+    unions = set()
+    for chosen in range(1 << len(base)):
+        u = 0
+        for i, b in enumerate(base):
+            if chosen >> i & 1:
+                u |= b
+        unions.add(u)
+    assert topology_from_base(6, base).opens == frozenset(unions)
 
 
 def test_identity_functor_is_covering():
