@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,18 @@ def test_roundtrip_command_on_rqf(fixture_dir, capsys):
 def test_crm_command_roundtrips(fixture_dir, capsys):
     assert main(["crm", str(fixture_dir / "omega-pair2.rqf.json")]) == 0
     assert main(["crm", str(fixture_dir / "pi-omega-pair2.crm.json")]) == 0
+
+
+@pytest.mark.parametrize("name", ["qframe-chain64", "qframe-bool6"])
+def test_crm_command_on_64_element_monoids_is_fast(fixture_dir, capsys, name):
+    # PI of these frames has 64 elements; a completeness check that walks
+    # every compatible subset takes over 80 s on each
+    start = time.perf_counter()
+    code = main(["crm", str(fixture_dir / f"{name}.rqf.json")])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert "[PASS]" in capsys.readouterr().out
+    assert elapsed < 5
 
 
 def test_adjoint_command_theorem_one(fixture_dir, capsys):

@@ -1,10 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
 
-from framecat.bits import iter_bits, mask_of
-from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, negative_crm_fixture,
-                             pair_groupoid, semilattice_monoid_category)
-from framecat.crm import (_ideal_closure, _partial_join_table, crm_compatible,
+from framecat.bits import has_bit, iter_bits, mask_of
+from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, hand_built_crms,
+                             negative_crm_fixture, pair_groupoid,
+                             semilattice_monoid_category)
+from framecat.crm import (_compatible_join_table, _ideal_closure, _partial_join_table,
+                          crm_compatible,
                           crm_lub, enumerate_callitic_morphisms,
                           is_callitic, is_proper, l_vee, make_crm,
                           pi_restriction_monoid, preserves_finite_meets,
@@ -56,9 +60,222 @@ def test_missing_compatible_join_detected():
     rep = validate_crm(inst.obj)
     assert "crm.compatible_join_missing" in rep.laws()
     wit = rep.violations[0].witness
-    assert len(wit) == 2
+    assert wit == (2, 3)
     assert crm_compatible(inst.obj, *wit)
     assert crm_lub(inst.obj, wit) is None
+
+
+# ---------------------------------------------------------------------------
+# completeness: the test on compatible pairs against the subset walk
+
+COMPLETENESS_LAWS = ("crm.compatible_join_missing", "crm.mul_distributes_over_joins")
+
+
+def compatible_subsets(s):
+    """All pairwise-compatible subsets of s, as element bitmasks, by DFS over
+    the compatibility graph."""
+    comp_mask = [mask_of(b for b in range(s.n) if crm_compatible(s, a, b))
+                 for a in range(s.n)]
+    out = []
+
+    def extend(mask, allowed, start):
+        out.append(mask)
+        for a in iter_bits(allowed >> start << start):
+            extend(mask | (1 << a), allowed & comp_mask[a], a + 1)
+
+    extend(0, (1 << s.n) - 1, 0)
+    return out
+
+
+def completeness_oracle(s):
+    """Completeness by walking every compatible subset: None if each has a
+    join over which multiplication distributes, else (law, witness).  A
+    missing join is shrunk greedily to a minimal joinless subset."""
+    for mask in compatible_subsets(s):
+        elems = list(iter_bits(mask))
+        j = crm_lub(s, elems)
+        if j is None:
+            core = list(elems)
+            for x in list(core):
+                trial = [y for y in core if y != x]
+                if trial and crm_lub(s, trial) is None:
+                    core = trial
+            return "crm.compatible_join_missing", tuple(core)
+        for a in range(s.n):
+            left = crm_lub(s, [int(s.mul[a, x]) for x in elems] or [s.zero])
+            if left != int(s.mul[a, j]):
+                return "crm.mul_distributes_over_joins", (a,) + tuple(elems[:2])
+            right = crm_lub(s, [int(s.mul[x, a]) for x in elems] or [s.zero])
+            if right != int(s.mul[j, a]):
+                return "crm.mul_distributes_over_joins", tuple(elems[:2]) + (a,)
+    return None
+
+
+def distributivity_fails(s, c, x, y, side):
+    """x ~ y have a join j, and c.j is not c.x v c.y (left) or j.c is not
+    x.c v y.c (right), by crm_lub: the subset walk's test on {x, y}."""
+    if not crm_compatible(s, x, y) or crm_lub(s, (x, y)) is None:
+        return False
+    j = crm_lub(s, (x, y))
+    if side == "left":
+        return crm_lub(s, (int(s.mul[c, x]), int(s.mul[c, y]))) != s.mul[c, j]
+    return crm_lub(s, (int(s.mul[x, c]), int(s.mul[y, c]))) != s.mul[j, c]
+
+
+def first_pair_violation(s):
+    """The first completeness violation in the order validate_crm documents
+    (missing joins, then distributivity, each by pair in row-major order;
+    then by c, left before right), from the scalar definitions: so each
+    violation it names is genuine, a compatible pair without a crm_lub or
+    a distributivity failure of the subset walk."""
+    pairs = [(x, y) for x in range(s.n) for y in range(x, s.n) if crm_compatible(s, x, y)]
+    for x, y in pairs:
+        if crm_lub(s, (x, y)) is None:
+            return "crm.compatible_join_missing", (x, y)
+    for x, y in pairs:
+        for c in range(s.n):
+            if distributivity_fails(s, c, x, y, "left"):
+                return "crm.mul_distributes_over_joins", (c, x, y)
+            if distributivity_fails(s, c, x, y, "right"):
+                return "crm.mul_distributes_over_joins", (x, y, c)
+    return None
+
+
+def sub_monoid(s, keep):
+    """The restriction of s to the sorted element list keep, reindexed, or
+    None unless keep is closed under mul, star, plus and meet."""
+    keep = np.asarray(keep)
+    inside = np.zeros(s.n, dtype=bool)
+    inside[keep] = True
+    grid = np.ix_(keep, keep)
+    if not (inside[s.mul[grid]].all() and inside[s.meet[grid]].all()
+            and inside[s.star[keep]].all() and inside[s.plus[keep]].all()):
+        return None
+    pos = np.full(s.n, -1, dtype=np.int64)
+    pos[keep] = np.arange(keep.size)
+    return make_crm(keep.size, s.leq[grid], pos[s.mul[grid]], pos[s.unit], pos[s.zero],
+                    pos[s.star[keep]], pos[s.plus[keep]], pos[s.meet[grid]])
+
+
+def opposite(s):
+    """S with the multiplication reversed and star and plus swapped; left
+    distributivity in it is right distributivity in s."""
+    return make_crm(s.n, s.leq, s.mul.T, s.unit, s.zero, s.plus, s.star, s.meet)
+
+
+def generated_sub_monoid(s, gens):
+    """The least sub-monoid of s that contains gens, the unit and the zero
+    and is closed under mul, star, plus and meet."""
+    inside = np.zeros(s.n, dtype=bool)
+    inside[[s.unit, s.zero, *gens]] = True
+    while True:
+        keep = np.flatnonzero(inside)
+        grid = np.ix_(keep, keep)
+        grown = inside.copy()
+        for image in (s.mul[grid], s.meet[grid], s.star[keep], s.plus[keep]):
+            grown[image.ravel()] = True
+        if (grown == inside).all():
+            return sub_monoid(s, keep)
+        inside = grown
+
+
+SUB_MONOID_SOURCES = ("omega-pair2", "omega-parallel-pair", "omega-path-category",
+                      "qframe-prod-3x3")
+
+
+@functools.lru_cache(maxsize=None)
+def sub_monoids(source):
+    """Every sub-monoid of PI(source) left by deleting a set of elements other
+    than the unit and the zero, with the element list it keeps."""
+    s, _ = pi_restriction_monoid({i.name: i.obj for i in corpus_rqfs()}[source])
+    others = [x for x in range(s.n) if x not in (s.unit, s.zero)]
+    out = []
+    for deleted in range(1, 1 << len(others)):
+        gone = {others[k] for k in iter_bits(deleted)}
+        keep = [x for x in range(s.n) if x not in gone]
+        sub = sub_monoid(s, keep)
+        if sub is not None:
+            out.append((keep, sub))
+    return s, out
+
+
+def _completeness_inputs():
+    # every corpus CRM is hand-built or the PI of a corpus rqf
+    out = [(i.name, i.obj) for i in hand_built_crms()]
+    out += [(f"pi-{i.name}", pi_restriction_monoid(i.obj)[0]) for i in corpus_rqfs()]
+    out = [(name, s) for name, s in out if s.n <= 40]
+    out.append(("crm-missing-join", negative_crm_fixture().obj))
+    return [pytest.param(s, id=name) for name, s in out]
+
+
+def _assert_completeness_agrees(s, where):
+    rep = validate_crm(s)
+    assert set(rep.laws()) <= set(COMPLETENESS_LAWS), where
+    fast = None if rep.ok else (rep.violations[0].law, rep.violations[0].witness)
+    assert (fast is None) == (completeness_oracle(s) is None), where
+    assert fast == first_pair_violation(s), where
+    return fast
+
+
+@pytest.mark.parametrize("s", _completeness_inputs())
+def test_completeness_agrees_with_subset_walk(s):
+    _assert_completeness_agrees(s, None)
+
+
+@pytest.mark.parametrize("source", SUB_MONOID_SOURCES)
+def test_completeness_agrees_with_subset_walk_on_sub_monoids(source):
+    _, subs = sub_monoids(source)
+    for keep, sub in subs:
+        _assert_completeness_agrees(sub, keep)
+
+
+def test_completeness_on_one_sided_distributivity_failures(omega_pair3):
+    # the sub-monoid of PI(Omega pair3) generated by the identity at point 0
+    # and the bijection exchanging points 0 and 2: its first failing pair
+    # breaks distributivity on the left only, so its opposite breaks it on
+    # the right only
+    s, carrier = pi_restriction_monoid(omega_pair3.rqf)
+    e0 = carrier.index(omega_pair3.index[0b000000001])
+    swap02 = carrier.index(omega_pair3.index[0b001010100])
+    sub = generated_sub_monoid(s, [e0, swap02])
+    law, (c, x, y) = _assert_completeness_agrees(sub, "sub")
+    assert law == "crm.mul_distributes_over_joins"
+    assert not distributivity_fails(sub, c, x, y, "right")
+    law, (x, y, c) = _assert_completeness_agrees(opposite(sub), "opposite")
+    assert law == "crm.mul_distributes_over_joins"
+    assert not distributivity_fails(opposite(sub), c, x, y, "left")
+
+
+def test_sub_monoids_break_both_completeness_laws():
+    laws = set()
+    for source in SUB_MONOID_SOURCES:
+        for _, sub in sub_monoids(source)[1]:
+            rep = validate_crm(sub)
+            laws.update(rep.laws()[:1])
+    assert laws == set(COMPLETENESS_LAWS)
+
+
+def test_join_tables_match_scalar_definitions():
+    # zero-unit-crm with a star that makes 0 and 1 incompatible: their join
+    # 1 exists but is not a compatible join
+    bogus = make_crm(2, [[True, True], [False, True]], [[0, 0], [0, 1]],
+                     1, 0, [1, 1], [0, 1], [[0, 0], [0, 1]])
+    inputs = [i.obj for i in corpus_crms()] + [negative_crm_fixture().obj, bogus]
+    # the partial join table reads only the order: also random relations,
+    # most of them not partial orders
+    rng = np.random.default_rng(0)
+    for n in (1, 5, 12):
+        for density in (0.2, 0.5, 0.8):
+            zeros = np.zeros((n, n), dtype=np.int64)
+            inputs.append(make_crm(n, rng.random((n, n)) < density, zeros, 0, 0,
+                                   zeros[0], zeros[0], zeros))
+    for s in inputs:
+        lub = [[crm_lub(s, (a, b)) for b in range(s.n)] for a in range(s.n)]
+        partial = np.array([[-1 if j is None else j for j in row] for row in lub])
+        assert np.array_equal(_partial_join_table(s), partial)
+        compatible = [[crm_compatible(s, a, b) for b in range(s.n)] for a in range(s.n)]
+        assert np.array_equal(_compatible_join_table(s), np.where(compatible, partial, -1))
+    assert _compatible_join_table(bogus)[0, 1] == -1
 
 
 def test_compatibility_in_partial_bijections(i2):
@@ -192,6 +409,43 @@ def test_identity_is_proper_and_callitic(i2):
     assert is_callitic(ident, s, s) == (True, None)
 
 
+def compatible_joins_oracle(theta, s, t):
+    """The first compatible pair (a, b) of s, in row-major order, whose join
+    theta does not send to the join of the images, by scalar crm_lub."""
+    for a in range(s.n):
+        for b in range(a, s.n):
+            if not crm_compatible(s, a, b):
+                continue
+            j = crm_lub(s, (a, b))
+            if j is None:
+                continue
+            tj = crm_lub(t, (int(theta[a]), int(theta[b])))
+            if tj is None or tj != int(theta[j]):
+                return (a, b)
+    return None
+
+
+def _compatible_joins_witness(theta, s, t):
+    rep = validate_crm_morphism(theta, s, t)
+    wits = [v.witness for v in rep.violations if v.law == "crm_morphism.compatible_joins"]
+    return wits[0] if wits else None
+
+
+@pytest.mark.parametrize("source", SUB_MONOID_SOURCES)
+def test_compatible_joins_law_matches_oracle_on_sub_monoid_inclusions(source):
+    s, subs = sub_monoids(source)
+    failing = 0
+    for keep, sub in subs:
+        theta = np.array(keep, dtype=np.int64)
+        wit = _compatible_joins_witness(theta, sub, s)
+        assert wit == compatible_joins_oracle(theta, sub, s), keep
+        failing += wit is not None
+        ident = np.arange(sub.n, dtype=np.int64)
+        assert _compatible_joins_witness(ident, sub, sub) is None
+    if source in ("omega-path-category", "qframe-prod-3x3"):
+        assert failing > 0
+
+
 def test_inclusion_of_projection_part_is_not_proper(i2):
     s, _, _ = i2
     t = make_crm(2, [[True, True], [False, True]], [[0, 0], [0, 1]],
@@ -293,6 +547,34 @@ def test_s_filters_of_partial_bijections(i2, pair2):
     sf = s_filters(s)
     assert sf.n == 4
     assert find_category_isomorphism(sf.topcat.cat, pair2.cat) is not None
+
+
+def s_filters_list_oracle(s):
+    """The completely prime filters ↑g, g not the zero, by testing every
+    compatible pair outside ↑g with scalar crm_compatible/crm_lub."""
+    out = set()
+    for g in range(s.n):
+        if g == s.zero:
+            continue
+        mask = s.upset_mask(g)
+        prime = all(not (crm_compatible(s, a, b) and crm_lub(s, (a, b)) is not None
+                         and has_bit(mask, crm_lub(s, (a, b))))
+                    for a in range(s.n) if not has_bit(mask, a)
+                    for b in range(a, s.n) if not has_bit(mask, b))
+        if prime:
+            out.add(mask)
+    return sorted(out)
+
+
+def test_s_filters_match_oracle_on_corpus_crms():
+    for inst in corpus_crms() + [negative_crm_fixture()]:
+        assert s_filters_list(inst.obj) == s_filters_list_oracle(inst.obj), inst.name
+
+
+@pytest.mark.parametrize("source", SUB_MONOID_SOURCES)
+def test_s_filters_match_oracle_on_sub_monoids(source):
+    for keep, sub in sub_monoids(source)[1]:
+        assert s_filters_list(sub) == s_filters_list_oracle(sub), keep
 
 
 def test_no_s_filters_on_the_trivial_monoid():
