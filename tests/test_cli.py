@@ -6,7 +6,7 @@ import pytest
 
 from framecat.cli import main
 from framecat.corpus import m3_lattice, pair_groupoid
-from framecat.documents import WorkbenchDocument, serialize_document
+from framecat.documents import WorkbenchDocument, parse_document, serialize_document
 from framecat.order import FiniteFrame
 
 EXPECTED_CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "corpus.json"
@@ -200,3 +200,46 @@ def test_validate_functor_document(tmp_path, capsys):
     assert main(["validate", str(path)]) == 0
     out = capsys.readouterr().out
     assert "continuity" in out
+
+
+@pytest.fixture(scope="module")
+def quantale_text(fixture_dir):
+    """omega-pair2 of the corpus written as a `quantale` document."""
+    rqf = parse_document((fixture_dir / "omega-pair2.rqf.json").read_text()).obj
+    return serialize_document(WorkbenchDocument("quantale", "omega-pair2", rqf))
+
+
+def test_quantale_document_is_byte_stable(quantale_text):
+    doc = parse_document(quantale_text)
+    assert doc.kind == "quantale" and doc.obj.n == 16
+    assert serialize_document(doc) == quantale_text
+    assert sorted(json.loads(quantale_text)["payload"]) == [
+        "bottom", "join", "leq", "meet", "mul", "n", "top", "unit"]
+
+
+def test_validate_passes_on_quantale_document(tmp_path, capsys, quantale_text):
+    path = tmp_path / "omega-pair2.quantale.json"
+    path.write_text(quantale_text)
+    assert main(["validate", str(path)]) == 0
+    assert "omega-pair2 :: quantale-axioms" in capsys.readouterr().out
+
+
+# omega-pair2 has unit 9 and bottom 0; each case changes one cell of mul
+@pytest.mark.parametrize("a,b,value,law,witness", [
+    (9, 1, 2, "quantale.unit_left", [1]),
+    (1, 9, 2, "quantale.unit_right", [1]),
+    (0, 1, 1, "quantale.zero_left", [1]),
+    (1, 0, 1, "quantale.zero_right", [1]),
+    (1, 2, 15, "quantale.associativity", [1, 1, 2]),
+    (1, 2, 15, "quantale.join_distributivity_left", [1, 1, 2]),
+])
+def test_validate_reports_mutated_quantale_law(tmp_path, capsys, quantale_text,
+                                               a, b, value, law, witness):
+    raw = json.loads(quantale_text)
+    raw["payload"]["mul"][a][b] = value
+    path = tmp_path / "bad.quantale.json"
+    path.write_text(json.dumps(raw))
+    assert main(["--format", "json", "validate", str(path)]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {"check": law, "status": "fail", "witness": witness} in [
+        {k: c.get(k) for k in ("check", "status", "witness")} for c in checks]
