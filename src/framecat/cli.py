@@ -4,10 +4,10 @@ Commands: validate, omega, cpoints, roundtrip, crm, adjoint, corpus.
 roundtrip, crm and adjoint run the suite's check bodies on a one-instance
 object built from the document; `corpus run` runs the whole suite, one
 check after the other.  Exit codes: 0 all checks pass, 1 some check failed,
-2 input error, 3 size bound exceeded, 4 internal error (an invariant that
-holds for every valid input failed).  Check reports stream as they
-complete; with --format json the canonical (sorted) summary is printed once
-at the end.
+2 input error (also a file that cannot be read or written), 3 size bound
+exceeded, 4 internal error (an invariant that holds for every valid input
+failed).  Check reports stream as they complete; with --format json the
+canonical (sorted) summary is printed once at the end.
 """
 
 from __future__ import annotations
@@ -336,7 +336,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BoundExceeded as e:
         print(f"bound exceeded: {e}", file=sys.stderr)
         return EXIT_BOUND_EXCEEDED
-    except (ParseError, WorkbenchError, ValueError) as e:
+    except (ParseError, WorkbenchError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except InternalError as e:

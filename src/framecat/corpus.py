@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .crm import make_crm
-from .order import FiniteFrame, FinitePoset, frame_from_leq, lattice_from_leq
+from .order import (FiniteFrame, FiniteLattice, FinitePoset, frame_from_leq,
+                    lattice_from_leq)
 from .quantale import EhresmannQuantale, frame_as_quantale, make_eq
 from .reports import MAX_TABLE_SIDE, BoundExceeded
 from .topcat import (FiniteTopCategory, Topology,
@@ -227,7 +228,7 @@ def non_closed_isometries_quantale() -> EhresmannQuantale:
 @dataclass
 class CorpusInstance:
     name: str
-    kind: str  # "category" | "rqf" | "frame" | "crm" | "lattice"
+    kind: str  # "poset" | "frame" | "rqf" | "category" | "etale-category" | "crm"
     obj: object
     expect_fail: Optional[str] = None  # law the validator must report
     sober: bool = True  # finite discrete categories are sober; the parity
@@ -342,14 +343,13 @@ def negative_fixtures() -> list[CorpusInstance]:
     out.append(CorpusInstance("poset-nontransitive", "poset",
                               FinitePoset.from_leq(leq4), "poset.transitivity"))
 
-    lat = chain_frame(3).lattice
+    lat = chain_frame(3)
     meet = lat.meet.copy()
     meet[1, 2] = 2  # meet(1, 2) should be 1 on the chain
-    from .order import FiniteLattice
-    out.append(CorpusInstance("lattice-bad-meet", "lattice",
-                              FiniteLattice(lat.poset, meet, lat.join, lat.bottom, lat.top),
+    out.append(CorpusInstance("lattice-bad-meet", "frame",
+                              FiniteLattice(lat.n, lat.leq, meet, lat.join, lat.bottom, lat.top),
                               "lattice.meet_not_lower_bound"))
-    out.append(CorpusInstance("m3-lattice", "lattice", m3_lattice(),
+    out.append(CorpusInstance("m3-lattice", "frame", m3_lattice(),
                               "frame.distributivity"))
 
     def chain3_quantale_tables():
@@ -387,7 +387,7 @@ def negative_fixtures() -> list[CorpusInstance]:
     a = om.index[0b0010]  # the open {(0,1)}: star is (1,1), plus is (0,0)
     star[a], plus[a] = plus[a], star[a]
     out.append(CorpusInstance("ehresmann-swapped-star", "rqf",
-                              make_eq(q.frame, q.mul.copy(), q.unit, star, plus),
+                              make_eq(q, q.mul.copy(), q.unit, star, plus),
                               "ehresmann.a_mul_star"))
 
     out.append(CorpusInstance("non-etale-chain", "rqf", non_etale_chain_quantale(),
@@ -417,7 +417,6 @@ def generate_corpus(max_elements: int = 1024):
     quantale images, frames, monoids, and the perturbed negative fixtures
     (those carry the violated law in their expected block)."""
     from .documents import WorkbenchDocument
-    from .order import FiniteFrame
 
     if max_elements > MAX_TABLE_SIDE:
         raise BoundExceeded(f"max_elements {max_elements} exceeds hard limit {MAX_TABLE_SIDE}")
@@ -432,12 +431,9 @@ def generate_corpus(max_elements: int = 1024):
         docs.append(WorkbenchDocument("crm", inst.name, inst.obj))
     for inst in negative_fixtures() + [negative_crm_fixture()]:
         kind = inst.kind
-        obj = inst.obj
-        if kind == "lattice":
-            kind, obj = "frame", FiniteFrame(obj)
-        elif kind in ("category", "etale-category"):
+        if kind in ("category", "etale-category"):
             kind = "topcategory"
-        docs.append(WorkbenchDocument(kind, inst.name, obj,
+        docs.append(WorkbenchDocument(kind, inst.name, inst.obj,
                                       expected={"violated_law": inst.expect_fail}))
     return docs
 

@@ -46,6 +46,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .bits import has_bit, is_submask, iter_bits, mask_of
+from .functors import OmegaResult, omega_object
 from .order import _freeze
 from .quantale import EhresmannQuantale, partial_isometries
 from .reports import BoundExceeded, Report
@@ -358,7 +359,7 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealComple
     ideal product (pointwise product, down-closure, join-closure) into a
     join-fold over products of maximal generators.
     """
-    from .order import FiniteFrame, lattice_from_leq
+    from .order import lattice_from_leq
 
     n = s.n
     down = [s.downset_mask(i) for i in range(n)]
@@ -392,7 +393,6 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealComple
             member[i, x] = True
     leq = ~np.any(member[:, None, :] & ~member[None, :, :], axis=2)
     lat = lattice_from_leq(leq)
-    frame = FiniteFrame(lat)
     jt = lat.join
 
     pid = np.array([index[down[x]] for x in range(n)], dtype=np.int64)
@@ -430,7 +430,7 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealComple
 
     from .quantale import make_eq
 
-    q = make_eq(frame, mul, int(pid[s.unit]), star, plus)
+    q = make_eq(lat, mul, int(pid[s.unit]), star, plus)
     return IdealCompletion(rqf=q, ideals=tuple(ideal_list), index=index, source=s)
 
 
@@ -706,21 +706,27 @@ def enumerate_callitic_morphisms(s: CompleteRestrictionMonoid,
 
 
 def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
-                         max_arrows: int = 12, max_elements: int = 64):
+                         max_arrows: int = 12, max_elements: int = 64,
+                         om: Optional[OmegaResult] = None,
+                         pi: Optional[tuple[CompleteRestrictionMonoid, list[int]]] = None,
+                         sf: Optional[SFilterCategory] = None):
     """Hom-set bijection between continuous covering functors C -> C(S) and
     callitic morphisms S -> PI(Omega(C)), with the transposes inherited from
     the first adjunction through the monoid/quantal-frame translation:
     T(alpha)(s) = {c : s in alpha(c)} and B(theta)(c) = {s : c in theta(s)}.
+    `om`, `pi` and `sf` are Omega(C), PI(Omega(C)) with its carrier, and the
+    S-filter category of S, when already built.
     """
     from .duality import AdjunctionReport, enumerate_covering_functors
-    from .functors import omega_object
 
     rep = AdjunctionReport()
-    sf = s_filters(s)
+    if sf is None:
+        sf = s_filters(s)
     if sf.n > max_arrows:
         raise BoundExceeded(f"C(S) has {sf.n} arrows > {max_arrows}")
-    om = omega_object(tc)
-    t_crm, carrier = pi_restriction_monoid(om.rqf)
+    if om is None:
+        om = omega_object(tc)
+    t_crm, carrier = pi_restriction_monoid(om.rqf) if pi is None else pi
     pos = {e: i for i, e in enumerate(carrier)}
 
     rep.functor_homset = enumerate_covering_functors(tc, sf.topcat, max_arrows)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bits import iter_bits, mask_of
 from .crm import CompleteRestrictionMonoid, make_crm
-from .order import (FiniteFrame, FiniteLattice, FinitePoset)
+from .order import FiniteFrame, FiniteLattice, FinitePoset
 from .quantale import EhresmannQuantale, FiniteQuantale, make_eq
 from .reports import MAX_TABLE_SIDE, BoundExceeded, WorkbenchError
 from .topcat import FiniteCategory, FiniteTopCategory, Topology, make_category
@@ -119,16 +119,16 @@ def _parse_frame(p: dict, path: str) -> FiniteFrame:
     top = _int_in_range(_need(p, "top", path), 0, n, f"{path}.top")
     for a in (meet, join):
         a.flags.writeable = False
-    return FiniteFrame(FiniteLattice(poset, meet, join, bottom, top))
+    return FiniteLattice(poset.n, poset.leq, meet, join, bottom, top)
 
 
 def _parse_quantale(p: dict, path: str) -> FiniteQuantale:
-    frame = _parse_frame(p, path)
-    n = frame.n
+    f = _parse_frame(p, path)
+    n = f.n
     mul = _int_matrix(_need(p, "mul", path), n, n, n, f"{path}.mul")
     unit = _int_in_range(_need(p, "unit", path), 0, n, f"{path}.unit")
     mul.flags.writeable = False
-    return FiniteQuantale(frame, mul, unit)
+    return FiniteQuantale(n, f.leq, f.meet, f.join, f.bottom, f.top, mul, unit)
 
 
 def _parse_rqf(p: dict, path: str) -> EhresmannQuantale:
@@ -136,7 +136,7 @@ def _parse_rqf(p: dict, path: str) -> EhresmannQuantale:
     n = quantale.n
     star = _int_vector(_need(p, "star", path), n, n, f"{path}.star")
     plus = _int_vector(_need(p, "plus", path), n, n, f"{path}.plus")
-    return make_eq(quantale.frame, quantale.mul, quantale.unit, star, plus)
+    return make_eq(quantale, quantale.mul, quantale.unit, star, plus)
 
 
 def _parse_category(p: dict, path: str) -> FiniteCategory:
@@ -276,7 +276,7 @@ def _poset_payload(p: FinitePoset) -> dict:
 
 
 def _frame_payload(f: FiniteFrame) -> dict:
-    out = _poset_payload(f.lattice.poset)
+    out = _poset_payload(f)
     out.update({
         "meet": [[int(x) for x in row] for row in f.meet],
         "join": [[int(x) for x in row] for row in f.join],
@@ -287,13 +287,13 @@ def _frame_payload(f: FiniteFrame) -> dict:
 
 
 def _quantale_payload(q: FiniteQuantale) -> dict:
-    out = _frame_payload(q.frame)
+    out = _frame_payload(q)
     out.update({"mul": [[int(x) for x in row] for row in q.mul], "unit": q.unit})
     return out
 
 
 def _rqf_payload(q: EhresmannQuantale) -> dict:
-    out = _quantale_payload(q.quantale)
+    out = _quantale_payload(q)
     out.update({"star": [int(x) for x in q.star], "plus": [int(x) for x in q.plus]})
     return out
 

@@ -392,7 +392,7 @@ def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
     seen = set()
     for images in found:
         a = [r_pis[t] for t in images]
-        theta = np.array([_join_fold(r, [a[i] for i in below]) for below in pis_below],
+        theta = np.array([r.join_fold([a[i] for i in below]) for below in pis_below],
                          dtype=np.int64)
         key = theta.tobytes()
         if key in seen:
@@ -407,13 +407,6 @@ def _pi_block(table: np.ndarray, pis: list[int], pos: dict[int, int]) -> list[li
     """table on pis x pis as lists, each value replaced by its position in
     pis, or by -1 where it is not in pis."""
     return [[pos.get(v, -1) for v in row] for row in table[np.ix_(pis, pis)].tolist()]
-
-
-def _join_fold(r: EhresmannQuantale, xs: list[int]) -> int:
-    acc = r.bottom
-    for x in xs:
-        acc = int(r.join[acc, x])
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .bits import full_mask, has_bit, iter_bits, is_submask, mask_of
-from .order import (FiniteFrame, FiniteLattice, FinitePoset, FiniteTopSpace, _freeze,
-                    enumerate_cp_filters, pt_topology, subframe)
+from .order import (FiniteLattice, FiniteTopSpace, _freeze, enumerate_cp_filters,
+                    pt_topology, subframe)
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
 from .reports import BoundExceeded, InternalError
 from .topcat import (UNDEF, FiniteTopCategory,
@@ -76,9 +76,8 @@ def _omega_discrete(tc: FiniteTopCategory) -> OmegaResult:
     leq = np.bitwise_and.outer(masks, masks) == masks[:, None]
     meet = np.bitwise_and.outer(masks, masks)
     join = np.bitwise_or.outer(masks, masks)
-    lat = FiniteLattice(FinitePoset(nq, _freeze(leq)), _freeze(meet), _freeze(join),
-                        bottom=0, top=nq - 1)
-    frame = FiniteFrame(lat)
+    frame = FiniteLattice(nq, _freeze(leq), _freeze(meet), _freeze(join),
+                          bottom=0, top=nq - 1)
 
     dbit = np.array([1 << int(cat.d[a]) for a in range(k)], dtype=np.int64)
     rbit = np.array([1 << int(cat.r[a]) for a in range(k)], dtype=np.int64)
@@ -123,9 +122,8 @@ def _omega_generic(tc: FiniteTopCategory) -> OmegaResult:
             leq[i, j] = is_submask(a, b)
             meet[i, j] = idx(a & b, "intersection")
             join[i, j] = idx(a | b, "union")
-    lat = FiniteLattice(FinitePoset(nq, _freeze(leq)), _freeze(meet), _freeze(join),
-                        bottom=index[0], top=index[full_mask(cat.n)])
-    frame = FiniteFrame(lat)
+    frame = FiniteLattice(nq, _freeze(leq), _freeze(meet), _freeze(join),
+                          bottom=index[0], top=index[full_mask(cat.n)])
 
     k = cat.n
     single = [[0] * nq for _ in range(k)]  # single[v][iU] = mask of U.{v}
@@ -207,9 +205,9 @@ class FilterCategoryResult:
 
 def c_object(q: EhresmannQuantale, max_opens: int = 4096) -> FilterCategoryResult:
     """C(Q), read off the join-irreducibles as the module docstring says."""
-    filters = enumerate_cp_filters(q.frame)
+    filters = enumerate_cp_filters(q)
     nf = len(filters)
-    gens = np.array([q.frame.meet_fold(iter_bits(f.members)) for f in filters],
+    gens = np.array([q.meet_fold(iter_bits(f.members)) for f in filters],
                     dtype=np.int64)  # j_k, the least member of filter k
     filter_at = np.full(q.n, UNDEF, dtype=np.int64)  # filter_at[j_k] = k
     filter_at[gens] = np.arange(nf)
@@ -291,7 +289,7 @@ def identity_space_vs_pt(q: EhresmannQuantale,
     id_space = subspace(fc.n, fc.topcat.topology.iter_opens(), fc.topcat.cat.identity_mask)
 
     projs = q.projections()
-    pframe, pos = subframe(q.frame, projs)
+    pframe, pos = subframe(q, projs)
     pt_space = pt_topology(pframe)
     pt_filters = enumerate_cp_filters(pframe)
     pt_index = {f.members: i for i, f in enumerate(pt_filters)}

@@ -1,5 +1,13 @@
 """Finite posets, lattices, frames, completely prime filters and points.
 
+The algebras form one dataclass chain, each layer adding only its own
+fields: FinitePoset (n, leq), FiniteLattice (+ meet, join, bottom, top),
+then `quantale.FiniteQuantale` (+ mul, unit) and
+`quantale.EhresmannQuantale` (+ star, plus).  So a quantale is a lattice
+and a poset, and every function of a frame or poset takes it as it is.
+A frame adds no fields: FiniteFrame is an alias of FiniteLattice, and a
+frame is a lattice that passes `validate_frame`.
+
 Elements are dense integer indices.  The order is an n-by-n boolean table,
 meet/join are n-by-n element tables.  A finite frame is a finite bounded
 distributive lattice: binary distributivity plus the lattice axioms imply
@@ -58,55 +66,22 @@ class FinitePoset:
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteLattice:
-    poset: FinitePoset
+class FiniteLattice(FinitePoset):
     meet: np.ndarray  # (n, n) int
     join: np.ndarray  # (n, n) int
     bottom: int
     top: int
-
-    @property
-    def n(self) -> int:
-        return self.poset.n
-
-    @property
-    def leq(self) -> np.ndarray:
-        return self.poset.leq
-
-
-@dataclass(frozen=True, eq=False)
-class FiniteFrame:
-    lattice: FiniteLattice
-
-    @property
-    def n(self) -> int:
-        return self.lattice.n
-
-    @property
-    def leq(self) -> np.ndarray:
-        return self.lattice.leq
-
-    @property
-    def meet(self) -> np.ndarray:
-        return self.lattice.meet
-
-    @property
-    def join(self) -> np.ndarray:
-        return self.lattice.join
-
-    @property
-    def bottom(self) -> int:
-        return self.lattice.bottom
-
-    @property
-    def top(self) -> int:
-        return self.lattice.top
 
     def join_fold(self, indices) -> int:
         return reduce(lambda a, b: int(self.join[a, b]), indices, self.bottom)
 
     def meet_fold(self, indices) -> int:
         return reduce(lambda a, b: int(self.meet[a, b]), indices, self.top)
+
+
+# The finite frames are the FiniteLattice instances for which validate_frame
+# passes; no extra fields are involved.
+FiniteFrame = FiniteLattice
 
 
 @dataclass(frozen=True)
@@ -158,7 +133,7 @@ def lattice_from_leq(leq) -> FiniteLattice:
     rep = validate_poset(p)
     if not rep.ok:
         raise ValueError(f"not a poset: {rep.violations[0]}")
-    return FiniteLattice(p, *_lattice_tables(p))
+    return FiniteLattice(p.n, p.leq, *_lattice_tables(p))
 
 
 def _lattice_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -197,8 +172,8 @@ def _lattice_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray, int, int]:
 
 
 def frame_from_leq(leq) -> FiniteFrame:
-    f = FiniteFrame(lattice_from_leq(leq))
-    ok, wit = is_frame(f.lattice)
+    f = lattice_from_leq(leq)
+    ok, wit = is_frame(f)
     if not ok:
         raise ValueError(f"not distributive: witness {wit}")
     return f
@@ -235,7 +210,7 @@ def validate_poset(p: FinitePoset) -> Report:
 
 
 def validate_lattice(l: FiniteLattice) -> Report:
-    rep = validate_poset(l.poset)
+    rep = validate_poset(l)
     if not rep.ok:
         return rep
     rep.subject = "lattice"
@@ -287,7 +262,7 @@ def validate_lattice(l: FiniteLattice) -> Report:
 def _has_lattice_tables(l: FiniteLattice) -> bool:
     """Whether meet, join, bottom and top are those of the (valid) order."""
     try:
-        meet, join, bottom, top = _lattice_tables(l.poset)
+        meet, join, bottom, top = _lattice_tables(l)
     except ValueError:
         return False
     return (np.array_equal(l.meet, meet) and np.array_equal(l.join, join)
@@ -343,12 +318,12 @@ def is_frame(l: FiniteLattice) -> tuple[bool, Optional[tuple[int, int, int]]]:
 
 
 def validate_frame(f: FiniteFrame) -> Report:
-    rep = validate_lattice(f.lattice)
+    rep = validate_lattice(f)
     if not rep.ok:
         return rep
     rep.subject = "frame"
     rep.layers_run.append("frame")
-    ok, wit = is_frame(f.lattice)
+    ok, wit = is_frame(f)
     if not ok:
         rep.add("frame.distributivity", wit)
     return rep
@@ -444,7 +419,7 @@ def cp_filters_bruteforce(f: FiniteFrame, exact_limit: int = 16) -> list[CPFilte
     case by finite induction; for n <= 12 the all-subsets form is also checked.
     """
     n = f.n
-    ups = [f.lattice.poset.upset_mask(i) for i in range(n)]
+    ups = [f.upset_mask(i) for i in range(n)]
     found = []
     if n <= exact_limit:
         join_of = _join_of_all_subsets(f) if n <= 12 else None
@@ -524,5 +499,4 @@ def subframe(f: FiniteFrame, elements: list[int]) -> tuple[FiniteFrame, dict]:
         for b in elements:
             if int(f.meet[a, b]) not in pos or int(f.join[a, b]) not in pos:
                 raise ValueError(f"subset not closed under meet/join at ({a},{b})")
-    sf = FiniteFrame(lattice_from_leq(leq))
-    return sf, pos
+    return lattice_from_leq(leq), pos

@@ -1,5 +1,13 @@
 """Unital quantales over finite frames, Ehresmann structure, partial isometries.
 
+The types continue the chain of `order`: FiniteQuantale is a FiniteLattice
+with mul and unit, EhresmannQuantale a FiniteQuantale with star and plus.
+RestrictionQuantalFrame is an alias of EhresmannQuantale: an rqf adds no
+fields, it is an Ehresmann quantale that passes `validate_rqf`.  Each
+validator first runs the one below it on the same object: validate_rqf,
+validate_ehresmann, validate_quantale, then `order.validate_frame`,
+validate_lattice and validate_poset.
+
 A restriction quantal frame is an Ehresmann quantal frame that is etale
 (the top element is a join of partial isometries) and whose partial
 isometries are closed under multiplication.  The restriction identities
@@ -29,84 +37,22 @@ from typing import Optional
 import numpy as np
 
 from .bits import mask_of
-from .order import FiniteFrame, join_irreducibles, validate_frame
+from .order import FiniteFrame, FiniteLattice, join_irreducibles, validate_frame
 from .reports import Report
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteQuantale:
-    frame: FiniteFrame
+class FiniteQuantale(FiniteLattice):
     mul: np.ndarray  # (n, n) int
     unit: int
 
-    @property
-    def n(self) -> int:
-        return self.frame.n
-
-    @property
-    def leq(self) -> np.ndarray:
-        return self.frame.leq
-
-    @property
-    def meet(self) -> np.ndarray:
-        return self.frame.meet
-
-    @property
-    def join(self) -> np.ndarray:
-        return self.frame.join
-
-    @property
-    def bottom(self) -> int:
-        return self.frame.bottom
-
-    @property
-    def top(self) -> int:
-        return self.frame.top
-
 
 @dataclass(frozen=True, eq=False)
-class EhresmannQuantale:
+class EhresmannQuantale(FiniteQuantale):
     """Ehresmann quantal frame; star and plus land in the projections e-down."""
 
-    quantale: FiniteQuantale
     star: np.ndarray  # (n,) int
     plus: np.ndarray  # (n,) int
-
-    @property
-    def frame(self) -> FiniteFrame:
-        return self.quantale.frame
-
-    @property
-    def n(self) -> int:
-        return self.quantale.n
-
-    @property
-    def leq(self) -> np.ndarray:
-        return self.quantale.leq
-
-    @property
-    def meet(self) -> np.ndarray:
-        return self.quantale.meet
-
-    @property
-    def join(self) -> np.ndarray:
-        return self.quantale.join
-
-    @property
-    def mul(self) -> np.ndarray:
-        return self.quantale.mul
-
-    @property
-    def unit(self) -> int:
-        return self.quantale.unit
-
-    @property
-    def bottom(self) -> int:
-        return self.quantale.bottom
-
-    @property
-    def top(self) -> int:
-        return self.quantale.top
 
     def projections(self) -> list[int]:
         """P = e-down, never stored."""
@@ -127,7 +73,8 @@ def make_eq(frame: FiniteFrame, mul, unit: int, star, plus) -> EhresmannQuantale
     plus = np.array(plus, dtype=np.int64)
     for a in (mul, star, plus):
         a.flags.writeable = False
-    return EhresmannQuantale(FiniteQuantale(frame, mul, int(unit)), star, plus)
+    return EhresmannQuantale(frame.n, frame.leq, frame.meet, frame.join, frame.bottom,
+                             frame.top, mul, int(unit), star, plus)
 
 
 def frame_as_quantale(frame: FiniteFrame) -> EhresmannQuantale:
@@ -141,7 +88,7 @@ def frame_as_quantale(frame: FiniteFrame) -> EhresmannQuantale:
 # validators
 
 def validate_quantale(q: FiniteQuantale) -> Report:
-    rep = validate_frame(q.frame)
+    rep = validate_frame(q)
     if not rep.ok:
         return rep
     rep.subject = "quantale"
@@ -197,7 +144,7 @@ def _quantale_laws_hold(q: FiniteQuantale) -> bool:
     ident = np.arange(n)
     if not ((mul[q.unit, :] == ident).all() and (mul[:, q.unit] == ident).all()):
         return False
-    js = np.array(join_irreducibles(q.frame.lattice), dtype=np.int64)
+    js = np.array(join_irreducibles(q), dtype=np.int64)
     left = np.full((n, n), bot, dtype=np.int64)   # left[a, x]: join of a.j, j <= x
     right = np.full((n, n), bot, dtype=np.int64)  # right[x, a]: join of j.a, j <= x
     for j in js:
@@ -211,7 +158,7 @@ def _quantale_laws_hold(q: FiniteQuantale) -> bool:
 
 
 def validate_ehresmann(q: EhresmannQuantale) -> Report:
-    rep = validate_quantale(q.quantale)
+    rep = validate_quantale(q)
     if not rep.ok:
         return rep
     rep.subject = "ehresmann"
@@ -324,7 +271,7 @@ def every_element_is_join_of_pi(q: EhresmannQuantale) -> tuple[bool, Optional[tu
     pis = partial_isometries(q)
     for x in range(q.n):
         below = [p for p in pis if q.leq[p, x]]
-        if q.frame.join_fold(below) != x:
+        if q.join_fold(below) != x:
             return False, (x,)
     return True, None
 
@@ -355,7 +302,7 @@ def validate_rqf(q: EhresmannQuantale) -> Report:
             rep.add("rqf.restriction_identity_plus", (int(bad[0]), f))
             break
 
-    top_join = q.frame.join_fold(pis)
+    top_join = q.join_fold(pis)
     if top_join != q.top:
         rep.add("rqf.etale_top_is_join_of_isometries", (q.top, top_join))
     for a in pis:

@@ -35,7 +35,7 @@ from .duality import (AdjunctionReport, ChiResult, build_chi, build_omega_map,
                       verify_adjunction_I)
 from .functors import (FilterCategoryResult, OmegaResult, c_object,
                        omega_morphism, omega_object)
-from .order import (FiniteFrame, cp_filters_bruteforce, enumerate_cp_filters,
+from .order import (cp_filters_bruteforce, enumerate_cp_filters,
                     frame_spatial_check, validate_frame, validate_poset)
 from .quantale import (EhresmannQuantale, compatibility_lemma_check,
                        every_element_is_join_of_pi, partial_isometries,
@@ -134,7 +134,7 @@ def ideals_of_isometries_roundtrip(inst: Instance) -> CheckResult:
     q = inst.rqf
     _, carrier = inst.pi
     lv = inst.lv
-    iso = np.array([q.frame.join_fold([carrier[x] for x in iter_bits(m)])
+    iso = np.array([q.join_fold([carrier[x] for x in iter_bits(m)])
                     for m in lv.ideals], dtype=np.int64)
     if not quantale_isomorphism_ok(iso, lv.rqf, q):
         return False, (lv.rqf.n, q.n), "explicit isomorphism fails"
@@ -248,8 +248,6 @@ def rejected_with_witness(inst: cor.CorpusInstance) -> CheckResult:
 def _validate_any(inst: cor.CorpusInstance) -> Report:
     if inst.kind == "poset":
         return validate_poset(inst.obj)
-    if inst.kind == "lattice":
-        return validate_frame(FiniteFrame(inst.obj))
     if inst.kind == "frame":
         return validate_frame(inst.obj)
     if inst.kind == "rqf":
@@ -286,7 +284,7 @@ def adjunction_II_translated(inst: Instance) -> CheckResult:
     """Adjunction II for (C, PI(Omega(C))), with the hom-set sizes of
     adjunction I for the translated pair (C, L^vee(PI(Omega(C))))."""
     tc = inst.tc
-    adj2 = verify_adjunction_II(tc, inst.crm)
+    adj2 = verify_adjunction_II(tc, inst.crm, om=inst.omega, pi=inst.pi, sf=inst.sf)
     if adj2.ok:
         adj1 = verify_adjunction_I(tc, inst.lv.rqf, fc=inst.lv_fc, om=inst.omega)
         if adj1.sizes != adj2.sizes:
@@ -357,7 +355,7 @@ def full_suite_pending() -> list[Pending]:
     for name, f in frames:
         out.append((name, "frame-axioms", lambda f=f: _from_report(validate_frame(f))))
         out.append((name, "spatial", lambda f=f: _simple(frame_spatial_check(f))))
-    frames += [(f"frame-of-{name}", inst.rqf.frame) for name, inst in rqfs]
+    frames += [(f"frame-of-{name}", inst.rqf) for name, inst in rqfs]
     out += [(name, "filter-oracle", partial(filter_oracle, f))
             for name, f in frames if f.n <= FILTER_ORACLE_LIMIT]
     out += [(c.name, "rejected-with-witness", partial(rejected_with_witness, c))

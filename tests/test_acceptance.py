@@ -59,7 +59,7 @@ def test_criterion_02_filter_oracle():
     t0 = time.perf_counter()
     ok = True
     frames = [(i.name, i.obj) for i in cor.corpus_frames()]
-    frames += [(f"frame-of-{i.name}", i.obj.frame) for i in cor.corpus_rqfs()]
+    frames += [(f"frame-of-{i.name}", i.obj) for i in cor.corpus_rqfs()]
     checked = 0
     for name, f in frames:
         if f.n > 64:
@@ -212,7 +212,7 @@ def test_criterion_08_crm_translation():
         q = inst.obj
         s, carrier = pi_restriction_monoid(q)
         lv = l_vee(s)
-        iso = np.array([q.frame.join_fold([carrier[x] for x in iter_bits(m)])
+        iso = np.array([q.join_fold([carrier[x] for x in iter_bits(m)])
                         for m in lv.ideals], dtype=np.int64)
         if not quantale_isomorphism_ok(iso, lv.rqf, q):
             announce(f"  {inst.name}: ideal completion does not recover the frame")

@@ -7,7 +7,6 @@ import pytest
 from framecat.cli import main
 from framecat.corpus import m3_lattice, pair_groupoid
 from framecat.documents import WorkbenchDocument, parse_document, serialize_document
-from framecat.order import FiniteFrame
 
 EXPECTED_CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "corpus.json"
 
@@ -34,7 +33,7 @@ def test_validate_passes_on_corpus_document(fixture_dir, capsys):
 
 
 def test_validate_fails_on_m3(tmp_path, capsys):
-    doc = WorkbenchDocument("frame", "m3", FiniteFrame(m3_lattice()))
+    doc = WorkbenchDocument("frame", "m3", m3_lattice())
     path = tmp_path / "m3.frame.json"
     path.write_text(serialize_document(doc))
     code = main(["validate", str(path)])
@@ -51,6 +50,18 @@ def test_unparseable_file_is_an_input_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["validate", str(path)]) == 2
+
+
+def test_directory_given_as_document_is_an_input_error(tmp_path, capsys):
+    assert main(["validate", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_corpus_emit_onto_a_regular_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    assert main(["corpus", "emit", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_unknown_command_is_an_input_error():

@@ -297,7 +297,7 @@ def test_ideal_completion_of_partial_bijections(i2):
     lv = l_vee(s)
     assert lv.rqf.n == 16
     assert validate_rqf(lv.rqf).ok
-    iso = np.array([q.frame.join_fold([carrier[x] for x in iter_bits(m)])
+    iso = np.array([q.join_fold([carrier[x] for x in iter_bits(m)])
                     for m in lv.ideals], dtype=np.int64)
     assert quantale_isomorphism_ok(iso, lv.rqf, q)
 
@@ -382,7 +382,7 @@ def test_ideal_completion_of_frame_crm_is_the_frame():
     s, carrier = pi_restriction_monoid(q)
     lv = l_vee(s)
     assert lv.rqf.n == 5
-    iso = np.array([q.frame.join_fold([carrier[x] for x in iter_bits(m)])
+    iso = np.array([q.join_fold([carrier[x] for x in iter_bits(m)])
                     for m in lv.ideals], dtype=np.int64)
     assert quantale_isomorphism_ok(iso, lv.rqf, q)
 
@@ -634,6 +634,38 @@ def test_adjunction_II_degenerate():
     adj = verify_adjunction_II(empty_category(), s)
     assert adj.ok
     assert adj.sizes == (1, 1)
+
+
+def _adjunction_key(adj):
+    return (adj.ok, adj.failures, [f.tobytes() for f in adj.functor_homset],
+            [m.tobytes() for m in adj.morphism_homset])
+
+
+def test_suite_adjunction_II_check_reuses_the_instance_builds(pair2, monkeypatch):
+    from framecat import crm, suite
+    inst = suite.Instance(tc=pair2)
+    inst.omega, inst.pi, inst.sf, inst.lv, inst.lv_fc  # built before the check runs
+    without_builds = verify_adjunction_II(pair2, inst.crm)
+
+    calls = []
+    for name in ("omega_object", "pi_restriction_monoid", "s_filters"):
+        original = getattr(crm, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(crm, name, counted)
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(verify_adjunction_II(*args, **kwargs))
+        return reports[-1]
+    monkeypatch.setattr(suite, "verify_adjunction_II", recorded)
+
+    assert suite.adjunction_II_translated(inst) == (True, None, "homset sizes (2, 2)")
+    assert calls == []
+    assert len(reports) == 1
+    assert _adjunction_key(reports[0]) == _adjunction_key(without_builds)
 
 
 def test_callitic_enumeration_on_semilattice_monoid():

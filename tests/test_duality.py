@@ -81,7 +81,7 @@ def test_spatial_iff_projection_frame_spatial(omega_pair2):
     from framecat.order import frame_spatial_check, subframe
     q = omega_pair2.rqf
     ok_q, _ = is_spatial(q)
-    pframe, _ = subframe(q.frame, q.projections())
+    pframe, _ = subframe(q, q.projections())
     ok_p, _ = frame_spatial_check(pframe)
     assert ok_q == ok_p is True
 

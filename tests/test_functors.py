@@ -31,7 +31,7 @@ class FilterCalculus:
     def __init__(self, q):
         self.q = q
         self.upset = [mask_of(np.flatnonzero(q.leq[i, :])) for i in range(q.n)]
-        self.filters = enumerate_cp_filters(q.frame)
+        self.filters = enumerate_cp_filters(q)
         self.index = {f.members: k for k, f in enumerate(self.filters)}
         self.proj_mask = q.projection_mask()
         self.pis = partial_isometries(q)
@@ -436,7 +436,7 @@ def test_identity_filter_bijection_with_projection_filters(calc_pair2):
     calc = calc_pair2
     q = calc.q
     projs = q.projections()
-    pframe, pos = subframe(q.frame, projs)
+    pframe, pos = subframe(q, projs)
     inv = {v: k for k, v in pos.items()}
     images = set()
     for f in enumerate_cp_filters(pframe):

@@ -15,7 +15,7 @@ from framecat.bits import iter_bits, mask_of
 from framecat.crm import (CompleteRestrictionMonoid, enumerate_callitic_morphisms,
                           is_callitic, pi_restriction_monoid, validate_crm_morphism,
                           verify_adjunction_II)
-from framecat.duality import (_join_fold, enumerate_rqf_morphisms, find_category_isomorphism,
+from framecat.duality import (enumerate_rqf_morphisms, find_category_isomorphism,
                               validate_rqf_morphism, verify_adjunction_I)
 from framecat.functors import omega_object
 from framecat.order import _freeze
@@ -86,7 +86,7 @@ def rqf_morphisms_oracle(q: EhresmannQuantale, r: EhresmannQuantale,
     for a in found:
         theta = np.zeros(q.n, dtype=np.int64)
         for x in range(q.n):
-            theta[x] = _join_fold(r, [a[p] for p in q_pis if q.leq[p, x]])
+            theta[x] = r.join_fold([a[p] for p in q_pis if q.leq[p, x]])
         key = theta.tobytes()
         if key in seen:
             continue

@@ -39,7 +39,7 @@ def test_transitivity_witness():
 def test_boolean_lattice_is_frame():
     f = boolean_frame(2)
     assert validate_frame(f).ok
-    assert is_frame(f.lattice) == (True, None)
+    assert is_frame(f) == (True, None)
 
 
 def test_m3_fails_distributivity_with_atom_witness():
@@ -356,7 +356,7 @@ def test_transitivity_matches_boolean_oracle_on_large_relations(density):
 # Report (laws, witnesses, layers_run) must agree
 
 def validate_lattice_oracle(l: FiniteLattice) -> Report:
-    rep = validate_poset(l.poset)
+    rep = validate_poset(l)
     if not rep.ok:
         return rep
     rep.subject = "lattice"
@@ -415,12 +415,12 @@ def is_frame_oracle(l: FiniteLattice):
 
 
 def validate_frame_oracle(f: FiniteFrame) -> Report:
-    rep = validate_lattice_oracle(f.lattice)
+    rep = validate_lattice_oracle(f)
     if not rep.ok:
         return rep
     rep.subject = "frame"
     rep.layers_run.append("frame")
-    ok, wit = is_frame_oracle(f.lattice)
+    ok, wit = is_frame_oracle(f)
     if not ok:
         rep.add("frame.distributivity", wit)
     return rep
@@ -443,7 +443,7 @@ def join_irreducibles_by_definition(l: FiniteLattice) -> list[int]:
     out = []
     for x in range(l.n):
         strictly_below = [y for y in range(l.n) if l.leq[y, x] and y != x]
-        if x != l.bottom and FiniteFrame(l).join_fold(strictly_below) != x:
+        if x != l.bottom and l.join_fold(strictly_below) != x:
             out.append(x)
     return out
 
@@ -452,21 +452,20 @@ def assert_order_layers_match_oracles(lat: FiniteLattice):
     """The frame report holds the lattice report, and is_frame's witness
     when the lattice layer passes.  The fast tests must also pass exactly
     when the scans do, so that no passing input pays for a scan."""
-    f = FiniteFrame(lat)
-    rep = validate_frame(f)
-    assert rep == validate_frame_oracle(f)
+    rep = validate_frame(lat)
+    assert rep == validate_frame_oracle(lat)
     if "lattice" in rep.layers_run:
         assert _has_lattice_tables(lat) == ("frame" in rep.layers_run)
     if "frame" in rep.layers_run:
         assert _is_distributive(lat) == rep.ok
-        assert meet_prime_elements(f) == meet_prime_elements_oracle(f)
+        assert meet_prime_elements(lat) == meet_prime_elements_oracle(lat)
         assert join_irreducibles(lat) == join_irreducibles_by_definition(lat)
 
 
 def _corpus_lattices():
-    out = [(i.name, i.obj.lattice) for i in corpus_frames()]
-    out += [(f"frame-of-{i.name}", i.obj.frame.lattice) for i in corpus_rqfs()]
-    out += [(i.name, i.obj) for i in negative_fixtures() if i.kind == "lattice"]
+    out = [(i.name, i.obj) for i in corpus_frames()]
+    out += [(f"frame-of-{i.name}", i.obj) for i in corpus_rqfs()]
+    out += [(i.name, i.obj) for i in negative_fixtures() if i.kind == "frame"]
     return [pytest.param(lat, id=name) for name, lat in out]
 
 
@@ -478,7 +477,7 @@ def test_order_layers_match_oracles_on_corpus(lat):
 @settings(max_examples=40, deadline=None)
 @given(small_frames())
 def test_order_layers_match_oracles_on_downset_lattices(f):
-    assert_order_layers_match_oracles(f.lattice)
+    assert_order_layers_match_oracles(f)
 
 
 def _ordinal_sum(a, b):
@@ -539,7 +538,7 @@ def _single_cell_mutations(lat: FiniteLattice, count: int, seed: int):
         tables = {"meet": np.array(lat.meet), "join": np.array(lat.join)}
         old = int(tables[name][i, j])
         tables[name][i, j] = (old + 1 + int(rng.integers(lat.n - 1))) % lat.n
-        yield FiniteLattice(lat.poset, tables["meet"], tables["join"], lat.bottom, lat.top)
+        yield FiniteLattice(lat.n, lat.leq, tables["meet"], tables["join"], lat.bottom, lat.top)
 
 
 @pytest.mark.parametrize("lat", [p for p in _corpus_lattices()

@@ -8,7 +8,7 @@ from framecat.corpus import (boolean_frame, chain_frame, corpus_rqfs,
                              non_etale_chain_quantale, pair_groupoid,
                              parity_pair_groupoid)
 from framecat.functors import omega_object
-from framecat.order import FiniteFrame, FiniteLattice, validate_frame
+from framecat.order import validate_frame
 from framecat.quantale import (FiniteQuantale, _quantale_laws_hold,
                                cat_of_ehresmann, compatibility_lemma_check,
                                compatible, every_element_is_join_of_pi,
@@ -50,7 +50,7 @@ def test_swapped_star_fails_with_witness(q2):
     plus = q2.plus.copy()
     a = om.index[0b0010]  # {(0,1)} is not symmetric
     star[a], plus[a] = plus[a], star[a]
-    rep = validate_ehresmann(make_eq(q2.frame, q2.mul.copy(), q2.unit, star, plus))
+    rep = validate_ehresmann(make_eq(q2, q2.mul.copy(), q2.unit, star, plus))
     assert not rep.ok
     assert "ehresmann.a_mul_star" in rep.laws()
 
@@ -161,7 +161,7 @@ def test_star_plus_fix_projections_exactly(q2):
 # scan in test_order.py
 
 def validate_quantale_oracle(q: FiniteQuantale) -> Report:
-    rep = validate_frame(q.frame)
+    rep = validate_frame(q)
     if not rep.ok:
         return rep
     rep.subject = "quantale"
@@ -210,8 +210,8 @@ def validate_quantale_oracle(q: FiniteQuantale) -> Report:
 
 
 def _corpus_quantales():
-    out = [(i.name, i.obj.quantale) for i in corpus_rqfs()]
-    out += [(i.name, i.obj.quantale) for i in negative_fixtures() if i.kind == "rqf"]
+    out = [(i.name, i.obj) for i in corpus_rqfs()]
+    out += [(i.name, i.obj) for i in negative_fixtures() if i.kind == "rqf"]
     return [pytest.param(q, id=name) for name, q in out]
 
 
@@ -231,17 +231,15 @@ def test_quantale_layer_matches_oracle_on_corpus(q):
 
 def _single_cell_mutations(q: FiniteQuantale, count: int, seed: int):
     rng = np.random.default_rng(seed)
-    lat = q.frame.lattice
     for _ in range(count):
         name = ("mul", "mul", "meet", "join")[int(rng.integers(4))]
         i, j = (int(v) for v in rng.integers(q.n, size=2))
-        tables = {"mul": np.array(q.mul), "meet": np.array(lat.meet),
-                  "join": np.array(lat.join)}
+        tables = {"mul": np.array(q.mul), "meet": np.array(q.meet),
+                  "join": np.array(q.join)}
         old = int(tables[name][i, j])
         tables[name][i, j] = (old + 1 + int(rng.integers(q.n - 1))) % q.n
-        frame = FiniteFrame(FiniteLattice(lat.poset, tables["meet"], tables["join"],
-                                          lat.bottom, lat.top))
-        yield FiniteQuantale(frame, tables["mul"], q.unit)
+        yield FiniteQuantale(q.n, q.leq, tables["meet"], tables["join"], q.bottom, q.top,
+                             tables["mul"], q.unit)
 
 
 @pytest.mark.parametrize("q", [p for p in _corpus_quantales()
@@ -271,7 +269,8 @@ def magma_powerset_quantales(draw):
             for a in iter_bits(x):
                 for b in iter_bits(y):
                     mul[x, y] |= 1 << int(table[a, b])
-    return FiniteQuantale(boolean_frame(k), mul, 1)
+    f = boolean_frame(k)
+    return FiniteQuantale(n, f.leq, f.meet, f.join, f.bottom, f.top, mul, 1)
 
 
 @settings(max_examples=60, deadline=None)
