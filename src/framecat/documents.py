@@ -4,6 +4,15 @@ UTF-8 JSON with a top-level "kind" discriminator and index-based tables.
 Canonical serialization sorts keys and arrays-of-sets, so parse o serialize
 is the identity on canonical bytes.  Parse errors carry a line/column
 (syntax) or a field path (semantics).
+
+Tables are read whole: a fast test (the shape, every cell a plain int, or
+0/1 for a boolean table) and one numpy conversion with a vectorised range
+test.  A table that fails the test is scanned cell by cell, and the scan
+raises at the first bad row or cell with its path, so errors do not depend
+on the fast test.  Documents are written by `_canonical`, which joins each
+container once; its text is that of json.dumps(raw, sort_keys=True,
+indent=1, separators=(",", ": ")), whose pure-Python indented encoder is
+kept in the tests as its oracle.
 """
 
 from __future__ import annotations
@@ -68,7 +77,28 @@ def _table_side(p: dict, key: str, lo: int, path: str) -> int:
     return n
 
 
+def _rows(v, n: int, m: int) -> bool:
+    return (isinstance(v, list) and len(v) == n
+            and all(isinstance(row, list) and len(row) == m for row in v))
+
+
+def _ints_in_range(v, shape: tuple, lo: int, hi: int) -> Optional[np.ndarray]:
+    """`v` (its shape already checked) as an int64 array if every cell is a
+    plain int in [lo, hi); None if some cell is not, so the caller scans."""
+    try:
+        out = np.array(v, dtype=np.int64).reshape(shape)
+    except OverflowError:
+        return None
+    return out if out.size == 0 or (lo <= out.min() and out.max() < hi) else None
+
+
 def _int_matrix(v, n: int, m: int, hi: int, path: str) -> np.ndarray:
+    lo, hi = (-1, -hi) if hi < 0 else (0, hi)
+    if _rows(v, n, m) and all(set(map(type, row)) <= {int} for row in v):
+        out = _ints_in_range(v, (n, m), lo, hi)
+        if out is not None:
+            return out
+    # the scan names the first bad row or cell
     if not isinstance(v, list) or len(v) != n:
         raise ParseError(f"expected {n} rows", path)
     out = np.zeros((n, m), dtype=np.int64)
@@ -76,11 +106,17 @@ def _int_matrix(v, n: int, m: int, hi: int, path: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != m:
             raise ParseError(f"expected {m} entries", f"{path}[{i}]")
         for j, x in enumerate(row):
-            out[i, j] = _int_in_range(x, -1 if hi < 0 else 0, abs(hi), f"{path}[{i}][{j}]")
+            out[i, j] = _int_in_range(x, lo, hi, f"{path}[{i}][{j}]")
     return out
 
 
 def _bool_matrix(v, n: int, path: str) -> np.ndarray:
+    try:
+        if _rows(v, n, n) and all(set(row) <= {0, 1} for row in v):
+            return np.array(v, dtype=bool).reshape(n, n)
+    except TypeError:  # an unhashable cell
+        pass
+    # the scan names the first bad row or cell
     if not isinstance(v, list) or len(v) != n:
         raise ParseError(f"expected {n} rows", path)
     out = np.zeros((n, n), dtype=bool)
@@ -95,6 +131,11 @@ def _bool_matrix(v, n: int, path: str) -> np.ndarray:
 
 
 def _int_vector(v, n: int, hi: int, path: str) -> np.ndarray:
+    if isinstance(v, list) and len(v) == n and set(map(type, v)) <= {int}:
+        out = _ints_in_range(v, (n,), 0, hi)
+        if out is not None:
+            return out
+    # the scan names the first bad entry
     if not isinstance(v, list) or len(v) != n:
         raise ParseError(f"expected {n} entries", path)
     return np.array([_int_in_range(x, 0, hi, f"{path}[{i}]") for i, x in enumerate(v)],
@@ -271,42 +312,36 @@ def parse_document(text: str) -> WorkbenchDocument:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _ints(a) -> list:
+    """An integer (or 0/1) array as nested lists of Python ints."""
+    return np.asarray(a, dtype=np.int64).tolist()
+
+
 def _poset_payload(p: FinitePoset) -> dict:
-    return {"n": p.n, "leq": [[int(x) for x in row] for row in p.leq]}
+    return {"n": p.n, "leq": _ints(p.leq)}
 
 
 def _frame_payload(f: FiniteFrame) -> dict:
-    out = _poset_payload(f)
-    out.update({
-        "meet": [[int(x) for x in row] for row in f.meet],
-        "join": [[int(x) for x in row] for row in f.join],
-        "bottom": f.bottom,
-        "top": f.top,
-    })
-    return out
+    return {**_poset_payload(f), "meet": _ints(f.meet), "join": _ints(f.join),
+            "bottom": f.bottom, "top": f.top}
 
 
 def _quantale_payload(q: FiniteQuantale) -> dict:
-    out = _frame_payload(q)
-    out.update({"mul": [[int(x) for x in row] for row in q.mul], "unit": q.unit})
-    return out
+    return {**_frame_payload(q), "mul": _ints(q.mul), "unit": q.unit}
 
 
 def _rqf_payload(q: EhresmannQuantale) -> dict:
-    out = _quantale_payload(q)
-    out.update({"star": [int(x) for x in q.star], "plus": [int(x) for x in q.plus]})
-    return out
+    return {**_quantale_payload(q), "star": _ints(q.star), "plus": _ints(q.plus)}
 
 
 def _category_payload(c: FiniteCategory) -> dict:
-    comp = [[int(a), int(b), int(c.comp[a, b])]
-            for a in range(c.n) for b in range(c.n) if c.comp[a, b] >= 0]
+    a, b = np.nonzero(c.comp >= 0)
     return {
         "arrows": c.n,
         "identities": sorted(c.identities()),
-        "d": [int(x) for x in c.d],
-        "r": [int(x) for x in c.r],
-        "comp": comp,
+        "d": _ints(c.d),
+        "r": _ints(c.r),
+        "comp": _ints(np.stack([a, b, c.comp[a, b]], axis=1)),
     }
 
 
@@ -317,55 +352,67 @@ def _topology_payload(t: Topology):
 
 
 def _topcategory_payload(tc: FiniteTopCategory) -> dict:
-    out = _category_payload(tc.cat)
-    out["topology"] = _topology_payload(tc.topology)
-    return out
+    return {**_category_payload(tc.cat), "topology": _topology_payload(tc.topology)}
 
 
 def _crm_payload(s: CompleteRestrictionMonoid) -> dict:
-    return {
-        "n": s.n,
-        "leq": [[int(x) for x in row] for row in s.leq],
-        "mul": [[int(x) for x in row] for row in s.mul],
-        "unit": s.unit,
-        "zero": s.zero,
-        "star": [int(x) for x in s.star],
-        "plus": [int(x) for x in s.plus],
-        "meet": [[int(x) for x in row] for row in s.meet],
-    }
+    return {"n": s.n, "leq": _ints(s.leq), "mul": _ints(s.mul), "unit": s.unit,
+            "zero": s.zero, "star": _ints(s.star), "plus": _ints(s.plus),
+            "meet": _ints(s.meet)}
+
+
+def _endpoints_payload(sub: str, m: StructMorphism) -> dict:
+    return {"source": {"kind": sub, "payload": _PAYLOADS[sub](m.source)},
+            "target": {"kind": sub, "payload": _PAYLOADS[sub](m.target)},
+            "map": _ints(m.map)}
+
+
+def _morphism_payload(m: StructMorphism) -> dict:
+    return _endpoints_payload("rqf" if m.flavor == "rqf" else "crm", m)
+
+
+def _functor_payload(m: StructMorphism) -> dict:
+    return _endpoints_payload("topcategory", m)
+
+
+_PAYLOADS = {
+    "poset": _poset_payload,
+    "frame": _frame_payload,
+    "quantale": _quantale_payload,
+    "rqf": _rqf_payload,
+    "category": _category_payload,
+    "topcategory": _topcategory_payload,
+    "crm": _crm_payload,
+    "morphism": _morphism_payload,
+    "functor": _functor_payload,
+}
 
 
 def payload_of(kind: str, obj) -> dict:
-    if kind == "poset":
-        return _poset_payload(obj)
-    if kind == "frame":
-        return _frame_payload(obj)
-    if kind == "quantale":
-        return _quantale_payload(obj)
-    if kind == "rqf":
-        return _rqf_payload(obj)
-    if kind == "category":
-        return _category_payload(obj)
-    if kind == "topcategory":
-        return _topcategory_payload(obj)
-    if kind == "crm":
-        return _crm_payload(obj)
-    if kind == "morphism":
-        m: StructMorphism = obj
-        sub = "rqf" if m.flavor == "rqf" else "crm"
-        return {
-            "source": {"kind": sub, "payload": payload_of(sub, m.source)},
-            "target": {"kind": sub, "payload": payload_of(sub, m.target)},
-            "map": [int(x) for x in m.map],
-        }
-    if kind == "functor":
-        m = obj
-        return {
-            "source": {"kind": "topcategory", "payload": _topcategory_payload(m.source)},
-            "target": {"kind": "topcategory", "payload": _topcategory_payload(m.target)},
-            "map": [int(x) for x in m.map],
-        }
-    raise WorkbenchError(f"cannot serialize kind '{kind}'")
+    if kind not in _PAYLOADS:
+        raise WorkbenchError(f"cannot serialize kind '{kind}'")
+    return _PAYLOADS[kind](obj)
+
+
+def _canonical(v, indent: str) -> str:
+    """`v` as json.dumps(v, sort_keys=True, indent=1, separators=(",", ": "))
+    writes it when nested at `indent`: one join per container, and a list of
+    plain ints written with str."""
+    inner = indent + " "
+    if isinstance(v, dict):
+        # json writes a non-string key as the string of its JSON value
+        items = (json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": "
+                 + _canonical(v[k], inner) for k in sorted(v))
+        brackets = "{}"
+    elif isinstance(v, (list, tuple)):
+        items = (map(str, v) if set(map(type, v)) == {int}
+                 else (_canonical(x, inner) for x in v))
+        brackets = "[]"
+    else:
+        return json.dumps(v)
+    if not v:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def serialize_document(doc: WorkbenchDocument) -> str:
@@ -376,4 +423,4 @@ def serialize_document(doc: WorkbenchDocument) -> str:
     }
     if doc.expected is not None:
         raw["expected"] = doc.expected
-    return json.dumps(raw, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
+    return _canonical(raw, "") + "\n"

@@ -254,3 +254,48 @@ def test_validate_reports_mutated_quantale_law(tmp_path, capsys, quantale_text,
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert {"check": law, "status": "fail", "witness": witness} in [
         {k: c.get(k) for k in ("check", "status", "witness")} for c in checks]
+
+
+FUZZ_VALUES = [-1, 0, 1, 2, 7, 10**20, True, False, None, "x", 1.0, 1.5, [], [0], {}]
+
+
+def _leaf_paths(v, path=()):
+    if isinstance(v, dict):
+        for k in sorted(v):
+            yield from _leaf_paths(v[k], path + (k,))
+    elif isinstance(v, list):
+        for i, x in enumerate(v):
+            yield from _leaf_paths(x, path + (i,))
+    else:
+        yield path
+
+
+def test_validate_survives_one_leaf_mutations(fixture_dir, tmp_path, capsys):
+    """Each corpus document of at most 200 KB, one payload leaf at a time set
+    to a hostile value: validate ends with exit 0-3, never an exception."""
+    import random
+    rng = random.Random(20231018)
+    bad = []
+    for src in sorted(fixture_dir.glob("*.json")):
+        if src.stat().st_size > 200_000:
+            continue
+        text = src.read_text()
+        leaves = list(_leaf_paths(json.loads(text)["payload"]))
+        for _ in range(10):
+            raw = json.loads(text)
+            *where, last = rng.choice(leaves)
+            value = rng.choice(FUZZ_VALUES)
+            node = raw["payload"]
+            for k in where:
+                node = node[k]
+            node[last] = value
+            path = tmp_path / src.name
+            path.write_text(json.dumps(raw))
+            try:
+                code = main(["validate", str(path)])
+            except Exception as e:  # any exception is a finding; keep the mutation
+                code = repr(e)
+            capsys.readouterr()
+            if code not in (0, 1, 2, 3):
+                bad.append((src.name, (*where, last), value, code))
+    assert not bad

@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from framecat.corpus import (boolean_frame, chain_frame, pair_groupoid,
+from framecat.corpus import (boolean_frame, chain_frame, generate_corpus, pair_groupoid,
                              parity_pair_groupoid)
 from framecat.crm import pi_restriction_monoid
 from framecat.documents import (ParseError, StructMorphism, WorkbenchDocument,
-                                parse_document, serialize_document)
+                                _bool_matrix, _int_in_range, _int_matrix, _int_vector,
+                                parse_document, payload_of, serialize_document)
 from framecat.functors import omega_object
 from framecat.order import validate_frame
 from framecat.quantale import validate_rqf
@@ -121,3 +123,171 @@ def test_morphism_endpoint_kinds_must_agree():
         }})
     with pytest.raises(ParseError):
         parse_document(text)
+
+
+# ---------------------------------------------------------------------------
+# the canonical writer against json.dumps, its oracle
+
+def oracle_text(doc: WorkbenchDocument) -> str:
+    raw = {"kind": doc.kind, "name": doc.name, "payload": payload_of(doc.kind, doc.obj)}
+    if doc.expected is not None:
+        raw["expected"] = doc.expected
+    return json.dumps(raw, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
+
+
+def test_writer_matches_oracle_on_corpus_documents():
+    docs = generate_corpus()
+    assert len(docs) == 58
+    for doc in docs:
+        assert serialize_document(doc) == oracle_text(doc), doc.name
+
+
+def test_writer_matches_oracle_on_morphism_and_functor():
+    q = omega_object(pair_groupoid(2)).rqf
+    tc = pair_groupoid(2)
+    for doc in (
+        WorkbenchDocument("morphism", "ident", StructMorphism("rqf", q, q, np.arange(16))),
+        WorkbenchDocument("functor", "swap",
+                          StructMorphism("functor", tc, tc, np.array([3, 2, 1, 0]))),
+    ):
+        assert serialize_document(doc) == oracle_text(doc)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10**30, 10**30)
+                | st.floats() | st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=4))
+@example({"violated_law": "quantale.unit_left", "é": ["ü", -0.0, float("nan"), 10**40]})
+@example({"rows": [[], {}, (), [1, True, 2], (1, 2)], "n": [-3, 10**20]})
+@example({"keys": {1: 0, 2.5: 1, -7: 2}, "none": {None: 0}, "bool": {False: 1}})
+def test_writer_matches_oracle_on_expected_values(expected):
+    doc = WorkbenchDocument("poset", "p", chain_frame(2), expected=expected)
+    assert serialize_document(doc) == oracle_text(doc)
+
+
+# ---------------------------------------------------------------------------
+# the whole-table readers against the per-cell scan, their oracle
+
+def scan_int_matrix(v, n, m, hi, path):
+    if not isinstance(v, list) or len(v) != n:
+        raise ParseError(f"expected {n} rows", path)
+    out = np.zeros((n, m), dtype=np.int64)
+    for i, row in enumerate(v):
+        if not isinstance(row, list) or len(row) != m:
+            raise ParseError(f"expected {m} entries", f"{path}[{i}]")
+        for j, x in enumerate(row):
+            out[i, j] = _int_in_range(x, -1 if hi < 0 else 0, abs(hi), f"{path}[{i}][{j}]")
+    return out
+
+
+def scan_bool_matrix(v, n, path):
+    if not isinstance(v, list) or len(v) != n:
+        raise ParseError(f"expected {n} rows", path)
+    out = np.zeros((n, n), dtype=bool)
+    for i, row in enumerate(v):
+        if not isinstance(row, list) or len(row) != n:
+            raise ParseError(f"expected {n} entries", f"{path}[{i}]")
+        for j, x in enumerate(row):
+            if x not in (0, 1, True, False):
+                raise ParseError("expected 0/1", f"{path}[{i}][{j}]")
+            out[i, j] = bool(x)
+    return out
+
+
+def scan_int_vector(v, n, hi, path):
+    if not isinstance(v, list) or len(v) != n:
+        raise ParseError(f"expected {n} entries", path)
+    return np.array([_int_in_range(x, 0, hi, f"{path}[{i}]") for i, x in enumerate(v)],
+                    dtype=np.int64)
+
+
+HOSTILE_CELLS = [-1, -2, 3, 5, 10**20, -10**20, True, False, 0.0, 1.0, 1.5,
+                 None, "x", [], [0], [[0]], {}]
+HOSTILE = st.sampled_from(HOSTILE_CELLS)
+
+
+@st.composite
+def corrupted(draw, table):
+    """A well-formed table with up to three cells, rows or row counts broken."""
+    v = draw(table)
+    for _ in range(draw(st.integers(0, 3))):
+        where = draw(st.sampled_from(["cell", "row", "drop", "add", "whole"]))
+        if where == "whole":
+            return draw(HOSTILE)
+        if where == "add":
+            v.append(list(v[-1]) if v and isinstance(v[-1], list) else 0)
+        elif v and where == "drop":
+            v.pop(draw(st.integers(0, len(v) - 1)))
+        elif v:
+            i = draw(st.integers(0, len(v) - 1))
+            if where == "row":
+                v[i] = draw(HOSTILE | st.lists(st.integers(0, 2), max_size=5))
+            elif isinstance(v[i], list) and v[i]:
+                v[i][draw(st.integers(0, len(v[i]) - 1))] = draw(HOSTILE | st.integers(-3, 6))
+    return v
+
+
+def assert_same(fast, scan, *args):
+    try:
+        want = scan(*args)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            fast(*args)
+        assert (str(got.value), got.value.path) == (str(e), e.path)
+        return
+    got = fast(*args)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert (got == want).all()
+
+
+@pytest.mark.parametrize("bad", HOSTILE_CELLS, ids=repr)
+def test_readers_agree_with_scan_on_one_hostile_cell(bad):
+    for i, j in ((0, 0), (2, 1)):
+        ints = [[0, 1, 2], [2, 1, 0], [1, 1, 0]]
+        ints[i][j] = bad
+        assert_same(_int_matrix, scan_int_matrix, ints, 3, 3, 3, "$.t")
+        assert_same(_int_matrix, scan_int_matrix, ints, 3, 3, -3, "$.t")
+        leq = [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
+        leq[i][j] = bad
+        assert_same(_bool_matrix, scan_bool_matrix, leq, 3, "$.leq")
+        vec = [0, 1, 2]
+        vec[i] = bad
+        assert_same(_int_vector, scan_int_vector, vec, 3, 3, "$.star")
+
+
+def rows_of(n, m, cell):
+    return st.lists(st.lists(cell, min_size=m, max_size=m), min_size=n, max_size=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 4), st.integers(0, 4), st.integers(1, 5), st.booleans())
+def test_int_matrix_agrees_with_scan(data, n, m, hi, minus_one_allowed):
+    lo = -1 if minus_one_allowed else 0
+    v = data.draw(corrupted(rows_of(n, m, st.integers(lo, hi - 1))))
+    hi = -hi if minus_one_allowed else hi
+    assert_same(_int_matrix, scan_int_matrix, v, n, m, hi, "$.t")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 4))
+def test_bool_matrix_agrees_with_scan(data, n):
+    cell = st.sampled_from([0, 1, 0, 1, True, False, 0.0, 1.0])
+    v = data.draw(corrupted(rows_of(n, n, cell)))
+    assert_same(_bool_matrix, scan_bool_matrix, v, n, "$.leq")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 6), st.integers(1, 5))
+def test_int_vector_agrees_with_scan(data, n, hi):
+    v = data.draw(st.lists(st.integers(0, hi - 1), min_size=n, max_size=n))
+    if data.draw(st.booleans()) and v:
+        v[data.draw(st.integers(0, n - 1))] = data.draw(HOSTILE | st.integers(-3, 6))
+    v = data.draw(st.sampled_from([v, v, v[:-1], v + [0]]) | HOSTILE)
+    assert_same(_int_vector, scan_int_vector, v, n, hi, "$.star")
