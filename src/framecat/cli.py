@@ -20,24 +20,18 @@ from pathlib import Path
 from typing import Optional
 
 from . import corpus as cor
-from .crm import (is_callitic, validate_crm, validate_crm_morphism,
-                  verify_adjunction_II)
-from .documents import (ParseError, StructMorphism, WorkbenchDocument,
-                        parse_document, serialize_document)
-from .duality import (is_sober, is_spatial, validate_rqf_morphism,
-                      verify_adjunction_I)
+from .crm import validate_crm, verify_adjunction_II
+from .documents import ParseError, WorkbenchDocument, parse_document, serialize_document
+from .duality import is_sober, is_spatial, verify_adjunction_I
 from .functors import c_object, omega_object
-from .order import validate_frame, validate_poset
-from .quantale import validate_quantale, validate_rqf
+from .quantale import validate_rqf
 from .reports import (BoundExceeded, CheckReport, InternalError, Report, WorkbenchError,
                       run_check, sort_reports)
-from .suite import (Instance, _validate_any, adjunction_outcome, chi_roundtrip,
-                    filter_category_correspondence, full_suite_pending,
+from .suite import (DOCUMENT_VALIDATORS, Instance, _validate_any, adjunction_outcome,
+                    chi_roundtrip, filter_category_correspondence, full_suite_pending,
                     ideals_of_isometries_roundtrip, isometries_of_ideals_roundtrip,
                     omega_roundtrip, run_pending)
-from .topcat import (FiniteTopCategory, Topology,
-                     continuity_check, is_etale, validate_covering_functor,
-                     validate_topcategory)
+from .topcat import FiniteTopCategory, Topology
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -102,40 +96,11 @@ def _report_to_checks(name: str, rep: Report, out: _Output) -> None:
 def cmd_validate(args, out: _Output) -> int:
     doc = _load(args.file)
     name = doc.name or Path(args.file).stem
-    if doc.kind == "poset":
-        _report_to_checks(name, validate_poset(doc.obj), out)
-    elif doc.kind == "frame":
-        _report_to_checks(name, validate_frame(doc.obj), out)
-    elif doc.kind == "quantale":
-        _report_to_checks(name, validate_quantale(doc.obj), out)
-    elif doc.kind == "rqf":
-        _report_to_checks(name, validate_rqf(doc.obj), out)
-    elif doc.kind == "category":
-        from .topcat import validate_category
-        _report_to_checks(name, validate_category(doc.obj), out)
-    elif doc.kind == "topcategory":
-        _report_to_checks(name, validate_topcategory(doc.obj), out)
-        ok, law, wit = is_etale(doc.obj)
-        out.emit(CheckReport(name, "etale", "pass" if ok else "fail",
-                             None if ok else (wit,), law or ""))
-    elif doc.kind == "crm":
-        _report_to_checks(name, validate_crm(doc.obj), out)
-    elif doc.kind == "morphism":
-        m: StructMorphism = doc.obj
-        if m.flavor == "rqf":
-            _report_to_checks(name, validate_rqf_morphism(m.map, m.source, m.target), out)
-        else:
-            _report_to_checks(name, validate_crm_morphism(m.map, m.source, m.target), out)
-            ok, wit = is_callitic(m.map, m.source, m.target)
-            out.emit(CheckReport(name, "callitic", "pass" if ok else "fail",
-                                 None if ok else wit))
-    elif doc.kind == "functor":
-        m = doc.obj
-        _report_to_checks(name, validate_covering_functor(
-            m.map, m.source.cat, m.target.cat), out)
-        ok, wit = continuity_check(m.map, m.source, m.target)
-        out.emit(CheckReport(name, "continuity", "pass" if ok else "fail",
-                             None if ok else (wit,)))
+    rep, further = DOCUMENT_VALIDATORS[doc.kind](doc.obj)
+    _report_to_checks(name, rep, out)
+    for check, fn in further:
+        ok, wit, detail = fn()
+        out.emit(CheckReport(name, check, "pass" if ok else "fail", wit, detail))
     return out.finish()
 
 
@@ -241,14 +206,6 @@ def cmd_adjoint(args, out: _Output) -> int:
     return out.finish()
 
 
-def _fixture_kind(doc: WorkbenchDocument) -> str:
-    # negative-fixture documents use the validator dispatch of the suite,
-    # where indiscrete topologies are flagged through the etale check
-    if doc.kind == "topcategory":
-        return "etale-category"
-    return doc.kind
-
-
 def cmd_corpus(args, out: _Output) -> int:
     if args.action == "emit":
         target = Path(args.dir or os.environ.get("WORKBENCH_CORPUS_DIR") or "corpus")
@@ -270,7 +227,7 @@ def cmd_corpus(args, out: _Output) -> int:
                     return False, (str(e),), "parse error"
                 law = (doc.expected or {}).get("violated_law")
                 if law:
-                    inst = cor.CorpusInstance(doc.name, _fixture_kind(doc), doc.obj, law)
+                    inst = cor.CorpusInstance(doc.name, doc.kind, doc.obj, law)
                     rep = _validate_any(inst)
                     if rep.ok or law not in rep.laws():
                         return False, tuple(rep.laws()[:3]), f"expected {law}"

@@ -228,7 +228,7 @@ def non_closed_isometries_quantale() -> EhresmannQuantale:
 @dataclass
 class CorpusInstance:
     name: str
-    kind: str  # "poset" | "frame" | "rqf" | "category" | "etale-category" | "crm"
+    kind: str  # the document kind: "poset" | "frame" | "rqf" | "topcategory" | "crm"
     obj: object
     expect_fail: Optional[str] = None  # law the validator must report
     sober: bool = True  # finite discrete categories are sober; the parity
@@ -237,17 +237,17 @@ class CorpusInstance:
 
 def etale_categories() -> list[CorpusInstance]:
     out = [
-        CorpusInstance("empty", "category", empty_category()),
-        CorpusInstance("trivial-monoid", "category", monoid_category([[0]])),
-        CorpusInstance("pair1", "category", pair_groupoid(1)),
-        CorpusInstance("pair2", "category", pair_groupoid(2)),
-        CorpusInstance("pair3", "category", pair_groupoid(3)),
-        CorpusInstance("semilattice-monoid", "category", semilattice_monoid_category()),
-        CorpusInstance("cyclic2-monoid", "category", cyclic2_category()),
-        CorpusInstance("truncated-free-monoid", "category", truncated_free_monoid_category(2)),
-        CorpusInstance("path-category", "category", path_category()),
-        CorpusInstance("parallel-pair", "category", parallel_pair_category()),
-        CorpusInstance("parity-pair2", "category", parity_pair_groupoid(), sober=False),
+        CorpusInstance("empty", "topcategory", empty_category()),
+        CorpusInstance("trivial-monoid", "topcategory", monoid_category([[0]])),
+        CorpusInstance("pair1", "topcategory", pair_groupoid(1)),
+        CorpusInstance("pair2", "topcategory", pair_groupoid(2)),
+        CorpusInstance("pair3", "topcategory", pair_groupoid(3)),
+        CorpusInstance("semilattice-monoid", "topcategory", semilattice_monoid_category()),
+        CorpusInstance("cyclic2-monoid", "topcategory", cyclic2_category()),
+        CorpusInstance("truncated-free-monoid", "topcategory", truncated_free_monoid_category(2)),
+        CorpusInstance("path-category", "topcategory", path_category()),
+        CorpusInstance("parallel-pair", "topcategory", parallel_pair_category()),
+        CorpusInstance("parity-pair2", "topcategory", parity_pair_groupoid(), sober=False),
     ]
     return out
 
@@ -400,13 +400,13 @@ def negative_fixtures() -> list[CorpusInstance]:
     tc = pair_groupoid(2)
     comp = tc.cat.comp.copy()
     comp[1, 1] = 1  # d(0,1) = (1,1) but r(0,1) = (0,0)
-    out.append(CorpusInstance("category-bad-composability", "category",
+    out.append(CorpusInstance("category-bad-composability", "topcategory",
                               FiniteTopCategory(
                                   make_category(4, [0, 3], tc.cat.d, tc.cat.r, comp_table=comp),
                                   Topology(4, None)),
                               "category.composability"))
 
-    out.append(CorpusInstance("indiscrete-pair2", "etale-category",
+    out.append(CorpusInstance("indiscrete-pair2", "topcategory",
                               indiscrete_pair_groupoid(),
                               "etale.open_not_union_of_bisections"))
     return out
@@ -430,10 +430,7 @@ def generate_corpus(max_elements: int = 1024):
     for inst in corpus_crms():
         docs.append(WorkbenchDocument("crm", inst.name, inst.obj))
     for inst in negative_fixtures() + [negative_crm_fixture()]:
-        kind = inst.kind
-        if kind in ("category", "etale-category"):
-            kind = "topcategory"
-        docs.append(WorkbenchDocument(kind, inst.name, inst.obj,
+        docs.append(WorkbenchDocument(inst.kind, inst.name, inst.obj,
                                       expected={"violated_law": inst.expect_fail}))
     return docs
 

@@ -93,9 +93,8 @@ def _ints_in_range(v, shape: tuple, lo: int, hi: int) -> Optional[np.ndarray]:
 
 
 def _int_matrix(v, n: int, m: int, hi: int, path: str) -> np.ndarray:
-    lo, hi = (-1, -hi) if hi < 0 else (0, hi)
     if _rows(v, n, m) and all(set(map(type, row)) <= {int} for row in v):
-        out = _ints_in_range(v, (n, m), lo, hi)
+        out = _ints_in_range(v, (n, m), 0, hi)
         if out is not None:
             return out
     # the scan names the first bad row or cell
@@ -106,7 +105,7 @@ def _int_matrix(v, n: int, m: int, hi: int, path: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != m:
             raise ParseError(f"expected {m} entries", f"{path}[{i}]")
         for j, x in enumerate(row):
-            out[i, j] = _int_in_range(x, lo, hi, f"{path}[{i}][{j}]")
+            out[i, j] = _int_in_range(x, 0, hi, f"{path}[{i}][{j}]")
     return out
 
 

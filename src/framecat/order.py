@@ -18,9 +18,10 @@ whole layer first; only when that test fails does the literal law-by-law
 scan run, to name the first violated law and its witness, so the reports
 are those of the scan.
 - Poset: two-step reachability as one BLAS product, O(n^3) flops.
-- Lattice: the given meet, join, bottom and top must equal the ones
-  `lattice_from_leq` computes from the order: O(n^2) bitset operations on
-  n-bit ints.  The scan is O(n^3).
+- Lattice: each given meet must have as its down-set the intersection of
+  the two down-sets, each join dually with up-sets, and bottom and top must
+  be least and greatest: O(n^3 / 64) word operations on packed rows, with
+  no table rebuilt.  The scan is O(n^3).
 - Frame: a finite lattice is distributive iff each of its join-irreducible
   elements J (`join_irreducibles`) is join-prime (Birkhoff; Davey &
   Priestley, Introduction to Lattices and Order, ch. 5): one n-by-n
@@ -28,7 +29,12 @@ are those of the scan.
 
 Completely prime filters are stored by their meet-prime co-generator m:
 the member set is exactly {x : x not<= m}.  The brute-force enumerator
-`cp_filters_bruteforce` is the independent oracle for `enumerate_cp_filters`.
+`cp_filters_bruteforce` is the independent oracle for `enumerate_cp_filters`:
+it never looks for meet-primes or join-irreducibles, but tests candidate
+subsets against the filter conditions literally, reading only the order,
+meet, join and bottom.  It tests all candidates at once as NumPy arrays:
+every subset of a frame of up to 16 elements, the principal up-sets of one
+of up to 64, held as one uint64 mask array.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bits import full_mask, has_bit, iter_bits, is_submask, mask_of
+from .bits import full_mask, has_bit, mask_of
 from .reports import InternalError, Report
 
 
@@ -260,13 +266,29 @@ def validate_lattice(l: FiniteLattice) -> Report:
 
 
 def _has_lattice_tables(l: FiniteLattice) -> bool:
-    """Whether meet, join, bottom and top are those of the (valid) order."""
-    try:
-        meet, join, bottom, top = _lattice_tables(l)
-    except ValueError:
+    """Whether meet, join, bottom and top are those of the (valid) order.
+
+    m is the meet of i and j exactly when down(m) = down(i) & down(j): then m
+    is a lower bound of both, and every common lower bound is below m.
+    Dually k is their join exactly when up(k) = up(i) & up(j).  With the
+    down-sets and up-sets packed into 64-bit words, each row i of a table is
+    one n-by-n/64 comparison."""
+    n, leq = l.n, l.leq
+    if n == 0 or not (0 <= l.bottom < n and 0 <= l.top < n):
         return False
-    return (np.array_equal(l.meet, meet) and np.array_equal(l.join, join)
-            and l.bottom == bottom and l.top == top)
+    if not (leq[l.bottom, :].all() and leq[:, l.top].all()):
+        return False
+    for table, sets in ((l.meet, leq.T), (l.join, leq)):
+        t = np.asarray(table)
+        if t.shape != (n, n) or (t < 0).any() or (t >= n).any():
+            return False
+        words = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
+        words[:, :-(-n // 8)] = np.packbits(sets, axis=1)
+        words = words.view(np.uint64)
+        for i in range(n):
+            if (words[t[i]] != words[i] & words).any():
+                return False
+    return True
 
 
 def _irreducibles(table: np.ndarray, extreme: int) -> list[int]:
@@ -364,73 +386,67 @@ def cogenerator_of_member_mask(f: FiniteFrame, members: int) -> int:
     return f.join_fold(comp)
 
 
-def _is_filter_mask(f: FiniteFrame, mask: int, ups: list,
-                    join_of: Optional[list] = None) -> bool:
-    """Literal check of the four completely-prime-filter conditions on a subset."""
-    if mask == 0:
-        return False  # filters are non-empty
-    n = f.n
-    members = list(iter_bits(mask))
-    # upward closed
-    for x in members:
-        if not is_submask(ups[x], mask):
-            return False
-    # closed under binary meets
-    for x in members:
-        for y in members:
-            if not has_bit(mask, int(f.meet[x, y])):
-                return False
-    # proper
-    if has_bit(mask, f.bottom):
-        return False
-    # completely prime; binary primality is equivalent by finite induction,
-    # and for small frames we also run the literal all-subsets check
-    for x in range(n):
-        if has_bit(mask, x):
-            continue
-        for y in range(x, n):
-            if has_bit(mask, y):
-                continue
-            if has_bit(mask, int(f.join[x, y])):
-                return False
-    if join_of is not None:
-        for s in range(1 << n):
-            if has_bit(mask, join_of[s]) and (s & mask) == 0:
-                return False
-    return True
+# frames up to this size have every subset tested, larger ones only their
+# principal up-sets (the only candidates that can pass); up to the second
+# size complete primality is also tested over every subset of elements; the
+# third is the largest frame the oracle runs on, its masks being uint64
+BRUTEFORCE_SUBSETS_LIMIT = 16
+BRUTEFORCE_ALL_JOINS_LIMIT = 12
+BRUTEFORCE_MAX_ELEMENTS = 64
 
 
-def _join_of_all_subsets(f: FiniteFrame) -> list[int]:
-    out = [f.bottom] * (1 << f.n)
-    for s in range(1, 1 << f.n):
-        low = s & -s
-        out[s] = int(f.join[out[s ^ low], low.bit_length() - 1])
+def _join_of_all_subsets(f: FiniteFrame) -> np.ndarray:
+    """Entry s: the join of the subset s, folded from its highest element
+    down, out[s] = join[out[s minus its lowest element], lowest element]."""
+    out = np.empty(1 << f.n, dtype=np.int64)
+    out[0] = f.bottom
+    done = np.zeros(1, dtype=np.int64)  # the subsets of {x+1, ..., n-1}
+    for x in range(f.n - 1, -1, -1):
+        grown = done | (1 << x)
+        out[grown] = f.join[out[done], x]
+        done = np.concatenate([done, grown])
     return out
 
 
-def cp_filters_bruteforce(f: FiniteFrame, exact_limit: int = 16) -> list[CPFilter]:
+def cp_filters_bruteforce(f: FiniteFrame) -> list[CPFilter]:
     """Independent oracle: enumerate completely prime filters subset by subset.
 
-    For n <= exact_limit every subset of the frame is tested against the four
-    filter conditions literally.  Above that, candidates are the principal
-    up-sets: a non-empty subset closed upwards and under binary meets contains
-    the meet of all its elements, hence is a principal up-set, so nothing is
-    missed.  Complete primality over arbitrary subsets reduces to the binary
-    case by finite induction; for n <= 12 the all-subsets form is also checked.
+    It reads only the order, meet and join tables and the bottom, and tests
+    every candidate subset against the filter conditions literally, all
+    candidates at once.  The candidates are one uint64 mask array: every
+    non-empty subset up to BRUTEFORCE_SUBSETS_LIMIT elements, above that the
+    principal up-sets, since a non-empty subset closed upwards and under
+    binary meets contains the meet of all its elements, hence is a principal
+    up-set, so nothing is missed.  The masks closed upwards become boolean
+    rows, which must be closed under binary meets, x and y members implying
+    meet[x, y] a member; proper; and binary prime, for index pairs x <= y
+    outside the subset join[x, y] outside too.  Complete primality reduces to
+    the binary case by finite induction; up to BRUTEFORCE_ALL_JOINS_LIMIT
+    elements it is also tested over every subset of elements: no subset
+    outside a filter joins into it.
     """
-    n = f.n
-    ups = [f.upset_mask(i) for i in range(n)]
-    found = []
-    if n <= exact_limit:
-        join_of = _join_of_all_subsets(f) if n <= 12 else None
-        for mask in range(1, 1 << n):
-            if _is_filter_mask(f, mask, ups, join_of):
-                found.append(mask)
+    n, meet, join = f.n, f.meet, f.join
+    if n > BRUTEFORCE_MAX_ELEMENTS:
+        raise ValueError(f"the filter oracle runs on at most "
+                         f"{BRUTEFORCE_MAX_ELEMENTS} elements, not {n}")
+    ups = [f.upset_mask(x) for x in range(n)]
+    if n <= BRUTEFORCE_SUBSETS_LIMIT:
+        masks = np.arange(1, 1 << n, dtype=np.uint64)
     else:
-        for g in range(n):
-            if _is_filter_mask(f, ups[g], ups):
-                found.append(ups[g])
-    out = [CPFilter(cogenerator_of_member_mask(f, mask), mask) for mask in sorted(set(found))]
+        masks = np.unique(np.array(ups, dtype=np.uint64))
+    for x, up in enumerate(ups):
+        masks = masks[((masks >> x) & 1 == 0) | (masks & up == up)]
+    rows = ((masks[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(bool)
+    ok = ~(rows[:, :, None] & rows[:, None, :] & ~rows[:, meet]).any(axis=(1, 2))
+    ok &= ~rows[:, f.bottom]
+    xs, ys = np.triu_indices(n)
+    ok &= ~(~rows[:, xs] & ~rows[:, ys] & rows[:, join[xs, ys]]).any(axis=1)
+    if n <= BRUTEFORCE_ALL_JOINS_LIMIT:
+        join_of = _join_of_all_subsets(f)
+        subsets = np.arange(1 << n, dtype=np.uint64)
+        for k in np.flatnonzero(ok):
+            ok[k] = not (rows[k, join_of] & (subsets & masks[k] == 0)).any()
+    out = [CPFilter(cogenerator_of_member_mask(f, m), m) for m in masks[ok].tolist()]
     return sorted(out, key=lambda c: c.cogenerator)
 
 

@@ -229,15 +229,11 @@ def validate_ehresmann(q: EhresmannQuantale) -> Report:
 
 
 def partial_isometries(q: EhresmannQuantale) -> list[int]:
-    """All a such that every b <= a satisfies b = b+.a = a.b*."""
-    n, mul, star, plus, leq = q.n, q.mul, q.star, q.plus, q.leq
-    out = []
-    for a in range(n):
-        below = np.flatnonzero(leq[:, a])
-        ok = (mul[plus[below], a] == below).all() and (mul[a, star[below]] == below).all()
-        if ok:
-            out.append(a)
-    return out
+    """All a such that every b <= a satisfies b = b+.a = a.b*: one n-by-n
+    test, column a holding the b <= a."""
+    idx = np.arange(q.n)[:, None]
+    fixed = (q.mul[q.plus, :] == idx) & (q.mul[:, q.star].T == idx)  # [b, a]
+    return np.flatnonzero((~q.leq | fixed).all(axis=0)).tolist()
 
 
 def pi_is_order_ideal(q: EhresmannQuantale) -> tuple[bool, Optional[tuple[int, int]]]:

@@ -13,6 +13,11 @@ executes them in order, streaming each CheckReport as it completes, and
 returns the canonically sorted list.  All checks are exact; the only
 tolerances anywhere are wall-clock budgets, asserted by the acceptance
 suite.
+
+DOCUMENT_VALIDATORS maps each document kind to its validator and to the
+further checks `validate` reports on rows of their own (the etale check of
+a topological category, callitic morphisms, continuous functors); the CLI
+and the suite's negative fixtures read their verdicts from it.
 """
 
 from __future__ import annotations
@@ -26,22 +31,24 @@ from . import corpus as cor
 from .bits import iter_bits, mask_of
 from .crm import (CompleteRestrictionMonoid, IdealCompletion, SFilterCategory,
                   l_vee, pi_restriction_monoid, preserves_finite_meets,
-                  s_filter_bijection, s_filters, validate_crm,
+                  is_callitic, s_filter_bijection, s_filters, validate_crm,
                   validate_crm_morphism, verify_adjunction_II)
 from .duality import (AdjunctionReport, ChiResult, build_chi, build_omega_map,
                       check_naturality_in_category, check_naturality_in_quantale,
                       chi_is_isomorphism, is_sober, is_spatial,
                       omega_is_isomorphism, quantale_isomorphism_ok,
-                      verify_adjunction_I)
+                      validate_rqf_morphism, verify_adjunction_I)
 from .functors import (FilterCategoryResult, OmegaResult, c_object,
                        omega_morphism, omega_object)
-from .order import (cp_filters_bruteforce, enumerate_cp_filters,
-                    frame_spatial_check, validate_frame, validate_poset)
+from .order import (BRUTEFORCE_MAX_ELEMENTS, cp_filters_bruteforce,
+                    enumerate_cp_filters, frame_spatial_check, validate_frame,
+                    validate_poset)
 from .quantale import (EhresmannQuantale, compatibility_lemma_check,
                        every_element_is_join_of_pi, partial_isometries,
-                       pi_is_order_ideal, validate_rqf)
+                       pi_is_order_ideal, validate_quantale, validate_rqf)
 from .reports import CheckReport, Report, run_check, sort_reports
-from .topcat import (FiniteTopCategory, is_etale, local_bisections,
+from .topcat import (FiniteTopCategory, continuity_check, is_etale,
+                     local_bisections, validate_category,
                      validate_covering_functor, validate_topcategory)
 
 CheckResult = tuple[bool, Optional[tuple], str]
@@ -194,8 +201,8 @@ def _from_report(rep: Report) -> CheckResult:
     return False, v.witness, v.law
 
 
-def _etale_check(inst: Instance) -> CheckResult:
-    ok, law, wit = is_etale(inst.tc)
+def _etale_check(tc: FiniteTopCategory) -> CheckResult:
+    ok, law, wit = is_etale(tc)
     return ok, (None if ok else (wit,)), law or ""
 
 
@@ -246,23 +253,48 @@ def rejected_with_witness(inst: cor.CorpusInstance) -> CheckResult:
 
 
 def _validate_any(inst: cor.CorpusInstance) -> Report:
-    if inst.kind == "poset":
-        return validate_poset(inst.obj)
-    if inst.kind == "frame":
-        return validate_frame(inst.obj)
-    if inst.kind == "rqf":
-        return validate_rqf(inst.obj)
-    if inst.kind == "category":
-        return validate_topcategory(inst.obj)
-    if inst.kind == "etale-category":
-        rep = validate_topcategory(inst.obj)
-        ok, law, wit = is_etale(inst.obj)
+    """The validator's report of a document kind's object, each failed
+    further check added as a violation of the law its detail names."""
+    rep, further = DOCUMENT_VALIDATORS[inst.kind](inst.obj)
+    for check, fn in further:
+        ok, wit, law = fn()
         if not ok:
-            rep.add(law, (wit,))
-        return rep
-    if inst.kind == "crm":
-        return validate_crm(inst.obj)
-    raise ValueError(inst.kind)
+            rep.add(law or check, wit)
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# the validators of the document kinds
+
+# the validator's report, and the further checks as (name, thunk) pairs
+Validated = tuple[Report, tuple[tuple[str, Callable[[], CheckResult]], ...]]
+
+
+def _alone(validator: Callable[[object], Report]) -> Callable[[object], Validated]:
+    return lambda obj: (validator(obj), ())
+
+
+def _validate_morphism(m) -> Validated:
+    if m.flavor == "rqf":
+        return validate_rqf_morphism(m.map, m.source, m.target), ()
+    return (validate_crm_morphism(m.map, m.source, m.target),
+            (("callitic", lambda: _simple(is_callitic(m.map, m.source, m.target))),))
+
+
+DOCUMENT_VALIDATORS: dict[str, Callable[[object], Validated]] = {
+    "poset": _alone(validate_poset),
+    "frame": _alone(validate_frame),
+    "quantale": _alone(validate_quantale),
+    "rqf": _alone(validate_rqf),
+    "category": _alone(validate_category),
+    "topcategory": lambda tc: (validate_topcategory(tc),
+                               (("etale", partial(_etale_check, tc)),)),
+    "crm": _alone(validate_crm),
+    "morphism": _validate_morphism,
+    "functor": lambda m: (
+        validate_covering_functor(m.map, m.source.cat, m.target.cat),
+        (("continuity", lambda: _simple(continuity_check(m.map, m.source, m.target))),)),
+}
 
 
 def adjunction_naturality(inst: Instance) -> CheckResult:
@@ -297,7 +329,7 @@ def adjunction_II_translated(inst: Instance) -> CheckResult:
 
 CATEGORY_CHECKS = (
     ("topcategory-axioms", lambda inst: _from_report(validate_topcategory(inst.tc))),
-    ("etale", _etale_check),
+    ("etale", lambda inst: _etale_check(inst.tc)),
     ("isometries-are-open-bisections", isometries_are_open_bisections),
 )
 RQF_CHECKS = (
@@ -314,7 +346,6 @@ CRM_CHECKS = (
     ("isometries-of-ideals-roundtrip", isometries_of_ideals_roundtrip),
     ("filter-category-correspondence", filter_category_correspondence),
 )
-FILTER_ORACLE_LIMIT = 64  # largest frame the subset-by-subset oracle runs on
 
 
 def run_pending(pending: list[Pending],
@@ -357,7 +388,7 @@ def full_suite_pending() -> list[Pending]:
         out.append((name, "spatial", lambda f=f: _simple(frame_spatial_check(f))))
     frames += [(f"frame-of-{name}", inst.rqf) for name, inst in rqfs]
     out += [(name, "filter-oracle", partial(filter_oracle, f))
-            for name, f in frames if f.n <= FILTER_ORACLE_LIMIT]
+            for name, f in frames if f.n <= BRUTEFORCE_MAX_ELEMENTS]
     out += [(c.name, "rejected-with-witness", partial(rejected_with_witness, c))
             for c in cor.negative_fixtures() + [cor.negative_crm_fixture()]]
     out += [(name, "adjunction-homsets", lambda inst=by_name[name]: adjunction_outcome(

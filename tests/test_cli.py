@@ -256,6 +256,44 @@ def test_validate_reports_mutated_quantale_law(tmp_path, capsys, quantale_text,
         {k: c.get(k) for k in ("check", "status", "witness")} for c in checks]
 
 
+def test_every_document_kind_has_one_validator():
+    from framecat.documents import KINDS
+    from framecat.suite import DOCUMENT_VALIDATORS
+    assert sorted(DOCUMENT_VALIDATORS) == sorted(KINDS)
+
+
+def test_corpus_run_checks_fixture_documents_of_every_kind(tmp_path, monkeypatch, capsys,
+                                                          quantale_text):
+    """A fixture directory holding documents with a violated law, of kinds
+    that the suite's own fixtures do not have: each gives one `parses` row,
+    and the run goes on to the documents after it."""
+    from framecat import cli
+    from framecat.corpus import negative_fixtures
+
+    bad_category = next(i for i in negative_fixtures()
+                        if i.name == "category-bad-composability").obj.cat
+    docs = {"a.category.json": WorkbenchDocument(
+        "category", "a", bad_category, expected={"violated_law": "category.composability"})}
+    raw = json.loads(quantale_text)
+    raw["payload"]["mul"][9][1] = 2  # unit 9 times 1 is 2, not 1
+    for name, law in (("b", "quantale.unit_left"), ("c", "quantale.no_such_law")):
+        raw.update(name=name, expected={"violated_law": law})
+        docs[f"{name}.quantale.json"] = parse_document(json.dumps(raw))
+    docs["d.frame.json"] = WorkbenchDocument("frame", "d", m3_lattice())
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(serialize_document(doc))
+    monkeypatch.setenv("WORKBENCH_CORPUS_DIR", str(tmp_path))
+    monkeypatch.setattr(cli, "full_suite_pending", lambda: [])
+    assert main(["--format", "json", "corpus", "run"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["instance"], c["check"], c["status"], c.get("detail")) for c in checks] == [
+        ("a.category.json", "parses", "pass", None),
+        ("b.quantale.json", "parses", "pass", None),
+        ("c.quantale.json", "parses", "fail", "expected quantale.no_such_law"),
+        ("d.frame.json", "parses", "pass", None),
+    ]
+
+
 FUZZ_VALUES = [-1, 0, 1, 2, 7, 10**20, True, False, None, "x", 1.0, 1.5, [], [0], {}]
 
 

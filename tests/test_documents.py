@@ -183,7 +183,7 @@ def scan_int_matrix(v, n, m, hi, path):
         if not isinstance(row, list) or len(row) != m:
             raise ParseError(f"expected {m} entries", f"{path}[{i}]")
         for j, x in enumerate(row):
-            out[i, j] = _int_in_range(x, -1 if hi < 0 else 0, abs(hi), f"{path}[{i}][{j}]")
+            out[i, j] = _int_in_range(x, 0, hi, f"{path}[{i}][{j}]")
     return out
 
 
@@ -253,7 +253,6 @@ def test_readers_agree_with_scan_on_one_hostile_cell(bad):
         ints = [[0, 1, 2], [2, 1, 0], [1, 1, 0]]
         ints[i][j] = bad
         assert_same(_int_matrix, scan_int_matrix, ints, 3, 3, 3, "$.t")
-        assert_same(_int_matrix, scan_int_matrix, ints, 3, 3, -3, "$.t")
         leq = [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
         leq[i][j] = bad
         assert_same(_bool_matrix, scan_bool_matrix, leq, 3, "$.leq")
@@ -267,11 +266,9 @@ def rows_of(n, m, cell):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data(), st.integers(0, 4), st.integers(0, 4), st.integers(1, 5), st.booleans())
-def test_int_matrix_agrees_with_scan(data, n, m, hi, minus_one_allowed):
-    lo = -1 if minus_one_allowed else 0
-    v = data.draw(corrupted(rows_of(n, m, st.integers(lo, hi - 1))))
-    hi = -hi if minus_one_allowed else hi
+@given(st.data(), st.integers(0, 4), st.integers(0, 4), st.integers(1, 5))
+def test_int_matrix_agrees_with_scan(data, n, m, hi):
+    v = data.draw(corrupted(rows_of(n, m, st.integers(0, hi - 1))))
     assert_same(_int_matrix, scan_int_matrix, v, n, m, hi, "$.t")
 
 

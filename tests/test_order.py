@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framecat.bits import has_bit, iter_bits
+from framecat.bits import has_bit, is_submask, iter_bits
 from framecat.corpus import (boolean_frame, chain_frame, corpus_frames, corpus_rqfs,
                              m3_lattice, negative_fixtures, product_frame)
-from framecat.order import (FiniteFrame, FiniteLattice, FinitePoset,
-                            _has_lattice_tables, _is_distributive,
-                            cp_filters_bruteforce, enumerate_cp_filters,
+from framecat.order import (BRUTEFORCE_MAX_ELEMENTS, CPFilter, FiniteFrame,
+                            FiniteLattice, FinitePoset, _has_lattice_tables,
+                            _is_distributive, _lattice_tables,
+                            cogenerator_of_member_mask, cp_filters_bruteforce,
+                            enumerate_cp_filters,
                             frame_from_leq, frame_spatial_check, is_frame,
                             join_irreducibles, lattice_from_leq,
                             meet_prime_elements, pt_topology, subframe,
@@ -547,3 +549,111 @@ def test_order_layers_match_oracles_on_mutated_tables(lat):
     for bad in _single_cell_mutations(lat, 25, seed=lat.n):
         assert not validate_lattice(bad).ok
         assert_order_layers_match_oracles(bad)
+
+
+# ---------------------------------------------------------------------------
+# the filter oracle and the lattice fast test against the element-by-element
+# bodies they had before they tested whole arrays: same CPFilter list, same
+# verdict, on lattices and on tables that are not
+
+def _is_filter_mask_reference(f, mask: int, ups: list, join_of=None) -> bool:
+    if mask == 0:
+        return False
+    members = list(iter_bits(mask))
+    for x in members:
+        if not is_submask(ups[x], mask):
+            return False
+    for x in members:
+        for y in members:
+            if not has_bit(mask, int(f.meet[x, y])):
+                return False
+    if has_bit(mask, f.bottom):
+        return False
+    for x in range(f.n):
+        if has_bit(mask, x):
+            continue
+        for y in range(x, f.n):
+            if not has_bit(mask, y) and has_bit(mask, int(f.join[x, y])):
+                return False
+    if join_of is not None:
+        for s in range(1 << f.n):
+            if has_bit(mask, join_of[s]) and (s & mask) == 0:
+                return False
+    return True
+
+
+def _join_of_all_subsets_reference(f) -> list[int]:
+    out = [f.bottom] * (1 << f.n)
+    for s in range(1, 1 << f.n):
+        low = s & -s
+        out[s] = int(f.join[out[s ^ low], low.bit_length() - 1])
+    return out
+
+
+def cp_filters_bruteforce_reference(f) -> list[CPFilter]:
+    n = f.n
+    ups = [f.upset_mask(i) for i in range(n)]
+    if n <= 16:
+        join_of = _join_of_all_subsets_reference(f) if n <= 12 else None
+        found = [m for m in range(1, 1 << n) if _is_filter_mask_reference(f, m, ups, join_of)]
+    else:
+        found = [m for m in ups if _is_filter_mask_reference(f, m, ups)]
+    out = [CPFilter(cogenerator_of_member_mask(f, m), m) for m in sorted(set(found))]
+    return sorted(out, key=lambda c: c.cogenerator)
+
+
+def has_lattice_tables_reference(l: FiniteLattice) -> bool:
+    try:
+        meet, join, bottom, top = _lattice_tables(l)
+    except ValueError:
+        return False
+    return (np.array_equal(l.meet, meet) and np.array_equal(l.join, join)
+            and l.bottom == bottom and l.top == top)
+
+
+def assert_fast_paths_match_references(lat: FiniteLattice, oracle: bool = True):
+    if oracle and lat.n <= BRUTEFORCE_MAX_ELEMENTS:
+        assert cp_filters_bruteforce(lat) == cp_filters_bruteforce_reference(lat)
+    assert _has_lattice_tables(lat) == has_lattice_tables_reference(lat)
+
+
+@pytest.mark.parametrize("lat", _corpus_lattices())
+def test_fast_paths_match_references_on_corpus(lat):
+    assert_fast_paths_match_references(lat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_frames())
+def test_fast_paths_match_references_on_downset_lattices(f):
+    assert_fast_paths_match_references(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(glued_lattices())
+def test_fast_paths_match_references_on_glued_lattices(lat):
+    assert_fast_paths_match_references(lat)
+
+
+@pytest.mark.parametrize("lat", [p for p in _corpus_lattices()
+                                 if 1 < p.values[0].n <= 64 and validate_lattice(p.values[0]).ok])
+def test_fast_paths_match_references_on_mutated_tables(lat):
+    # the reference oracle takes ~0.1 s on 16 and 64 elements: three
+    # mutations each get it there, all 25 on the smaller lattices
+    for k, bad in enumerate(_single_cell_mutations(lat, 25, seed=lat.n)):
+        assert_fast_paths_match_references(bad, oracle=k < 3 or lat.n <= 12)
+
+
+@pytest.mark.parametrize("lat", [p for p in _corpus_lattices()
+                                 if 1 < p.values[0].n <= 64 and validate_lattice(p.values[0]).ok])
+def test_fast_paths_match_references_on_moved_bottom_and_top(lat):
+    n = lat.n
+    for bottom, top in ((lat.top, lat.top), (lat.bottom, lat.bottom),
+                        ((lat.bottom + 1) % n, (lat.top + 1) % n)):
+        bad = FiniteLattice(n, lat.leq, lat.meet, lat.join, bottom, top)
+        assert_fast_paths_match_references(bad, oracle=n <= 16)
+        assert_order_layers_match_oracles(bad)
+
+
+def test_bruteforce_oracle_refuses_frames_above_its_limit():
+    with pytest.raises(ValueError, match="at most 64 elements"):
+        cp_filters_bruteforce(chain_frame(65))

@@ -277,3 +277,34 @@ def magma_powerset_quantales(draw):
 @given(magma_powerset_quantales())
 def test_quantale_layer_matches_oracle_on_magma_powersets(q):
     assert_quantale_layer_matches_oracle(q)
+
+
+def partial_isometries_reference(q) -> list[int]:
+    """partial_isometries element by element, as it was before its one
+    n-by-n test: every b <= a must satisfy b = b+.a = a.b*."""
+    n, mul, star, plus, leq = q.n, q.mul, q.star, q.plus, q.leq
+    out = []
+    for a in range(n):
+        below = np.flatnonzero(leq[:, a])
+        if (mul[plus[below], a] == below).all() and (mul[a, star[below]] == below).all():
+            out.append(a)
+    return out
+
+
+def _ehresmann_mutations(q, count: int, seed: int):
+    """One cell of mul, star or plus moved to another element."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        tables = {"mul": np.array(q.mul), "star": np.array(q.star), "plus": np.array(q.plus)}
+        name = ("mul", "star", "plus")[int(rng.integers(3))]
+        cell = tuple(int(v) for v in rng.integers(q.n, size=tables[name].ndim))
+        tables[name][cell] = (tables[name][cell] + 1 + int(rng.integers(q.n - 1))) % q.n
+        yield make_eq(q, tables["mul"], q.unit, tables["star"], tables["plus"])
+
+
+@pytest.mark.parametrize("q", _corpus_quantales())
+def test_partial_isometries_match_reference(q):
+    assert partial_isometries(q) == partial_isometries_reference(q)
+    if q.n > 1:
+        for bad in _ehresmann_mutations(q, 25, seed=q.n):
+            assert partial_isometries(bad) == partial_isometries_reference(bad)
