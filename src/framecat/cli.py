@@ -82,6 +82,12 @@ def _as_topcategory(doc: WorkbenchDocument) -> FiniteTopCategory:
     raise WorkbenchError(f"expected a category document, got '{doc.kind}'")
 
 
+def _validated(kind: str, obj) -> Report:
+    """The report of DOCUMENT_VALIDATORS on a document object, the failed
+    further checks (the etale check of a topological category) included."""
+    return _validate_any(cor.CorpusInstance("", kind, obj))
+
+
 def _report_to_checks(name: str, rep: Report, out: _Output) -> None:
     if rep.ok:
         out.emit(CheckReport(name, rep.subject + "-axioms", "pass"))
@@ -107,6 +113,9 @@ def cmd_validate(args, out: _Output) -> int:
 def cmd_omega(args, out: _Output) -> int:
     doc = _load(args.file)
     tc = _as_topcategory(doc)
+    rep = _validated("topcategory", tc)
+    if not rep.ok:
+        raise WorkbenchError(f"input is not an etale topological category: {rep.violations[0]}")
     om = omega_object(tc, max_elements=args.max_elements)
     result = WorkbenchDocument(kind="rqf", name=f"omega-{doc.name or 'category'}",
                                obj=om.rqf)
@@ -193,16 +202,24 @@ def cmd_adjoint(args, out: _Output) -> int:
     cat_doc = _load(args.category_file)
     alg_doc = _load(args.algebra_file)
     tc = _as_topcategory(cat_doc)
-    name = f"{cat_doc.name or 'category'}/{alg_doc.name or 'algebra'}"
+    if alg_doc.kind not in ("rqf", "crm"):
+        raise WorkbenchError(f"adjoint expects an rqf or crm document, got '{alg_doc.kind}'")
+    cat_name, alg_name = cat_doc.name or "category", alg_doc.name or "algebra"
+    for doc_name, kind, obj in ((cat_name, "topcategory", tc),
+                                (alg_name, alg_doc.kind, alg_doc.obj)):
+        rep = _validated(kind, obj)
+        if not rep.ok:
+            _report_to_checks(doc_name, rep, out)
+    if out.reports:  # only violations were emitted so far
+        return out.finish()
+    name = f"{cat_name}/{alg_name}"
     bounds = {"max_arrows": args.max_arrows, "max_elements": args.max_elements}
     if alg_doc.kind == "rqf":
         out.emit(run_check(name, "adjunction-homsets", lambda: adjunction_outcome(
             verify_adjunction_I(tc, alg_doc.obj, **bounds))))
-    elif alg_doc.kind == "crm":
+    else:
         out.emit(run_check(name, "adjunction-II-homsets", lambda: adjunction_outcome(
             verify_adjunction_II(tc, alg_doc.obj, **bounds))))
-    else:
-        raise WorkbenchError(f"adjoint expects an rqf or crm document, got '{alg_doc.kind}'")
     return out.finish()
 
 

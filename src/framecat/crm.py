@@ -45,10 +45,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bits import has_bit, is_submask, iter_bits, mask_of
+from .bits import has_bit, iter_bits, mask_of
 from .functors import OmegaResult, omega_object
-from .order import _freeze
-from .quantale import EhresmannQuantale, partial_isometries
+from .order import FiniteLattice, _freeze, _rank_bitsets
+from .quantale import EhresmannQuantale, make_eq, partial_isometries
 from .reports import BoundExceeded, Report
 from .topcat import UNDEF, FiniteTopCategory, make_category, topology_from_base
 
@@ -315,122 +315,102 @@ def _compatible_join_table(s: CompleteRestrictionMonoid) -> np.ndarray:
     return np.where(_compatibility_matrix(s), _partial_join_table(s), -1)
 
 
-def _ideal_closure(s: CompleteRestrictionMonoid, mask: int,
-                   down: list[int], join_table: np.ndarray) -> int:
-    """The least order-ideal containing mask and the zero that is closed
-    under the existing binary joins of join_table.
+def join_primes(s: CompleteRestrictionMonoid) -> list[int]:
+    """J(S): the g other than the zero such that no compatible pair outside
+    the up-set of g has its join inside it, ordered by down-set size, ties by
+    index (a linear extension of the order).
 
-    Semi-naive evaluation: every round joins only the pairs that involve an
-    element added in the previous round, since all other pairs of the ideal
-    were joined before; the distinct joins (np.unique) that fall outside the
-    ideal are down-closed and become the next round's new elements.  Each
-    pair of the result is read at most twice over all rounds, so a closure
-    costs O(|ideal|^2) table reads in NumPy plus, per round, one Python step
-    per distinct join (at most n).
+    Complete primality over existing joins reduces to binary joins.  On an S
+    that passes validate_crm the join-primes are the join-irreducibles: if j
+    is join-irreducible and j <= x v y for a compatible pair, then
+    j = (x v y).j* = x.j* v y.j*, so j = x.j* <= x or j = y.j* <= y.
     """
-    mask |= 1 << s.zero
-    closed = 0
-    for x in iter_bits(mask):
-        closed |= down[x]
-    new = closed
-    while new:
-        joins = join_table[list(iter_bits(new))][:, list(iter_bits(closed))]
-        grown = closed
-        for j in np.unique(joins).tolist():
-            if j >= 0 and not (grown >> j) & 1:
-                grown |= down[j]
-        new = grown & ~closed
-        closed = grown
-    return closed
+    joins = _compatible_join_table(s)
+    has_join = joins >= 0
+    primes = []
+    for g in range(s.n):
+        up = s.leq[g, :]
+        outside = ~up
+        if g != s.zero and not (has_join & up[joins] & outside[:, None] & outside).any():
+            primes.append(g)
+    return sorted(primes, key=lambda g: int(s.leq[:, g].sum()))
+
+
+def _closed_ideal(below: list[int], d: int) -> int:
+    """The member bitmask of the closed ideal whose join-primes are the set
+    d: every x whose join-primes, below[x], lie in d."""
+    return mask_of(x for x, bx in enumerate(below) if bx & ~d == 0)
 
 
 def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealCompletion:
-    """The restriction quantal frame of order-ideals of S closed under all
-    existing joins, ordered by inclusion.
+    """The restriction quantal frame L^vee(S) of order-ideals of S closed
+    under all existing joins, ordered by inclusion.  Precondition: S passes
+    validate_crm; the CLI validates documents before building L^vee, and the
+    suite builds it only on corpus monoids, which all pass.
 
-    The closed ideals are found breadth-first from the least one, extending
-    each ideal I by one minimal element g of its complement at a time.  That
-    reaches every closed K above I: a minimal g in K - I has all of its
-    strict down-set in I, so the closure of I + {g} lies inside K.
-
-    The closed ideals form a closure system, so the lattice tables come from
-    the containment order directly; the closure of a finite set is the
-    lattice join of the principal ideals of its elements, which turns the
-    ideal product (pointwise product, down-closure, join-closure) into a
-    join-fold over products of maximal generators.
+    Birkhoff (Davey & Priestley, Introduction to Lattices and Order, ch. 5):
+    on a valid S every element is the join of the join-primes J(S) below it
+    (see join_primes), so I -> I & J(S) maps the closed ideals onto the
+    down-sets D of J(S), with inverse D -> {x : J(S) & down(x) <= D}.  The
+    down-sets are enumerated along a linear extension of J(S), raising
+    BoundExceeded past max_elements before any table is allocated, and
+    sorted by (size, member bitmask) of their ideals.  On down-sets, order,
+    meet and join are inclusion, intersection and union; by distributivity
+    I_D.I_E has the union of J(S) & down(j.k) over j in D and k in E, and
+    I_D* (I_D+) that of J(S) & down(j*) (down(j+)) over j in D.  Removing
+    the last join-prime g of D leaves a down-set, its parent D', and I_D is
+    I_D' joined with down(g), so each row of a table is its parent's row
+    joined with what g adds.
     """
-    from .order import lattice_from_leq
+    primes = join_primes(s)
+    below = _rank_bitsets(s.leq[primes, :].T)  # below[x]: the join-primes <= x
+    downs = [0]
+    for k, g in enumerate(primes):
+        strictly_below = below[g] & ~(1 << k)
+        downs += [d | 1 << k for d in downs if strictly_below & ~d == 0]
+        if len(downs) > max_elements:
+            break
+    if len(downs) > max_elements:
+        raise BoundExceeded(f"more than {max_elements} ideals")
 
-    n = s.n
-    down = [s.downset_mask(i) for i in range(n)]
-    join_table = _partial_join_table(s)
-
-    strict_down = [down[g] & ~(1 << g) for g in range(n)]
-    bottom_ideal = _ideal_closure(s, 0, down, join_table)
-    ideals = {bottom_ideal}
-    frontier = [bottom_ideal]
-    while frontier:
-        nxt = []
-        for i_mask in frontier:
-            for g in range(n):
-                if has_bit(i_mask, g) or not is_submask(strict_down[g], i_mask):
-                    continue
-                bigger = _ideal_closure(s, i_mask | (1 << g), down, join_table)
-                if bigger not in ideals:
-                    ideals.add(bigger)
-                    nxt.append(bigger)
-            if len(ideals) > max_elements:
-                raise BoundExceeded(f"more than {max_elements} ideals")
-        frontier = nxt
-
-    ideal_list = sorted(ideals, key=lambda m: (m.bit_count(), m))
+    members = {d: _closed_ideal(below, d) for d in downs}
+    downs.sort(key=lambda d: (members[d].bit_count(), members[d]))
+    ideal_list = [members[d] for d in downs]
     index = {m: i for i, m in enumerate(ideal_list)}
-    nq = len(ideal_list)
+    at = {d: i for i, d in enumerate(downs)}
+    nq, m = len(downs), len(primes)
+    principal = np.array([at[b] for b in below], dtype=np.int64)
+    tops = [d.bit_length() - 1 for d in downs]  # the last join-prime, a maximal one
+    parents = [at[d & ~(1 << k)] if d else 0 for d, k in zip(downs, tops)]
 
-    member = np.zeros((nq, n), dtype=bool)
-    for i, m in enumerate(ideal_list):
-        for x in iter_bits(m):
-            member[i, x] = True
-    leq = ~np.any(member[:, None, :] & ~member[None, :, :], axis=2)
-    lat = lattice_from_leq(leq)
-    jt = lat.join
+    # with_prime[a, k] and cap[a, k]: the ideals of D_a | down(g_k) and D_a & down(g_k)
+    with_prime = np.array([[at[d | below[g]] for g in primes] for d in downs],
+                          dtype=np.int64).reshape(nq, m)
+    cap = np.array([[at[d & below[g]] for g in primes] for d in downs],
+                   dtype=np.int64).reshape(nq, m)
+    join = np.empty((nq, nq), dtype=np.int64)
+    join[0] = np.arange(nq)
+    for a in range(1, nq):
+        join[a] = with_prime[join[parents[a]], tops[a]]
 
-    pid = np.array([index[down[x]] for x in range(n)], dtype=np.int64)
-    pid2 = pid[s.mul]  # pid2[a, b] = principal ideal of a.b
-    maxima = []
-    for m in ideal_list:
-        idx = list(iter_bits(m))
-        maxima.append([x for x in idx if not any(s.leq[x, y] and x != y for y in idx)])
-
-    bot = lat.bottom
+    g_arr = np.array(primes, dtype=np.int64)
+    meet = np.zeros((nq, nq), dtype=np.int64)
+    by_prime = np.zeros((nq, m), dtype=np.int64)  # by_prime[b, k]: down(g_k) . I_b
     star = np.zeros(nq, dtype=np.int64)
     plus = np.zeros(nq, dtype=np.int64)
-    for i, m in enumerate(ideal_list):
-        acc_s = acc_p = bot
-        for x in iter_bits(m):
-            acc_s = int(jt[acc_s, pid[int(s.star[x])]])
-            acc_p = int(jt[acc_p, pid[int(s.plus[x])]])
-        star[i] = acc_s
-        plus[i] = acc_p
-
-    # row[x][j] = join of principal ideals of x.t over maximal t of ideal j
-    rows = np.full((n, nq), bot, dtype=np.int64)
-    for x in range(n):
-        for j in range(nq):
-            acc = bot
-            for t in maxima[j]:
-                acc = int(jt[acc, pid2[x, t]])
-            rows[x, j] = acc
-    mul = np.full((nq, nq), bot, dtype=np.int64)
-    for i in range(nq):
-        acc = np.full(nq, bot, dtype=np.int64)
-        for x in maxima[i]:
-            acc = jt[acc, rows[x, :]]
-        mul[i, :] = acc
-
-    from .quantale import make_eq
-
-    q = make_eq(lat, mul, int(pid[s.unit]), star, plus)
+    for a in range(1, nq):
+        p, k = parents[a], tops[a]
+        g = primes[k]
+        meet[a] = join[meet[p], cap[:, k]]
+        by_prime[a] = join[by_prime[p], principal[s.mul[g_arr, g]]]
+        star[a] = join[star[p], principal[s.star[g]]]
+        plus[a] = join[plus[p], principal[s.plus[g]]]
+    mul = np.zeros((nq, nq), dtype=np.int64)
+    for a in range(1, nq):
+        mul[a] = join[mul[parents[a]], by_prime[:, tops[a]]]
+    lat = FiniteLattice(nq, _freeze(join == np.arange(nq)), _freeze(meet), _freeze(join),
+                        0, nq - 1)
+    q = make_eq(lat, mul, int(principal[s.unit]), star, plus)
     return IdealCompletion(rqf=q, ideals=tuple(ideal_list), index=index, source=s)
 
 
@@ -500,15 +480,17 @@ def is_callitic(theta, s: CompleteRestrictionMonoid,
 
 def theta_extension(theta, lv_src: IdealCompletion, lv_dst: IdealCompletion) -> np.ndarray:
     """Extend a callitic morphism to the ideal completions: an ideal maps to
-    the closed ideal generated by the images of its elements."""
+    the closed ideal generated by the images of its elements, the one whose
+    join-primes are those below some image."""
     theta = np.asarray(theta, dtype=np.int64)
-    s, t = lv_src.source, lv_dst.source
-    down = [t.downset_mask(i) for i in range(t.n)]
-    join_table = _partial_join_table(t)
+    t = lv_dst.source
+    below = _rank_bitsets(t.leq[join_primes(t), :].T)  # below[y]: the join-primes <= y
     out = np.zeros(lv_src.rqf.n, dtype=np.int64)
     for i, mask in enumerate(lv_src.ideals):
-        image = mask_of(int(theta[x]) for x in iter_bits(mask))
-        out[i] = lv_dst.index[_ideal_closure(t, image, down, join_table)]
+        d = 0
+        for x in iter_bits(mask):
+            d |= below[int(theta[x])]
+        out[i] = lv_dst.index[_closed_ideal(below, d)]
     return _freeze(out)
 
 
@@ -533,21 +515,13 @@ class SFilterCategory:
 
 
 def s_filters_list(s: CompleteRestrictionMonoid) -> list[int]:
-    """All completely prime filters of S, as member bitmasks.
+    """All completely prime filters of S, as member bitmasks, sorted.
 
-    A filter is closed upwards and under binary meets, hence principal;
-    complete primality over existing joins reduces to binary joins: ↑g is
-    prime iff no compatible pair outside ↑g has its join inside ↑g.
+    A filter is closed upwards and under binary meets, hence principal, and
+    the up-set of g is completely prime iff g is a join-prime: these are the
+    up-sets of J(S) (join_primes).
     """
-    joins = _compatible_join_table(s)
-    has_join = joins >= 0
-    out = set()
-    for g in range(s.n):
-        up = s.leq[g, :]
-        outside = ~up
-        if g != s.zero and not (has_join & up[joins] & outside[:, None] & outside).any():
-            out.add(s.upset_mask(g))
-    return sorted(out)
+    return sorted(s.upset_mask(g) for g in join_primes(s))
 
 
 def s_filters(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> SFilterCategory:

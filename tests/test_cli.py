@@ -138,6 +138,35 @@ def test_adjoint_command_theorem_two(fixture_dir, capsys):
     assert "adjunction-II" in out
 
 
+@pytest.mark.parametrize("category,algebra", [
+    ("pair2", "crm-missing-join.crm"),
+    ("pair2", "quantale-nonassoc.rqf"),
+    ("category-bad-composability", "omega-pair2.rqf"),
+    ("pair2", "ehresmann-swapped-star.rqf"),
+    ("pair2", "isometries-not-closed.rqf"),
+    ("pair2", "non-etale-chain.rqf"),
+    ("indiscrete-pair2", "omega-pair2.rqf"),
+])
+def test_adjoint_reports_the_violations_of_an_invalid_document(fixture_dir, capsys,
+                                                               category, algebra):
+    paths = [fixture_dir / f"{category}.topcategory.json", fixture_dir / f"{algebra}.json"]
+    code = main(["--format", "json", "adjoint", *map(str, paths)])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    docs = [parse_document(p.read_text()) for p in paths]
+    law = next(doc.expected["violated_law"] for doc in docs if doc.expected)
+    assert code == 1
+    assert law in [c["check"] for c in checks if c["status"] == "fail"]
+    assert not any(c["check"].startswith("adjunction") for c in checks)
+
+
+@pytest.mark.parametrize("name", ["category-bad-composability", "indiscrete-pair2"])
+def test_omega_refuses_an_invalid_or_non_etale_category(fixture_dir, capsys, name):
+    assert main(["omega", str(fixture_dir / f"{name}.topcategory.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: input is not an etale topological category")
+
+
 def test_json_format_summary(fixture_dir, capsys):
     code = main(["--format", "json", "validate",
                  str(fixture_dir / "chain3.frame.json")])

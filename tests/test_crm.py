@@ -2,15 +2,18 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from framecat.bits import has_bit, iter_bits, mask_of
-from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, hand_built_crms,
-                             negative_crm_fixture, pair_groupoid,
+from framecat.bits import has_bit, is_submask, iter_bits, mask_of
+from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, etale_categories,
+                             free_category_on_acyclic_graph, hand_built_crms,
+                             monoid_category, negative_crm_fixture, pair_groupoid,
                              semilattice_monoid_category)
-from framecat.crm import (_compatible_join_table, _ideal_closure, _partial_join_table,
+from framecat.crm import (CompleteRestrictionMonoid, IdealCompletion,
+                          _compatible_join_table, _partial_join_table,
                           crm_compatible,
                           crm_lub, enumerate_callitic_morphisms,
-                          is_callitic, is_proper, l_vee, make_crm,
+                          is_callitic, is_proper, join_primes, l_vee, make_crm,
                           pi_restriction_monoid, preserves_finite_meets,
                           s_filter_bijection, s_filters, s_filters_list,
                           theta_extension,
@@ -19,7 +22,10 @@ from framecat.crm import (_compatible_join_table, _ideal_closure, _partial_join_
 from framecat.duality import (find_category_isomorphism,
                               quantale_isomorphism_ok, verify_adjunction_I)
 from framecat.functors import c_object, omega_object
-from framecat.quantale import frame_as_quantale, partial_isometries, validate_rqf
+from framecat.order import lattice_from_leq
+from framecat.quantale import frame_as_quantale, make_eq, partial_isometries, validate_rqf
+from framecat.reports import BoundExceeded
+from framecat.suite import Instance, ideals_of_isometries_roundtrip, isometries_of_ideals_roundtrip
 from framecat.topcat import validate_covering_functor
 
 
@@ -292,6 +298,126 @@ def test_compatibility_in_partial_bijections(i2):
 # ---------------------------------------------------------------------------
 # the ideal completion
 
+# The oracle: L^vee(S) by a breadth-first search over the closed ideals,
+# each one closed under the existing binary joins, and lattice tables
+# rebuilt from the containment order.  It reads no join-primes.
+
+def _ideal_closure(s: CompleteRestrictionMonoid, mask: int,
+                   down: list[int], join_table: np.ndarray) -> int:
+    """The least order-ideal containing mask and the zero that is closed
+    under the existing binary joins of join_table.
+
+    Semi-naive evaluation: every round joins only the pairs that involve an
+    element added in the previous round, since all other pairs of the ideal
+    were joined before; the distinct joins (np.unique) that fall outside the
+    ideal are down-closed and become the next round's new elements.  Each
+    pair of the result is read at most twice over all rounds, so a closure
+    costs O(|ideal|^2) table reads in NumPy plus, per round, one Python step
+    per distinct join (at most n).
+    """
+    mask |= 1 << s.zero
+    closed = 0
+    for x in iter_bits(mask):
+        closed |= down[x]
+    new = closed
+    while new:
+        joins = join_table[list(iter_bits(new))][:, list(iter_bits(closed))]
+        grown = closed
+        for j in np.unique(joins).tolist():
+            if j >= 0 and not (grown >> j) & 1:
+                grown |= down[j]
+        new = grown & ~closed
+        closed = grown
+    return closed
+
+
+def l_vee_by_ideal_search(s: CompleteRestrictionMonoid,
+                          max_elements: int = 1024) -> IdealCompletion:
+    """The restriction quantal frame of order-ideals of S closed under all
+    existing joins, ordered by inclusion.
+
+    The closed ideals are found breadth-first from the least one, extending
+    each ideal I by one minimal element g of its complement at a time.  That
+    reaches every closed K above I: a minimal g in K - I has all of its
+    strict down-set in I, so the closure of I + {g} lies inside K.
+
+    The closed ideals form a closure system, so the lattice tables come from
+    the containment order directly; the closure of a finite set is the
+    lattice join of the principal ideals of its elements, which turns the
+    ideal product (pointwise product, down-closure, join-closure) into a
+    join-fold over products of maximal generators.
+    """
+    n = s.n
+    down = [s.downset_mask(i) for i in range(n)]
+    join_table = _partial_join_table(s)
+
+    strict_down = [down[g] & ~(1 << g) for g in range(n)]
+    bottom_ideal = _ideal_closure(s, 0, down, join_table)
+    ideals = {bottom_ideal}
+    frontier = [bottom_ideal]
+    while frontier:
+        nxt = []
+        for i_mask in frontier:
+            for g in range(n):
+                if has_bit(i_mask, g) or not is_submask(strict_down[g], i_mask):
+                    continue
+                bigger = _ideal_closure(s, i_mask | (1 << g), down, join_table)
+                if bigger not in ideals:
+                    ideals.add(bigger)
+                    nxt.append(bigger)
+            if len(ideals) > max_elements:
+                raise BoundExceeded(f"more than {max_elements} ideals")
+        frontier = nxt
+
+    ideal_list = sorted(ideals, key=lambda m: (m.bit_count(), m))
+    index = {m: i for i, m in enumerate(ideal_list)}
+    nq = len(ideal_list)
+
+    member = np.zeros((nq, n), dtype=bool)
+    for i, m in enumerate(ideal_list):
+        for x in iter_bits(m):
+            member[i, x] = True
+    leq = ~np.any(member[:, None, :] & ~member[None, :, :], axis=2)
+    lat = lattice_from_leq(leq)
+    jt = lat.join
+
+    pid = np.array([index[down[x]] for x in range(n)], dtype=np.int64)
+    pid2 = pid[s.mul]  # pid2[a, b] = principal ideal of a.b
+    maxima = []
+    for m in ideal_list:
+        idx = list(iter_bits(m))
+        maxima.append([x for x in idx if not any(s.leq[x, y] and x != y for y in idx)])
+
+    bot = lat.bottom
+    star = np.zeros(nq, dtype=np.int64)
+    plus = np.zeros(nq, dtype=np.int64)
+    for i, m in enumerate(ideal_list):
+        acc_s = acc_p = bot
+        for x in iter_bits(m):
+            acc_s = int(jt[acc_s, pid[int(s.star[x])]])
+            acc_p = int(jt[acc_p, pid[int(s.plus[x])]])
+        star[i] = acc_s
+        plus[i] = acc_p
+
+    # row[x][j] = join of principal ideals of x.t over maximal t of ideal j
+    rows = np.full((n, nq), bot, dtype=np.int64)
+    for x in range(n):
+        for j in range(nq):
+            acc = bot
+            for t in maxima[j]:
+                acc = int(jt[acc, pid2[x, t]])
+            rows[x, j] = acc
+    mul = np.full((nq, nq), bot, dtype=np.int64)
+    for i in range(nq):
+        acc = np.full(nq, bot, dtype=np.int64)
+        for x in maxima[i]:
+            acc = jt[acc, rows[x, :]]
+        mul[i, :] = acc
+
+    q = make_eq(lat, mul, int(pid[s.unit]), star, plus)
+    return IdealCompletion(rqf=q, ideals=tuple(ideal_list), index=index, source=s)
+
+
 def test_ideal_completion_of_partial_bijections(i2):
     s, carrier, q = i2
     lv = l_vee(s)
@@ -362,6 +488,112 @@ def closed_ideals_by_full_search(s):
 def test_closed_ideals_match_full_search_on_pi_omega_pair3(omega_pair3):
     s, _ = pi_restriction_monoid(omega_pair3.rqf)
     assert list(l_vee(s).ideals) == closed_ideals_by_full_search(s)
+
+
+def join_irreducibles_by_definition(s):
+    """The s other than the zero that are not the crm_lub of two strictly
+    smaller compatible elements."""
+    out = []
+    for g in range(s.n):
+        smaller = [x for x in range(s.n) if s.leq[x, g] and x != g]
+        if g != s.zero and not any(crm_compatible(s, x, y) and crm_lub(s, (x, y)) == g
+                                   for x in smaller for y in smaller):
+            out.append(g)
+    return out
+
+
+def assert_completion_matches_oracle(s, where=None):
+    """l_vee and the ideal search give the same ideals and tables; returns
+    the number of ideals."""
+    fast, oracle = l_vee(s), l_vee_by_ideal_search(s)
+    assert fast.ideals == oracle.ideals, where
+    assert fast.index == oracle.index, where
+    for table in ("leq", "meet", "join", "mul", "star", "plus"):
+        assert np.array_equal(getattr(fast.rqf, table), getattr(oracle.rqf, table)), (where, table)
+    for field in ("unit", "bottom", "top"):
+        assert getattr(fast.rqf, field) == getattr(oracle.rqf, field), (where, field)
+    return len(fast.ideals)
+
+
+def _raises_bound(build, s, bound):
+    try:
+        build(s, max_elements=bound)
+    except BoundExceeded:
+        return True
+    return False
+
+
+def _corpus_crm_inputs():
+    # the corpus crms and the PIs of the corpus rqfs: every S that the
+    # suite builds L^vee on
+    out = [(i.name, i.obj) for i in corpus_crms()]
+    out += [(f"pi-{i.name}", pi_restriction_monoid(i.obj)[0]) for i in corpus_rqfs()]
+    return [pytest.param(s, id=name) for name, s in out]
+
+
+@pytest.mark.parametrize("s", _corpus_crm_inputs())
+def test_l_vee_matches_ideal_search_on_corpus(s):
+    assert validate_crm(s).ok  # the precondition of l_vee
+    assert sorted(join_primes(s)) == join_irreducibles_by_definition(s)
+    count = assert_completion_matches_oracle(s)
+    for bound in (count - 1, count):
+        assert _raises_bound(l_vee, s, bound) == _raises_bound(l_vee_by_ideal_search, s, bound)
+        assert _raises_bound(l_vee, s, bound) == (count > bound)
+
+
+@pytest.mark.parametrize("source", SUB_MONOID_SOURCES)
+def test_l_vee_matches_ideal_search_on_valid_sub_monoids(source):
+    valid = [(keep, sub) for keep, sub in sub_monoids(source)[1] if validate_crm(sub).ok]
+    assert valid
+    for keep, sub in valid:
+        assert sorted(join_primes(sub)) == join_irreducibles_by_definition(sub), keep
+        assert_completion_matches_oracle(sub, keep)
+
+
+@st.composite
+def small_categories(draw):
+    """Discrete categories with at most 8 arrows (256 opens): the monoid
+    generated by one or two random self-maps of a 3-set, or the free
+    category on a random acyclic graph with at most 3 objects."""
+    if draw(st.booleans()):
+        gens = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=2))
+        elements = [(0, 1, 2)]
+        for f in elements:  # grows while it is walked: the closure under gens
+            for g in gens:
+                fg = tuple(f[x] for x in g)
+                if fg not in elements:
+                    elements.append(fg)
+            assume(len(elements) <= 8)
+        return monoid_category([[elements.index(tuple(f[x] for x in g)) for g in elements]
+                                for f in elements])
+    n = draw(st.integers(1, 3))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    tc = free_category_on_acyclic_graph(n, edges)
+    assume(tc.n <= 8)
+    return tc
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_categories())
+def test_l_vee_matches_ideal_search_on_random_categories(tc):
+    inst = Instance(tc=tc)
+    assert validate_crm(inst.crm).ok
+    assert_completion_matches_oracle(inst.crm)
+    assert ideals_of_isometries_roundtrip(inst) == (True, None, "")
+    assert isometries_of_ideals_roundtrip(inst) == (True, None, "")
+
+
+@pytest.mark.parametrize("name", ["pair1", "pair2", "pair3", "cyclic2-monoid", "parity-pair2"])
+def test_isometries_of_a_groupoid_form_an_inverse_monoid(name):
+    tc = next(i.obj for i in etale_categories() if i.name == name)
+    s, _ = pi_restriction_monoid(omega_object(tc).rqf)
+    for a in range(s.n):
+        inverses = [b for b in range(s.n)
+                    if s.mul[s.mul[a, b], a] == a and s.mul[s.mul[b, a], b] == b]
+        assert len(inverses) == 1, (a, inverses)
+        b = inverses[0]
+        assert s.star[a] == s.mul[b, a] and s.plus[a] == s.mul[a, b], a
 
 
 def test_principal_ideals_are_the_partial_isometries(i2):
