@@ -149,7 +149,12 @@ def cmd_roundtrip(args, out: _Output) -> int:
     doc = _load(args.file)
     name = doc.name or Path(args.file).stem
     if doc.kind in ("category", "topcategory"):
-        inst = Instance(tc=_as_topcategory(doc), max_elements=args.max_elements)
+        tc = _as_topcategory(doc)
+        rep = _validated("topcategory", tc)
+        if not rep.ok:
+            _report_to_checks(name, rep, out)
+            return out.finish()
+        inst = Instance(tc=tc, max_elements=args.max_elements)
         out.emit(run_check(name, "omega-isomorphism", lambda: omega_roundtrip(inst)))
         out.emit(run_check(name, "chi-on-omega-image", lambda: chi_roundtrip(inst)))
     elif doc.kind == "rqf":

@@ -12,7 +12,10 @@ raises at the first bad row or cell with its path, so errors do not depend
 on the fast test.  Documents are written by `_canonical`, which joins each
 container once; its text is that of json.dumps(raw, sort_keys=True,
 indent=1, separators=(",", ": ")), whose pure-Python indented encoder is
-kept in the tests as its oracle.
+kept in the tests as its oracle.  Payloads keep their tables as int64
+arrays, and no Python int is made per cell: `_table` gathers a vocabulary
+of one string per value (its text and the separator after it) with the
+table as index and joins the result once.
 """
 
 from __future__ import annotations
@@ -311,9 +314,9 @@ def parse_document(text: str) -> WorkbenchDocument:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _ints(a) -> list:
-    """An integer (or 0/1) array as nested lists of Python ints."""
-    return np.asarray(a, dtype=np.int64).tolist()
+def _ints(a) -> np.ndarray:
+    """An integer (or 0/1) array as int64, for `_canonical` to write."""
+    return np.asarray(a, dtype=np.int64)
 
 
 def _poset_payload(p: FinitePoset) -> dict:
@@ -388,15 +391,38 @@ _PAYLOADS = {
 
 
 def payload_of(kind: str, obj) -> dict:
+    """The JSON payload of `obj`: plain values, with every table and vector
+    an int64 array (json.dumps needs default=np.ndarray.tolist)."""
     if kind not in _PAYLOADS:
         raise WorkbenchError(f"cannot serialize kind '{kind}'")
     return _PAYLOADS[kind](obj)
 
 
+def _table(a: np.ndarray, indent: str) -> str:
+    """A non-empty 2-D table of non-negative ints as `_canonical` writes it at
+    `indent`.  The vocabulary has one entry per value from 0 to a.max(): its
+    text and the separator that follows it, the cell separator inside a row
+    and the row break after the last column.  The table gathers it as an
+    index, the final cell loses its separator, and one join writes it all."""
+    inner, cell = indent + " ", indent + "  "
+    words = [str(x) for x in range(int(a.max()) + 1)]
+    in_row = np.array([w + f",\n{cell}" for w in words], dtype=object)
+    row_end = np.array([w + f"\n{inner}],\n{inner}[\n{cell}" for w in words], dtype=object)
+    out = np.empty(a.shape, dtype=object)
+    out[:, :-1] = in_row[a[:, :-1]]
+    out[:, -1] = row_end[a[:, -1]]
+    out[-1, -1] = words[a[-1, -1]]
+    return f"[\n{inner}[\n{cell}" + "".join(out.ravel().tolist()) + f"\n{inner}]\n{indent}]"
+
+
 def _canonical(v, indent: str) -> str:
     """`v` as json.dumps(v, sort_keys=True, indent=1, separators=(",", ": "))
-    writes it when nested at `indent`: one join per container, and a list of
-    plain ints written with str."""
+    writes it when nested at `indent`: one join per container, a list of
+    plain ints written with str, and a table (an int array) by `_table`."""
+    if isinstance(v, np.ndarray):
+        if v.ndim == 2 and v.size and v.min() >= 0:
+            return _table(v, indent)
+        v = v.tolist()
     inner = indent + " "
     if isinstance(v, dict):
         # json writes a non-string key as the string of its JSON value

@@ -228,12 +228,20 @@ def validate_ehresmann(q: EhresmannQuantale) -> Report:
     return rep
 
 
+PI_BLOCK = 32  # columns per block of the partial-isometry test
+
+
 def partial_isometries(q: EhresmannQuantale) -> list[int]:
-    """All a such that every b <= a satisfies b = b+.a = a.b*: one n-by-n
-    test, column a holding the b <= a."""
+    """All a such that every b <= a satisfies b = b+.a = a.b*: an n-by-n
+    test, column a holding the b <= a, run PI_BLOCK columns at a time so
+    that its gathers are n-by-PI_BLOCK."""
     idx = np.arange(q.n)[:, None]
-    fixed = (q.mul[q.plus, :] == idx) & (q.mul[:, q.star].T == idx)  # [b, a]
-    return np.flatnonzero((~q.leq | fixed).all(axis=0)).tolist()
+    ok = []
+    for c in range(0, q.n, PI_BLOCK):
+        cols = slice(c, c + PI_BLOCK)
+        fixed = (q.mul[q.plus, cols] == idx) & (q.mul[cols, :][:, q.star].T == idx)  # [b, a]
+        ok.append((~q.leq[:, cols] | fixed).all(axis=0))
+    return np.flatnonzero(np.concatenate(ok)).tolist()
 
 
 def pi_is_order_ideal(q: EhresmannQuantale) -> tuple[bool, Optional[tuple[int, int]]]:

@@ -100,6 +100,17 @@ def test_roundtrip_command_on_category(fixture_dir, capsys):
     assert "omega-isomorphism" in out and "chi-on-omega-image" in out
 
 
+@pytest.mark.parametrize("name", ["category-bad-composability", "indiscrete-pair2"])
+def test_roundtrip_reports_the_violations_of_an_invalid_category(fixture_dir, capsys, name):
+    path = fixture_dir / f"{name}.topcategory.json"
+    code = main(["--format", "json", "roundtrip", str(path)])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    law = parse_document(path.read_text()).expected["violated_law"]
+    assert code == 1
+    assert law in [c["check"] for c in checks if c["status"] == "fail"]
+    assert not any(c["check"] in ("omega-isomorphism", "chi-on-omega-image") for c in checks)
+
+
 def test_roundtrip_command_on_rqf(fixture_dir, capsys):
     code = main(["roundtrip", str(fixture_dir / "omega-semilattice-monoid.rqf.json")])
     assert code == 0

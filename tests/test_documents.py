@@ -3,13 +3,15 @@ import json
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from framecat.corpus import (boolean_frame, chain_frame, generate_corpus, pair_groupoid,
                              parity_pair_groupoid)
 from framecat.crm import pi_restriction_monoid
 from framecat.documents import (ParseError, StructMorphism, WorkbenchDocument,
-                                _bool_matrix, _int_in_range, _int_matrix, _int_vector,
-                                parse_document, payload_of, serialize_document)
+                                _bool_matrix, _canonical, _int_in_range, _int_matrix,
+                                _int_vector, _ints, _table, parse_document, payload_of,
+                                serialize_document)
 from framecat.functors import omega_object
 from framecat.order import validate_frame
 from framecat.quantale import validate_rqf
@@ -120,7 +122,7 @@ def test_morphism_endpoint_kinds_must_agree():
             "source": {"kind": "rqf", "payload": payload_of("rqf", q)},
             "target": {"kind": "crm", "payload": {}},
             "map": list(range(16)),
-        }})
+        }}, default=np.ndarray.tolist)
     with pytest.raises(ParseError):
         parse_document(text)
 
@@ -132,7 +134,8 @@ def oracle_text(doc: WorkbenchDocument) -> str:
     raw = {"kind": doc.kind, "name": doc.name, "payload": payload_of(doc.kind, doc.obj)}
     if doc.expected is not None:
         raw["expected"] = doc.expected
-    return json.dumps(raw, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
+    return json.dumps(raw, sort_keys=True, indent=1, separators=(",", ": "),
+                      default=np.ndarray.tolist) + "\n"
 
 
 def test_writer_matches_oracle_on_corpus_documents():
@@ -170,6 +173,47 @@ JSON_VALUES = st.recursive(
 def test_writer_matches_oracle_on_expected_values(expected):
     doc = WorkbenchDocument("poset", "p", chain_frame(2), expected=expected)
     assert serialize_document(doc) == oracle_text(doc)
+
+
+def canonical_oracle(v) -> str:
+    return json.dumps(v, sort_keys=True, indent=1, separators=(",", ": "),
+                      default=np.ndarray.tolist)
+
+
+# the shapes of payload tables: empty, one cell, `comp` triples, n x n
+TABLE_SHAPES = (st.sampled_from([(0, 0), (1, 1)])
+                | st.integers(0, 6).map(lambda k: (k, 3))
+                | st.integers(1, 8).map(lambda n: (n, n)))
+TABLES = (TABLE_SHAPES.flatmap(lambda shape: arrays(np.int64, shape,
+                                                    elements=st.integers(0, 4096)))
+          | TABLE_SHAPES.flatmap(lambda shape: arrays(bool, shape)).map(_ints))
+
+
+def nested(a: np.ndarray, depth: int):
+    """`a` as the table of a payload, `depth` objects down, beside a vector."""
+    v = {"t": a, "star": np.arange(3), "n": len(a)}
+    for d in range(depth):
+        v = {"payload": v, "kind": f"k{d}"} if d % 2 else {"source": v, "map": [d]}
+    return v
+
+
+@settings(max_examples=200, deadline=None)
+@given(TABLES, st.integers(0, 4))
+@example(np.zeros((0, 3), dtype=np.int64), 1)
+@example(np.array([[4096]]), 0)
+def test_table_writer_matches_oracle(a, depth):
+    if a.size:
+        assert _table(a, "") == canonical_oracle(a)
+    assert _canonical(nested(a, depth), "") == canonical_oracle(nested(a, depth))
+    assert json.loads(_canonical(a, "")) == a.tolist()  # a bool table reads 0/1
+
+
+def test_payload_through_json_dumps_parses_back():
+    for doc in generate_corpus():
+        raw = {"kind": doc.kind, "name": doc.name, "payload": payload_of(doc.kind, doc.obj),
+               "expected": doc.expected}
+        back = parse_document(json.dumps(raw, default=np.ndarray.tolist))
+        assert serialize_document(back) == serialize_document(doc), doc.name
 
 
 # ---------------------------------------------------------------------------
