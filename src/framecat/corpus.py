@@ -16,7 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .crm import make_crm
+from .crm import make_crm, pi_restriction_monoid
+from .documents import WorkbenchDocument
+from .functors import omega_object
 from .order import (FiniteFrame, FiniteLattice, FinitePoset, frame_from_leq,
                     lattice_from_leq)
 from .quantale import EhresmannQuantale, frame_as_quantale, make_eq
@@ -288,8 +290,6 @@ def quantale_frames() -> list[CorpusInstance]:
 
 def corpus_rqfs(max_elements: int = 1024) -> list[CorpusInstance]:
     """Omega images of the etale categories plus frames as quantales."""
-    from .functors import omega_object
-
     out = [CorpusInstance(name, "rqf", omega_object(inst.obj, max_elements=max_elements).rqf)
            for name, inst in omega_images(max_elements)]
     return out + quantale_frames()
@@ -306,8 +306,6 @@ def hand_built_crms() -> list[CorpusInstance]:
 
 
 def corpus_crms() -> list[CorpusInstance]:
-    from .crm import pi_restriction_monoid
-
     out = hand_built_crms()
     for inst in corpus_rqfs():
         if inst.name in PI_OF_RQFS:
@@ -378,8 +376,6 @@ def negative_fixtures() -> list[CorpusInstance]:
                               "quantale.join_distributivity_left"))
 
     # Ehresmann: swap star and plus on one non-symmetric element of omega(pair2)
-    from .functors import omega_object
-
     om = omega_object(pair_groupoid(2))
     q = om.rqf
     star = q.star.copy()
@@ -416,8 +412,6 @@ def generate_corpus(max_elements: int = 1024):
     """The whole corpus as workbench documents: categories with their
     quantale images, frames, monoids, and the perturbed negative fixtures
     (those carry the violated law in their expected block)."""
-    from .documents import WorkbenchDocument
-
     if max_elements > MAX_TABLE_SIDE:
         raise BoundExceeded(f"max_elements {max_elements} exceeds hard limit {MAX_TABLE_SIDE}")
     docs = []
@@ -438,9 +432,6 @@ def generate_corpus(max_elements: int = 1024):
 def negative_crm_fixture() -> CorpusInstance:
     """The partial-bijection monoid on a 2-set minus the swap: the two
     transposition singletons stay compatible but their join is gone."""
-    from .crm import pi_restriction_monoid
-    from .functors import omega_object
-
     om = omega_object(pair_groupoid(2))
     s, carrier = pi_restriction_monoid(om.rqf)
     swap_q = om.index[0b0110]

@@ -1,6 +1,11 @@
 """Complete restriction monoids, the translation to restriction quantal
 frames, proper and callitic morphisms, S-filters and the second adjunction.
 
+The second adjunction is built from the first: its callitic hom-set is
+found by duality.morphism_search, its transposes are checked by
+duality.check_transposes, and its S-filter category is read off the
+join-primes J(S) by functors.category_on_generators, as C(Q) is off J(Q).
+
 The carrier stores the natural partial order explicitly.  Binary meets are
 required: the filter and callitic definitions use them, and the partial
 isometries of a quantal frame always have them (an order ideal in a frame).
@@ -46,11 +51,13 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .bits import has_bit, iter_bits, mask_of
-from .functors import OmegaResult, omega_object
-from .order import FiniteLattice, _freeze, _rank_bitsets
+from .duality import (AdjunctionReport, check_transposes, enumerate_covering_functors,
+                      morphism_search, positions, search_tables)
+from .functors import OmegaResult, c_object, category_on_generators, omega_object
+from .order import FiniteLattice, FinitePoset, _freeze, _rank_bitsets, validate_poset
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
 from .reports import BoundExceeded, Report
-from .topcat import UNDEF, FiniteTopCategory, make_category, topology_from_base
+from .topcat import FiniteTopCategory, topology_from_base
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +115,6 @@ def validate_crm(s: CompleteRestrictionMonoid) -> Report:
     rep = Report(subject="crm")
     rep.layers_run.append("crm")
     n = s.n
-    from .order import FinitePoset, validate_poset
     prep = validate_poset(FinitePoset.from_leq(s.leq))
     if not prep.ok:
         rep.extend(prep)
@@ -251,21 +257,19 @@ def validate_crm(s: CompleteRestrictionMonoid) -> Report:
 def pi_restriction_monoid(q: EhresmannQuantale) -> tuple[CompleteRestrictionMonoid, list[int]]:
     """The partial isometries of a restriction quantal frame with the
     restricted operations; returns the monoid and the carrier list mapping
-    monoid index -> quantale element."""
+    monoid index -> quantale element.  Raises ValueError naming the
+    operation whose value leaves PI(Q), which a valid Q never does."""
     carrier = sorted(partial_isometries(q))
-    pos = {e: i for i, e in enumerate(carrier)}
-    k = len(carrier)
-    leq = np.zeros((k, k), dtype=bool)
-    mul = np.zeros((k, k), dtype=np.int64)
-    meet = np.zeros((k, k), dtype=np.int64)
-    for i, a in enumerate(carrier):
-        for j, b in enumerate(carrier):
-            leq[i, j] = q.leq[a, b]
-            mul[i, j] = pos[int(q.mul[a, b])]
-            meet[i, j] = pos[int(q.meet[a, b])]
-    star = np.array([pos[int(q.star[a])] for a in carrier], dtype=np.int64)
-    plus = np.array([pos[int(q.plus[a])] for a in carrier], dtype=np.int64)
-    return make_crm(k, leq, mul, pos[q.unit], pos[q.bottom], star, plus, meet), carrier
+    pos = positions(q.n, carrier)
+    block = np.ix_(carrier, carrier)
+    mul, meet = pos[q.mul[block]], pos[q.meet[block]]
+    star, plus = pos[q.star[carrier]], pos[q.plus[carrier]]
+    unit, zero = pos[q.unit], pos[q.bottom]
+    for name, values in (("mul", mul), ("meet", meet), ("star", star), ("plus", plus),
+                         ("unit", unit), ("bottom", zero)):
+        if (values < 0).any():
+            raise ValueError(f"{name} leaves the partial isometries")
+    return make_crm(len(carrier), q.leq[block], mul, unit, zero, star, plus, meet), carrier
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +509,14 @@ class SFilterCategory:
     d_idx: np.ndarray
     r_idx: np.ndarray
     source: CompleteRestrictionMonoid
+    x_masks: tuple  # x_masks[a] = the filters containing a, for every element a
 
     @property
     def n(self) -> int:
         return len(self.filters)
 
     def x_mask(self, a: int) -> int:
-        return mask_of(k for k, f in enumerate(self.filters) if has_bit(f, a))
+        return self.x_masks[a]
 
 
 def s_filters_list(s: CompleteRestrictionMonoid) -> list[int]:
@@ -526,47 +531,23 @@ def s_filters_list(s: CompleteRestrictionMonoid) -> list[int]:
 
 def s_filters(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> SFilterCategory:
     """The category of completely prime S-filters with A.B = (AB)^up-in-S,
-    topologized by the sets of filters containing a given element."""
-    filters = s_filters_list(s)
-    index = {m: i for i, m in enumerate(filters)}
-    nf = len(filters)
-    up = [s.upset_mask(i) for i in range(s.n)]
+    topologized by the sets of filters containing a given element.
 
-    def up_close(mask: int) -> int:
-        out = 0
-        for x in iter_bits(mask):
-            out |= up[x]
-        return out
-
-    def locate(mask: int, what: str) -> int:
-        i = index.get(mask)
-        if i is None:
-            raise ValueError(f"{what} is not a completely prime S-filter")
-        return i
-
-    d_idx = np.array([locate(up_close(mask_of(int(s.star[x]) for x in iter_bits(m))), "d(A)")
-                      for m in filters], dtype=np.int64)
-    r_idx = np.array([locate(up_close(mask_of(int(s.plus[x]) for x in iter_bits(m))), "r(A)")
-                      for m in filters], dtype=np.int64)
-    proj_mask = mask_of(s.projections())
-    identities = [k for k, m in enumerate(filters) if m & proj_mask]
-    comp = np.full((nf, nf), UNDEF, dtype=np.int64)
-    for i in range(nf):
-        for j in range(nf):
-            if d_idx[i] != r_idx[j]:
-                continue
-            prods = mask_of(int(s.mul[x, y])
-                            for x in iter_bits(filters[i]) for y in iter_bits(filters[j]))
-            comp[i, j] = locate(up_close(prods), "A.B")
-    cat = make_category(nf, identities, [int(x) for x in d_idx], [int(x) for x in r_idx],
-                        comp_table=comp)
-    base = [mask_of(k for k, f in enumerate(filters) if has_bit(f, a)) for a in range(s.n)]
-    topology = topology_from_base(nf, base)
+    Precondition: S passes validate_crm; the CLI validates documents first,
+    and the suite builds S-filters only on corpus monoids, which all pass.
+    Then star, plus and mul are monotone, so d(up-g) = up-(g*), r(up-g) = up-(g+) and
+    (up-g . up-h)^up = up-(g.h), and the category is read off the
+    join-primes by category_on_generators, in s_filters_list order."""
+    gens = sorted(join_primes(s), key=s.upset_mask)
+    filters = [s.upset_mask(g) for g in gens]
+    cat, x_masks = category_on_generators(s, gens, "completely prime S-filter")
+    topology = topology_from_base(cat.n, x_masks)
     if topology.open_count() > max_opens:
         raise BoundExceeded("S-filter topology too large")
     tc = FiniteTopCategory(cat=cat, topology=topology)
-    return SFilterCategory(topcat=tc, filters=tuple(filters), index=index,
-                           d_idx=_freeze(d_idx), r_idx=_freeze(r_idx), source=s)
+    return SFilterCategory(topcat=tc, filters=tuple(filters),
+                           index={m: i for i, m in enumerate(filters)},
+                           d_idx=cat.d, r_idx=cat.r, source=s, x_masks=tuple(x_masks))
 
 
 def s_filter_bijection(sf: SFilterCategory, lv: IdealCompletion,
@@ -575,7 +556,6 @@ def s_filter_bijection(sf: SFilterCategory, lv: IdealCompletion,
     Returns the arrow map S-filter index -> C(L(S)) filter index; `fc` is
     C(L(S)) when already built."""
     if fc is None:
-        from .functors import c_object
         fc = c_object(lv.rqf)
     out = np.zeros(sf.n, dtype=np.int64)
     for k, m in enumerate(sf.filters):
@@ -590,93 +570,18 @@ def s_filter_bijection(sf: SFilterCategory, lv: IdealCompletion,
 def enumerate_callitic_morphisms(s: CompleteRestrictionMonoid,
                                  t: CompleteRestrictionMonoid,
                                  max_elements: int = 64) -> list[np.ndarray]:
-    """All callitic morphisms s -> t, by backtracking over the element map.
-
-    The elements of s are visited by down-set size, ties in index order.
-    Each element of t is a candidate image, pruned by zero, unit, star,
-    plus and the order, multiplication and meet of the elements assigned
-    so far; the pruning reads Python lists of the tables, built once per
-    call.
-
-    Forced joins: where a is the join of a compatible pair x, y visited
-    before a, theta(a) must be the join of theta(x) and theta(y) in t, the
-    only candidate tried, and none is tried when that join does not exist.
-    No morphism is lost, since validate_crm_morphism requires compatible
-    joins to be preserved; none is added, since every complete assignment
-    is still kept only if validate_crm_morphism and is_callitic pass.  The
-    candidate lists are sub-lists of the full ones, so the morphisms come
-    out in the same order."""
+    """All callitic morphisms s -> t: duality.morphism_search over all
+    elements, with the compatible joins of s and the partial joins of t,
+    then validate_crm_morphism and is_callitic.  No morphism is lost, since
+    validate_crm_morphism requires compatible joins to be preserved; none is
+    added, since every search result is kept only if both checks pass."""
     if s.n > max_elements or t.n > max_elements:
         raise BoundExceeded(f"callitic enumeration bounded to {max_elements} elements")
-    order = sorted(range(s.n), key=lambda a: int(s.leq[:, a].sum()))
-    rank = {a: i for i, a in enumerate(order)}
-    s_joins = _compatible_join_table(s).tolist()
-    forced: list[Optional[tuple[int, int]]] = [None] * s.n
-    for x in range(s.n):
-        for y in range(x, s.n):
-            j = s_joins[x][y]
-            if j >= 0 and forced[j] is None and rank[x] < rank[j] and rank[y] < rank[j]:
-                forced[j] = (x, y)
-    t_joins = _partial_join_table(t).tolist()
-    s_leq, s_mul, s_meet = s.leq.tolist(), s.mul.tolist(), s.meet.tolist()
-    s_star, s_plus = s.star.tolist(), s.plus.tolist()
-    t_leq, t_mul, t_meet = t.leq.tolist(), t.mul.tolist(), t.meet.tolist()
-    t_star, t_plus = t.star.tolist(), t.plus.tolist()
-    every_image = range(t.n)
-    assign = [-1] * s.n
-    found: list[np.ndarray] = []
-
-    def consistent(i: int) -> bool:
-        a = order[i]
-        ta = assign[a]
-        if a == s.zero and ta != t.zero:
-            return False
-        if a == s.unit and ta != t.unit:
-            return False
-        if assign[s_star[a]] >= 0 and t_star[ta] != assign[s_star[a]]:
-            return False
-        if assign[s_plus[a]] >= 0 and t_plus[ta] != assign[s_plus[a]]:
-            return False
-        for o in order[:i + 1]:
-            to = assign[o]
-            if s_leq[a][o] and not t_leq[ta][to]:
-                return False
-            if s_leq[o][a] and not t_leq[to][ta]:
-                return False
-            for x, y, tx, ty in ((a, o, ta, to), (o, a, to, ta)):
-                m = s_mul[x][y]
-                if assign[m] >= 0 and t_mul[tx][ty] != assign[m]:
-                    return False
-                m = s_meet[x][y]
-                if assign[m] >= 0 and t_meet[tx][ty] != assign[m]:
-                    return False
-        return True
-
-    def backtrack(i: int) -> None:
-        if i == s.n:
-            found.append(np.array(assign, dtype=np.int64))
-            return
-        a = order[i]
-        candidates = every_image
-        if forced[a] is not None:
-            x, y = forced[a]
-            v = t_joins[assign[x]][assign[y]]
-            candidates = (v,) if v >= 0 else ()
-        for v in candidates:
-            assign[a] = v
-            if consistent(i):
-                backtrack(i + 1)
-        assign[a] = -1
-
-    backtrack(0)
-    out = []
-    for theta in found:
-        if not validate_crm_morphism(theta, s, t).ok:
-            continue
-        ok, _ = is_callitic(theta, s, t)
-        if ok:
-            out.append(_freeze(theta))
-    return out
+    found = morphism_search(search_tables(s, list(range(s.n)), s.zero, _compatible_join_table(s)),
+                            search_tables(t, list(range(t.n)), t.zero, _partial_join_table(t)))
+    thetas = (np.array(images, dtype=np.int64) for images in found)
+    return [_freeze(theta) for theta in thetas
+            if validate_crm_morphism(theta, s, t).ok and is_callitic(theta, s, t)[0]]
 
 
 def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
@@ -687,12 +592,11 @@ def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
     """Hom-set bijection between continuous covering functors C -> C(S) and
     callitic morphisms S -> PI(Omega(C)), with the transposes inherited from
     the first adjunction through the monoid/quantal-frame translation:
-    T(alpha)(s) = {c : s in alpha(c)} and B(theta)(c) = {s : c in theta(s)}.
-    `om`, `pi` and `sf` are Omega(C), PI(Omega(C)) with its carrier, and the
-    S-filter category of S, when already built.
+    T(alpha)(s) = {c : s in alpha(c)} and B(theta)(c) = {s : c in theta(s)},
+    checked by duality.check_transposes.  `om`, `pi` and `sf` are Omega(C),
+    PI(Omega(C)) with its carrier, and the S-filter category of S, when
+    already built.
     """
-    from .duality import AdjunctionReport, enumerate_covering_functors
-
     rep = AdjunctionReport()
     if sf is None:
         sf = s_filters(s)
@@ -728,29 +632,5 @@ def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
             alpha[c] = k
         return alpha
 
-    morph_keys = {m.tobytes(): i for i, m in enumerate(rep.morphism_homset)}
-    func_keys = {f.tobytes(): i for i, f in enumerate(rep.functor_homset)}
-    for i, alpha in enumerate(rep.functor_homset):
-        theta = forward(alpha)
-        if theta is None or theta.tobytes() not in morph_keys:
-            rep.ok = False
-            rep.failures.append(("forward_transpose_not_in_homset", i))
-            continue
-        back = backward(theta)
-        if back is None or not np.array_equal(back, alpha):
-            rep.ok = False
-            rep.failures.append(("backward_of_forward_not_identity", i))
-    for i, theta in enumerate(rep.morphism_homset):
-        alpha = backward(theta)
-        if alpha is None or alpha.tobytes() not in func_keys:
-            rep.ok = False
-            rep.failures.append(("backward_transpose_not_in_homset", i))
-            continue
-        forth = forward(alpha)
-        if forth is None or not np.array_equal(forth, theta):
-            rep.ok = False
-            rep.failures.append(("forward_of_backward_not_identity", i))
-    if len(rep.functor_homset) != len(rep.morphism_homset):
-        rep.ok = False
-        rep.failures.append(("homset_sizes_differ", rep.sizes))
+    check_transposes(rep, forward, backward)
     return rep

@@ -5,19 +5,21 @@ chi sends a quantale element a to the set X_a of completely prime filters
 containing it; omega sends an arrow x to the filter O_x of opens containing
 it.  The adjunction is verified literally: both hom-sets are enumerated
 exhaustively and the two transposes are checked to be mutually inverse
-bijections between them.
+bijections between them (check_transposes).  The morphism hom-set is found
+by morphism_search, a backtracking over tables from search_tables.  The
+second adjunction in crm reuses both: one search, one transpose check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .bits import has_bit, iter_bits, mask_of
-from .functors import (FilterCategoryResult, OmegaResult, c_object,
-                       omega_object)
+from .functors import (FilterCategoryResult, OmegaResult, c_morphism, c_object,
+                       omega_morphism, omega_object)
 from .order import _freeze
 from .quantale import EhresmannQuantale, partial_isometries
 from .reports import BoundExceeded, Report
@@ -292,81 +294,98 @@ def enumerate_covering_functors(src: FiniteTopCategory, dst: FiniteTopCategory,
     return out
 
 
-def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
-                            max_elements: int = 64) -> list[np.ndarray]:
-    """All RQF morphisms q -> r.  A morphism preserves joins and every element
-    is a join of partial isometries (PIs), so it is determined by its
-    restriction to the PIs; backtrack over those, extend by joins, validate.
+def positions(n: int, domain: list[int]) -> np.ndarray:
+    """pos[e] = the position of e in domain, for the elements 0..n-1 of an
+    algebra; -1 for an element outside domain, and pos[-1] = -1, so that
+    pos[table] also sends the -1 entries of a partial table to -1."""
+    pos = np.full(n + 1, -1, dtype=np.int64)
+    pos[domain] = np.arange(len(domain))
+    return pos
 
-    The PIs of q are visited by down-set size, ties in index order, so every
-    PI strictly below p is assigned before p.  Each PI of r is a candidate
-    image, pruned by bottom, unit, star, plus and the order, multiplication,
-    meet and join of the PIs assigned so far; the pruning reads Python lists
-    of the PI x PI blocks of the tables, built once per call.
 
-    Forced joins: where p = x v y for PIs x, y visited before p, theta(p)
-    must be r.join[theta(x), theta(y)], the only candidate tried, and none
-    is tried when that join is not a PI of r.  No morphism is lost, since a
-    morphism preserves joins and maps PIs to PIs; none is added, since
-    every complete assignment is still extended by joins and kept only if
-    validate_rqf_morphism passes.  The candidate lists are sub-lists of the
-    full ones, so the morphisms come out in the same order."""
-    if q.n > max_elements or r.n > max_elements:
-        raise BoundExceeded(f"morphism enumeration bounded to {max_elements} elements")
-    q_pis = partial_isometries(q)
-    r_pis = partial_isometries(r)
-    # PIs are named by their positions in q_pis and r_pis from here on
-    q_pos = {p: i for i, p in enumerate(q_pis)}
-    r_pos = {t: i for i, t in enumerate(r_pis)}
-    q_leq = q.leq[np.ix_(q_pis, q_pis)].tolist()
-    r_leq = r.leq[np.ix_(r_pis, r_pis)].tolist()
-    q_mul, q_meet, q_join = (_pi_block(a, q_pis, q_pos) for a in (q.mul, q.meet, q.join))
-    r_mul, r_meet, r_join = (_pi_block(a, r_pis, r_pos) for a in (r.mul, r.meet, r.join))
-    q_star, q_plus = ([q_pos.get(int(a[p]), -1) for p in q_pis] for a in (q.star, q.plus))
-    r_star, r_plus = ([r_pos.get(int(a[t]), -1) for t in r_pis] for a in (r.star, r.plus))
-    q_bottom, q_unit = q_pos.get(q.bottom, -1), q_pos.get(q.unit, -1)
-    r_bottom, r_unit = r_pos.get(r.bottom, -1), r_pos.get(r.unit, -1)
+class SearchTables(NamedTuple):
+    """A restriction monoid on the positions of a domain, as Python lists
+    for morphism_search; -1 stands for a value outside the domain."""
+    leq: list
+    mul: list
+    meet: list
+    join: list
+    star: list
+    plus: list
+    zero: int
+    unit: int
+    order: list  # the positions by down-set size, ties in position order
 
-    order = sorted(range(len(q_pis)), key=lambda i: int(q.leq[:, q_pis[i]].sum()))
+
+def search_tables(alg, domain: list[int], zero: int, joins: np.ndarray) -> SearchTables:
+    """The operations of alg (a quantale or a restriction monoid) on the
+    elements in domain, renamed to their positions; `joins` is the join
+    table to search with, -1 where a join is not to be used."""
+    pos = positions(alg.n, domain)
+    block = np.ix_(domain, domain)
+    return SearchTables(
+        leq=alg.leq[block].tolist(), mul=pos[alg.mul[block]].tolist(),
+        meet=pos[alg.meet[block]].tolist(), join=pos[joins[block]].tolist(),
+        star=pos[alg.star[domain]].tolist(), plus=pos[alg.plus[domain]].tolist(),
+        zero=int(pos[zero]), unit=int(pos[alg.unit]),
+        order=np.argsort(alg.leq[:, domain].sum(axis=0), kind="stable").tolist())
+
+
+def morphism_search(s: SearchTables, t: SearchTables) -> list[list[int]]:
+    """Every map from the positions of s to those of t that preserves zero,
+    unit, star, plus, the order, mul, meet and join wherever they stay in
+    the domains, as image lists in depth-first order.
+
+    The positions of s are visited in s.order, so everything strictly below
+    an element is assigned before it.  Each position of t is a candidate
+    image, pruned against the elements assigned so far.
+
+    Forced joins: where p = x v y for x, y visited before p, the image of p
+    must be the join of their images in t, the only candidate tried, and
+    none is tried when that join is -1.  The candidate lists are sub-lists
+    of the full ones, so the maps come out in the order of a search that
+    tries every candidate."""
+    s_leq, s_mul, s_meet, s_join, s_star, s_plus, s_zero, s_unit, order = s
+    t_leq, t_mul, t_meet, t_join, t_star, t_plus, t_zero, t_unit, t_order = t
     rank = {p: i for i, p in enumerate(order)}
-    forced: list[Optional[tuple[int, int]]] = [None] * len(q_pis)
-    for x in range(len(q_pis)):
-        for y in range(x, len(q_pis)):
-            j = q_join[x][y]
+    forced: list[Optional[tuple[int, int]]] = [None] * len(order)
+    for x in range(len(order)):
+        for y in range(x, len(order)):
+            j = s_join[x][y]
             if j >= 0 and forced[j] is None and rank[x] < rank[j] and rank[y] < rank[j]:
                 forced[j] = (x, y)
-    every_image = range(len(r_pis))
-    assign = [-1] * len(q_pis)
+    every_image = range(len(t_order))
+    assign = [-1] * len(order)
     found: list[list[int]] = []
 
     def consistent(i: int) -> bool:
         p = order[i]
         tp = assign[p]
-        if p == q_bottom and tp != r_bottom:
+        if p == s_zero and tp != t_zero:
             return False
-        if p == q_unit and tp != r_unit:
+        if p == s_unit and tp != t_unit:
             return False
-        sp = q_star[p]
-        if sp >= 0 and assign[sp] >= 0 and r_star[tp] != assign[sp]:
+        sp = s_star[p]
+        if sp >= 0 and assign[sp] >= 0 and t_star[tp] != assign[sp]:
             return False
-        pp = q_plus[p]
-        if pp >= 0 and assign[pp] >= 0 and r_plus[tp] != assign[pp]:
+        pp = s_plus[p]
+        if pp >= 0 and assign[pp] >= 0 and t_plus[tp] != assign[pp]:
             return False
         for o in order[:i + 1]:
             to = assign[o]
-            if q_leq[p][o] and not r_leq[tp][to]:
+            if s_leq[p][o] and not t_leq[tp][to]:
                 return False
-            if q_leq[o][p] and not r_leq[to][tp]:
+            if s_leq[o][p] and not t_leq[to][tp]:
                 return False
             for x, y, tx, ty in ((p, o, tp, to), (o, p, to, tp)):
-                m = q_mul[x][y]
-                if m >= 0 and assign[m] >= 0 and r_mul[tx][ty] != assign[m]:
+                m = s_mul[x][y]
+                if m >= 0 and assign[m] >= 0 and t_mul[tx][ty] != assign[m]:
                     return False
-                m = q_meet[x][y]
-                if m >= 0 and assign[m] >= 0 and r_meet[tx][ty] != assign[m]:
+                m = s_meet[x][y]
+                if m >= 0 and assign[m] >= 0 and t_meet[tx][ty] != assign[m]:
                     return False
-                j = q_join[x][y]
-                if j >= 0 and assign[j] >= 0 and r_join[tx][ty] != assign[j]:
+                j = s_join[x][y]
+                if j >= 0 and assign[j] >= 0 and t_join[tx][ty] != assign[j]:
                     return False
         return True
 
@@ -378,15 +397,34 @@ def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
         candidates = every_image
         if forced[p] is not None:
             x, y = forced[p]
-            t = r_join[assign[x]][assign[y]]
-            candidates = (t,) if t >= 0 else ()
-        for t in candidates:
-            assign[p] = t
+            v = t_join[assign[x]][assign[y]]
+            candidates = (v,) if v >= 0 else ()
+        for v in candidates:
+            assign[p] = v
             if consistent(i):
                 backtrack(i + 1)
         assign[p] = -1
 
     backtrack(0)
+    return found
+
+
+def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
+                            max_elements: int = 64) -> list[np.ndarray]:
+    """All RQF morphisms q -> r.  A morphism preserves joins and every element
+    is a join of partial isometries (PIs), so it is determined by its
+    restriction to the PIs: morphism_search over the PIs of q and r, with
+    the frame joins, then extension by joins and validate_rqf_morphism.
+
+    No morphism is lost, since a morphism preserves joins and maps PIs to
+    PIs; none is added, since every search result is extended by joins and
+    kept only if validate_rqf_morphism passes."""
+    if q.n > max_elements or r.n > max_elements:
+        raise BoundExceeded(f"morphism enumeration bounded to {max_elements} elements")
+    q_pis = partial_isometries(q)
+    r_pis = partial_isometries(r)
+    found = morphism_search(search_tables(q, q_pis, q.bottom, q.join),
+                            search_tables(r, r_pis, r.bottom, r.join))
     pis_below = [np.flatnonzero(col).tolist() for col in q.leq[q_pis, :].T]
     out = []
     seen = set()
@@ -401,12 +439,6 @@ def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
         if validate_rqf_morphism(theta, q, r, q_pis, r_pis).ok:
             out.append(_freeze(theta))
     return out
-
-
-def _pi_block(table: np.ndarray, pis: list[int], pos: dict[int, int]) -> list[list[int]]:
-    """table on pis x pis as lists, each value replaced by its position in
-    pis, or by -1 where it is not in pis."""
-    return [[pos.get(v, -1) for v in row] for row in table[np.ix_(pis, pis)].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -442,33 +474,36 @@ def verify_adjunction_I(tc: FiniteTopCategory, q: EhresmannQuantale,
     rep.functor_homset = enumerate_covering_functors(tc, fc.topcat, max_arrows)
     rep.morphism_homset = enumerate_rqf_morphisms(q, om.rqf, max_elements)
 
-    morph_keys = {m.tobytes(): i for i, m in enumerate(rep.morphism_homset)}
-    func_keys = {f.tobytes(): i for i, f in enumerate(rep.functor_homset)}
-
-    for i, alpha in enumerate(rep.functor_homset):
-        beta = transpose_forward(alpha, tc, q, fc, om)
-        if beta.tobytes() not in morph_keys:
-            rep.ok = False
-            rep.failures.append(("forward_transpose_not_in_homset", i))
-            continue
-        back = transpose_backward(beta, tc, q, fc, om)
-        if not np.array_equal(back, alpha):
-            rep.ok = False
-            rep.failures.append(("backward_of_forward_not_identity", i))
-    for i, beta in enumerate(rep.morphism_homset):
-        alpha = transpose_backward(beta, tc, q, fc, om)
-        if alpha.tobytes() not in func_keys:
-            rep.ok = False
-            rep.failures.append(("backward_transpose_not_in_homset", i))
-            continue
-        forth = transpose_forward(alpha, tc, q, fc, om)
-        if not np.array_equal(forth, beta):
-            rep.ok = False
-            rep.failures.append(("forward_of_backward_not_identity", i))
-    if len(rep.functor_homset) != len(rep.morphism_homset):
-        rep.ok = False
-        rep.failures.append(("homset_sizes_differ", rep.sizes))
+    check_transposes(rep, lambda alpha: transpose_forward(alpha, tc, q, fc, om),
+                     lambda beta: transpose_backward(beta, tc, q, fc, om))
     return rep
+
+
+def check_transposes(rep: AdjunctionReport, forward, backward) -> None:
+    """Check that forward (functor -> morphism) and backward (morphism ->
+    functor) are mutually inverse bijections between the hom-sets of rep,
+    appending each failure to rep.failures with the index of the map it
+    starts from: first the functors, then the morphisms, then the sizes.  A
+    transpose that returns None is not in the hom-set."""
+    directions = (
+        (rep.functor_homset, rep.morphism_homset, forward, backward,
+         "forward_transpose_not_in_homset", "backward_of_forward_not_identity"),
+        (rep.morphism_homset, rep.functor_homset, backward, forward,
+         "backward_transpose_not_in_homset", "forward_of_backward_not_identity"),
+    )
+    for homset, other, there, back, not_in_homset, not_identity in directions:
+        keys = {m.tobytes() for m in other}
+        for i, m in enumerate(homset):
+            image = there(m)
+            if image is None or image.tobytes() not in keys:
+                rep.failures.append((not_in_homset, i))
+                continue
+            again = back(image)
+            if again is None or not np.array_equal(again, m):
+                rep.failures.append((not_identity, i))
+    if len(rep.functor_homset) != len(rep.morphism_homset):
+        rep.failures.append(("homset_sizes_differ", rep.sizes))
+    rep.ok = not rep.failures
 
 
 def check_naturality_in_category(g, tc_src: FiniteTopCategory, tc_dst: FiniteTopCategory,
@@ -481,8 +516,6 @@ def check_naturality_in_category(g, tc_src: FiniteTopCategory, tc_dst: FiniteTop
     with the forward transpose: T(alpha o G) = Omega(G) o T(alpha).  `fc`,
     `om_src` and `om_dst` are C(Q), Omega(C') and Omega(C) when already
     built."""
-    from .functors import omega_morphism
-
     g = np.asarray(g, dtype=np.int64)
     if fc is None:
         fc = c_object(q)
@@ -509,8 +542,6 @@ def check_naturality_in_quantale(psi, q_src: EhresmannQuantale, q_dst: Ehresmann
     with the forward transpose: T(C(psi) o alpha) = T(alpha) o psi.
     `fc_src`, `fc_dst` and `om` are C(Q), C(Q') and Omega(C) when already
     built."""
-    from .functors import c_morphism
-
     psi = np.asarray(psi, dtype=np.int64)
     if fc_src is None:
         fc_src = c_object(q_src)

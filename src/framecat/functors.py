@@ -14,7 +14,9 @@ least member j_k.  Star, plus and multiplication are monotone, so the least
 element of {x* : x in up-j} is j*, d(up-j) = up-(j*), r(up-j) = up-(j+),
 and (up-j . up-k)^up = up-(j.k).  X_a is {k : j_k <= a}, a column of the
 order.  C(Q) is thus a category on J, and the member sets of the filters
-are never multiplied.  This is the finite case of Resende's view of an
+are never multiplied; category_on_generators does this reading for any set
+of generators, and crm.s_filters runs it on the join-primes of a complete
+restriction monoid.  This is the finite case of Resende's view of an
 etale groupoid quantale as generated by its partial isometries (Etale
 groupoids and their quantales, Adv. Math. 208, 2007).  The tests keep a
 filter calculus that multiplies whole member sets as the oracle for this
@@ -37,7 +39,7 @@ from .order import (FiniteLattice, FiniteTopSpace, _freeze, enumerate_cp_filters
                     pt_topology, subframe)
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
 from .reports import BoundExceeded, InternalError
-from .topcat import (UNDEF, FiniteTopCategory,
+from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
                      is_etale, make_category, topology_from_base)
 
 
@@ -203,37 +205,47 @@ class FilterCategoryResult:
         return k
 
 
-def c_object(q: EhresmannQuantale, max_opens: int = 4096) -> FilterCategoryResult:
-    """C(Q), read off the join-irreducibles as the module docstring says."""
-    filters = enumerate_cp_filters(q)
-    nf = len(filters)
-    gens = np.array([q.meet_fold(iter_bits(f.members)) for f in filters],
-                    dtype=np.int64)  # j_k, the least member of filter k
-    filter_at = np.full(q.n, UNDEF, dtype=np.int64)  # filter_at[j_k] = k
+def category_on_generators(alg, gens, what: str) -> tuple[FiniteCategory, list[int]]:
+    """The category of the principal filters up-g, g in gens (a quantale or
+    a restriction monoid whose star, plus and mul are monotone), and the
+    X-sets of all elements: filter k is up-gens[k], d(up-g) = up-(g*),
+    r(up-g) = up-(g+), (up-g . up-h)^up = up-(g.h), the identities are the
+    filters containing the unit, and X_a = {k : gens[k] <= a}.  A d, r or
+    product outside the filters raises ValueError, naming `what`."""
+    nf = len(gens)
+    gens = np.asarray(gens, dtype=np.int64)
+    filter_at = np.full(alg.n, UNDEF, dtype=np.int64)  # filter_at[gens[k]] = k
     filter_at[gens] = np.arange(nf)
 
-    def locate(elements: np.ndarray, what: str) -> np.ndarray:
+    def locate(elements: np.ndarray, name: str) -> np.ndarray:
         k = filter_at[elements]
         if (k == UNDEF).any():
-            raise ValueError(f"{what} is not a completely prime filter")
+            raise ValueError(f"{name} is not a {what}")
         return k
 
-    d_idx = locate(q.star[gens], "d(A)")
-    r_idx = locate(q.plus[gens], "r(A)")
+    d_idx = locate(alg.star[gens], "d(A)")
+    r_idx = locate(alg.plus[gens], "r(A)")
     composable = d_idx[:, None] == r_idx[None, :]
-    products = q.mul[np.ix_(gens, gens)][composable]
+    products = alg.mul[np.ix_(gens, gens)][composable]
     comp = np.full((nf, nf), UNDEF, dtype=np.int64)
     comp[composable] = locate(products, "A.B")
 
-    x_masks = [0] * q.n
-    for k, j in enumerate(gens.tolist()):
-        for a in np.flatnonzero(q.leq[j]).tolist():
+    x_masks = [0] * alg.n
+    for k, g in enumerate(gens.tolist()):
+        for a in np.flatnonzero(alg.leq[g]).tolist():
             x_masks[a] |= 1 << k
+    cat = make_category(nf, iter_bits(x_masks[alg.unit]), d_idx, r_idx, comp_table=comp)
+    return cat, x_masks
 
-    cat = make_category(nf, iter_bits(x_masks[q.unit]), d_idx, r_idx, comp_table=comp)
+
+def c_object(q: EhresmannQuantale, max_opens: int = 4096) -> FilterCategoryResult:
+    """C(Q), read off the join-irreducibles as the module docstring says."""
+    filters = enumerate_cp_filters(q)
+    gens = [q.meet_fold(iter_bits(f.members)) for f in filters]  # the least members
+    cat, x_masks = category_on_generators(q, gens, "completely prime filter")
     pis = partial_isometries(q)
     base = {a: x_masks[a] for a in pis}
-    topology = topology_from_base(nf, base.values())
+    topology = topology_from_base(cat.n, base.values())
     if topology.open_count() > max_opens:
         raise BoundExceeded(f"filter topology has {topology.open_count()} opens > {max_opens}")
 
@@ -251,7 +263,7 @@ def c_object(q: EhresmannQuantale, max_opens: int = 4096) -> FilterCategoryResul
     tc = FiniteTopCategory(cat=cat, topology=topology)
     return FilterCategoryResult(topcat=tc, q=q, filters=tuple(filters),
                                 index={f.members: k for k, f in enumerate(filters)},
-                                d_idx=_freeze(d_idx), r_idx=_freeze(r_idx), base=base,
+                                d_idx=cat.d, r_idx=cat.r, base=base,
                                 x_masks=tuple(x_masks))
 
 

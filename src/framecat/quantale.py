@@ -39,6 +39,7 @@ import numpy as np
 from .bits import mask_of
 from .order import FiniteFrame, FiniteLattice, join_irreducibles, validate_frame
 from .reports import Report
+from .topcat import FiniteCategory, FiniteTopCategory, Topology
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,8 +323,6 @@ def validate_rqf(q: EhresmannQuantale) -> Report:
 def cat_of_ehresmann(q: EhresmannQuantale):
     """The category with arrows = elements, a.b defined iff a* = b+,
     d(a) = a*, r(a) = a+, identities = projections; discrete topology."""
-    from .topcat import FiniteCategory, FiniteTopCategory, Topology
-
     n = q.n
     comp = np.full((n, n), -1, dtype=np.int64)
     eq_dr = q.star[:, None] == q.plus[None, :]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -9,7 +10,7 @@ from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, etale_catego
                              free_category_on_acyclic_graph, hand_built_crms,
                              monoid_category, negative_crm_fixture, pair_groupoid,
                              semilattice_monoid_category)
-from framecat.crm import (CompleteRestrictionMonoid, IdealCompletion,
+from framecat.crm import (CompleteRestrictionMonoid, IdealCompletion, SFilterCategory,
                           _compatible_join_table, _partial_join_table,
                           crm_compatible,
                           crm_lub, enumerate_callitic_morphisms,
@@ -26,7 +27,8 @@ from framecat.order import lattice_from_leq
 from framecat.quantale import frame_as_quantale, make_eq, partial_isometries, validate_rqf
 from framecat.reports import BoundExceeded
 from framecat.suite import Instance, ideals_of_isometries_roundtrip, isometries_of_ideals_roundtrip
-from framecat.topcat import validate_covering_functor
+from framecat.topcat import (UNDEF, FiniteTopCategory, make_category, topology_from_base,
+                             validate_covering_functor)
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +48,17 @@ def test_partial_bijection_monoid(i2):
     assert validate_crm(s).ok
     assert carrier[s.zero] == q.bottom
     assert carrier[s.unit] == q.unit
+
+
+def test_pi_restriction_monoid_names_an_operation_leaving_the_isometries(i2):
+    _, carrier, q = i2
+    x, y = [p for p in carrier if not q.leq[p, q.unit]][:2]
+    mul = q.mul.copy()
+    mul[x, y] = q.top  # read by no partial-isometry test: x, y are not projections
+    bad = dataclasses.replace(q, mul=mul)
+    assert partial_isometries(bad) == carrier and q.top not in carrier
+    with pytest.raises(ValueError, match="^mul leaves the partial isometries"):
+        pi_restriction_monoid(bad)
 
 
 def test_crm_of_frame_quantale_is_the_frame():
@@ -580,6 +593,7 @@ def test_l_vee_matches_ideal_search_on_random_categories(tc):
     inst = Instance(tc=tc)
     assert validate_crm(inst.crm).ok
     assert_completion_matches_oracle(inst.crm)
+    assert_s_filters_match_oracle(inst.crm)
     assert ideals_of_isometries_roundtrip(inst) == (True, None, "")
     assert isometries_of_ideals_roundtrip(inst) == (True, None, "")
 
@@ -807,6 +821,79 @@ def test_s_filters_match_oracle_on_corpus_crms():
 def test_s_filters_match_oracle_on_sub_monoids(source):
     for keep, sub in sub_monoids(source)[1]:
         assert s_filters_list(sub) == s_filters_list_oracle(sub), keep
+
+
+def s_filters_oracle(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> SFilterCategory:
+    """The S-filter category by the definitions on whole member sets: d(A)
+    and r(A) are the up-closures of {x* : x in A} and {x+ : x in A}, A.B
+    that of {x.y : x in A, y in B}, the identities are the filters holding a
+    projection, and X_a is the set of filters holding a."""
+    filters = s_filters_list(s)
+    index = {m: i for i, m in enumerate(filters)}
+    nf = len(filters)
+    up = [s.upset_mask(i) for i in range(s.n)]
+
+    def up_close(mask: int) -> int:
+        out = 0
+        for x in iter_bits(mask):
+            out |= up[x]
+        return out
+
+    def locate(mask: int, what: str) -> int:
+        i = index.get(mask)
+        if i is None:
+            raise ValueError(f"{what} is not a completely prime S-filter")
+        return i
+
+    d_idx = np.array([locate(up_close(mask_of(int(s.star[x]) for x in iter_bits(m))), "d(A)")
+                      for m in filters], dtype=np.int64)
+    r_idx = np.array([locate(up_close(mask_of(int(s.plus[x]) for x in iter_bits(m))), "r(A)")
+                      for m in filters], dtype=np.int64)
+    proj_mask = mask_of(s.projections())
+    identities = [k for k, m in enumerate(filters) if m & proj_mask]
+    comp = np.full((nf, nf), UNDEF, dtype=np.int64)
+    for i in range(nf):
+        for j in range(nf):
+            if d_idx[i] != r_idx[j]:
+                continue
+            prods = mask_of(int(s.mul[x, y])
+                            for x in iter_bits(filters[i]) for y in iter_bits(filters[j]))
+            comp[i, j] = locate(up_close(prods), "A.B")
+    cat = make_category(nf, identities, d_idx, r_idx, comp_table=comp)
+    base = [mask_of(k for k, f in enumerate(filters) if has_bit(f, a)) for a in range(s.n)]
+    topology = topology_from_base(nf, base)
+    if topology.open_count() > max_opens:
+        raise BoundExceeded("S-filter topology too large")
+    return SFilterCategory(topcat=FiniteTopCategory(cat=cat, topology=topology),
+                           filters=tuple(filters), index=index, d_idx=d_idx, r_idx=r_idx,
+                           source=s, x_masks=tuple(base))
+
+
+def assert_s_filters_match_oracle(s, where=None):
+    fast, oracle = s_filters(s), s_filters_oracle(s)
+    assert (fast.filters, fast.index) == (oracle.filters, oracle.index), where
+    assert np.array_equal(fast.d_idx, oracle.d_idx), where
+    assert np.array_equal(fast.r_idx, oracle.r_idx), where
+    fast_cat, oracle_cat = fast.topcat.cat, oracle.topcat.cat
+    for table in ("d", "r", "comp"):
+        assert np.array_equal(getattr(fast_cat, table), getattr(oracle_cat, table)), (where, table)
+    assert fast_cat.identity_mask == oracle_cat.identity_mask, where
+    assert fast.topcat.topology.opens == oracle.topcat.topology.opens, where
+    assert fast.x_masks == oracle.x_masks, where
+    assert [fast.x_mask(a) for a in range(s.n)] == list(oracle.x_masks), where
+
+
+@pytest.mark.parametrize("s", _corpus_crm_inputs())
+def test_s_filter_category_matches_oracle_on_corpus(s):
+    assert_s_filters_match_oracle(s)
+
+
+@pytest.mark.parametrize("source", SUB_MONOID_SOURCES)
+def test_s_filter_category_matches_oracle_on_valid_sub_monoids(source):
+    valid = [(keep, sub) for keep, sub in sub_monoids(source)[1] if validate_crm(sub).ok]
+    assert valid
+    for keep, sub in valid:
+        assert_s_filters_match_oracle(sub, keep)
 
 
 def test_no_s_filters_on_the_trivial_monoid():

@@ -5,7 +5,8 @@ from framecat.bits import mask_of
 from framecat.corpus import (chain_frame, cyclic2_category, empty_category,
                              monoid_category, pair_groupoid,
                              parallel_pair_category, parity_pair_groupoid)
-from framecat.duality import (build_chi, build_omega_map,
+from framecat.duality import (AdjunctionReport, build_chi, build_omega_map,
+                              check_transposes,
                               check_naturality_in_category,
                               check_naturality_in_quantale, chi_is_isomorphism,
                               enumerate_covering_functors,
@@ -175,6 +176,46 @@ def test_transposes_are_mutually_inverse_on_all_pairs(pair2, omega_pair2):
     for beta in enumerate_rqf_morphisms(q, om.rqf):
         alpha = transpose_backward(beta, pair2, q, fc, om)
         assert np.array_equal(transpose_forward(alpha, pair2, q, fc, om), beta)
+
+
+def _stub_transpose(table):
+    """The transpose that looks each map up by its single value in table;
+    a value missing from table gives None."""
+    def transpose(m):
+        image = table.get(int(m[0]))
+        return None if image is None else np.array([image], dtype=np.int64)
+    return transpose
+
+
+def _stub_homsets(functors, morphisms):
+    rep = AdjunctionReport()
+    rep.functor_homset = [np.array([f], dtype=np.int64) for f in functors]
+    rep.morphism_homset = [np.array([m], dtype=np.int64) for m in morphisms]
+    return rep
+
+
+def test_check_transposes_accepts_inverse_bijections():
+    rep = _stub_homsets([0, 1], [10, 11])
+    check_transposes(rep, _stub_transpose({0: 11, 1: 10}), _stub_transpose({10: 1, 11: 0}))
+    assert (rep.ok, rep.failures) == (True, [])
+
+
+def test_check_transposes_names_each_failure_in_order():
+    rep = _stub_homsets([0, 1, 2, 3, 4], [10, 11, 12, 13])
+    forward = _stub_transpose({0: 10, 2: 99, 3: 11, 4: 12})  # 1 -> None
+    backward = _stub_transpose({10: 0, 11: 0, 13: 98})        # 12 -> None
+    check_transposes(rep, forward, backward)
+    assert not rep.ok
+    assert rep.failures == [
+        ("forward_transpose_not_in_homset", 1),    # None
+        ("forward_transpose_not_in_homset", 2),    # 99 is not a morphism
+        ("backward_of_forward_not_identity", 3),   # 3 -> 11 -> 0
+        ("backward_of_forward_not_identity", 4),   # 4 -> 12 -> None
+        ("forward_of_backward_not_identity", 1),   # 11 -> 0 -> 10
+        ("backward_transpose_not_in_homset", 2),   # None
+        ("backward_transpose_not_in_homset", 3),   # 98 is not a functor
+        ("homset_sizes_differ", (5, 4)),
+    ]
 
 
 @pytest.mark.parametrize("make,expected", [
