@@ -2,9 +2,12 @@
 frames, proper and callitic morphisms, S-filters and the second adjunction.
 
 The second adjunction is built from the first: its callitic hom-set is
-found by duality.morphism_search, its transposes are checked by
+found by duality.morphism_search, its transposes (transpose_forward_II and
+transpose_backward_II, columns of bit matrices as in duality) are checked by
 duality.check_transposes, and its S-filter category is read off the
 join-primes J(S) by functors.category_on_generators, as C(Q) is off J(Q).
+The join tables of both monoids are built once per callitic enumeration and
+passed to validate_crm_morphism for every candidate.
 
 The carrier stores the natural partial order explicitly.  Binary meets are
 required: the filter and callitic definitions use them, and the partial
@@ -50,7 +53,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bits import has_bit, iter_bits, mask_of
+from .bits import bit_matrix, iter_bits, mask_of, row_masks
 from .duality import (AdjunctionReport, check_transposes, enumerate_covering_functors,
                       morphism_search, positions, search_tables)
 from .functors import OmegaResult, c_object, category_on_generators, omega_object
@@ -422,8 +425,12 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealComple
 # morphisms of complete restriction monoids
 
 def validate_crm_morphism(theta, s: CompleteRestrictionMonoid,
-                          t: CompleteRestrictionMonoid) -> Report:
-    """Monoid + Ehresmann morphism preserving compatible (binary) joins."""
+                          t: CompleteRestrictionMonoid,
+                          s_joins: Optional[np.ndarray] = None,
+                          t_joins: Optional[np.ndarray] = None) -> Report:
+    """Monoid + Ehresmann morphism preserving compatible (binary) joins.
+    The compatible join table of s and the partial join table of t are
+    computed unless given as s_joins and t_joins."""
     theta = np.asarray(theta, dtype=np.int64)
     rep = Report(subject="crm-morphism")
     rep.layers_run.append("crm-morphism")
@@ -441,10 +448,12 @@ def validate_crm_morphism(theta, s: CompleteRestrictionMonoid,
     bad = np.flatnonzero(theta[s.plus] != t.plus[theta])
     if bad.size:
         rep.add("crm_morphism.plus", (int(bad[0]),))
-    s_joins = _compatible_join_table(s)
+    if s_joins is None:
+        s_joins = _compatible_join_table(s)
+    if t_joins is None:
+        t_joins = _partial_join_table(t)
     xs, ys = np.nonzero(np.triu(s_joins >= 0))
-    bad = np.flatnonzero(_partial_join_table(t)[theta[xs], theta[ys]]
-                         != theta[s_joins[xs, ys]])
+    bad = np.flatnonzero(t_joins[theta[xs], theta[ys]] != theta[s_joins[xs, ys]])
     if bad.size:
         rep.add("crm_morphism.compatible_joins", (int(xs[bad[0]]), int(ys[bad[0]])))
     return rep
@@ -567,6 +576,38 @@ def s_filter_bijection(sf: SFilterCategory, lv: IdealCompletion,
 # ---------------------------------------------------------------------------
 # Adjunction Theorem II, corpus-scale
 
+def transpose_forward_II(alpha, sf: SFilterCategory, om: OmegaResult,
+                         carrier: list[int]) -> Optional[np.ndarray]:
+    """covering functor alpha: C -> C(S)  |->  map S -> PI(Omega(C)),
+    a |-> {c : a in alpha(c)}: the columns of the member matrix of the
+    S-filters alpha(c), as positions in carrier; None if one of them is not
+    a partial isometry of Omega(C)."""
+    members = bit_matrix(sf.filters, sf.source.n)
+    pos = positions(om.n, carrier)
+    theta = np.zeros(sf.source.n, dtype=np.int64)
+    for a, open_mask in enumerate(row_masks(members[np.asarray(alpha, dtype=np.int64)].T)):
+        i = om.index.get(open_mask)
+        if i is None or pos[i] < 0:
+            return None
+        theta[a] = pos[i]
+    return theta
+
+
+def transpose_backward_II(theta, tc: FiniteTopCategory, sf: SFilterCategory,
+                          om: OmegaResult, carrier: list[int]) -> Optional[np.ndarray]:
+    """map theta: S -> PI(Omega(C))  |->  arrow map C -> C(S),
+    c |-> {a : c in theta(a)}: the columns of the arrow matrix of the opens
+    theta(a); None if one of them is not an S-filter."""
+    opens = [om.opens[carrier[e]] for e in np.asarray(theta, dtype=np.int64).tolist()]
+    alpha = np.zeros(tc.n, dtype=np.int64)
+    for c, members in enumerate(row_masks(bit_matrix(opens, tc.n).T)):
+        k = sf.index.get(members)
+        if k is None:
+            return None
+        alpha[c] = k
+    return alpha
+
+
 def enumerate_callitic_morphisms(s: CompleteRestrictionMonoid,
                                  t: CompleteRestrictionMonoid,
                                  max_elements: int = 64) -> list[np.ndarray]:
@@ -577,11 +618,13 @@ def enumerate_callitic_morphisms(s: CompleteRestrictionMonoid,
     added, since every search result is kept only if both checks pass."""
     if s.n > max_elements or t.n > max_elements:
         raise BoundExceeded(f"callitic enumeration bounded to {max_elements} elements")
-    found = morphism_search(search_tables(s, list(range(s.n)), s.zero, _compatible_join_table(s)),
-                            search_tables(t, list(range(t.n)), t.zero, _partial_join_table(t)))
+    s_joins, t_joins = _compatible_join_table(s), _partial_join_table(t)
+    found = morphism_search(search_tables(s, list(range(s.n)), s.zero, s_joins),
+                            search_tables(t, list(range(t.n)), t.zero, t_joins))
     thetas = (np.array(images, dtype=np.int64) for images in found)
     return [_freeze(theta) for theta in thetas
-            if validate_crm_morphism(theta, s, t).ok and is_callitic(theta, s, t)[0]]
+            if validate_crm_morphism(theta, s, t, s_joins, t_joins).ok
+            and is_callitic(theta, s, t)[0]]
 
 
 def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
@@ -592,8 +635,9 @@ def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
     """Hom-set bijection between continuous covering functors C -> C(S) and
     callitic morphisms S -> PI(Omega(C)), with the transposes inherited from
     the first adjunction through the monoid/quantal-frame translation:
-    T(alpha)(s) = {c : s in alpha(c)} and B(theta)(c) = {s : c in theta(s)},
-    checked by duality.check_transposes.  `om`, `pi` and `sf` are Omega(C),
+    T(alpha)(s) = {c : s in alpha(c)} and B(theta)(c) = {s : c in theta(s)}
+    (transpose_forward_II and transpose_backward_II), checked by
+    duality.check_transposes.  `om`, `pi` and `sf` are Omega(C),
     PI(Omega(C)) with its carrier, and the S-filter category of S, when
     already built.
     """
@@ -605,32 +649,10 @@ def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
     if om is None:
         om = omega_object(tc)
     t_crm, carrier = pi_restriction_monoid(om.rqf) if pi is None else pi
-    pos = {e: i for i, e in enumerate(carrier)}
 
     rep.functor_homset = enumerate_covering_functors(tc, sf.topcat, max_arrows)
     rep.morphism_homset = enumerate_callitic_morphisms(s, t_crm, max_elements)
 
-    def forward(alpha) -> Optional[np.ndarray]:
-        theta = np.zeros(s.n, dtype=np.int64)
-        for a in range(s.n):
-            open_mask = mask_of(c for c in range(tc.n)
-                                if has_bit(sf.filters[int(alpha[c])], a))
-            i = om.index.get(open_mask)
-            if i is None or i not in pos:
-                return None
-            theta[a] = pos[i]
-        return theta
-
-    def backward(theta) -> Optional[np.ndarray]:
-        alpha = np.zeros(tc.n, dtype=np.int64)
-        for c in range(tc.n):
-            members = mask_of(a for a in range(s.n)
-                              if has_bit(om.opens[carrier[int(theta[a])]], c))
-            k = sf.index.get(members)
-            if k is None:
-                return None
-            alpha[c] = k
-        return alpha
-
-    check_transposes(rep, forward, backward)
+    check_transposes(rep, lambda alpha: transpose_forward_II(alpha, sf, om, carrier),
+                     lambda theta: transpose_backward_II(theta, tc, sf, om, carrier))
     return rep

@@ -8,6 +8,12 @@ exhaustively and the two transposes are checked to be mutually inverse
 bijections between them (check_transposes).  The morphism hom-set is found
 by morphism_search, a backtracking over tables from search_tables.  The
 second adjunction in crm reuses both: one search, one transpose check.
+
+Each transpose reads a membership relation the other way round: the filters
+alpha(c) (or the opens beta(q)) become the rows of one bool matrix
+(bits.bit_matrix), and its columns, packed back by bits.row_masks, are the
+sets {c : q in alpha(c)} (or {q : c in beta(q)}).  build_omega_map reads
+the filters O_x off the columns of the opens the same way.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .bits import has_bit, iter_bits, mask_of
+from .bits import bit_matrix, iter_bits, mask_of, row_masks
 from .functors import (FilterCategoryResult, OmegaResult, c_morphism, c_object,
                        omega_morphism, omega_object)
 from .order import _freeze
@@ -148,8 +154,7 @@ def build_omega_map(tc: FiniteTopCategory, om: Optional[OmegaResult] = None,
     if fc is None:
         fc = c_object(om.rqf, max_opens=1 << 20)
     omega = np.zeros(tc.n, dtype=np.int64)
-    for x in range(tc.n):
-        members = mask_of(i for i, u in enumerate(om.opens) if has_bit(u, x))
+    for x, members in enumerate(row_masks(bit_matrix(om.opens, tc.n).T)):
         omega[x] = fc.filter_of(members, f"O_{x}")
     rep = validate_covering_functor(omega, tc.cat, fc.topcat.cat)
     rep.subject = "omega-map"
@@ -157,9 +162,8 @@ def build_omega_map(tc: FiniteTopCategory, om: Optional[OmegaResult] = None,
     if not ok:
         rep.add("omega.continuous", (wit,))
     # omega^{-1}(X_U) = U, per element of Omega(C)
-    for i in range(om.n):
-        xu = fc.x_mask(i)
-        pre = mask_of(x for x in range(tc.n) if has_bit(xu, int(omega[x])))
+    x_sets = bit_matrix([fc.x_mask(i) for i in range(om.n)], fc.n)
+    for i, pre in enumerate(row_masks(x_sets[:, omega])):
         if pre != om.opens[i]:
             rep.add("omega.preimage_of_xset", (i,))
             break
@@ -208,13 +212,13 @@ def omega_is_isomorphism(tc: FiniteTopCategory, res: OmegaMapResult) -> tuple[bo
 def transpose_forward(alpha, tc: FiniteTopCategory, q: EhresmannQuantale,
                       fc: FilterCategoryResult, om: OmegaResult) -> np.ndarray:
     """covering functor alpha: C -> C(Q)  |->  morphism Q -> Omega(C),
-    q |-> alpha^{-1}(X_q) = {c : q in alpha(c)}."""
+    q |-> alpha^{-1}(X_q) = {c : q in alpha(c)}: the columns of the member
+    matrix of the filters alpha(c)."""
     alpha = np.asarray(alpha, dtype=np.int64)
+    members = bit_matrix([f.members for f in fc.filters], q.n)
     out = np.zeros(q.n, dtype=np.int64)
-    for a in range(q.n):
-        members = mask_of(c for c in range(tc.n)
-                          if has_bit(fc.filters[int(alpha[c])].members, a))
-        i = om.index.get(members)
+    for a, open_mask in enumerate(row_masks(members[alpha].T)):
+        i = om.index.get(open_mask)
         if i is None:
             raise ValueError(f"transpose of alpha is not open at element {a}")
         out[a] = i
@@ -224,11 +228,11 @@ def transpose_forward(alpha, tc: FiniteTopCategory, q: EhresmannQuantale,
 def transpose_backward(beta, tc: FiniteTopCategory, q: EhresmannQuantale,
                        fc: FilterCategoryResult, om: OmegaResult) -> np.ndarray:
     """morphism beta: Q -> Omega(C)  |->  functor C -> C(Q),
-    c |-> beta^{-1}(O_c) = {q : c in beta(q)}."""
-    beta = np.asarray(beta, dtype=np.int64)
+    c |-> beta^{-1}(O_c) = {q : c in beta(q)}: the columns of the arrow
+    matrix of the opens beta(q)."""
+    opens = [om.opens[b] for b in np.asarray(beta, dtype=np.int64).tolist()]
     out = np.zeros(tc.n, dtype=np.int64)
-    for c in range(tc.n):
-        members = mask_of(a for a in range(q.n) if has_bit(om.opens[int(beta[a])], c))
+    for c, members in enumerate(row_masks(bit_matrix(opens, tc.n).T)):
         out[c] = fc.filter_of(members, f"beta^-1(O_{c})")
     return _freeze(out)
 
@@ -425,13 +429,13 @@ def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
     r_pis = partial_isometries(r)
     found = morphism_search(search_tables(q, q_pis, q.bottom, q.join),
                             search_tables(r, r_pis, r.bottom, r.join))
-    pis_below = [np.flatnonzero(col).tolist() for col in q.leq[q_pis, :].T]
+    above = q.leq[q_pis, :]  # above[i, e]: the i-th PI is below e
     out = []
     seen = set()
     for images in found:
-        a = [r_pis[t] for t in images]
-        theta = np.array([r.join_fold([a[i] for i in below]) for below in pis_below],
-                         dtype=np.int64)
+        theta = np.full(q.n, r.bottom, dtype=np.int64)
+        for i, t in enumerate(images):
+            theta = np.where(above[i], r.join[theta, r_pis[t]], theta)
         key = theta.tobytes()
         if key in seen:
             continue

@@ -24,7 +24,11 @@ reading.
 
 Quantale elements of an omega result are indexed by their open set's arrow
 bitmask in ascending order, so for discrete topologies index == mask and
-the whole table construction vectorizes.
+the whole table construction vectorizes: _omega_discrete builds star, plus
+and the products U.{v} by doubling, the masks in [2^j, 2^(j+1)) being those
+below 2^j with arrow j added, and then mul one block of columns per arrow
+the same way.  omega_morphism and c_morphism gather columns of the bit
+matrix (bits.bit_matrix) of the opens or filter members at once.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bits import full_mask, has_bit, iter_bits, is_submask, mask_of
+from .bits import bit_matrix, full_mask, iter_bits, is_submask, mask_of, row_masks
 from .order import (FiniteLattice, FiniteTopSpace, _freeze, enumerate_cp_filters,
                     pt_topology, subframe)
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
@@ -81,23 +85,21 @@ def _omega_discrete(tc: FiniteTopCategory) -> OmegaResult:
     frame = FiniteLattice(nq, _freeze(leq), _freeze(meet), _freeze(join),
                           bottom=0, top=nq - 1)
 
-    dbit = np.array([1 << int(cat.d[a]) for a in range(k)], dtype=np.int64)
-    rbit = np.array([1 << int(cat.r[a]) for a in range(k)], dtype=np.int64)
+    # the masks in [2^j, 2^(j+1)) are those in [0, 2^j) with arrow j added:
+    # single[U, v] = U.{v}, then mul[U, V] is the union of U.{v} over v in V
+    comp = np.where(cat.comp == UNDEF, 0, np.left_shift(1, np.maximum(cat.comp, 0)))
     star = np.zeros(nq, dtype=np.int64)
     plus = np.zeros(nq, dtype=np.int64)
-    for v in range(k):
-        sel = (masks >> v) & 1 == 1
-        star[sel] |= dbit[v]
-        plus[sel] |= rbit[v]
-
+    single = np.zeros((nq, k), dtype=np.int64)
     mul = np.zeros((nq, nq), dtype=np.int64)
-    for v in range(k):
-        single = np.zeros(nq, dtype=np.int64)  # U . {v}
-        for u in range(k):
-            w = int(cat.comp[u, v])
-            if w != UNDEF:
-                single[(masks >> u) & 1 == 1] |= 1 << w
-        mul[:, (masks >> v) & 1 == 1] |= single[:, None]
+    for j in range(k):
+        lo = 1 << j
+        star[lo:2 * lo] = star[:lo] | 1 << int(cat.d[j])
+        plus[lo:2 * lo] = plus[:lo] | 1 << int(cat.r[j])
+        single[lo:2 * lo] = single[:lo] | comp[j]
+    for j in range(k):
+        lo = 1 << j
+        mul[:, lo:2 * lo] = mul[:, :lo] | single[:, j:j + 1]
 
     q = make_eq(frame, mul, int(cat.identity_mask), star, plus)
     opens = tuple(int(m) for m in masks)
@@ -165,10 +167,9 @@ def omega_morphism(fmap, om_src: OmegaResult, om_dst: OmegaResult) -> np.ndarray
     """The element map Omega(D) -> Omega(C) induced by a continuous covering
     functor F: C -> D, sending an open U of D to its preimage in C."""
     fmap = np.asarray(fmap, dtype=np.int64)
-    n_arrows = om_src.source.n
+    opens = bit_matrix(om_dst.opens, om_dst.source.n)
     out = np.zeros(om_dst.n, dtype=np.int64)
-    for i, u_mask in enumerate(om_dst.opens):
-        pre = mask_of(a for a in range(n_arrows) if has_bit(u_mask, int(fmap[a])))
+    for i, (u_mask, pre) in enumerate(zip(om_dst.opens, row_masks(opens[:, fmap]))):
         j = om_src.index.get(pre)
         if j is None:
             raise ValueError(f"preimage of open {u_mask} is not open; functor not continuous")
@@ -271,10 +272,9 @@ def c_morphism(phi, fc_src: FilterCategoryResult, fc_dst: FilterCategoryResult) 
     """The functor C(S) -> C(R) induced by an RQF morphism phi: R -> S,
     sending a filter B of S to its preimage in R."""
     phi = np.asarray(phi, dtype=np.int64)
-    n_r = fc_src.q.n
+    members = bit_matrix([b.members for b in fc_dst.filters], fc_dst.q.n)
     out = np.zeros(fc_dst.n, dtype=np.int64)
-    for j, b in enumerate(fc_dst.filters):
-        pre = mask_of(x for x in range(n_r) if has_bit(b.members, int(phi[x])))
+    for j, pre in enumerate(row_masks(members[:, phi])):
         out[j] = fc_src.filter_of(pre, "preimage filter")
     return _freeze(out)
 

@@ -3,12 +3,12 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from framecat.bits import has_bit, is_submask, iter_bits, mask_of
-from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, etale_categories,
-                             free_category_on_acyclic_graph, hand_built_crms,
-                             monoid_category, negative_crm_fixture, pair_groupoid,
+from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, empty_category,
+                             etale_categories, hand_built_crms, monoid_category,
+                             negative_crm_fixture, pair_groupoid,
                              semilattice_monoid_category)
 from framecat.crm import (CompleteRestrictionMonoid, IdealCompletion, SFilterCategory,
                           _compatible_join_table, _partial_join_table,
@@ -17,10 +17,10 @@ from framecat.crm import (CompleteRestrictionMonoid, IdealCompletion, SFilterCat
                           is_callitic, is_proper, join_primes, l_vee, make_crm,
                           pi_restriction_monoid, preserves_finite_meets,
                           s_filter_bijection, s_filters, s_filters_list,
-                          theta_extension,
+                          theta_extension, transpose_backward_II, transpose_forward_II,
                           validate_crm, validate_crm_morphism,
                           verify_adjunction_II)
-from framecat.duality import (find_category_isomorphism,
+from framecat.duality import (enumerate_covering_functors, find_category_isomorphism,
                               quantale_isomorphism_ok, verify_adjunction_I)
 from framecat.functors import c_object, omega_object
 from framecat.order import lattice_from_leq
@@ -29,6 +29,8 @@ from framecat.reports import BoundExceeded
 from framecat.suite import Instance, ideals_of_isometries_roundtrip, isometries_of_ideals_roundtrip
 from framecat.topcat import (UNDEF, FiniteTopCategory, make_category, topology_from_base,
                              validate_covering_functor)
+from map_oracles import assert_transposes_match_oracles, map_outcome, small_corpus_categories
+from random_categories import small_categories
 
 
 @pytest.fixture(scope="module")
@@ -563,30 +565,6 @@ def test_l_vee_matches_ideal_search_on_valid_sub_monoids(source):
         assert_completion_matches_oracle(sub, keep)
 
 
-@st.composite
-def small_categories(draw):
-    """Discrete categories with at most 8 arrows (256 opens): the monoid
-    generated by one or two random self-maps of a 3-set, or the free
-    category on a random acyclic graph with at most 3 objects."""
-    if draw(st.booleans()):
-        gens = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=2))
-        elements = [(0, 1, 2)]
-        for f in elements:  # grows while it is walked: the closure under gens
-            for g in gens:
-                fg = tuple(f[x] for x in g)
-                if fg not in elements:
-                    elements.append(fg)
-            assume(len(elements) <= 8)
-        return monoid_category([[elements.index(tuple(f[x] for x in g)) for g in elements]
-                                for f in elements])
-    n = draw(st.integers(1, 3))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
-    tc = free_category_on_acyclic_graph(n, edges)
-    assume(tc.n <= 8)
-    return tc
-
-
 @settings(max_examples=60, deadline=None)
 @given(small_categories())
 def test_l_vee_matches_ideal_search_on_random_categories(tc):
@@ -995,3 +973,78 @@ def test_callitic_enumeration_on_semilattice_monoid():
     for theta in morphs:
         assert validate_crm_morphism(theta, s, s).ok
         assert is_callitic(theta, s, s)[0]
+
+
+# ---------------------------------------------------------------------------
+# the second adjunction's transposes against the element-by-element closures
+# verify_adjunction_II had before they worked on whole bit matrices
+
+def transpose_forward_II_oracle(alpha, tc, s, sf, om, carrier):
+    pos = {e: i for i, e in enumerate(carrier)}
+    theta = np.zeros(s.n, dtype=np.int64)
+    for a in range(s.n):
+        open_mask = mask_of(c for c in range(tc.n)
+                            if has_bit(sf.filters[int(alpha[c])], a))
+        i = om.index.get(open_mask)
+        if i is None or i not in pos:
+            return None
+        theta[a] = pos[i]
+    return theta
+
+
+def transpose_backward_II_oracle(theta, tc, s, sf, om, carrier):
+    alpha = np.zeros(tc.n, dtype=np.int64)
+    for c in range(tc.n):
+        members = mask_of(a for a in range(s.n)
+                          if has_bit(om.opens[carrier[int(theta[a])]], c))
+        k = sf.index.get(members)
+        if k is None:
+            return None
+        alpha[c] = k
+    return alpha
+
+
+def adjunction_II_transposes(tc, s):
+    """forward, its oracle, backward, its oracle, each taking the map alone,
+    and the S-filter category and PI(Omega(C))."""
+    sf = s_filters(s)
+    om = omega_object(tc)
+    t, carrier = pi_restriction_monoid(om.rqf)
+    return (lambda m: transpose_forward_II(m, sf, om, carrier),
+            lambda m: transpose_forward_II_oracle(m, tc, s, sf, om, carrier),
+            lambda m: transpose_backward_II(m, tc, sf, om, carrier),
+            lambda m: transpose_backward_II_oracle(m, tc, s, sf, om, carrier)), sf, t
+
+
+def assert_transposes_II_match_oracles(tc, s):
+    transposes, sf, t = adjunction_II_transposes(tc, s)
+    functors = enumerate_covering_functors(tc, sf.topcat)
+    morphisms = enumerate_callitic_morphisms(s, t, max_elements=1024)
+    assert_transposes_match_oracles(*transposes, functors, morphisms, sf.n, t.n)
+    return len(functors), len(morphisms)
+
+
+@pytest.mark.parametrize("name2,tc2", small_corpus_categories())
+def test_transposes_II_match_oracles_on_small_corpus_pairs(name2, tc2):
+    s, _ = pi_restriction_monoid(omega_object(tc2).rqf)
+    for name1, tc1 in small_corpus_categories():
+        assert_transposes_II_match_oracles(tc1, s)
+
+
+def test_transposes_II_match_oracles_on_pair3(pair3):
+    s, _ = pi_restriction_monoid(omega_object(pair3).rqf)
+    assert assert_transposes_II_match_oracles(pair3, s) == (6, 6)
+
+
+def test_transposes_II_match_oracles_on_an_empty_s_filter_category():
+    s = make_crm(1, [[True]], [[0]], 0, 0, [0], [0], [[0]])
+    assert s_filters(s).n == 0
+    assert assert_transposes_II_match_oracles(empty_category(), s) == (1, 1)
+    # one arrow, no S-filter to send it to
+    (forward, forward_oracle, backward, backward_oracle), _, t = \
+        adjunction_II_transposes(monoid_category([[0]]), s)
+    alpha = np.zeros(1, dtype=np.int64)
+    assert map_outcome(forward, alpha) == map_outcome(forward_oracle, alpha) == ("IndexError",)
+    for e in range(t.n):
+        theta = np.array([e], dtype=np.int64)
+        assert map_outcome(backward, theta) == map_outcome(backward_oracle, theta) is None

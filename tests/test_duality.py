@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framecat.bits import mask_of
+from framecat.bits import has_bit, mask_of
 from framecat.corpus import (chain_frame, cyclic2_category, empty_category,
                              monoid_category, pair_groupoid,
                              parallel_pair_category, parity_pair_groupoid)
@@ -17,6 +17,7 @@ from framecat.duality import (AdjunctionReport, build_chi, build_omega_map,
                               validate_rqf_morphism, verify_adjunction_I)
 from framecat.functors import c_object, omega_morphism, omega_object
 from framecat.quantale import frame_as_quantale
+from map_oracles import assert_transposes_match_oracles, map_outcome, small_corpus_categories
 
 
 # ---------------------------------------------------------------------------
@@ -276,3 +277,80 @@ def test_quantale_isomorphism_check(omega_pair2):
     assert quantale_isomorphism_ok(psi, q, q)
     not_bij = np.zeros(16, dtype=np.int64)
     assert not quantale_isomorphism_ok(not_bij, q, q)
+
+
+# ---------------------------------------------------------------------------
+# the transposes against the element-by-element bodies they had before they
+# worked on whole bit matrices: same image or same ValueError text, on every
+# hom-set member of the small corpus pairs and of pair3, and on one-value
+# perturbations of each
+
+def transpose_forward_oracle(alpha, tc, q, fc, om):
+    alpha = np.asarray(alpha, dtype=np.int64)
+    out = np.zeros(q.n, dtype=np.int64)
+    for a in range(q.n):
+        members = mask_of(c for c in range(tc.n)
+                          if has_bit(fc.filters[int(alpha[c])].members, a))
+        i = om.index.get(members)
+        if i is None:
+            raise ValueError(f"transpose of alpha is not open at element {a}")
+        out[a] = i
+    return out
+
+
+def transpose_backward_oracle(beta, tc, q, fc, om):
+    beta = np.asarray(beta, dtype=np.int64)
+    out = np.zeros(tc.n, dtype=np.int64)
+    for c in range(tc.n):
+        members = mask_of(a for a in range(q.n) if has_bit(om.opens[int(beta[a])], c))
+        out[c] = fc.filter_of(members, f"beta^-1(O_{c})")
+    return out
+
+
+def adjunction_I_transposes(tc, q, fc, om):
+    """forward, its oracle, backward, its oracle, each taking the map alone."""
+    return (lambda m: transpose_forward(m, tc, q, fc, om),
+            lambda m: transpose_forward_oracle(m, tc, q, fc, om),
+            lambda m: transpose_backward(m, tc, q, fc, om),
+            lambda m: transpose_backward_oracle(m, tc, q, fc, om))
+
+
+@pytest.mark.parametrize("name2,tc2", small_corpus_categories())
+def test_transposes_match_oracles_on_small_corpus_pairs(name2, tc2):
+    q = omega_object(tc2).rqf
+    fc = c_object(q)
+    for name1, tc1 in small_corpus_categories():
+        om = omega_object(tc1)
+        functors = enumerate_covering_functors(tc1, fc.topcat)
+        morphisms = enumerate_rqf_morphisms(q, om.rqf, max_elements=1024)
+        assert_transposes_match_oracles(*adjunction_I_transposes(tc1, q, fc, om),
+                                        functors, morphisms, fc.n, om.n)
+
+
+def test_transposes_match_oracles_on_pair3(pair3, omega_pair3):
+    q = omega_pair3.rqf
+    fc = c_object(q)
+    functors = enumerate_covering_functors(pair3, fc.topcat)
+    morphisms = enumerate_rqf_morphisms(q, omega_pair3.rqf, max_elements=1024)
+    assert len(functors) == len(morphisms) == 6
+    assert_transposes_match_oracles(*adjunction_I_transposes(pair3, q, fc, omega_pair3),
+                                    functors, morphisms, fc.n, omega_pair3.n)
+
+
+def test_transposes_match_oracles_on_degenerate_shapes():
+    # no arrows on either side; one arrow and no filter to send it to
+    triv_q = omega_object(empty_category()).rqf
+    triv_fc = c_object(triv_q)
+    assert triv_fc.n == 0
+    for tc in (empty_category(), monoid_category([[0]])):
+        om = omega_object(tc)
+        forward, forward_oracle, backward, backward_oracle = \
+            adjunction_I_transposes(tc, triv_q, triv_fc, om)
+        alpha = np.zeros(tc.n, dtype=np.int64)
+        assert map_outcome(forward, alpha) == map_outcome(forward_oracle, alpha)
+        for beta in range(om.n):
+            m = np.array([beta], dtype=np.int64)
+            assert map_outcome(backward, m) == map_outcome(backward_oracle, m)
+    # the last case: the one arrow lies in no open beta(q) of the bottom
+    assert map_outcome(backward, np.array([0])) == (
+        "ValueError", "beta^-1(O_0) is not a completely prime filter")

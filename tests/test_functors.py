@@ -2,21 +2,25 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from framecat.bits import has_bit, iter_bits, mask_of
 from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, empty_category,
-                             monoid_category, parity_pair_groupoid)
+                             etale_categories, monoid_category, parity_pair_groupoid)
 from framecat.crm import l_vee
-from framecat.duality import validate_rqf_morphism
+from framecat.duality import (build_omega_map, enumerate_covering_functors,
+                              enumerate_rqf_morphisms, validate_rqf_morphism)
 from framecat.functors import (c_morphism, c_object, identity_space_vs_pt,
                                omega_morphism, omega_object)
 from framecat.order import enumerate_cp_filters, frame_from_leq, subframe
 from framecat.quantale import (frame_as_quantale, partial_isometries,
                                validate_rqf)
 from framecat.reports import BoundExceeded
-from framecat.topcat import (UNDEF, identity_functor, is_etale, make_category,
-                             topology_from_base, validate_category,
+from framecat.topcat import (UNDEF, continuity_check, identity_functor, is_etale,
+                             make_category, topology_from_base, validate_category,
                              validate_covering_functor, validate_topcategory)
+from map_oracles import map_outcome, one_value_perturbations, small_corpus_categories
+from random_categories import small_categories
 
 
 # ---------------------------------------------------------------------------
@@ -484,3 +488,150 @@ def test_c_contravariant_composition(fc_pair2, omega_pair2):
             lhs = c_morphism(comp, fc_pair2, fc_pair2)
             rhs = c_morphism(p1, fc_pair2, fc_pair2)[c_morphism(p2, fc_pair2, fc_pair2)]
             assert np.array_equal(lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# Omega's tables and the maps omega_morphism, c_morphism and build_omega_map
+# against the element-by-element bodies they had before they worked on whole
+# bit matrices and built the products by doubling
+
+def omega_discrete_tables_oracle(tc):
+    """mul, star and plus of Omega(C) for a discrete C, indexed by mask."""
+    cat = tc.cat
+    k = cat.n
+    nq = 1 << k
+    masks = np.arange(nq, dtype=np.int64)
+    dbit = np.array([1 << int(cat.d[a]) for a in range(k)], dtype=np.int64)
+    rbit = np.array([1 << int(cat.r[a]) for a in range(k)], dtype=np.int64)
+    star = np.zeros(nq, dtype=np.int64)
+    plus = np.zeros(nq, dtype=np.int64)
+    for v in range(k):
+        sel = (masks >> v) & 1 == 1
+        star[sel] |= dbit[v]
+        plus[sel] |= rbit[v]
+    mul = np.zeros((nq, nq), dtype=np.int64)
+    for v in range(k):
+        single = np.zeros(nq, dtype=np.int64)  # U . {v}
+        for u in range(k):
+            w = int(cat.comp[u, v])
+            if w != UNDEF:
+                single[(masks >> u) & 1 == 1] |= 1 << w
+        mul[:, (masks >> v) & 1 == 1] |= single[:, None]
+    return mul, star, plus
+
+
+def assert_omega_tables_match_oracle(tc):
+    q = omega_object(tc).rqf
+    mul, star, plus = omega_discrete_tables_oracle(tc)
+    assert np.array_equal(q.mul, mul)
+    assert np.array_equal(q.star, star)
+    assert np.array_equal(q.plus, plus)
+
+
+@pytest.mark.parametrize("name,tc", [(i.name, i.obj) for i in etale_categories()
+                                     if i.obj.topology.is_discrete])
+def test_omega_tables_match_oracle_on_discrete_corpus_categories(name, tc):
+    assert_omega_tables_match_oracle(tc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_categories())
+def test_omega_tables_match_oracle_on_random_categories(tc):
+    assert_omega_tables_match_oracle(tc)
+
+
+def omega_morphism_oracle(fmap, om_src, om_dst):
+    fmap = np.asarray(fmap, dtype=np.int64)
+    n_arrows = om_src.source.n
+    out = np.zeros(om_dst.n, dtype=np.int64)
+    for i, u_mask in enumerate(om_dst.opens):
+        pre = mask_of(a for a in range(n_arrows) if has_bit(u_mask, int(fmap[a])))
+        j = om_src.index.get(pre)
+        if j is None:
+            raise ValueError(f"preimage of open {u_mask} is not open; functor not continuous")
+        out[i] = j
+    return out
+
+
+def c_morphism_oracle(phi, fc_src, fc_dst):
+    phi = np.asarray(phi, dtype=np.int64)
+    n_r = fc_src.q.n
+    out = np.zeros(fc_dst.n, dtype=np.int64)
+    for j, b in enumerate(fc_dst.filters):
+        pre = mask_of(x for x in range(n_r) if has_bit(b.members, int(phi[x])))
+        out[j] = fc_src.filter_of(pre, "preimage filter")
+    return out
+
+
+def build_omega_map_oracle(tc, om, fc):
+    """The omega map and the laws its report names, with their witnesses."""
+    omega = np.zeros(tc.n, dtype=np.int64)
+    for x in range(tc.n):
+        members = mask_of(i for i, u in enumerate(om.opens) if has_bit(u, x))
+        omega[x] = fc.filter_of(members, f"O_{x}")
+    rep = validate_covering_functor(omega, tc.cat, fc.topcat.cat)
+    ok, wit = continuity_check(omega, tc, fc.topcat)
+    if not ok:
+        rep.add("omega.continuous", (wit,))
+    for i in range(om.n):
+        xu = fc.x_mask(i)
+        pre = mask_of(x for x in range(tc.n) if has_bit(xu, int(omega[x])))
+        if pre != om.opens[i]:
+            rep.add("omega.preimage_of_xset", (i,))
+            break
+    return omega, [(v.law, v.witness) for v in rep.violations]
+
+
+@pytest.mark.parametrize("name,tc", [(i.name, i.obj) for i in etale_categories()])
+def test_build_omega_map_matches_oracle_on_corpus_categories(name, tc):
+    om = omega_object(tc)
+    fc = c_object(om.rqf, max_opens=1 << 20)
+    res = build_omega_map(tc, om, fc)
+    omega, laws = build_omega_map_oracle(tc, om, fc)
+    assert res.omega.tolist() == omega.tolist()
+    assert [(v.law, v.witness) for v in res.report.violations] == laws
+
+
+def omega_morphisms_checked(tc1, tc2, om1, om2) -> int:
+    """Compare omega_morphism with its oracle on every covering functor
+    tc1 -> tc2 and each one-value perturbation of it; the number compared."""
+    checked = 0
+    for f in enumerate_covering_functors(tc1, tc2):
+        for m in (f, *one_value_perturbations(f, tc2.n)):
+            assert (map_outcome(omega_morphism, m, om1, om2)
+                    == map_outcome(omega_morphism_oracle, m, om1, om2))
+            checked += 1
+    return checked
+
+
+def test_omega_morphism_matches_oracle_on_covering_functors(pair3, omega_pair3):
+    """Between any two small corpus categories, and from pair3 to itself."""
+    categories = small_corpus_categories()
+    omegas = [omega_object(tc) for _, tc in categories]
+    checked = sum(omega_morphisms_checked(tc1, tc2, om1, om2)
+                  for (_, tc1), om1 in zip(categories, omegas)
+                  for (_, tc2), om2 in zip(categories, omegas))
+    assert checked > 50
+    assert omega_morphisms_checked(pair3, pair3, omega_pair3, omega_pair3) == 6 * 10
+
+
+def test_c_morphism_matches_oracle_on_rqf_morphisms(omega_pair3):
+    """Every RQF morphism between two corpus rqfs with at most 16 elements
+    and each one-value perturbation of it; the six automorphisms of
+    Omega(pair3), unperturbed (the oracle takes ~3 ms per call there)."""
+    rqfs = [(i.name, i.obj) for i in corpus_rqfs() if i.obj.n <= 16]
+    fcs = {name: c_object(q) for name, q in rqfs}
+    checked = 0
+    for name_r, r in rqfs:
+        for name_s, q_s in rqfs:
+            args = (fcs[name_r], fcs[name_s])
+            for phi in enumerate_rqf_morphisms(r, q_s):
+                for m in (phi, *one_value_perturbations(phi, q_s.n)):
+                    assert (map_outcome(c_morphism, m, *args)
+                            == map_outcome(c_morphism_oracle, m, *args))
+                    checked += 1
+    assert checked > 100
+    q3 = omega_pair3.rqf
+    fc3 = c_object(q3)
+    for phi in enumerate_rqf_morphisms(q3, q3, max_elements=1024):
+        assert c_morphism(phi, fc3, fc3).tolist() == c_morphism_oracle(phi, fc3, fc3).tolist()

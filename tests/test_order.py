@@ -657,3 +657,70 @@ def test_fast_paths_match_references_on_moved_bottom_and_top(lat):
 def test_bruteforce_oracle_refuses_frames_above_its_limit():
     with pytest.raises(ValueError, match="at most 64 elements"):
         cp_filters_bruteforce(chain_frame(65))
+
+
+# ---------------------------------------------------------------------------
+# a filter oracle on the principal up-sets held as boolean rows: it needs no
+# uint64 masks, so it reaches the 512-element frame of Omega(pair3), which
+# cp_filters_bruteforce refuses
+
+def principal_upset_filters(f, literal_primality: bool = False) -> list[CPFilter]:
+    """The completely prime filters of f, each principal up-set tested
+    against the conditions literally.  A filter is closed upwards and under
+    binary meets, so it holds the meet of its finitely many members and is
+    principal: no candidate is missed.
+
+    Each up-set U is a boolean row; it must be closed upwards, closed under
+    binary meets (row by row) and prime.  Primality is tested in one of two
+    equivalent forms.  By default: the join of everything outside U lies
+    outside U, since for U closed upwards some set outside U joins into U
+    iff the join of all of them does.  With literal_primality: the bottom,
+    the empty join, lies outside U, and so does the join of any two elements
+    outside U (complete primality reduces to binary by finite induction)."""
+    n = f.n
+    rows = np.asarray(f.leq, dtype=bool)  # row x: the up-set of x
+    outside_join = np.full(n, f.bottom, dtype=np.int64)  # the join of each complement
+    for x in range(n):
+        outside_join = np.where(rows[:, x], outside_join, f.join[outside_join, x])
+    out = []
+    for x, up in enumerate(rows):
+        inside, outside = np.flatnonzero(up), np.flatnonzero(~up)
+        if (rows[inside] & ~up).any() or not up[f.meet[np.ix_(inside, inside)]].all():
+            continue
+        if literal_primality:
+            prime = not up[f.bottom] and not up[f.join[np.ix_(outside, outside)]].any()
+        else:
+            prime = not up[outside_join[x]]
+        if prime:
+            out.append(CPFilter(int(outside_join[x]), int(sum(1 << int(y) for y in inside))))
+    return sorted(out, key=lambda c: c.cogenerator)
+
+
+def _filter_pairs(filters):
+    return [(c.cogenerator, c.members) for c in filters]
+
+
+def assert_principal_upset_forms_agree(f):
+    by_join = _filter_pairs(principal_upset_filters(f))
+    assert by_join == _filter_pairs(principal_upset_filters(f, literal_primality=True))
+    assert by_join == _filter_pairs(cp_filters_bruteforce(f))
+
+
+@pytest.mark.parametrize("lat", [p for p in _corpus_lattices()
+                                 if p.values[0].n <= 64 and validate_frame(p.values[0]).ok])
+def test_principal_upset_oracle_forms_agree_on_frames_up_to_64(lat):
+    assert_principal_upset_forms_agree(lat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_frames())
+def test_principal_upset_oracle_forms_agree_on_downset_lattices(f):
+    assert_principal_upset_forms_agree(f)
+
+
+def test_principal_upset_oracle_on_the_frame_of_omega_pair3(omega_pair3):
+    q = omega_pair3.rqf
+    assert q.n == 512 > BRUTEFORCE_MAX_ELEMENTS
+    filters = _filter_pairs(principal_upset_filters(q))
+    assert len(filters) == 9  # one per arrow of the pair groupoid
+    assert filters == _filter_pairs(enumerate_cp_filters(q))
