@@ -1,13 +1,25 @@
 """Comparison maps, spatiality/sobriety, morphism validation, hom-set
 enumeration and the machine check of the first adjunction theorem.
 
+An rqf morphism between valid rqfs is decided on the join-irreducibles J of
+its source (validate_rqf_morphism): joins as "theta(a) is the join of the
+theta(j) below a", meets and mul on J x J, star and plus on J, by
+distributivity and join-primeness (Birkhoff; Davey & Priestley,
+Introduction to Lattices and Order, ch. 5).  That is O(n |J| + |J|^2)
+instead of three n-by-n gathers.  When a law fails there, the exhaustive
+scan_rqf_morphism runs and its report is returned; a morphism whose
+endpoints are not known to be valid goes to the scan directly.
+
 chi sends a quantale element a to the set X_a of completely prime filters
 containing it; omega sends an arrow x to the filter O_x of opens containing
 it.  The adjunction is verified literally: both hom-sets are enumerated
 exhaustively and the two transposes are checked to be mutually inverse
 bijections between them (check_transposes).  The morphism hom-set is found
-by morphism_search, a backtracking over tables from search_tables.  The
-second adjunction in crm reuses both: one search, one transpose check.
+by morphism_search, a backtracking over tables from search_tables; the
+functor hom-set by a backtracking over arrow maps that prunes by d, r,
+composition and the injective half of the covering condition.  The
+second adjunction in crm reuses the functor search, morphism_search and
+check_transposes.
 
 Each transpose reads a membership relation the other way round: the filters
 alpha(c) (or the opens beta(q)) become the rows of one bool matrix
@@ -26,7 +38,7 @@ import numpy as np
 from .bits import bit_matrix, iter_bits, mask_of, row_masks
 from .functors import (FilterCategoryResult, OmegaResult, c_morphism, c_object,
                        omega_morphism, omega_object)
-from .order import _freeze
+from .order import _freeze, join_irreducibles
 from .quantale import EhresmannQuantale, partial_isometries
 from .reports import BoundExceeded, Report
 from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
@@ -38,11 +50,69 @@ from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
 
 def validate_rqf_morphism(theta, q: EhresmannQuantale, r: EhresmannQuantale,
                           q_pis: Optional[list[int]] = None,
-                          r_pis: Optional[list[int]] = None) -> Report:
-    """The five defining conditions, each checked exhaustively:
-    all joins, finite meets, Ehresmann + semigroup morphism, top and unit,
-    partial isometries to partial isometries.  The partial isometries of q
-    and r are computed unless given as q_pis and r_pis."""
+                          r_pis: Optional[list[int]] = None,
+                          q_js: Optional[list[int]] = None) -> Report:
+    """The report of scan_rqf_morphism, decided on the join-irreducibles J
+    of q (order.join_irreducibles), computed unless given as q_js; the
+    partial isometries of q and r are computed unless given as q_pis and
+    r_pis.
+
+    Precondition: q and r are valid rqfs (validate_rqf passes); for other
+    endpoints run scan_rqf_morphism.  Every j in J is then join-prime and
+    every element is the join of the j below it.  With theta in range:
+    - joins: theta(a) is the join of the theta(j) over the j <= a in J, for
+      every a (at a = 0 the empty join, so theta(0) = 0).  The j below
+      a \\/ b are those below a with those below b, so theta preserves all
+      joins.  |J| whole-array steps;
+    - finite meets and mul: on J x J only.  a /\\ b is the join of the
+      j /\\ k over j <= a, k <= b in J (distributivity in q), theta(a) /\\
+      theta(b) the join of the theta(j) /\\ theta(k) (distributivity in r),
+      and theta preserves joins; mul likewise, distributing over joins on
+      both sides, the empty join included;
+    - star and plus: on J only, since they preserve joins in q and r;
+    - top, unit and partial isometries: directly, as the scan does.
+    Together these pass exactly when the scan finds no law but the partial
+    isometries violated; when one fails, the scan runs, so the report is
+    the scan's in every case."""
+    theta = np.asarray(theta, dtype=np.int64)
+    if not _laws_hold_on_join_irreducibles(
+            theta, q, r, join_irreducibles(q) if q_js is None else q_js):
+        return scan_rqf_morphism(theta, q, r, q_pis, r_pis)
+    rep = Report(subject="rqf-morphism")
+    rep.layers_run.append("rqf-morphism")
+    _check_isometries(rep, theta, q, r, q_pis, r_pis)
+    return rep
+
+
+def _laws_hold_on_join_irreducibles(theta: np.ndarray, q: EhresmannQuantale,
+                                    r: EhresmannQuantale, js: list[int]) -> bool:
+    """Every law but the partial isometries, by the J reductions of
+    validate_rqf_morphism."""
+    if theta.shape != (q.n,) or ((theta < 0) | (theta >= r.n)).any():
+        return False
+    joins = np.full(q.n, r.bottom, dtype=np.int64)  # joins[a]: of theta(j), j <= a
+    for j in js:
+        joins = np.where(q.leq[j], r.join[joins, theta[j]], joins)
+    if not np.array_equal(joins, theta):
+        return False
+    js = np.asarray(js, dtype=np.int64)
+    tj = theta[js]
+    pairs, images = np.ix_(js, js), np.ix_(tj, tj)
+    return bool(np.array_equal(theta[q.meet[pairs]], r.meet[images])
+                and np.array_equal(theta[q.mul[pairs]], r.mul[images])
+                and np.array_equal(theta[q.star[js]], r.star[tj])
+                and np.array_equal(theta[q.plus[js]], r.plus[tj])
+                and theta[q.top] == r.top and theta[q.unit] == r.unit)
+
+
+def scan_rqf_morphism(theta, q: EhresmannQuantale, r: EhresmannQuantale,
+                      q_pis: Optional[list[int]] = None,
+                      r_pis: Optional[list[int]] = None) -> Report:
+    """The five defining conditions, each checked exhaustively on all
+    elements and pairs, for any endpoints: all joins, finite meets,
+    Ehresmann + semigroup morphism, top and unit, partial isometries to
+    partial isometries.  Each violated law is reported with its first
+    witness."""
     theta = np.asarray(theta, dtype=np.int64)
     rep = Report(subject="rqf-morphism")
     rep.layers_run.append("rqf-morphism")
@@ -78,13 +148,18 @@ def validate_rqf_morphism(theta, q: EhresmannQuantale, r: EhresmannQuantale,
         rep.add("morphism.preserves_top", (q.top,))
     if theta[q.unit] != r.unit:
         rep.add("morphism.preserves_unit", (q.unit,))
+    _check_isometries(rep, theta, q, r, q_pis, r_pis)
+    return rep
 
+
+def _check_isometries(rep: Report, theta: np.ndarray, q: EhresmannQuantale,
+                      r: EhresmannQuantale, q_pis: Optional[list[int]],
+                      r_pis: Optional[list[int]]) -> None:
     r_pi_set = set(partial_isometries(r) if r_pis is None else r_pis)
     for a in (partial_isometries(q) if q_pis is None else q_pis):
         if int(theta[a]) not in r_pi_set:
             rep.add("morphism.preserves_isometries", (a, int(theta[a])))
             break
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +174,7 @@ class ChiResult:
 
 
 def build_chi(q: EhresmannQuantale, fc: Optional[FilterCategoryResult] = None) -> ChiResult:
+    """chi: Q -> Omega(C(Q)) and its morphism report, for a valid rqf q."""
     if fc is None:
         fc = c_object(q)
     om = omega_object(fc.topcat, max_elements=1 << 20)
@@ -243,7 +319,13 @@ def transpose_backward(beta, tc: FiniteTopCategory, q: EhresmannQuantale,
 def enumerate_covering_functors(src: FiniteTopCategory, dst: FiniteTopCategory,
                                 max_arrows: int = 12) -> list[np.ndarray]:
     """All continuous covering functors src -> dst, by backtracking over the
-    arrow map with d/r pruning, then full validation."""
+    arrow map, then validate_covering_functor and continuity_check.
+
+    The search prunes by d, r and composition, and by the injective half
+    of the covering condition: no two arrows with the same d, or with the
+    same r, get the same image (covering.d_injective, r_injective).  Every
+    map it cuts off fails validation, so the output is the list, in the
+    order, of a search without these prunes."""
     cs, cd = src.cat, dst.cat
     if cs.n > max_arrows or cd.n > max_arrows:
         raise BoundExceeded(f"hom-set enumeration bounded to {max_arrows} arrows")
@@ -268,6 +350,8 @@ def enumerate_covering_functors(src: FiniteTopCategory, dst: FiniteTopCategory,
         for b in range(cs.n):
             if fmap[b] < 0:
                 continue
+            if fmap[b] == fa and b != a and (cs.d[b] == cs.d[a] or cs.r[b] == cs.r[a]):
+                return False
             for x, y in ((a, b), (b, a)):
                 c = cs.comp[x, y]
                 if c != UNDEF and fmap[c] >= 0:
@@ -415,10 +499,11 @@ def morphism_search(s: SearchTables, t: SearchTables) -> list[list[int]]:
 
 def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
                             max_elements: int = 64) -> list[np.ndarray]:
-    """All RQF morphisms q -> r.  A morphism preserves joins and every element
-    is a join of partial isometries (PIs), so it is determined by its
-    restriction to the PIs: morphism_search over the PIs of q and r, with
-    the frame joins, then extension by joins and validate_rqf_morphism.
+    """All RQF morphisms q -> r, for valid rqfs q and r.  A morphism
+    preserves joins and every element is a join of partial isometries
+    (PIs), so it is determined by its restriction to the PIs:
+    morphism_search over the PIs of q and r, with the frame joins, then
+    extension by joins and validate_rqf_morphism, on J(q) computed once.
 
     No morphism is lost, since a morphism preserves joins and maps PIs to
     PIs; none is added, since every search result is extended by joins and
@@ -427,6 +512,7 @@ def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
         raise BoundExceeded(f"morphism enumeration bounded to {max_elements} elements")
     q_pis = partial_isometries(q)
     r_pis = partial_isometries(r)
+    q_js = join_irreducibles(q)
     found = morphism_search(search_tables(q, q_pis, q.bottom, q.join),
                             search_tables(r, r_pis, r.bottom, r.join))
     above = q.leq[q_pis, :]  # above[i, e]: the i-th PI is below e
@@ -440,7 +526,7 @@ def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
         if key in seen:
             continue
         seen.add(key)
-        if validate_rqf_morphism(theta, q, r, q_pis, r_pis).ok:
+        if validate_rqf_morphism(theta, q, r, q_pis, r_pis, q_js).ok:
             out.append(_freeze(theta))
     return out
 
@@ -620,7 +706,7 @@ def find_category_isomorphism(c1: FiniteCategory, c2: FiniteCategory,
 
 
 def quantale_isomorphism_ok(f, q1: EhresmannQuantale, q2: EhresmannQuantale) -> bool:
-    """Check an explicit bijection is an isomorphism of Ehresmann quantales."""
+    """Check an explicit bijection between valid rqfs is an isomorphism."""
     f = np.asarray(f, dtype=np.int64)
     if sorted(int(v) for v in f) != list(range(q2.n)) or q1.n != q2.n:
         return False

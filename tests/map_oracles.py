@@ -1,11 +1,19 @@
 """Shared by the oracle tests of the maps built on bit matrices (the
-transposes of both adjunctions, omega_morphism and c_morphism): each is
-compared with the element-by-element body it had before, on hom-set members
-and their one-value perturbations."""
+transposes of both adjunctions, omega_morphism and c_morphism) and of the
+rqf morphism validator: each is compared with the body it had before, on
+hom-set members and their one-value perturbations.  Also the arrow
+relabelling of a category that the hom-set tests search under."""
+
+from unittest import mock
 
 import numpy as np
 
+from framecat import duality
+from framecat.bits import iter_bits, mask_of
 from framecat.corpus import etale_categories
+from framecat.quantale import partial_isometries
+from framecat.reports import Report
+from framecat.topcat import UNDEF, FiniteTopCategory, Topology, make_category
 
 
 def map_outcome(construction, m, *args):
@@ -20,10 +28,10 @@ def map_outcome(construction, m, *args):
     return None if image is None else image.tolist()
 
 
-def one_value_perturbations(m, size: int):
+def one_value_perturbations(m, size: int, positions=None):
     """m with the value at one position moved to the next value mod size,
-    for each position."""
-    for i in range(len(m)):
+    for each position (of `positions`, when given)."""
+    for i in range(len(m)) if positions is None else positions:
         bad = np.array(m, dtype=np.int64)
         bad[i] = (bad[i] + 1) % size
         yield bad
@@ -41,5 +49,83 @@ def assert_transposes_match_oracles(forward, forward_oracle, backward, backward_
             assert map_outcome(backward, m) == map_outcome(backward_oracle, m), m.tolist()
 
 
+def relabel(tc: FiniteTopCategory, perm) -> FiniteTopCategory:
+    """The same topological category with arrow a renamed perm[a]."""
+    c = tc.cat
+    new = np.asarray(perm, dtype=np.int64)
+    old = np.argsort(new)  # old[b] is the arrow renamed b
+    comp = c.comp[np.ix_(old, old)]
+    comp = np.where(comp == UNDEF, UNDEF, new[np.maximum(comp, 0)])
+    opens = tc.topology.opens
+    if opens is not None:
+        opens = frozenset(mask_of(int(new[a]) for a in iter_bits(m)) for m in opens)
+    cat = make_category(c.n, [int(new[a]) for a in c.identities()],
+                        new[c.d[old]], new[c.r[old]], comp_table=comp)
+    return FiniteTopCategory(cat, Topology(c.n, opens))
+
+
 def small_corpus_categories():
     return [(i.name, i.obj) for i in etale_categories() if i.obj.n <= 6]
+
+
+def rqf_morphism_scan_oracle(theta, q, r, q_pis=None, r_pis=None) -> Report:
+    """validate_rqf_morphism as it was before it decided the laws on J: the
+    five defining conditions, each checked on all elements and pairs."""
+    theta = np.asarray(theta, dtype=np.int64)
+    rep = Report(subject="rqf-morphism")
+    rep.layers_run.append("rqf-morphism")
+    n = q.n
+    if theta.shape != (n,) or ((theta < 0) | (theta >= r.n)).any():
+        rep.add("morphism.map_range", (0,))
+        return rep
+
+    diff = theta[q.join] != r.join[np.ix_(theta, theta)]
+    if diff.any():
+        a, b = np.argwhere(diff)[0]
+        rep.add("morphism.preserves_joins", (int(a), int(b)))
+    if theta[q.bottom] != r.bottom:
+        rep.add("morphism.preserves_bottom", (q.bottom,))
+
+    diff = theta[q.meet] != r.meet[np.ix_(theta, theta)]
+    if diff.any():
+        a, b = np.argwhere(diff)[0]
+        rep.add("morphism.preserves_finite_meets", (int(a), int(b)))
+
+    diff = theta[q.mul] != r.mul[np.ix_(theta, theta)]
+    if diff.any():
+        a, b = np.argwhere(diff)[0]
+        rep.add("morphism.semigroup", (int(a), int(b)))
+    bad = np.flatnonzero(theta[q.star] != r.star[theta])
+    if bad.size:
+        rep.add("morphism.preserves_star", (int(bad[0]),))
+    bad = np.flatnonzero(theta[q.plus] != r.plus[theta])
+    if bad.size:
+        rep.add("morphism.preserves_plus", (int(bad[0]),))
+
+    if theta[q.top] != r.top:
+        rep.add("morphism.preserves_top", (q.top,))
+    if theta[q.unit] != r.unit:
+        rep.add("morphism.preserves_unit", (q.unit,))
+
+    r_pi_set = set(partial_isometries(r) if r_pis is None else r_pis)
+    for a in (partial_isometries(q) if q_pis is None else q_pis):
+        if int(theta[a]) not in r_pi_set:
+            rep.add("morphism.preserves_isometries", (a, int(theta[a])))
+            break
+    return rep
+
+
+def assert_rqf_validation_matches_scan(theta, q, r, *given):
+    """validate_rqf_morphism, with the partial isometries and J given or
+    not, reports what the scan oracle reports: laws, witnesses, layers."""
+    got = duality.validate_rqf_morphism(theta, q, r, *given)
+    assert got == rqf_morphism_scan_oracle(theta, q, r), np.asarray(theta).tolist()
+
+
+def searched_rqf_morphisms(q, r, max_elements: int = 1024):
+    """The hom-set enumerate_rqf_morphisms(q, r) finds, and the argument
+    tuples of every validate_rqf_morphism call it made on the way."""
+    with mock.patch.object(duality, "validate_rqf_morphism",
+                           wraps=duality.validate_rqf_morphism) as spy:
+        homset = duality.enumerate_rqf_morphisms(q, r, max_elements)
+    return homset, [c.args for c in spy.call_args_list]

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framecat.bits import has_bit, mask_of
-from framecat.corpus import (chain_frame, cyclic2_category, empty_category,
-                             monoid_category, pair_groupoid,
+from framecat.corpus import (chain_frame, corpus_rqfs, cyclic2_category,
+                             empty_category, monoid_category, pair_groupoid,
                              parallel_pair_category, parity_pair_groupoid)
 from framecat.duality import (AdjunctionReport, build_chi, build_omega_map,
                               check_transposes,
@@ -16,8 +17,16 @@ from framecat.duality import (AdjunctionReport, build_chi, build_omega_map,
                               transpose_backward, transpose_forward,
                               validate_rqf_morphism, verify_adjunction_I)
 from framecat.functors import c_object, omega_morphism, omega_object
+from framecat.order import join_irreducibles
 from framecat.quantale import frame_as_quantale
-from map_oracles import assert_transposes_match_oracles, map_outcome, small_corpus_categories
+from framecat.reports import BoundExceeded
+from framecat.topcat import UNDEF, continuity_check, validate_covering_functor
+from map_oracles import (assert_rqf_validation_matches_scan,
+                         assert_transposes_match_oracles, map_outcome,
+                         one_value_perturbations, relabel,
+                         rqf_morphism_scan_oracle, searched_rqf_morphisms,
+                         small_corpus_categories)
+from random_categories import small_categories
 
 
 # ---------------------------------------------------------------------------
@@ -354,3 +363,175 @@ def test_transposes_match_oracles_on_degenerate_shapes():
     # the last case: the one arrow lies in no open beta(q) of the bottom
     assert map_outcome(backward, np.array([0])) == (
         "ValueError", "beta^-1(O_0) is not a completely prime filter")
+
+
+# ---------------------------------------------------------------------------
+# rqf morphisms decided on J against the scan that decided them before
+# (map_oracles.rqf_morphism_scan_oracle): equal reports on hom-set members,
+# on every candidate the search validates, on one-value perturbations of
+# these, on chi of every corpus rqf and on maps of random instances
+
+def perturbed_positions(q):
+    """Every element of q up to 64 elements.  Above that, J, bottom, top and
+    unit: a map moved at another element fails the join test on J at once,
+    so those perturbations only repeat the scan."""
+    if q.n <= 64:
+        return None
+    return sorted({*join_irreducibles(q), q.bottom, q.top, q.unit})
+
+
+def assert_homset_search_matches_scan(q, r):
+    """Every map the search validates and every hom-set member, perturbed."""
+    homset, calls = searched_rqf_morphisms(q, r)
+    validated = {args[0].tobytes() for args in calls}
+    assert all(theta.tobytes() in validated for theta in homset)
+    for args in calls:
+        assert_rqf_validation_matches_scan(*args)
+    for theta in homset:
+        for m in one_value_perturbations(theta, r.n, perturbed_positions(q)):
+            assert_rqf_validation_matches_scan(m, q, r)
+    return homset
+
+
+@pytest.mark.parametrize("name2,tc2", small_corpus_categories())
+def test_rqf_validation_matches_scan_on_small_corpus_homsets(name2, tc2):
+    """Omega(C2) against Omega(C1) for every small C1: the morphism hom-sets
+    of the homsets benchmark, whose candidates fail validation too."""
+    q = omega_object(tc2).rqf
+    for name1, tc1 in small_corpus_categories():
+        assert_homset_search_matches_scan(q, omega_object(tc1).rqf)
+
+
+def test_rqf_validation_matches_scan_on_pair3_homsets(pair3, omega_pair3):
+    """The six automorphisms of Omega(pair3), n = 512, and the six morphisms
+    into Omega of a relabelled pair3."""
+    q = omega_pair3.rqf
+    relabelled = relabel(pair3, np.random.default_rng(2).permutation(pair3.n))
+    for r in (q, omega_object(relabelled).rqf):
+        assert len(assert_homset_search_matches_scan(q, r)) == 6
+
+
+def test_rqf_validation_matches_scan_on_chi_of_corpus_rqfs():
+    for inst in corpus_rqfs():
+        q = inst.obj
+        chi = build_chi(q)
+        oracle = rqf_morphism_scan_oracle(chi.chi, q, chi.om.rqf)
+        assert (chi.report.violations, chi.report.layers_run) == \
+            (oracle.violations, oracle.layers_run), inst.name
+        for m in one_value_perturbations(chi.chi, chi.om.n, perturbed_positions(q)):
+            assert_rqf_validation_matches_scan(m, q, chi.om.rqf)
+
+
+def join_extension(q, r, images):
+    """The map sending each j in J(q) to images[i] and every element to the
+    join of the images of the j below it."""
+    theta = np.full(q.n, r.bottom, dtype=np.int64)
+    for j, t in zip(join_irreducibles(q), images):
+        theta = np.where(q.leq[j], r.join[theta, t], theta)
+    return theta
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_categories(), small_categories(), st.data())
+def test_rqf_validation_matches_scan_on_random_categories(tc1, tc2, data):
+    """Omega(C2) -> Omega(C1): the maps Omega(F) of the covering functors
+    F: C1 -> C2 and their perturbations, the searched hom-set when both
+    have at most 64 elements, maps extended by joins from random values on
+    J, and random maps; the same with C2 = C1."""
+    om1 = omega_object(tc1)
+    for om2 in (om1, omega_object(tc2)):
+        q, r = om2.rqf, om1.rqf
+        for f in enumerate_covering_functors(tc1, om2.source):
+            theta = omega_morphism(f, om1, om2)
+            assert validate_rqf_morphism(theta, q, r).ok
+            for m in (theta, *one_value_perturbations(theta, r.n, perturbed_positions(q))):
+                assert_rqf_validation_matches_scan(m, q, r)
+        if max(q.n, r.n) <= 64:
+            assert_homset_search_matches_scan(q, r)
+        values = st.integers(0, r.n - 1)
+        js = join_irreducibles(q)
+        images = data.draw(st.lists(values, min_size=len(js), max_size=len(js)))
+        assert_rqf_validation_matches_scan(join_extension(q, r, images), q, r)
+        theta = np.array(data.draw(st.lists(values, min_size=q.n, max_size=q.n)))
+        assert_rqf_validation_matches_scan(theta, q, r)
+
+
+# ---------------------------------------------------------------------------
+# the covering functor search against its body before it pruned by the
+# injective half of the covering condition: the same functors in the same
+# order
+
+def covering_functors_oracle(src, dst, max_arrows=12):
+    cs, cd = src.cat, dst.cat
+    if cs.n > max_arrows or cd.n > max_arrows:
+        raise BoundExceeded(f"hom-set enumeration bounded to {max_arrows} arrows")
+    order = sorted(range(cs.n), key=lambda a: (not cs.is_identity(a), a))
+    dst_ids = [e for e in range(cd.n) if cd.is_identity(e)]
+    fmap = np.full(cs.n, -1, dtype=np.int64)
+    found = []
+
+    def candidates(a):
+        if cs.is_identity(a):
+            return dst_ids
+        de, re_ = fmap[cs.d[a]], fmap[cs.r[a]]
+        return [y for y in range(cd.n)
+                if (de < 0 or cd.d[y] == de) and (re_ < 0 or cd.r[y] == re_)]
+
+    def consistent(a):
+        fa = fmap[a]
+        if cs.d[a] >= 0 and fmap[cs.d[a]] >= 0 and cd.d[fa] != fmap[cs.d[a]]:
+            return False
+        if fmap[cs.r[a]] >= 0 and cd.r[fa] != fmap[cs.r[a]]:
+            return False
+        for b in range(cs.n):
+            if fmap[b] < 0:
+                continue
+            for x, y in ((a, b), (b, a)):
+                c = cs.comp[x, y]
+                if c != UNDEF and fmap[c] >= 0:
+                    z = cd.comp[fmap[x], fmap[y]]
+                    if z == UNDEF or z != fmap[c]:
+                        return False
+        return True
+
+    def backtrack(i):
+        if i == len(order):
+            found.append(fmap.copy())
+            return
+        a = order[i]
+        for y in candidates(a):
+            fmap[a] = y
+            if consistent(a):
+                backtrack(i + 1)
+            fmap[a] = -1
+
+    backtrack(0)
+    return [f for f in found if validate_covering_functor(f, cs, cd).ok
+            and continuity_check(f, src, dst)[0]]
+
+
+def assert_same_functors(src, dst):
+    got = enumerate_covering_functors(src, dst)
+    assert [f.tolist() for f in got] == [f.tolist() for f in covering_functors_oracle(src, dst)]
+    return got
+
+
+@pytest.mark.parametrize("name2,tc2", small_corpus_categories())
+def test_covering_functor_search_matches_oracle_on_small_corpus_pairs(name2, tc2):
+    """C1 -> C2 and C1 -> C(Omega(C2)), the functor hom-set of the homsets
+    benchmark, for every small C1."""
+    filters = c_object(omega_object(tc2).rqf).topcat
+    for name1, tc1 in small_corpus_categories():
+        assert_same_functors(tc1, tc2)
+        assert_same_functors(tc1, filters)
+
+
+def test_covering_functor_search_matches_oracle_on_pair3(pair3, omega_pair3):
+    assert len(assert_same_functors(pair3, c_object(omega_pair3.rqf).topcat)) == 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_categories(), small_categories())
+def test_covering_functor_search_matches_oracle_on_random_categories(tc1, tc2):
+    for src, dst in ((tc1, tc2), (tc2, tc1), (tc1, tc1)):
+        assert_same_functors(src, dst)

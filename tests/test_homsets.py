@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from framecat import corpus as cor
-from framecat.bits import iter_bits, mask_of
 from framecat.crm import (CompleteRestrictionMonoid, enumerate_callitic_morphisms,
                           is_callitic, pi_restriction_monoid, validate_crm_morphism,
                           verify_adjunction_II)
@@ -21,7 +20,7 @@ from framecat.functors import omega_object
 from framecat.order import _freeze
 from framecat.quantale import EhresmannQuantale, partial_isometries
 from framecat.reports import BoundExceeded
-from framecat.topcat import UNDEF, FiniteTopCategory, Topology, make_category
+from map_oracles import relabel
 
 MAX_ELEMENTS = 1024
 
@@ -202,21 +201,6 @@ def test_callitic_search_matches_oracle_on_pi_omega_pair3(omega_pair3):
 
 # ---------------------------------------------------------------------------
 # a labelling that puts the identities of the pair groupoid last
-
-def relabel(tc: FiniteTopCategory, perm) -> FiniteTopCategory:
-    """The same topological category with arrow a renamed perm[a]."""
-    c = tc.cat
-    new = np.asarray(perm, dtype=np.int64)
-    old = np.argsort(new)  # old[b] is the arrow renamed b
-    comp = c.comp[np.ix_(old, old)]
-    comp = np.where(comp == UNDEF, UNDEF, new[np.maximum(comp, 0)])
-    opens = tc.topology.opens
-    if opens is not None:
-        opens = frozenset(mask_of(int(new[a]) for a in iter_bits(m)) for m in opens)
-    cat = make_category(c.n, [int(new[a]) for a in c.identities()],
-                        new[c.d[old]], new[c.r[old]], comp_table=comp)
-    return FiniteTopCategory(cat, Topology(c.n, opens))
-
 
 def test_adjunctions_with_identities_on_the_last_arrows(pair3):
     """Both searches visit the partial isometries by down-set size, ties in
