@@ -34,7 +34,7 @@ from .duality import (build_chi, build_omega_map, chi_is_isomorphism,
                       enumerate_covering_functors, enumerate_rqf_morphisms,
                       find_category_isomorphism, is_sober, is_spatial,
                       omega_is_isomorphism, quantale_isomorphism_ok,
-                      scan_rqf_morphism, transpose_backward, transpose_forward,
+                      transpose_backward, transpose_forward,
                       validate_rqf_morphism, verify_adjunction_I)
 from .crm import (CompleteRestrictionMonoid, IdealCompletion, crm_compatible,
                   enumerate_callitic_morphisms, is_callitic, is_proper, l_vee,

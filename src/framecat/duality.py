@@ -1,14 +1,13 @@
 """Comparison maps, spatiality/sobriety, morphism validation, hom-set
 enumeration and the machine check of the first adjunction theorem.
 
-An rqf morphism between valid rqfs is decided on the join-irreducibles J of
-its source (validate_rqf_morphism): joins as "theta(a) is the join of the
-theta(j) below a", meets and mul on J x J, star and plus on J, by
-distributivity and join-primeness (Birkhoff; Davey & Priestley,
-Introduction to Lattices and Order, ch. 5).  That is O(n |J| + |J|^2)
-instead of three n-by-n gathers.  When a law fails there, the exhaustive
-scan_rqf_morphism runs and its report is returned; a morphism whose
-endpoints are not known to be valid goes to the scan directly.
+validate_rqf_morphism checks every law on all elements and pairs, for any
+endpoints.  The rqf hom-set search, whose endpoints are valid rqfs, decides
+each candidate on the join-irreducibles J of its source instead
+(_is_rqf_morphism_on_j): joins as "theta(a) is the join of the theta(j)
+below a", meets and mul on J x J, star and plus on J, by distributivity and
+join-primeness (Birkhoff; Davey & Priestley, Introduction to Lattices and
+Order, ch. 5).  That is O(n |J| + |J|^2) instead of three n-by-n gathers.
 
 chi sends a quantale element a to the set X_a of completely prime filters
 containing it; omega sends an arrow x to the filter O_x of opens containing
@@ -50,69 +49,11 @@ from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
 
 def validate_rqf_morphism(theta, q: EhresmannQuantale, r: EhresmannQuantale,
                           q_pis: Optional[list[int]] = None,
-                          r_pis: Optional[list[int]] = None,
-                          q_js: Optional[list[int]] = None) -> Report:
-    """The report of scan_rqf_morphism, decided on the join-irreducibles J
-    of q (order.join_irreducibles), computed unless given as q_js; the
-    partial isometries of q and r are computed unless given as q_pis and
-    r_pis.
-
-    Precondition: q and r are valid rqfs (validate_rqf passes); for other
-    endpoints run scan_rqf_morphism.  Every j in J is then join-prime and
-    every element is the join of the j below it.  With theta in range:
-    - joins: theta(a) is the join of the theta(j) over the j <= a in J, for
-      every a (at a = 0 the empty join, so theta(0) = 0).  The j below
-      a \\/ b are those below a with those below b, so theta preserves all
-      joins.  |J| whole-array steps;
-    - finite meets and mul: on J x J only.  a /\\ b is the join of the
-      j /\\ k over j <= a, k <= b in J (distributivity in q), theta(a) /\\
-      theta(b) the join of the theta(j) /\\ theta(k) (distributivity in r),
-      and theta preserves joins; mul likewise, distributing over joins on
-      both sides, the empty join included;
-    - star and plus: on J only, since they preserve joins in q and r;
-    - top, unit and partial isometries: directly, as the scan does.
-    Together these pass exactly when the scan finds no law but the partial
-    isometries violated; when one fails, the scan runs, so the report is
-    the scan's in every case."""
-    theta = np.asarray(theta, dtype=np.int64)
-    if not _laws_hold_on_join_irreducibles(
-            theta, q, r, join_irreducibles(q) if q_js is None else q_js):
-        return scan_rqf_morphism(theta, q, r, q_pis, r_pis)
-    rep = Report(subject="rqf-morphism")
-    rep.layers_run.append("rqf-morphism")
-    _check_isometries(rep, theta, q, r, q_pis, r_pis)
-    return rep
-
-
-def _laws_hold_on_join_irreducibles(theta: np.ndarray, q: EhresmannQuantale,
-                                    r: EhresmannQuantale, js: list[int]) -> bool:
-    """Every law but the partial isometries, by the J reductions of
-    validate_rqf_morphism."""
-    if theta.shape != (q.n,) or ((theta < 0) | (theta >= r.n)).any():
-        return False
-    joins = np.full(q.n, r.bottom, dtype=np.int64)  # joins[a]: of theta(j), j <= a
-    for j in js:
-        joins = np.where(q.leq[j], r.join[joins, theta[j]], joins)
-    if not np.array_equal(joins, theta):
-        return False
-    js = np.asarray(js, dtype=np.int64)
-    tj = theta[js]
-    pairs, images = np.ix_(js, js), np.ix_(tj, tj)
-    return bool(np.array_equal(theta[q.meet[pairs]], r.meet[images])
-                and np.array_equal(theta[q.mul[pairs]], r.mul[images])
-                and np.array_equal(theta[q.star[js]], r.star[tj])
-                and np.array_equal(theta[q.plus[js]], r.plus[tj])
-                and theta[q.top] == r.top and theta[q.unit] == r.unit)
-
-
-def scan_rqf_morphism(theta, q: EhresmannQuantale, r: EhresmannQuantale,
-                      q_pis: Optional[list[int]] = None,
-                      r_pis: Optional[list[int]] = None) -> Report:
-    """The five defining conditions, each checked exhaustively on all
-    elements and pairs, for any endpoints: all joins, finite meets,
-    Ehresmann + semigroup morphism, top and unit, partial isometries to
-    partial isometries.  Each violated law is reported with its first
-    witness."""
+                          r_pis: Optional[list[int]] = None) -> Report:
+    """The five defining conditions, each checked exhaustively:
+    all joins, finite meets, Ehresmann + semigroup morphism, top and unit,
+    partial isometries to partial isometries.  The partial isometries of q
+    and r are computed unless given as q_pis and r_pis."""
     theta = np.asarray(theta, dtype=np.int64)
     rep = Report(subject="rqf-morphism")
     rep.layers_run.append("rqf-morphism")
@@ -148,18 +89,55 @@ def scan_rqf_morphism(theta, q: EhresmannQuantale, r: EhresmannQuantale,
         rep.add("morphism.preserves_top", (q.top,))
     if theta[q.unit] != r.unit:
         rep.add("morphism.preserves_unit", (q.unit,))
-    _check_isometries(rep, theta, q, r, q_pis, r_pis)
-    return rep
 
-
-def _check_isometries(rep: Report, theta: np.ndarray, q: EhresmannQuantale,
-                      r: EhresmannQuantale, q_pis: Optional[list[int]],
-                      r_pis: Optional[list[int]]) -> None:
     r_pi_set = set(partial_isometries(r) if r_pis is None else r_pis)
     for a in (partial_isometries(q) if q_pis is None else q_pis):
         if int(theta[a]) not in r_pi_set:
             rep.add("morphism.preserves_isometries", (a, int(theta[a])))
             break
+    return rep
+
+
+def _is_rqf_morphism_on_j(theta: np.ndarray, q: EhresmannQuantale,
+                          r: EhresmannQuantale, q_js: list[int], q_pis: list[int],
+                          r_is_pi: np.ndarray) -> bool:
+    """validate_rqf_morphism(theta, q, r).ok, decided on the join-irreducibles
+    q_js of q, for valid rqfs q and r only; r_is_pi[e] tells whether e is a
+    partial isometry of r.
+
+    Every j in J is join-prime in q and every element is the join of the j
+    below it.  With theta in range:
+    - joins: theta(a) is the join of the theta(j) over the j <= a in J, for
+      every a (at a = 0 the empty join, so theta(0) = 0).  The j below
+      a \\/ b are those below a with those below b, so theta preserves all
+      joins.  |J| whole-array steps;
+    - finite meets and mul: on J x J only.  a /\\ b is the join of the
+      j /\\ k over j <= a, k <= b in J (distributivity in q), theta(a) /\\
+      theta(b) the join of the theta(j) /\\ theta(k) (distributivity in r),
+      and theta preserves joins; mul likewise, distributing over joins on
+      both sides, the empty join included;
+    - star and plus: on J only, since they preserve joins in q and r;
+    - top, unit and partial isometries: directly.
+    Without the precondition this can pass a map that is no morphism: three
+    atoms of a boolean frame sent onto those of the non-distributive M3
+    keep every law on J but not the meet of one atom with the join of the
+    other two."""
+    if theta.shape != (q.n,) or ((theta < 0) | (theta >= r.n)).any():
+        return False
+    joins = np.full(q.n, r.bottom, dtype=np.int64)  # joins[a]: of theta(j), j <= a
+    for j in q_js:
+        joins = np.where(q.leq[j], r.join[joins, theta[j]], joins)
+    if not np.array_equal(joins, theta):
+        return False
+    js = np.asarray(q_js, dtype=np.int64)
+    tj = theta[js]
+    pairs, images = np.ix_(js, js), np.ix_(tj, tj)
+    return bool(np.array_equal(theta[q.meet[pairs]], r.meet[images])
+                and np.array_equal(theta[q.mul[pairs]], r.mul[images])
+                and np.array_equal(theta[q.star[js]], r.star[tj])
+                and np.array_equal(theta[q.plus[js]], r.plus[tj])
+                and theta[q.top] == r.top and theta[q.unit] == r.unit
+                and r_is_pi[theta[q_pis]].all())
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +152,6 @@ class ChiResult:
 
 
 def build_chi(q: EhresmannQuantale, fc: Optional[FilterCategoryResult] = None) -> ChiResult:
-    """chi: Q -> Omega(C(Q)) and its morphism report, for a valid rqf q."""
     if fc is None:
         fc = c_object(q)
     om = omega_object(fc.topcat, max_elements=1 << 20)
@@ -503,16 +480,19 @@ def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
     preserves joins and every element is a join of partial isometries
     (PIs), so it is determined by its restriction to the PIs:
     morphism_search over the PIs of q and r, with the frame joins, then
-    extension by joins and validate_rqf_morphism, on J(q) computed once.
+    extension by joins and the morphism laws decided on J(q), computed
+    once (_is_rqf_morphism_on_j).
 
     No morphism is lost, since a morphism preserves joins and maps PIs to
     PIs; none is added, since every search result is extended by joins and
-    kept only if validate_rqf_morphism passes."""
+    kept only if it passes what validate_rqf_morphism checks."""
     if q.n > max_elements or r.n > max_elements:
         raise BoundExceeded(f"morphism enumeration bounded to {max_elements} elements")
     q_pis = partial_isometries(q)
     r_pis = partial_isometries(r)
     q_js = join_irreducibles(q)
+    r_is_pi = np.zeros(r.n, dtype=bool)
+    r_is_pi[r_pis] = True
     found = morphism_search(search_tables(q, q_pis, q.bottom, q.join),
                             search_tables(r, r_pis, r.bottom, r.join))
     above = q.leq[q_pis, :]  # above[i, e]: the i-th PI is below e
@@ -526,7 +506,7 @@ def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
         if key in seen:
             continue
         seen.add(key)
-        if validate_rqf_morphism(theta, q, r, q_pis, r_pis, q_js).ok:
+        if _is_rqf_morphism_on_j(theta, q, r, q_js, q_pis, r_is_pi):
             out.append(_freeze(theta))
     return out
 
@@ -706,7 +686,7 @@ def find_category_isomorphism(c1: FiniteCategory, c2: FiniteCategory,
 
 
 def quantale_isomorphism_ok(f, q1: EhresmannQuantale, q2: EhresmannQuantale) -> bool:
-    """Check an explicit bijection between valid rqfs is an isomorphism."""
+    """Check an explicit bijection is an isomorphism of Ehresmann quantales."""
     f = np.asarray(f, dtype=np.int64)
     if sorted(int(v) for v in f) != list(range(q2.n)) or q1.n != q2.n:
         return False

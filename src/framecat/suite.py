@@ -37,8 +37,7 @@ from .duality import (AdjunctionReport, ChiResult, build_chi, build_omega_map,
                       check_naturality_in_category, check_naturality_in_quantale,
                       chi_is_isomorphism, is_sober, is_spatial,
                       omega_is_isomorphism, quantale_isomorphism_ok,
-                      scan_rqf_morphism, validate_rqf_morphism,
-                      verify_adjunction_I)
+                      validate_rqf_morphism, verify_adjunction_I)
 from .functors import (FilterCategoryResult, OmegaResult, c_object,
                        omega_morphism, omega_object)
 from .order import (BRUTEFORCE_MAX_ELEMENTS, cp_filters_bruteforce,
@@ -276,13 +275,8 @@ def _alone(validator: Callable[[object], Report]) -> Callable[[object], Validate
 
 
 def _validate_morphism(m) -> Validated:
-    """An rqf morphism is decided on J (validate_rqf_morphism) only when
-    both endpoints are valid rqfs, its precondition; otherwise by the scan,
-    which has none."""
     if m.flavor == "rqf":
-        if validate_rqf(m.source).ok and validate_rqf(m.target).ok:
-            return validate_rqf_morphism(m.map, m.source, m.target), ()
-        return scan_rqf_morphism(m.map, m.source, m.target), ()
+        return validate_rqf_morphism(m.map, m.source, m.target), ()
     return (validate_crm_morphism(m.map, m.source, m.target),
             (("callitic", lambda: _simple(is_callitic(m.map, m.source, m.target))),))
 

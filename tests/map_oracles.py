@@ -1,7 +1,8 @@
 """Shared by the oracle tests of the maps built on bit matrices (the
-transposes of both adjunctions, omega_morphism and c_morphism) and of the
-rqf morphism validator: each is compared with the body it had before, on
-hom-set members and their one-value perturbations.  Also the arrow
+transposes of both adjunctions, omega_morphism and c_morphism): each is
+compared with the element-by-element body it had before, on hom-set members
+and their one-value perturbations.  Also the rqf hom-set search's decision
+on join-irreducibles against validate_rqf_morphism, and the arrow
 relabelling of a category that the hom-set tests search under."""
 
 from unittest import mock
@@ -11,8 +12,8 @@ import numpy as np
 from framecat import duality
 from framecat.bits import iter_bits, mask_of
 from framecat.corpus import etale_categories
+from framecat.order import join_irreducibles
 from framecat.quantale import partial_isometries
-from framecat.reports import Report
 from framecat.topcat import UNDEF, FiniteTopCategory, Topology, make_category
 
 
@@ -68,64 +69,31 @@ def small_corpus_categories():
     return [(i.name, i.obj) for i in etale_categories() if i.obj.n <= 6]
 
 
-def rqf_morphism_scan_oracle(theta, q, r, q_pis=None, r_pis=None) -> Report:
-    """validate_rqf_morphism as it was before it decided the laws on J: the
-    five defining conditions, each checked on all elements and pairs."""
-    theta = np.asarray(theta, dtype=np.int64)
-    rep = Report(subject="rqf-morphism")
-    rep.layers_run.append("rqf-morphism")
-    n = q.n
-    if theta.shape != (n,) or ((theta < 0) | (theta >= r.n)).any():
-        rep.add("morphism.map_range", (0,))
-        return rep
-
-    diff = theta[q.join] != r.join[np.ix_(theta, theta)]
-    if diff.any():
-        a, b = np.argwhere(diff)[0]
-        rep.add("morphism.preserves_joins", (int(a), int(b)))
-    if theta[q.bottom] != r.bottom:
-        rep.add("morphism.preserves_bottom", (q.bottom,))
-
-    diff = theta[q.meet] != r.meet[np.ix_(theta, theta)]
-    if diff.any():
-        a, b = np.argwhere(diff)[0]
-        rep.add("morphism.preserves_finite_meets", (int(a), int(b)))
-
-    diff = theta[q.mul] != r.mul[np.ix_(theta, theta)]
-    if diff.any():
-        a, b = np.argwhere(diff)[0]
-        rep.add("morphism.semigroup", (int(a), int(b)))
-    bad = np.flatnonzero(theta[q.star] != r.star[theta])
-    if bad.size:
-        rep.add("morphism.preserves_star", (int(bad[0]),))
-    bad = np.flatnonzero(theta[q.plus] != r.plus[theta])
-    if bad.size:
-        rep.add("morphism.preserves_plus", (int(bad[0]),))
-
-    if theta[q.top] != r.top:
-        rep.add("morphism.preserves_top", (q.top,))
-    if theta[q.unit] != r.unit:
-        rep.add("morphism.preserves_unit", (q.unit,))
-
-    r_pi_set = set(partial_isometries(r) if r_pis is None else r_pis)
-    for a in (partial_isometries(q) if q_pis is None else q_pis):
-        if int(theta[a]) not in r_pi_set:
-            rep.add("morphism.preserves_isometries", (a, int(theta[a])))
-            break
-    return rep
+def j_decision(q, r):
+    """theta -> the rqf hom-set search's decision on J(q)
+    (duality._is_rqf_morphism_on_j), with J(q), PI(q) and PI(r) computed
+    once."""
+    q_js, q_pis = join_irreducibles(q), partial_isometries(q)
+    r_is_pi = np.zeros(r.n, dtype=bool)
+    r_is_pi[partial_isometries(r)] = True
+    return lambda theta: duality._is_rqf_morphism_on_j(
+        np.asarray(theta, dtype=np.int64), q, r, q_js, q_pis, r_is_pi)
 
 
-def assert_rqf_validation_matches_scan(theta, q, r, *given):
-    """validate_rqf_morphism, with the partial isometries and J given or
-    not, reports what the scan oracle reports: laws, witnesses, layers."""
-    got = duality.validate_rqf_morphism(theta, q, r, *given)
-    assert got == rqf_morphism_scan_oracle(theta, q, r), np.asarray(theta).tolist()
+def assert_j_decisions_match_scan(maps, q, r):
+    """The decision on J(q) of each map is validate_rqf_morphism's verdict,
+    which checks every law on all elements and pairs."""
+    decide = j_decision(q, r)
+    q_pis, r_pis = partial_isometries(q), partial_isometries(r)
+    for theta in maps:
+        assert decide(theta) == duality.validate_rqf_morphism(theta, q, r, q_pis, r_pis).ok, \
+            np.asarray(theta).tolist()
 
 
 def searched_rqf_morphisms(q, r, max_elements: int = 1024):
     """The hom-set enumerate_rqf_morphisms(q, r) finds, and the argument
-    tuples of every validate_rqf_morphism call it made on the way."""
-    with mock.patch.object(duality, "validate_rqf_morphism",
-                           wraps=duality.validate_rqf_morphism) as spy:
+    tuples of every decision on J it made on the way."""
+    with mock.patch.object(duality, "_is_rqf_morphism_on_j",
+                           wraps=duality._is_rqf_morphism_on_j) as spy:
         homset = duality.enumerate_rqf_morphisms(q, r, max_elements)
     return homset, [c.args for c in spy.call_args_list]
