@@ -2,12 +2,14 @@
 frames, proper and callitic morphisms, S-filters and the second adjunction.
 
 The second adjunction is built from the first: its callitic hom-set is
-found by duality.morphism_search, its transposes (transpose_forward_II and
-transpose_backward_II, columns of bit matrices as in duality) are checked by
-duality.check_transposes, and its S-filter category is read off the
-join-primes J(S) by functors.category_on_generators, as C(Q) is off J(Q).
-The join tables of both monoids are built once per callitic enumeration and
-passed to validate_crm_morphism for every candidate.
+found by duality.generator_search over the join-primes J(S), its transposes
+(transpose_forward_II and transpose_backward_II, columns of bit matrices as
+in duality) are checked by duality.check_transposes, and its S-filter
+category is read off J(S) by functors.category_on_generators, as C(Q) is off
+J(Q).  J(S), the compatible-join table and the S-filter category are cached
+on the monoid (order.cached); the join table of the target is built once
+per callitic enumeration, and both are passed to validate_crm_morphism for
+every candidate.
 
 The carrier stores the natural partial order explicitly.  Binary meets are
 required: the filter and callitic definitions use them, and the partial
@@ -48,16 +50,18 @@ non-commutative frame theory*, Adv. Math. 311, 2017.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from .bits import bit_matrix, iter_bits, mask_of, row_masks
 from .duality import (AdjunctionReport, check_transposes, enumerate_covering_functors,
-                      morphism_search, positions, search_tables)
+                      generator_search, positions)
 from .functors import OmegaResult, c_object, category_on_generators, omega_object
-from .order import FiniteLattice, FinitePoset, _freeze, _rank_bitsets, validate_poset
+from .order import (FiniteLattice, FinitePoset, _freeze, _rank_bitsets, cached,
+                    validate_poset)
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
 from .reports import BoundExceeded, Report
 from .topcat import FiniteTopCategory, topology_from_base
@@ -73,6 +77,7 @@ class CompleteRestrictionMonoid:
     star: np.ndarray  # (n,) int
     plus: np.ndarray  # (n,) int
     meet: np.ndarray  # (n, n) int
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def projections(self) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.leq[:, self.unit])]
@@ -275,6 +280,16 @@ def pi_restriction_monoid(q: EhresmannQuantale) -> tuple[CompleteRestrictionMono
     return make_crm(len(carrier), q.leq[block], mul, unit, zero, star, plus, meet), carrier
 
 
+def pi_join_table(q: EhresmannQuantale, carrier: list[int]) -> np.ndarray:
+    """The partial join table (_partial_join_table) of PI(Q), whose element
+    i is carrier[i], read off the join table of Q at the carrier positions:
+    -1 where the join in Q is not a partial isometry.  Exact when the
+    carrier is an order ideal, as PI(Q) is: a common upper bound of a and b
+    in it lies above a v b, which is then in it and is their least upper
+    bound there."""
+    return positions(q.n, carrier)[q.join[np.ix_(carrier, carrier)]]
+
+
 # ---------------------------------------------------------------------------
 # the ideal completion L-vee
 
@@ -290,22 +305,35 @@ class IdealCompletion:
         return self.index[self.source.downset_mask(s)]
 
 
+JOIN_BLOCK_CELLS = 1 << 22  # cells of the largest temporary of _partial_join_table
+
+
 def _partial_join_table(s: CompleteRestrictionMonoid) -> np.ndarray:
     """join_table[a, b] = the least upper bound of a and b in the stored
-    order, or -1 where it does not exist; the table is symmetric.
+    order, or -1 where it does not exist; the table is symmetric.  As in
+    crm_lub, that is the first common upper bound u with u <= v for every
+    common upper bound v, for any relation leq.
 
-    As in crm_lub, the least upper bound is the first common upper bound u
-    with u <= v for every common upper bound v.  Row a takes one matrix
-    product: counts[b, u] is the number of common upper bounds v of a and b
-    with not u <= v."""
-    above = s.leq.astype(np.float32)               # above[x, u] = x <= u
-    not_below = (~s.leq).T.astype(np.float32)      # not_below[v, u] = not u <= v
-    join_table = np.full((s.n, s.n), -1, dtype=np.int64)
-    for a in range(s.n):
-        common = above * above[a]                  # common[b, u] = a, b <= u
-        least = (common > 0) & (common @ not_below == 0)
-        found = least.any(axis=1)
-        join_table[a, found] = least[found].argmax(axis=1)
+    u = a v b exactly when u is a common upper bound of a and b and as many
+    common upper bounds lie above u as there are in all.  When leq is
+    transitive, as on every monoid that passes validate_poset, everything
+    above a common upper bound is one, so the first count is that of all
+    elements above u, read once; otherwise it takes a matrix product.
+    Whole-array work, one block of rows a at a time, so that no temporary
+    has more than JOIN_BLOCK_CELLS cells."""
+    n = s.n
+    leq = s.leq.astype(np.float32)
+    transitive = not ((leq @ leq > 0) & ~s.leq).any()
+    up_count = s.leq.sum(axis=1)  # up_count[u] = the elements above u
+    join_table = np.full((n, n), -1, dtype=np.int64)
+    rows = max(1, JOIN_BLOCK_CELLS // max(1, n * n))
+    for a0 in range(0, n, rows):
+        common = s.leq[a0:a0 + rows, None, :] & s.leq[None, :, :]  # [a, b, u]: a, b <= u
+        above = up_count if transitive else \
+            (common.reshape(-1, n).astype(np.float32) @ leq.T).reshape(common.shape)
+        least = common & (above == common.sum(axis=2)[..., None])
+        found = least.any(axis=2)
+        join_table[a0:a0 + rows][found] = least[found].argmax(axis=1)
     return join_table
 
 
@@ -318,8 +346,10 @@ def _compatibility_matrix(s: CompleteRestrictionMonoid) -> np.ndarray:
 
 def _compatible_join_table(s: CompleteRestrictionMonoid) -> np.ndarray:
     """joins[a, b] = the join of the compatible pair a ~ b, or -1 where a and
-    b are not compatible or have no least upper bound; symmetric."""
-    return np.where(_compatibility_matrix(s), _partial_join_table(s), -1)
+    b are not compatible or have no least upper bound; symmetric.  Built
+    once per monoid (`order.cached`), read-only."""
+    return cached(s, "compatible_joins", lambda: _freeze(
+        np.where(_compatibility_matrix(s), _partial_join_table(s), -1)))
 
 
 def join_primes(s: CompleteRestrictionMonoid) -> list[int]:
@@ -331,7 +361,12 @@ def join_primes(s: CompleteRestrictionMonoid) -> list[int]:
     that passes validate_crm the join-primes are the join-irreducibles: if j
     is join-irreducible and j <= x v y for a compatible pair, then
     j = (x v y).j* = x.j* v y.j*, so j = x.j* <= x or j = y.j* <= y.
+    Built once per monoid (`order.cached`).
     """
+    return list(cached(s, "join_primes", lambda: tuple(_join_primes(s))))
+
+
+def _join_primes(s: CompleteRestrictionMonoid) -> list[int]:
     joins = _compatible_join_table(s)
     has_join = joins >= 0
     primes = []
@@ -461,15 +496,26 @@ def validate_crm_morphism(theta, s: CompleteRestrictionMonoid,
 
 def is_proper(theta, s: CompleteRestrictionMonoid,
               t: CompleteRestrictionMonoid) -> tuple[bool, Optional[tuple[int]]]:
-    """Every element of the target is a join of elements below image elements."""
+    """Every element of the target is a join of elements below image
+    elements: for each x, crm_lub of the elements below x and below some
+    image (of the zero when there are none) is x; the witness is the first
+    x that fails.
+
+    For all x at once, with G[x, g] for the generators g of x: the upper
+    bounds of G[x] are the u with no g in G[x] outside down(u), and the
+    least of them is the first upper bound u with no upper bound v outside
+    up(u), each test one matrix product."""
     theta = np.asarray(theta, dtype=np.int64)
-    below_image = np.zeros(t.n, dtype=bool)
-    for a in range(s.n):
-        below_image |= t.leq[:, int(theta[a])]
-    for x in range(t.n):
-        gens = [int(g) for g in np.flatnonzero(below_image & t.leq[:, x])]
-        if crm_lub(t, gens or [t.zero]) != x:
-            return False, (x,)
+    below_image = t.leq[:, theta].any(axis=1)
+    gens = t.leq.T & below_image                        # [x, g]: g <= x, g below an image
+    gens[~gens.any(axis=1), t.zero] = True
+    not_leq = (~t.leq).astype(np.float32)               # [g, u]: not g <= u
+    uppers = (gens.astype(np.float32) @ not_leq) == 0   # [x, u]: u bounds gens[x]
+    least = uppers & ((uppers.astype(np.float32) @ not_leq.T) == 0)  # [x, u]
+    lub = np.where(least.any(axis=1), least.argmax(axis=1), -1)
+    bad = np.flatnonzero(lub != np.arange(t.n))
+    if bad.size:
+        return False, (int(bad[0]),)
     return True, None
 
 
@@ -512,12 +558,13 @@ def theta_extension(theta, lv_src: IdealCompletion, lv_dst: IdealCompletion) -> 
 
 @dataclass(frozen=True, eq=False)
 class SFilterCategory:
+    """The S-filter category.  It is cached on S (`s_filters`), so it holds
+    no reference to S and every field is immutable."""
     topcat: FiniteTopCategory
     filters: tuple  # bitmasks over monoid elements
-    index: dict
+    index: Mapping[int, int]  # member bitmask -> filter index
     d_idx: np.ndarray
     r_idx: np.ndarray
-    source: CompleteRestrictionMonoid
     x_masks: tuple  # x_masks[a] = the filters containing a, for every element a
 
     @property
@@ -546,17 +593,22 @@ def s_filters(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> SFilterCat
     and the suite builds S-filters only on corpus monoids, which all pass.
     Then star, plus and mul are monotone, so d(up-g) = up-(g*), r(up-g) = up-(g+) and
     (up-g . up-h)^up = up-(g.h), and the category is read off the
-    join-primes by category_on_generators, in s_filters_list order."""
+    join-primes by category_on_generators, in s_filters_list order.  Built
+    once per monoid (`order.cached`); the bound is checked on every call."""
+    sf = cached(s, "s_filters", lambda: _s_filter_category(s))
+    if sf.topcat.topology.open_count() > max_opens:
+        raise BoundExceeded("S-filter topology too large")
+    return sf
+
+
+def _s_filter_category(s: CompleteRestrictionMonoid) -> SFilterCategory:
     gens = sorted(join_primes(s), key=s.upset_mask)
     filters = [s.upset_mask(g) for g in gens]
     cat, x_masks = category_on_generators(s, gens, "completely prime S-filter")
-    topology = topology_from_base(cat.n, x_masks)
-    if topology.open_count() > max_opens:
-        raise BoundExceeded("S-filter topology too large")
-    tc = FiniteTopCategory(cat=cat, topology=topology)
+    tc = FiniteTopCategory(cat=cat, topology=topology_from_base(cat.n, x_masks))
     return SFilterCategory(topcat=tc, filters=tuple(filters),
-                           index={m: i for i, m in enumerate(filters)},
-                           d_idx=cat.d, r_idx=cat.r, source=s, x_masks=tuple(x_masks))
+                           index=MappingProxyType({m: i for i, m in enumerate(filters)}),
+                           d_idx=cat.d, r_idx=cat.r, x_masks=tuple(x_masks))
 
 
 def s_filter_bijection(sf: SFilterCategory, lv: IdealCompletion,
@@ -582,9 +634,10 @@ def transpose_forward_II(alpha, sf: SFilterCategory, om: OmegaResult,
     a |-> {c : a in alpha(c)}: the columns of the member matrix of the
     S-filters alpha(c), as positions in carrier; None if one of them is not
     a partial isometry of Omega(C)."""
-    members = bit_matrix(sf.filters, sf.source.n)
+    n = len(sf.x_masks)  # the elements of S
+    members = bit_matrix(sf.filters, n)
     pos = positions(om.n, carrier)
-    theta = np.zeros(sf.source.n, dtype=np.int64)
+    theta = np.zeros(n, dtype=np.int64)
     for a, open_mask in enumerate(row_masks(members[np.asarray(alpha, dtype=np.int64)].T)):
         i = om.index.get(open_mask)
         if i is None or pos[i] < 0:
@@ -610,19 +663,25 @@ def transpose_backward_II(theta, tc: FiniteTopCategory, sf: SFilterCategory,
 
 def enumerate_callitic_morphisms(s: CompleteRestrictionMonoid,
                                  t: CompleteRestrictionMonoid,
-                                 max_elements: int = 64) -> list[np.ndarray]:
-    """All callitic morphisms s -> t: duality.morphism_search over all
-    elements, with the compatible joins of s and the partial joins of t,
-    then validate_crm_morphism and is_callitic.  No morphism is lost, since
-    validate_crm_morphism requires compatible joins to be preserved; none is
-    added, since every search result is kept only if both checks pass."""
+                                 max_elements: int = 64,
+                                 t_joins: Optional[np.ndarray] = None) -> list[np.ndarray]:
+    """All callitic morphisms s -> t, for s and t that pass validate_crm:
+    duality.generator_search over the join-primes J(s), with every element
+    of t as a candidate and the partial joins of t (`t_joins`, computed
+    unless given), then validate_crm_morphism and is_callitic.
+
+    No morphism is lost: every element of s is the compatible join of the
+    join-primes below it (see l_vee), and a callitic morphism preserves
+    compatible joins, so it is fixed by its values on J(s); it keeps the
+    order, meets, mul, star, plus and the unit, every law the search tests.
+    None is added, since every map is kept only if both checks pass."""
     if s.n > max_elements or t.n > max_elements:
         raise BoundExceeded(f"callitic enumeration bounded to {max_elements} elements")
-    s_joins, t_joins = _compatible_join_table(s), _partial_join_table(t)
-    found = morphism_search(search_tables(s, list(range(s.n)), s.zero, s_joins),
-                            search_tables(t, list(range(t.n)), t.zero, t_joins))
-    thetas = (np.array(images, dtype=np.int64) for images in found)
-    return [_freeze(theta) for theta in thetas
+    s_joins = _compatible_join_table(s)
+    if t_joins is None:
+        t_joins = _partial_join_table(t)
+    return [_freeze(theta)
+            for theta in generator_search(s, join_primes(s), t, range(t.n), t_joins, t.zero)
             if validate_crm_morphism(theta, s, t, s_joins, t_joins).ok
             and is_callitic(theta, s, t)[0]]
 
@@ -651,7 +710,8 @@ def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
     t_crm, carrier = pi_restriction_monoid(om.rqf) if pi is None else pi
 
     rep.functor_homset = enumerate_covering_functors(tc, sf.topcat, max_arrows)
-    rep.morphism_homset = enumerate_callitic_morphisms(s, t_crm, max_elements)
+    rep.morphism_homset = enumerate_callitic_morphisms(
+        s, t_crm, max_elements, pi_join_table(om.rqf, carrier))
 
     check_transposes(rep, lambda alpha: transpose_forward_II(alpha, sf, om, carrier),
                      lambda theta: transpose_backward_II(theta, tc, sf, om, carrier))

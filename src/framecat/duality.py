@@ -14,11 +14,14 @@ containing it; omega sends an arrow x to the filter O_x of opens containing
 it.  The adjunction is verified literally: both hom-sets are enumerated
 exhaustively and the two transposes are checked to be mutually inverse
 bijections between them (check_transposes).  The morphism hom-set is found
-by morphism_search, a backtracking over tables from search_tables; the
-functor hom-set by a backtracking over arrow maps that prunes by d, r,
+by generator_search, a backtracking over the images of the generators J of
+the source only, each law compiled into the level of its last generator;
+the functor hom-set by a backtracking over arrow maps that prunes by d, r,
 composition and the injective half of the covering condition.  The
-second adjunction in crm reuses the functor search, morphism_search and
-check_transposes.
+second adjunction in crm reuses the functor search, generator_search and
+check_transposes.  J, PI and C(Q) are cached on their algebra
+(order.cached), so an adjunction check against an algebra it has seen
+before builds none of them again.
 
 Each transpose reads a membership relation the other way round: the filters
 alpha(c) (or the opens beta(q)) become the rows of one bool matrix
@@ -30,7 +33,7 @@ the filters O_x off the columns of the opens the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -368,147 +371,132 @@ def positions(n: int, domain: list[int]) -> np.ndarray:
     return pos
 
 
-class SearchTables(NamedTuple):
-    """A restriction monoid on the positions of a domain, as Python lists
-    for morphism_search; -1 stands for a value outside the domain."""
-    leq: list
-    mul: list
-    meet: list
-    join: list
-    star: list
-    plus: list
-    zero: int
-    unit: int
-    order: list  # the positions by down-set size, ties in position order
+def generator_search(alg, gens: list[int], tgt, candidates: Iterable[int],
+                     joins: np.ndarray, zero: int,
+                     top: Optional[int] = None) -> list[np.ndarray]:
+    """The maps theta: alg -> tgt (quantales or restriction monoids) given by
+    images of the generators `gens` of alg, each image in `candidates`, and
+    theta(a) = the join of the theta(g) over the generators g <= a; in
+    depth-first order, the maps whose extension meets a missing join left
+    out.  `joins` is the join table of tgt, -1 where a join is missing,
+    `zero` the least element of tgt and `top`, when given, the image of the
+    top of alg.
 
+    The generators are assigned in a linear extension of the order (by
+    down-set size, ties in index order), each candidate in the order given.
+    Each law is compiled once, into the level of its last generator:
+    theta(g) <= theta(h) for generators g <= h; theta(x) = theta(g) /\\
+    theta(h) for x = g /\\ h and theta(x) = theta(g).theta(h) for x = g.h,
+    over all pairs of generators; theta(x) = theta(g)* for x = g* and
+    likewise for plus; theta(unit) = the unit; and theta(top) = top.  Here
+    theta(x) of a derived element x is the join of the images of the
+    generators below x, so those generators count toward the level of the
+    law.  A map that keeps them all need not be a morphism: the caller
+    decides each one.  Every morphism that preserves these operations and
+    joins, and sends the generators into `candidates`, is among the maps
+    found, provided every element of alg is the join of the generators
+    below it."""
+    order = sorted(gens, key=lambda g: int(alg.leq[:, g].sum()))
+    m = len(order)
+    below = alg.leq[order, :]  # below[i, x]: the i-th generator is <= x
+    # the target's operations as lists, on the positions p of the candidates
+    # and with element values; pad[v, p] = v joined with candidate p, and
+    # its last row, read at v = -1, keeps a missing join missing
+    cands = np.fromiter(candidates, dtype=np.int64)
+    block = np.ix_(cands, cands)
+    pad = np.full((tgt.n + 1, len(cands)), -1, dtype=np.int64)
+    pad[:-1] = joins[:, cands]
+    t_join, t_leq = pad.tolist(), tgt.leq[block].tolist()
+    t_meet, t_mul = tgt.meet[block].tolist(), tgt.mul[block].tolist()
+    t_star, t_plus = tgt.star[cands].tolist(), tgt.plus[cands].tolist()
 
-def search_tables(alg, domain: list[int], zero: int, joins: np.ndarray) -> SearchTables:
-    """The operations of alg (a quantale or a restriction monoid) on the
-    elements in domain, renamed to their positions; `joins` is the join
-    table to search with, -1 where a join is not to be used."""
-    pos = positions(alg.n, domain)
-    block = np.ix_(domain, domain)
-    return SearchTables(
-        leq=alg.leq[block].tolist(), mul=pos[alg.mul[block]].tolist(),
-        meet=pos[alg.meet[block]].tolist(), join=pos[joins[block]].tolist(),
-        star=pos[alg.star[domain]].tolist(), plus=pos[alg.plus[domain]].tolist(),
-        zero=int(pos[zero]), unit=int(pos[alg.unit]),
-        order=np.argsort(alg.leq[:, domain].sum(axis=0), kind="stable").tolist())
+    # laws[k]: (support, op, i, k') with the join of the images at the
+    # positions `support` equal to op[image i][image k'], op[image i] when
+    # k' is None, and op itself when i is None; laws[m] is the leaf's.
+    # lower[k]: the generators below the k-th, whose images must lie below
+    # its image
+    laws: list[list[tuple]] = [[] for _ in range(m + 1)]
+    lower = [[i for i in range(k) if below[i, order[k]]] for k in range(m)] + [[]]
+    supports: dict[int, list[int]] = {}
 
+    def law(derived: int, op, i=None, k=None, leaf: bool = False) -> None:
+        if derived not in supports:
+            supports[derived] = np.flatnonzero(below[:, derived]).tolist()
+        support = supports[derived]
+        level = m if leaf else max([p for p in (i, k) if p is not None] + support, default=m)
+        laws[level].append((support, op, i, k))
 
-def morphism_search(s: SearchTables, t: SearchTables) -> list[list[int]]:
-    """Every map from the positions of s to those of t that preserves zero,
-    unit, star, plus, the order, mul, meet and join wherever they stay in
-    the domains, as image lists in depth-first order.
+    for k, h in enumerate(order):
+        for i, g in enumerate(order[:k + 1]):
+            if i < k:
+                law(int(alg.meet[g, h]), t_meet, i, k)
+                law(int(alg.mul[h, g]), t_mul, k, i)
+            law(int(alg.mul[g, h]), t_mul, i, k)
+        law(int(alg.star[h]), t_star, k)
+        law(int(alg.plus[h]), t_plus, k)
+    law(alg.unit, tgt.unit)
+    if top is not None:
+        law(alg.top, top, leaf=True)
 
-    The positions of s are visited in s.order, so everything strictly below
-    an element is assigned before it.  Each position of t is a candidate
-    image, pruned against the elements assigned so far.
-
-    Forced joins: where p = x v y for x, y visited before p, the image of p
-    must be the join of their images in t, the only candidate tried, and
-    none is tried when that join is -1.  The candidate lists are sub-lists
-    of the full ones, so the maps come out in the order of a search that
-    tries every candidate."""
-    s_leq, s_mul, s_meet, s_join, s_star, s_plus, s_zero, s_unit, order = s
-    t_leq, t_mul, t_meet, t_join, t_star, t_plus, t_zero, t_unit, t_order = t
-    rank = {p: i for i, p in enumerate(order)}
-    forced: list[Optional[tuple[int, int]]] = [None] * len(order)
-    for x in range(len(order)):
-        for y in range(x, len(order)):
-            j = s_join[x][y]
-            if j >= 0 and forced[j] is None and rank[x] < rank[j] and rank[y] < rank[j]:
-                forced[j] = (x, y)
-    every_image = range(len(t_order))
-    assign = [-1] * len(order)
+    images = [0] * m  # candidate positions
     found: list[list[int]] = []
 
-    def consistent(i: int) -> bool:
-        p = order[i]
-        tp = assign[p]
-        if p == s_zero and tp != t_zero:
-            return False
-        if p == s_unit and tp != t_unit:
-            return False
-        sp = s_star[p]
-        if sp >= 0 and assign[sp] >= 0 and t_star[tp] != assign[sp]:
-            return False
-        pp = s_plus[p]
-        if pp >= 0 and assign[pp] >= 0 and t_plus[tp] != assign[pp]:
-            return False
-        for o in order[:i + 1]:
-            to = assign[o]
-            if s_leq[p][o] and not t_leq[tp][to]:
+    def keeps(k: int) -> bool:
+        """Whether the images assigned so far keep the laws of level k."""
+        for i in lower[k]:
+            if not t_leq[images[i]][images[k]]:
                 return False
-            if s_leq[o][p] and not t_leq[to][tp]:
+        for support, op, i, j in laws[k]:
+            v = zero
+            for p in support:
+                v = t_join[v][images[p]]
+            if v != (op if i is None else op[images[i]] if j is None
+                     else op[images[i]][images[j]]):
                 return False
-            for x, y, tx, ty in ((p, o, tp, to), (o, p, to, tp)):
-                m = s_mul[x][y]
-                if m >= 0 and assign[m] >= 0 and t_mul[tx][ty] != assign[m]:
-                    return False
-                m = s_meet[x][y]
-                if m >= 0 and assign[m] >= 0 and t_meet[tx][ty] != assign[m]:
-                    return False
-                j = s_join[x][y]
-                if j >= 0 and assign[j] >= 0 and t_join[tx][ty] != assign[j]:
-                    return False
         return True
 
-    def backtrack(i: int) -> None:
-        if i == len(order):
-            found.append(list(assign))
+    def backtrack(k: int) -> None:
+        if k == m:
+            if keeps(m):
+                found.append(list(images))
             return
-        p = order[i]
-        candidates = every_image
-        if forced[p] is not None:
-            x, y = forced[p]
-            v = t_join[assign[x]][assign[y]]
-            candidates = (v,) if v >= 0 else ()
-        for v in candidates:
-            assign[p] = v
-            if consistent(i):
-                backtrack(i + 1)
-        assign[p] = -1
+        for p in range(len(cands)):
+            images[k] = p
+            if keeps(k):
+                backtrack(k + 1)
 
     backtrack(0)
-    return found
+    out = []
+    for assigned in found:
+        theta = np.full(alg.n, zero, dtype=np.int64)
+        for i, p in enumerate(assigned):
+            theta = np.where(below[i], pad[theta, p], theta)
+        if (theta >= 0).all():
+            out.append(theta)
+    return out
 
 
 def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
                             max_elements: int = 64) -> list[np.ndarray]:
-    """All RQF morphisms q -> r, for valid rqfs q and r.  A morphism
-    preserves joins and every element is a join of partial isometries
-    (PIs), so it is determined by its restriction to the PIs:
-    morphism_search over the PIs of q and r, with the frame joins, then
-    extension by joins and the morphism laws decided on J(q), computed
-    once (_is_rqf_morphism_on_j).
+    """All RQF morphisms q -> r, for valid rqfs q and r: generator_search
+    over the join-irreducibles J(q), with the partial isometries (PIs) of r
+    as candidates, then the morphism laws decided on J(q)
+    (_is_rqf_morphism_on_j).  J(q), PI(q) and PI(r) are cached on q and r.
 
-    No morphism is lost, since a morphism preserves joins and maps PIs to
-    PIs; none is added, since every search result is extended by joins and
+    No morphism is lost: a morphism preserves joins, and every element of q
+    is the join of the j <= it in J, so it is fixed by its values on J; J is
+    inside PI(q), since every element is a join of PIs and a
+    join-irreducible equals one of its joinands, and PIs go to PIs; and it
+    keeps every law the search tests.  None is added, since each map is
     kept only if it passes what validate_rqf_morphism checks."""
     if q.n > max_elements or r.n > max_elements:
         raise BoundExceeded(f"morphism enumeration bounded to {max_elements} elements")
-    q_pis = partial_isometries(q)
-    r_pis = partial_isometries(r)
-    q_js = join_irreducibles(q)
+    q_js, q_pis, r_pis = join_irreducibles(q), partial_isometries(q), partial_isometries(r)
     r_is_pi = np.zeros(r.n, dtype=bool)
     r_is_pi[r_pis] = True
-    found = morphism_search(search_tables(q, q_pis, q.bottom, q.join),
-                            search_tables(r, r_pis, r.bottom, r.join))
-    above = q.leq[q_pis, :]  # above[i, e]: the i-th PI is below e
-    out = []
-    seen = set()
-    for images in found:
-        theta = np.full(q.n, r.bottom, dtype=np.int64)
-        for i, t in enumerate(images):
-            theta = np.where(above[i], r.join[theta, r_pis[t]], theta)
-        key = theta.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        if _is_rqf_morphism_on_j(theta, q, r, q_js, q_pis, r_is_pi):
-            out.append(_freeze(theta))
-    return out
+    return [_freeze(theta)
+            for theta in generator_search(q, q_js, r, r_pis, r.join, r.bottom, r.top)
+            if _is_rqf_morphism_on_j(theta, q, r, q_js, q_pis, r_is_pi)]
 
 
 # ---------------------------------------------------------------------------

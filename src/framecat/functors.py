@@ -34,12 +34,13 @@ matrix (bits.bit_matrix) of the opens or filter members at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .bits import bit_matrix, full_mask, iter_bits, is_submask, mask_of, row_masks
-from .order import (FiniteLattice, FiniteTopSpace, _freeze, enumerate_cp_filters,
+from .order import (FiniteLattice, FiniteTopSpace, _freeze, cached, enumerate_cp_filters,
                     pt_topology, subframe)
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
 from .reports import BoundExceeded, InternalError
@@ -182,13 +183,14 @@ def omega_morphism(fmap, om_src: OmegaResult, om_dst: OmegaResult) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class FilterCategoryResult:
+    """C(Q).  It is cached on Q (`c_object`), so it holds no reference to Q
+    and every field is immutable."""
     topcat: FiniteTopCategory
-    q: EhresmannQuantale
     filters: tuple  # order.CPFilter, in enumerate_cp_filters order
-    index: dict  # member bitmask -> filter index
+    index: Mapping[int, int]  # member bitmask -> filter index
     d_idx: np.ndarray
     r_idx: np.ndarray
-    base: dict  # partial isometry a -> X_a point mask
+    base: Mapping[int, int]  # partial isometry a -> X_a point mask
     x_masks: tuple  # x_masks[a] = X_a over filter indices, for every element a
 
     @property
@@ -240,15 +242,23 @@ def category_on_generators(alg, gens, what: str) -> tuple[FiniteCategory, list[i
 
 
 def c_object(q: EhresmannQuantale, max_opens: int = 4096) -> FilterCategoryResult:
-    """C(Q), read off the join-irreducibles as the module docstring says."""
+    """C(Q), read off the join-irreducibles as the module docstring says.
+    Built once per quantale (`order.cached`); the bound is checked on every
+    call."""
+    fc = cached(q, "c_object", lambda: _filter_category(q))
+    count = fc.topcat.topology.open_count()
+    if count > max_opens:
+        raise BoundExceeded(f"filter topology has {count} opens > {max_opens}")
+    return fc
+
+
+def _filter_category(q: EhresmannQuantale) -> FilterCategoryResult:
     filters = enumerate_cp_filters(q)
     gens = [q.meet_fold(iter_bits(f.members)) for f in filters]  # the least members
     cat, x_masks = category_on_generators(q, gens, "completely prime filter")
     pis = partial_isometries(q)
     base = {a: x_masks[a] for a in pis}
     topology = topology_from_base(cat.n, base.values())
-    if topology.open_count() > max_opens:
-        raise BoundExceeded(f"filter topology has {topology.open_count()} opens > {max_opens}")
 
     # every X_a is open and is the union of the X_p over isometries p <= a
     via_pis = [0] * q.n
@@ -262,17 +272,17 @@ def c_object(q: EhresmannQuantale, max_opens: int = 4096) -> FilterCategoryResul
             raise InternalError(f"X_{a} is not open")
 
     tc = FiniteTopCategory(cat=cat, topology=topology)
-    return FilterCategoryResult(topcat=tc, q=q, filters=tuple(filters),
-                                index={f.members: k for k, f in enumerate(filters)},
-                                d_idx=cat.d, r_idx=cat.r, base=base,
-                                x_masks=tuple(x_masks))
+    return FilterCategoryResult(
+        topcat=tc, filters=tuple(filters),
+        index=MappingProxyType({f.members: k for k, f in enumerate(filters)}),
+        d_idx=cat.d, r_idx=cat.r, base=MappingProxyType(base), x_masks=tuple(x_masks))
 
 
 def c_morphism(phi, fc_src: FilterCategoryResult, fc_dst: FilterCategoryResult) -> np.ndarray:
     """The functor C(S) -> C(R) induced by an RQF morphism phi: R -> S,
     sending a filter B of S to its preimage in R."""
     phi = np.asarray(phi, dtype=np.int64)
-    members = bit_matrix([b.members for b in fc_dst.filters], fc_dst.q.n)
+    members = bit_matrix([b.members for b in fc_dst.filters], len(fc_dst.x_masks))
     out = np.zeros(fc_dst.n, dtype=np.int64)
     for j, pre in enumerate(row_masks(members[:, phi])):
         out[j] = fc_src.filter_of(pre, "preimage filter")

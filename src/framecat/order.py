@@ -8,6 +8,14 @@ and a poset, and every function of a frame or poset takes it as it is.
 A frame adds no fields: FiniteFrame is an alias of FiniteLattice, and a
 frame is a lattice that passes `validate_frame`.
 
+What is derived from an algebra's tables and read many times (its
+join-irreducibles J here; PI, C(Q), J(S), the compatible joins and the
+S-filter category in `quantale`, `functors` and `crm`) is built once, on
+first use, into the algebra's `_cache` (`cached`).  Each cached value is
+immutable (tuples, frozen arrays, frozen dataclasses, read-only mappings)
+and holds no reference to its algebra, so the algebra is still freed by
+reference counting; `dataclasses.replace` starts with an empty cache.
+
 Elements are dense integer indices.  The order is an n-by-n boolean table,
 meet/join are n-by-n element tables.  A finite frame is a finite bounded
 distributive lattice: binary distributivity plus the lattice axioms imply
@@ -39,9 +47,9 @@ of up to 64, held as one uint64 mask array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
@@ -54,10 +62,23 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+T = TypeVar("T")
+
+
+def cached(alg, key: str, build: Callable[[], T]) -> T:
+    """alg._cache[key], built by build() on the first call.  The value must
+    be immutable and must not refer to alg (see the module docstring)."""
+    cache = alg._cache
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
 @dataclass(frozen=True, eq=False)
 class FinitePoset:
     n: int
     leq: np.ndarray  # (n, n) bool; leq[i, j] iff i <= j
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_leq(leq) -> "FinitePoset":
@@ -307,8 +328,8 @@ def join_irreducibles(l: FiniteLattice) -> list[int]:
 
     In a lattice y \\/ z = x with y, z != x means y, z < x, so these are the
     x that are the join of no two elements other than x; one O(n^2) pass
-    over the join table finds them."""
-    return _irreducibles(l.join, l.bottom)
+    over the join table finds them.  Built once per lattice (`cached`)."""
+    return list(cached(l, "join_irreducibles", lambda: tuple(_irreducibles(l.join, l.bottom))))
 
 
 def _is_distributive(l: FiniteLattice) -> bool:

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .bits import mask_of
-from .order import FiniteFrame, FiniteLattice, join_irreducibles, validate_frame
+from .order import FiniteFrame, FiniteLattice, cached, join_irreducibles, validate_frame
 from .reports import Report
 from .topcat import FiniteCategory, FiniteTopCategory, Topology
 
@@ -233,9 +233,14 @@ PI_BLOCK = 32  # columns per block of the partial-isometry test
 
 
 def partial_isometries(q: EhresmannQuantale) -> list[int]:
-    """All a such that every b <= a satisfies b = b+.a = a.b*: an n-by-n
-    test, column a holding the b <= a, run PI_BLOCK columns at a time so
-    that its gathers are n-by-PI_BLOCK."""
+    """All a such that every b <= a satisfies b = b+.a = a.b*, in index
+    order; built once per quantale (`order.cached`)."""
+    return list(cached(q, "partial_isometries", lambda: tuple(_partial_isometries(q))))
+
+
+def _partial_isometries(q: EhresmannQuantale) -> list[int]:
+    """An n-by-n test, column a holding the b <= a, run PI_BLOCK columns at
+    a time so that its gathers are n-by-PI_BLOCK."""
     idx = np.arange(q.n)[:, None]
     ok = []
     for c in range(0, q.n, PI_BLOCK):

@@ -10,12 +10,13 @@ from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, empty_catego
                              etale_categories, hand_built_crms, monoid_category,
                              negative_crm_fixture, pair_groupoid,
                              semilattice_monoid_category)
+from framecat import crm
 from framecat.crm import (CompleteRestrictionMonoid, IdealCompletion, SFilterCategory,
                           _compatible_join_table, _partial_join_table,
                           crm_compatible,
                           crm_lub, enumerate_callitic_morphisms,
                           is_callitic, is_proper, join_primes, l_vee, make_crm,
-                          pi_restriction_monoid, preserves_finite_meets,
+                          pi_join_table, pi_restriction_monoid, preserves_finite_meets,
                           s_filter_bijection, s_filters, s_filters_list,
                           theta_extension, transpose_backward_II, transpose_forward_II,
                           validate_crm, validate_crm_morphism,
@@ -29,7 +30,8 @@ from framecat.reports import BoundExceeded
 from framecat.suite import Instance, ideals_of_isometries_roundtrip, isometries_of_ideals_roundtrip
 from framecat.topcat import (UNDEF, FiniteTopCategory, make_category, topology_from_base,
                              validate_covering_functor)
-from map_oracles import assert_transposes_match_oracles, map_outcome, small_corpus_categories
+from map_oracles import (assert_transposes_match_oracles, map_outcome,
+                         one_value_perturbations, small_corpus_categories)
 from random_categories import small_categories
 
 
@@ -844,7 +846,7 @@ def s_filters_oracle(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> SFi
         raise BoundExceeded("S-filter topology too large")
     return SFilterCategory(topcat=FiniteTopCategory(cat=cat, topology=topology),
                            filters=tuple(filters), index=index, d_idx=d_idx, r_idx=r_idx,
-                           source=s, x_masks=tuple(base))
+                           x_masks=tuple(base))
 
 
 def assert_s_filters_match_oracle(s, where=None):
@@ -1048,3 +1050,97 @@ def test_transposes_II_match_oracles_on_an_empty_s_filter_category():
     for e in range(t.n):
         theta = np.array([e], dtype=np.int64)
         assert map_outcome(backward, theta) == map_outcome(backward_oracle, theta) is None
+
+
+# ---------------------------------------------------------------------------
+# _partial_join_table, the partial joins of PI read off Q (pi_join_table)
+# and is_proper against the bodies they had before they worked on whole
+# arrays
+
+def partial_join_table_oracle(s):
+    """As in crm_lub, the least upper bound is the first common upper bound
+    u with u <= v for every common upper bound v.  Row a takes one matrix
+    product: counts[b, u] is the number of common upper bounds v of a and b
+    with not u <= v."""
+    above = s.leq.astype(np.float32)               # above[x, u] = x <= u
+    not_below = (~s.leq).T.astype(np.float32)      # not_below[v, u] = not u <= v
+    join_table = np.full((s.n, s.n), -1, dtype=np.int64)
+    for a in range(s.n):
+        common = above * above[a]                  # common[b, u] = a, b <= u
+        least = (common > 0) & (common @ not_below == 0)
+        found = least.any(axis=1)
+        join_table[a, found] = least[found].argmax(axis=1)
+    return join_table
+
+
+def is_proper_oracle(theta, s, t):
+    """Every element of the target is a join of elements below image elements."""
+    theta = np.asarray(theta, dtype=np.int64)
+    below_image = np.zeros(t.n, dtype=bool)
+    for a in range(s.n):
+        below_image |= t.leq[:, int(theta[a])]
+    for x in range(t.n):
+        gens = [int(g) for g in np.flatnonzero(below_image & t.leq[:, x])]
+        if crm_lub(t, gens or [t.zero]) != x:
+            return False, (x,)
+    return True, None
+
+
+def pi_of_corpus_categories():
+    """(name, Omega(C), PI(Omega(C)), its carrier) for every corpus category."""
+    out = []
+    for inst in etale_categories():
+        om = omega_object(inst.obj, max_elements=1024)
+        t, carrier = pi_restriction_monoid(om.rqf)
+        out.append((inst.name, om, t, carrier))
+    return out
+
+
+def test_partial_join_table_matches_oracle_on_corpus():
+    monoids = [(i.name, i.obj) for i in corpus_crms()]
+    monoids += [(f"pi-omega-{name}", t) for name, _, t, _ in pi_of_corpus_categories()]
+    for name, s in monoids:
+        assert np.array_equal(_partial_join_table(s), partial_join_table_oracle(s)), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_categories())
+def test_partial_join_table_matches_oracle_on_random_categories(tc):
+    s, _ = pi_restriction_monoid(omega_object(tc).rqf)
+    assert np.array_equal(_partial_join_table(s), partial_join_table_oracle(s))
+
+
+def test_partial_join_table_on_blocks_of_rows(monkeypatch):
+    """Blocks of one and of three rows give the table of one block."""
+    s, _ = pi_restriction_monoid(omega_object(pair_groupoid(3)).rqf)
+    whole = _partial_join_table(s)
+    for rows in (1, 3):
+        monkeypatch.setattr(crm, "JOIN_BLOCK_CELLS", rows * s.n * s.n)
+        assert np.array_equal(_partial_join_table(s), whole), rows
+
+
+def test_pi_join_table_is_the_partial_join_table_on_corpus():
+    for name, om, t, carrier in pi_of_corpus_categories():
+        assert np.array_equal(pi_join_table(om.rqf, carrier), _partial_join_table(t)), name
+
+
+def proper_homsets():
+    """(s, t, the callitic hom-set s -> t): PI(Omega(C2)) -> PI(Omega(C1))
+    for the small corpus categories, and PI(Omega(pair3)) to itself."""
+    monoids = [pi_restriction_monoid(omega_object(tc).rqf)[0]
+               for _, tc in small_corpus_categories()]
+    out = [(s, t, enumerate_callitic_morphisms(s, t)) for s in monoids for t in monoids]
+    s, _ = pi_restriction_monoid(omega_object(pair_groupoid(3)).rqf)
+    return out + [(s, s, enumerate_callitic_morphisms(s, s))]
+
+
+def test_is_proper_matches_oracle_on_homsets_and_perturbations():
+    failing = 0
+    for s, t, homset in proper_homsets():
+        for theta in homset:
+            assert is_proper(theta, s, t) == is_proper_oracle(theta, s, t) == (True, None)
+            for bad in one_value_perturbations(theta, t.n):
+                outcome = is_proper(bad, s, t)
+                assert outcome == is_proper_oracle(bad, s, t), bad.tolist()
+                failing += not outcome[0]
+    assert failing > 0
