@@ -16,12 +16,12 @@ exhaustively and the two transposes are checked to be mutually inverse
 bijections between them (check_transposes).  The morphism hom-set is found
 by generator_search, a backtracking over the images of the generators J of
 the source only, each law compiled into the level of its last generator;
-the functor hom-set by a backtracking over arrow maps that prunes by d, r,
-composition and the injective half of the covering condition.  The
-second adjunction in crm reuses the functor search, generator_search and
-check_transposes.  J, PI and C(Q) are cached on their algebra
-(order.cached), so an adjunction check against an algebra it has seen
-before builds none of them again.
+the functor hom-set, and an isomorphism of categories, by arrow_maps, one
+backtracking over arrow maps that compiles composition and injectivity
+into the level of the last arrow alike.  The second adjunction in crm
+reuses the functor search, generator_search and check_transposes.  J, PI
+and C(Q) are cached on their algebra (order.cached), so an adjunction
+check against an algebra it has seen before builds none of them again.
 
 Each transpose reads a membership relation the other way round: the filters
 alpha(c) (or the opens beta(q)) become the rows of one bool matrix
@@ -33,7 +33,7 @@ the filters O_x off the columns of the opens the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -296,68 +296,74 @@ def transpose_backward(beta, tc: FiniteTopCategory, q: EhresmannQuantale,
 # ---------------------------------------------------------------------------
 # hom-set enumeration
 
+def arrow_maps(cs: FiniteCategory, cd: FiniteCategory, order: list[int],
+               candidates: list[list[int]], iso: bool = False) -> Iterator[list[int]]:
+    """The arrow maps F: cs -> cd with each F(a) in candidates[a] that keep
+    F(x.y) = F(x).F(y) for every composable pair and send no two arrows
+    with the same d, or with the same r, to one arrow; with iso also no two
+    arrows at all, and F(x).F(y) undefined wherever x.y is.  The candidates
+    of an identity must be identities; then F(d a) = d F(a) and F(r a) =
+    r F(a) are the laws of the pairs (a, d a) and (r a, a).  Yielded as
+    lists in depth-first order: the arrows placed in `order`, the
+    candidates of each in the order given.  Each law is compiled once, into
+    the level of the last arrow it names, and checked when that arrow is
+    placed."""
+    n = cs.n
+    s_d, s_r, s_comp, t_comp = cs.d.tolist(), cs.r.tolist(), cs.comp.tolist(), cd.comp.tolist()
+    level = {a: k for k, a in enumerate(order)}
+    # per level: (x, y, c) with F(x).F(y) = F(c), where c = UNDEF reads
+    # UNDEF from the last slot of `image`; (a, b) with F(a) != F(b)
+    comps: list[list[tuple]] = [[] for _ in range(n)]
+    apart: list[list[tuple]] = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            c = s_comp[a][b]
+            if c != UNDEF:
+                comps[max(level[a], level[b], level[c])].append((a, b, c))
+            elif iso:
+                comps[max(level[a], level[b])].append((a, b, UNDEF))
+            if b < a and (iso or s_d[a] == s_d[b] or s_r[a] == s_r[b]):
+                apart[max(level[a], level[b])].append((a, b))
+    image = [0] * n + [UNDEF]
+
+    def keeps(k: int) -> bool:
+        """Whether the images placed so far keep the laws of level k."""
+        for x, y, c in comps[k]:
+            if t_comp[image[x]][image[y]] != image[c]:
+                return False
+        for a, b in apart[k]:
+            if image[a] == image[b]:
+                return False
+        return True
+
+    def search(k: int) -> Iterator[list[int]]:
+        if k == n:
+            yield image[:n]
+            return
+        a = order[k]
+        for y in candidates[a]:
+            image[a] = y
+            if keeps(k):
+                yield from search(k + 1)
+
+    yield from search(0)
+
+
 def enumerate_covering_functors(src: FiniteTopCategory, dst: FiniteTopCategory,
                                 max_arrows: int = 12) -> list[np.ndarray]:
-    """All continuous covering functors src -> dst, by backtracking over the
-    arrow map, then validate_covering_functor and continuity_check.
-
-    The search prunes by d, r and composition, and by the injective half
-    of the covering condition: no two arrows with the same d, or with the
-    same r, get the same image (covering.d_injective, r_injective).  Every
-    map it cuts off fails validation, so the output is the list, in the
-    order, of a search without these prunes."""
+    """All continuous covering functors src -> dst: the maps of arrow_maps,
+    identities placed first and sent to identities, that pass
+    validate_covering_functor (for surjectivity) and continuity_check."""
     cs, cd = src.cat, dst.cat
     if cs.n > max_arrows or cd.n > max_arrows:
         raise BoundExceeded(f"hom-set enumeration bounded to {max_arrows} arrows")
     order = sorted(range(cs.n), key=lambda a: (not cs.is_identity(a), a))
-    dst_ids = [e for e in range(cd.n) if cd.is_identity(e)]
-    fmap = np.full(cs.n, -1, dtype=np.int64)
-    found: list[np.ndarray] = []
-
-    def candidates(a: int) -> Iterable[int]:
-        if cs.is_identity(a):
-            return dst_ids
-        de, re_ = fmap[cs.d[a]], fmap[cs.r[a]]
-        return [y for y in range(cd.n)
-                if (de < 0 or cd.d[y] == de) and (re_ < 0 or cd.r[y] == re_)]
-
-    def consistent(a: int) -> bool:
-        fa = fmap[a]
-        if cs.d[a] >= 0 and fmap[cs.d[a]] >= 0 and cd.d[fa] != fmap[cs.d[a]]:
-            return False
-        if fmap[cs.r[a]] >= 0 and cd.r[fa] != fmap[cs.r[a]]:
-            return False
-        for b in range(cs.n):
-            if fmap[b] < 0:
-                continue
-            if fmap[b] == fa and b != a and (cs.d[b] == cs.d[a] or cs.r[b] == cs.r[a]):
-                return False
-            for x, y in ((a, b), (b, a)):
-                c = cs.comp[x, y]
-                if c != UNDEF and fmap[c] >= 0:
-                    z = cd.comp[fmap[x], fmap[y]]
-                    if z == UNDEF or z != fmap[c]:
-                        return False
-        return True
-
-    def backtrack(i: int) -> None:
-        if i == len(order):
-            found.append(fmap.copy())
-            return
-        a = order[i]
-        for y in candidates(a):
-            fmap[a] = y
-            if consistent(a):
-                backtrack(i + 1)
-            fmap[a] = -1
-
-    backtrack(0)
+    dst_ids, every = cd.identities(), list(range(cd.n))
+    candidates = [dst_ids if cs.is_identity(a) else every for a in range(cs.n)]
     out = []
-    for f in found:
-        if not validate_covering_functor(f, cs, cd).ok:
-            continue
-        ok, _ = continuity_check(f, src, dst)
-        if ok:
+    for f in arrow_maps(cs, cd, order, candidates):
+        f = np.array(f, dtype=np.int64)
+        if validate_covering_functor(f, cs, cd).ok and continuity_check(f, src, dst)[0]:
             out.append(_freeze(f))
     return out
 
@@ -617,10 +623,13 @@ def check_naturality_in_quantale(psi, q_src: EhresmannQuantale, q_dst: Ehresmann
 
 
 # ---------------------------------------------------------------------------
-# isomorphism search (canonical-form backtracking on small instances)
+# isomorphism search: arrow_maps with iso, over arrows of equal fingerprint
 
 def find_category_isomorphism(c1: FiniteCategory, c2: FiniteCategory,
                               max_arrows: int = 16) -> Optional[np.ndarray]:
+    """The first isomorphism c1 -> c2 in lexicographic order, or None: the
+    arrows placed in index order, each over the arrows of c2 with its
+    fingerprint, which an isomorphism keeps."""
     if c1.n != c2.n:
         return None
     if c1.n > max_arrows:
@@ -635,42 +644,8 @@ def find_category_isomorphism(c1: FiniteCategory, c2: FiniteCategory,
     if sorted(f1) != sorted(f2):
         return None
     cand = [[b for b in range(c2.n) if f2[b] == f1[a]] for a in range(c1.n)]
-    fmap = np.full(c1.n, -1, dtype=np.int64)
-    used = set()
-
-    def ok(a: int) -> bool:
-        fa = fmap[a]
-        if fmap[c1.d[a]] >= 0 and c2.d[fa] != fmap[c1.d[a]]:
-            return False
-        if fmap[c1.r[a]] >= 0 and c2.r[fa] != fmap[c1.r[a]]:
-            return False
-        for b in range(c1.n):
-            if fmap[b] < 0:
-                continue
-            for x, y in ((a, b), (b, a)):
-                c = c1.comp[x, y]
-                z = c2.comp[fmap[x], fmap[y]]
-                if (c == UNDEF) != (z == UNDEF):
-                    return False
-                if c != UNDEF and fmap[c] >= 0 and z != fmap[c]:
-                    return False
-        return True
-
-    def backtrack(a: int) -> bool:
-        if a == c1.n:
-            return True
-        for b in cand[a]:
-            if b in used:
-                continue
-            fmap[a] = b
-            used.add(b)
-            if ok(a) and backtrack(a + 1):
-                return True
-            used.discard(b)
-            fmap[a] = -1
-        return False
-
-    return _freeze(fmap) if backtrack(0) else None
+    f = next(arrow_maps(c1, c2, list(range(c1.n)), cand, iso=True), None)
+    return None if f is None else _freeze(np.array(f, dtype=np.int64))
 
 
 def quantale_isomorphism_ok(f, q1: EhresmannQuantale, q2: EhresmannQuantale) -> bool:

@@ -332,10 +332,12 @@ def validate_covering_functor(fmap, src: FiniteCategory, dst: FiniteCategory) ->
     rep = Report(subject="covering-functor")
     rep.layers_run.append("functor")
     n = src.n
-    if fmap.shape != (n,) or ((fmap < 0) | (fmap >= max(dst.n, 1))).any():
-        if n:
-            rep.add("functor.map_range", (int(np.flatnonzero((fmap < 0) | (fmap >= max(dst.n, 1)))[0]),))
-            return rep
+    # witness: the first value out of range, else the first position past
+    # the shorter of the map and the arrows of src
+    bad = np.flatnonzero((fmap < 0) | (fmap >= dst.n))
+    if fmap.shape != (n,) or bad.size:
+        rep.add("functor.map_range", (int(bad[0]) if bad.size else min(fmap.size, n),))
+        return rep
     for e in src.identities():
         if not dst.is_identity(int(fmap[e])):
             rep.add("functor.preserves_identities", (e,))

@@ -2,8 +2,9 @@
 transposes of both adjunctions, omega_morphism and c_morphism): each is
 compared with the element-by-element body it had before, on hom-set members
 and their one-value perturbations.  Also the rqf hom-set search's decision
-on join-irreducibles against validate_rqf_morphism, and the arrow
-relabelling of a category that the hom-set tests search under."""
+on join-irreducibles against validate_rqf_morphism, the arrow relabelling
+of a category that the hom-set tests search under, and the maps the
+arrow-map search yields to the covering functor search."""
 
 from unittest import mock
 
@@ -97,3 +98,18 @@ def searched_rqf_morphisms(q, r, max_elements: int = 1024):
                            wraps=duality._is_rqf_morphism_on_j) as spy:
         homset = duality.enumerate_rqf_morphisms(q, r, max_elements)
     return homset, [c.args for c in spy.call_args_list]
+
+
+def searched_arrow_maps(src, dst):
+    """The hom-set enumerate_covering_functors(src, dst) finds, and every
+    map arrow_maps yielded to it on the way."""
+    search, yielded = duality.arrow_maps, []
+
+    def spy(*args, **kwargs):
+        for f in search(*args, **kwargs):
+            yielded.append(list(f))
+            yield f
+
+    with mock.patch.object(duality, "arrow_maps", spy):
+        homset = duality.enumerate_covering_functors(src, dst)
+    return homset, yielded

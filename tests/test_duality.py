@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from framecat.bits import has_bit, mask_of
 from framecat.corpus import (boolean_frame, chain_frame, corpus_rqfs,
-                             cyclic2_category, empty_category, m3_lattice,
+                             cyclic2_category, empty_category,
+                             free_category_on_acyclic_graph, m3_lattice,
                              monoid_category, pair_groupoid,
                              parallel_pair_category, parity_pair_groupoid)
 from framecat.duality import (AdjunctionReport, _is_rqf_morphism_on_j,
@@ -26,7 +29,8 @@ from framecat.topcat import UNDEF, continuity_check, validate_covering_functor
 from map_oracles import (assert_j_decisions_match_scan,
                          assert_transposes_match_oracles, j_decision,
                          map_outcome, one_value_perturbations, relabel,
-                         searched_rqf_morphisms, small_corpus_categories)
+                         searched_arrow_maps, searched_rqf_morphisms,
+                         small_corpus_categories)
 from random_categories import small_categories
 
 
@@ -277,6 +281,81 @@ def test_category_isomorphism_search(pair2, fc_pair2):
     mono = monoid_category([[0, 1], [1, 1]]).cat
     cyc = cyclic2_category().cat
     assert find_category_isomorphism(mono, cyc) is None
+
+
+def test_isomorphism_search_tells_a_non_idempotent_from_idempotents():
+    """In the first monoid a.a = b, in the second every element is
+    idempotent, so they are not isomorphic.  Swapping a and b keeps every
+    composite but a.a = b, whose product is placed after its factors."""
+    squares = monoid_category([[0, 1, 2], [1, 2, 1], [2, 1, 2]]).cat
+    idempotents = monoid_category([[0, 1, 2], [1, 1, 2], [2, 2, 2]]).cat
+    assert find_category_isomorphism(squares, idempotents) is None
+    assert find_category_isomorphism(idempotents, squares) is None
+    for c in (squares, idempotents):
+        assert find_category_isomorphism(c, c).tolist() == [0, 1, 2]
+
+
+def test_isomorphism_search_keeps_identities_apart():
+    """Sending both identities of the discrete category on two objects to
+    one keeps d, r and every defined composite, but not e.e' undefined."""
+    c = free_category_on_acyclic_graph(2, []).cat
+    assert find_category_isomorphism(c, c).tolist() == [0, 1]
+
+
+def first_isomorphism_oracle(c1, c2):
+    """The first permutation p of the arrows, in lexicographic order, with
+    p[d] = d'[p], p[r] = r'[p] and comp'[p, p] = p[comp], UNDEF where comp
+    is UNDEF; None when there is none."""
+    if c1.n != c2.n:
+        return None
+    undefined = c1.comp == UNDEF
+    for perm in itertools.permutations(range(c1.n)):
+        p = np.array(perm, dtype=np.int64)
+        if (np.array_equal(p[c1.d], c2.d[p]) and np.array_equal(p[c1.r], c2.r[p])
+                and np.array_equal(c2.comp[np.ix_(p, p)],
+                                   np.where(undefined, UNDEF, p[c1.comp]))):
+            return p
+    return None
+
+
+def assert_isomorphism_matches_oracle(c1, c2):
+    """The search finds the oracle's isomorphism, or None with it, and the
+    map and its inverse are both functors that cover."""
+    got = find_category_isomorphism(c1, c2)
+    want = first_isomorphism_oracle(c1, c2)
+    assert (None if got is None else got.tolist()) == (None if want is None else want.tolist())
+    if got is not None:
+        assert validate_covering_functor(got, c1, c2).ok
+        assert validate_covering_functor(np.argsort(got), c2, c1).ok
+    return got
+
+
+def test_isomorphism_search_matches_oracle_on_small_corpus_categories():
+    """Each corpus category with at most 7 arrows (none has 7), a relabelled
+    copy of it and C(Omega(C)), against one another whenever they have as
+    many arrows."""
+    rng = np.random.default_rng(3)
+    cats = []
+    for name, tc in small_corpus_categories():
+        cats += [tc.cat, relabel(tc, rng.permutation(tc.n)).cat,
+                 c_object(omega_object(tc).rqf).topcat.cat]
+    found = sum(assert_isomorphism_matches_oracle(c1, c2) is not None
+                for c1 in cats for c2 in cats if c1.n == c2.n)
+    assert found > 3 * len(cats)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(small_categories(), min_size=2, max_size=6), st.randoms())
+def test_isomorphism_search_matches_oracle_on_random_categories(tcs, rnd):
+    """Every pair of the drawn categories, and their relabelled copies,
+    with as many arrows, at most 7."""
+    tcs = [tc for tc in tcs if tc.n <= 7]
+    cats = [tc.cat for tc in tcs] + [relabel(tc, rnd.sample(range(tc.n), tc.n)).cat
+                                     for tc in tcs]
+    for c1 in cats:
+        for c2 in cats:
+            if c1.n == c2.n:
+                assert_isomorphism_matches_oracle(c1, c2)
 
 
 def test_quantale_isomorphism_check(omega_pair2):
@@ -538,6 +617,32 @@ def covering_functors_oracle(src, dst, max_arrows=12):
     backtrack(0)
     return [f for f in found if validate_covering_functor(f, cs, cd).ok
             and continuity_check(f, src, dst)[0]]
+
+
+def assert_search_sound(src, dst):
+    """Every map arrow_maps yields for enumerate_covering_functors(src, dst)
+    is a functor that keeps the injective half of the covering condition:
+    validate_covering_functor rejects it for surjectivity only."""
+    homset, yielded = searched_arrow_maps(src, dst)
+    surjective = {"covering.d_surjective", "covering.r_surjective"}
+    for f in yielded:
+        assert set(validate_covering_functor(f, src.cat, dst.cat).laws()) <= surjective, f
+    assert len(yielded) >= len(homset)
+
+
+@pytest.mark.parametrize("name2,tc2", small_corpus_categories())
+def test_functor_search_yields_only_injective_functors_on_small_corpus_pairs(name2, tc2):
+    filters = c_object(omega_object(tc2).rqf).topcat
+    for name1, tc1 in small_corpus_categories():
+        assert_search_sound(tc1, tc2)
+        assert_search_sound(tc1, filters)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_categories(), small_categories())
+def test_functor_search_yields_only_injective_functors_on_random_categories(tc1, tc2):
+    for src, dst in ((tc1, tc2), (tc2, tc1), (tc1, tc1)):
+        assert_search_sound(src, dst)
 
 
 def assert_same_functors(src, dst):

@@ -164,6 +164,30 @@ def test_non_covering_monoid_map():
     assert {"covering.d_injective", "covering.r_injective"} & set(rep.laws())
 
 
+def test_map_of_the_wrong_length_is_out_of_range():
+    one = monoid_category([[0]]).cat
+    rep = validate_covering_functor([0, 0], one, one)
+    assert [(v.law, v.witness) for v in rep.violations] == [("functor.map_range", (1,))]
+    rep = validate_covering_functor([], one, one)
+    assert [(v.law, v.witness) for v in rep.violations] == [("functor.map_range", (0,))]
+
+
+def test_map_out_of_the_empty_category_must_be_empty():
+    empty, pair = empty_category().cat, pair_groupoid(2).cat
+    rep = validate_covering_functor([5], empty, pair)
+    assert [(v.law, v.witness) for v in rep.violations] == [("functor.map_range", (0,))]
+    rep = validate_covering_functor([0], empty, pair)
+    assert [(v.law, v.witness) for v in rep.violations] == [("functor.map_range", (0,))]
+    assert validate_covering_functor([], empty, pair).ok
+
+
+def test_map_into_the_empty_category_is_out_of_range():
+    empty, pair = empty_category().cat, pair_groupoid(2).cat
+    rep = validate_covering_functor([0, 0, 0, 0], pair, empty)
+    assert [(v.law, v.witness) for v in rep.violations] == [("functor.map_range", (0,))]
+    assert validate_covering_functor([], empty, empty).ok
+
+
 def test_continuity_between_topologies():
     disc = pair_groupoid(2)
     ind = indiscrete_pair_groupoid()
