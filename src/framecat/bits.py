@@ -8,11 +8,21 @@ back, so that a family of subsets can be selected, transposed or gathered
 as one array: the transpose of the membership matrix of sets U_0, ..., U_m
 over 0..n-1 gives, for each i < n, the set {k : i in U_k}.  Masks pass
 through bytes, not int64, so both are exact at any width.
+
+The word kernel holds a family of subsets of 0..width-1 as an (n, W)
+uint64 array, W = max(1, ceil(width / 64)), so that every width takes the
+same path.  pack_words packs bool rows and take_words gathers them;
+intersection, union and inclusion of whole families are &, | and
+`a & ~b == 0` on words.  word_lookup maps word rows back to the index of
+the equal row of a table, exactly, by binary search on W*8-byte keys.
+bool_product is the boolean matrix product (the image of a family of sets
+under a relation), and row_blocks cuts a row range into blocks, so that a
+temporary of many cells per row stays within BLOCK_CELLS cells.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,3 +72,60 @@ def row_masks(matrix: np.ndarray) -> list[int]:
     matrix[k, j]: the inverse of bit_matrix."""
     packed = np.packbits(matrix, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def pack_words(bits: np.ndarray) -> np.ndarray:
+    """The bool (..., width) array as (..., W) little-endian uint64 words:
+    bit b of word w holds bits[..., 64 w + b]; the bits past width are 0."""
+    *lead, width = bits.shape
+    out = np.zeros((*lead, max(1, -(-width // 64)) * 8), dtype=np.uint8)
+    out[..., :-(-width // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return out.view("<u8")
+
+
+def take_words(words: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """words[index] for (n, W) words and an integer index array: the
+    (*index.shape, W) words, gathered as one W*8-byte item per row, which
+    NumPy does several times faster than a gather of rows."""
+    rows = np.ascontiguousarray(words).view(np.dtype((np.void, words.shape[1] * 8)))[:, 0]
+    taken = np.ascontiguousarray(rows[index])  # a transposed index gives a transposed result
+    return taken.view(words.dtype).reshape(*np.shape(index), words.shape[1])
+
+
+def word_lookup(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The exact lookup of word rows in the distinct rows of the (n, W)
+    table, n >= 1: the function it returns maps an (..., W) array of word
+    rows to the (...) array of their indices in table, -1 for a row that is
+    not one of table's.  Rows are compared whole, as W*8-byte keys."""
+    key = np.dtype((np.void, table.shape[1] * 8))
+    keys = np.ascontiguousarray(table).view(key).ravel()
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+
+    def find(rows: np.ndarray) -> np.ndarray:
+        wanted = np.ascontiguousarray(rows, dtype=table.dtype).view(key)[..., 0]
+        at = np.minimum(np.searchsorted(ranked, wanted), len(ranked) - 1)
+        return np.where(ranked[at] == wanted, order[at], -1)
+
+    return find
+
+
+def bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The boolean matrix product, (a @ b)[i, k] = any(a[i, j] & b[j, k]),
+    broadcast as np.matmul; float32 sums of 0/1 entries are exact for inner
+    sizes below 2**24, and unlike a boolean matmul they go through BLAS."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
+BLOCK_CELLS = 1 << 16  # cells of the largest temporary a row_blocks loop builds
+
+
+def row_blocks(rows: int, cells_per_row: int) -> Iterator[slice]:
+    """Consecutive slices covering range(rows), each of at most
+    BLOCK_CELLS // cells_per_row rows, and at least one.  A temporary of
+    cells_per_row cells a row then holds at most BLOCK_CELLS cells, 512 KB
+    of words (no more than an (n, n) int64 table once n >= 256, and small
+    enough to stay in cache), or one row where a row is larger."""
+    step = max(1, BLOCK_CELLS // max(1, cells_per_row))
+    for start in range(0, rows, step):
+        yield slice(start, start + step)

@@ -27,8 +27,13 @@ bitmask in ascending order, so for discrete topologies index == mask and
 the whole table construction vectorizes: _omega_discrete builds star, plus
 and the products U.{v} by doubling, the masks in [2^j, 2^(j+1)) being those
 below 2^j with arrow j added, and then mul one block of columns per arrow
-the same way.  omega_morphism and c_morphism gather columns of the bit
-matrix (bits.bit_matrix) of the opens or filter members at once.
+the same way.  For any other topology _omega_generic holds the opens as
+words of the `bits` kernel: inclusion, intersection and union are word
+AND/OR on whole rows of opens, the d- and r-images and the products are
+boolean products (the products over the composable pairs u.v), and
+`bits.word_lookup` maps every result back to its open, a result that is no
+open being an error.  omega_morphism and c_morphism gather columns of the
+bit matrix (bits.bit_matrix) of the opens or filter members at once.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .bits import bit_matrix, full_mask, iter_bits, is_submask, mask_of, row_masks
+from .bits import (bit_matrix, bool_product, full_mask, iter_bits, mask_of, pack_words,
+                   row_blocks, row_masks, word_lookup)
 from .order import (FiniteLattice, FiniteTopSpace, _freeze, cached, enumerate_cp_filters,
                     pt_topology, subframe)
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
@@ -80,8 +86,8 @@ def _omega_discrete(tc: FiniteTopCategory) -> OmegaResult:
     k = cat.n
     nq = 1 << k
     masks = np.arange(nq, dtype=np.int64)
-    leq = np.bitwise_and.outer(masks, masks) == masks[:, None]
     meet = np.bitwise_and.outer(masks, masks)
+    leq = meet == masks[:, None]
     join = np.bitwise_or.outer(masks, masks)
     frame = FiniteLattice(nq, _freeze(leq), _freeze(meet), _freeze(join),
                           bottom=0, top=nq - 1)
@@ -100,68 +106,65 @@ def _omega_discrete(tc: FiniteTopCategory) -> OmegaResult:
         single[lo:2 * lo] = single[:lo] | comp[j]
     for j in range(k):
         lo = 1 << j
-        mul[:, lo:2 * lo] = mul[:, :lo] | single[:, j:j + 1]
+        np.bitwise_or(mul[:, :lo], single[:, j:j + 1], out=mul[:, lo:2 * lo])
 
     q = make_eq(frame, mul, int(cat.identity_mask), star, plus)
-    opens = tuple(int(m) for m in masks)
-    return OmegaResult(rqf=q, opens=opens, index={m: m for m in opens}, source=tc)
+    opens = tuple(range(nq))
+    return OmegaResult(rqf=q, opens=opens, index=dict(zip(opens, opens)), source=tc)
 
 
 def _omega_generic(tc: FiniteTopCategory) -> OmegaResult:
+    """Omega(C) for any topology, on the opens as words (`bits.pack_words`).
+    Inclusion, intersection and union of whole rows of opens are
+    `a & ~b == 0`, & and |.  The d- and r-images of all opens are one
+    boolean product with the graphs of d and r.  The product U.V holds w
+    iff some composable pair u.v = w has u in U and v in V: an AND of
+    member columns over the composable pairs, then a boolean product with
+    their composites.  Temporaries are cut into row blocks
+    (`bits.row_blocks`).  Every result is mapped back to its open by
+    `bits.word_lookup`; the first cell, in rows-first order, that is not an
+    open raises ValueError, naming the intersection before the union, then
+    the d-image before the r-image, then the product."""
     cat = tc.cat
+    k = cat.n
     opens = sorted(tc.topology.opens)
     index = {m: i for i, m in enumerate(opens)}
     nq = len(opens)
+    member = bit_matrix(opens, k)           # member[i, u]: arrow u is in open i
+    words = pack_words(member)
+    find = word_lookup(words)
+    arrows = np.arange(k)
+    u, v = np.nonzero(cat.comp != UNDEF)    # the composable pairs u.v
+    lands = cat.comp[u, v, None] == arrows  # lands[t, w]: the t-th composite is w
 
-    def idx(mask: int, what: str) -> int:
-        i = index.get(mask)
-        if i is None:
-            raise ValueError(f"{what} is not open; category not etale as claimed")
-        return i
-
-    leq = np.zeros((nq, nq), dtype=bool)
-    meet = np.zeros((nq, nq), dtype=np.int64)
-    join = np.zeros((nq, nq), dtype=np.int64)
-    for i, a in enumerate(opens):
-        for j, b in enumerate(opens):
-            leq[i, j] = is_submask(a, b)
-            meet[i, j] = idx(a & b, "intersection")
-            join[i, j] = idx(a | b, "union")
+    leq = np.empty((nq, nq), dtype=bool)
+    meet, join, mul = (np.empty((nq, nq), dtype=np.int64) for _ in range(3))
+    for rows in row_blocks(nq, nq * max(3 * words.shape[1], len(u), k)):
+        a = words[rows, None]
+        leq[rows] = ((a & ~words) == 0).all(axis=2)
+        both = member[rows, None, u] & member[None, :, v]  # [i, j, t]: u in U_i, v in U_j
+        products = pack_words(bool_product(both, lands))
+        found = find(np.stack([a & words, a | words, products], axis=2))
+        meet[rows], join[rows], mul[rows] = found[..., 0], found[..., 1], found[..., 2]
+    _require_open(("intersection", "union"), meet, join)
     frame = FiniteLattice(nq, _freeze(leq), _freeze(meet), _freeze(join),
-                          bottom=index[0], top=index[full_mask(cat.n)])
-
-    k = cat.n
-    single = [[0] * nq for _ in range(k)]  # single[v][iU] = mask of U.{v}
-    for v in range(k):
-        contrib = [0] * k
-        for u in range(k):
-            w = int(cat.comp[u, v])
-            if w != UNDEF:
-                contrib[u] = 1 << w
-        col = single[v]
-        for i, a in enumerate(opens):
-            m = 0
-            for u in iter_bits(a):
-                m |= contrib[u]
-            col[i] = m
-
-    open_bits = [list(iter_bits(m)) for m in opens]
-    mul = np.zeros((nq, nq), dtype=np.int64)
-    star = np.zeros(nq, dtype=np.int64)
-    plus = np.zeros(nq, dtype=np.int64)
-    for i, a in enumerate(opens):
-        star[i] = idx(mask_of(int(cat.d[u]) for u in iter_bits(a)), "d-image")
-        plus[i] = idx(mask_of(int(cat.r[u]) for u in iter_bits(a)), "r-image")
-    for i in range(nq):
-        row = mul[i, :]
-        for j in range(nq):
-            m = 0
-            for v in open_bits[j]:
-                m |= single[v][i]
-            row[j] = idx(m, "product")
-
+                          bottom=index[0], top=index[full_mask(k)])
+    graphs = np.concatenate([cat.d[:, None] == arrows, cat.r[:, None] == arrows], axis=1)
+    star, plus = find(pack_words(bool_product(member, graphs).reshape(nq, 2, k))).T
+    _require_open(("d-image", "r-image"), star, plus)
+    _require_open(("product",), mul)
     q = make_eq(frame, mul, index[cat.identity_mask], star, plus)
     return OmegaResult(rqf=q, opens=tuple(opens), index=index, source=tc)
+
+
+def _require_open(what: tuple, *tables: np.ndarray) -> None:
+    """Raise for the first cell, in row-major order, at which one of the
+    tables, all of one shape, holds no open (-1), naming the first such
+    table there (what[t] for tables[t])."""
+    if min(t.min(initial=0) for t in tables) < 0:
+        missing = np.stack(tables, axis=-1) < 0
+        cell = np.unravel_index(np.argmax(missing), missing.shape)
+        raise ValueError(f"{what[cell[-1]]} is not open; category not etale as claimed")
 
 
 def omega_morphism(fmap, om_src: OmegaResult, om_dst: OmegaResult) -> np.ndarray:

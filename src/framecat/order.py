@@ -24,16 +24,25 @@ that finite meets distribute over arbitrary (= finite) joins.
 How each layer is decided.  Every validator runs one exact test of its
 whole layer first; only when that test fails does the literal law-by-law
 scan run, to name the first violated law and its witness, so the reports
-are those of the scan.
+are those of the scan.  The tests read each element x as a set of
+irreducibles held as uint64 words (`bits.pack_words`, W = |J| / 64 rounded
+up): G(x), the join-irreducibles J below x (`join_words`), and for the
+lattice layer also M(x), the meet-irreducibles above x.  J and M are read
+off the order alone, as the elements with one lower and one upper cover
+(`_irreducibles`), so the lattice test can use them before it trusts the
+tables.  In a finite lattice x is the join of G(x) and the meet of M(x), so
+both are order embeddings, meets are intersections of G-sets and joins
+intersections of M-sets (Birkhoff; Davey & Priestley, Introduction to
+Lattices and Order, ch. 5).  Temporaries are cut into row blocks
+(`bits.row_blocks`).
 - Poset: two-step reachability as one BLAS product, O(n^3) flops.
-- Lattice: each given meet must have as its down-set the intersection of
-  the two down-sets, each join dually with up-sets, and bottom and top must
-  be least and greatest: O(n^3 / 64) word operations on packed rows, with
-  no table rebuilt.  The scan is O(n^3).
-- Frame: a finite lattice is distributive iff each of its join-irreducible
-  elements J (`join_irreducibles`) is join-prime (Birkhoff; Davey &
-  Priestley, Introduction to Lattices and Order, ch. 5): one n-by-n
-  comparison per j, O(n^2 |J|).  The scan of all (x, y, z) is O(n^3).
+- Lattice: x <= y iff G(x) <= G(y) iff M(x) >= M(y),
+  G(a /\\ b) = G(a) & G(b), M(a \\/ b) = M(a) & M(b), bottom least and top
+  greatest (`_has_lattice_tables`, which states why these hold exactly for
+  the tables of the order): O(n^2 W) words.  The scan is O(n^3).
+- Frame: a finite lattice is distributive iff each j in J is join-prime,
+  iff G(a \\/ b) = G(a) | G(b) for all a, b (`_is_distributive`): O(n^2 W)
+  words.  The scan of all (x, y, z) is O(n^3).
 
 Completely prime filters are stored by their meet-prime co-generator m:
 the member set is exactly {x : x not<= m}.  The brute-force enumerator
@@ -53,7 +62,7 @@ from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
-from .bits import full_mask, has_bit, mask_of
+from .bits import full_mask, has_bit, mask_of, pack_words, row_blocks, take_words, word_lookup
 from .reports import InternalError, Report
 
 
@@ -289,63 +298,105 @@ def validate_lattice(l: FiniteLattice) -> Report:
 def _has_lattice_tables(l: FiniteLattice) -> bool:
     """Whether meet, join, bottom and top are those of the (valid) order.
 
-    m is the meet of i and j exactly when down(m) = down(i) & down(j): then m
-    is a lower bound of both, and every common lower bound is below m.
-    Dually k is their join exactly when up(k) = up(i) & up(j).  With the
-    down-sets and up-sets packed into 64-bit words, each row i of a table is
-    one n-by-n/64 comparison."""
+    Let J and M be the elements with one lower, and one upper, cover
+    (`_irreducibles` of the order and of its dual), G(x) = {j in J : j <= x}
+    and M(x) = {m in M : x <= m}, held as words (`join_words`).  The test:
+    both are embeddings, x <= y iff G(x) & G(y) = G(x) iff
+    M(x) & M(y) = M(y); G(a /\\ b) = G(a) & G(b) and
+    M(a \\/ b) = M(a) & M(b) for all a, b; bottom is least and top greatest.
+    It passes on the tables of a lattice: there J and M are the join- and
+    meet-irreducibles, every element is the join of the j below it and the
+    meet of the m above it, and j <= a /\\ b iff j <= a and j <= b.  It
+    passes only on them, whatever J and M are: with G an embedding,
+    G(m) = G(a) & G(b) puts m = meet[a, b] below a and b, and every common
+    lower bound c has G(c) <= G(a) & G(b) = G(m), so c <= m; joins dually.
+    Cost: O(n^2 W) words (W = |J| / 64 rounded up, likewise for M), in
+    row blocks."""
     n, leq = l.n, l.leq
     if n == 0 or not (0 <= l.bottom < n and 0 <= l.top < n):
         return False
     if not (leq[l.bottom, :].all() and leq[:, l.top].all()):
         return False
-    for table, sets in ((l.meet, leq.T), (l.join, leq)):
+    for table in (l.meet, l.join):
         t = np.asarray(table)
-        if t.shape != (n, n) or (t < 0).any() or (t >= n).any():
+        if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
             return False
-        words = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
-        words[:, :-(-n // 8)] = np.packbits(sets, axis=1)
-        words = words.view(np.uint64)
-        for i in range(n):
-            if (words[t[i]] != words[i] & words).any():
-                return False
+    g = join_words(l)
+    m = pack_words(leq[:, _irreducibles(leq.T)])
+    for rows in row_blocks(n, n * max(g.shape[1], m.shape[1])):
+        gr, mr = g[rows, None], m[rows, None]
+        meets, joins = gr & g, mr & m
+        if not (np.array_equal((meets == gr).all(axis=2), leq[rows])
+                and np.array_equal((joins == m).all(axis=2), leq[rows])
+                and np.array_equal(take_words(g, l.meet[rows]), meets)
+                and np.array_equal(take_words(m, l.join[rows]), joins)):
+            return False
     return True
 
 
-def _irreducibles(table: np.ndarray, extreme: int) -> list[int]:
-    """The x != extreme that are not table[y, z] for any y, z both != x."""
-    n = table.shape[0]
-    idx = np.arange(n)
-    split = (table != idx[:, None]) & (table != idx[None, :])
-    reducible = np.zeros(n, dtype=bool)
-    reducible[table[split]] = True
-    reducible[extreme] = True
-    return np.flatnonzero(~reducible).tolist()
+def _irreducibles(leq: np.ndarray) -> list[int]:
+    """The x with exactly one lower cover in the order leq: those other
+    than the least element whose strict down-set has a greatest element,
+    which is then the element of largest down-set below x.  O(n^2)."""
+    size = leq.sum(axis=0, dtype=np.min_scalar_type(len(leq)))  # size[x] = |down(x)|
+    below = leq * size[:, None]              # below[y, x] = size[y] for y <= x, else 0
+    np.fill_diagonal(below, 0)
+    return np.flatnonzero((below.max(axis=0, initial=0) == size - 1) & (size > 1)).tolist()
 
 
 def join_irreducibles(l: FiniteLattice) -> list[int]:
-    """J: the x != bottom whose strict down-set does not join to x.
+    """J: the x with one lower cover (`_irreducibles`).  In a lattice these
+    are the x != bottom whose strict down-set does not join to x; they are
+    read off the order alone, so the lattice layer's fast test can use them
+    before it trusts the tables.  Built once per lattice (`cached`)."""
+    return list(cached(l, "join_irreducibles", lambda: tuple(_irreducibles(l.leq))))
 
-    In a lattice y \\/ z = x with y, z != x means y, z < x, so these are the
-    x that are the join of no two elements other than x; one O(n^2) pass
-    over the join table finds them.  Built once per lattice (`cached`)."""
-    return list(cached(l, "join_irreducibles", lambda: tuple(_irreducibles(l.join, l.bottom))))
+
+def join_words(l: FiniteLattice) -> np.ndarray:
+    """G(x) = {j in J : j <= x} for every element x, as the (n, W) words of
+    `bits.pack_words`, bit k standing for the k-th element of J."""
+    return pack_words(l.leq[join_irreducibles(l)].T)
+
+
+def join_splits(f: FiniteFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every element x of a frame but the bottom as rest \\/ j: the arrays
+    xs, rest and last, where for x = xs[k], j = last[k] is a maximal
+    element of G(x) (the one of largest down-set) and rest[k] is the element
+    with G(rest) = G(x) - {j}, found by `bits.word_lookup` on `join_words`.
+    So if a map m on f keeps the bottom and m(x) = m(rest) \\/ m(j) at every
+    split, then by induction on |G(x)| it takes each x to the join of the
+    m(j) over j in G(x).  O(n W) words and a sort."""
+    js = np.array(join_irreducibles(f), dtype=np.int64)
+    if not len(js):  # the one-element frame: nothing but the bottom
+        return js, js, js
+    words = join_words(f)
+    below = f.leq[js].T                      # below[x, k]: J[k] <= x
+    xs = np.flatnonzero(below.any(axis=1))
+    k = np.argmax(np.where(below[xs], f.leq[:, js].sum(axis=0), -1), axis=1)
+    rest = word_lookup(words)(words[xs] & ~pack_words(np.eye(len(js), dtype=bool))[k])
+    if (rest < 0).any():
+        raise InternalError("not a frame: an element less a maximal join-irreducible "
+                            "below it is no element")
+    return xs, rest, js[k]
 
 
 def _is_distributive(l: FiniteLattice) -> bool:
-    """Whether every j in J is join-prime, j <= y \\/ z implying j <= y or
-    j <= z: then x -> J & down(x) embeds the lattice into a powerset."""
-    leq, join = l.leq, l.join
-    return all(np.array_equal(leq[j, join], leq[j, :, None] | leq[j, None, :])
-               for j in join_irreducibles(l))
+    """Whether G(a \\/ b) = G(a) | G(b) for all a, b (`join_words`), that
+    is, whether every j in J is join-prime, j <= a \\/ b implying j <= a or
+    j <= b: then x -> G(x) embeds the lattice into a powerset.  O(n^2 W)
+    words, in row blocks."""
+    g = join_words(l)
+    n = l.n
+    return all(np.array_equal(take_words(g, l.join[rows]), g[rows, None] | g)
+               for rows in row_blocks(n, n * g.shape[1]))
 
 
 def is_frame(l: FiniteLattice) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """Binary distributivity; in a finite lattice this is the whole frame law.
 
     `l` must be a lattice (validate_lattice passes).  Distributivity is
-    decided on J (`_is_distributive`), one n-by-n comparison per j; only a
-    failure runs the scan of all (x, y, z) that finds the first witness."""
+    decided on J (`_is_distributive`); only a failure runs the scan of all
+    (x, y, z) that finds the first witness."""
     if _is_distributive(l):
         return True, None
     n = l.n
@@ -378,12 +429,12 @@ def validate_frame(f: FiniteFrame) -> Report:
 def meet_prime_elements(f: FiniteFrame) -> list[int]:
     """All m != top with x /\\ y <= m implying x <= m or y <= m.
 
-    Only the meet-irreducible m, those that are the meet of no two elements
-    other than m, are tested: m = x /\\ y with x, y > m is not prime.  So
-    this is exact in every lattice; in a frame every candidate passes."""
+    Only the meet-irreducible m, those with one upper cover (`_irreducibles`
+    of the dual order), are tested: m = x /\\ y with x, y > m is not prime.
+    So this is exact in every lattice; in a frame every candidate passes."""
     leq, meet = f.leq, f.meet
     out = []
-    for m in _irreducibles(meet, f.top):
+    for m in _irreducibles(leq.T):
         below = leq[:, m]
         bad = below[meet] & ~below[:, None] & ~below[None, :]
         if not bad.any():

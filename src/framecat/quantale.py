@@ -15,18 +15,30 @@ f.a = a.(f.a)* and a.f = (a.f)+.a hold automatically for every partial
 isometry a; `validate_rqf` checks them there, which is exactly the content
 of "the partial isometries form a restriction monoid".
 
-How the quantale layer is decided (after the frame layer, see `order`).
-One exact test covers all its laws, and only when it fails does the
-law-by-law scan run, to report each violated law with its first witness.
-With J the join-irreducibles of the frame, every x is the join of the
-j <= x in J, and each j is join-prime.  So, besides the unit laws (O(n)):
-- left distributivity and the zero law a.0 = 0 hold iff a.x is the join
-  of the a.j over j <= x in J (the empty join at x = 0), for all a and x;
-  right distributivity and 0.a = 0 likewise.  Both are |J| passes over
-  n-by-n tables, O(n^2 |J|) time and O(n^2) memory;
-- associativity then holds iff it holds on J^3, since (ab)c and a(bc) are
-  the joins of (ij)k and i(jk) over i <= a, j <= b, k <= c in J.
-The scan is O(n^3).  The Ehresmann and rqf layers are O(n^2).
+How the quantale and Ehresmann layers are decided (after the frame layer,
+see `order`).  Each runs one exact test of its whole layer first, and only
+when it fails does the law-by-law scan run, to report each violated law
+with its first witness.  With J the join-irreducibles of the frame and
+G(x) = {j in J : j <= x}, every x is the join of G(x), G is injective and,
+in a frame, turns joins into unions (G(a \\/ b) = G(a) | G(b), G(0) empty).
+An identity between joins over G-sets is decided along `order.join_splits`,
+which writes each x other than the bottom as rest \\/ j with j maximal in
+G(x) and G(rest) = G(x) - {j}: by induction on |G(x)|, a map that keeps
+the bottom and splits at every split joins over G(x).
+- Quantale (`_quantale_laws_hold`): the unit laws, O(n); then
+  G(a.x) = U G(i.j) over i in G(a), j in G(x), for all a and x, which
+  covers both distributivities and both zero laws, decided as
+  a.0 = 0 = 0.a, a.x = a.rest \\/ a.j and x.a = rest.a \\/ j.a at every
+  split, O(n^2) gathers; then associativity on J^3, since (ab)c and a(bc)
+  are the joins of (ij)k and i(jk) over i in G(a), j in G(b), k in G(c).
+  The scan is O(n^3).
+- Ehresmann (`_ehresmann_laws_hold`), which needs the quantale layer to
+  have passed: the projection, range, a.a* = a and a+.a = a laws directly;
+  G(a*) = U G(j*) over j in G(a), decided as 0* = 0 and
+  x* = rest* \\/ j* at every split, and the same for plus, which say that
+  star and plus preserve joins; then, by distributivity, the congruences
+  (ab)* = (a*b)* and (ab)+ = (ab+)+ on J x J.  The scan is O(n^2).
+The rqf layer is O(n^2).
 """
 
 from __future__ import annotations
@@ -36,8 +48,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bits import mask_of
-from .order import FiniteFrame, FiniteLattice, cached, join_irreducibles, validate_frame
+from .bits import mask_of, row_blocks
+from .order import (FiniteFrame, FiniteLattice, cached, join_irreducibles, join_splits,
+                    validate_frame)
 from .reports import Report
 from .topcat import FiniteCategory, FiniteTopCategory, Topology
 
@@ -69,9 +82,12 @@ RestrictionQuantalFrame = EhresmannQuantale
 
 
 def make_eq(frame: FiniteFrame, mul, unit: int, star, plus) -> EhresmannQuantale:
-    mul = np.array(mul, dtype=np.int64)
-    star = np.array(star, dtype=np.int64)
-    plus = np.array(plus, dtype=np.int64)
+    """The Ehresmann quantale on frame with these tables.  An int64 array
+    is taken as it is and made read-only, not copied (a 512-element mul is
+    2 MB), so pass arrays that nothing changes afterwards."""
+    mul = np.asarray(mul, dtype=np.int64)
+    star = np.asarray(star, dtype=np.int64)
+    plus = np.asarray(plus, dtype=np.int64)
     for a in (mul, star, plus):
         a.flags.writeable = False
     return EhresmannQuantale(frame.n, frame.leq, frame.meet, frame.join, frame.bottom,
@@ -140,22 +156,74 @@ def validate_quantale(q: FiniteQuantale) -> Report:
 
 
 def _quantale_laws_hold(q: FiniteQuantale) -> bool:
-    """All quantale laws at once, on a valid frame with an in-range mul."""
-    n, mul, join, leq, bot = q.n, q.mul, q.join, q.leq, q.bottom
+    """All quantale laws at once, on a valid frame with an in-range mul.
+
+    With J the join-irreducibles and G(x) = {j in J : j <= x}: the unit
+    laws directly; then G(a.x) = U G(i.j) over i in G(a), j in G(x), for
+    all a and x, which holds iff both distributivities and both zero laws
+    do (every element is the join of its G-set, G turns joins into unions
+    and is injective; at G(a) or G(x) empty it reads a.0 = 0 = 0.a); then
+    associativity on J^3.  The identity is decided along `order.join_splits`
+    x = rest \\/ j: it holds iff a.0 = 0 = 0.a and a.x = a.rest \\/ a.j and
+    x.a = rest.a \\/ j.a for all a and every split.  These give, by
+    induction on |G(x)|, a.x = \\/ a.j over j in G(x) and x.a = \\/ i.a
+    over i in G(x), so a.x is the join of the i.j and G(a.x) their union;
+    and the identity gives them, being distributivity.  O(n^2) gathers in
+    row blocks (`bits.row_blocks`), and O(|J|^3) for associativity."""
+    n, mul, join, bot = q.n, q.mul, q.join, q.bottom
     ident = np.arange(n)
-    if not ((mul[q.unit, :] == ident).all() and (mul[:, q.unit] == ident).all()):
+    if not ((mul[q.unit, :] == ident).all() and (mul[:, q.unit] == ident).all()
+            and (mul[:, bot] == bot).all() and (mul[bot, :] == bot).all()):
+        return False
+    xs, rest, last = join_splits(q)
+    joins = join.ravel()                     # joins[a * n + b] = a \/ b
+    by_column = np.ascontiguousarray(mul.T)  # by_column[x, a] = a.x
+    for b in row_blocks(len(xs), 4 * n):
+        x, r, j = xs[b], rest[b], last[b]
+        if not (np.array_equal(mul[x], joins.take(mul[r] * n + mul[j]))
+                and np.array_equal(by_column[x], joins.take(by_column[r] * n + by_column[j]))):
+            return False
+    js = np.array(join_irreducibles(q), dtype=np.int64)
+    left, right = mul[js], mul[:, js]        # J-rows and J-columns of mul
+    jj = left[:, js]
+    return all(np.array_equal(right[jj[rows]], left[rows][:, jj])
+               for rows in row_blocks(len(js), len(js) ** 2))
+
+
+def _ehresmann_laws_hold(q: EhresmannQuantale) -> bool:
+    """All Ehresmann laws at once, on a valid quantale.
+
+    Directly: the projections commute and are idempotent, star and plus are
+    in range, land in the projections and fix them, a.a* = a and a+.a = a.
+    Star preserves joins and the bottom iff G(a*) = U G(j*) over j in G(a)
+    (G as in `_quantale_laws_hold`), which is decided, as there, along
+    `order.join_splits`: 0* = 0 and x* = rest* \\/ j* at every split.  Plus
+    likewise.  Given that, and the distributivity of the quantale layer,
+    (ab)* and (a*b)* are the joins of (ij)* and (i*j)* over i in G(a),
+    j in G(b), so the congruence (ab)* = (a*b)* holds iff it holds on
+    J x J, and (ab)+ = (ab+)+ likewise.  O(n + |P|^2 + |J|^2) for P the
+    projections."""
+    n, mul, join, star, plus = q.n, q.mul, q.join, q.star, q.plus
+    projs = np.array(q.projections(), dtype=np.int64)
+    pm = mul[np.ix_(projs, projs)]
+    if not (np.array_equal(pm, pm.T) and np.array_equal(np.diagonal(pm), projs)):
+        return False
+    for m in (star, plus):
+        if m.shape != (n,) or (m < 0).any() or (m >= n).any():
+            return False
+        if not (q.leq[m, q.unit].all() and np.array_equal(m[projs], projs)):
+            return False
+    ident = np.arange(n)
+    if not (np.array_equal(mul[ident, star], ident) and np.array_equal(mul[plus, ident], ident)):
+        return False
+    xs, rest, last = join_splits(q)
+    if not all(m[q.bottom] == q.bottom and np.array_equal(m[xs], join[m[rest], m[last]])
+               for m in (star, plus)):
         return False
     js = np.array(join_irreducibles(q), dtype=np.int64)
-    left = np.full((n, n), bot, dtype=np.int64)   # left[a, x]: join of a.j, j <= x
-    right = np.full((n, n), bot, dtype=np.int64)  # right[x, a]: join of j.a, j <= x
-    for j in js:
-        above = leq[j, :]
-        left = np.where(above[None, :], join[left, mul[:, j, None]], left)
-        right = np.where(above[:, None], join[right, mul[None, j, :]], right)
-    if not (np.array_equal(left, mul) and np.array_equal(right, mul)):
-        return False
     jj = mul[np.ix_(js, js)]
-    return bool((mul[jj[:, :, None], js] == mul[js[:, None, None], jj[None, :, :]]).all())
+    return (np.array_equal(star[jj], star[mul[np.ix_(star[js], js)]])
+            and np.array_equal(plus[jj], plus[mul[np.ix_(js, plus[js])]]))
 
 
 def validate_ehresmann(q: EhresmannQuantale) -> Report:
@@ -164,6 +232,8 @@ def validate_ehresmann(q: EhresmannQuantale) -> Report:
         return rep
     rep.subject = "ehresmann"
     rep.layers_run.append("ehresmann")
+    if _ehresmann_laws_hold(q):
+        return rep
     n, mul, star, plus, join = q.n, q.mul, q.star, q.plus, q.join
     leq = q.leq
     projs = np.array(q.projections())

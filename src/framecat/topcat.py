@@ -368,18 +368,18 @@ def validate_covering_functor(fmap, src: FiniteCategory, dst: FiniteCategory) ->
     if wit:
         rep.add("covering.r_injective", wit)
 
-    def _surj(proj_src, proj_dst, law):
-        for e in src.identities():
-            fe = int(fmap[e])
-            for y in range(dst.n):
-                if int(proj_dst[y]) != fe:
-                    continue
-                if not any(int(proj_src[x]) == e and int(fmap[x]) == y for x in range(n)):
-                    rep.add(law, (e, y))
-                    return
-
-    _surj(src.d, dst.d, "covering.d_surjective")
-    _surj(src.r, dst.r, "covering.r_surjective")
+    # surjectivity: each y of dst with proj_dst[y] = F(e), for e an identity
+    # of src, must be F(x) for some x with proj_src[x] = e; the witness is
+    # the first such (e, y), identities first, that is not
+    ids = np.array(src.identities(), dtype=np.int64)
+    for proj_src, proj_dst, law in ((src.d, dst.d, "covering.d_surjective"),
+                                    (src.r, dst.r, "covering.r_surjective")):
+        hit = np.zeros((n, dst.n), dtype=bool)
+        hit[proj_src, fmap] = True
+        missing = (proj_dst[None, :] == fmap[ids, None]) & ~hit[ids]
+        if missing.any():
+            i, y = np.argwhere(missing)[0]
+            rep.add(law, (int(ids[i]), int(y)))
     return rep
 
 

@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framecat.bits import has_bit, mask_of
+from framecat.bits import has_bit, iter_bits, mask_of
 from framecat.corpus import (boolean_frame, chain_frame, corpus_rqfs,
                              cyclic2_category, empty_category,
                              free_category_on_acyclic_graph, m3_lattice,
@@ -21,10 +22,11 @@ from framecat.duality import (AdjunctionReport, _is_rqf_morphism_on_j,
                               omega_is_isomorphism, quantale_isomorphism_ok,
                               transpose_backward, transpose_forward,
                               validate_rqf_morphism, verify_adjunction_I)
+from framecat.crm import l_vee, pi_restriction_monoid
 from framecat.functors import c_object, omega_morphism, omega_object
 from framecat.order import join_irreducibles
 from framecat.quantale import frame_as_quantale, partial_isometries
-from framecat.reports import BoundExceeded
+from framecat.reports import BoundExceeded, Report
 from framecat.topcat import UNDEF, continuity_check, validate_covering_functor
 from map_oracles import (assert_j_decisions_match_scan,
                          assert_transposes_match_oracles, j_decision,
@@ -368,6 +370,88 @@ def test_quantale_isomorphism_check(omega_pair2):
     assert not quantale_isomorphism_ok(not_bij, q, q)
 
 
+def quantale_isomorphism_ok_by_two_scans(f, q1, q2) -> bool:
+    """quantale_isomorphism_ok as it was: the scan of f, then the scan of
+    its inverse."""
+    f = np.asarray(f, dtype=np.int64)
+    if sorted(int(v) for v in f) != list(range(q2.n)) or q1.n != q2.n:
+        return False
+    if not validate_rqf_morphism(f, q1, q2).ok:
+        return False
+    inv = np.zeros(q2.n, dtype=np.int64)
+    for x in range(q1.n):
+        inv[int(f[x])] = x
+    return validate_rqf_morphism(inv, q2, q1).ok
+
+
+def validate_rqf_morphism_unblocked(theta, q, r):
+    """validate_rqf_morphism as it was before its three table laws were
+    compared a block of rows at a time."""
+    theta = np.asarray(theta, dtype=np.int64)
+    rep = Report(subject="rqf-morphism")
+    rep.layers_run.append("rqf-morphism")
+    if theta.shape != (q.n,) or ((theta < 0) | (theta >= r.n)).any():
+        rep.add("morphism.map_range", (0,))
+        return rep
+    for law, qt, rt in (("morphism.preserves_joins", q.join, r.join),
+                        ("morphism.preserves_finite_meets", q.meet, r.meet),
+                        ("morphism.semigroup", q.mul, r.mul)):
+        diff = theta[qt] != rt[np.ix_(theta, theta)]
+        if diff.any():
+            a, b = np.argwhere(diff)[0]
+            rep.add(law, (int(a), int(b)))
+        if law == "morphism.preserves_joins" and theta[q.bottom] != r.bottom:
+            rep.add("morphism.preserves_bottom", (q.bottom,))
+    bad = np.flatnonzero(theta[q.star] != r.star[theta])
+    if bad.size:
+        rep.add("morphism.preserves_star", (int(bad[0]),))
+    bad = np.flatnonzero(theta[q.plus] != r.plus[theta])
+    if bad.size:
+        rep.add("morphism.preserves_plus", (int(bad[0]),))
+    if theta[q.top] != r.top:
+        rep.add("morphism.preserves_top", (q.top,))
+    if theta[q.unit] != r.unit:
+        rep.add("morphism.preserves_unit", (q.unit,))
+    r_pi_set = set(partial_isometries(r))
+    for a in partial_isometries(q):
+        if int(theta[a]) not in r_pi_set:
+            rep.add("morphism.preserves_isometries", (a, int(theta[a])))
+            break
+    return rep
+
+
+def _roundtrip_isomorphisms():
+    """For each corpus rqf Q, the map L^vee(PI(Q)) -> Q sending each ideal
+    to its join, which the ideals-of-isometries-roundtrip check tests."""
+    out = []
+    for inst in corpus_rqfs():
+        q = inst.obj
+        s, carrier = pi_restriction_monoid(q)
+        lv = l_vee(s)
+        iso = np.array([q.join_fold([carrier[x] for x in iter_bits(m)]) for m in lv.ideals],
+                       dtype=np.int64)
+        out.append(pytest.param(iso, lv.rqf, q, id=inst.name))
+    return out
+
+
+@pytest.mark.parametrize("iso,q1,q2", _roundtrip_isomorphisms())
+def test_quantale_isomorphism_check_matches_two_scans(iso, q1, q2):
+    """The same verdict on the corpus round-trip maps (all isomorphisms),
+    the round-trip map followed by each automorphism of Q (up to 16
+    elements), each one-value perturbation of it, and random permutations
+    of it."""
+    assert quantale_isomorphism_ok(iso, q1, q2)
+    autos = [] if q2.n > 16 else [t for t in enumerate_rqf_morphisms(q2, q2)
+                                  if len(set(t.tolist())) == q2.n]
+    rng = np.random.default_rng(q1.n)
+    perms = [rng.permutation(q1.n) for _ in range(10)]
+    for f in (*(t[iso] for t in autos),
+              *one_value_perturbations(iso, q2.n, range(min(q1.n, 64))),
+              *(iso[p] for p in perms)):
+        assert quantale_isomorphism_ok(f, q1, q2) == \
+            quantale_isomorphism_ok_by_two_scans(f, q1, q2), f.tolist()
+
+
 # ---------------------------------------------------------------------------
 # the transposes against the element-by-element bodies they had before they
 # worked on whole bit matrices: same image or same ValueError text, on every
@@ -670,3 +754,36 @@ def test_covering_functor_search_matches_oracle_on_pair3(pair3, omega_pair3):
 def test_covering_functor_search_matches_oracle_on_random_categories(tc1, tc2):
     for src, dst in ((tc1, tc2), (tc2, tc1), (tc1, tc1)):
         assert_same_functors(src, dst)
+
+
+def test_quantale_isomorphism_check_needs_the_order(omega_pair2):
+    """A bijection that keeps every table but the order is no isomorphism:
+    the identity from Omega(pair2) to a copy whose order misses one pair."""
+    q = omega_pair2.rqf
+    leq = np.array(q.leq)
+    leq[0, 5] = False
+    assert not quantale_isomorphism_ok(np.arange(q.n), q, dataclasses.replace(q, leq=leq))
+
+
+def test_rqf_morphism_report_names_cells_past_the_first_block(omega_pair3):
+    """One cell of join, meet or mul moved in a row of a later block of
+    rows: the identity names that cell, as the unblocked scan does."""
+    q = omega_pair3.rqf
+    ident = np.arange(q.n)
+    for table, a, b in (("join", 300, 7), ("meet", 511, 0), ("mul", 200, 499)):
+        moved = np.array(getattr(q, table))
+        moved[a, b] = (moved[a, b] + 1) % q.n
+        r = dataclasses.replace(q, **{table: moved})
+        rep = validate_rqf_morphism(ident, q, r)
+        assert rep == validate_rqf_morphism_unblocked(ident, q, r)
+        assert (a, b) in [v.witness for v in rep.violations]
+
+
+@pytest.mark.parametrize("iso,q1,q2", _roundtrip_isomorphisms())
+def test_rqf_morphism_report_matches_unblocked_scan(iso, q1, q2):
+    """The same report, laws and witnesses, on the corpus round-trip maps,
+    each one-value perturbation of them (up to 64) and random maps."""
+    rng = np.random.default_rng(q1.n + 1)
+    for f in (iso, *one_value_perturbations(iso, q2.n, range(min(q1.n, 64))),
+              *(rng.integers(q2.n, size=q1.n) for _ in range(5))):
+        assert validate_rqf_morphism(f, q1, q2) == validate_rqf_morphism_unblocked(f, q1, q2)

@@ -2,23 +2,25 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from framecat.bits import has_bit, iter_bits, mask_of
+from framecat.bits import full_mask, has_bit, is_submask, iter_bits, mask_of
 from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, empty_category,
-                             etale_categories, monoid_category, parity_pair_groupoid)
+                             etale_categories, indiscrete_pair_groupoid, monoid_category,
+                             parity_pair_groupoid)
 from framecat.crm import l_vee
 from framecat.duality import (build_omega_map, enumerate_covering_functors,
                               enumerate_rqf_morphisms, validate_rqf_morphism)
-from framecat.functors import (c_morphism, c_object, identity_space_vs_pt,
+from framecat.functors import (_omega_generic, c_morphism, c_object, identity_space_vs_pt,
                                omega_morphism, omega_object)
 from framecat.order import enumerate_cp_filters, frame_from_leq, subframe
 from framecat.quantale import (frame_as_quantale, partial_isometries,
                                validate_rqf)
 from framecat.reports import BoundExceeded
-from framecat.topcat import (UNDEF, continuity_check, identity_functor, is_etale,
-                             make_category, topology_from_base, validate_category,
-                             validate_covering_functor, validate_topcategory)
+from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, continuity_check,
+                             identity_functor, is_etale, make_category, topology_from_base,
+                             validate_category, validate_covering_functor,
+                             validate_topcategory)
 from map_oracles import map_outcome, one_value_perturbations, small_corpus_categories
 from random_categories import small_categories
 
@@ -635,3 +637,124 @@ def test_c_morphism_matches_oracle_on_rqf_morphisms(omega_pair3):
     fc3 = c_object(q3)
     for phi in enumerate_rqf_morphisms(q3, q3, max_elements=1024):
         assert c_morphism(phi, fc3, fc3).tolist() == c_morphism_oracle(phi, fc3, fc3).tolist()
+
+
+# ---------------------------------------------------------------------------
+# Omega of a non-discrete topology against the element-by-element body
+# _omega_generic had before it worked on words: the same opens, index and
+# tables, or the same error
+
+def omega_generic_reference(tc):
+    cat = tc.cat
+    opens = sorted(tc.topology.opens)
+    index = {m: i for i, m in enumerate(opens)}
+    nq = len(opens)
+
+    def idx(mask: int, what: str) -> int:
+        i = index.get(mask)
+        if i is None:
+            raise ValueError(f"{what} is not open; category not etale as claimed")
+        return i
+
+    leq = np.zeros((nq, nq), dtype=bool)
+    meet = np.zeros((nq, nq), dtype=np.int64)
+    join = np.zeros((nq, nq), dtype=np.int64)
+    for i, a in enumerate(opens):
+        for j, b in enumerate(opens):
+            leq[i, j] = is_submask(a, b)
+            meet[i, j] = idx(a & b, "intersection")
+            join[i, j] = idx(a | b, "union")
+    bottom, top = index[0], index[full_mask(cat.n)]
+
+    k = cat.n
+    single = [[0] * nq for _ in range(k)]  # single[v][iU] = mask of U.{v}
+    for v in range(k):
+        contrib = [0] * k
+        for u in range(k):
+            w = int(cat.comp[u, v])
+            if w != UNDEF:
+                contrib[u] = 1 << w
+        col = single[v]
+        for i, a in enumerate(opens):
+            m = 0
+            for u in iter_bits(a):
+                m |= contrib[u]
+            col[i] = m
+
+    open_bits = [list(iter_bits(m)) for m in opens]
+    mul = np.zeros((nq, nq), dtype=np.int64)
+    star = np.zeros(nq, dtype=np.int64)
+    plus = np.zeros(nq, dtype=np.int64)
+    for i, a in enumerate(opens):
+        star[i] = idx(mask_of(int(cat.d[u]) for u in iter_bits(a)), "d-image")
+        plus[i] = idx(mask_of(int(cat.r[u]) for u in iter_bits(a)), "r-image")
+    for i in range(nq):
+        row = mul[i, :]
+        for j in range(nq):
+            m = 0
+            for v in open_bits[j]:
+                m |= single[v][i]
+            row[j] = idx(m, "product")
+    return (tuple(opens), index, bottom, top, index[cat.identity_mask],
+            leq, meet, join, mul, star, plus)
+
+
+def omega_generic_outcome(build, tc):
+    """The opens, index, bottom, top, unit and tables as lists, or the type
+    and text of the error raised."""
+    try:
+        out = build(tc)
+    except (ValueError, KeyError) as e:
+        return (type(e).__name__, str(e))
+    if build is _omega_generic:
+        q = out.rqf
+        out = (out.opens, out.index, q.bottom, q.top, q.unit,
+               q.leq, q.meet, q.join, q.mul, q.star, q.plus)
+    return out[:5] + tuple(t.tolist() for t in out[5:])
+
+
+def _non_discrete_categories():
+    out = [("parity-pair2", parity_pair_groupoid())]
+    for inst in corpus_rqfs():
+        tc = c_object(inst.obj).topcat
+        if not tc.topology.is_discrete:
+            out.append((f"C({inst.name})", tc))
+    out.append(("C(qframe-chain100)", c_object(frame_as_quantale(chain_frame(100))).topcat))
+    return out
+
+
+@pytest.mark.parametrize("name,tc", _non_discrete_categories())
+def test_omega_generic_matches_reference(name, tc):
+    got = omega_generic_outcome(_omega_generic, tc)
+    assert got[0] != "ValueError"
+    assert got == omega_generic_outcome(omega_generic_reference, tc)
+
+
+def test_omega_generic_runs_on_more_than_one_word():
+    sizes = {name: (tc.n, tc.topology.open_count()) for name, tc in _non_discrete_categories()}
+    assert sizes["C(qframe-chain64)"] == (63, 64)
+    assert sizes["C(qframe-chain100)"] == (99, 100)
+
+
+def test_omega_generic_refuses_a_non_etale_category_as_before():
+    tc = indiscrete_pair_groupoid()
+    with pytest.raises(ValueError, match="^d-image is not open; category not etale as claimed$"):
+        _omega_generic(tc)
+    assert omega_generic_outcome(_omega_generic, tc) == \
+        omega_generic_outcome(omega_generic_reference, tc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_categories(), st.data())
+def test_omega_generic_matches_reference_on_random_families_of_opens(tc, data):
+    """Any family of arrow sets with the empty and the full set, closed
+    under unions and intersections or not: the same tables or the same
+    error (an intersection, union, d- or r-image or product that is not in
+    the family)."""
+    full = full_mask(tc.n)
+    family = data.draw(st.sets(st.integers(0, full), max_size=12)) | {0, full}
+    tc = FiniteTopCategory(tc.cat, Topology(tc.n, frozenset(family)))
+    if data.draw(st.booleans()):
+        tc = FiniteTopCategory(tc.cat, topology_from_base(tc.n, family))
+    assert omega_generic_outcome(_omega_generic, tc) == \
+        omega_generic_outcome(omega_generic_reference, tc)

@@ -11,10 +11,10 @@ from framecat.order import (BRUTEFORCE_MAX_ELEMENTS, CPFilter, FiniteFrame,
                             cogenerator_of_member_mask, cp_filters_bruteforce,
                             enumerate_cp_filters,
                             frame_from_leq, frame_spatial_check, is_frame,
-                            join_irreducibles, lattice_from_leq,
+                            join_irreducibles, join_splits, join_words, lattice_from_leq,
                             meet_prime_elements, pt_topology, subframe,
                             validate_frame, validate_lattice, validate_poset)
-from framecat.reports import Report
+from framecat.reports import InternalError, Report
 
 
 def test_two_chain_is_a_poset():
@@ -450,16 +450,47 @@ def join_irreducibles_by_definition(l: FiniteLattice) -> list[int]:
     return out
 
 
+def has_lattice_tables_packed_rows(l: FiniteLattice) -> bool:
+    """The lattice layer's fast test before it read irreducibles: each
+    row's meets against the packed down-sets, O(n^3 / 64)."""
+    n, leq = l.n, l.leq
+    if n == 0 or not (0 <= l.bottom < n and 0 <= l.top < n):
+        return False
+    if not (leq[l.bottom, :].all() and leq[:, l.top].all()):
+        return False
+    for table, sets in ((l.meet, leq.T), (l.join, leq)):
+        t = np.asarray(table)
+        if t.shape != (n, n) or (t < 0).any() or (t >= n).any():
+            return False
+        words = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
+        words[:, :-(-n // 8)] = np.packbits(sets, axis=1)
+        words = words.view(np.uint64)
+        for i in range(n):
+            if (words[t[i]] != words[i] & words).any():
+                return False
+    return True
+
+
+def is_distributive_by_join_primes(l: FiniteLattice) -> bool:
+    """The frame layer's fast test before it read G-words: one n-by-n
+    comparison per j in J."""
+    leq, join = l.leq, l.join
+    return all(np.array_equal(leq[j, join], leq[j, :, None] | leq[j, None, :])
+               for j in join_irreducibles(l))
+
+
 def assert_order_layers_match_oracles(lat: FiniteLattice):
     """The frame report holds the lattice report, and is_frame's witness
     when the lattice layer passes.  The fast tests must also pass exactly
-    when the scans do, so that no passing input pays for a scan."""
+    when the scans do, so that no passing input pays for a scan, and
+    exactly when their bodies before the word kernel do."""
     rep = validate_frame(lat)
     assert rep == validate_frame_oracle(lat)
     if "lattice" in rep.layers_run:
         assert _has_lattice_tables(lat) == ("frame" in rep.layers_run)
+        assert _has_lattice_tables(lat) == has_lattice_tables_packed_rows(lat)
     if "frame" in rep.layers_run:
-        assert _is_distributive(lat) == rep.ok
+        assert _is_distributive(lat) == rep.ok == is_distributive_by_join_primes(lat)
         assert meet_prime_elements(lat) == meet_prime_elements_oracle(lat)
         assert join_irreducibles(lat) == join_irreducibles_by_definition(lat)
 
@@ -615,6 +646,7 @@ def assert_fast_paths_match_references(lat: FiniteLattice, oracle: bool = True):
     if oracle and lat.n <= BRUTEFORCE_MAX_ELEMENTS:
         assert cp_filters_bruteforce(lat) == cp_filters_bruteforce_reference(lat)
     assert _has_lattice_tables(lat) == has_lattice_tables_reference(lat)
+    assert _has_lattice_tables(lat) == has_lattice_tables_packed_rows(lat)
 
 
 @pytest.mark.parametrize("lat", _corpus_lattices())
@@ -652,6 +684,85 @@ def test_fast_paths_match_references_on_moved_bottom_and_top(lat):
         bad = FiniteLattice(n, lat.leq, lat.meet, lat.join, bottom, top)
         assert_fast_paths_match_references(bad, oracle=n <= 16)
         assert_order_layers_match_oracles(bad)
+
+
+# ---------------------------------------------------------------------------
+# lattices whose J or M needs more than one 64-bit word: the fast tests
+# against the scans and the bodies before the word kernel, on the lattices
+# and on single-cell mutations of their tables
+
+def _wide_lattices():
+    """chain(65) (|J| = 64, one full word), chain(130) (|J| = 129, three
+    words), chain(66) x chain(2) (|J| = 66), and a lattice that is not
+    distributive: M3 below chain(66)."""
+    return [pytest.param(lat, id=name) for name, lat in (
+        ("chain65", chain_frame(65)), ("chain130", chain_frame(130)),
+        ("chain66xchain2", product_frame(chain_frame(66), chain_frame(2))),
+        ("m3-below-chain66", lattice_from_leq(_ordinal_sum(np.array(m3_lattice().leq),
+                                                           np.array(chain_frame(66).leq)))))]
+
+
+@pytest.mark.parametrize("lat", _wide_lattices())
+def test_order_layers_match_oracles_on_wide_lattices(lat):
+    words = -(-len(join_irreducibles(lat)) // 64)
+    assert join_words(lat).shape == (lat.n, words) and words >= 1
+    assert_order_layers_match_oracles(lat)
+    assert_fast_paths_match_references(lat, oracle=False)
+    for bad in _single_cell_mutations(lat, 6, seed=lat.n):
+        assert_order_layers_match_oracles(bad)
+        assert_fast_paths_match_references(bad, oracle=False)
+
+
+def test_lattice_test_rejects_tables_on_an_order_that_is_no_lattice():
+    """0 < a, b < c, d < 1, the bowtie, is no lattice, yet tables can give
+    every meet the G-set G(x) & G(y) (J = {a, b}) and every join the M-set
+    M(x) & M(y) (M = {c, d}): meet[c, d] = c and join[a, b] = 0.  Only the
+    embeddings tell that c is not below d, nor a below 0."""
+    leq = np.eye(6, dtype=bool)
+    leq[0, :] = leq[:, 5] = True
+    leq[1:3, 3:5] = True                  # a, b below c, d
+    order_ = FinitePoset.from_leq(leq)
+    g = [frozenset(j for j in (1, 2) if leq[j, x]) for x in range(6)]
+    m = [frozenset(k for k in (3, 4) if leq[x, k]) for x in range(6)]
+    meet = [[next((z for z in range(6) if g[z] == g[x] & g[y]), x) for y in range(6)]
+            for x in range(6)]
+    join = [[next((z for z in range(6) if m[z] == m[x] & m[y]), x) for y in range(6)]
+            for x in range(6)]
+    assert (meet[3][4], join[1][2]) == (3, 0)
+    lat = FiniteLattice(6, order_.leq, np.array(meet), np.array(join), 0, 5)
+    assert not _has_lattice_tables(lat)
+    assert not validate_lattice(lat).ok
+    assert_order_layers_match_oracles(lat)
+
+
+def assert_join_splits_are_splits(f: FiniteFrame):
+    """Each x but the bottom is rest \\/ j, j a maximal join-irreducible
+    below x and G(rest) = G(x) - {j}."""
+    xs, rest, last = join_splits(f)
+    js = join_irreducibles(f)
+    assert sorted(xs.tolist()) == [x for x in range(f.n) if x != f.bottom]
+    for x, r, j in zip(xs.tolist(), rest.tolist(), last.tolist()):
+        below = {k for k in js if f.leq[k, x]}
+        assert j in below and not any(f.leq[j, k] and k != j for k in below)
+        assert {k for k in js if f.leq[k, r]} == below - {j}
+        assert int(f.join[r, j]) == x
+
+
+@pytest.mark.parametrize("lat", [p for p in _corpus_lattices() if validate_frame(p.values[0]).ok]
+                         + _wide_lattices()[:3])
+def test_join_splits_on_frames(lat):
+    assert_join_splits_are_splits(lat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_frames())
+def test_join_splits_on_downset_lattices(f):
+    assert_join_splits_are_splits(f)
+
+
+def test_join_splits_refuse_a_lattice_that_is_no_frame():
+    with pytest.raises(InternalError, match="not a frame"):
+        join_splits(m3_lattice())
 
 
 def test_bruteforce_oracle_refuses_frames_above_its_limit():

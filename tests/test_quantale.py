@@ -8,14 +8,16 @@ from framecat.corpus import (boolean_frame, chain_frame, corpus_rqfs,
                              non_etale_chain_quantale, pair_groupoid,
                              parity_pair_groupoid)
 from framecat.functors import omega_object
-from framecat.order import validate_frame
-from framecat.quantale import (FiniteQuantale, _quantale_laws_hold,
+from framecat.order import join_irreducibles, validate_frame
+from framecat.quantale import (EhresmannQuantale, FiniteQuantale, _ehresmann_laws_hold,
+                               _quantale_laws_hold,
                                cat_of_ehresmann, compatibility_lemma_check,
                                compatible, every_element_is_join_of_pi,
                                frame_as_quantale, make_eq, partial_isometries,
                                pi_is_order_ideal, validate_ehresmann,
                                validate_quantale, validate_rqf)
 from framecat.reports import Report
+from random_categories import small_categories
 from framecat.topcat import validate_category, validate_topcategory
 
 
@@ -209,19 +211,48 @@ def validate_quantale_oracle(q: FiniteQuantale) -> Report:
     return rep
 
 
+def quantale_laws_hold_by_j_passes(q: FiniteQuantale) -> bool:
+    """The quantale layer's fast test before it read G-sets: the unit laws,
+    then left[a, x], the join of the a.j over j <= x in J, built in |J|
+    passes over n-by-n tables, must be mul (and right[x, a] likewise), then
+    associativity on J^3."""
+    n, mul, join, leq, bot = q.n, q.mul, q.join, q.leq, q.bottom
+    ident = np.arange(n)
+    if not ((mul[q.unit, :] == ident).all() and (mul[:, q.unit] == ident).all()):
+        return False
+    js = np.array(join_irreducibles(q), dtype=np.int64)
+    left = np.full((n, n), bot, dtype=np.int64)
+    right = np.full((n, n), bot, dtype=np.int64)
+    for j in js:
+        above = leq[j, :]
+        left = np.where(above[None, :], join[left, mul[:, j, None]], left)
+        right = np.where(above[:, None], join[right, mul[None, j, :]], right)
+    if not (np.array_equal(left, mul) and np.array_equal(right, mul)):
+        return False
+    jj = mul[np.ix_(js, js)]
+    return bool((mul[jj[:, :, None], js] == mul[js[:, None, None], jj[None, :, :]]).all())
+
+
+def _wide_quantale():
+    """The frame of chain(100) as a quantale: |J| = 99, two words."""
+    return frame_as_quantale(chain_frame(100))
+
+
 def _corpus_quantales():
     out = [(i.name, i.obj) for i in corpus_rqfs()]
     out += [(i.name, i.obj) for i in negative_fixtures() if i.kind == "rqf"]
+    out.append(("qframe-chain100", _wide_quantale()))
     return [pytest.param(q, id=name) for name, q in out]
 
 
 def assert_quantale_layer_matches_oracle(q: FiniteQuantale):
     """Same report as the scan; and the fast test passes exactly when the
-    scan does, so that no passing input pays for a scan."""
+    scan does, so that no passing input pays for a scan, and exactly when
+    its body before the word kernel does."""
     rep = validate_quantale(q)
     assert rep == validate_quantale_oracle(q)
     if "quantale" in rep.layers_run and "quantale.mul_table_range" not in rep.laws():
-        assert _quantale_laws_hold(q) == rep.ok
+        assert _quantale_laws_hold(q) == rep.ok == quantale_laws_hold_by_j_passes(q)
 
 
 @pytest.mark.parametrize("q", _corpus_quantales())
@@ -247,6 +278,13 @@ def _single_cell_mutations(q: FiniteQuantale, count: int, seed: int):
                                and validate_quantale(p.values[0]).ok])
 def test_quantale_layer_matches_oracle_on_mutated_tables(q):
     for bad in _single_cell_mutations(q, 25, seed=q.n):
+        assert_quantale_layer_matches_oracle(bad)
+
+
+def test_quantale_layer_matches_oracle_on_a_wide_quantale():
+    q = _wide_quantale()
+    assert len(join_irreducibles(q)) == 99
+    for bad in _single_cell_mutations(q, 8, seed=q.n):
         assert_quantale_layer_matches_oracle(bad)
 
 
@@ -308,3 +346,110 @@ def test_partial_isometries_match_reference(q):
     if q.n > 1:
         for bad in _ehresmann_mutations(q, 25, seed=q.n):
             assert partial_isometries(bad) == partial_isometries_reference(bad)
+
+
+# ---------------------------------------------------------------------------
+# the Ehresmann fast path against the law-by-law scan below (the body
+# validate_ehresmann had before its fast test): same report, and the fast
+# test passes exactly when the scan does
+
+def validate_ehresmann_oracle(q: EhresmannQuantale) -> Report:
+    rep = validate_quantale(q)
+    if not rep.ok:
+        return rep
+    rep.subject = "ehresmann"
+    rep.layers_run.append("ehresmann")
+    n, mul, star, plus, join = q.n, q.mul, q.star, q.plus, q.join
+    leq = q.leq
+    projs = np.array(q.projections())
+    pm = mul[np.ix_(projs, projs)]
+    if (pm != pm.T).any():
+        i, j = np.argwhere(pm != pm.T)[0]
+        rep.add("ehresmann.projections_commute", (int(projs[i]), int(projs[j])))
+        return rep
+    diag = mul[projs, projs]
+    bad = np.flatnonzero(diag != projs)
+    if bad.size:
+        rep.add("ehresmann.projections_idempotent", (int(projs[bad[0]]),))
+        return rep
+    for name, m in (("star", star), ("plus", plus)):
+        if m.shape != (n,) or (m < 0).any() or (m >= n).any():
+            rep.add(f"ehresmann.{name}_range", (0,))
+            return rep
+        bad = np.flatnonzero(~leq[m, q.unit])
+        if bad.size:
+            rep.add(f"ehresmann.{name}_lands_in_projections", (int(bad[0]),))
+        bad = np.flatnonzero(m[projs] != projs)
+        if bad.size:
+            rep.add(f"ehresmann.{name}_fixes_projections", (int(projs[bad[0]]),))
+    if not rep.ok:
+        return rep
+    bad = np.flatnonzero(mul[np.arange(n), star] != np.arange(n))
+    if bad.size:
+        rep.add("ehresmann.a_mul_star", (int(bad[0]),))
+    bad = np.flatnonzero(mul[plus, np.arange(n)] != np.arange(n))
+    if bad.size:
+        rep.add("ehresmann.plus_mul_a", (int(bad[0]),))
+    diff = star[mul] != star[mul[star, :]]
+    if diff.any():
+        a, b = np.argwhere(diff)[0]
+        rep.add("ehresmann.congruence_star", (int(a), int(b)))
+    diff = plus[mul] != plus[mul[:, plus]]
+    if diff.any():
+        a, b = np.argwhere(diff)[0]
+        rep.add("ehresmann.congruence_plus", (int(a), int(b)))
+    for name, m in (("star", star), ("plus", plus)):
+        if m[q.bottom] != q.bottom:
+            rep.add(f"ehresmann.{name}_join_map", (q.bottom,))
+            continue
+        diff = m[join] != join[np.ix_(m, m)]
+        if diff.any():
+            a, b = np.argwhere(diff)[0]
+            rep.add(f"ehresmann.{name}_join_map", (int(a), int(b)))
+    return rep
+
+
+def assert_ehresmann_layer_matches_oracle(q: EhresmannQuantale):
+    rep = validate_ehresmann(q)
+    assert rep == validate_ehresmann_oracle(q)
+    if "ehresmann" in rep.layers_run:
+        assert _ehresmann_laws_hold(q) == rep.ok
+
+
+def _star_plus_mutations(q, count: int, seed: int):
+    """One value of star or plus moved to another element; unlike a moved
+    product, this keeps the quantale layer passing, so the Ehresmann layer
+    runs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        star, plus = np.array(q.star), np.array(q.plus)
+        m = (star, plus)[int(rng.integers(2))]
+        a = int(rng.integers(q.n))
+        m[a] = (m[a] + 1 + int(rng.integers(q.n - 1))) % q.n
+        yield make_eq(q, q.mul, q.unit, star, plus)
+
+
+@pytest.mark.parametrize("q", _corpus_quantales())
+def test_ehresmann_layer_matches_oracle(q):
+    assert_ehresmann_layer_matches_oracle(q)
+    if q.n > 1:
+        for bad in _star_plus_mutations(q, 25, seed=q.n):
+            assert_ehresmann_layer_matches_oracle(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_categories(), st.data())
+def test_ehresmann_layer_matches_oracle_on_random_star_and_plus(tc, data):
+    """Omega(C) of a random category, with star and plus redrawn for every
+    element a that is not a projection: a* among the projections p with
+    a.p = a, a+ among those with p.a = a.  The range, projection and
+    a.a* = a / a+.a = a laws then hold, so the draws test the reductions of
+    the join maps and the congruences to J."""
+    q = omega_object(tc).rqf
+    projs = q.projections()
+    star, plus = np.array(q.star), np.array(q.plus)
+    for a in range(q.n):
+        if a not in projs:
+            star[a] = data.draw(st.sampled_from([p for p in projs if q.mul[a, p] == a]))
+            plus[a] = data.draw(st.sampled_from([p for p in projs if q.mul[p, a] == a]))
+    assert_ehresmann_layer_matches_oracle(make_eq(q, q.mul, q.unit, star, plus))

@@ -1,4 +1,7 @@
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from framecat.corpus import (empty_category, indiscrete_pair_groupoid,
@@ -11,6 +14,8 @@ from framecat.topcat import (FiniteTopCategory, Topology, c_o_is_open,
                              make_category, open_local_bisections,
                              topology_from_base, validate_category,
                              validate_covering_functor, validate_topcategory)
+from framecat.reports import Report
+from map_oracles import one_value_perturbations, searched_arrow_maps, small_corpus_categories
 
 
 def test_pair_groupoid_valid():
@@ -205,3 +210,85 @@ def test_m_continuity_fails_when_products_escape():
     bad = FiniteTopCategory(c2.cat, Topology(2, frozenset({0, 0b10, 0b11})))
     rep = validate_topcategory(bad)
     assert rep.laws() == ["topcategory.m_continuous"]
+
+
+# ---------------------------------------------------------------------------
+# validate_covering_functor against the body it had before its surjectivity
+# test read whole arrays: the same report (laws, witnesses, layers) on every
+# map between small corpus categories with at most 4096 maps, and on the
+# maps the arrow-map search yields between larger ones with their one-value
+# perturbations
+
+def validate_covering_functor_reference(fmap, src, dst) -> Report:
+    fmap = np.asarray(fmap, dtype=np.int64)
+    rep = Report(subject="covering-functor")
+    rep.layers_run.append("functor")
+    n = src.n
+    bad = np.flatnonzero((fmap < 0) | (fmap >= dst.n))
+    if fmap.shape != (n,) or bad.size:
+        rep.add("functor.map_range", (int(bad[0]) if bad.size else min(fmap.size, n),))
+        return rep
+    for e in src.identities():
+        if not dst.is_identity(int(fmap[e])):
+            rep.add("functor.preserves_identities", (e,))
+            break
+    for a in range(n):
+        if int(dst.d[fmap[a]]) != int(fmap[src.d[a]]):
+            rep.add("functor.preserves_d", (a,))
+            break
+    for a in range(n):
+        if int(dst.r[fmap[a]]) != int(fmap[src.r[a]]):
+            rep.add("functor.preserves_r", (a,))
+            break
+    if rep.ok:
+        for a, b in src.composable_pairs():
+            if int(dst.comp[fmap[a], fmap[b]]) != int(fmap[src.comp[a, b]]):
+                rep.add("functor.preserves_composition", (a, b))
+                break
+    if not rep.ok:
+        return rep
+    rep.layers_run.append("covering")
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if fmap[a] == fmap[b]]
+    wit = next(((a, b) for a, b in pairs if src.d[a] == src.d[b]), None)
+    if wit:
+        rep.add("covering.d_injective", wit)
+    wit = next(((a, b) for a, b in pairs if src.r[a] == src.r[b]), None)
+    if wit:
+        rep.add("covering.r_injective", wit)
+
+    def _surj(proj_src, proj_dst, law):
+        for e in src.identities():
+            fe = int(fmap[e])
+            for y in range(dst.n):
+                if int(proj_dst[y]) != fe:
+                    continue
+                if not any(int(proj_src[x]) == e and int(fmap[x]) == y for x in range(n)):
+                    rep.add(law, (e, y))
+                    return
+
+    _surj(src.d, dst.d, "covering.d_surjective")
+    _surj(src.r, dst.r, "covering.r_surjective")
+    return rep
+
+
+def _maps_to_check(src, dst):
+    if dst.n ** src.n <= 4096:
+        return [np.array(m, dtype=np.int64)
+                for m in itertools.product(range(dst.n), repeat=src.n)]
+    _, yielded = searched_arrow_maps(FiniteTopCategory(src, Topology(src.n, None)),
+                                     FiniteTopCategory(dst, Topology(dst.n, None)))
+    return [np.array(m, dtype=np.int64) for f in yielded
+            for m in (f, *one_value_perturbations(f, dst.n))]
+
+
+@pytest.mark.parametrize("name,tc", small_corpus_categories())
+def test_covering_functor_report_matches_reference(name, tc):
+    laws = set()
+    for _, other in small_corpus_categories():
+        for src, dst in ((tc.cat, other.cat), (other.cat, tc.cat)):
+            for m in _maps_to_check(src, dst):
+                rep = validate_covering_functor(m, src, dst)
+                assert rep == validate_covering_functor_reference(m, src, dst), m.tolist()
+                laws.update(rep.laws())
+    if tc.n > 1:
+        assert {"covering.d_surjective", "covering.r_surjective"} <= laws
