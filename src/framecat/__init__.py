@@ -33,11 +33,11 @@ from .functors import (FilterCategoryResult, OmegaResult, c_morphism,
 from .duality import (build_chi, build_omega_map, chi_is_isomorphism,
                       enumerate_covering_functors, enumerate_rqf_morphisms,
                       find_category_isomorphism, is_sober, is_spatial,
-                      omega_is_isomorphism, quantale_isomorphism_ok,
-                      transpose_backward, transpose_forward,
+                      omega_is_isomorphism, quantale_isomorphism_ok, transposes_I,
                       validate_rqf_morphism, verify_adjunction_I)
-from .crm import (CompleteRestrictionMonoid, IdealCompletion, crm_compatible,
-                  enumerate_callitic_morphisms, is_callitic, is_proper, l_vee,
+from .crm import (BisectionMonoid, CompleteRestrictionMonoid, IdealCompletion,
+                  bisection_monoid, crm_compatible, enumerate_callitic_morphisms,
+                  is_callitic, is_proper, l_vee,
                   make_crm, pi_restriction_monoid, s_filter_bijection,
                   s_filters, theta_extension, validate_crm,
                   validate_crm_morphism, verify_adjunction_II)

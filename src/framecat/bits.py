@@ -94,16 +94,19 @@ def take_words(words: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 def word_lookup(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The exact lookup of word rows in the distinct rows of the (n, W)
-    table, n >= 1: the function it returns maps an (..., W) array of word
-    rows to the (...) array of their indices in table, -1 for a row that is
-    not one of table's.  Rows are compared whole, as W*8-byte keys."""
-    key = np.dtype((np.void, table.shape[1] * 8))
+    table: the function it returns maps an (..., W) array of word rows to
+    the (...) array of their indices in table, -1 for a row that is not one
+    of table's (every row, when n = 0).  Rows are compared whole, as one
+    word when W = 1 and as W*8-byte keys otherwise."""
+    key = table.dtype if table.shape[1] == 1 else np.dtype((np.void, table.shape[1] * 8))
     keys = np.ascontiguousarray(table).view(key).ravel()
     order = np.argsort(keys, kind="stable")
     ranked = keys[order]
 
     def find(rows: np.ndarray) -> np.ndarray:
         wanted = np.ascontiguousarray(rows, dtype=table.dtype).view(key)[..., 0]
+        if not len(ranked):
+            return np.full(wanted.shape, -1, dtype=np.int64)
         at = np.minimum(np.searchsorted(ranked, wanted), len(ranked) - 1)
         return np.where(ranked[at] == wanted, order[at], -1)
 

@@ -3,13 +3,33 @@ frames, proper and callitic morphisms, S-filters and the second adjunction.
 
 The second adjunction is built from the first: its callitic hom-set is
 found by duality.generator_search over the join-primes J(S), its transposes
-(transpose_forward_II and transpose_backward_II, columns of bit matrices as
-in duality) are checked by duality.check_transposes, and its S-filter
-category is read off J(S) by functors.category_on_generators, as C(Q) is off
-J(Q).  J(S), the compatible-join table and the S-filter category are cached
-on the monoid (order.cached); the join table of the target is built once
-per callitic enumeration, and both are passed to validate_crm_morphism for
-every candidate.
+(transposes_II, array maps as in duality) are checked by
+duality.check_transposes, and its S-filter category is read off J(S) by
+functors.category_on_generators, as C(Q) is off J(Q).  J(S), the
+compatible-join table and the S-filter category are cached on the monoid
+(order.cached); the join table of the target is built once per callitic
+enumeration, and both are passed to validate_crm_morphism for every
+candidate.
+
+The target PI(Omega(C)) is read off C, without building Omega(C)
+(bisection_monoid): it is the monoid of the open local bisections of C,
+with the set product, the d- and r-images as sets of identities,
+intersection and inclusion, and the partial join that is the union where
+the union is a bisection.  This is exact for an etale C.  An open U on
+which d and r are injective is a partial isometry of Omega(C): every open
+V <= U has V+.U = {u in U : r(u) in r(V)} = V and U.V* = V.  An open U
+with d(u) = d(u') for arrows u != u' in U is not: C is etale, so u lies in
+an open local bisection B inside U, and U.B* = {x in U : d(x) in d(B)}
+holds u', which B does not; r likewise.  The partial isometries of the rqf
+Omega(C) are closed under its operations, so their tables are those of
+Omega(C) restricted: the product, star and plus, meet (intersection) and
+order (inclusion), the identities as the unit and the empty set as the
+zero.  The join of Omega(C), the union, is their join where it is a
+partial isometry, and they have none elsewhere: they form an order ideal,
+so a common upper bound among them lies above the union, which is then
+one of them.  This is the finite case of Lawson & Lenz,
+*Pseudogroups and their etale groupoids*, Adv. Math. 244 (2013), and of
+Resende, *Etale groupoids and their quantales*, Adv. Math. 208 (2007).
 
 The carrier stores the natural partial order explicitly.  Binary meets are
 required: the filter and callitic definitions use them, and the partial
@@ -52,19 +72,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
-from .bits import bit_matrix, iter_bits, mask_of, row_masks
+from .bits import bit_matrix, iter_bits, mask_of, pack_words, row_masks, word_lookup
 from .duality import (AdjunctionReport, check_transposes, enumerate_covering_functors,
-                      generator_search, positions)
-from .functors import OmegaResult, c_object, category_on_generators, omega_object
-from .order import (FiniteLattice, FinitePoset, _freeze, _rank_bitsets, cached,
-                    validate_poset)
+                      generator_search, positions, transpose)
+from .functors import (_require_open, arrow_set_tables, c_object, category_on_generators,
+                       require_etale)
+from .order import FiniteLattice, FinitePoset, _freeze, cached, validate_poset
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
 from .reports import BoundExceeded, Report
-from .topcat import FiniteTopCategory, topology_from_base
+from .topcat import FiniteTopCategory, bisection_rows, topology_from_base
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,16 +300,6 @@ def pi_restriction_monoid(q: EhresmannQuantale) -> tuple[CompleteRestrictionMono
     return make_crm(len(carrier), q.leq[block], mul, unit, zero, star, plus, meet), carrier
 
 
-def pi_join_table(q: EhresmannQuantale, carrier: list[int]) -> np.ndarray:
-    """The partial join table (_partial_join_table) of PI(Q), whose element
-    i is carrier[i], read off the join table of Q at the carrier positions:
-    -1 where the join in Q is not a partial isometry.  Exact when the
-    carrier is an order ideal, as PI(Q) is: a common upper bound of a and b
-    in it lies above a v b, which is then in it and is their least upper
-    bound there."""
-    return positions(q.n, carrier)[q.join[np.ix_(carrier, carrier)]]
-
-
 # ---------------------------------------------------------------------------
 # the ideal completion L-vee
 
@@ -405,7 +415,7 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealComple
     joined with what g adds.
     """
     primes = join_primes(s)
-    below = _rank_bitsets(s.leq[primes, :].T)  # below[x]: the join-primes <= x
+    below = row_masks(s.leq[primes, :].T)  # below[x]: the join-primes <= x
     downs = [0]
     for k, g in enumerate(primes):
         strictly_below = below[g] & ~(1 << k)
@@ -543,7 +553,7 @@ def theta_extension(theta, lv_src: IdealCompletion, lv_dst: IdealCompletion) -> 
     join-primes are those below some image."""
     theta = np.asarray(theta, dtype=np.int64)
     t = lv_dst.source
-    below = _rank_bitsets(t.leq[join_primes(t), :].T)  # below[y]: the join-primes <= y
+    below = row_masks(t.leq[join_primes(t), :].T)  # below[y]: the join-primes <= y
     out = np.zeros(lv_src.rqf.n, dtype=np.int64)
     for i, mask in enumerate(lv_src.ideals):
         d = 0
@@ -626,39 +636,70 @@ def s_filter_bijection(sf: SFilterCategory, lv: IdealCompletion,
 
 
 # ---------------------------------------------------------------------------
-# Adjunction Theorem II, corpus-scale
+# PI(Omega(C)) read off C, and Adjunction Theorem II
 
-def transpose_forward_II(alpha, sf: SFilterCategory, om: OmegaResult,
-                         carrier: list[int]) -> Optional[np.ndarray]:
-    """covering functor alpha: C -> C(S)  |->  map S -> PI(Omega(C)),
-    a |-> {c : a in alpha(c)}: the columns of the member matrix of the
-    S-filters alpha(c), as positions in carrier; None if one of them is not
-    a partial isometry of Omega(C)."""
-    n = len(sf.x_masks)  # the elements of S
-    members = bit_matrix(sf.filters, n)
-    pos = positions(om.n, carrier)
-    theta = np.zeros(n, dtype=np.int64)
-    for a, open_mask in enumerate(row_masks(members[np.asarray(alpha, dtype=np.int64)].T)):
-        i = om.index.get(open_mask)
-        if i is None or pos[i] < 0:
-            return None
-        theta[a] = pos[i]
-    return theta
+@dataclass(frozen=True, eq=False)
+class BisectionMonoid:
+    """The complete restriction monoid of the open local bisections of an
+    etale category, equal to PI(Omega(C)) (see the module docstring)."""
+    crm: CompleteRestrictionMonoid
+    masks: tuple           # masks[i] = the arrow bitmask of element i, ascending
+    members: np.ndarray    # members[i, a]: arrow a is in element i
+    joins: np.ndarray      # the union where it is a bisection, else -1
 
 
-def transpose_backward_II(theta, tc: FiniteTopCategory, sf: SFilterCategory,
-                          om: OmegaResult, carrier: list[int]) -> Optional[np.ndarray]:
-    """map theta: S -> PI(Omega(C))  |->  arrow map C -> C(S),
-    c |-> {a : c in theta(a)}: the columns of the arrow matrix of the opens
-    theta(a); None if one of them is not an S-filter."""
-    opens = [om.opens[carrier[e]] for e in np.asarray(theta, dtype=np.int64).tolist()]
-    alpha = np.zeros(tc.n, dtype=np.int64)
-    for c, members in enumerate(row_masks(bit_matrix(opens, tc.n).T)):
-        k = sf.index.get(members)
-        if k is None:
-            return None
-        alpha[c] = k
-    return alpha
+def bisection_monoid(tc: FiniteTopCategory, max_elements: int = 1024) -> BisectionMonoid:
+    """The monoid of the open local bisections of tc (`topcat.bisection_rows`),
+    in ascending mask order: the set product, the d- and r-images (as sets
+    of identities), intersection and inclusion, the identities as the unit
+    and the empty set as the zero, with the partial join table that holds
+    the union where it is a bisection, else -1.  Its tables are those of
+    pi_restriction_monoid(omega_object(tc).rqf), element for element, and
+    its join table is _partial_join_table of that monoid, without building
+    Omega(C); it raises what omega_object
+    raises for a category that is not etale or has more than max_elements
+    opens (`functors.require_etale`)."""
+    require_etale(tc, max_elements)
+    masks, members = bisection_rows(tc)
+    leq, meet, joins, mul, star, plus = arrow_set_tables(tc.cat, members)
+    _require_open(("intersection",), meet)
+    _require_open(("d-image", "r-image"), star, plus)
+    _require_open(("product",), mul)
+    s = make_crm(len(masks), leq, mul, masks.index(tc.cat.identity_mask), 0, star, plus, meet)
+    return BisectionMonoid(crm=s, masks=tuple(masks), members=_freeze(members),
+                           joins=_freeze(joins))
+
+
+def transposes_II(sf: SFilterCategory, bis: BisectionMonoid) -> tuple[Callable, Callable]:
+    """The two transposes of adjunction II between C and S, each one array
+    map (`duality.transpose`) over the member rows of the S-filters and of
+    the open local bisections of C, with the lookup of a set among each
+    built once, on the first call of either.  forward: covering functor
+    alpha: C -> C(S)  |->  map S -> PI(Omega(C)), a |-> {c : a in alpha(c)};
+    backward: map theta: S -> PI(Omega(C))  |->  arrow map C -> C(S),
+    c |-> {a : c in theta(a)}.  Each returns None where a set is not in
+    the other hom-set's codomain (no open local bisection, no S-filter)."""
+    built: list[tuple] = []
+
+    def tables() -> tuple:
+        if not built:
+            filters = bit_matrix(sf.filters, len(sf.x_masks))  # [k, a]: a in S-filter k
+            built.append((filters, word_lookup(pack_words(filters)),
+                          word_lookup(pack_words(bis.members))))
+        return built[0]
+
+    def found(indices: np.ndarray) -> Optional[np.ndarray]:
+        return None if (indices < 0).any() else indices
+
+    def forward(alpha) -> Optional[np.ndarray]:
+        filters, _, find_bisection = tables()
+        return found(transpose(alpha, filters, find_bisection))
+
+    def backward(theta) -> Optional[np.ndarray]:
+        _, find_filter, _ = tables()
+        return found(transpose(theta, bis.members, find_filter))
+
+    return forward, backward
 
 
 def enumerate_callitic_morphisms(s: CompleteRestrictionMonoid,
@@ -688,31 +729,22 @@ def enumerate_callitic_morphisms(s: CompleteRestrictionMonoid,
 
 def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
                          max_arrows: int = 12, max_elements: int = 64,
-                         om: Optional[OmegaResult] = None,
-                         pi: Optional[tuple[CompleteRestrictionMonoid, list[int]]] = None,
                          sf: Optional[SFilterCategory] = None):
     """Hom-set bijection between continuous covering functors C -> C(S) and
     callitic morphisms S -> PI(Omega(C)), with the transposes inherited from
     the first adjunction through the monoid/quantal-frame translation:
     T(alpha)(s) = {c : s in alpha(c)} and B(theta)(c) = {s : c in theta(s)}
-    (transpose_forward_II and transpose_backward_II), checked by
-    duality.check_transposes.  `om`, `pi` and `sf` are Omega(C),
-    PI(Omega(C)) with its carrier, and the S-filter category of S, when
-    already built.
+    (transposes_II), checked by duality.check_transposes.  PI(Omega(C)) is
+    read off C as its open local bisections (bisection_monoid), so Omega(C)
+    is never built.  `sf` is the S-filter category of S, when already built.
     """
     rep = AdjunctionReport()
     if sf is None:
         sf = s_filters(s)
     if sf.n > max_arrows:
         raise BoundExceeded(f"C(S) has {sf.n} arrows > {max_arrows}")
-    if om is None:
-        om = omega_object(tc)
-    t_crm, carrier = pi_restriction_monoid(om.rqf) if pi is None else pi
-
+    bis = bisection_monoid(tc)
     rep.functor_homset = enumerate_covering_functors(tc, sf.topcat, max_arrows)
-    rep.morphism_homset = enumerate_callitic_morphisms(
-        s, t_crm, max_elements, pi_join_table(om.rqf, carrier))
-
-    check_transposes(rep, lambda alpha: transpose_forward_II(alpha, sf, om, carrier),
-                     lambda theta: transpose_backward_II(theta, tc, sf, om, carrier))
+    rep.morphism_homset = enumerate_callitic_morphisms(s, bis.crm, max_elements, bis.joins)
+    check_transposes(rep, *transposes_II(sf, bis))
     return rep

@@ -19,32 +19,41 @@ the source only, each law compiled into the level of its last generator;
 the functor hom-set, and an isomorphism of categories, by arrow_maps, one
 backtracking over arrow maps that compiles composition and injectivity
 into the level of the last arrow alike.  The second adjunction in crm
-reuses the functor search, generator_search and check_transposes.  J, PI
-and C(Q) are cached on their algebra (order.cached), so an adjunction
-check against an algebra it has seen before builds none of them again.
+reuses the functor search, generator_search and check_transposes.  J, PI,
+C(Q) and the laws generator_search compiles on the generators are cached
+on their algebra (order.cached), so an adjunction check against an
+algebra it has seen before builds none of them again.
 
-Each transpose reads a membership relation the other way round: the filters
-alpha(c) (or the opens beta(q)) become the rows of one bool matrix
-(bits.bit_matrix), and its columns, packed back by bits.row_masks, are the
-sets {c : q in alpha(c)} (or {q : c in beta(q)}).  build_omega_map reads
-the filters O_x off the columns of the opens the same way.
+Each transpose reads a membership relation the other way round, as one
+array map (transpose): the filters alpha(c) (or the opens beta(q)) are the
+rows of one bool matrix, and its columns, the sets {c : q in alpha(c)} (or
+{q : c in beta(q)}), are packed into words (bits.pack_words) and looked up
+among the opens (or the filters) by bits.word_lookup, with no Python int
+per element.  The tables they read are built once per check, and only if
+a hom-set is not empty (transposes_I).  check_transposes runs the second
+direction only when the first leaves it open: once every functor has gone
+to a morphism and back to itself, and there are as many distinct functors
+as morphisms, forward is a bijection with inverse backward.
+build_omega_map reads the filters O_x off the columns of the opens as
+Python int masks (bits.bit_matrix, bits.row_masks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .bits import bit_matrix, iter_bits, mask_of, row_blocks, row_masks
+from .bits import (bit_matrix, iter_bits, mask_of, pack_words, row_blocks, row_masks,
+                   word_lookup)
 from .functors import (FilterCategoryResult, OmegaResult, c_morphism, c_object,
                        omega_morphism, omega_object)
-from .order import _freeze, join_irreducibles
+from .order import _freeze, cached, join_irreducibles
 from .quantale import EhresmannQuantale, partial_isometries
 from .reports import BoundExceeded, Report
 from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
-                     continuity_check, validate_covering_functor)
+                     continuity_check, open_local_bisections, validate_covering_functor)
 
 
 # ---------------------------------------------------------------------------
@@ -275,32 +284,56 @@ def omega_is_isomorphism(tc: FiniteTopCategory, res: OmegaMapResult) -> tuple[bo
 # ---------------------------------------------------------------------------
 # the adjunction transposes
 
-def transpose_forward(alpha, tc: FiniteTopCategory, q: EhresmannQuantale,
-                      fc: FilterCategoryResult, om: OmegaResult) -> np.ndarray:
-    """covering functor alpha: C -> C(Q)  |->  morphism Q -> Omega(C),
-    q |-> alpha^{-1}(X_q) = {c : q in alpha(c)}: the columns of the member
-    matrix of the filters alpha(c)."""
-    alpha = np.asarray(alpha, dtype=np.int64)
-    members = bit_matrix([f.members for f in fc.filters], q.n)
-    out = np.zeros(q.n, dtype=np.int64)
-    for a, open_mask in enumerate(row_masks(members[alpha].T)):
-        i = om.index.get(open_mask)
-        if i is None:
-            raise ValueError(f"transpose of alpha is not open at element {a}")
-        out[a] = i
-    return _freeze(out)
+def transpose(images, rows: np.ndarray, find) -> np.ndarray:
+    """A membership relation read the other way round, as one array map:
+    entry x is the index, by find (a `bits.word_lookup`), of the set
+    {k : rows[images[k], x]}, column x of rows[images]; -1 where that set is
+    not in find's table.  Each column is a row of the transposed matrix,
+    packed into words, so this is exact at any width."""
+    return find(pack_words(rows[np.asarray(images, dtype=np.int64)].T))
 
 
-def transpose_backward(beta, tc: FiniteTopCategory, q: EhresmannQuantale,
-                       fc: FilterCategoryResult, om: OmegaResult) -> np.ndarray:
-    """morphism beta: Q -> Omega(C)  |->  functor C -> C(Q),
-    c |-> beta^{-1}(O_c) = {q : c in beta(q)}: the columns of the arrow
-    matrix of the opens beta(q)."""
-    opens = [om.opens[b] for b in np.asarray(beta, dtype=np.int64).tolist()]
-    out = np.zeros(tc.n, dtype=np.int64)
-    for c, members in enumerate(row_masks(bit_matrix(opens, tc.n).T)):
-        out[c] = fc.filter_of(members, f"beta^-1(O_{c})")
-    return _freeze(out)
+def transposes_I(q: EhresmannQuantale, fc: FilterCategoryResult,
+                 om: OmegaResult) -> tuple[Callable, Callable]:
+    """The two transposes of adjunction I between C = om.source and q, with
+    the tables they read built once, on the first call of either: the
+    member rows of the filters of C(Q) (filter k is {x : x not<= its
+    cogenerator}) and of the opens of Omega(C), and the lookup of a set
+    among each.
+
+    forward: covering functor alpha: C -> C(Q)  |->  morphism
+    Q -> Omega(C), q |-> alpha^{-1}(X_q) = {c : q in alpha(c)}; backward:
+    morphism beta: Q -> Omega(C)  |->  functor C -> C(Q),
+    c |-> beta^{-1}(O_c) = {q : c in beta(q)}.  Each is one `transpose`,
+    and raises ValueError at the first set that is no open (no completely
+    prime filter)."""
+    built: list[tuple] = []
+
+    def tables() -> tuple:
+        if not built:
+            filters = ~q.leq[:, [f.cogenerator for f in fc.filters]].T  # [k, x]: x in filter k
+            opens = bit_matrix(om.opens, om.source.n)                   # [i, c]: c in open i
+            built.append((filters, opens, word_lookup(pack_words(filters)),
+                          word_lookup(pack_words(opens))))
+        return built[0]
+
+    def forward(alpha) -> np.ndarray:
+        filters, _, _, find_open = tables()
+        out = transpose(alpha, filters, find_open)
+        bad = np.flatnonzero(out < 0)
+        if bad.size:
+            raise ValueError(f"transpose of alpha is not open at element {bad[0]}")
+        return _freeze(out)
+
+    def backward(beta) -> np.ndarray:
+        _, opens, find_filter, _ = tables()
+        out = transpose(beta, opens, find_filter)
+        bad = np.flatnonzero(out < 0)
+        if bad.size:
+            raise ValueError(f"beta^-1(O_{bad[0]}) is not a completely prime filter")
+        return _freeze(out)
+
+    return forward, backward
 
 
 # ---------------------------------------------------------------------------
@@ -407,52 +440,35 @@ def generator_search(alg, gens: list[int], tgt, candidates: Iterable[int],
     likewise for plus; theta(unit) = the unit; and theta(top) = top.  Here
     theta(x) of a derived element x is the join of the images of the
     generators below x, so those generators count toward the level of the
-    law.  A map that keeps them all need not be a morphism: the caller
-    decides each one.  Every morphism that preserves these operations and
-    joins, and sends the generators into `candidates`, is among the maps
-    found, provided every element of alg is the join of the generators
-    below it."""
-    order = sorted(gens, key=lambda g: int(alg.leq[:, g].sum()))
-    m = len(order)
-    below = alg.leq[order, :]  # below[i, x]: the i-th generator is <= x
+    law.  What depends on alg and gens alone, each law's support, level and
+    operation name, is compiled once per algebra for the generators of its
+    first search (`_law_skeleton`; both adjunctions always search on the
+    same J or J(S)), afresh for others; a call binds the target's
+    operations to it.  A map that keeps the laws need
+    not be a morphism: the caller decides each one.  Every morphism that
+    preserves these operations and joins, and sends the generators into
+    `candidates`, is among the maps found, provided every element of alg is
+    the join of the generators below it."""
+    gens = tuple(gens)
+    held, skeleton = cached(alg, "law_skeleton", lambda: (gens, _law_skeleton(alg, gens)))
+    if held != gens:
+        skeleton = _law_skeleton(alg, gens)
+    below, named_laws, lower = skeleton
+    m = len(below)
     # the target's operations as lists, on the positions p of the candidates
     # and with element values; pad[v, p] = v joined with candidate p, and
     # its last row, read at v = -1, keeps a missing join missing
     cands = np.fromiter(candidates, dtype=np.int64)
-    block = np.ix_(cands, cands)
+    block = (cands[:, None], cands)
     pad = np.full((tgt.n + 1, len(cands)), -1, dtype=np.int64)
     pad[:-1] = joins[:, cands]
     t_join, t_leq = pad.tolist(), tgt.leq[block].tolist()
-    t_meet, t_mul = tgt.meet[block].tolist(), tgt.mul[block].tolist()
-    t_star, t_plus = tgt.star[cands].tolist(), tgt.plus[cands].tolist()
-
-    # laws[k]: (support, op, i, k') with the join of the images at the
-    # positions `support` equal to op[image i][image k'], op[image i] when
-    # k' is None, and op itself when i is None; laws[m] is the leaf's.
-    # lower[k]: the generators below the k-th, whose images must lie below
-    # its image
-    laws: list[list[tuple]] = [[] for _ in range(m + 1)]
-    lower = [[i for i in range(k) if below[i, order[k]]] for k in range(m)] + [[]]
-    supports: dict[int, list[int]] = {}
-
-    def law(derived: int, op, i=None, k=None, leaf: bool = False) -> None:
-        if derived not in supports:
-            supports[derived] = np.flatnonzero(below[:, derived]).tolist()
-        support = supports[derived]
-        level = m if leaf else max([p for p in (i, k) if p is not None] + support, default=m)
-        laws[level].append((support, op, i, k))
-
-    for k, h in enumerate(order):
-        for i, g in enumerate(order[:k + 1]):
-            if i < k:
-                law(int(alg.meet[g, h]), t_meet, i, k)
-                law(int(alg.mul[h, g]), t_mul, k, i)
-            law(int(alg.mul[g, h]), t_mul, i, k)
-        law(int(alg.star[h]), t_star, k)
-        law(int(alg.plus[h]), t_plus, k)
-    law(alg.unit, tgt.unit)
+    ops = {"meet": tgt.meet[block].tolist(), "mul": tgt.mul[block].tolist(),
+           "star": tgt.star[cands].tolist(), "plus": tgt.plus[cands].tolist(),
+           "unit": tgt.unit}
+    laws = [[(support, ops[name], i, k) for support, name, i, k in level] for level in named_laws]
     if top is not None:
-        law(alg.top, top, leaf=True)
+        laws[m].append((np.flatnonzero(below[:, alg.top]).tolist(), top, None, None))
 
     images = [0] * m  # candidate positions
     found: list[list[int]] = []
@@ -490,6 +506,41 @@ def generator_search(alg, gens: list[int], tgt, candidates: Iterable[int],
         if (theta >= 0).all():
             out.append(theta)
     return out
+
+
+def _law_skeleton(alg, gens: tuple) -> tuple:
+    """The laws of generator_search on alg and gens, without a target:
+    below[i, x] (the i-th generator in the linear extension is <= x), the
+    laws of each level as (support, operation name, i, k), with the join of
+    the images at the positions `support` to equal op[image i][image k],
+    op[image i] when k is None, and op itself when i is None, the last
+    level being the leaf's; and lower[k], the positions of the generators
+    below the k-th, whose images must lie below its image.  Immutable and
+    free of references to alg, so that `order.cached` can hold it."""
+    order = sorted(gens, key=lambda g: int(alg.leq[:, g].sum()))
+    m = len(order)
+    below = _freeze(alg.leq[order, :])
+    laws: list[list[tuple]] = [[] for _ in range(m + 1)]
+    supports: dict[int, tuple] = {}
+
+    def law(derived: int, name: str, i=None, k=None) -> None:
+        if derived not in supports:
+            supports[derived] = tuple(np.flatnonzero(below[:, derived]).tolist())
+        support = supports[derived]
+        level = max([p for p in (i, k) if p is not None] + list(support), default=m)
+        laws[level].append((support, name, i, k))
+
+    for k, h in enumerate(order):
+        for i, g in enumerate(order[:k + 1]):
+            if i < k:
+                law(int(alg.meet[g, h]), "meet", i, k)
+                law(int(alg.mul[h, g]), "mul", k, i)
+            law(int(alg.mul[g, h]), "mul", i, k)
+        law(int(alg.star[h]), "star", k)
+        law(int(alg.plus[h]), "plus", k)
+    law(alg.unit, "unit")
+    lower = tuple(tuple(i for i in range(k) if below[i, order[k]]) for k in range(m)) + ((),)
+    return below, tuple(map(tuple, laws)), lower
 
 
 def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
@@ -537,19 +588,21 @@ def verify_adjunction_I(tc: FiniteTopCategory, q: EhresmannQuantale,
     """Enumerate all continuous covering functors C -> C(Q) and all RQF
     morphisms Q -> Omega(C), and verify the two transposes are mutually
     inverse bijections between the hom-sets.  `fc` and `om` are C(Q) and
-    Omega(C) when already built."""
+    Omega(C) when already built.  An Omega(C) built here has its partial
+    isometries read off C as its open local bisections, not tested."""
     rep = AdjunctionReport()
     if fc is None:
         fc = c_object(q)
     if om is None:
         om = omega_object(tc)
+        # PI(Omega(C)) is the open local bisections (see crm.bisection_monoid)
+        cached(om.rqf, "partial_isometries",
+               lambda: tuple(om.index[m] for m in open_local_bisections(tc)))
     if fc.n > max_arrows:
         raise BoundExceeded(f"C(Q) has {fc.n} arrows > {max_arrows}")
     rep.functor_homset = enumerate_covering_functors(tc, fc.topcat, max_arrows)
     rep.morphism_homset = enumerate_rqf_morphisms(q, om.rqf, max_elements)
-
-    check_transposes(rep, lambda alpha: transpose_forward(alpha, tc, q, fc, om),
-                     lambda beta: transpose_backward(beta, tc, q, fc, om))
+    check_transposes(rep, *transposes_I(q, fc, om))
     return rep
 
 
@@ -558,14 +611,25 @@ def check_transposes(rep: AdjunctionReport, forward, backward) -> None:
     functor) are mutually inverse bijections between the hom-sets of rep,
     appending each failure to rep.failures with the index of the map it
     starts from: first the functors, then the morphisms, then the sizes.  A
-    transpose that returns None is not in the hom-set."""
+    transpose that returns None is not in the hom-set.
+
+    The second direction is skipped when the first had no failure and
+    there are as many distinct functors as morphisms, since it cannot fail
+    then.  The first direction has shown that forward sends every functor
+    into the morphisms and backward brings it back, so forward is injective
+    on the distinct functors; with as many of them as morphisms, it is
+    onto, and the morphisms are distinct too.  So every morphism m is
+    forward(f) for a functor f, backward(m) = f is in the hom-set and
+    forward(backward(m)) = m."""
     directions = (
         (rep.functor_homset, rep.morphism_homset, forward, backward,
          "forward_transpose_not_in_homset", "backward_of_forward_not_identity"),
         (rep.morphism_homset, rep.functor_homset, backward, forward,
          "backward_transpose_not_in_homset", "forward_of_backward_not_identity"),
     )
-    for homset, other, there, back, not_in_homset, not_identity in directions:
+    for k, (homset, other, there, back, not_in_homset, not_identity) in enumerate(directions):
+        if k and not rep.failures and len({f.tobytes() for f in other}) == len(homset):
+            break
         keys = {m.tobytes() for m in other}
         for i, m in enumerate(homset):
             image = there(m)
@@ -598,9 +662,11 @@ def check_naturality_in_category(g, tc_src: FiniteTopCategory, tc_dst: FiniteTop
     if om_dst is None:
         om_dst = omega_object(tc_dst)
     omega_g = omega_morphism(g, om_src, om_dst)
+    forward_src = transposes_I(q, fc, om_src)[0]
+    forward_dst = transposes_I(q, fc, om_dst)[0]
     for alpha in enumerate_covering_functors(tc_dst, fc.topcat):
-        lhs = transpose_forward(alpha[g], tc_src, q, fc, om_src)
-        rhs = omega_g[transpose_forward(alpha, tc_dst, q, fc, om_dst)]
+        lhs = forward_src(alpha[g])
+        rhs = omega_g[forward_dst(alpha)]
         if not np.array_equal(lhs, rhs):
             return False, ("naturality_category", alpha.tolist())
     return True, None
@@ -624,9 +690,11 @@ def check_naturality_in_quantale(psi, q_src: EhresmannQuantale, q_dst: Ehresmann
     if om is None:
         om = omega_object(tc)
     c_psi = c_morphism(psi, fc_src, fc_dst)
+    forward_src = transposes_I(q_src, fc_src, om)[0]
+    forward_dst = transposes_I(q_dst, fc_dst, om)[0]
     for alpha in enumerate_covering_functors(tc, fc_dst.topcat):
-        lhs = transpose_forward(c_psi[alpha], tc, q_src, fc_src, om)
-        rhs = transpose_forward(alpha, tc, q_dst, fc_dst, om)[psi]
+        lhs = forward_src(c_psi[alpha])
+        rhs = forward_dst(alpha)[psi]
         if not np.array_equal(lhs, rhs):
             return False, ("naturality_quantale", alpha.tolist())
     return True, None

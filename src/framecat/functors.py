@@ -25,9 +25,9 @@ reading.
 Quantale elements of an omega result are indexed by their open set's arrow
 bitmask in ascending order, so for discrete topologies index == mask and
 the whole table construction vectorizes: _omega_discrete builds star, plus
-and the products U.{v} by doubling, the masks in [2^j, 2^(j+1)) being those
-below 2^j with arrow j added, and then mul one block of columns per arrow
-the same way.  For any other topology _omega_generic holds the opens as
+and the products {u}.V by doubling, the masks in [2^j, 2^(j+1)) being those
+below 2^j with arrow j added, and then mul one block of rows per arrow the
+same way.  For any other topology _omega_generic holds the opens as
 words of the `bits` kernel: inclusion, intersection and union are word
 AND/OR on whole rows of opens, the d- and r-images and the products are
 boolean products (the products over the composable pairs u.v), and
@@ -70,15 +70,21 @@ class OmegaResult:
 
 
 def omega_object(tc: FiniteTopCategory, max_elements: int = 1024) -> OmegaResult:
+    require_etale(tc, max_elements)
+    if tc.topology.is_discrete:
+        return _omega_discrete(tc)
+    return _omega_generic(tc)
+
+
+def require_etale(tc: FiniteTopCategory, max_elements: int) -> None:
+    """Raise ValueError naming the failed law unless tc is etale, then
+    BoundExceeded if it has more than max_elements opens."""
     ok, law, wit = is_etale(tc)
     if not ok:
         raise ValueError(f"not etale: {law} witness open={wit}")
     count = tc.topology.open_count()
     if count > max_elements:
         raise BoundExceeded(f"{count} opens > max_elements={max_elements}")
-    if tc.topology.is_discrete:
-        return _omega_discrete(tc)
-    return _omega_generic(tc)
 
 
 def _omega_discrete(tc: FiniteTopCategory) -> OmegaResult:
@@ -93,20 +99,21 @@ def _omega_discrete(tc: FiniteTopCategory) -> OmegaResult:
                           bottom=0, top=nq - 1)
 
     # the masks in [2^j, 2^(j+1)) are those in [0, 2^j) with arrow j added:
-    # single[U, v] = U.{v}, then mul[U, V] is the union of U.{v} over v in V
+    # single[u, V] = {u}.V, then mul[U, V] is the union of {u}.V over u in U,
+    # built one block of whole rows per arrow
     comp = np.where(cat.comp == UNDEF, 0, np.left_shift(1, np.maximum(cat.comp, 0)))
     star = np.zeros(nq, dtype=np.int64)
     plus = np.zeros(nq, dtype=np.int64)
-    single = np.zeros((nq, k), dtype=np.int64)
+    single = np.zeros((k, nq), dtype=np.int64)
     mul = np.zeros((nq, nq), dtype=np.int64)
     for j in range(k):
         lo = 1 << j
         star[lo:2 * lo] = star[:lo] | 1 << int(cat.d[j])
         plus[lo:2 * lo] = plus[:lo] | 1 << int(cat.r[j])
-        single[lo:2 * lo] = single[:lo] | comp[j]
+        np.bitwise_or(single[:, :lo], comp[:, j:j + 1], out=single[:, lo:2 * lo])
     for j in range(k):
         lo = 1 << j
-        np.bitwise_or(mul[:, :lo], single[:, j:j + 1], out=mul[:, lo:2 * lo])
+        np.bitwise_or(mul[:lo], single[j], out=mul[lo:2 * lo])
 
     q = make_eq(frame, mul, int(cat.identity_mask), star, plus)
     opens = tuple(range(nq))
@@ -114,47 +121,52 @@ def _omega_discrete(tc: FiniteTopCategory) -> OmegaResult:
 
 
 def _omega_generic(tc: FiniteTopCategory) -> OmegaResult:
-    """Omega(C) for any topology, on the opens as words (`bits.pack_words`).
-    Inclusion, intersection and union of whole rows of opens are
-    `a & ~b == 0`, & and |.  The d- and r-images of all opens are one
-    boolean product with the graphs of d and r.  The product U.V holds w
-    iff some composable pair u.v = w has u in U and v in V: an AND of
-    member columns over the composable pairs, then a boolean product with
-    their composites.  Temporaries are cut into row blocks
-    (`bits.row_blocks`).  Every result is mapped back to its open by
-    `bits.word_lookup`; the first cell, in rows-first order, that is not an
-    open raises ValueError, naming the intersection before the union, then
-    the d-image before the r-image, then the product."""
+    """Omega(C) for any topology: the tables of `arrow_set_tables` on the
+    opens.  The first cell, in rows-first order, that is not an open raises
+    ValueError, naming the intersection before the union, then the d-image
+    before the r-image, then the product."""
     cat = tc.cat
-    k = cat.n
     opens = sorted(tc.topology.opens)
     index = {m: i for i, m in enumerate(opens)}
-    nq = len(opens)
-    member = bit_matrix(opens, k)           # member[i, u]: arrow u is in open i
+    leq, meet, join, mul, star, plus = arrow_set_tables(cat, bit_matrix(opens, cat.n))
+    _require_open(("intersection", "union"), meet, join)
+    frame = FiniteLattice(len(opens), _freeze(leq), _freeze(meet), _freeze(join),
+                          bottom=index[0], top=index[full_mask(cat.n)])
+    _require_open(("d-image", "r-image"), star, plus)
+    _require_open(("product",), mul)
+    q = make_eq(frame, mul, index[cat.identity_mask], star, plus)
+    return OmegaResult(rqf=q, opens=tuple(opens), index=index, source=tc)
+
+
+def arrow_set_tables(cat: FiniteCategory, member: np.ndarray) -> tuple[np.ndarray, ...]:
+    """leq, meet, join, mul, star and plus of the family of arrow sets U_i
+    whose bool rows are member[i, a] (arrow a is in U_i), on the words of
+    `bits.pack_words`: U_i <= U_j, and the index in the family of U_i & U_j,
+    U_i | U_j, the product U_i.U_j, d(U_i) and r(U_i), -1 where that set is
+    not in it.  Intersection and union of whole rows of sets are & and |,
+    and U_i <= U_j iff U_i & U_j = U_i, which is then in the family.  The
+    d- and r-images of all sets are one boolean product with the graphs of
+    d and r.  The product U.V holds w iff some composable pair u.v = w has
+    u in U and v in V: an AND of member columns over the composable pairs,
+    then a boolean product with their composites.  Temporaries are cut into
+    row blocks (`bits.row_blocks`), and every result is mapped back to its
+    set by `bits.word_lookup`."""
+    k, nq = cat.n, len(member)
     words = pack_words(member)
     find = word_lookup(words)
     arrows = np.arange(k)
     u, v = np.nonzero(cat.comp != UNDEF)    # the composable pairs u.v
     lands = cat.comp[u, v, None] == arrows  # lands[t, w]: the t-th composite is w
-
-    leq = np.empty((nq, nq), dtype=bool)
     meet, join, mul = (np.empty((nq, nq), dtype=np.int64) for _ in range(3))
     for rows in row_blocks(nq, nq * max(3 * words.shape[1], len(u), k)):
         a = words[rows, None]
-        leq[rows] = ((a & ~words) == 0).all(axis=2)
         both = member[rows, None, u] & member[None, :, v]  # [i, j, t]: u in U_i, v in U_j
         products = pack_words(bool_product(both, lands))
         found = find(np.stack([a & words, a | words, products], axis=2))
         meet[rows], join[rows], mul[rows] = found[..., 0], found[..., 1], found[..., 2]
-    _require_open(("intersection", "union"), meet, join)
-    frame = FiniteLattice(nq, _freeze(leq), _freeze(meet), _freeze(join),
-                          bottom=index[0], top=index[full_mask(k)])
     graphs = np.concatenate([cat.d[:, None] == arrows, cat.r[:, None] == arrows], axis=1)
     star, plus = find(pack_words(bool_product(member, graphs).reshape(nq, 2, k))).T
-    _require_open(("d-image", "r-image"), star, plus)
-    _require_open(("product",), mul)
-    q = make_eq(frame, mul, index[cat.identity_mask], star, plus)
-    return OmegaResult(rqf=q, opens=tuple(opens), index=index, source=tc)
+    return meet == np.arange(nq)[:, None], meet, join, mul, star, plus
 
 
 def _require_open(what: tuple, *tables: np.ndarray) -> None:
@@ -236,10 +248,7 @@ def category_on_generators(alg, gens, what: str) -> tuple[FiniteCategory, list[i
     comp = np.full((nf, nf), UNDEF, dtype=np.int64)
     comp[composable] = locate(products, "A.B")
 
-    x_masks = [0] * alg.n
-    for k, g in enumerate(gens.tolist()):
-        for a in np.flatnonzero(alg.leq[g]).tolist():
-            x_masks[a] |= 1 << k
+    x_masks = row_masks(alg.leq[gens].T)  # bit k of x_masks[a]: gens[k] <= a
     cat = make_category(nf, iter_bits(x_masks[alg.unit]), d_idx, r_idx, comp_table=comp)
     return cat, x_masks
 
@@ -257,21 +266,25 @@ def c_object(q: EhresmannQuantale, max_opens: int = 4096) -> FilterCategoryResul
 
 def _filter_category(q: EhresmannQuantale) -> FilterCategoryResult:
     filters = enumerate_cp_filters(q)
-    gens = [q.meet_fold(iter_bits(f.members)) for f in filters]  # the least members
+    members = ~q.leq[:, [f.cogenerator for f in filters]].T  # [k, x]: x is in filter k
+    # the least member of a filter, an up-set, is the member whose up-set is
+    # as large as the filter: a member's up-set lies inside it
+    least = members & (q.leq.sum(axis=1) == members.sum(axis=1)[:, None])
+    if not least.any(axis=1).all():
+        raise InternalError("a completely prime filter has no least member")
+    gens = least.argmax(axis=1).tolist()
     cat, x_masks = category_on_generators(q, gens, "completely prime filter")
     pis = partial_isometries(q)
     base = {a: x_masks[a] for a in pis}
     topology = topology_from_base(cat.n, base.values())
 
     # every X_a is open and is the union of the X_p over isometries p <= a
-    via_pis = [0] * q.n
-    for p in pis:
-        for a in np.flatnonzero(q.leq[p]).tolist():
-            via_pis[a] |= x_masks[p]
-    for a in range(q.n):
-        if via_pis[a] != x_masks[a]:
+    x_sets = q.leq[gens].T  # [a, k]: gens[k] <= a, that is, filter k is in X_a
+    disagrees = (bool_product(q.leq[pis].T, x_sets[pis]) != x_sets).any(axis=1)
+    for a, x_mask in enumerate(x_masks):
+        if disagrees[a]:
             raise InternalError(f"X_{a} disagrees with its isometry decomposition")
-        if not topology.is_open(x_masks[a]):
+        if not topology.is_open(x_mask):
             raise InternalError(f"X_{a} is not open")
 
     tc = FiniteTopCategory(cat=cat, topology=topology)

@@ -62,7 +62,8 @@ from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
-from .bits import full_mask, has_bit, mask_of, pack_words, row_blocks, take_words, word_lookup
+from .bits import (full_mask, has_bit, mask_of, pack_words, row_blocks, row_masks, take_words,
+                   word_lookup)
 from .reports import InternalError, Report
 
 
@@ -144,27 +145,10 @@ class FiniteTopSpace:
 # ---------------------------------------------------------------------------
 # construction helpers
 
-def _rank_bitsets(rows: np.ndarray) -> list[int]:
-    """Row r of a boolean matrix as an int with bit k set iff rows[r, k]."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
-
-
 def lattice_from_leq(leq) -> FiniteLattice:
-    """Compute meet/join/bottom/top from an order table; raises if not a lattice.
-
-    Elements are ranked by down-set size, a linear extension of the order,
-    and every down-set and up-set is held as an int bitset over ranks.  For
-    a pair (a, b) the candidate meet is the highest-ranked element of
-    down(a) & down(b): it is the meet exactly when its own down-set is that
-    whole intersection.  The join is dually the lowest-ranked element of
-    up(a) & up(b).  Both tables are symmetric, so only index pairs (i, j)
-    with i <= j are computed, in row-major order; the first pair in
-    row-major order without a meet or join has i <= j too, so the error names
-    the same pair as a scan of all n^2 pairs would.  Cost: O(n^2) bitset
-    operations on n-bit ints, i.e. O(n^3 / w) machine-word operations, after
-    the O(n^3) poset validation.
-    """
+    """Compute meet/join/bottom/top from an order table; raises if not a
+    lattice.  Cost: O(n^2 W) words (`_lattice_tables`) after the O(n^3)
+    poset validation."""
     p = FinitePoset.from_leq(leq)
     rep = validate_poset(p)
     if not rep.ok:
@@ -173,38 +157,56 @@ def lattice_from_leq(leq) -> FiniteLattice:
 
 
 def _lattice_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """meet, join, bottom and top of a valid poset; raises if not a lattice."""
-    n = p.n
+    """meet, join, bottom and top of a valid poset; raises if not a lattice.
+
+    With J and M the elements with one lower, and one upper, cover
+    (`_irreducibles`), and G(x) and M(x) the J below and the M above x as
+    words, a lattice has G(a /\\ b) = G(a) & G(b) and M(a \\/ b) =
+    M(a) & M(b) (see `_has_lattice_tables`), so the candidate tables are
+    those words looked up (`bits.word_lookup`) among the G- and M-words of
+    the elements, and bottom and top the first least and greatest element.
+    `_has_lattice_tables` accepts them exactly when they are the tables of
+    the order.  Otherwise the order is no lattice, and `_first_unbounded_pair`
+    names the pair.  O(n^2 W) words, W = |J| / 64 rounded up (likewise for
+    M), in row blocks."""
+    n, leq = p.n, p.leq
     if n == 0:
         raise ValueError("lattices must be non-empty")
-    by_rank = np.argsort(p.leq.sum(axis=0), kind="stable")
-    ranked = p.leq[np.ix_(by_rank, by_rank)]    # ranked[r, s]: rank r <= rank s
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_rank] = np.arange(n)
-    down_r = _rank_bitsets(ranked.T)            # indexed by rank
-    up_r = _rank_bitsets(ranked)
-    down = [down_r[r] for r in rank.tolist()]  # indexed by element
-    up = [up_r[r] for r in rank.tolist()]
-    elem = by_rank.tolist()
+    g = pack_words(leq[_irreducibles(leq)].T)
+    m = pack_words(leq[:, _irreducibles(leq.T)])
+    find_g, find_m = word_lookup(g), word_lookup(m)
     meet = np.empty((n, n), dtype=np.int64)
     join = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        di, ui = down[i], up[i]
-        meet_row, join_row = [], []
-        for j in range(i, n):
-            lo = di & down[j]
-            hi = ui & up[j]
-            m = lo.bit_length() - 1
-            k = (hi & -hi).bit_length() - 1
-            if m < 0 or k < 0 or down_r[m] != lo or up_r[k] != hi:
-                raise ValueError(f"not a lattice: no meet/join for ({i},{j})")
-            meet_row.append(elem[m])
-            join_row.append(elem[k])
-        meet[i, i:] = meet[i:, i] = meet_row
-        join[i, i:] = join[i:, i] = join_row
-    bottom = int(np.flatnonzero(p.leq.all(axis=1))[0])
-    top = int(np.flatnonzero(p.leq.all(axis=0))[0])
-    return _freeze(meet), _freeze(join), bottom, top
+    for rows in row_blocks(n, n * max(g.shape[1], m.shape[1])):
+        meet[rows] = find_g(g[rows, None] & g)
+        join[rows] = find_m(m[rows, None] & m)
+    bottoms, tops = np.flatnonzero(leq.all(axis=1)), np.flatnonzero(leq.all(axis=0))
+    if bottoms.size and tops.size and min(meet.min(), join.min()) >= 0:
+        tables = (_freeze(meet), _freeze(join), int(bottoms[0]), int(tops[0]))
+        if _has_lattice_tables(FiniteLattice(n, leq, *tables)):
+            return tables
+    i, j = _first_unbounded_pair(leq)
+    raise ValueError(f"not a lattice: no meet/join for ({i},{j})")
+
+
+def _first_unbounded_pair(leq: np.ndarray) -> tuple[int, int]:
+    """The first pair (i, j) in row-major order without a meet or a join in
+    the valid order leq; i <= j, since (j, i) lacks them too.  i and j have
+    a meet iff some m has down(m) = down(i) & down(j): then m is the
+    greatest common lower bound, and a greatest one has that down-set, as
+    the intersection is a down-set.  Distinct elements have distinct
+    down-sets, so looking the intersection up among the down-sets, as words
+    over all elements, is exact; joins dually.  O(n^3 / 64) words, in row
+    blocks."""
+    n = len(leq)
+    down, up = pack_words(leq.T), pack_words(leq)
+    find_down, find_up = word_lookup(down), word_lookup(up)
+    for rows in row_blocks(n, n * down.shape[1]):
+        missing = (find_down(down[rows, None] & down) < 0) | (find_up(up[rows, None] & up) < 0)
+        if missing.any():
+            i, j = np.argwhere(missing)[0]
+            return rows.start + int(i), int(j)
+    raise InternalError("every pair has a meet and a join, yet the tables are no lattice's")
 
 
 def frame_from_leq(leq) -> FiniteFrame:
@@ -442,14 +444,13 @@ def meet_prime_elements(f: FiniteFrame) -> list[int]:
     return out
 
 
-def filter_from_cogenerator(f: FiniteFrame, m: int) -> CPFilter:
-    members = mask_of(np.flatnonzero(~f.leq[:, m]))
-    return CPFilter(cogenerator=m, members=members)
-
-
 def enumerate_cp_filters(f: FiniteFrame) -> list[CPFilter]:
-    """One completely prime filter per meet-prime element."""
-    return [filter_from_cogenerator(f, m) for m in meet_prime_elements(f)]
+    """One completely prime filter per meet-prime element m, with the
+    members x not<= m: row k of the bool matrix of members (`bits.row_masks`)
+    for the k-th m."""
+    primes = meet_prime_elements(f)
+    return [CPFilter(m, members)
+            for m, members in zip(primes, row_masks(~f.leq[:, primes].T))]
 
 
 def cogenerator_of_member_mask(f: FiniteFrame, members: int) -> int:

@@ -316,7 +316,7 @@ def adjunction_II_translated(inst: Instance) -> CheckResult:
     """Adjunction II for (C, PI(Omega(C))), with the hom-set sizes of
     adjunction I for the translated pair (C, L^vee(PI(Omega(C))))."""
     tc = inst.tc
-    adj2 = verify_adjunction_II(tc, inst.crm, om=inst.omega, pi=inst.pi, sf=inst.sf)
+    adj2 = verify_adjunction_II(tc, inst.crm, sf=inst.sf)
     if adj2.ok:
         adj1 = verify_adjunction_I(tc, inst.lv.rqf, fc=inst.lv_fc, om=inst.omega)
         if adj1.sizes != adj2.sizes:

@@ -4,17 +4,20 @@ local bisections and covering functors.
 Arrows are integer indices.  Composition is a partial table with -1 for
 "undefined"; comp[a, b] is defined exactly when d(a) = r(b).  Topologies
 store the full open-set family as bitmasks, or None for the discrete
-topology (kept symbolic so large discrete instances stay cheap).
+topology (kept symbolic so large discrete instances stay cheap).  The open
+local bisections are found without a Python test per open
+(`bisection_rows`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .bits import full_mask, has_bit, iter_bits, is_submask, mask_of
+from .bits import bit_matrix, full_mask, has_bit, iter_bits, is_submask, mask_of
 from .reports import BoundExceeded, Report
 
 UNDEF = -1
@@ -277,7 +280,10 @@ def is_local_bisection(c: FiniteCategory, mask: int) -> bool:
     return True
 
 
-def local_bisections(c: FiniteCategory, max_arrows: int = 20) -> list[int]:
+SUBSET_MAX_ARROWS = 20  # the most arrows whose subsets are all listed
+
+
+def local_bisections(c: FiniteCategory, max_arrows: int = SUBSET_MAX_ARROWS) -> list[int]:
     """All arrow subsets on which both d and r are injective."""
     if c.n > max_arrows:
         raise BoundExceeded(f"{c.n} arrows > {max_arrows}; refusing 2^n enumeration")
@@ -285,9 +291,43 @@ def local_bisections(c: FiniteCategory, max_arrows: int = 20) -> list[int]:
 
 
 def open_local_bisections(tc: FiniteTopCategory) -> list[int]:
+    """The open local bisections, as ascending masks (`bisection_rows`)."""
+    return bisection_rows(tc)[0]
+
+
+def bisection_rows(tc: FiniteTopCategory) -> tuple[list[int], np.ndarray]:
+    """The open local bisections as ascending masks and as the bool rows
+    [i, a]: arrow a is in the i-th one.  Of a listed topology, an open is a
+    bisection iff no identity is the d, or the r, of two of its arrows: one
+    count product of the member rows of all opens (`bits.bit_matrix`, exact
+    at any width) with the graphs of d and r.  Of a discrete topology, see
+    `_discrete_bisections`."""
+    c, n = tc.cat, tc.n
     if tc.topology.opens is None:
-        return local_bisections(tc.cat)
-    return [o for o in sorted(tc.topology.opens) if is_local_bisection(tc.cat, o)]
+        masks = _discrete_bisections(c)
+        return masks, (np.array(masks)[:, None] >> np.arange(n) & 1).astype(bool)
+    masks = sorted(tc.topology.opens)
+    rows = bit_matrix(masks, n)
+    arrows = np.arange(n)
+    graphs = np.concatenate([c.d[:, None] == arrows, c.r[:, None] == arrows], axis=1)
+    keep = (rows.astype(np.float32) @ graphs.astype(np.float32) <= 1).all(axis=1)
+    return list(compress(masks, keep)), rows[keep]
+
+
+def _discrete_bisections(c: FiniteCategory) -> list[int]:
+    """All local bisections, every subset being open, as ascending masks,
+    grown one arrow j at a time without listing the subsets: those with j
+    as their largest arrow are those before with j added, kept when they
+    hold no arrow with the d or the r of j.  Refused, like
+    `local_bisections`, above SUBSET_MAX_ARROWS arrows."""
+    if c.n > SUBSET_MAX_ARROWS:
+        raise BoundExceeded(f"{c.n} arrows > {SUBSET_MAX_ARROWS}; refusing 2^n enumeration")
+    d, r = c.d.tolist(), c.r.tolist()
+    found = [0]
+    for j in range(c.n):
+        clash = sum(1 << i for i in range(j) if d[i] == d[j] or r[i] == r[j])
+        found += [b | 1 << j for b in found if not b & clash]
+    return found
 
 
 def is_etale(tc: FiniteTopCategory) -> tuple[bool, Optional[str], Optional[int]]:

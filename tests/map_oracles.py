@@ -39,16 +39,19 @@ def one_value_perturbations(m, size: int, positions=None):
         yield bad
 
 
-def assert_transposes_match_oracles(forward, forward_oracle, backward, backward_oracle,
+def assert_transposes_match_oracles(forward, forward_oracles, backward, backward_oracles,
                                     functors, morphisms, functor_size, morphism_size):
-    """The four transposes take the map alone; functor_size and
-    morphism_size are the sizes of the codomains the maps take values in."""
+    """The transposes and each of their oracles take the map alone;
+    functor_size and morphism_size are the sizes of the codomains the maps
+    take values in."""
     for alpha in functors:
         for m in (alpha, *one_value_perturbations(alpha, functor_size)):
-            assert map_outcome(forward, m) == map_outcome(forward_oracle, m), m.tolist()
+            for oracle in forward_oracles:
+                assert map_outcome(forward, m) == map_outcome(oracle, m), m.tolist()
     for beta in morphisms:
         for m in (beta, *one_value_perturbations(beta, morphism_size)):
-            assert map_outcome(backward, m) == map_outcome(backward_oracle, m), m.tolist()
+            for oracle in backward_oracles:
+                assert map_outcome(backward, m) == map_outcome(oracle, m), m.tolist()
 
 
 def relabel(tc: FiniteTopCategory, perm) -> FiniteTopCategory:

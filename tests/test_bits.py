@@ -53,7 +53,7 @@ def test_words_hold_the_bits_of_the_masks(case):
 @given(mask_lists(), st.lists(st.integers(0, (1 << 130) - 1), max_size=6))
 def test_word_lookup_finds_exactly_the_rows_of_its_table(case, others):
     width, masks = case
-    table = sorted(set(masks)) or [0]
+    table = sorted(set(masks))  # empty when masks is: every query is then missing
     queries = masks + [m & ((1 << width) - 1) for m in others]
     found = word_lookup(words_of(table, width))(words_of(queries, width))
     assert found.tolist() == [table.index(m) if m in table else -1 for m in queries]

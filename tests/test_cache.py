@@ -1,6 +1,7 @@
 """The data built once per algebra and cached on it (order.cached): J, PI
 and C(Q) of a quantale; J(S), the compatible-join table and the S-filter
-category of a complete restriction monoid.  Cached values equal fresh
+category of a complete restriction monoid; and the laws that
+duality.generator_search compiles on the generators of either.  Cached values equal fresh
 builds, cannot be changed through what a call returns, start empty on a
 dataclasses.replace copy, and hold no reference back to their algebra."""
 
@@ -11,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from framecat import crm, functors, order, quantale
+from framecat import crm, duality, functors, order, quantale
 from framecat.corpus import corpus_crms, corpus_rqfs, pair_groupoid
 from framecat.crm import (_compatible_join_table, join_primes, pi_restriction_monoid,
                           s_filters, verify_adjunction_II)
@@ -21,8 +22,19 @@ from framecat.order import join_irreducibles
 from framecat.quantale import partial_isometries
 from framecat.reports import BoundExceeded
 
-QUANTALE_KEYS = {"join_irreducibles", "partial_isometries", "c_object"}
-MONOID_KEYS = {"join_primes", "compatible_joins", "s_filters"}
+QUANTALE_KEYS = {"join_irreducibles", "partial_isometries", "c_object", "law_skeleton"}
+MONOID_KEYS = {"join_primes", "compatible_joins", "s_filters", "law_skeleton"}
+
+
+def assert_same_skeleton(alg, gens):
+    """The cached laws of generator_search on alg and gens, filled by a
+    search with no candidates, equal a fresh compile."""
+    duality.generator_search(alg, gens, alg, [], np.zeros((alg.n, 0), dtype=np.int64), 0)
+    held, (below, laws, lower) = alg._cache["law_skeleton"]
+    fresh_below, fresh_laws, fresh_lower = duality._law_skeleton(alg, tuple(gens))
+    assert held == tuple(gens)
+    assert np.array_equal(below, fresh_below) and not below.flags.writeable
+    assert (laws, lower) == (fresh_laws, fresh_lower)
 
 
 def assert_same_category(a, b):
@@ -54,6 +66,7 @@ def test_cached_values_equal_fresh_builds_on_corpus_rqfs(rqfs):
             fresh = functors._filter_category(q)
             assert_same_category(fc, fresh)
             assert dict(fc.base) == dict(fresh.base), name
+            assert_same_skeleton(q, join_irreducibles(q))
         assert c_object(q) is fc
         assert set(q._cache) == QUANTALE_KEYS, name
 
@@ -66,6 +79,7 @@ def test_cached_values_equal_fresh_builds_on_corpus_crms(monoids):
             assert np.array_equal(_compatible_join_table(s), fresh), name
             sf = s_filters(s)
             assert_same_category(sf, crm._s_filter_category(s))
+            assert_same_skeleton(s, join_primes(s))
         assert s_filters(s) is sf
         assert set(s._cache) == MONOID_KEYS, name
 

@@ -5,24 +5,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framecat.bits import has_bit, is_submask, iter_bits, mask_of
+from framecat.bits import bit_matrix, has_bit, is_submask, iter_bits, mask_of, row_masks
 from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, empty_category,
-                             etale_categories, hand_built_crms, monoid_category,
+                             etale_categories, free_category_on_acyclic_graph,
+                             hand_built_crms, monoid_category,
                              negative_crm_fixture, pair_groupoid,
                              semilattice_monoid_category)
 from framecat import crm
 from framecat.crm import (CompleteRestrictionMonoid, IdealCompletion, SFilterCategory,
-                          _compatible_join_table, _partial_join_table,
+                          _compatible_join_table, _partial_join_table, bisection_monoid,
                           crm_compatible,
                           crm_lub, enumerate_callitic_morphisms,
                           is_callitic, is_proper, join_primes, l_vee, make_crm,
-                          pi_join_table, pi_restriction_monoid, preserves_finite_meets,
+                          pi_restriction_monoid, preserves_finite_meets,
                           s_filter_bijection, s_filters, s_filters_list,
-                          theta_extension, transpose_backward_II, transpose_forward_II,
+                          theta_extension, transposes_II,
                           validate_crm, validate_crm_morphism,
                           verify_adjunction_II)
 from framecat.duality import (enumerate_covering_functors, find_category_isomorphism,
-                              quantale_isomorphism_ok, verify_adjunction_I)
+                              positions, quantale_isomorphism_ok, verify_adjunction_I)
 from framecat.functors import c_object, omega_object
 from framecat.order import lattice_from_leq
 from framecat.quantale import frame_as_quantale, make_eq, partial_isometries, validate_rqf
@@ -31,7 +32,7 @@ from framecat.suite import Instance, ideals_of_isometries_roundtrip, isometries_
 from framecat.topcat import (UNDEF, FiniteTopCategory, make_category, topology_from_base,
                              validate_covering_functor)
 from map_oracles import (assert_transposes_match_oracles, map_outcome,
-                         one_value_perturbations, small_corpus_categories)
+                         one_value_perturbations, relabel, small_corpus_categories)
 from random_categories import small_categories
 
 
@@ -941,19 +942,20 @@ def _adjunction_key(adj):
 
 
 def test_suite_adjunction_II_check_reuses_the_instance_builds(pair2, monkeypatch):
-    from framecat import crm, suite
+    from framecat import crm, duality, functors, suite
     inst = suite.Instance(tc=pair2)
     inst.omega, inst.pi, inst.sf, inst.lv, inst.lv_fc  # built before the check runs
     without_builds = verify_adjunction_II(pair2, inst.crm)
 
     calls = []
-    for name in ("omega_object", "pi_restriction_monoid", "s_filters"):
-        original = getattr(crm, name)
+    for module, name in ((functors, "omega_object"), (duality, "omega_object"),
+                         (crm, "pi_restriction_monoid"), (crm, "s_filters")):
+        original = getattr(module, name)
 
         def counted(*args, name=name, original=original, **kwargs):
             calls.append(name)
             return original(*args, **kwargs)
-        monkeypatch.setattr(crm, name, counted)
+        monkeypatch.setattr(module, name, counted)
     reports = []
 
     def recorded(*args, **kwargs):
@@ -978,8 +980,10 @@ def test_callitic_enumeration_on_semilattice_monoid():
 
 
 # ---------------------------------------------------------------------------
-# the second adjunction's transposes against the element-by-element closures
-# verify_adjunction_II had before they worked on whole bit matrices
+# the second adjunction's transposes against the bodies they had before they
+# were array maps over the open local bisections: the element-by-element
+# closures of verify_adjunction_II, and the ones that read the columns of a
+# bit matrix back as Python int masks, both on PI(Omega(C)) with its carrier
 
 def transpose_forward_II_oracle(alpha, tc, s, sf, om, carrier):
     pos = {e: i for i, e in enumerate(carrier)}
@@ -1006,16 +1010,54 @@ def transpose_backward_II_oracle(theta, tc, s, sf, om, carrier):
     return alpha
 
 
+def transpose_forward_II_bit_matrix(alpha, tc, s, sf, om, carrier):
+    n = len(sf.x_masks)  # the elements of S
+    members = bit_matrix(sf.filters, n)
+    pos = np.full(om.n + 1, -1, dtype=np.int64)
+    pos[carrier] = np.arange(len(carrier))
+    theta = np.zeros(n, dtype=np.int64)
+    for a, open_mask in enumerate(row_masks(members[np.asarray(alpha, dtype=np.int64)].T)):
+        i = om.index.get(open_mask)
+        if i is None or pos[i] < 0:
+            return None
+        theta[a] = pos[i]
+    return theta
+
+
+def transpose_backward_II_bit_matrix(theta, tc, s, sf, om, carrier):
+    opens = [om.opens[carrier[e]] for e in np.asarray(theta, dtype=np.int64).tolist()]
+    alpha = np.zeros(tc.n, dtype=np.int64)
+    for c, members in enumerate(row_masks(bit_matrix(opens, tc.n).T)):
+        k = sf.index.get(members)
+        if k is None:
+            return None
+        alpha[c] = k
+    return alpha
+
+
+def assert_same_monoid(a, b):
+    assert (a.n, a.unit, a.zero) == (b.n, b.unit, b.zero)
+    for table in ("leq", "mul", "star", "plus", "meet"):
+        assert np.array_equal(getattr(a, table), getattr(b, table)), table
+
+
 def adjunction_II_transposes(tc, s):
-    """forward, its oracle, backward, its oracle, each taking the map alone,
-    and the S-filter category and PI(Omega(C))."""
+    """forward, its oracles, backward, its oracles, each taking the map
+    alone, and the S-filter category and the monoid of open local
+    bisections, which is PI(Omega(C)) with its carrier's opens as masks."""
     sf = s_filters(s)
     om = omega_object(tc)
     t, carrier = pi_restriction_monoid(om.rqf)
-    return (lambda m: transpose_forward_II(m, sf, om, carrier),
-            lambda m: transpose_forward_II_oracle(m, tc, s, sf, om, carrier),
-            lambda m: transpose_backward_II(m, tc, sf, om, carrier),
-            lambda m: transpose_backward_II_oracle(m, tc, s, sf, om, carrier)), sf, t
+    bis = bisection_monoid(tc)
+    assert list(bis.masks) == [om.opens[c] for c in carrier]
+    assert_same_monoid(bis.crm, t)
+    forward, backward = transposes_II(sf, bis)
+    return (forward,
+            [lambda m, body=body: body(m, tc, s, sf, om, carrier)
+             for body in (transpose_forward_II_oracle, transpose_forward_II_bit_matrix)],
+            backward,
+            [lambda m, body=body: body(m, tc, s, sf, om, carrier)
+             for body in (transpose_backward_II_oracle, transpose_backward_II_bit_matrix)]), sf, t
 
 
 def assert_transposes_II_match_oracles(tc, s):
@@ -1024,6 +1066,81 @@ def assert_transposes_II_match_oracles(tc, s):
     morphisms = enumerate_callitic_morphisms(s, t, max_elements=1024)
     assert_transposes_match_oracles(*transposes, functors, morphisms, sf.n, t.n)
     return len(functors), len(morphisms)
+
+
+# ---------------------------------------------------------------------------
+# PI(Omega(C)) read off C: bisection_monoid against pi_restriction_monoid
+# and pi_join_table of a built Omega(C), carrier masks included
+
+def pi_join_table(q, carrier):
+    """The partial join table (_partial_join_table) of PI(Q), whose element
+    i is carrier[i], read off the join table of Q at the carrier positions:
+    -1 where the join in Q is not a partial isometry.  Exact when the
+    carrier is an order ideal, as PI(Q) is: a common upper bound of a and b
+    in it lies above a v b, which is then in it and is their least upper
+    bound there.  adjunction II read its target's joins this way before it
+    read PI(Omega(C)) off C."""
+    return positions(q.n, carrier)[q.join[np.ix_(carrier, carrier)]]
+
+
+def assert_bisection_monoid_is_pi_of_omega(tc):
+    om = omega_object(tc)
+    t, carrier = pi_restriction_monoid(om.rqf)
+    bis = bisection_monoid(tc)
+    assert list(bis.masks) == [om.opens[c] for c in carrier]
+    assert row_masks(bis.members) == list(bis.masks)
+    assert_same_monoid(bis.crm, t)
+    assert np.array_equal(bis.joins, pi_join_table(om.rqf, carrier))
+    assert np.array_equal(bis.joins, _partial_join_table(bis.crm))
+
+
+def wide_categories():
+    """C(Q) of qframe-chain64 (63 arrows, one word) and of the frame of a
+    100-chain (99 arrows, two words), both with a listed topology."""
+    q64 = next(i.obj for i in corpus_rqfs() if i.name == "qframe-chain64")
+    return [c_object(q).topcat for q in (q64, frame_as_quantale(chain_frame(100)))]
+
+
+@pytest.mark.parametrize("name", [i.name for i in etale_categories()])
+def test_bisection_monoid_is_pi_of_omega_on_corpus(name):
+    tc = next(i.obj for i in etale_categories() if i.name == name)
+    assert_bisection_monoid_is_pi_of_omega(tc)
+    rng = np.random.default_rng(tc.n)
+    for _ in range(3):
+        assert_bisection_monoid_is_pi_of_omega(relabel(tc, rng.permutation(tc.n)))
+
+
+def test_bisection_monoid_is_pi_of_omega_on_wide_categories():
+    for tc in wide_categories():
+        assert_bisection_monoid_is_pi_of_omega(tc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_categories(), st.randoms())
+def test_bisection_monoid_is_pi_of_omega_on_random_categories(tc, rnd):
+    assert_bisection_monoid_is_pi_of_omega(tc)
+    perm = list(range(tc.n))
+    rnd.shuffle(perm)
+    assert_bisection_monoid_is_pi_of_omega(relabel(tc, perm))
+
+
+def test_adjunction_II_raises_what_omega_raises():
+    from framecat.corpus import indiscrete_pair_groupoid
+    s = make_crm(1, [[True]], [[0]], 0, 0, [0], [0], [[0]])
+    kinds = []
+    # not etale; etale; etale with 2048 opens
+    for tc in (indiscrete_pair_groupoid(), monoid_category([[0]]),
+               free_category_on_acyclic_graph(2, [(0, 1)] * 9)):
+        outcomes = []
+        for build in (omega_object, bisection_monoid, lambda tc: verify_adjunction_II(tc, s)):
+            try:
+                build(tc)
+                outcomes.append(None)
+            except (ValueError, BoundExceeded) as e:
+                outcomes.append((type(e), str(e)))
+        assert outcomes[0] == outcomes[1] == outcomes[2], outcomes
+        kinds.append(outcomes[0] and outcomes[0][0])
+    assert kinds == [ValueError, None, BoundExceeded]
 
 
 @pytest.mark.parametrize("name2,tc2", small_corpus_categories())
@@ -1043,13 +1160,15 @@ def test_transposes_II_match_oracles_on_an_empty_s_filter_category():
     assert s_filters(s).n == 0
     assert assert_transposes_II_match_oracles(empty_category(), s) == (1, 1)
     # one arrow, no S-filter to send it to
-    (forward, forward_oracle, backward, backward_oracle), _, t = \
+    (forward, forward_oracles, backward, backward_oracles), _, t = \
         adjunction_II_transposes(monoid_category([[0]]), s)
     alpha = np.zeros(1, dtype=np.int64)
-    assert map_outcome(forward, alpha) == map_outcome(forward_oracle, alpha) == ("IndexError",)
+    for oracle in forward_oracles:
+        assert map_outcome(forward, alpha) == map_outcome(oracle, alpha) == ("IndexError",)
     for e in range(t.n):
         theta = np.array([e], dtype=np.int64)
-        assert map_outcome(backward, theta) == map_outcome(backward_oracle, theta) is None
+        for oracle in backward_oracles:
+            assert map_outcome(backward, theta) == map_outcome(oracle, theta) is None
 
 
 # ---------------------------------------------------------------------------

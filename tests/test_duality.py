@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framecat.bits import has_bit, iter_bits, mask_of
-from framecat.corpus import (boolean_frame, chain_frame, corpus_rqfs,
+from framecat.bits import bit_matrix, has_bit, iter_bits, mask_of, row_masks
+from framecat.corpus import (boolean_frame, chain_frame, corpus_rqfs, etale_categories,
                              cyclic2_category, empty_category,
                              free_category_on_acyclic_graph, m3_lattice,
                              monoid_category, pair_groupoid,
@@ -20,8 +20,8 @@ from framecat.duality import (AdjunctionReport, _is_rqf_morphism_on_j,
                               enumerate_rqf_morphisms,
                               find_category_isomorphism, is_sober, is_spatial,
                               omega_is_isomorphism, quantale_isomorphism_ok,
-                              transpose_backward, transpose_forward,
-                              validate_rqf_morphism, verify_adjunction_I)
+                              transposes_I, validate_rqf_morphism,
+                              verify_adjunction_I)
 from framecat.crm import l_vee, pi_restriction_monoid
 from framecat.functors import c_object, omega_morphism, omega_object
 from framecat.order import join_irreducibles
@@ -168,7 +168,7 @@ def test_transpose_of_omega_map_is_the_identity(pair2, omega_pair2):
     fc = c_object(q)
     om = omega_pair2
     res = build_omega_map(pair2, om)
-    beta = transpose_forward(res.omega, pair2, q, fc, om)
+    beta = transposes_I(q, fc, om)[0](res.omega)
     assert np.array_equal(beta, np.arange(16))
     assert validate_rqf_morphism(beta, q, om.rqf).ok
 
@@ -177,7 +177,7 @@ def test_transpose_of_identity_morphism_is_omega(pair2, omega_pair2):
     # beta = id : Q -> Omega(C) with Q = Omega(C) transposes to omega
     q = omega_pair2.rqf
     fc = c_object(q)
-    alpha = transpose_backward(np.arange(16), pair2, q, fc, omega_pair2)
+    alpha = transposes_I(q, fc, omega_pair2)[1](np.arange(16))
     res = build_omega_map(pair2, omega_pair2)
     assert np.array_equal(alpha, res.omega)
 
@@ -186,13 +186,14 @@ def test_transposes_are_mutually_inverse_on_all_pairs(pair2, omega_pair2):
     q = omega_pair2.rqf
     fc = c_object(q)
     om = omega_pair2
+    forward, backward = transposes_I(q, fc, om)
     for alpha in enumerate_covering_functors(pair2, fc.topcat):
-        beta = transpose_forward(alpha, pair2, q, fc, om)
+        beta = forward(alpha)
         assert validate_rqf_morphism(beta, q, om.rqf).ok
-        assert np.array_equal(transpose_backward(beta, pair2, q, fc, om), alpha)
+        assert np.array_equal(backward(beta), alpha)
     for beta in enumerate_rqf_morphisms(q, om.rqf):
-        alpha = transpose_backward(beta, pair2, q, fc, om)
-        assert np.array_equal(transpose_forward(alpha, pair2, q, fc, om), beta)
+        alpha = backward(beta)
+        assert np.array_equal(forward(alpha), beta)
 
 
 def _stub_transpose(table):
@@ -233,6 +234,123 @@ def test_check_transposes_names_each_failure_in_order():
         ("backward_transpose_not_in_homset", 3),   # 98 is not a functor
         ("homset_sizes_differ", (5, 4)),
     ]
+
+
+def check_transposes_both_directions(rep, forward, backward):
+    """check_transposes as it was before it skipped the second direction."""
+    directions = (
+        (rep.functor_homset, rep.morphism_homset, forward, backward,
+         "forward_transpose_not_in_homset", "backward_of_forward_not_identity"),
+        (rep.morphism_homset, rep.functor_homset, backward, forward,
+         "backward_transpose_not_in_homset", "forward_of_backward_not_identity"),
+    )
+    for homset, other, there, back, not_in_homset, not_identity in directions:
+        keys = {m.tobytes() for m in other}
+        for i, m in enumerate(homset):
+            image = there(m)
+            if image is None or image.tobytes() not in keys:
+                rep.failures.append((not_in_homset, i))
+                continue
+            again = back(image)
+            if again is None or not np.array_equal(again, m):
+                rep.failures.append((not_identity, i))
+    if len(rep.functor_homset) != len(rep.morphism_homset):
+        rep.failures.append(("homset_sizes_differ", rep.sizes))
+    rep.ok = not rep.failures
+
+
+def assert_same_transpose_check(functors, morphisms, forward, backward):
+    """check_transposes and the two-direction check give the same verdict
+    and failures on these hom-sets."""
+    outcomes = []
+    for check in (check_transposes, check_transposes_both_directions):
+        rep = AdjunctionReport()
+        rep.functor_homset, rep.morphism_homset = list(functors), list(morphisms)
+        check(rep, forward, backward)
+        outcomes.append((rep.ok, rep.failures))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_check_transposes_matches_the_two_direction_check(data):
+    """On stub hom-sets, inverse bijections with at most one value moved,
+    and arbitrary tables, repeated maps and unequal sizes included."""
+    n = data.draw(st.integers(0, 5))
+    functors = list(range(n)) + data.draw(st.lists(st.integers(0, 5), max_size=1))
+    morphisms = [10 + k for k in range(data.draw(st.integers(max(0, n - 1), n + 1)))]
+    if data.draw(st.booleans()):
+        images = data.draw(st.permutations(morphisms))
+        forward = dict(zip(range(n), images))
+        backward = {m: f for f, m in forward.items()}
+    else:
+        f_values, m_values = st.sampled_from([*morphisms, 99, None]), \
+            st.sampled_from([*range(n), 98, None])
+        forward = {f: data.draw(f_values) for f in range(6)}
+        backward = {m: data.draw(m_values) for m in morphisms}
+    table = data.draw(st.sampled_from([forward, backward]))
+    if table and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(table)))
+        table[key] = data.draw(st.sampled_from([None, 0, 10, 99]))
+    stub = _stub_homsets(functors, morphisms)
+    assert_same_transpose_check(stub.functor_homset, stub.morphism_homset,
+                                _stub_transpose(forward), _stub_transpose(backward))
+
+
+def test_check_transposes_matches_the_two_direction_check_on_perturbed_homsets(
+        pair2, omega_pair2):
+    """The transposes of adjunction I for pair2 against Omega(pair2), on its
+    hom-sets with a member moved at one value, dropped or repeated."""
+    q, om = omega_pair2.rqf, omega_pair2
+    fc = c_object(q)
+    forward, backward = transposes_I(q, fc, om)
+
+    def none_on_value_error(transpose):
+        def image(m):
+            try:
+                return transpose(m)
+            except ValueError:  # the set is no open, or no filter
+                return None
+        return image
+
+    functors = enumerate_covering_functors(pair2, fc.topcat)
+    morphisms = enumerate_rqf_morphisms(q, om.rqf)
+    variants = [(functors, morphisms), (functors[:1], morphisms), (functors, morphisms[1:]),
+                (functors + functors[:1], morphisms), (functors, morphisms + morphisms[:1])]
+    for i in range(len(functors)):
+        for bad in one_value_perturbations(functors[i], fc.n):
+            variants.append((functors[:i] + [bad] + functors[i + 1:], morphisms))
+    for i in range(len(morphisms)):
+        for bad in one_value_perturbations(morphisms[i], om.n):
+            variants.append((functors, morphisms[:i] + [bad] + morphisms[i + 1:]))
+    for homsets in variants:
+        assert_same_transpose_check(*homsets, none_on_value_error(forward),
+                                    none_on_value_error(backward))
+
+
+def test_adjunction_I_reads_the_isometries_of_the_omega_it_builds_off_c(monkeypatch):
+    """The Omega(C) that verify_adjunction_I builds gets its partial
+    isometries from the open local bisections of C, not from the n-by-n
+    test, and they are the ones that test finds."""
+    from framecat import duality, quantale
+    built, tested = [], []
+    real_omega, real_test = duality.omega_object, quantale._partial_isometries
+
+    def recorded_omega(tc, *args, **kwargs):
+        built.append(real_omega(tc, *args, **kwargs))
+        return built[-1]
+
+    def recorded_test(q):
+        tested.append(q)
+        return real_test(q)
+    monkeypatch.setattr(duality, "omega_object", recorded_omega)
+    monkeypatch.setattr(quantale, "_partial_isometries", recorded_test)
+    for inst in etale_categories():
+        q = omega_object(inst.obj).rqf
+        verify_adjunction_I(inst.obj, q, max_elements=1024)
+        om = built[-1]
+        assert all(r is not om.rqf for r in tested), inst.name
+        assert partial_isometries(om.rqf) == real_test(om.rqf), inst.name
 
 
 @pytest.mark.parametrize("make,expected", [
@@ -453,10 +571,11 @@ def test_quantale_isomorphism_check_matches_two_scans(iso, q1, q2):
 
 
 # ---------------------------------------------------------------------------
-# the transposes against the element-by-element bodies they had before they
-# worked on whole bit matrices: same image or same ValueError text, on every
-# hom-set member of the small corpus pairs and of pair3, and on one-value
-# perturbations of each
+# the transposes against the bodies they had before they were array maps:
+# the element-by-element ones, and the ones that read the columns of a bit
+# matrix back as Python int masks; same image or same ValueError text, on
+# every hom-set member of the small corpus pairs and of pair3, and on
+# one-value perturbations of each
 
 def transpose_forward_oracle(alpha, tc, q, fc, om):
     alpha = np.asarray(alpha, dtype=np.int64)
@@ -480,12 +599,36 @@ def transpose_backward_oracle(beta, tc, q, fc, om):
     return out
 
 
+def transpose_forward_bit_matrix(alpha, tc, q, fc, om):
+    alpha = np.asarray(alpha, dtype=np.int64)
+    members = bit_matrix([f.members for f in fc.filters], q.n)
+    out = np.zeros(q.n, dtype=np.int64)
+    for a, open_mask in enumerate(row_masks(members[alpha].T)):
+        i = om.index.get(open_mask)
+        if i is None:
+            raise ValueError(f"transpose of alpha is not open at element {a}")
+        out[a] = i
+    return out
+
+
+def transpose_backward_bit_matrix(beta, tc, q, fc, om):
+    opens = [om.opens[b] for b in np.asarray(beta, dtype=np.int64).tolist()]
+    out = np.zeros(tc.n, dtype=np.int64)
+    for c, members in enumerate(row_masks(bit_matrix(opens, tc.n).T)):
+        out[c] = fc.filter_of(members, f"beta^-1(O_{c})")
+    return out
+
+
 def adjunction_I_transposes(tc, q, fc, om):
-    """forward, its oracle, backward, its oracle, each taking the map alone."""
-    return (lambda m: transpose_forward(m, tc, q, fc, om),
-            lambda m: transpose_forward_oracle(m, tc, q, fc, om),
-            lambda m: transpose_backward(m, tc, q, fc, om),
-            lambda m: transpose_backward_oracle(m, tc, q, fc, om))
+    """forward, its oracles, backward, its oracles, each taking the map
+    alone."""
+    forward, backward = transposes_I(q, fc, om)
+    return (forward,
+            [lambda m, body=body: body(m, tc, q, fc, om)
+             for body in (transpose_forward_oracle, transpose_forward_bit_matrix)],
+            backward,
+            [lambda m, body=body: body(m, tc, q, fc, om)
+             for body in (transpose_backward_oracle, transpose_backward_bit_matrix)])
 
 
 @pytest.mark.parametrize("name2,tc2", small_corpus_categories())
@@ -517,13 +660,15 @@ def test_transposes_match_oracles_on_degenerate_shapes():
     assert triv_fc.n == 0
     for tc in (empty_category(), monoid_category([[0]])):
         om = omega_object(tc)
-        forward, forward_oracle, backward, backward_oracle = \
+        forward, forward_oracles, backward, backward_oracles = \
             adjunction_I_transposes(tc, triv_q, triv_fc, om)
         alpha = np.zeros(tc.n, dtype=np.int64)
-        assert map_outcome(forward, alpha) == map_outcome(forward_oracle, alpha)
+        for oracle in forward_oracles:
+            assert map_outcome(forward, alpha) == map_outcome(oracle, alpha)
         for beta in range(om.n):
             m = np.array([beta], dtype=np.int64)
-            assert map_outcome(backward, m) == map_outcome(backward_oracle, m)
+            for oracle in backward_oracles:
+                assert map_outcome(backward, m) == map_outcome(oracle, m)
     # the last case: the one arrow lies in no open beta(q) of the bottom
     assert map_outcome(backward, np.array([0])) == (
         "ValueError", "beta^-1(O_0) is not a completely prime filter")

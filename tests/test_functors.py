@@ -8,12 +8,13 @@ from framecat.bits import full_mask, has_bit, is_submask, iter_bits, mask_of
 from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, empty_category,
                              etale_categories, indiscrete_pair_groupoid, monoid_category,
                              parity_pair_groupoid)
-from framecat.crm import l_vee
+from framecat.crm import join_primes, l_vee
 from framecat.duality import (build_omega_map, enumerate_covering_functors,
                               enumerate_rqf_morphisms, validate_rqf_morphism)
-from framecat.functors import (_omega_generic, c_morphism, c_object, identity_space_vs_pt,
-                               omega_morphism, omega_object)
-from framecat.order import enumerate_cp_filters, frame_from_leq, subframe
+from framecat.functors import (_omega_generic, c_morphism, c_object, category_on_generators,
+                               identity_space_vs_pt, omega_morphism, omega_object)
+from framecat.order import (CPFilter, enumerate_cp_filters, frame_from_leq, meet_prime_elements,
+                            subframe)
 from framecat.quantale import (frame_as_quantale, partial_isometries,
                                validate_rqf)
 from framecat.reports import BoundExceeded
@@ -163,6 +164,92 @@ def test_c_object_matches_filter_calculus_on_ideal_completions():
     # every C(L^vee(S)) the suite builds: S runs over the corpus monoids
     for inst in corpus_crms():
         assert_c_object_matches_oracle(l_vee(inst.obj).rqf, f"lvee-{inst.name}")
+
+
+# ---------------------------------------------------------------------------
+# c_object and category_on_generators against the bodies they had before
+# their members, least members, X-sets and via-PI check were whole-array:
+# filters from one cogenerator at a time, least members by meet_fold,
+# X-masks and the isometry decomposition of each X_a by per-member loops
+
+def category_on_generators_by_members(alg, gens, what):
+    nf = len(gens)
+    gens = np.asarray(gens, dtype=np.int64)
+    filter_at = np.full(alg.n, UNDEF, dtype=np.int64)
+    filter_at[gens] = np.arange(nf)
+
+    def locate(elements, name):
+        k = filter_at[elements]
+        if (k == UNDEF).any():
+            raise ValueError(f"{name} is not a {what}")
+        return k
+
+    d_idx = locate(alg.star[gens], "d(A)")
+    r_idx = locate(alg.plus[gens], "r(A)")
+    composable = d_idx[:, None] == r_idx[None, :]
+    comp = np.full((nf, nf), UNDEF, dtype=np.int64)
+    comp[composable] = locate(alg.mul[np.ix_(gens, gens)][composable], "A.B")
+    x_masks = [0] * alg.n
+    for k, g in enumerate(gens.tolist()):
+        for a in np.flatnonzero(alg.leq[g]).tolist():
+            x_masks[a] |= 1 << k
+    cat = make_category(nf, iter_bits(x_masks[alg.unit]), d_idx, r_idx, comp_table=comp)
+    return cat, x_masks
+
+
+def filter_category_by_members(q):
+    """(filters, category, x_masks, base, topology) of C(Q)."""
+    filters = [CPFilter(m, mask_of(np.flatnonzero(~q.leq[:, m])))
+               for m in meet_prime_elements(q)]
+    gens = [q.meet_fold(iter_bits(f.members)) for f in filters]
+    cat, x_masks = category_on_generators_by_members(q, gens, "completely prime filter")
+    pis = partial_isometries(q)
+    base = {a: x_masks[a] for a in pis}
+    topology = topology_from_base(cat.n, base.values())
+    via_pis = [0] * q.n
+    for p in pis:
+        for a in np.flatnonzero(q.leq[p]).tolist():
+            via_pis[a] |= x_masks[p]
+    for a in range(q.n):
+        assert via_pis[a] == x_masks[a], f"X_{a} disagrees with its isometry decomposition"
+        assert topology.is_open(x_masks[a]), f"X_{a} is not open"
+    return filters, cat, x_masks, base, topology
+
+
+def assert_c_object_matches_member_loops(q):
+    fc = c_object(q)
+    filters, cat, x_masks, base, topology = filter_category_by_members(q)
+    assert enumerate_cp_filters(q) == filters
+    assert list(fc.filters) == filters and list(fc.x_masks) == x_masks
+    got = fc.topcat.cat
+    for table in ("d", "r", "comp"):
+        assert np.array_equal(getattr(got, table), getattr(cat, table)), table
+    assert got.identity_mask == cat.identity_mask
+    assert dict(fc.base) == base and fc.topcat.topology == topology
+
+
+def test_c_object_matches_member_loops_on_corpus_rqfs_and_ideal_completions():
+    for q in [i.obj for i in corpus_rqfs()] + [l_vee(i.obj).rqf for i in corpus_crms()]:
+        assert_c_object_matches_member_loops(q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_categories())
+def test_c_object_matches_member_loops_on_random_categories(tc):
+    assert_c_object_matches_member_loops(omega_object(tc).rqf)
+
+
+def test_s_filter_categories_match_member_loops_on_corpus_crms():
+    for inst in corpus_crms():
+        s = inst.obj
+        gens = sorted(join_primes(s), key=s.upset_mask)
+        cat, x_masks = category_on_generators(s, gens, "completely prime S-filter")
+        old_cat, old_x_masks = category_on_generators_by_members(
+            s, gens, "completely prime S-filter")
+        assert x_masks == old_x_masks
+        for table in ("d", "r", "comp"):
+            assert np.array_equal(getattr(cat, table), getattr(old_cat, table)), table
+        assert cat.identity_mask == old_cat.identity_mask
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ or every element (monoid), and each law tested only once the values it
 reads are assigned.  The production searches must return the same
 morphisms in the same order as both."""
 
+import dataclasses
 import time
 from typing import NamedTuple, Optional
 
@@ -23,7 +24,7 @@ from framecat.crm import (CompleteRestrictionMonoid, _compatible_join_table,
                           is_callitic, pi_restriction_monoid, validate_crm_morphism,
                           verify_adjunction_II)
 from framecat.duality import (_is_rqf_morphism_on_j, enumerate_rqf_morphisms,
-                              find_category_isomorphism, positions,
+                              find_category_isomorphism, generator_search, positions,
                               validate_rqf_morphism, verify_adjunction_I)
 from framecat.functors import omega_object
 from framecat.order import _freeze, join_irreducibles
@@ -362,6 +363,25 @@ def test_callitic_search_matches_oracle_on_pi_omega_pair3(omega_pair3):
     got = enumerate_callitic_morphisms(s, s)
     assert len(got) == 6  # the automorphisms of the pair groupoid on 3 points
     assert_same_lists(got, callitic_morphisms_oracle(s, s))
+
+
+def test_second_search_on_an_algebra_returns_the_same_homsets(algebras):
+    """generator_search caches the laws it compiles on its source
+    (law_skeleton): a first and a second search against each target, and a
+    search on other generators of the same source, return what a search on
+    a copy with an empty cache returns."""
+    for q, s in algebras.values():
+        for r, t in algebras.values():
+            fresh = (enumerate_rqf_morphisms(dataclasses.replace(q), r, MAX_ELEMENTS),
+                     enumerate_callitic_morphisms(dataclasses.replace(s), t, MAX_ELEMENTS))
+            for _ in range(2):
+                assert_same_lists(enumerate_rqf_morphisms(q, r, MAX_ELEMENTS), fresh[0])
+                assert_same_lists(enumerate_callitic_morphisms(s, t, MAX_ELEMENTS), fresh[1])
+        pis = partial_isometries(q)
+        assert_same_lists(generator_search(q, pis, q, pis, q.join, q.bottom, q.top),
+                          generator_search(dataclasses.replace(q), pis, q, pis, q.join,
+                                           q.bottom, q.top))
+        assert q._cache["law_skeleton"][0] == tuple(join_irreducibles(q))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framecat.bits import has_bit, is_submask, iter_bits
+from framecat.bits import has_bit, is_submask, iter_bits, mask_of, row_masks
 from framecat.corpus import (boolean_frame, chain_frame, corpus_frames, corpus_rqfs,
                              m3_lattice, negative_fixtures, product_frame)
 from framecat.order import (BRUTEFORCE_MAX_ELEMENTS, CPFilter, FiniteFrame,
@@ -248,9 +248,57 @@ def lattice_tables_oracle(leq):
     return meet, join, bottom, top
 
 
+def lattice_tables_by_rank_bitsets(leq):
+    """lattice_from_leq's tables as they were built before the word kernel:
+    elements ranked by down-set size, every down-set and up-set an int
+    bitset over ranks, and for each pair (i, j), i <= j, the meet the
+    highest-ranked element of down(i) & down(j) when its own down-set is
+    that whole intersection, the join dually."""
+    p = FinitePoset.from_leq(leq)
+    rep = validate_poset(p)
+    if not rep.ok:
+        raise ValueError(f"not a poset: {rep.violations[0]}")
+    n = p.n
+    if n == 0:
+        raise ValueError("lattices must be non-empty")
+    by_rank = np.argsort(p.leq.sum(axis=0), kind="stable")
+    ranked = p.leq[np.ix_(by_rank, by_rank)]    # ranked[r, s]: rank r <= rank s
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_rank] = np.arange(n)
+    down_r = row_masks(ranked.T)                # indexed by rank
+    up_r = row_masks(ranked)
+    down = [down_r[r] for r in rank.tolist()]  # indexed by element
+    up = [up_r[r] for r in rank.tolist()]
+    elem = by_rank.tolist()
+    meet = np.empty((n, n), dtype=np.int64)
+    join = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        di, ui = down[i], up[i]
+        meet_row, join_row = [], []
+        for j in range(i, n):
+            lo = di & down[j]
+            hi = ui & up[j]
+            m = lo.bit_length() - 1
+            k = (hi & -hi).bit_length() - 1
+            if m < 0 or k < 0 or down_r[m] != lo or up_r[k] != hi:
+                raise ValueError(f"not a lattice: no meet/join for ({i},{j})")
+            meet_row.append(elem[m])
+            join_row.append(elem[k])
+        meet[i, i:] = meet[i:, i] = meet_row
+        join[i, i:] = join[i:, i] = join_row
+    bottom = int(np.flatnonzero(p.leq.all(axis=1))[0])
+    top = int(np.flatnonzero(p.leq.all(axis=0))[0])
+    return meet, join, bottom, top
+
+
 def assert_lattice_matches_oracle(leq):
+    for oracle in (lattice_tables_oracle, lattice_tables_by_rank_bitsets):
+        assert_lattice_matches(oracle, leq)
+
+
+def assert_lattice_matches(oracle, leq):
     try:
-        expected = lattice_tables_oracle(leq)
+        expected = oracle(leq)
     except ValueError as e:
         with pytest.raises(ValueError) as got:
             lattice_from_leq(leq)
@@ -278,10 +326,26 @@ def test_lattice_oracle_agrees_on_non_lattices():
     no_top = m3[:4, :4]                  # bottom plus three atoms
     no_bottom = m3[1:, 1:]               # three atoms plus top
     antichain = np.eye(3, dtype=bool)
-    for leq in (no_top, no_bottom, antichain, m3):
+    n5 = _n5()
+    bowtie = np.eye(6, dtype=bool)  # 0 < 1, 2 < 3, 4 < 5, with no join of 1 and 2
+    bowtie[0, :] = bowtie[:, 5] = True
+    bowtie[np.ix_([1, 2], [3, 4])] = True
+    for leq in (no_top, no_bottom, antichain, m3, n5, n5[1:, 1:], n5[:-1, :-1], bowtie,
+                bowtie[1:, 1:]):
         assert_lattice_matches_oracle(leq)
     with pytest.raises(ValueError, match=r"not a lattice: no meet/join for \(1,2\)"):
         lattice_from_leq(no_top)
+
+
+@pytest.mark.parametrize("inst", [i for i in corpus_frames() if i.obj.n <= 32],
+                         ids=lambda i: i.name)
+def test_lattice_tables_match_oracle_with_one_element_removed(inst):
+    """Every corpus frame of up to 32 elements with one element left out:
+    the order on the rest, a lattice or not."""
+    leq = np.array(inst.obj.leq)
+    for x in range(len(leq)):
+        rest = np.delete(np.arange(len(leq)), x)
+        assert_lattice_matches_oracle(leq[np.ix_(rest, rest)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -642,7 +706,13 @@ def has_lattice_tables_reference(l: FiniteLattice) -> bool:
             and l.bottom == bottom and l.top == top)
 
 
+def cp_filters_by_cogenerator(f: FiniteFrame) -> list[CPFilter]:
+    """enumerate_cp_filters as it was: the members of one filter at a time."""
+    return [CPFilter(m, mask_of(np.flatnonzero(~f.leq[:, m]))) for m in meet_prime_elements(f)]
+
+
 def assert_fast_paths_match_references(lat: FiniteLattice, oracle: bool = True):
+    assert enumerate_cp_filters(lat) == cp_filters_by_cogenerator(lat)
     if oracle and lat.n <= BRUTEFORCE_MAX_ELEMENTS:
         assert cp_filters_bruteforce(lat) == cp_filters_bruteforce_reference(lat)
     assert _has_lattice_tables(lat) == has_lattice_tables_reference(lat)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +101,37 @@ def test_compatibility_lemma_on_parity_quantale():
     q = omega_object(parity_pair_groupoid()).rqf
     assert validate_rqf(q).ok
     assert compatibility_lemma_check(q) == (True, None)
+
+
+def compatibility_lemma_check_by_pairs(q):
+    """compatibility_lemma_check as it was: `compatible` on each pair."""
+    pis = partial_isometries(q)
+    pi_set = set(pis)
+    for a in pis:
+        for b in pis:
+            if (int(q.join[a, b]) in pi_set) != compatible(q, a, b):
+                return False, (a, b)
+    return True, None
+
+
+def one_cell_perturbations(q, count, seed):
+    """Copies of q, each with one cell of join, mul, star or plus set to a
+    random element (`dataclasses.replace`, so with an empty cache)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        name = ("join", "mul", "star", "plus")[rng.integers(4)]
+        table = np.array(getattr(q, name))
+        table[tuple(rng.integers(q.n, size=table.ndim))] = rng.integers(q.n)
+        yield dataclasses.replace(q, **{name: table})
+
+
+@pytest.mark.parametrize("inst", corpus_rqfs(), ids=lambda i: i.name)
+def test_compatibility_lemma_matches_pairwise_check(inst):
+    """On the corpus rqf and on 40 one-cell perturbations of it."""
+    q = inst.obj
+    assert compatibility_lemma_check(q) == compatibility_lemma_check_by_pairs(q)
+    for bad in one_cell_perturbations(q, 40, q.n):
+        assert compatibility_lemma_check(bad) == compatibility_lemma_check_by_pairs(bad)
 
 
 def test_every_element_is_join_of_isometries(q2):

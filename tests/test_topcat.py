@@ -4,18 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framecat.corpus import (empty_category, indiscrete_pair_groupoid,
-                             monoid_category, pair_groupoid,
+from framecat.bits import row_masks
+from framecat.corpus import (chain_frame, corpus_rqfs, empty_category, etale_categories,
+                             indiscrete_pair_groupoid, monoid_category, pair_groupoid,
                              parallel_pair_category, parity_pair_groupoid,
                              path_category, truncated_free_monoid_category)
-from framecat.topcat import (FiniteTopCategory, Topology, c_o_is_open,
+from framecat.functors import c_object
+from framecat.quantale import frame_as_quantale
+from framecat.topcat import (FiniteTopCategory, Topology, bisection_rows, c_o_is_open,
                              continuity_check, identity_functor, is_etale,
                              is_local_bisection, local_bisections,
                              make_category, open_local_bisections,
                              topology_from_base, validate_category,
                              validate_covering_functor, validate_topcategory)
-from framecat.reports import Report
-from map_oracles import one_value_perturbations, searched_arrow_maps, small_corpus_categories
+from framecat.reports import BoundExceeded, Report
+from map_oracles import (one_value_perturbations, relabel, searched_arrow_maps,
+                         small_corpus_categories)
+from random_categories import small_categories
 
 
 def test_pair_groupoid_valid():
@@ -114,6 +119,62 @@ def test_etale_opens_are_unions_of_open_bisections():
             if b & ~o == 0:
                 cover |= b
         assert cover == o
+
+
+# ---------------------------------------------------------------------------
+# open_local_bisections against the loop it was: every subset of a discrete
+# topology, every open of a listed one, tested one mask at a time
+
+def open_local_bisections_by_masks(tc):
+    if tc.topology.opens is None:
+        return local_bisections(tc.cat)
+    return [o for o in sorted(tc.topology.opens) if is_local_bisection(tc.cat, o)]
+
+
+def assert_open_local_bisections_match_loop(tc):
+    masks, rows = bisection_rows(tc)
+    assert open_local_bisections(tc) == masks == open_local_bisections_by_masks(tc)
+    assert rows.shape == (len(masks), tc.n)
+    assert row_masks(rows) == masks
+
+
+def test_open_local_bisections_match_loop_on_corpus_categories():
+    for inst in etale_categories():
+        tc = inst.obj
+        assert_open_local_bisections_match_loop(tc)
+        assert_open_local_bisections_match_loop(relabel(tc, np.arange(tc.n)[::-1]))
+    assert_open_local_bisections_match_loop(indiscrete_pair_groupoid())
+
+
+def test_open_local_bisections_match_loop_on_wide_listed_topologies():
+    """C(Q) of qframe-chain64 (63 arrows) and of the frame of a 100-chain
+    (99 arrows, masks of two words)."""
+    q64 = next(i.obj for i in corpus_rqfs() if i.name == "qframe-chain64")
+    for q in (q64, frame_as_quantale(chain_frame(100))):
+        tc = c_object(q).topcat
+        assert tc.topology.opens is not None and tc.n in (63, 99)
+        assert_open_local_bisections_match_loop(tc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_categories(), st.lists(st.integers(0, 255), max_size=5))
+def test_open_local_bisections_match_loop_on_random_topologies(tc, base):
+    """The discrete topology of a random category, and the topology
+    generated by random arrow sets on it."""
+    assert_open_local_bisections_match_loop(tc)
+    listed = Topology(tc.n, topology_from_base(tc.n, [b & (1 << tc.n) - 1 for b in base]).opens)
+    assert_open_local_bisections_match_loop(FiniteTopCategory(tc.cat, listed))
+
+
+def test_discrete_bisections_refused_past_the_subset_bound():
+    tc = monoid_category([[0]])
+    big = FiniteTopCategory(make_category(21, range(21), range(21), range(21),
+                                          [(a, a, a) for a in range(21)]),
+                            Topology(21, None))
+    for listing in (open_local_bisections, open_local_bisections_by_masks):
+        with pytest.raises(BoundExceeded, match="21 arrows > 20"):
+            listing(big)
+    assert open_local_bisections(tc) == [0, 1]
 
 
 def test_topology_from_base_closes_unions():
