@@ -27,7 +27,7 @@ from .topcat import (FiniteCategory, FiniteTopCategory, Topology,
                      local_bisections, make_category, open_local_bisections,
                      topology_from_base, validate_category,
                      validate_covering_functor, validate_topcategory)
-from .functors import (FilterCategoryResult, OmegaResult, c_morphism,
+from .functors import (FilterCategory, OmegaResult, c_morphism,
                        c_object, identity_space_vs_pt, omega_morphism,
                        omega_object)
 from .duality import (build_chi, build_omega_map, chi_is_isomorphism,

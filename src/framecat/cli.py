@@ -164,9 +164,9 @@ def cmd_roundtrip(args, out: _Output) -> int:
             return out.finish()
         inst = Instance(q=doc.obj, max_elements=args.max_elements)
         out.emit(run_check(name, "chi-isomorphism", lambda: chi_roundtrip(inst)))
-        out.emit(run_check(name, "spatial", lambda: (*is_spatial(inst.rqf, inst.fc), "")))
+        out.emit(run_check(name, "spatial", lambda: (*is_spatial(inst.rqf), "")))
         out.emit(run_check(name, "filter-category-sober",
-                           lambda: (*is_sober(inst.fc.topcat), "")))
+                           lambda: (*is_sober(c_object(inst.rqf).topcat), "")))
     else:
         raise WorkbenchError(f"roundtrip expects a category or rqf document, got '{doc.kind}'")
     return out.finish()

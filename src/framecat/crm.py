@@ -5,11 +5,11 @@ The second adjunction is built from the first: its callitic hom-set is
 found by duality.generator_search over the join-primes J(S), its transposes
 (transposes_II, array maps as in duality) are checked by
 duality.check_transposes, and its S-filter category is read off J(S) by
-functors.category_on_generators, as C(Q) is off J(Q).  J(S), the
-compatible-join table and the S-filter category are cached on the monoid
-(order.cached); the join table of the target is built once per callitic
-enumeration, and both are passed to validate_crm_morphism for every
-candidate.
+functors.filter_category, as C(Q) is off J(Q), into the same
+functors.FilterCategory type.  J(S), the compatible-join table and the
+S-filter category are cached on the monoid (order.cached); the join table
+of the target is built once per callitic enumeration and passed to
+validate_crm_morphism for every candidate.
 
 The target PI(Omega(C)) is read off C, without building Omega(C)
 (bisection_monoid): it is the monoid of the open local bisections of C,
@@ -71,20 +71,19 @@ non-commutative frame theory*, Adv. Math. 311, 2017.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .bits import bit_matrix, iter_bits, mask_of, pack_words, row_masks, word_lookup
+from .bits import iter_bits, mask_of, pack_words, row_masks, word_lookup
 from .duality import (AdjunctionReport, check_transposes, enumerate_covering_functors,
                       generator_search, positions, transpose)
-from .functors import (_require_open, arrow_set_tables, c_object, category_on_generators,
-                       require_etale)
+from .functors import (FilterCategory, _require_open, arrow_set_tables, c_object,
+                       filter_category, require_etale)
 from .order import FiniteLattice, FinitePoset, _freeze, cached, validate_poset
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
 from .reports import BoundExceeded, Report
-from .topcat import FiniteTopCategory, bisection_rows, topology_from_base
+from .topcat import FiniteTopCategory, bisection_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,11 +470,10 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealComple
 
 def validate_crm_morphism(theta, s: CompleteRestrictionMonoid,
                           t: CompleteRestrictionMonoid,
-                          s_joins: Optional[np.ndarray] = None,
                           t_joins: Optional[np.ndarray] = None) -> Report:
     """Monoid + Ehresmann morphism preserving compatible (binary) joins.
-    The compatible join table of s and the partial join table of t are
-    computed unless given as s_joins and t_joins."""
+    The compatible join table of s is cached on s; the partial join table
+    of t is computed unless given as t_joins."""
     theta = np.asarray(theta, dtype=np.int64)
     rep = Report(subject="crm-morphism")
     rep.layers_run.append("crm-morphism")
@@ -493,8 +491,7 @@ def validate_crm_morphism(theta, s: CompleteRestrictionMonoid,
     bad = np.flatnonzero(theta[s.plus] != t.plus[theta])
     if bad.size:
         rep.add("crm_morphism.plus", (int(bad[0]),))
-    if s_joins is None:
-        s_joins = _compatible_join_table(s)
+    s_joins = _compatible_join_table(s)
     if t_joins is None:
         t_joins = _partial_join_table(t)
     xs, ys = np.nonzero(np.triu(s_joins >= 0))
@@ -566,25 +563,6 @@ def theta_extension(theta, lv_src: IdealCompletion, lv_dst: IdealCompletion) -> 
 # ---------------------------------------------------------------------------
 # S-filters and their category
 
-@dataclass(frozen=True, eq=False)
-class SFilterCategory:
-    """The S-filter category.  It is cached on S (`s_filters`), so it holds
-    no reference to S and every field is immutable."""
-    topcat: FiniteTopCategory
-    filters: tuple  # bitmasks over monoid elements
-    index: Mapping[int, int]  # member bitmask -> filter index
-    d_idx: np.ndarray
-    r_idx: np.ndarray
-    x_masks: tuple  # x_masks[a] = the filters containing a, for every element a
-
-    @property
-    def n(self) -> int:
-        return len(self.filters)
-
-    def x_mask(self, a: int) -> int:
-        return self.x_masks[a]
-
-
 def s_filters_list(s: CompleteRestrictionMonoid) -> list[int]:
     """All completely prime filters of S, as member bitmasks, sorted.
 
@@ -595,7 +573,7 @@ def s_filters_list(s: CompleteRestrictionMonoid) -> list[int]:
     return sorted(s.upset_mask(g) for g in join_primes(s))
 
 
-def s_filters(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> SFilterCategory:
+def s_filters(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> FilterCategory:
     """The category of completely prime S-filters with A.B = (AB)^up-in-S,
     topologized by the sets of filters containing a given element.
 
@@ -603,33 +581,21 @@ def s_filters(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> SFilterCat
     and the suite builds S-filters only on corpus monoids, which all pass.
     Then star, plus and mul are monotone, so d(up-g) = up-(g*), r(up-g) = up-(g+) and
     (up-g . up-h)^up = up-(g.h), and the category is read off the
-    join-primes by category_on_generators, in s_filters_list order.  Built
+    join-primes by functors.filter_category, in s_filters_list order.  Built
     once per monoid (`order.cached`); the bound is checked on every call."""
-    sf = cached(s, "s_filters", lambda: _s_filter_category(s))
+    sf = cached(s, "s_filters", lambda: filter_category(
+        s, sorted(join_primes(s), key=s.upset_mask), "completely prime S-filter", range(s.n)))
     if sf.topcat.topology.open_count() > max_opens:
         raise BoundExceeded("S-filter topology too large")
     return sf
 
 
-def _s_filter_category(s: CompleteRestrictionMonoid) -> SFilterCategory:
-    gens = sorted(join_primes(s), key=s.upset_mask)
-    filters = [s.upset_mask(g) for g in gens]
-    cat, x_masks = category_on_generators(s, gens, "completely prime S-filter")
-    tc = FiniteTopCategory(cat=cat, topology=topology_from_base(cat.n, x_masks))
-    return SFilterCategory(topcat=tc, filters=tuple(filters),
-                           index=MappingProxyType({m: i for i, m in enumerate(filters)}),
-                           d_idx=cat.d, r_idx=cat.r, x_masks=tuple(x_masks))
-
-
-def s_filter_bijection(sf: SFilterCategory, lv: IdealCompletion,
-                       fc=None) -> np.ndarray:
+def s_filter_bijection(sf: FilterCategory, lv: IdealCompletion) -> np.ndarray:
     """A' -> (A')^up-in-R: the R-filter of all ideals meeting A'.
-    Returns the arrow map S-filter index -> C(L(S)) filter index; `fc` is
-    C(L(S)) when already built."""
-    if fc is None:
-        fc = c_object(lv.rqf)
+    Returns the arrow map S-filter index -> C(L(S)) filter index."""
+    fc = c_object(lv.rqf)
     out = np.zeros(sf.n, dtype=np.int64)
-    for k, m in enumerate(sf.filters):
+    for k, m in enumerate(sf.members):
         members = mask_of(i for i, ideal in enumerate(lv.ideals) if ideal & m)
         out[k] = fc.filter_of(members, "(A')^up")
     return out
@@ -670,11 +636,13 @@ def bisection_monoid(tc: FiniteTopCategory, max_elements: int = 1024) -> Bisecti
                            joins=_freeze(joins))
 
 
-def transposes_II(sf: SFilterCategory, bis: BisectionMonoid) -> tuple[Callable, Callable]:
+def transposes_II(s: CompleteRestrictionMonoid, sf: FilterCategory,
+                  bis: BisectionMonoid) -> tuple[Callable, Callable]:
     """The two transposes of adjunction II between C and S, each one array
-    map (`duality.transpose`) over the member rows of the S-filters and of
-    the open local bisections of C, with the lookup of a set among each
-    built once, on the first call of either.  forward: covering functor
+    map (`duality.transpose`) over the member rows of the S-filters (row k
+    of the order at the least member of filter k) and of the open local
+    bisections of C, with the lookup of a set among each built once, on
+    the first call of either.  forward: covering functor
     alpha: C -> C(S)  |->  map S -> PI(Omega(C)), a |-> {c : a in alpha(c)};
     backward: map theta: S -> PI(Omega(C))  |->  arrow map C -> C(S),
     c |-> {a : c in theta(a)}.  Each returns None where a set is not in
@@ -683,7 +651,7 @@ def transposes_II(sf: SFilterCategory, bis: BisectionMonoid) -> tuple[Callable, 
 
     def tables() -> tuple:
         if not built:
-            filters = bit_matrix(sf.filters, len(sf.x_masks))  # [k, a]: a in S-filter k
+            filters = s.leq[sf.generators]  # [k, a]: a in S-filter k
             built.append((filters, word_lookup(pack_words(filters)),
                           word_lookup(pack_words(bis.members))))
         return built[0]
@@ -718,33 +686,30 @@ def enumerate_callitic_morphisms(s: CompleteRestrictionMonoid,
     None is added, since every map is kept only if both checks pass."""
     if s.n > max_elements or t.n > max_elements:
         raise BoundExceeded(f"callitic enumeration bounded to {max_elements} elements")
-    s_joins = _compatible_join_table(s)
     if t_joins is None:
         t_joins = _partial_join_table(t)
     return [_freeze(theta)
             for theta in generator_search(s, join_primes(s), t, range(t.n), t_joins, t.zero)
-            if validate_crm_morphism(theta, s, t, s_joins, t_joins).ok
+            if validate_crm_morphism(theta, s, t, t_joins).ok
             and is_callitic(theta, s, t)[0]]
 
 
 def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
-                         max_arrows: int = 12, max_elements: int = 64,
-                         sf: Optional[SFilterCategory] = None):
+                         max_arrows: int = 12, max_elements: int = 64):
     """Hom-set bijection between continuous covering functors C -> C(S) and
     callitic morphisms S -> PI(Omega(C)), with the transposes inherited from
     the first adjunction through the monoid/quantal-frame translation:
     T(alpha)(s) = {c : s in alpha(c)} and B(theta)(c) = {s : c in theta(s)}
     (transposes_II), checked by duality.check_transposes.  PI(Omega(C)) is
     read off C as its open local bisections (bisection_monoid), so Omega(C)
-    is never built.  `sf` is the S-filter category of S, when already built.
+    is never built.
     """
     rep = AdjunctionReport()
-    if sf is None:
-        sf = s_filters(s)
+    sf = s_filters(s)
     if sf.n > max_arrows:
         raise BoundExceeded(f"C(S) has {sf.n} arrows > {max_arrows}")
     bis = bisection_monoid(tc)
     rep.functor_homset = enumerate_covering_functors(tc, sf.topcat, max_arrows)
     rep.morphism_homset = enumerate_callitic_morphisms(s, bis.crm, max_elements, bis.joins)
-    check_transposes(rep, *transposes_II(sf, bis))
+    check_transposes(rep, *transposes_II(s, sf, bis))
     return rep

@@ -47,8 +47,8 @@ import numpy as np
 
 from .bits import (bit_matrix, iter_bits, mask_of, pack_words, row_blocks, row_masks,
                    word_lookup)
-from .functors import (FilterCategoryResult, OmegaResult, c_morphism, c_object,
-                       omega_morphism, omega_object)
+from .functors import (FilterCategory, OmegaResult, c_morphism, c_object, omega_morphism,
+                       omega_object)
 from .order import _freeze, cached, join_irreducibles
 from .quantale import EhresmannQuantale, partial_isometries
 from .reports import BoundExceeded, Report
@@ -59,13 +59,11 @@ from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
 # ---------------------------------------------------------------------------
 # morphisms of restriction quantal frames
 
-def validate_rqf_morphism(theta, q: EhresmannQuantale, r: EhresmannQuantale,
-                          q_pis: Optional[list[int]] = None,
-                          r_pis: Optional[list[int]] = None) -> Report:
+def validate_rqf_morphism(theta, q: EhresmannQuantale, r: EhresmannQuantale) -> Report:
     """The five defining conditions, each checked exhaustively:
     all joins, finite meets, Ehresmann + semigroup morphism, top and unit,
     partial isometries to partial isometries.  The partial isometries of q
-    and r are computed unless given as q_pis and r_pis."""
+    and r are cached on them (`quantale.partial_isometries`)."""
     theta = np.asarray(theta, dtype=np.int64)
     rep = Report(subject="rqf-morphism")
     rep.layers_run.append("rqf-morphism")
@@ -99,8 +97,8 @@ def validate_rqf_morphism(theta, q: EhresmannQuantale, r: EhresmannQuantale,
     if theta[q.unit] != r.unit:
         rep.add("morphism.preserves_unit", (q.unit,))
 
-    r_pi_set = set(partial_isometries(r) if r_pis is None else r_pis)
-    for a in (partial_isometries(q) if q_pis is None else q_pis):
+    r_pi_set = set(partial_isometries(r))
+    for a in partial_isometries(q):
         if int(theta[a]) not in r_pi_set:
             rep.add("morphism.preserves_isometries", (a, int(theta[a])))
             break
@@ -168,14 +166,13 @@ def _is_rqf_morphism_on_j(theta: np.ndarray, q: EhresmannQuantale,
 @dataclass(frozen=True, eq=False)
 class ChiResult:
     chi: np.ndarray          # Q -> Omega(C(Q)) element map
-    fc: FilterCategoryResult
+    fc: FilterCategory       # C(Q)
     om: OmegaResult          # Omega(C(Q))
     report: Report
 
 
-def build_chi(q: EhresmannQuantale, fc: Optional[FilterCategoryResult] = None) -> ChiResult:
-    if fc is None:
-        fc = c_object(q)
+def build_chi(q: EhresmannQuantale) -> ChiResult:
+    fc = c_object(q)
     om = omega_object(fc.topcat, max_elements=1 << 20)
     chi = np.array([om.index[fc.x_mask(a)] for a in range(q.n)], dtype=np.int64)
     rep = validate_rqf_morphism(chi, q, om.rqf)
@@ -183,12 +180,10 @@ def build_chi(q: EhresmannQuantale, fc: Optional[FilterCategoryResult] = None) -
     return ChiResult(chi=_freeze(chi), fc=fc, om=om, report=rep)
 
 
-def is_spatial(q: EhresmannQuantale,
-               fc: Optional[FilterCategoryResult] = None) -> tuple[bool, Optional[tuple[int, int]]]:
+def is_spatial(q: EhresmannQuantale) -> tuple[bool, Optional[tuple[int, int]]]:
     """X_a = X_b must imply a = b; surjectivity onto the opens of C(Q) is
     automatic because every open is a union of X-sets."""
-    if fc is None:
-        fc = c_object(q)
+    fc = c_object(q)
     seen: dict[int, int] = {}
     for a in range(q.n):
         m = fc.x_mask(a)
@@ -216,18 +211,15 @@ def chi_is_isomorphism(chi: ChiResult) -> tuple[bool, str]:
 class OmegaMapResult:
     omega: np.ndarray        # C -> C(Omega(C)) arrow map
     om: OmegaResult          # Omega(C)
-    fc: FilterCategoryResult  # C(Omega(C))
+    fc: FilterCategory       # C(Omega(C))
     report: Report
 
 
-def build_omega_map(tc: FiniteTopCategory, om: Optional[OmegaResult] = None,
-                    fc: Optional[FilterCategoryResult] = None) -> OmegaMapResult:
-    """omega: C -> C(Omega(C)); `om` and `fc` are Omega(C) and C(Omega(C))
-    when already built."""
+def build_omega_map(tc: FiniteTopCategory, om: Optional[OmegaResult] = None) -> OmegaMapResult:
+    """omega: C -> C(Omega(C)); `om` is Omega(C) when already built."""
     if om is None:
         om = omega_object(tc)
-    if fc is None:
-        fc = c_object(om.rqf, max_opens=1 << 20)
+    fc = c_object(om.rqf, max_opens=1 << 20)
     omega = np.zeros(tc.n, dtype=np.int64)
     for x, members in enumerate(row_masks(bit_matrix(om.opens, tc.n).T)):
         omega[x] = fc.filter_of(members, f"O_{x}")
@@ -293,13 +285,13 @@ def transpose(images, rows: np.ndarray, find) -> np.ndarray:
     return find(pack_words(rows[np.asarray(images, dtype=np.int64)].T))
 
 
-def transposes_I(q: EhresmannQuantale, fc: FilterCategoryResult,
+def transposes_I(q: EhresmannQuantale, fc: FilterCategory,
                  om: OmegaResult) -> tuple[Callable, Callable]:
     """The two transposes of adjunction I between C = om.source and q, with
     the tables they read built once, on the first call of either: the
-    member rows of the filters of C(Q) (filter k is {x : x not<= its
-    cogenerator}) and of the opens of Omega(C), and the lookup of a set
-    among each.
+    member rows of the filters of C(Q) (row k of the order at the least
+    member of filter k) and of the opens of Omega(C), and the lookup of a
+    set among each.
 
     forward: covering functor alpha: C -> C(Q)  |->  morphism
     Q -> Omega(C), q |-> alpha^{-1}(X_q) = {c : q in alpha(c)}; backward:
@@ -311,8 +303,8 @@ def transposes_I(q: EhresmannQuantale, fc: FilterCategoryResult,
 
     def tables() -> tuple:
         if not built:
-            filters = ~q.leq[:, [f.cogenerator for f in fc.filters]].T  # [k, x]: x in filter k
-            opens = bit_matrix(om.opens, om.source.n)                   # [i, c]: c in open i
+            filters = q.leq[fc.generators]              # [k, x]: x in filter k
+            opens = bit_matrix(om.opens, om.source.n)  # [i, c]: c in open i
             built.append((filters, opens, word_lookup(pack_words(filters)),
                           word_lookup(pack_words(opens))))
         return built[0]
@@ -583,16 +575,14 @@ class AdjunctionReport:
 
 def verify_adjunction_I(tc: FiniteTopCategory, q: EhresmannQuantale,
                         max_arrows: int = 12, max_elements: int = 64,
-                        fc: Optional[FilterCategoryResult] = None,
                         om: Optional[OmegaResult] = None) -> AdjunctionReport:
     """Enumerate all continuous covering functors C -> C(Q) and all RQF
     morphisms Q -> Omega(C), and verify the two transposes are mutually
-    inverse bijections between the hom-sets.  `fc` and `om` are C(Q) and
-    Omega(C) when already built.  An Omega(C) built here has its partial
-    isometries read off C as its open local bisections, not tested."""
+    inverse bijections between the hom-sets.  `om` is Omega(C) when already
+    built.  An Omega(C) built here has its partial isometries read off C as
+    its open local bisections, not tested."""
     rep = AdjunctionReport()
-    if fc is None:
-        fc = c_object(q)
+    fc = c_object(q)
     if om is None:
         om = omega_object(tc)
         # PI(Omega(C)) is the open local bisections (see crm.bisection_monoid)
@@ -646,17 +636,14 @@ def check_transposes(rep: AdjunctionReport, forward, backward) -> None:
 
 def check_naturality_in_category(g, tc_src: FiniteTopCategory, tc_dst: FiniteTopCategory,
                                  q: EhresmannQuantale,
-                                 fc: Optional[FilterCategoryResult] = None,
                                  om_src: Optional[OmegaResult] = None,
                                  om_dst: Optional[OmegaResult] = None
                                  ) -> tuple[bool, Optional[tuple]]:
     """For a continuous covering functor G: C' -> C, precomposition commutes
-    with the forward transpose: T(alpha o G) = Omega(G) o T(alpha).  `fc`,
-    `om_src` and `om_dst` are C(Q), Omega(C') and Omega(C) when already
-    built."""
+    with the forward transpose: T(alpha o G) = Omega(G) o T(alpha).
+    `om_src` and `om_dst` are Omega(C') and Omega(C) when already built."""
     g = np.asarray(g, dtype=np.int64)
-    if fc is None:
-        fc = c_object(q)
+    fc = c_object(q)
     if om_src is None:
         om_src = omega_object(tc_src)
     if om_dst is None:
@@ -674,19 +661,13 @@ def check_naturality_in_category(g, tc_src: FiniteTopCategory, tc_dst: FiniteTop
 
 def check_naturality_in_quantale(psi, q_src: EhresmannQuantale, q_dst: EhresmannQuantale,
                                  tc: FiniteTopCategory,
-                                 fc_src: Optional[FilterCategoryResult] = None,
-                                 fc_dst: Optional[FilterCategoryResult] = None,
                                  om: Optional[OmegaResult] = None
                                  ) -> tuple[bool, Optional[tuple]]:
     """For an RQF morphism psi: Q -> Q', postcomposition by C(psi) commutes
-    with the forward transpose: T(C(psi) o alpha) = T(alpha) o psi.
-    `fc_src`, `fc_dst` and `om` are C(Q), C(Q') and Omega(C) when already
-    built."""
+    with the forward transpose: T(C(psi) o alpha) = T(alpha) o psi.  `om`
+    is Omega(C) when already built."""
     psi = np.asarray(psi, dtype=np.int64)
-    if fc_src is None:
-        fc_src = c_object(q_src)
-    if fc_dst is None:
-        fc_dst = c_object(q_dst)
+    fc_src, fc_dst = c_object(q_src), c_object(q_dst)
     if om is None:
         om = omega_object(tc)
     c_psi = c_morphism(psi, fc_src, fc_dst)

@@ -14,13 +14,14 @@ least member j_k.  Star, plus and multiplication are monotone, so the least
 element of {x* : x in up-j} is j*, d(up-j) = up-(j*), r(up-j) = up-(j+),
 and (up-j . up-k)^up = up-(j.k).  X_a is {k : j_k <= a}, a column of the
 order.  C(Q) is thus a category on J, and the member sets of the filters
-are never multiplied; category_on_generators does this reading for any set
-of generators, and crm.s_filters runs it on the join-primes of a complete
-restriction monoid.  This is the finite case of Resende's view of an
-etale groupoid quantale as generated by its partial isometries (Etale
-groupoids and their quantales, Adv. Math. 208, 2007).  The tests keep a
-filter calculus that multiplies whole member sets as the oracle for this
-reading.
+are never multiplied.  filter_category does this reading for any set of
+generators and gives the one FilterCategory type: c_object runs it on the
+least members of the completely prime filters of Q, crm.s_filters on the
+join-primes of a complete restriction monoid, and each is cached on its
+algebra.  This is the finite case of Resende's view of an etale groupoid
+quantale as generated by its partial isometries (Etale groupoids and their
+quantales, Adv. Math. 208, 2007).  The tests keep a filter calculus that
+multiplies whole member sets as the oracle for this reading.
 
 Quantale elements of an omega result are indexed by their open set's arrow
 bitmask in ascending order, so for discrete topologies index == mask and
@@ -40,14 +41,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .bits import (bit_matrix, bool_product, full_mask, iter_bits, mask_of, pack_words,
                    row_blocks, row_masks, word_lookup)
-from .order import (FiniteLattice, FiniteTopSpace, _freeze, cached, enumerate_cp_filters,
-                    pt_topology, subframe)
+from .order import (FiniteLattice, FiniteTopSpace, _freeze, cached, cp_filter_generators,
+                    enumerate_cp_filters, pt_topology, subframe)
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
 from .reports import BoundExceeded, InternalError
 from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
@@ -197,20 +198,20 @@ def omega_morphism(fmap, om_src: OmegaResult, om_dst: OmegaResult) -> np.ndarray
 # c: restriction quantal frame -> etale topological category
 
 @dataclass(frozen=True, eq=False)
-class FilterCategoryResult:
-    """C(Q).  It is cached on Q (`c_object`), so it holds no reference to Q
-    and every field is immutable."""
+class FilterCategory:
+    """The category of the principal filters up-g on generators g of an
+    algebra (`filter_category`): C(Q) (`c_object`) or the S-filter category
+    (`crm.s_filters`).  It is cached on its algebra, so it holds no
+    reference to it and every field is immutable."""
     topcat: FiniteTopCategory
-    filters: tuple  # order.CPFilter, in enumerate_cp_filters order
+    generators: np.ndarray  # generators[k] = the least member of filter k, read-only
+    members: tuple  # members[k] = filter k, up-generators[k], as an element bitmask
     index: Mapping[int, int]  # member bitmask -> filter index
-    d_idx: np.ndarray
-    r_idx: np.ndarray
-    base: Mapping[int, int]  # partial isometry a -> X_a point mask
     x_masks: tuple  # x_masks[a] = X_a over filter indices, for every element a
 
     @property
     def n(self) -> int:
-        return len(self.filters)
+        return len(self.members)
 
     def x_mask(self, a: int) -> int:
         """X_a: the filters containing a."""
@@ -223,15 +224,16 @@ class FilterCategoryResult:
         return k
 
 
-def category_on_generators(alg, gens, what: str) -> tuple[FiniteCategory, list[int]]:
-    """The category of the principal filters up-g, g in gens (a quantale or
-    a restriction monoid whose star, plus and mul are monotone), and the
-    X-sets of all elements: filter k is up-gens[k], d(up-g) = up-(g*),
-    r(up-g) = up-(g+), (up-g . up-h)^up = up-(g.h), the identities are the
-    filters containing the unit, and X_a = {k : gens[k] <= a}.  A d, r or
-    product outside the filters raises ValueError, naming `what`."""
+def filter_category(alg, gens, what: str, basic: Iterable[int]) -> FilterCategory:
+    """The category of the principal filters up-g, g in gens (of a quantale
+    or a restriction monoid whose star, plus and mul are monotone),
+    topologized by the X-sets of the elements `basic` as a base: filter k
+    is up-gens[k], d(up-g) = up-(g*), r(up-g) = up-(g+), (up-g . up-h)^up =
+    up-(g.h), the identities are the filters containing the unit, and X_a
+    = {k : gens[k] <= a}.  A d, r or product outside the filters raises
+    ValueError, naming `what`."""
     nf = len(gens)
-    gens = np.asarray(gens, dtype=np.int64)
+    gens = _freeze(np.array(gens, dtype=np.int64))
     filter_at = np.full(alg.n, UNDEF, dtype=np.int64)  # filter_at[gens[k]] = k
     filter_at[gens] = np.arange(nf)
 
@@ -248,12 +250,17 @@ def category_on_generators(alg, gens, what: str) -> tuple[FiniteCategory, list[i
     comp = np.full((nf, nf), UNDEF, dtype=np.int64)
     comp[composable] = locate(products, "A.B")
 
-    x_masks = row_masks(alg.leq[gens].T)  # bit k of x_masks[a]: gens[k] <= a
+    rows = alg.leq[gens]  # [k, a]: gens[k] <= a, that is, a is in filter k
+    members, x_masks = row_masks(rows), row_masks(rows.T)
     cat = make_category(nf, iter_bits(x_masks[alg.unit]), d_idx, r_idx, comp_table=comp)
-    return cat, x_masks
+    topology = topology_from_base(nf, (x_masks[a] for a in basic))
+    return FilterCategory(
+        topcat=FiniteTopCategory(cat=cat, topology=topology), generators=gens,
+        members=tuple(members), index=MappingProxyType({m: k for k, m in enumerate(members)}),
+        x_masks=tuple(x_masks))
 
 
-def c_object(q: EhresmannQuantale, max_opens: int = 4096) -> FilterCategoryResult:
+def c_object(q: EhresmannQuantale, max_opens: int = 4096) -> FilterCategory:
     """C(Q), read off the join-irreducibles as the module docstring says.
     Built once per quantale (`order.cached`); the bound is checked on every
     call."""
@@ -264,41 +271,27 @@ def c_object(q: EhresmannQuantale, max_opens: int = 4096) -> FilterCategoryResul
     return fc
 
 
-def _filter_category(q: EhresmannQuantale) -> FilterCategoryResult:
-    filters = enumerate_cp_filters(q)
-    members = ~q.leq[:, [f.cogenerator for f in filters]].T  # [k, x]: x is in filter k
-    # the least member of a filter, an up-set, is the member whose up-set is
-    # as large as the filter: a member's up-set lies inside it
-    least = members & (q.leq.sum(axis=1) == members.sum(axis=1)[:, None])
-    if not least.any(axis=1).all():
-        raise InternalError("a completely prime filter has no least member")
-    gens = least.argmax(axis=1).tolist()
-    cat, x_masks = category_on_generators(q, gens, "completely prime filter")
+def _filter_category(q: EhresmannQuantale) -> FilterCategory:
+    """The filter category on the least members of the completely prime
+    filters, with the X_p of the partial isometries p as its base."""
     pis = partial_isometries(q)
-    base = {a: x_masks[a] for a in pis}
-    topology = topology_from_base(cat.n, base.values())
-
+    fc = filter_category(q, cp_filter_generators(q), "completely prime filter", pis)
     # every X_a is open and is the union of the X_p over isometries p <= a
-    x_sets = q.leq[gens].T  # [a, k]: gens[k] <= a, that is, filter k is in X_a
+    x_sets = q.leq[fc.generators].T  # [a, k]: gens[k] <= a, that is, filter k is in X_a
     disagrees = (bool_product(q.leq[pis].T, x_sets[pis]) != x_sets).any(axis=1)
-    for a, x_mask in enumerate(x_masks):
+    for a, x_mask in enumerate(fc.x_masks):
         if disagrees[a]:
             raise InternalError(f"X_{a} disagrees with its isometry decomposition")
-        if not topology.is_open(x_mask):
+        if not fc.topcat.topology.is_open(x_mask):
             raise InternalError(f"X_{a} is not open")
-
-    tc = FiniteTopCategory(cat=cat, topology=topology)
-    return FilterCategoryResult(
-        topcat=tc, filters=tuple(filters),
-        index=MappingProxyType({f.members: k for k, f in enumerate(filters)}),
-        d_idx=cat.d, r_idx=cat.r, base=MappingProxyType(base), x_masks=tuple(x_masks))
+    return fc
 
 
-def c_morphism(phi, fc_src: FilterCategoryResult, fc_dst: FilterCategoryResult) -> np.ndarray:
+def c_morphism(phi, fc_src: FilterCategory, fc_dst: FilterCategory) -> np.ndarray:
     """The functor C(S) -> C(R) induced by an RQF morphism phi: R -> S,
     sending a filter B of S to its preimage in R."""
     phi = np.asarray(phi, dtype=np.int64)
-    members = bit_matrix([b.members for b in fc_dst.filters], len(fc_dst.x_masks))
+    members = bit_matrix(fc_dst.members, len(fc_dst.x_masks))
     out = np.zeros(fc_dst.n, dtype=np.int64)
     for j, pre in enumerate(row_masks(members[:, phi])):
         out[j] = fc_src.filter_of(pre, "preimage filter")
@@ -317,12 +310,10 @@ def subspace(space_n: int, opens, point_mask: int) -> FiniteTopSpace:
     return FiniteTopSpace(n_points=len(points), opens=frozenset(sub_opens))
 
 
-def identity_space_vs_pt(q: EhresmannQuantale,
-                         fc: Optional[FilterCategoryResult] = None) -> tuple[bool, str]:
+def identity_space_vs_pt(q: EhresmannQuantale) -> tuple[bool, str]:
     """The identity arrows of C(Q) with the subspace topology are homeomorphic
     to the points of the projection frame e-down, by A -> A /\\ e-down."""
-    if fc is None:
-        fc = c_object(q)
+    fc = c_object(q)
     id_indices = fc.topcat.cat.identities()
     id_space = subspace(fc.n, fc.topcat.topology.iter_opens(), fc.topcat.cat.identity_mask)
 
@@ -338,7 +329,7 @@ def identity_space_vs_pt(q: EhresmannQuantale,
     proj_mask = q.projection_mask()
     bij = {}
     for slot, k in enumerate(id_indices):
-        sub_members = mask_of(pos[x] for x in iter_bits(fc.filters[k].members & proj_mask))
+        sub_members = mask_of(pos[x] for x in iter_bits(fc.members[k] & proj_mask))
         i = pt_index.get(sub_members)
         if i is None:
             return False, f"A /\\ e-down of filter {k} is not a point of e-down"

@@ -45,7 +45,9 @@ Lattices and Order, ch. 5).  Temporaries are cut into row blocks
   words.  The scan of all (x, y, z) is O(n^3).
 
 Completely prime filters are stored by their meet-prime co-generator m:
-the member set is exactly {x : x not<= m}.  The brute-force enumerator
+the member set is exactly {x : x not<= m}, the up-set of its least member.
+One word lookup of these sets among the up-sets finds both m and that
+member (`_filter_generators`).  The brute-force enumerator
 `cp_filters_bruteforce` is the independent oracle for `enumerate_cp_filters`:
 it never looks for meet-primes or join-irreducibles, but tests candidate
 subsets against the filter conditions literally, reading only the order,
@@ -428,20 +430,31 @@ def validate_frame(f: FiniteFrame) -> Report:
 # ---------------------------------------------------------------------------
 # meet-primes and completely prime filters
 
-def meet_prime_elements(f: FiniteFrame) -> list[int]:
-    """All m != top with x /\\ y <= m implying x <= m or y <= m.
+def _filter_generators(leq: np.ndarray) -> np.ndarray:
+    """g[m] = the element whose up-set is {x : x not<= m}, -1 where that
+    set is no up-set of an element: one `bits.word_lookup` of the rows of
+    the complemented dual order among the rows of the order.  O(n^2 W)
+    words, W = n / 64 rounded up."""
+    return word_lookup(pack_words(leq))(pack_words(~leq.T))
 
-    Only the meet-irreducible m, those with one upper cover (`_irreducibles`
-    of the dual order), are tested: m = x /\\ y with x, y > m is not prime.
-    So this is exact in every lattice; in a frame every candidate passes."""
-    leq, meet = f.leq, f.meet
-    out = []
-    for m in _irreducibles(leq.T):
-        below = leq[:, m]
-        bad = below[meet] & ~below[:, None] & ~below[None, :]
-        if not bad.any():
-            out.append(m)
-    return out
+
+def meet_prime_elements(f: FiniteFrame) -> list[int]:
+    """All m != top with x /\\ y <= m implying x <= m or y <= m, ascending:
+    the m whose complement {x : x not<= m} is the up-set of an element
+    (`_filter_generators`).  For m != top that complement is a non-empty
+    up-set, closed under binary meets iff m is prime, and in a finite
+    lattice a non-empty up-set closed under binary meets is the up-set of
+    the meet of its elements; for m = top it is empty, no up-set of an
+    element.  So this is exact in every finite lattice."""
+    return np.flatnonzero(_filter_generators(f.leq) >= 0).tolist()
+
+
+def cp_filter_generators(f: FiniteFrame) -> list[int]:
+    """The least member of each completely prime filter, in
+    enumerate_cp_filters order: the g with up(g) = {x : x not<= m} for the
+    meet-primes m, ascending."""
+    g = _filter_generators(f.leq)
+    return g[g >= 0].tolist()
 
 
 def enumerate_cp_filters(f: FiniteFrame) -> list[CPFilter]:

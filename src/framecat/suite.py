@@ -3,7 +3,9 @@ the CLI shares with it.
 
 An Instance holds one etale category, restriction quantal frame or complete
 restriction monoid and builds each object derived from it once, on first
-use.  The round-trip checks are module-level functions of an Instance: the
+use; C(Q) and the S-filter category are cached on their algebra instead
+(functors.c_object, crm.s_filters), and the check bodies ask for them
+there.  The round-trip checks are module-level functions of an Instance: the
 suite runs them over the corpus, the CLI on a one-instance object built from
 a document.  The corpus is built once per run; the omega-X quantales and
 the pi-omega-X monoids are checked on the Instance of the category X.
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import corpus as cor
 from .bits import iter_bits, mask_of
-from .crm import (CompleteRestrictionMonoid, IdealCompletion, SFilterCategory,
+from .crm import (CompleteRestrictionMonoid, IdealCompletion,
                   l_vee, pi_restriction_monoid, preserves_finite_meets,
                   is_callitic, s_filter_bijection, s_filters, validate_crm,
                   validate_crm_morphism, verify_adjunction_II)
@@ -38,8 +40,7 @@ from .duality import (AdjunctionReport, ChiResult, build_chi, build_omega_map,
                       chi_is_isomorphism, is_sober, is_spatial,
                       omega_is_isomorphism, quantale_isomorphism_ok,
                       validate_rqf_morphism, verify_adjunction_I)
-from .functors import (FilterCategoryResult, OmegaResult, c_object,
-                       omega_morphism, omega_object)
+from .functors import OmegaResult, c_object, omega_morphism, omega_object
 from .order import (BRUTEFORCE_MAX_ELEMENTS, cp_filters_bruteforce,
                     enumerate_cp_filters, frame_spatial_check, validate_frame,
                     validate_poset)
@@ -83,13 +84,8 @@ class Instance:
         return self.omega.rqf if self._q is None else self._q
 
     @cached_property
-    def fc(self) -> FilterCategoryResult:
-        """C(Q)."""
-        return c_object(self.rqf)
-
-    @cached_property
     def chi(self) -> ChiResult:
-        return build_chi(self.rqf, self.fc)
+        return build_chi(self.rqf)
 
     @cached_property
     def pi(self) -> tuple[CompleteRestrictionMonoid, list[int]]:
@@ -104,14 +100,6 @@ class Instance:
     def lv(self) -> IdealCompletion:
         return l_vee(self.crm, max_elements=self.max_elements)
 
-    @cached_property
-    def lv_fc(self) -> FilterCategoryResult:
-        """C(L^vee(S))."""
-        return c_object(self.lv.rqf)
-
-    @cached_property
-    def sf(self) -> SFilterCategory:
-        return s_filters(self.crm)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +108,7 @@ class Instance:
 def omega_roundtrip(inst: Instance) -> CheckResult:
     """omega: C -> C(Omega(C)) is an isomorphism of topological categories."""
     tc = inst.tc
-    ok, why = omega_is_isomorphism(tc, build_omega_map(tc, inst.omega, inst.fc))
+    ok, why = omega_is_isomorphism(tc, build_omega_map(tc, inst.omega))
     return ok, None if ok else (tc.n,), why
 
 
@@ -130,7 +118,7 @@ def chi_roundtrip(inst: Instance) -> CheckResult:
     ok, why = chi_is_isomorphism(inst.chi)
     if not ok:
         return False, (q.n,), why
-    sp, wit = is_spatial(q, inst.fc)
+    sp, wit = is_spatial(q)
     if not sp:
         return False, wit, "not spatial"
     return True, None, ""
@@ -166,8 +154,9 @@ def isometries_of_ideals_roundtrip(inst: Instance) -> CheckResult:
 
 def filter_category_correspondence(inst: Instance) -> CheckResult:
     """The S-filter category is isomorphic to C(L^vee(S)), X-sets to X-sets."""
-    s, lv, sf, fc = inst.crm, inst.lv, inst.sf, inst.lv_fc
-    bij = s_filter_bijection(sf, lv, fc)
+    s, lv = inst.crm, inst.lv
+    sf, fc = s_filters(s), c_object(lv.rqf)
+    bij = s_filter_bijection(sf, lv)
     if sorted(bij.tolist()) != list(range(fc.n)):
         return False, (sf.n, fc.n), "filter map not bijective"
     rep = validate_covering_functor(bij, sf.topcat.cat, fc.topcat.cat)
@@ -210,7 +199,7 @@ def omega_nonsober(inst: Instance) -> CheckResult:
     """omega is still a continuous covering functor, and sobriety is
     reported false."""
     tc = inst.tc
-    res = build_omega_map(tc, inst.omega, inst.fc)
+    res = build_omega_map(tc, inst.omega)
     if not res.report.ok:
         return False, res.report.violations[0].witness, res.report.violations[0].law
     sober, _ = is_sober(tc, res)
@@ -299,14 +288,14 @@ DOCUMENT_VALIDATORS: dict[str, Callable[[object], Validated]] = {
 
 def adjunction_naturality(inst: Instance) -> CheckResult:
     """Both naturality squares, for the swap automorphism of a category."""
-    tc, om, fc = inst.tc, inst.omega, inst.fc
+    tc, om = inst.tc, inst.omega
     q = om.rqf
     swap = np.array([3, 2, 1, 0], dtype=np.int64)
-    ok1, w1 = check_naturality_in_category(swap, tc, tc, q, fc, om, om)
+    ok1, w1 = check_naturality_in_category(swap, tc, tc, q, om, om)
     if not ok1:
         return False, w1, "naturality square in the category argument"
     psi = omega_morphism(swap, om, om)
-    ok2, w2 = check_naturality_in_quantale(psi, q, q, tc, fc, fc, om)
+    ok2, w2 = check_naturality_in_quantale(psi, q, q, tc, om)
     if not ok2:
         return False, w2, "naturality square in the quantale argument"
     return True, None, ""
@@ -316,9 +305,9 @@ def adjunction_II_translated(inst: Instance) -> CheckResult:
     """Adjunction II for (C, PI(Omega(C))), with the hom-set sizes of
     adjunction I for the translated pair (C, L^vee(PI(Omega(C))))."""
     tc = inst.tc
-    adj2 = verify_adjunction_II(tc, inst.crm, sf=inst.sf)
+    adj2 = verify_adjunction_II(tc, inst.crm)
     if adj2.ok:
-        adj1 = verify_adjunction_I(tc, inst.lv.rqf, fc=inst.lv_fc, om=inst.omega)
+        adj1 = verify_adjunction_I(tc, inst.lv.rqf, om=inst.omega)
         if adj1.sizes != adj2.sizes:
             return False, adj1.sizes + adj2.sizes, "sizes differ from translated pair"
     return adjunction_outcome(adj2)
@@ -392,7 +381,7 @@ def full_suite_pending() -> list[Pending]:
     out += [(c.name, "rejected-with-witness", partial(rejected_with_witness, c))
             for c in cor.negative_fixtures() + [cor.negative_crm_fixture()]]
     out += [(name, "adjunction-homsets", lambda inst=by_name[name]: adjunction_outcome(
-        verify_adjunction_I(inst.tc, inst.rqf, fc=inst.fc, om=inst.omega)))
+        verify_adjunction_I(inst.tc, inst.rqf, om=inst.omega)))
         for name in ADJUNCTION_I_PAIRS]
     out.append(("pair2", "adjunction-naturality", partial(adjunction_naturality, by_name["pair2"])))
     out.append(("pair2/partial-bijections", "adjunction-II-homsets",

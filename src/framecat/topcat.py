@@ -209,7 +209,7 @@ def _image(fmap: np.ndarray, mask: int) -> int:
     return mask_of(int(fmap[a]) for a in iter_bits(mask))
 
 
-def validate_topcategory(tc: FiniteTopCategory, base: Optional[list[int]] = None) -> Report:
+def validate_topcategory(tc: FiniteTopCategory) -> Report:
     """Category laws, topology laws, and continuity of d, r and m.
 
     m's continuity is taken in the subspace of the product topology on the
@@ -234,8 +234,8 @@ def validate_topcategory(tc: FiniteTopCategory, base: Optional[list[int]] = None
         if not top.is_open(_preimage(cat.r, o)):
             rep.add("topcategory.r_continuous", (o,))
             return rep
-    boxes = sorted(top.opens) if base is None else sorted(base)
-    for w in (boxes if base is not None else top.iter_opens()):
+    boxes = sorted(top.opens)
+    for w in boxes:
         for a, b in cat.composable_pairs():
             if not has_bit(w, int(cat.comp[a, b])):
                 continue

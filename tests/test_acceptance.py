@@ -135,7 +135,7 @@ def test_criterion_05_chi_roundtrip():
         t1 = time.perf_counter()
         chi = build_chi(q)
         good, why = chi_is_isomorphism(chi)
-        spatial, wit = is_spatial(q, chi.fc)
+        spatial, wit = is_spatial(q)
         if q.n == 512:
             big_elapsed = time.perf_counter() - t1
         if not (good and spatial):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -92,6 +93,44 @@ def test_cpoints_command_emits_topcategory(fixture_dir, capsys):
     doc = json.loads(out)
     assert doc["kind"] == "topcategory"
     assert doc["payload"]["arrows"] == 4
+
+
+# sha256 of the document `cpoints` writes for each corpus rqf: the filter
+# category C(Q), pinned so that a change to how C(Q) is built cannot change
+# its bytes unnoticed
+CPOINTS_SHA256 = {
+    "omega-empty": "fbac538626fce9937b8fca3f9e33f7ae0e1055a2a053ed8269fbcdec8a3e517d",
+    "omega-trivial-monoid": "2d532b36cf6f7a25fcaefb3938858a9a7806ce7d1efddd71e7f22f3d3d30807f",
+    "omega-pair1": "2a10e00e944226fbbfdfbc57f72684bb1a6a39aab404ce4f671fc862ee2fcda7",
+    "omega-pair2": "9be687db50c15de8241a9079accd4fe3b9a3ea2459fd461a27c15c91e4142016",
+    "omega-pair3": "609013b55f589312a81923a8fee03f4df372193a592a668dd90ddc9cf6db2c23",
+    "omega-semilattice-monoid": "3c5dbfe17f7db659607171eb4dee137de0f131fcfdca479c6af25907e366915f",
+    "omega-cyclic2-monoid": "91cb7f462a03a9df9531ff58d7da4bcb9919857ccda33e58dd4d276ca1c84abd",
+    "omega-truncated-free-monoid": "0d811f70cb7c404ecc564d3b8dc88866e84407d889dbc79ca3ead4803895fede",
+    "omega-path-category": "d7fc6251d73545aece6e31e3cbf74ee933d32c6dbd2cac0ff15f949ec037c891",
+    "omega-parallel-pair": "83039f5c8905d0ea0f0163f02274db741434763f2fbd7f32721614fdb3278600",
+    "omega-parity-pair2": "443b006043b235ef9d40a366139c48ea3b45fa515097783599db387dc68e916e",
+    "qframe-chain3": "3c298de2302357084b1cabfc19f60f36de53a76a2ff38907f7a6758e96208c74",
+    "qframe-chain64": "d4232bb7d950c623e129c75fad5a0fad9b5d6a72ce061a3b8c3f3a50b20d1e3a",
+    "qframe-bool2": "ad268a6fd004853452ec758a3e388540f3ce6f6b39852321033c4076133dfadb",
+    "qframe-bool6": "a3cc56cb2de54f87d8d06b7ce76a066452559e426ef25ada382ef29c325ed07c",
+    "qframe-prod-3x3": "e89eeb9981f9e80dce283c143d40dfe9b8456079b56adad1e12ed796d9ab05f3",
+}
+
+
+def test_cpoints_bytes_are_pinned_on_corpus_rqfs(fixture_dir, tmp_path, capsys):
+    """Every rqf document of the corpus that cpoints accepts is a corpus
+    rqf, and the topcategory it writes has the pinned bytes; the others are
+    the negative fixtures, refused with exit 2."""
+    got = {}
+    for path in sorted(fixture_dir.glob("*.rqf.json")):
+        out = tmp_path / path.name
+        code = main(["cpoints", str(path), "--out", str(out)])
+        assert code in (0, 2), path.name
+        if code == 0:
+            got[path.name[:-len(".rqf.json")]] = hashlib.sha256(out.read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert got == CPOINTS_SHA256
 
 
 def test_roundtrip_command_on_category(fixture_dir, capsys):

@@ -12,7 +12,7 @@ from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, empty_catego
                              negative_crm_fixture, pair_groupoid,
                              semilattice_monoid_category)
 from framecat import crm
-from framecat.crm import (CompleteRestrictionMonoid, IdealCompletion, SFilterCategory,
+from framecat.crm import (CompleteRestrictionMonoid, IdealCompletion,
                           _compatible_join_table, _partial_join_table, bisection_monoid,
                           crm_compatible,
                           crm_lub, enumerate_callitic_morphisms,
@@ -24,7 +24,7 @@ from framecat.crm import (CompleteRestrictionMonoid, IdealCompletion, SFilterCat
                           verify_adjunction_II)
 from framecat.duality import (enumerate_covering_functors, find_category_isomorphism,
                               positions, quantale_isomorphism_ok, verify_adjunction_I)
-from framecat.functors import c_object, omega_object
+from framecat.functors import FilterCategory, c_object, omega_object
 from framecat.order import lattice_from_leq
 from framecat.quantale import frame_as_quantale, make_eq, partial_isometries, validate_rqf
 from framecat.reports import BoundExceeded
@@ -804,11 +804,12 @@ def test_s_filters_match_oracle_on_sub_monoids(source):
         assert s_filters_list(sub) == s_filters_list_oracle(sub), keep
 
 
-def s_filters_oracle(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> SFilterCategory:
+def s_filters_oracle(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> FilterCategory:
     """The S-filter category by the definitions on whole member sets: d(A)
     and r(A) are the up-closures of {x* : x in A} and {x+ : x in A}, A.B
     that of {x.y : x in A, y in B}, the identities are the filters holding a
-    projection, and X_a is the set of filters holding a."""
+    projection, X_a is the set of filters holding a, and the generator of a
+    filter is the member whose up-set it is."""
     filters = s_filters_list(s)
     index = {m: i for i, m in enumerate(filters)}
     nf = len(filters)
@@ -845,16 +846,17 @@ def s_filters_oracle(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> SFi
     topology = topology_from_base(nf, base)
     if topology.open_count() > max_opens:
         raise BoundExceeded("S-filter topology too large")
-    return SFilterCategory(topcat=FiniteTopCategory(cat=cat, topology=topology),
-                           filters=tuple(filters), index=index, d_idx=d_idx, r_idx=r_idx,
-                           x_masks=tuple(base))
+    generators = np.array([next(x for x in iter_bits(m) if up[x] == m) for m in filters],
+                          dtype=np.int64)
+    return FilterCategory(topcat=FiniteTopCategory(cat=cat, topology=topology),
+                          generators=generators, members=tuple(filters), index=index,
+                          x_masks=tuple(base))
 
 
 def assert_s_filters_match_oracle(s, where=None):
     fast, oracle = s_filters(s), s_filters_oracle(s)
-    assert (fast.filters, fast.index) == (oracle.filters, oracle.index), where
-    assert np.array_equal(fast.d_idx, oracle.d_idx), where
-    assert np.array_equal(fast.r_idx, oracle.r_idx), where
+    assert (fast.members, dict(fast.index)) == (oracle.members, oracle.index), where
+    assert np.array_equal(fast.generators, oracle.generators), where
     fast_cat, oracle_cat = fast.topcat.cat, oracle.topcat.cat
     for table in ("d", "r", "comp"):
         assert np.array_equal(getattr(fast_cat, table), getattr(oracle_cat, table)), (where, table)
@@ -904,10 +906,10 @@ def test_s_filter_d_r_transfer(i2):
     bij = s_filter_bijection(sf, lv)
     for k in range(sf.n):
         # d of the lifted filter is the lift of d
-        lifted_d = int(bij[sf.d_idx[k]])
-        assert lifted_d == int(fc.d_idx[int(bij[k])])
-        lifted_r = int(bij[sf.r_idx[k]])
-        assert lifted_r == int(fc.r_idx[int(bij[k])])
+        lifted_d = int(bij[sf.topcat.cat.d[k]])
+        assert lifted_d == int(fc.topcat.cat.d[int(bij[k])])
+        lifted_r = int(bij[sf.topcat.cat.r[k]])
+        assert lifted_r == int(fc.topcat.cat.r[int(bij[k])])
 
 
 # ---------------------------------------------------------------------------
@@ -942,14 +944,20 @@ def _adjunction_key(adj):
 
 
 def test_suite_adjunction_II_check_reuses_the_instance_builds(pair2, monkeypatch):
+    """Once the Instance holds Omega(C), PI and L^vee, and the two filter
+    categories are cached on their algebras, the check builds none of them
+    again: neither Omega nor PI is built, and functors.filter_category,
+    which makes both filter categories, is not called."""
     from framecat import crm, duality, functors, suite
     inst = suite.Instance(tc=pair2)
-    inst.omega, inst.pi, inst.sf, inst.lv, inst.lv_fc  # built before the check runs
+    inst.omega, inst.pi, inst.lv  # built before the check runs
+    s_filters(inst.crm), c_object(inst.lv.rqf)
     without_builds = verify_adjunction_II(pair2, inst.crm)
 
     calls = []
     for module, name in ((functors, "omega_object"), (duality, "omega_object"),
-                         (crm, "pi_restriction_monoid"), (crm, "s_filters")):
+                         (crm, "pi_restriction_monoid"), (functors, "filter_category"),
+                         (crm, "filter_category")):
         original = getattr(module, name)
 
         def counted(*args, name=name, original=original, **kwargs):
@@ -990,7 +998,7 @@ def transpose_forward_II_oracle(alpha, tc, s, sf, om, carrier):
     theta = np.zeros(s.n, dtype=np.int64)
     for a in range(s.n):
         open_mask = mask_of(c for c in range(tc.n)
-                            if has_bit(sf.filters[int(alpha[c])], a))
+                            if has_bit(sf.members[int(alpha[c])], a))
         i = om.index.get(open_mask)
         if i is None or i not in pos:
             return None
@@ -1012,7 +1020,7 @@ def transpose_backward_II_oracle(theta, tc, s, sf, om, carrier):
 
 def transpose_forward_II_bit_matrix(alpha, tc, s, sf, om, carrier):
     n = len(sf.x_masks)  # the elements of S
-    members = bit_matrix(sf.filters, n)
+    members = bit_matrix(sf.members, n)
     pos = np.full(om.n + 1, -1, dtype=np.int64)
     pos[carrier] = np.arange(len(carrier))
     theta = np.zeros(n, dtype=np.int64)
@@ -1051,7 +1059,7 @@ def adjunction_II_transposes(tc, s):
     bis = bisection_monoid(tc)
     assert list(bis.masks) == [om.opens[c] for c in carrier]
     assert_same_monoid(bis.crm, t)
-    forward, backward = transposes_II(sf, bis)
+    forward, backward = transposes_II(s, sf, bis)
     return (forward,
             [lambda m, body=body: body(m, tc, s, sf, om, carrier)
              for body in (transpose_forward_II_oracle, transpose_forward_II_bit_matrix)],

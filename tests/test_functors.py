@@ -11,7 +11,7 @@ from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, empty_catego
 from framecat.crm import join_primes, l_vee
 from framecat.duality import (build_omega_map, enumerate_covering_functors,
                               enumerate_rqf_morphisms, validate_rqf_morphism)
-from framecat.functors import (_omega_generic, c_morphism, c_object, category_on_generators,
+from framecat.functors import (_omega_generic, c_morphism, c_object, filter_category,
                                identity_space_vs_pt, omega_morphism, omega_object)
 from framecat.order import (CPFilter, enumerate_cp_filters, frame_from_leq, meet_prime_elements,
                             subframe)
@@ -143,14 +143,13 @@ def assert_c_object_matches_oracle(q, name):
     fc = c_object(q)
     filters, cat, topology, base = oracle_c_object(q)
     got = fc.topcat.cat
-    assert [(f.members, f.cogenerator) for f in fc.filters] == \
-        [(f.members, f.cogenerator) for f in filters], name
-    assert np.array_equal(fc.d_idx, cat.d) and np.array_equal(got.d, cat.d), name
-    assert np.array_equal(fc.r_idx, cat.r) and np.array_equal(got.r, cat.r), name
+    assert list(fc.members) == [f.members for f in filters], name
+    assert fc.generators.tolist() == [q.meet_fold(iter_bits(f.members)) for f in filters], name
+    assert np.array_equal(got.d, cat.d) and np.array_equal(got.r, cat.r), name
     assert np.array_equal(got.comp, cat.comp), name
     assert got.identity_mask == cat.identity_mask, name
     assert fc.topcat.topology.opens == topology.opens, name
-    assert fc.base == base, name
+    assert {a: fc.x_mask(a) for a in partial_isometries(q)} == base, name
     calc = FilterCalculus(q)
     assert [fc.x_mask(a) for a in range(q.n)] == [calc.x_mask(a) for a in range(q.n)], name
 
@@ -167,10 +166,10 @@ def test_c_object_matches_filter_calculus_on_ideal_completions():
 
 
 # ---------------------------------------------------------------------------
-# c_object and category_on_generators against the bodies they had before
-# their members, least members, X-sets and via-PI check were whole-array:
-# filters from one cogenerator at a time, least members by meet_fold,
-# X-masks and the isometry decomposition of each X_a by per-member loops
+# c_object and filter_category against the bodies they had before their
+# members, least members, X-sets and via-PI check were whole-array: filters
+# from one cogenerator at a time, least members by meet_fold, X-masks and
+# the isometry decomposition of each X_a by per-member loops
 
 def category_on_generators_by_members(alg, gens, what):
     nf = len(gens)
@@ -198,7 +197,7 @@ def category_on_generators_by_members(alg, gens, what):
 
 
 def filter_category_by_members(q):
-    """(filters, category, x_masks, base, topology) of C(Q)."""
+    """(filters, least members, category, x_masks, base, topology) of C(Q)."""
     filters = [CPFilter(m, mask_of(np.flatnonzero(~q.leq[:, m])))
                for m in meet_prime_elements(q)]
     gens = [q.meet_fold(iter_bits(f.members)) for f in filters]
@@ -213,19 +212,20 @@ def filter_category_by_members(q):
     for a in range(q.n):
         assert via_pis[a] == x_masks[a], f"X_{a} disagrees with its isometry decomposition"
         assert topology.is_open(x_masks[a]), f"X_{a} is not open"
-    return filters, cat, x_masks, base, topology
+    return filters, gens, cat, x_masks, base, topology
 
 
 def assert_c_object_matches_member_loops(q):
     fc = c_object(q)
-    filters, cat, x_masks, base, topology = filter_category_by_members(q)
+    filters, gens, cat, x_masks, base, topology = filter_category_by_members(q)
     assert enumerate_cp_filters(q) == filters
-    assert list(fc.filters) == filters and list(fc.x_masks) == x_masks
+    assert list(fc.members) == [f.members for f in filters]
+    assert fc.generators.tolist() == gens and list(fc.x_masks) == x_masks
     got = fc.topcat.cat
     for table in ("d", "r", "comp"):
         assert np.array_equal(getattr(got, table), getattr(cat, table)), table
     assert got.identity_mask == cat.identity_mask
-    assert dict(fc.base) == base and fc.topcat.topology == topology
+    assert {a: fc.x_mask(a) for a in base} == base and fc.topcat.topology == topology
 
 
 def test_c_object_matches_member_loops_on_corpus_rqfs_and_ideal_completions():
@@ -243,10 +243,12 @@ def test_s_filter_categories_match_member_loops_on_corpus_crms():
     for inst in corpus_crms():
         s = inst.obj
         gens = sorted(join_primes(s), key=s.upset_mask)
-        cat, x_masks = category_on_generators(s, gens, "completely prime S-filter")
+        sf = filter_category(s, gens, "completely prime S-filter", range(s.n))
+        cat = sf.topcat.cat
         old_cat, old_x_masks = category_on_generators_by_members(
             s, gens, "completely prime S-filter")
-        assert x_masks == old_x_masks
+        assert list(sf.x_masks) == old_x_masks
+        assert list(sf.members) == [s.upset_mask(g) for g in gens]
         for table in ("d", "r", "comp"):
             assert np.array_equal(getattr(cat, table), getattr(old_cat, table)), table
         assert cat.identity_mask == old_cat.identity_mask
@@ -484,9 +486,10 @@ def test_filter_category_of_chain_quantale():
     assert is_etale(fc.topcat)[0]
 
 
-def test_base_sets_are_open_local_bisections(fc_pair2):
+def test_base_sets_are_open_local_bisections(fc_pair2, omega_pair2):
     from framecat.topcat import is_local_bisection
-    for a, x in fc_pair2.base.items():
+    for a in partial_isometries(omega_pair2.rqf):
+        x = fc_pair2.x_mask(a)
         assert fc_pair2.topcat.topology.is_open(x)
         assert is_local_bisection(fc_pair2.topcat.cat, x)
 
@@ -494,8 +497,8 @@ def test_base_sets_are_open_local_bisections(fc_pair2):
 def test_d_image_of_base_is_base_of_star(fc_pair2, omega_pair2):
     # d(X_s) = X_{s*} for partial isometries s
     cat = fc_pair2.topcat.cat
-    for s, x in fc_pair2.base.items():
-        image = mask_of(int(cat.d[k]) for k in iter_bits(x))
+    for s in partial_isometries(omega_pair2.rqf):
+        image = mask_of(int(cat.d[k]) for k in iter_bits(fc_pair2.x_mask(s)))
         assert image == fc_pair2.x_mask(int(omega_pair2.rqf.star[s]))
 
 
@@ -512,8 +515,8 @@ def test_x_set_laws(fc_pair2, calc_pair2):
             assert fc_pair2.x_mask(a) | fc_pair2.x_mask(b) == fc_pair2.x_mask(int(q.join[a, b]))
 
 
-def test_identity_space_matches_points_of_projections(fc_pair2, omega_pair2):
-    assert identity_space_vs_pt(omega_pair2.rqf, fc_pair2) == (True, "")
+def test_identity_space_matches_points_of_projections(omega_pair2):
+    assert identity_space_vs_pt(omega_pair2.rqf) == (True, "")
 
 
 def test_identity_space_vs_pt_on_corpus():
@@ -646,8 +649,8 @@ def c_morphism_oracle(phi, fc_src, fc_dst):
     phi = np.asarray(phi, dtype=np.int64)
     n_r = len(fc_src.x_masks)
     out = np.zeros(fc_dst.n, dtype=np.int64)
-    for j, b in enumerate(fc_dst.filters):
-        pre = mask_of(x for x in range(n_r) if has_bit(b.members, int(phi[x])))
+    for j, members in enumerate(fc_dst.members):
+        pre = mask_of(x for x in range(n_r) if has_bit(members, int(phi[x])))
         out[j] = fc_src.filter_of(pre, "preimage filter")
     return out
 
@@ -675,7 +678,7 @@ def build_omega_map_oracle(tc, om, fc):
 def test_build_omega_map_matches_oracle_on_corpus_categories(name, tc):
     om = omega_object(tc)
     fc = c_object(om.rqf, max_opens=1 << 20)
-    res = build_omega_map(tc, om, fc)
+    res = build_omega_map(tc, om)
     omega, laws = build_omega_map_oracle(tc, om, fc)
     assert res.omega.tolist() == omega.tolist()
     assert [(v.law, v.witness) for v in res.report.violations] == laws

@@ -312,7 +312,7 @@ def callitic_morphisms_by_element_search(s: CompleteRestrictionMonoid,
                             search_tables(t, list(range(t.n)), t.zero, t_joins))
     thetas = (np.array(images, dtype=np.int64) for images in found)
     return [_freeze(theta) for theta in thetas
-            if validate_crm_morphism(theta, s, t, s_joins, t_joins).ok
+            if validate_crm_morphism(theta, s, t, t_joins).ok
             and is_callitic(theta, s, t)[0]]
 
 

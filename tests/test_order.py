@@ -7,9 +7,9 @@ from framecat.corpus import (boolean_frame, chain_frame, corpus_frames, corpus_r
                              m3_lattice, negative_fixtures, product_frame)
 from framecat.order import (BRUTEFORCE_MAX_ELEMENTS, CPFilter, FiniteFrame,
                             FiniteLattice, FinitePoset, _has_lattice_tables,
-                            _is_distributive, _lattice_tables,
-                            cogenerator_of_member_mask, cp_filters_bruteforce,
-                            enumerate_cp_filters,
+                            _irreducibles, _is_distributive, _lattice_tables,
+                            cogenerator_of_member_mask, cp_filter_generators,
+                            cp_filters_bruteforce, enumerate_cp_filters,
                             frame_from_leq, frame_spatial_check, is_frame,
                             join_irreducibles, join_splits, join_words, lattice_from_leq,
                             meet_prime_elements, pt_topology, subframe,
@@ -505,6 +505,19 @@ def meet_prime_elements_oracle(f: FiniteFrame) -> list[int]:
     return out
 
 
+def meet_prime_elements_by_candidates(f: FiniteFrame) -> list[int]:
+    """meet_prime_elements as it was before one word lookup: one n-by-n
+    gather of the meet table per meet-irreducible candidate."""
+    leq, meet = f.leq, f.meet
+    out = []
+    for m in _irreducibles(leq.T):
+        below = leq[:, m]
+        bad = below[meet] & ~below[:, None] & ~below[None, :]
+        if not bad.any():
+            out.append(m)
+    return out
+
+
 def join_irreducibles_by_definition(l: FiniteLattice) -> list[int]:
     out = []
     for x in range(l.n):
@@ -555,7 +568,10 @@ def assert_order_layers_match_oracles(lat: FiniteLattice):
         assert _has_lattice_tables(lat) == has_lattice_tables_packed_rows(lat)
     if "frame" in rep.layers_run:
         assert _is_distributive(lat) == rep.ok == is_distributive_by_join_primes(lat)
-        assert meet_prime_elements(lat) == meet_prime_elements_oracle(lat)
+        primes = meet_prime_elements(lat)
+        assert primes == meet_prime_elements_oracle(lat) == meet_prime_elements_by_candidates(lat)
+        assert cp_filter_generators(lat) == \
+            [lat.meet_fold(np.flatnonzero(~lat.leq[:, m]).tolist()) for m in primes]
         assert join_irreducibles(lat) == join_irreducibles_by_definition(lat)
 
 
