@@ -212,7 +212,7 @@ def _parse_topology(v, n: int, path: str) -> Topology:
     for i, o in enumerate(v):
         if not isinstance(o, list):
             raise ParseError("expected a list of arrow indices", f"{path}[{i}]")
-        opens.add(mask_of(_int_in_range(x, 0, max(n, 1), f"{path}[{i}][{j}]")
+        opens.add(mask_of(_int_in_range(x, 0, n, f"{path}[{i}][{j}]")
                           for j, x in enumerate(o)))
     return Topology(n, frozenset(opens))
 

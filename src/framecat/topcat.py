@@ -2,22 +2,23 @@
 local bisections and covering functors.
 
 Arrows are integer indices.  Composition is a partial table with -1 for
-"undefined"; comp[a, b] is defined exactly when d(a) = r(b).  Topologies
-store the full open-set family as bitmasks, or None for the discrete
-topology (kept symbolic so large discrete instances stay cheap).  The open
-local bisections are found without a Python test per open
-(`bisection_rows`).
+"undefined"; comp[a, b] is defined exactly when d(a) = r(b).  A topology
+lists its opens as arrow masks, or None for the discrete topology (kept
+symbolic so large discrete instances stay cheap).  Every test on a listed
+topology reads its opens as member rows (`open_rows`), with no Python test
+per open.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .bits import bit_matrix, full_mask, has_bit, iter_bits, is_submask, mask_of
+from .bits import (bit_matrix, bool_product, full_mask, has_bit, iter_bits, mask_of,
+                   pack_words, row_blocks, word_lookup)
 from .reports import BoundExceeded, Report
 
 UNDEF = -1
@@ -66,6 +67,17 @@ class Topology:
             yield from range(1 << self.n)
         else:
             yield from sorted(self.opens)
+
+
+def open_rows(top: Topology) -> tuple[list[int], np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """A listed topology read as rows: its opens as ascending masks, their
+    bool member rows [i, a], arrow a in the i-th open (`bits.bit_matrix`),
+    and the lookup that maps bool rows (..., n) of arrow sets to the index
+    of the equal open, -1 for a set that is no open (`bits.word_lookup`)."""
+    masks = sorted(top.opens)
+    rows = bit_matrix(masks, top.n)
+    find = word_lookup(pack_words(rows))
+    return masks, rows, lambda sets: find(pack_words(sets))
 
 
 def topology_from_base(n: int, base: Iterable[int]) -> Topology:
@@ -201,20 +213,21 @@ def validate_topology(t: Topology) -> Report:
     return rep
 
 
-def _preimage(fmap: np.ndarray, mask: int) -> int:
-    return mask_of(a for a in range(len(fmap)) if has_bit(mask, int(fmap[a])))
-
-
-def _image(fmap: np.ndarray, mask: int) -> int:
-    return mask_of(int(fmap[a]) for a in iter_bits(mask))
-
-
 def validate_topcategory(tc: FiniteTopCategory) -> Report:
-    """Category laws, topology laws, and continuity of d, r and m.
+    """Category laws, topology laws, and continuity of d, r and m, each
+    witnessed by the first failing open in ascending mask order (d before r
+    at one open; then the first failing pair, row-major).  d and r are
+    continuous iff the preimage rows `rows[:, d]`, `rows[:, r]` are opens.
 
     m's continuity is taken in the subspace of the product topology on the
-    composable pairs: each pair in the preimage of an open must sit in an
-    open box whose composable part maps into that open.
+    composable pairs: each pair (a, b) with ab in an open W must sit in an
+    open box whose composable part maps into W.  The finitely many opens
+    are closed under intersection, so each arrow a has a least open
+    neighbourhood U_a (Alexandroff, Diskrete Raeume, 1937).  Every box
+    around (a, b) contains the box U_a x U_b, so (a, b) fails at W iff ab
+    is in W and some composable pair of U_a x U_b has its composite outside
+    W: one boolean product of the boxes, as rows over the composable pairs,
+    with the pairs whose composite is outside each open.
     """
     rep = validate_category(tc.cat)
     if not rep.ok:
@@ -226,44 +239,26 @@ def validate_topcategory(tc: FiniteTopCategory) -> Report:
         return rep
     if tc.topology.is_discrete:
         return rep
-    cat, top = tc.cat, tc.topology
-    for o in top.iter_opens():
-        if not top.is_open(_preimage(cat.d, o)):
-            rep.add("topcategory.d_continuous", (o,))
-            return rep
-        if not top.is_open(_preimage(cat.r, o)):
-            rep.add("topcategory.r_continuous", (o,))
-            return rep
-    boxes = sorted(top.opens)
-    for w in boxes:
-        for a, b in cat.composable_pairs():
-            if not has_bit(w, int(cat.comp[a, b])):
-                continue
-            if not _box_exists(cat, top, boxes, a, b, w):
-                rep.add("topcategory.m_continuous", (int(a), int(b), w))
-                return rep
+    cat = tc.cat
+    masks, rows, find = open_rows(tc.topology)
+    pre_d, pre_r = find(rows[:, cat.d]), find(rows[:, cat.r])
+    bad = np.flatnonzero((pre_d < 0) | (pre_r < 0))
+    if bad.size:
+        i = bad[0]
+        law = "topcategory.d_continuous" if pre_d[i] < 0 else "topcategory.r_continuous"
+        rep.add(law, (masks[i],))
+        return rep
+    pa, pb = np.nonzero(cat.comp != UNDEF)   # the composable pairs, row-major
+    inside = rows[:, cat.comp[pa, pb]]       # [w, i]: the composite of pair i is in open w
+    near = ~bool_product(rows.T, ~rows)      # [a, x]: x is in U_a
+    fails = np.empty_like(inside)
+    for blk in row_blocks(len(pa), len(pa)):
+        box = near[pa[blk]][:, pa] & near[pb[blk]][:, pb]  # [i, j]: pair j is in the box of pair i
+        fails[:, blk] = inside[:, blk] & bool_product(box, ~inside.T).T
+    if fails.any():
+        w, i = np.argwhere(fails)[0]
+        rep.add("topcategory.m_continuous", (int(pa[i]), int(pb[i]), masks[w]))
     return rep
-
-
-def _box_exists(cat: FiniteCategory, top: Topology, boxes: list[int], a: int, b: int, w: int) -> bool:
-    for u in boxes:
-        if not has_bit(u, a):
-            continue
-        for v in boxes:
-            if not has_bit(v, b):
-                continue
-            ok = True
-            for x in iter_bits(u):
-                for y in iter_bits(v):
-                    z = int(cat.comp[x, y])
-                    if z != UNDEF and not has_bit(w, z):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +294,14 @@ def bisection_rows(tc: FiniteTopCategory) -> tuple[list[int], np.ndarray]:
     """The open local bisections as ascending masks and as the bool rows
     [i, a]: arrow a is in the i-th one.  Of a listed topology, an open is a
     bisection iff no identity is the d, or the r, of two of its arrows: one
-    count product of the member rows of all opens (`bits.bit_matrix`, exact
-    at any width) with the graphs of d and r.  Of a discrete topology, see
+    count product of the member rows of all opens (`open_rows`, exact at
+    any width) with the graphs of d and r.  Of a discrete topology, see
     `_discrete_bisections`."""
     c, n = tc.cat, tc.n
     if tc.topology.opens is None:
         masks = _discrete_bisections(c)
         return masks, (np.array(masks)[:, None] >> np.arange(n) & 1).astype(bool)
-    masks = sorted(tc.topology.opens)
-    rows = bit_matrix(masks, n)
+    masks, rows, _ = open_rows(tc.topology)
     arrows = np.arange(n)
     graphs = np.concatenate([c.d[:, None] == arrows, c.r[:, None] == arrows], axis=1)
     keep = (rows.astype(np.float32) @ graphs.astype(np.float32) <= 1).all(axis=1)
@@ -333,25 +327,27 @@ def _discrete_bisections(c: FiniteCategory) -> list[int]:
 def is_etale(tc: FiniteTopCategory) -> tuple[bool, Optional[str], Optional[int]]:
     """(i) every open is a union of open local bisections, (ii) d and r are open.
 
-    Returns (ok, failed-law, witness-open).  Discrete topologies are always
-    etale: singletons are open local bisections and images are open.
+    Returns (ok, failed-law, witness-open): the first failing open in
+    ascending mask order, (i) tried on every open before (ii), d before r.
+    The images are the boolean products of the member rows with the graphs
+    of d and r.  Discrete topologies are always etale: singletons are open
+    local bisections and images are open.
     """
     if tc.topology.is_discrete:
         return True, None, None
-    cat, top = tc.cat, tc.topology
-    olbs = open_local_bisections(tc)
-    for o in top.iter_opens():
-        cover = 0
-        for b in olbs:
-            if is_submask(b, o):
-                cover |= b
-        if cover != o:
-            return False, "etale.open_not_union_of_bisections", o
-    for o in top.iter_opens():
-        if not top.is_open(_image(cat.d, o)):
-            return False, "etale.d_not_open", o
-        if not top.is_open(_image(cat.r, o)):
-            return False, "etale.r_not_open", o
+    masks, rows, find = open_rows(tc.topology)
+    olbs = bisection_rows(tc)[1]
+    within = ~bool_product(~rows, olbs.T)   # [i, j]: bisection j lies in open i
+    bad = np.flatnonzero((bool_product(within, olbs) != rows).any(axis=1))
+    if bad.size:
+        return False, "etale.open_not_union_of_bisections", masks[bad[0]]
+    arrows = np.arange(tc.n)
+    img_d = find(bool_product(rows, tc.cat.d[:, None] == arrows))
+    img_r = find(bool_product(rows, tc.cat.r[:, None] == arrows))
+    bad = np.flatnonzero((img_d < 0) | (img_r < 0))
+    if bad.size:
+        i = bad[0]
+        return False, "etale.d_not_open" if img_d[i] < 0 else "etale.r_not_open", masks[i]
     return True, None, None
 
 
@@ -425,19 +421,21 @@ def validate_covering_functor(fmap, src: FiniteCategory, dst: FiniteCategory) ->
 
 def continuity_check(fmap, tc_src: FiniteTopCategory, tc_dst: FiniteTopCategory
                      ) -> tuple[bool, Optional[int]]:
-    """Preimage of every open of the target is open in the source.
-
-    Preimages commute with unions, so for a discrete target the singletons
-    suffice.
+    """Preimage of every open of the target is open in the source; the
+    witness is the first open, ascending, that fails.  A map value past the
+    target's arrows lies in no open.  Preimages commute with unions, so for
+    a discrete target the singletons suffice.
     """
     fmap = np.asarray(fmap, dtype=np.int64)
     if tc_src.topology.is_discrete:
         return True, None
+    m = tc_dst.n
     if tc_dst.topology.opens is None:
-        opens = (1 << y for y in range(tc_dst.n))
+        opens, rows = [1 << y for y in range(m)], np.eye(m, dtype=bool)
     else:
-        opens = iter(sorted(tc_dst.topology.opens))
-    for o in opens:
-        if not tc_src.topology.is_open(_preimage(fmap, o)):
-            return False, o
+        opens, rows, _ = open_rows(tc_dst.topology)
+    rows = np.concatenate([rows, np.zeros((len(opens), 1), dtype=bool)], axis=1)
+    bad = np.flatnonzero(open_rows(tc_src.topology)[2](rows[:, np.minimum(fmap, m)]) < 0)
+    if bad.size:
+        return False, opens[bad[0]]
     return True, None

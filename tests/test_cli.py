@@ -70,6 +70,18 @@ def test_unknown_command_is_an_input_error():
     assert main(["frobnicate"]) == 2
 
 
+def test_open_naming_an_arrow_of_the_empty_category_is_an_input_error(tmp_path, capsys):
+    doc = {"kind": "topcategory", "name": "empty",
+           "payload": {"arrows": 0, "identities": [], "d": [], "r": [], "comp": [],
+                       "topology": [[], [0]]}}
+    path = tmp_path / "empty.topcategory.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "$.payload.topology[1][0]" in captured.err
+
+
 def test_bound_exceeded_exit_code(fixture_dir):
     code = main(["--max-elements", "4", "omega",
                  str(fixture_dir / "pair2.topcategory.json")])

@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framecat.bits import row_masks
+from framecat.bits import has_bit, is_submask, iter_bits, mask_of, row_masks
 from framecat.corpus import (chain_frame, corpus_rqfs, empty_category, etale_categories,
-                             indiscrete_pair_groupoid, monoid_category, pair_groupoid,
-                             parallel_pair_category, parity_pair_groupoid,
+                             indiscrete_pair_groupoid, monoid_category, negative_fixtures,
+                             pair_groupoid, parallel_pair_category, parity_pair_groupoid,
                              path_category, truncated_free_monoid_category)
 from framecat.functors import c_object
 from framecat.quantale import frame_as_quantale
-from framecat.topcat import (FiniteTopCategory, Topology, bisection_rows, c_o_is_open,
+from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, bisection_rows, c_o_is_open,
                              continuity_check, identity_functor, is_etale,
                              is_local_bisection, local_bisections,
-                             make_category, open_local_bisections,
+                             make_category, open_local_bisections, open_rows,
                              topology_from_base, validate_category,
-                             validate_covering_functor, validate_topcategory)
+                             validate_covering_functor, validate_topcategory,
+                             validate_topology)
 from framecat.reports import BoundExceeded, Report
 from map_oracles import (one_value_perturbations, relabel, searched_arrow_maps,
                          small_corpus_categories)
@@ -271,6 +272,193 @@ def test_m_continuity_fails_when_products_escape():
     bad = FiniteTopCategory(c2.cat, Topology(2, frozenset({0, 0b10, 0b11})))
     rep = validate_topcategory(bad)
     assert rep.laws() == ["topcategory.m_continuous"]
+
+
+def test_open_rows_reads_a_listed_topology():
+    masks, rows, find = open_rows(parity_pair_groupoid().topology)
+    assert masks == [0, 0b0110, 0b1001, 0b1111]
+    assert row_masks(rows) == masks
+    sets = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0]], dtype=bool)
+    assert find(sets).tolist() == [1, -1, 0]
+
+
+def pair2_with_opens(*masks):
+    return FiniteTopCategory(pair_groupoid(2).cat, Topology(4, frozenset(masks)))
+
+
+@pytest.mark.parametrize("masks,law,witness", [
+    # pair2's arrows: identities 0 and 3, arrow 1 from 3 to 0 and 2 back
+    ((0, 1, 15), "topcategory.d_continuous", (1,)),
+    ((0, 5, 15), "topcategory.r_continuous", (5,)),
+])
+def test_continuity_of_d_and_r_is_witnessed_by_the_first_failing_open(masks, law, witness):
+    tc = pair2_with_opens(*masks)
+    rep = validate_topcategory(tc)
+    assert [(v.law, v.witness) for v in rep.violations] == [(law, witness)]
+    assert rep == validate_topcategory_by_opens(tc)
+
+
+@pytest.mark.parametrize("tc,law,witness", [
+    (pair2_with_opens(0, 2, 6, 9, 11, 15), "etale.d_not_open", 2),
+    # drawn by listed_topcategories, the topology generated by {0} and {2}:
+    # d({2}) = {0} is open, r({2}) = {3} is not
+    (pair2_with_opens(0, 1, 4, 5), "etale.r_not_open", 4),
+])
+def test_etale_laws_are_witnessed_by_the_first_failing_open(tc, law, witness):
+    assert is_etale(tc) == is_etale_by_opens(tc) == (False, law, witness)
+
+
+# ---------------------------------------------------------------------------
+# validate_topcategory, is_etale and continuity_check against the bodies
+# they had before they read member rows: one Python test per open, m's
+# continuity by a search over every pair of opens and of their arrows
+
+def _preimage(fmap, mask):
+    return mask_of(a for a in range(len(fmap)) if has_bit(mask, int(fmap[a])))
+
+
+def _image(fmap, mask):
+    return mask_of(int(fmap[a]) for a in iter_bits(mask))
+
+
+def _box_exists(cat, boxes, a, b, w):
+    for u in boxes:
+        if not has_bit(u, a):
+            continue
+        for v in boxes:
+            if not has_bit(v, b):
+                continue
+            ok = True
+            for x in iter_bits(u):
+                for y in iter_bits(v):
+                    z = int(cat.comp[x, y])
+                    if z != UNDEF and not has_bit(w, z):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                return True
+    return False
+
+
+def validate_topcategory_by_opens(tc) -> Report:
+    rep = validate_category(tc.cat)
+    if not rep.ok:
+        return rep
+    rep.extend(validate_topology(tc.topology))
+    rep.subject = "topcategory"
+    if not rep.ok or tc.topology.is_discrete:
+        return rep
+    cat, top = tc.cat, tc.topology
+    for o in top.iter_opens():
+        if not top.is_open(_preimage(cat.d, o)):
+            rep.add("topcategory.d_continuous", (o,))
+            return rep
+        if not top.is_open(_preimage(cat.r, o)):
+            rep.add("topcategory.r_continuous", (o,))
+            return rep
+    boxes = sorted(top.opens)
+    for w in boxes:
+        for a, b in cat.composable_pairs():
+            if has_bit(w, int(cat.comp[a, b])) and not _box_exists(cat, boxes, a, b, w):
+                rep.add("topcategory.m_continuous", (int(a), int(b), w))
+                return rep
+    return rep
+
+
+def is_etale_by_opens(tc):
+    if tc.topology.is_discrete:
+        return True, None, None
+    cat, top = tc.cat, tc.topology
+    olbs = open_local_bisections(tc)
+    for o in top.iter_opens():
+        cover = 0
+        for b in olbs:
+            if is_submask(b, o):
+                cover |= b
+        if cover != o:
+            return False, "etale.open_not_union_of_bisections", o
+    for o in top.iter_opens():
+        if not top.is_open(_image(cat.d, o)):
+            return False, "etale.d_not_open", o
+        if not top.is_open(_image(cat.r, o)):
+            return False, "etale.r_not_open", o
+    return True, None, None
+
+
+def continuity_check_by_opens(fmap, tc_src, tc_dst):
+    fmap = np.asarray(fmap, dtype=np.int64)
+    if tc_src.topology.is_discrete:
+        return True, None
+    if tc_dst.topology.opens is None:
+        opens = (1 << y for y in range(tc_dst.n))
+    else:
+        opens = iter(sorted(tc_dst.topology.opens))
+    for o in opens:
+        if not tc_src.topology.is_open(_preimage(fmap, o)):
+            return False, o
+    return True, None
+
+
+def assert_topcategory_checks_match_oracles(tc):
+    assert validate_topcategory(tc) == validate_topcategory_by_opens(tc)
+    assert is_etale(tc) == is_etale_by_opens(tc)
+
+
+def assert_continuity_matches_oracle(fmap, src, dst):
+    assert continuity_check(fmap, src, dst) == continuity_check_by_opens(fmap, src, dst), fmap
+
+
+def test_topcategory_checks_match_oracles_on_corpus_and_negative_fixtures():
+    for inst in etale_categories() + [f for f in negative_fixtures()
+                                      if isinstance(f.obj, FiniteTopCategory)]:
+        tc = inst.obj
+        assert_topcategory_checks_match_oracles(tc)
+        assert_topcategory_checks_match_oracles(relabel(tc, np.arange(tc.n)[::-1]))
+        ident = identity_functor(tc.cat)
+        for m in (ident, *one_value_perturbations(ident, tc.n + 1)):
+            assert_continuity_matches_oracle(m, tc, tc)
+
+
+@pytest.mark.parametrize("inst", corpus_rqfs(), ids=lambda i: i.name)
+def test_topcategory_checks_match_oracles_on_c_of_corpus_rqfs(inst):
+    """C(Q) of every corpus rqf, qframe-chain64 (63 arrows, 64 opens)
+    included, with the identity map and its one-value perturbations, one
+    past the last arrow included, into C(Q) and into its discrete copy."""
+    tc = c_object(inst.obj).topcat
+    assert_topcategory_checks_match_oracles(tc)
+    discrete = FiniteTopCategory(tc.cat, Topology(tc.n, None))
+    ident = identity_functor(tc.cat)
+    for m in (ident, *one_value_perturbations(ident, tc.n + 1)):
+        assert_continuity_matches_oracle(m, tc, tc)
+        assert_continuity_matches_oracle(m, tc, discrete)
+
+
+CORPUS_CATEGORIES_TO_8 = [i.obj.cat for i in etale_categories() if i.obj.n <= 8]
+
+
+@st.composite
+def listed_topcategories(draw):
+    """A corpus category of at most 8 arrows with the topology generated by
+    at most 5 random arrow sets; in about a third of the draws one open is
+    dropped, which may break its closure."""
+    cat = draw(st.sampled_from(CORPUS_CATEGORIES_TO_8))
+    base = draw(st.lists(st.integers(0, (1 << cat.n) - 1), max_size=5))
+    opens = sorted(topology_from_base(cat.n, base).opens)
+    if draw(st.integers(0, 2)) == 0:
+        opens.pop(draw(st.integers(0, len(opens) - 1)))
+    return FiniteTopCategory(cat, Topology(cat.n, frozenset(opens)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(listed_topcategories(), listed_topcategories(), st.data())
+def test_topcategory_checks_match_oracles_on_random_topologies(src, dst, data):
+    """Both checks on the source, and continuity of a random map whose
+    values are now and then one past the target's last arrow."""
+    assert_topcategory_checks_match_oracles(src)
+    fmap = data.draw(st.lists(st.integers(0, dst.n), min_size=src.n, max_size=src.n))
+    assert_continuity_matches_oracle(fmap, src, dst)
 
 
 # ---------------------------------------------------------------------------
