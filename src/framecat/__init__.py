@@ -33,7 +33,7 @@ from .functors import (FilterCategory, OmegaResult, c_morphism,
 from .duality import (build_chi, build_omega_map, chi_is_isomorphism,
                       enumerate_covering_functors, enumerate_rqf_morphisms,
                       find_category_isomorphism, is_sober, is_spatial,
-                      omega_is_isomorphism, quantale_isomorphism_ok, transposes_I,
+                      omega_is_isomorphism, quantale_isomorphism_ok, transposes,
                       validate_rqf_morphism, verify_adjunction_I)
 from .crm import (BisectionMonoid, CompleteRestrictionMonoid, IdealCompletion,
                   bisection_monoid, crm_compatible, enumerate_callitic_morphisms,

@@ -22,11 +22,11 @@ from typing import Optional
 from . import corpus as cor
 from .crm import validate_crm, verify_adjunction_II
 from .documents import ParseError, WorkbenchDocument, parse_document, serialize_document
-from .duality import is_sober, is_spatial, verify_adjunction_I
+from .duality import build_omega_map, is_sober, is_spatial, verify_adjunction_I
 from .functors import c_object, omega_object
 from .quantale import validate_rqf
-from .reports import (BoundExceeded, CheckReport, InternalError, Report, WorkbenchError,
-                      run_check, sort_reports)
+from .reports import (MAX_TABLE_SIDE, BoundExceeded, CheckReport, InternalError, Report,
+                      WorkbenchError, run_check, sort_reports)
 from .suite import (DOCUMENT_VALIDATORS, Instance, _validate_any, adjunction_outcome,
                     chi_roundtrip, filter_category_correspondence, full_suite_pending,
                     ideals_of_isometries_roundtrip, isometries_of_ideals_roundtrip,
@@ -165,8 +165,8 @@ def cmd_roundtrip(args, out: _Output) -> int:
         inst = Instance(q=doc.obj, max_elements=args.max_elements)
         out.emit(run_check(name, "chi-isomorphism", lambda: chi_roundtrip(inst)))
         out.emit(run_check(name, "spatial", lambda: (*is_spatial(inst.rqf), "")))
-        out.emit(run_check(name, "filter-category-sober",
-                           lambda: (*is_sober(c_object(inst.rqf).topcat), "")))
+        out.emit(run_check(name, "filter-category-sober", lambda: (*is_sober(
+            inst.chi.fc.topcat, build_omega_map(inst.chi.fc.topcat, inst.chi.om)), "")))
     else:
         raise WorkbenchError(f"roundtrip expects a category or rqf document, got '{doc.kind}'")
     return out.finish()
@@ -311,6 +311,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT_ERROR if e.code not in (0, None) else EXIT_OK
     out = _Output(args.format)
     try:
+        if args.max_elements > MAX_TABLE_SIDE:  # before any table is allocated
+            raise BoundExceeded(f"max_elements {args.max_elements} exceeds hard limit "
+                                f"{MAX_TABLE_SIDE}")
         return _COMMANDS[args.command](args, out)
     except BoundExceeded as e:
         print(f"bound exceeded: {e}", file=sys.stderr)

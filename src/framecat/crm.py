@@ -2,14 +2,14 @@
 frames, proper and callitic morphisms, S-filters and the second adjunction.
 
 The second adjunction is built from the first: its callitic hom-set is
-found by duality.generator_search over the join-primes J(S), its transposes
-(transposes_II, array maps as in duality) are checked by
-duality.check_transposes, and its S-filter category is read off J(S) by
-functors.filter_category, as C(Q) is off J(Q), into the same
-functors.FilterCategory type.  J(S), the compatible-join table and the
-S-filter category are cached on the monoid (order.cached); the join table
-of the target is built once per callitic enumeration and passed to
-validate_crm_morphism for every candidate.
+found by duality.generator_search over the join-primes J(S), its
+transposes are duality.transposes over the member rows of the S-filters
+and of the open local bisections of C, checked by duality.check_transposes,
+and its S-filter category is read off J(S) by functors.filter_category, as
+C(Q) is off J(Q), into the same functors.FilterCategory type.  J(S), the
+compatible-join table and the S-filter category are cached on the monoid
+(order.cached); the join table of the target is built once per callitic
+enumeration and passed to validate_crm_morphism for every candidate.
 
 The target PI(Omega(C)) is read off C, without building Omega(C)
 (bisection_monoid): it is the monoid of the open local bisections of C,
@@ -71,13 +71,14 @@ non-commutative frame theory*, Adv. Math. 311, 2017.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .bits import iter_bits, mask_of, pack_words, row_masks, word_lookup
+from .bits import (bit_matrix, bool_product, iter_bits, mask_of, pack_words, row_masks,
+                   word_lookup)
 from .duality import (AdjunctionReport, check_transposes, enumerate_covering_functors,
-                      generator_search, positions, transpose)
+                      generator_search, positions, transposes)
 from .functors import (FilterCategory, _require_open, arrow_set_tables, c_object,
                        filter_category, require_etale)
 from .order import FiniteLattice, FinitePoset, _freeze, cached, validate_poset
@@ -591,13 +592,16 @@ def s_filters(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> FilterCate
 
 
 def s_filter_bijection(sf: FilterCategory, lv: IdealCompletion) -> np.ndarray:
-    """A' -> (A')^up-in-R: the R-filter of all ideals meeting A'.
-    Returns the arrow map S-filter index -> C(L(S)) filter index."""
-    fc = c_object(lv.rqf)
-    out = np.zeros(sf.n, dtype=np.int64)
-    for k, m in enumerate(sf.members):
-        members = mask_of(i for i, ideal in enumerate(lv.ideals) if ideal & m)
-        out[k] = fc.filter_of(members, "(A')^up")
+    """A' -> (A')^up-in-R: the R-filter of all ideals meeting A', for the
+    S-filter category sf of lv.source.  Returns the arrow map S-filter
+    index -> C(L(S)) filter index: the rows of ideals meeting each A', one
+    boolean product, looked up among the member rows of the filters of
+    C(L(S)).  Raises ValueError if one of them is no such filter."""
+    s, fc = lv.source, c_object(lv.rqf)
+    meets = bool_product(s.leq[sf.generators], bit_matrix(lv.ideals, s.n).T)
+    out = word_lookup(pack_words(lv.rqf.leq[fc.generators]))(pack_words(meets))
+    if (out < 0).any():
+        raise ValueError("(A')^up is not a completely prime filter")
     return out
 
 
@@ -636,40 +640,6 @@ def bisection_monoid(tc: FiniteTopCategory, max_elements: int = 1024) -> Bisecti
                            joins=_freeze(joins))
 
 
-def transposes_II(s: CompleteRestrictionMonoid, sf: FilterCategory,
-                  bis: BisectionMonoid) -> tuple[Callable, Callable]:
-    """The two transposes of adjunction II between C and S, each one array
-    map (`duality.transpose`) over the member rows of the S-filters (row k
-    of the order at the least member of filter k) and of the open local
-    bisections of C, with the lookup of a set among each built once, on
-    the first call of either.  forward: covering functor
-    alpha: C -> C(S)  |->  map S -> PI(Omega(C)), a |-> {c : a in alpha(c)};
-    backward: map theta: S -> PI(Omega(C))  |->  arrow map C -> C(S),
-    c |-> {a : c in theta(a)}.  Each returns None where a set is not in
-    the other hom-set's codomain (no open local bisection, no S-filter)."""
-    built: list[tuple] = []
-
-    def tables() -> tuple:
-        if not built:
-            filters = s.leq[sf.generators]  # [k, a]: a in S-filter k
-            built.append((filters, word_lookup(pack_words(filters)),
-                          word_lookup(pack_words(bis.members))))
-        return built[0]
-
-    def found(indices: np.ndarray) -> Optional[np.ndarray]:
-        return None if (indices < 0).any() else indices
-
-    def forward(alpha) -> Optional[np.ndarray]:
-        filters, _, find_bisection = tables()
-        return found(transpose(alpha, filters, find_bisection))
-
-    def backward(theta) -> Optional[np.ndarray]:
-        _, find_filter, _ = tables()
-        return found(transpose(theta, bis.members, find_filter))
-
-    return forward, backward
-
-
 def enumerate_callitic_morphisms(s: CompleteRestrictionMonoid,
                                  t: CompleteRestrictionMonoid,
                                  max_elements: int = 64,
@@ -700,7 +670,7 @@ def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
     callitic morphisms S -> PI(Omega(C)), with the transposes inherited from
     the first adjunction through the monoid/quantal-frame translation:
     T(alpha)(s) = {c : s in alpha(c)} and B(theta)(c) = {s : c in theta(s)}
-    (transposes_II), checked by duality.check_transposes.  PI(Omega(C)) is
+    (duality.transposes), checked by duality.check_transposes.  PI(Omega(C)) is
     read off C as its open local bisections (bisection_monoid), so Omega(C)
     is never built.
     """
@@ -711,5 +681,5 @@ def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
     bis = bisection_monoid(tc)
     rep.functor_homset = enumerate_covering_functors(tc, sf.topcat, max_arrows)
     rep.morphism_homset = enumerate_callitic_morphisms(s, bis.crm, max_elements, bis.joins)
-    check_transposes(rep, *transposes_II(s, sf, bis))
+    check_transposes(rep, *transposes(s.leq[sf.generators], bis.members))
     return rep

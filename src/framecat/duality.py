@@ -11,7 +11,11 @@ Order, ch. 5).  That is O(n |J| + |J|^2) instead of three n-by-n gathers.
 
 chi sends a quantale element a to the set X_a of completely prime filters
 containing it; omega sends an arrow x to the filter O_x of opens containing
-it.  The adjunction is verified literally: both hom-sets are enumerated
+it.  They are the unit and the counit of the adjunction, so each is the
+transpose of an identity (Mac Lane, Categories for the Working
+Mathematician, IV.1): chi = forward(id of C(Q)) and omega = backward(id of
+Omega(C)), built by the one `transposes` that both adjunctions use.  The
+adjunction is verified literally: both hom-sets are enumerated
 exhaustively and the two transposes are checked to be mutually inverse
 bijections between them (check_transposes).  The morphism hom-set is found
 by generator_search, a backtracking over the images of the generators J of
@@ -19,39 +23,36 @@ the source only, each law compiled into the level of its last generator;
 the functor hom-set, and an isomorphism of categories, by arrow_maps, one
 backtracking over arrow maps that compiles composition and injectivity
 into the level of the last arrow alike.  The second adjunction in crm
-reuses the functor search, generator_search and check_transposes.  J, PI,
-C(Q) and the laws generator_search compiles on the generators are cached
-on their algebra (order.cached), so an adjunction check against an
-algebra it has seen before builds none of them again.
+reuses the functor search, generator_search, transposes and
+check_transposes.  J, PI, C(Q) and the laws generator_search compiles on
+the generators are cached on their algebra (order.cached), so an
+adjunction check against an algebra it has seen before builds none of
+them again.
 
-Each transpose reads a membership relation the other way round, as one
-array map (transpose): the filters alpha(c) (or the opens beta(q)) are the
-rows of one bool matrix, and its columns, the sets {c : q in alpha(c)} (or
-{q : c in beta(q)}), are packed into words (bits.pack_words) and looked up
-among the opens (or the filters) by bits.word_lookup, with no Python int
-per element.  The tables they read are built once per check, and only if
-a hom-set is not empty (transposes_I).  check_transposes runs the second
-direction only when the first leaves it open: once every functor has gone
-to a morphism and back to itself, and there are as many distinct functors
-as morphisms, forward is a bijection with inverse backward.
-build_omega_map reads the filters O_x off the columns of the opens as
-Python int masks (bits.bit_matrix, bits.row_masks).
+transposes reads the bool member rows of both sides, the filters (row k
+of the order at the least member of filter k) and the opens of Omega(C)
+(OmegaResult.members) or the open local bisections of C
+(crm.BisectionMonoid.members), with no Python int per element.
+check_transposes runs the second direction only when the first leaves it
+open: once every functor has gone to a morphism and back to itself, and
+there are as many distinct functors as morphisms, forward is a bijection
+with inverse backward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .bits import (bit_matrix, iter_bits, mask_of, pack_words, row_blocks, row_masks,
-                   word_lookup)
+from .bits import pack_words, row_blocks, word_lookup
 from .functors import (FilterCategory, OmegaResult, c_morphism, c_object, omega_morphism,
                        omega_object)
 from .order import _freeze, cached, join_irreducibles
 from .quantale import EhresmannQuantale, partial_isometries
-from .reports import BoundExceeded, Report
+from .reports import BoundExceeded, InternalError, Report
 from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
                      continuity_check, open_local_bisections, validate_covering_functor)
 
@@ -161,7 +162,34 @@ def _is_rqf_morphism_on_j(theta: np.ndarray, q: EhresmannQuantale,
 
 
 # ---------------------------------------------------------------------------
-# chi and spatiality
+# the transposes, and chi and omega as the transposes of identities
+
+def transposes(filters: np.ndarray, sets: np.ndarray) -> tuple[Callable, Callable]:
+    """The two transposes of an adjunction between a category C and an
+    algebra A, over bool member rows: filters[k, x], element x of A is in
+    filter k (the arrows of the filter category of A), and sets[i, c], arrow
+    c of C is in set i (the opens of Omega(C), or its open local
+    bisections).
+
+    forward: arrow map alpha: C -> filters  |->  map A -> sets,
+    x |-> {c : x in alpha(c)}; backward: map beta: A -> sets  |->  arrow
+    map C -> filters, c |-> {x : c in beta(x)}.  Each reads one membership
+    relation the other way round, as one array map: column x (or c) of
+    filters[alpha] (or sets[beta]) is packed into words (bits.pack_words)
+    and looked up among the rows of the other side (bits.word_lookup).
+    Each returns None when one of these sets is not among those rows (no
+    open or bisection, no filter).  The lookup of each side is built on the
+    first call that needs it, so an empty hom-set builds none."""
+    find_set = cache(lambda: word_lookup(pack_words(sets)))
+    find_filter = cache(lambda: word_lookup(pack_words(filters)))
+
+    def transposed(images, rows: np.ndarray, find: Callable) -> Optional[np.ndarray]:
+        out = find()(pack_words(rows[np.asarray(images, dtype=np.int64)].T))
+        return None if (out < 0).any() else _freeze(out)
+
+    return (lambda alpha: transposed(alpha, filters, find_set),
+            lambda beta: transposed(beta, sets, find_filter))
+
 
 @dataclass(frozen=True, eq=False)
 class ChiResult:
@@ -172,12 +200,19 @@ class ChiResult:
 
 
 def build_chi(q: EhresmannQuantale) -> ChiResult:
+    """chi: Q -> Omega(C(Q)), a |-> X_a, the unit of adjunction I: the
+    forward transpose of the identity of C(Q).  Every X_a is open in C(Q),
+    so an X-set missing from Omega(C(Q)) is an InternalError.  Omega(C(Q))
+    has at most n elements: its opens are the X-sets, as X_a | X_b =
+    X_(a \\/ b)."""
     fc = c_object(q)
     om = omega_object(fc.topcat, max_elements=1 << 20)
-    chi = np.array([om.index[fc.x_mask(a)] for a in range(q.n)], dtype=np.int64)
+    chi = transposes(q.leq[fc.generators], om.members)[0](np.arange(fc.n))
+    if chi is None:
+        raise InternalError("an X-set of C(Q) is not an open of Omega(C(Q))")
     rep = validate_rqf_morphism(chi, q, om.rqf)
     rep.subject = "chi"
-    return ChiResult(chi=_freeze(chi), fc=fc, om=om, report=rep)
+    return ChiResult(chi=chi, fc=fc, om=om, report=rep)
 
 
 def is_spatial(q: EhresmannQuantale) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -204,9 +239,6 @@ def chi_is_isomorphism(chi: ChiResult) -> tuple[bool, str]:
     return True, ""
 
 
-# ---------------------------------------------------------------------------
-# omega map and sobriety
-
 @dataclass(frozen=True, eq=False)
 class OmegaMapResult:
     omega: np.ndarray        # C -> C(Omega(C)) arrow map
@@ -216,25 +248,28 @@ class OmegaMapResult:
 
 
 def build_omega_map(tc: FiniteTopCategory, om: Optional[OmegaResult] = None) -> OmegaMapResult:
-    """omega: C -> C(Omega(C)); `om` is Omega(C) when already built."""
+    """omega: C -> C(Omega(C)), x |-> O_x, the opens containing x, the
+    counit of adjunction I: the backward transpose of the identity of
+    Omega(C).  `om` is Omega(C) when already built.  Every O_x is a
+    completely prime filter, so one missing from C(Omega(C)) is an
+    InternalError."""
     if om is None:
         om = omega_object(tc)
     fc = c_object(om.rqf, max_opens=1 << 20)
-    omega = np.zeros(tc.n, dtype=np.int64)
-    for x, members in enumerate(row_masks(bit_matrix(om.opens, tc.n).T)):
-        omega[x] = fc.filter_of(members, f"O_{x}")
+    filters = om.rqf.leq[fc.generators]  # [k, i]: open i is in filter k
+    omega = transposes(filters, om.members)[1](np.arange(om.n))
+    if omega is None:
+        raise InternalError("a filter O_x of Omega(C) is not a completely prime filter")
     rep = validate_covering_functor(omega, tc.cat, fc.topcat.cat)
     rep.subject = "omega-map"
     ok, wit = continuity_check(omega, tc, fc.topcat)
     if not ok:
         rep.add("omega.continuous", (wit,))
-    # omega^{-1}(X_U) = U, per element of Omega(C)
-    x_sets = bit_matrix([fc.x_mask(i) for i in range(om.n)], fc.n)
-    for i, pre in enumerate(row_masks(x_sets[:, omega])):
-        if pre != om.opens[i]:
-            rep.add("omega.preimage_of_xset", (i,))
-            break
-    return OmegaMapResult(omega=_freeze(omega), om=om, fc=fc, report=rep)
+    # omega^{-1}(X_U) = U, per element U of Omega(C)
+    bad = np.flatnonzero((filters[omega].T != om.members).any(axis=1))
+    if bad.size:
+        rep.add("omega.preimage_of_xset", (int(bad[0]),))
+    return OmegaMapResult(omega=omega, om=om, fc=fc, report=rep)
 
 
 def is_sober(tc: FiniteTopCategory,
@@ -243,13 +278,13 @@ def is_sober(tc: FiniteTopCategory,
     if res is None:
         res = build_omega_map(tc)
     omega, fc = res.omega, res.fc
-    if len(set(int(v) for v in omega)) != tc.n or fc.n != tc.n:
+    if len(np.unique(omega)) != tc.n or fc.n != tc.n:
         return False, ("not_bijective", tc.n, fc.n)
-    for i in range(res.om.n):
-        u = res.om.opens[i]
-        image = mask_of(int(omega[x]) for x in iter_bits(u))
-        if image != fc.x_mask(i):
-            return False, ("image_of_open", i)
+    image = np.zeros((res.om.n, fc.n), dtype=bool)  # [i, omega(x)]: x in open i
+    image[:, omega] = res.om.members
+    bad = np.flatnonzero((image != res.om.rqf.leq[fc.generators].T).any(axis=1))
+    if bad.size:
+        return False, ("image_of_open", int(bad[0]))
     return True, None
 
 
@@ -261,9 +296,8 @@ def omega_is_isomorphism(tc: FiniteTopCategory, res: OmegaMapResult) -> tuple[bo
         return False, f"omega is not a sober bijection: {wit}"
     # a bijective functor between finite categories whose inverse preserves
     # d, r and composition is an isomorphism; verify the inverse directly
-    inv = np.zeros(tc.n, dtype=np.int64)
-    for x in range(tc.n):
-        inv[int(res.omega[x])] = x
+    inv = np.empty(tc.n, dtype=np.int64)
+    inv[res.omega] = np.arange(tc.n)
     rep = validate_covering_functor(inv, res.fc.topcat.cat, tc.cat)
     if not rep.ok:
         return False, "inverse of omega is not a functor"
@@ -271,61 +305,6 @@ def omega_is_isomorphism(tc: FiniteTopCategory, res: OmegaMapResult) -> tuple[bo
     if not ok:
         return False, f"inverse of omega is not continuous at open {wit}"
     return True, ""
-
-
-# ---------------------------------------------------------------------------
-# the adjunction transposes
-
-def transpose(images, rows: np.ndarray, find) -> np.ndarray:
-    """A membership relation read the other way round, as one array map:
-    entry x is the index, by find (a `bits.word_lookup`), of the set
-    {k : rows[images[k], x]}, column x of rows[images]; -1 where that set is
-    not in find's table.  Each column is a row of the transposed matrix,
-    packed into words, so this is exact at any width."""
-    return find(pack_words(rows[np.asarray(images, dtype=np.int64)].T))
-
-
-def transposes_I(q: EhresmannQuantale, fc: FilterCategory,
-                 om: OmegaResult) -> tuple[Callable, Callable]:
-    """The two transposes of adjunction I between C = om.source and q, with
-    the tables they read built once, on the first call of either: the
-    member rows of the filters of C(Q) (row k of the order at the least
-    member of filter k) and of the opens of Omega(C), and the lookup of a
-    set among each.
-
-    forward: covering functor alpha: C -> C(Q)  |->  morphism
-    Q -> Omega(C), q |-> alpha^{-1}(X_q) = {c : q in alpha(c)}; backward:
-    morphism beta: Q -> Omega(C)  |->  functor C -> C(Q),
-    c |-> beta^{-1}(O_c) = {q : c in beta(q)}.  Each is one `transpose`,
-    and raises ValueError at the first set that is no open (no completely
-    prime filter)."""
-    built: list[tuple] = []
-
-    def tables() -> tuple:
-        if not built:
-            filters = q.leq[fc.generators]              # [k, x]: x in filter k
-            opens = bit_matrix(om.opens, om.source.n)  # [i, c]: c in open i
-            built.append((filters, opens, word_lookup(pack_words(filters)),
-                          word_lookup(pack_words(opens))))
-        return built[0]
-
-    def forward(alpha) -> np.ndarray:
-        filters, _, _, find_open = tables()
-        out = transpose(alpha, filters, find_open)
-        bad = np.flatnonzero(out < 0)
-        if bad.size:
-            raise ValueError(f"transpose of alpha is not open at element {bad[0]}")
-        return _freeze(out)
-
-    def backward(beta) -> np.ndarray:
-        _, opens, find_filter, _ = tables()
-        out = transpose(beta, opens, find_filter)
-        bad = np.flatnonzero(out < 0)
-        if bad.size:
-            raise ValueError(f"beta^-1(O_{bad[0]}) is not a completely prime filter")
-        return _freeze(out)
-
-    return forward, backward
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +571,7 @@ def verify_adjunction_I(tc: FiniteTopCategory, q: EhresmannQuantale,
         raise BoundExceeded(f"C(Q) has {fc.n} arrows > {max_arrows}")
     rep.functor_homset = enumerate_covering_functors(tc, fc.topcat, max_arrows)
     rep.morphism_homset = enumerate_rqf_morphisms(q, om.rqf, max_elements)
-    check_transposes(rep, *transposes_I(q, fc, om))
+    check_transposes(rep, *transposes(q.leq[fc.generators], om.members))
     return rep
 
 
@@ -649,8 +628,9 @@ def check_naturality_in_category(g, tc_src: FiniteTopCategory, tc_dst: FiniteTop
     if om_dst is None:
         om_dst = omega_object(tc_dst)
     omega_g = omega_morphism(g, om_src, om_dst)
-    forward_src = transposes_I(q, fc, om_src)[0]
-    forward_dst = transposes_I(q, fc, om_dst)[0]
+    filters = q.leq[fc.generators]
+    forward_src = transposes(filters, om_src.members)[0]
+    forward_dst = transposes(filters, om_dst.members)[0]
     for alpha in enumerate_covering_functors(tc_dst, fc.topcat):
         lhs = forward_src(alpha[g])
         rhs = omega_g[forward_dst(alpha)]
@@ -671,8 +651,8 @@ def check_naturality_in_quantale(psi, q_src: EhresmannQuantale, q_dst: Ehresmann
     if om is None:
         om = omega_object(tc)
     c_psi = c_morphism(psi, fc_src, fc_dst)
-    forward_src = transposes_I(q_src, fc_src, om)[0]
-    forward_dst = transposes_I(q_dst, fc_dst, om)[0]
+    forward_src = transposes(q_src.leq[fc_src.generators], om.members)[0]
+    forward_dst = transposes(q_dst.leq[fc_dst.generators], om.members)[0]
     for alpha in enumerate_covering_functors(tc, fc_dst.topcat):
         lhs = forward_src(c_psi[alpha])
         rhs = forward_dst(alpha)[psi]

@@ -33,8 +33,11 @@ words of the `bits` kernel: inclusion, intersection and union are word
 AND/OR on whole rows of opens, the d- and r-images and the products are
 boolean products (the products over the composable pairs u.v), and
 `bits.word_lookup` maps every result back to its open, a result that is no
-open being an error.  omega_morphism and c_morphism gather columns of the
-bit matrix (bits.bit_matrix) of the opens or filter members at once.
+open being an error.  An OmegaResult keeps the bool member rows of its
+opens, so omega_morphism is one gather of their columns and one word
+lookup, and the transposes of both adjunctions (duality.transposes) read
+them as they are; c_morphism gathers columns of the bit matrix
+(bits.bit_matrix) of the filter members.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ class OmegaResult:
     opens: tuple  # opens[i] = arrow bitmask of quantale element i
     index: dict  # arrow bitmask -> element index
     source: FiniteTopCategory
+    members: np.ndarray  # members[i, a]: arrow a is in open i, read-only
 
     @property
     def n(self) -> int:
@@ -118,7 +122,9 @@ def _omega_discrete(tc: FiniteTopCategory) -> OmegaResult:
 
     q = make_eq(frame, mul, int(cat.identity_mask), star, plus)
     opens = tuple(range(nq))
-    return OmegaResult(rqf=q, opens=opens, index=dict(zip(opens, opens)), source=tc)
+    members = (masks[:, None] >> np.arange(k) & 1).astype(bool)
+    return OmegaResult(rqf=q, opens=opens, index=dict(zip(opens, opens)), source=tc,
+                       members=_freeze(members))
 
 
 def _omega_generic(tc: FiniteTopCategory) -> OmegaResult:
@@ -129,14 +135,16 @@ def _omega_generic(tc: FiniteTopCategory) -> OmegaResult:
     cat = tc.cat
     opens = sorted(tc.topology.opens)
     index = {m: i for i, m in enumerate(opens)}
-    leq, meet, join, mul, star, plus = arrow_set_tables(cat, bit_matrix(opens, cat.n))
+    members = bit_matrix(opens, cat.n)
+    leq, meet, join, mul, star, plus = arrow_set_tables(cat, members)
     _require_open(("intersection", "union"), meet, join)
     frame = FiniteLattice(len(opens), _freeze(leq), _freeze(meet), _freeze(join),
                           bottom=index[0], top=index[full_mask(cat.n)])
     _require_open(("d-image", "r-image"), star, plus)
     _require_open(("product",), mul)
     q = make_eq(frame, mul, index[cat.identity_mask], star, plus)
-    return OmegaResult(rqf=q, opens=tuple(opens), index=index, source=tc)
+    return OmegaResult(rqf=q, opens=tuple(opens), index=index, source=tc,
+                       members=_freeze(members))
 
 
 def arrow_set_tables(cat: FiniteCategory, member: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -182,15 +190,16 @@ def _require_open(what: tuple, *tables: np.ndarray) -> None:
 
 def omega_morphism(fmap, om_src: OmegaResult, om_dst: OmegaResult) -> np.ndarray:
     """The element map Omega(D) -> Omega(C) induced by a continuous covering
-    functor F: C -> D, sending an open U of D to its preimage in C."""
+    functor F: C -> D, sending an open U of D to its preimage in C: the
+    member row of U read at F(a) for every arrow a of C, looked up among the
+    member rows of the opens of C."""
     fmap = np.asarray(fmap, dtype=np.int64)
-    opens = bit_matrix(om_dst.opens, om_dst.source.n)
-    out = np.zeros(om_dst.n, dtype=np.int64)
-    for i, (u_mask, pre) in enumerate(zip(om_dst.opens, row_masks(opens[:, fmap]))):
-        j = om_src.index.get(pre)
-        if j is None:
-            raise ValueError(f"preimage of open {u_mask} is not open; functor not continuous")
-        out[i] = j
+    find = word_lookup(pack_words(om_src.members))
+    out = find(pack_words(om_dst.members[:, fmap]))
+    bad = np.flatnonzero(out < 0)
+    if bad.size:
+        raise ValueError(f"preimage of open {om_dst.opens[bad[0]]} is not open; "
+                         "functor not continuous")
     return _freeze(out)
 
 

@@ -1,21 +1,24 @@
-"""Shared by the oracle tests of the maps built on bit matrices (the
-transposes of both adjunctions, omega_morphism and c_morphism): each is
-compared with the element-by-element body it had before, on hom-set members
-and their one-value perturbations.  Also the rqf hom-set search's decision
-on join-irreducibles against validate_rqf_morphism, the arrow relabelling
-of a category that the hom-set tests search under, and the maps the
-arrow-map search yields to the covering functor search."""
+"""Shared by the oracle tests of the maps built on member rows (the
+transposes of both adjunctions, chi and omega, omega_morphism and
+c_morphism): each is compared with the element-by-element body it had
+before, on hom-set members and their one-value perturbations.  Also the rqf
+hom-set search's decision on join-irreducibles against
+validate_rqf_morphism, the relabellings of a category's arrows and of an
+algebra's elements that the tests search under, and the maps the arrow-map
+search yields to the covering functor search."""
 
 from unittest import mock
 
 import numpy as np
 
 from framecat import duality
-from framecat.bits import iter_bits, mask_of
+from framecat.bits import has_bit, iter_bits, mask_of
 from framecat.corpus import etale_categories
-from framecat.order import join_irreducibles
-from framecat.quantale import partial_isometries
-from framecat.topcat import UNDEF, FiniteTopCategory, Topology, make_category
+from framecat.crm import make_crm
+from framecat.order import FiniteLattice, join_irreducibles
+from framecat.quantale import make_eq, partial_isometries
+from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, continuity_check,
+                             make_category, validate_covering_functor)
 
 
 def map_outcome(construction, m, *args):
@@ -67,6 +70,49 @@ def relabel(tc: FiniteTopCategory, perm) -> FiniteTopCategory:
     cat = make_category(c.n, [int(new[a]) for a in c.identities()],
                         new[c.d[old]], new[c.r[old]], comp_table=comp)
     return FiniteTopCategory(cat, Topology(c.n, opens))
+
+
+def relabel_rqf(q, perm):
+    """The same restriction quantal frame with element a renamed perm[a]."""
+    new = np.asarray(perm, dtype=np.int64)
+    old = np.argsort(new)  # old[b] is the element renamed b
+    block = np.ix_(old, old)
+    lattice = FiniteLattice(q.n, q.leq[block], new[q.meet[block]], new[q.join[block]],
+                            int(new[q.bottom]), int(new[q.top]))
+    return make_eq(lattice, new[q.mul[block]], int(new[q.unit]), new[q.star[old]],
+                   new[q.plus[old]])
+
+
+def relabel_crm(s, perm):
+    """The same complete restriction monoid with element a renamed perm[a]."""
+    new = np.asarray(perm, dtype=np.int64)
+    old = np.argsort(new)
+    block = np.ix_(old, old)
+    return make_crm(s.n, s.leq[block], new[s.mul[block]], new[s.unit], new[s.zero],
+                    new[s.star[old]], new[s.plus[old]], new[s.meet[block]])
+
+
+def reversed_labels(n: int) -> np.ndarray:
+    return np.arange(n)[::-1]
+
+
+def build_omega_map_oracle(tc, om, fc):
+    """The omega map and the laws its report names, with their witnesses."""
+    omega = np.zeros(tc.n, dtype=np.int64)
+    for x in range(tc.n):
+        members = mask_of(i for i, u in enumerate(om.opens) if has_bit(u, x))
+        omega[x] = fc.filter_of(members, f"O_{x}")
+    rep = validate_covering_functor(omega, tc.cat, fc.topcat.cat)
+    ok, wit = continuity_check(omega, tc, fc.topcat)
+    if not ok:
+        rep.add("omega.continuous", (wit,))
+    for i in range(om.n):
+        xu = fc.x_mask(i)
+        pre = mask_of(x for x in range(tc.n) if has_bit(xu, int(omega[x])))
+        if pre != om.opens[i]:
+            rep.add("omega.preimage_of_xset", (i,))
+            break
+    return omega, [(v.law, v.witness) for v in rep.violations]
 
 
 def small_corpus_categories():

@@ -88,6 +88,70 @@ def test_bound_exceeded_exit_code(fixture_dir):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["omega", "pair2.topcategory.json"],
+    ["roundtrip", "pair2.topcategory.json"],
+    ["roundtrip", "omega-pair2.rqf.json"],
+    ["crm", "omega-pair2.rqf.json"],
+    ["adjoint", "pair2.topcategory.json", "omega-pair2.rqf.json"],
+    ["corpus", "run"],
+])
+def test_max_elements_above_table_side_exits_3_before_allocating(fixture_dir, monkeypatch,
+                                                                 capsys, argv):
+    """--max-elements 4097 would let Omega of a 12-arrow document build
+    4096-by-4096 tables, and one of 16 arrows tables of 32 GiB each; it is
+    refused before any command runs.  The table builders fail loudly here,
+    so the test allocates nothing whatever the CLI does."""
+    from framecat import functors, suite
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a table was built")
+    for module, name in ((functors, "_omega_discrete"), (functors, "_omega_generic"),
+                         (suite, "l_vee")):
+        monkeypatch.setattr(module, name, refused)
+    files = [str(fixture_dir / a) if a.endswith(".json") else a for a in argv]
+    assert main(["--max-elements", "4097", *files]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "bound exceeded: max_elements 4097 exceeds hard limit 4096\n"
+
+
+def test_max_elements_at_table_side_is_accepted(fixture_dir, capsys):
+    assert main(["--max-elements", "4096", "omega",
+                 str(fixture_dir / "pair2.topcategory.json")]) == 0
+
+
+def test_roundtrip_on_rqf_builds_omega_of_c_once(fixture_dir, monkeypatch, capsys):
+    """chi and the sobriety of C(Q) share one Omega(C(Q)), under one bound."""
+    from framecat import cli, duality, functors, suite
+    built = []
+    real = functors.omega_object
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return real(*args, **kwargs)
+    for module in (cli, duality, functors, suite):
+        monkeypatch.setattr(module, "omega_object", counted)
+    assert main(["roundtrip", str(fixture_dir / "omega-pair3.rqf.json")]) == 0
+    assert len(built) == 1
+    assert "-- 3 checks, 0 failed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name,text", [
+    ("omega-pair2.rqf.json", "an X-set of C(Q)"),
+    ("pair2.topcategory.json", "a filter O_x of Omega(C)"),
+])
+def test_chi_or_omega_outside_the_other_side_exits_4(fixture_dir, monkeypatch, capsys,
+                                                     name, text):
+    """chi and omega are transposes of identities, which valid input always
+    has; a transpose that finds no set is an internal error."""
+    from framecat import duality
+    monkeypatch.setattr(duality, "transposes",
+                        lambda filters, sets: (lambda alpha: None, lambda beta: None))
+    assert main(["roundtrip", str(fixture_dir / name)]) == 4
+    assert capsys.readouterr().err.startswith("internal error: " + text)
+
+
 def test_omega_command_emits_rqf(fixture_dir, tmp_path, capsys):
     out_path = tmp_path / "omega.json"
     code = main(["omega", str(fixture_dir / "semilattice-monoid.topcategory.json"),

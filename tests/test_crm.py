@@ -19,11 +19,12 @@ from framecat.crm import (CompleteRestrictionMonoid, IdealCompletion,
                           is_callitic, is_proper, join_primes, l_vee, make_crm,
                           pi_restriction_monoid, preserves_finite_meets,
                           s_filter_bijection, s_filters, s_filters_list,
-                          theta_extension, transposes_II,
+                          theta_extension,
                           validate_crm, validate_crm_morphism,
                           verify_adjunction_II)
 from framecat.duality import (enumerate_covering_functors, find_category_isomorphism,
-                              positions, quantale_isomorphism_ok, verify_adjunction_I)
+                              positions, quantale_isomorphism_ok, transposes,
+                              verify_adjunction_I)
 from framecat.functors import FilterCategory, c_object, omega_object
 from framecat.order import lattice_from_leq
 from framecat.quantale import frame_as_quantale, make_eq, partial_isometries, validate_rqf
@@ -32,7 +33,8 @@ from framecat.suite import Instance, ideals_of_isometries_roundtrip, isometries_
 from framecat.topcat import (UNDEF, FiniteTopCategory, make_category, topology_from_base,
                              validate_covering_functor)
 from map_oracles import (assert_transposes_match_oracles, map_outcome,
-                         one_value_perturbations, relabel, small_corpus_categories)
+                         one_value_perturbations, relabel, relabel_crm, reversed_labels,
+                         small_corpus_categories)
 from random_categories import small_categories
 
 
@@ -912,6 +914,36 @@ def test_s_filter_d_r_transfer(i2):
         assert lifted_r == int(fc.topcat.cat.r[int(bij[k])])
 
 
+def s_filter_bijection_by_ideals(sf, lv):
+    """s_filter_bijection as it was: for each S-filter, the mask of the
+    ideals meeting it, one ideal at a time."""
+    fc = c_object(lv.rqf)
+    out = np.zeros(sf.n, dtype=np.int64)
+    for k, m in enumerate(sf.members):
+        members = mask_of(i for i, ideal in enumerate(lv.ideals) if ideal & m)
+        out[k] = fc.filter_of(members, "(A')^up")
+    return out
+
+
+def assert_s_filter_bijection_matches_oracle(s):
+    lv = l_vee(s)
+    assert (map_outcome(s_filter_bijection, s_filters(s), lv)
+            == map_outcome(s_filter_bijection_by_ideals, s_filters(s), lv))
+
+
+@pytest.mark.parametrize("name", [i.name for i in corpus_crms()])
+def test_s_filter_bijection_matches_oracle_on_corpus_crms(name):
+    s = next(i.obj for i in corpus_crms() if i.name == name)
+    assert_s_filter_bijection_matches_oracle(s)
+    assert_s_filter_bijection_matches_oracle(relabel_crm(s, reversed_labels(s.n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_categories())
+def test_s_filter_bijection_matches_oracle_on_random_categories(tc):
+    assert_s_filter_bijection_matches_oracle(pi_restriction_monoid(omega_object(tc).rqf)[0])
+
+
 # ---------------------------------------------------------------------------
 # the second adjunction
 
@@ -1059,7 +1091,7 @@ def adjunction_II_transposes(tc, s):
     bis = bisection_monoid(tc)
     assert list(bis.masks) == [om.opens[c] for c in carrier]
     assert_same_monoid(bis.crm, t)
-    forward, backward = transposes_II(s, sf, bis)
+    forward, backward = transposes(s.leq[sf.generators], bis.members)
     return (forward,
             [lambda m, body=body: body(m, tc, s, sf, om, carrier)
              for body in (transpose_forward_II_oracle, transpose_forward_II_bit_matrix)],

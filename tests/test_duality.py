@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framecat.bits import bit_matrix, has_bit, iter_bits, mask_of, row_masks
+from framecat.bits import (bit_matrix, has_bit, iter_bits, mask_of, pack_words, row_masks,
+                           word_lookup)
 from framecat.corpus import (boolean_frame, chain_frame, corpus_rqfs, etale_categories,
                              cyclic2_category, empty_category,
                              free_category_on_acyclic_graph, m3_lattice,
@@ -20,7 +21,7 @@ from framecat.duality import (AdjunctionReport, _is_rqf_morphism_on_j,
                               enumerate_rqf_morphisms,
                               find_category_isomorphism, is_sober, is_spatial,
                               omega_is_isomorphism, quantale_isomorphism_ok,
-                              transposes_I, validate_rqf_morphism,
+                              transposes, validate_rqf_morphism,
                               verify_adjunction_I)
 from framecat.crm import l_vee, pi_restriction_monoid
 from framecat.functors import c_object, omega_morphism, omega_object
@@ -29,10 +30,10 @@ from framecat.quantale import frame_as_quantale, partial_isometries
 from framecat.reports import BoundExceeded, Report
 from framecat.topcat import UNDEF, continuity_check, validate_covering_functor
 from map_oracles import (assert_j_decisions_match_scan,
-                         assert_transposes_match_oracles, j_decision,
-                         map_outcome, one_value_perturbations, relabel,
-                         searched_arrow_maps, searched_rqf_morphisms,
-                         small_corpus_categories)
+                         assert_transposes_match_oracles, build_omega_map_oracle,
+                         j_decision, map_outcome, one_value_perturbations, relabel,
+                         relabel_rqf, reversed_labels, searched_arrow_maps,
+                         searched_rqf_morphisms, small_corpus_categories)
 from random_categories import small_categories
 
 
@@ -168,7 +169,7 @@ def test_transpose_of_omega_map_is_the_identity(pair2, omega_pair2):
     fc = c_object(q)
     om = omega_pair2
     res = build_omega_map(pair2, om)
-    beta = transposes_I(q, fc, om)[0](res.omega)
+    beta = transposes(q.leq[fc.generators], om.members)[0](res.omega)
     assert np.array_equal(beta, np.arange(16))
     assert validate_rqf_morphism(beta, q, om.rqf).ok
 
@@ -177,7 +178,7 @@ def test_transpose_of_identity_morphism_is_omega(pair2, omega_pair2):
     # beta = id : Q -> Omega(C) with Q = Omega(C) transposes to omega
     q = omega_pair2.rqf
     fc = c_object(q)
-    alpha = transposes_I(q, fc, omega_pair2)[1](np.arange(16))
+    alpha = transposes(q.leq[fc.generators], omega_pair2.members)[1](np.arange(16))
     res = build_omega_map(pair2, omega_pair2)
     assert np.array_equal(alpha, res.omega)
 
@@ -186,7 +187,7 @@ def test_transposes_are_mutually_inverse_on_all_pairs(pair2, omega_pair2):
     q = omega_pair2.rqf
     fc = c_object(q)
     om = omega_pair2
-    forward, backward = transposes_I(q, fc, om)
+    forward, backward = transposes(q.leq[fc.generators], om.members)
     for alpha in enumerate_covering_functors(pair2, fc.topcat):
         beta = forward(alpha)
         assert validate_rqf_morphism(beta, q, om.rqf).ok
@@ -303,15 +304,7 @@ def test_check_transposes_matches_the_two_direction_check_on_perturbed_homsets(
     hom-sets with a member moved at one value, dropped or repeated."""
     q, om = omega_pair2.rqf, omega_pair2
     fc = c_object(q)
-    forward, backward = transposes_I(q, fc, om)
-
-    def none_on_value_error(transpose):
-        def image(m):
-            try:
-                return transpose(m)
-            except ValueError:  # the set is no open, or no filter
-                return None
-        return image
+    forward, backward = transposes(q.leq[fc.generators], om.members)
 
     functors = enumerate_covering_functors(pair2, fc.topcat)
     morphisms = enumerate_rqf_morphisms(q, om.rqf)
@@ -324,8 +317,7 @@ def test_check_transposes_matches_the_two_direction_check_on_perturbed_homsets(
         for bad in one_value_perturbations(morphisms[i], om.n):
             variants.append((functors, morphisms[:i] + [bad] + morphisms[i + 1:]))
     for homsets in variants:
-        assert_same_transpose_check(*homsets, none_on_value_error(forward),
-                                    none_on_value_error(backward))
+        assert_same_transpose_check(*homsets, forward, backward)
 
 
 def test_adjunction_I_reads_the_isometries_of_the_omega_it_builds_off_c(monkeypatch):
@@ -571,11 +563,13 @@ def test_quantale_isomorphism_check_matches_two_scans(iso, q1, q2):
 
 
 # ---------------------------------------------------------------------------
-# the transposes against the bodies they had before they were array maps:
-# the element-by-element ones, and the ones that read the columns of a bit
-# matrix back as Python int masks; same image or same ValueError text, on
-# every hom-set member of the small corpus pairs and of pair3, and on
-# one-value perturbations of each
+# the transposes against the bodies they had before they were one array map
+# over member rows for both adjunctions: the element-by-element ones, the
+# ones that read the columns of a bit matrix back as Python int masks, and
+# transposes_I, which read the opens of Omega(C) off their masks; same image
+# or None, on every hom-set member of the small corpus pairs and of pair3,
+# and on one-value perturbations of each.  The three raised ValueError where
+# the transposes return None, at the same set: no open, or no filter.
 
 def transpose_forward_oracle(alpha, tc, q, fc, om):
     alpha = np.asarray(alpha, dtype=np.int64)
@@ -585,7 +579,7 @@ def transpose_forward_oracle(alpha, tc, q, fc, om):
                           if has_bit(fc.members[int(alpha[c])], a))
         i = om.index.get(members)
         if i is None:
-            raise ValueError(f"transpose of alpha is not open at element {a}")
+            return None
         out[a] = i
     return out
 
@@ -595,7 +589,10 @@ def transpose_backward_oracle(beta, tc, q, fc, om):
     out = np.zeros(tc.n, dtype=np.int64)
     for c in range(tc.n):
         members = mask_of(a for a in range(q.n) if has_bit(om.opens[int(beta[a])], c))
-        out[c] = fc.filter_of(members, f"beta^-1(O_{c})")
+        k = fc.index.get(members)
+        if k is None:
+            return None
+        out[c] = k
     return out
 
 
@@ -606,7 +603,7 @@ def transpose_forward_bit_matrix(alpha, tc, q, fc, om):
     for a, open_mask in enumerate(row_masks(members[alpha].T)):
         i = om.index.get(open_mask)
         if i is None:
-            raise ValueError(f"transpose of alpha is not open at element {a}")
+            return None
         out[a] = i
     return out
 
@@ -615,20 +612,41 @@ def transpose_backward_bit_matrix(beta, tc, q, fc, om):
     opens = [om.opens[b] for b in np.asarray(beta, dtype=np.int64).tolist()]
     out = np.zeros(tc.n, dtype=np.int64)
     for c, members in enumerate(row_masks(bit_matrix(opens, tc.n).T)):
-        out[c] = fc.filter_of(members, f"beta^-1(O_{c})")
+        k = fc.index.get(members)
+        if k is None:
+            return None
+        out[c] = k
     return out
+
+
+def transposes_I_oracle(q, fc, om):
+    """duality.transposes_I as it was: the filter rows of C(Q) and the
+    opens of Omega(C) read off their masks (bits.bit_matrix), and None
+    where it raised ValueError."""
+    filters = q.leq[fc.generators]              # [k, x]: x in filter k
+    opens = bit_matrix(om.opens, om.source.n)  # [i, c]: c in open i
+    find_filter, find_open = word_lookup(pack_words(filters)), word_lookup(pack_words(opens))
+
+    def transposed(images, rows, find):
+        out = find(pack_words(rows[np.asarray(images, dtype=np.int64)].T))
+        return None if (out < 0).any() else out
+
+    return (lambda alpha: transposed(alpha, filters, find_open),
+            lambda beta: transposed(beta, opens, find_filter))
 
 
 def adjunction_I_transposes(tc, q, fc, om):
     """forward, its oracles, backward, its oracles, each taking the map
     alone."""
-    forward, backward = transposes_I(q, fc, om)
+    forward, backward = transposes(q.leq[fc.generators], om.members)
+    forward_I, backward_I = transposes_I_oracle(q, fc, om)
     return (forward,
-            [lambda m, body=body: body(m, tc, q, fc, om)
-             for body in (transpose_forward_oracle, transpose_forward_bit_matrix)],
+            [forward_I] + [lambda m, body=body: body(m, tc, q, fc, om)
+                           for body in (transpose_forward_oracle, transpose_forward_bit_matrix)],
             backward,
-            [lambda m, body=body: body(m, tc, q, fc, om)
-             for body in (transpose_backward_oracle, transpose_backward_bit_matrix)])
+            [backward_I] + [lambda m, body=body: body(m, tc, q, fc, om)
+                            for body in (transpose_backward_oracle,
+                                         transpose_backward_bit_matrix)])
 
 
 @pytest.mark.parametrize("name2,tc2", small_corpus_categories())
@@ -670,8 +688,100 @@ def test_transposes_match_oracles_on_degenerate_shapes():
             for oracle in backward_oracles:
                 assert map_outcome(backward, m) == map_outcome(oracle, m)
     # the last case: the one arrow lies in no open beta(q) of the bottom
-    assert map_outcome(backward, np.array([0])) == (
-        "ValueError", "beta^-1(O_0) is not a completely prime filter")
+    assert map_outcome(backward, np.array([0])) is None
+
+
+# ---------------------------------------------------------------------------
+# chi and omega, the transposes of identities, against the bodies they had
+# before: chi by the index of each X-set, omega by build_omega_map_oracle,
+# sobriety by the image of each open as a mask, and the adjunction I
+# transposes between C and Omega(C) against transposes_I; on every corpus
+# category and rqf, their reversed relabellings and random categories
+
+def chi_by_index(q):
+    """build_chi's map as it was: the index of X_a among the opens of
+    Omega(C(Q)), for each element a."""
+    fc = c_object(q)
+    om = omega_object(fc.topcat, max_elements=1 << 20)
+    return np.array([om.index[fc.x_mask(a)] for a in range(q.n)], dtype=np.int64)
+
+
+def is_sober_by_opens(tc, res):
+    """is_sober as it was: bijectivity by a set of Python ints, then the
+    image of each open under omega as a mask, against its X-set."""
+    omega, fc = res.omega, res.fc
+    if len(set(int(v) for v in omega)) != tc.n or fc.n != tc.n:
+        return False, ("not_bijective", tc.n, fc.n)
+    for i in range(res.om.n):
+        image = mask_of(int(omega[x]) for x in iter_bits(res.om.opens[i]))
+        if image != fc.x_mask(i):
+            return False, ("image_of_open", i)
+    return True, None
+
+
+def assert_chi_matches_oracle(q):
+    assert build_chi(q).chi.tolist() == chi_by_index(q).tolist()
+
+
+def assert_unit_and_counit_match_oracles(tc):
+    """omega, its report and sobriety for C, chi for Omega(C), and the
+    transposes between C and Omega(C) on the hom-set members and their
+    one-value perturbations.  A sober C is isomorphic to C(Omega(C)) by
+    omega, which omega_is_isomorphism checks through its inverse."""
+    om = omega_object(tc)
+    res = build_omega_map(tc, om)
+    omega, laws = build_omega_map_oracle(tc, om, res.fc)
+    assert res.omega.tolist() == omega.tolist()
+    assert [(v.law, v.witness) for v in res.report.violations] == laws
+    sober = is_sober(tc, res)
+    assert sober == is_sober_by_opens(tc, res)
+    assert omega_is_isomorphism(tc, res)[0] == sober[0]
+    q = om.rqf
+    assert_chi_matches_oracle(q)
+    fc = c_object(q)
+    forward, backward = transposes(q.leq[fc.generators], om.members)
+    forward_I, backward_I = transposes_I_oracle(q, fc, om)
+    assert_transposes_match_oracles(forward, [forward_I], backward, [backward_I],
+                                    enumerate_covering_functors(tc, fc.topcat),
+                                    enumerate_rqf_morphisms(q, om.rqf, max_elements=1024),
+                                    fc.n, om.n)
+
+
+@pytest.mark.parametrize("name", [i.name for i in etale_categories()])
+def test_unit_and_counit_match_oracles_on_corpus_categories(name):
+    tc = next(i.obj for i in etale_categories() if i.name == name)
+    assert_unit_and_counit_match_oracles(tc)
+    assert_unit_and_counit_match_oracles(relabel(tc, reversed_labels(tc.n)))
+
+
+@pytest.mark.parametrize("name", [i.name for i in corpus_rqfs()])
+def test_chi_matches_oracle_on_corpus_rqfs(name):
+    q = next(i.obj for i in corpus_rqfs() if i.name == name)
+    assert_chi_matches_oracle(q)
+    assert_chi_matches_oracle(relabel_rqf(q, reversed_labels(q.n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_categories())
+def test_unit_and_counit_match_oracles_on_random_categories(tc):
+    assert_unit_and_counit_match_oracles(tc)
+
+
+def test_adjunction_I_records_a_transpose_outside_the_homset(monkeypatch):
+    """A functor whose forward transpose is not in the morphism hom-set is a
+    failure of the check, not an error, even where that transpose is no
+    map into the opens at all: omega of pair2 read as a map from the parity
+    groupoid, whose topology lacks the singletons it would pull back."""
+    from framecat import duality
+    pair2, parity = pair_groupoid(2), parity_pair_groupoid()
+    om = omega_object(pair2)
+    alpha = build_omega_map(pair2, om).omega
+    fc = c_object(om.rqf)
+    assert transposes(om.rqf.leq[fc.generators], omega_object(parity).members)[0](alpha) is None
+    monkeypatch.setattr(duality, "enumerate_covering_functors", lambda *args: [alpha])
+    rep = verify_adjunction_I(parity, om.rqf)
+    assert not rep.ok
+    assert rep.failures[0] == ("forward_transpose_not_in_homset", 0)
 
 
 # ---------------------------------------------------------------------------

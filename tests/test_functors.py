@@ -18,11 +18,12 @@ from framecat.order import (CPFilter, enumerate_cp_filters, frame_from_leq, meet
 from framecat.quantale import (frame_as_quantale, partial_isometries,
                                validate_rqf)
 from framecat.reports import BoundExceeded
-from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, continuity_check,
+from framecat.topcat import (UNDEF, FiniteTopCategory, Topology,
                              identity_functor, is_etale, make_category, topology_from_base,
                              validate_category, validate_covering_functor,
                              validate_topcategory)
-from map_oracles import map_outcome, one_value_perturbations, small_corpus_categories
+from map_oracles import (build_omega_map_oracle, map_outcome, one_value_perturbations,
+                         small_corpus_categories)
 from random_categories import small_categories
 
 
@@ -653,25 +654,6 @@ def c_morphism_oracle(phi, fc_src, fc_dst):
         pre = mask_of(x for x in range(n_r) if has_bit(members, int(phi[x])))
         out[j] = fc_src.filter_of(pre, "preimage filter")
     return out
-
-
-def build_omega_map_oracle(tc, om, fc):
-    """The omega map and the laws its report names, with their witnesses."""
-    omega = np.zeros(tc.n, dtype=np.int64)
-    for x in range(tc.n):
-        members = mask_of(i for i, u in enumerate(om.opens) if has_bit(u, x))
-        omega[x] = fc.filter_of(members, f"O_{x}")
-    rep = validate_covering_functor(omega, tc.cat, fc.topcat.cat)
-    ok, wit = continuity_check(omega, tc, fc.topcat)
-    if not ok:
-        rep.add("omega.continuous", (wit,))
-    for i in range(om.n):
-        xu = fc.x_mask(i)
-        pre = mask_of(x for x in range(tc.n) if has_bit(xu, int(omega[x])))
-        if pre != om.opens[i]:
-            rep.add("omega.preimage_of_xset", (i,))
-            break
-    return omega, [(v.law, v.witness) for v in rep.violations]
 
 
 @pytest.mark.parametrize("name,tc", [(i.name, i.obj) for i in etale_categories()])
