@@ -1,13 +1,17 @@
 """Bitmask helpers for subsets of index ranges.
 
-Subsets of elements/arrows/filters are stored as Python ints; bit i set
-means index i belongs to the subset.
+A subset held as a Python int has bit i set when index i belongs to it.
+The constructions compute on bool member rows instead, row k being set k:
+filters and their X-sets, closed ideals, the opens of an Omega result and
+the open local bisections.  Masks are kept where sets are listed or
+enumerated one at a time, as the opens of a Topology and the down-sets of
+J(S) that crm.l_vee walks, and as the names of opens and bisections.
 
 bit_matrix and row_masks turn a list of masks into a boolean matrix and
-back, so that a family of subsets can be selected, transposed or gathered
-as one array: the transpose of the membership matrix of sets U_0, ..., U_m
-over 0..n-1 gives, for each i < n, the set {k : i in U_k}.  Masks pass
-through bytes, not int64, so both are exact at any width.
+back at those boundaries: the transpose of the membership matrix of
+sets U_0, ..., U_m over 0..n-1 gives, for each i < n, the set
+{k : i in U_k}.  Masks pass through bytes, not int64, so both are exact at
+any width.
 
 The word kernel holds a family of subsets of 0..width-1 as an (n, W)
 uint64 array, W = max(1, ceil(width / 64)), so that every width takes the

@@ -10,6 +10,10 @@ C(Q) is off J(Q), into the same functors.FilterCategory type.  J(S), the
 compatible-join table and the S-filter category are cached on the monoid
 (order.cached); the join table of the target is built once per callitic
 enumeration and passed to validate_crm_morphism for every candidate.
+L^vee(S) holds its closed ideals as bool member rows, as the filter
+categories hold their filters, so the extension of a callitic morphism
+and the bijection of the S-filters with the filters of C(L^vee(S)) are
+each one boolean product and one word lookup.
 
 The target PI(Omega(C)) is read off C, without building Omega(C)
 (bisection_monoid): it is the monoid of the open local bisections of C,
@@ -75,15 +79,14 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bits import (bit_matrix, bool_product, iter_bits, mask_of, pack_words, row_masks,
-                   word_lookup)
+from .bits import bit_matrix, bool_product, pack_words, row_masks, word_lookup
 from .duality import (AdjunctionReport, check_transposes, enumerate_covering_functors,
                       generator_search, positions, transposes)
 from .functors import (FilterCategory, _require_open, arrow_set_tables, c_object,
                        filter_category, require_etale)
 from .order import FiniteLattice, FinitePoset, _freeze, cached, validate_poset
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
-from .reports import BoundExceeded, Report
+from .reports import BoundExceeded, InternalError, Report
 from .topcat import FiniteTopCategory, bisection_rows
 
 
@@ -101,12 +104,6 @@ class CompleteRestrictionMonoid:
 
     def projections(self) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.leq[:, self.unit])]
-
-    def upset_mask(self, i: int) -> int:
-        return mask_of(np.flatnonzero(self.leq[i, :]))
-
-    def downset_mask(self, i: int) -> int:
-        return mask_of(np.flatnonzero(self.leq[:, i]))
 
 
 def make_crm(n, leq, mul, unit, zero, star, plus, meet) -> CompleteRestrictionMonoid:
@@ -306,13 +303,9 @@ def pi_restriction_monoid(q: EhresmannQuantale) -> tuple[CompleteRestrictionMono
 @dataclass(frozen=True, eq=False)
 class IdealCompletion:
     rqf: EhresmannQuantale
-    ideals: tuple  # ideals[i] = bitmask over monoid elements
-    index: dict   # bitmask -> element index
+    members: np.ndarray    # members[i, x]: monoid element x is in ideal i, read-only
+    principal: np.ndarray  # principal[x] = the element index of the ideal x-down, read-only
     source: CompleteRestrictionMonoid
-
-    def principal(self, s: int) -> int:
-        """Element index of the principal ideal s-down."""
-        return self.index[self.source.downset_mask(s)]
 
 
 JOIN_BLOCK_CELLS = 1 << 22  # cells of the largest temporary of _partial_join_table
@@ -388,12 +381,6 @@ def _join_primes(s: CompleteRestrictionMonoid) -> list[int]:
     return sorted(primes, key=lambda g: int(s.leq[:, g].sum()))
 
 
-def _closed_ideal(below: list[int], d: int) -> int:
-    """The member bitmask of the closed ideal whose join-primes are the set
-    d: every x whose join-primes, below[x], lie in d."""
-    return mask_of(x for x, bx in enumerate(below) if bx & ~d == 0)
-
-
 def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealCompletion:
     """The restriction quantal frame L^vee(S) of order-ideals of S closed
     under all existing joins, ordered by inclusion.  Precondition: S passes
@@ -404,15 +391,17 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealComple
     on a valid S every element is the join of the join-primes J(S) below it
     (see join_primes), so I -> I & J(S) maps the closed ideals onto the
     down-sets D of J(S), with inverse D -> {x : J(S) & down(x) <= D}.  The
-    down-sets are enumerated along a linear extension of J(S), raising
-    BoundExceeded past max_elements before any table is allocated, and
-    sorted by (size, member bitmask) of their ideals.  On down-sets, order,
-    meet and join are inclusion, intersection and union; by distributivity
-    I_D.I_E has the union of J(S) & down(j.k) over j in D and k in E, and
-    I_D* (I_D+) that of J(S) & down(j*) (down(j+)) over j in D.  Removing
-    the last join-prime g of D leaves a down-set, its parent D', and I_D is
-    I_D' joined with down(g), so each row of a table is its parent's row
-    joined with what g adds.
+    down-sets are enumerated, as masks over J(S), along a linear extension
+    of J(S), raising BoundExceeded past max_elements before any table is
+    allocated.  Their ideals are the rows of one boolean product, x being in
+    I_D iff no join-prime below x lies outside D, sorted by size and then
+    as member bitmasks (a lexsort on the columns from high to low).  On
+    down-sets, order, meet and join are inclusion, intersection and union;
+    by distributivity I_D.I_E has the union of J(S) & down(j.k) over j in
+    D and k in E, and I_D* (I_D+) that of J(S) & down(j*) (down(j+)) over
+    j in D.  Removing the last join-prime g of D leaves a down-set, its
+    parent D', and I_D is I_D' joined with down(g), so each row of a table
+    is its parent's row joined with what g adds.
     """
     primes = join_primes(s)
     below = row_masks(s.leq[primes, :].T)  # below[x]: the join-primes <= x
@@ -425,12 +414,11 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealComple
     if len(downs) > max_elements:
         raise BoundExceeded(f"more than {max_elements} ideals")
 
-    members = {d: _closed_ideal(below, d) for d in downs}
-    downs.sort(key=lambda d: (members[d].bit_count(), members[d]))
-    ideal_list = [members[d] for d in downs]
-    index = {m: i for i, m in enumerate(ideal_list)}
-    at = {d: i for i, d in enumerate(downs)}
     nq, m = len(downs), len(primes)
+    members = ~bool_product(~bit_matrix(downs, m), s.leq[primes, :])
+    order = np.lexsort(np.vstack([members.T, members.sum(axis=1)]))
+    members, downs = members[order], [downs[i] for i in order]
+    at = {d: i for i, d in enumerate(downs)}
     principal = np.array([at[b] for b in below], dtype=np.int64)
     tops = [d.bit_length() - 1 for d in downs]  # the last join-prime, a maximal one
     parents = [at[d & ~(1 << k)] if d else 0 for d, k in zip(downs, tops)]
@@ -463,7 +451,8 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealComple
     lat = FiniteLattice(nq, _freeze(join == np.arange(nq)), _freeze(meet), _freeze(join),
                         0, nq - 1)
     q = make_eq(lat, mul, int(principal[s.unit]), star, plus)
-    return IdealCompletion(rqf=q, ideals=tuple(ideal_list), index=index, source=s)
+    return IdealCompletion(rqf=q, members=_freeze(members), principal=_freeze(principal),
+                           source=s)
 
 
 # ---------------------------------------------------------------------------
@@ -548,44 +537,44 @@ def is_callitic(theta, s: CompleteRestrictionMonoid,
 def theta_extension(theta, lv_src: IdealCompletion, lv_dst: IdealCompletion) -> np.ndarray:
     """Extend a callitic morphism to the ideal completions: an ideal maps to
     the closed ideal generated by the images of its elements, the one whose
-    join-primes are those below some image."""
+    join-primes are those below some image.  The join-primes of every image
+    ideal are one boolean product, looked up among the join-prime columns
+    of the target's ideals; a miss, which l_vee never leaves, is an
+    InternalError."""
     theta = np.asarray(theta, dtype=np.int64)
-    t = lv_dst.source
-    below = row_masks(t.leq[join_primes(t), :].T)  # below[y]: the join-primes <= y
-    out = np.zeros(lv_src.rqf.n, dtype=np.int64)
-    for i, mask in enumerate(lv_src.ideals):
-        d = 0
-        for x in iter_bits(mask):
-            d |= below[int(theta[x])]
-        out[i] = lv_dst.index[_closed_ideal(below, d)]
+    primes = join_primes(lv_dst.source)
+    below = lv_dst.source.leq[primes][:, theta]  # [k, x]: join-prime k <= theta(x)
+    find = word_lookup(pack_words(lv_dst.members[:, primes]))
+    out = find(pack_words(bool_product(lv_src.members, below.T)))
+    if (out < 0).any():
+        raise InternalError("an image ideal is not an element of L^vee")
     return _freeze(out)
 
 
 # ---------------------------------------------------------------------------
 # S-filters and their category
 
-def s_filters_list(s: CompleteRestrictionMonoid) -> list[int]:
-    """All completely prime filters of S, as member bitmasks, sorted.
-
-    A filter is closed upwards and under binary meets, hence principal, and
-    the up-set of g is completely prime iff g is a join-prime: these are the
-    up-sets of J(S) (join_primes).
-    """
-    return sorted(s.upset_mask(g) for g in join_primes(s))
-
-
 def s_filters(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> FilterCategory:
     """The category of completely prime S-filters with A.B = (AB)^up-in-S,
     topologized by the sets of filters containing a given element.
+
+    A filter is closed upwards and under binary meets, hence principal, and
+    the up-set of g is completely prime iff g is a join-prime: the filters
+    are the up-sets of J(S) (join_primes).
 
     Precondition: S passes validate_crm; the CLI validates documents first,
     and the suite builds S-filters only on corpus monoids, which all pass.
     Then star, plus and mul are monotone, so d(up-g) = up-(g*), r(up-g) = up-(g+) and
     (up-g . up-h)^up = up-(g.h), and the category is read off the
-    join-primes by functors.filter_category, in s_filters_list order.  Built
+    join-primes by functors.filter_category, ordered by their up-sets as
+    member bitmasks (a lexsort on the columns from high to low).  Built
     once per monoid (`order.cached`); the bound is checked on every call."""
-    sf = cached(s, "s_filters", lambda: filter_category(
-        s, sorted(join_primes(s), key=s.upset_mask), "completely prime S-filter", range(s.n)))
+    def build() -> FilterCategory:
+        primes = np.array(join_primes(s), dtype=np.int64)
+        return filter_category(s, primes[np.lexsort(s.leq[primes].T)],
+                               "completely prime S-filter", range(s.n))
+
+    sf = cached(s, "s_filters", build)
     if sf.topcat.topology.open_count() > max_opens:
         raise BoundExceeded("S-filter topology too large")
     return sf
@@ -597,9 +586,8 @@ def s_filter_bijection(sf: FilterCategory, lv: IdealCompletion) -> np.ndarray:
     index -> C(L(S)) filter index: the rows of ideals meeting each A', one
     boolean product, looked up among the member rows of the filters of
     C(L(S)).  Raises ValueError if one of them is no such filter."""
-    s, fc = lv.source, c_object(lv.rqf)
-    meets = bool_product(s.leq[sf.generators], bit_matrix(lv.ideals, s.n).T)
-    out = word_lookup(pack_words(lv.rqf.leq[fc.generators]))(pack_words(meets))
+    meets = bool_product(sf.members, lv.members.T)
+    out = word_lookup(pack_words(c_object(lv.rqf).members))(pack_words(meets))
     if (out < 0).any():
         raise ValueError("(A')^up is not a completely prime filter")
     return out
@@ -681,5 +669,5 @@ def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
     bis = bisection_monoid(tc)
     rep.functor_homset = enumerate_covering_functors(tc, sf.topcat, max_arrows)
     rep.morphism_homset = enumerate_callitic_morphisms(s, bis.crm, max_elements, bis.joins)
-    check_transposes(rep, *transposes(s.leq[sf.generators], bis.members))
+    check_transposes(rep, *transposes(sf.members, bis.members))
     return rep

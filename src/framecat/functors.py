@@ -15,13 +15,15 @@ element of {x* : x in up-j} is j*, d(up-j) = up-(j*), r(up-j) = up-(j+),
 and (up-j . up-k)^up = up-(j.k).  X_a is {k : j_k <= a}, a column of the
 order.  C(Q) is thus a category on J, and the member sets of the filters
 are never multiplied.  filter_category does this reading for any set of
-generators and gives the one FilterCategory type: c_object runs it on the
-least members of the completely prime filters of Q, crm.s_filters on the
-join-primes of a complete restriction monoid, and each is cached on its
-algebra.  This is the finite case of Resende's view of an etale groupoid
-quantale as generated by its partial isometries (Etale groupoids and their
-quantales, Adv. Math. 208, 2007).  The tests keep a filter calculus that
-multiplies whole member sets as the oracle for this reading.
+generators and gives the one FilterCategory type, which holds the
+filters as the bool rows leq[generators], column a being X_a: c_object
+runs it on the least members of the completely prime filters of Q,
+crm.s_filters on the join-primes of a complete restriction monoid, and
+each is cached on its algebra.  This is the finite case of Resende's view
+of an etale groupoid quantale as generated by its partial isometries
+(Etale groupoids and their quantales, Adv. Math. 208, 2007).  The tests
+keep a filter calculus that multiplies whole member sets as the oracle
+for this reading.
 
 Quantale elements of an omega result are indexed by their open set's arrow
 bitmask in ascending order, so for discrete topologies index == mask and
@@ -35,16 +37,15 @@ boolean products (the products over the composable pairs u.v), and
 `bits.word_lookup` maps every result back to its open, a result that is no
 open being an error.  An OmegaResult keeps the bool member rows of its
 opens, so omega_morphism is one gather of their columns and one word
-lookup, and the transposes of both adjunctions (duality.transposes) read
-them as they are; c_morphism gathers columns of the bit matrix
-(bits.bit_matrix) of the filter members.
+lookup, and so is c_morphism on the member rows of the filters; the
+transposes of both adjunctions (duality.transposes) read both as they
+are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from .order import (FiniteLattice, FiniteTopSpace, _freeze, cached, cp_filter_ge
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
 from .reports import BoundExceeded, InternalError
 from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
-                     is_etale, make_category, topology_from_base)
+                     is_etale, make_category, open_rows, topology_from_base)
 
 
 # ---------------------------------------------------------------------------
@@ -214,23 +215,11 @@ class FilterCategory:
     reference to it and every field is immutable."""
     topcat: FiniteTopCategory
     generators: np.ndarray  # generators[k] = the least member of filter k, read-only
-    members: tuple  # members[k] = filter k, up-generators[k], as an element bitmask
-    index: Mapping[int, int]  # member bitmask -> filter index
-    x_masks: tuple  # x_masks[a] = X_a over filter indices, for every element a
+    members: np.ndarray  # members[k, a]: a is in filter k; column a is X_a; read-only
 
     @property
     def n(self) -> int:
-        return len(self.members)
-
-    def x_mask(self, a: int) -> int:
-        """X_a: the filters containing a."""
-        return self.x_masks[a]
-
-    def filter_of(self, members: int, what: str = "set") -> int:
-        k = self.index.get(members)
-        if k is None:
-            raise ValueError(f"{what} is not a completely prime filter")
-        return k
+        return len(self.generators)
 
 
 def filter_category(alg, gens, what: str, basic: Iterable[int]) -> FilterCategory:
@@ -259,14 +248,13 @@ def filter_category(alg, gens, what: str, basic: Iterable[int]) -> FilterCategor
     comp = np.full((nf, nf), UNDEF, dtype=np.int64)
     comp[composable] = locate(products, "A.B")
 
-    rows = alg.leq[gens]  # [k, a]: gens[k] <= a, that is, a is in filter k
-    members, x_masks = row_masks(rows), row_masks(rows.T)
-    cat = make_category(nf, iter_bits(x_masks[alg.unit]), d_idx, r_idx, comp_table=comp)
-    topology = topology_from_base(nf, (x_masks[a] for a in basic))
-    return FilterCategory(
-        topcat=FiniteTopCategory(cat=cat, topology=topology), generators=gens,
-        members=tuple(members), index=MappingProxyType({m: k for k, m in enumerate(members)}),
-        x_masks=tuple(x_masks))
+    members = _freeze(alg.leq[gens])  # [k, a]: gens[k] <= a, that is, a is in filter k
+    cat = make_category(nf, np.flatnonzero(members[:, alg.unit]), d_idx, r_idx,
+                        comp_table=comp)
+    basic = np.fromiter(basic, dtype=np.int64)
+    topology = topology_from_base(nf, row_masks(members[:, basic].T))
+    return FilterCategory(topcat=FiniteTopCategory(cat=cat, topology=topology),
+                          generators=gens, members=members)
 
 
 def c_object(q: EhresmannQuantale, max_opens: int = 4096) -> FilterCategory:
@@ -286,24 +274,27 @@ def _filter_category(q: EhresmannQuantale) -> FilterCategory:
     pis = partial_isometries(q)
     fc = filter_category(q, cp_filter_generators(q), "completely prime filter", pis)
     # every X_a is open and is the union of the X_p over isometries p <= a
-    x_sets = q.leq[fc.generators].T  # [a, k]: gens[k] <= a, that is, filter k is in X_a
+    x_sets = fc.members.T  # [a, k]: filter k is in X_a
     disagrees = (bool_product(q.leq[pis].T, x_sets[pis]) != x_sets).any(axis=1)
-    for a, x_mask in enumerate(fc.x_masks):
+    _, _, find_open = open_rows(fc.topcat.topology)
+    bad = np.flatnonzero(disagrees | (find_open(x_sets) < 0))
+    if bad.size:
+        a = bad[0]
         if disagrees[a]:
             raise InternalError(f"X_{a} disagrees with its isometry decomposition")
-        if not fc.topcat.topology.is_open(x_mask):
-            raise InternalError(f"X_{a} is not open")
+        raise InternalError(f"X_{a} is not open")
     return fc
 
 
 def c_morphism(phi, fc_src: FilterCategory, fc_dst: FilterCategory) -> np.ndarray:
     """The functor C(S) -> C(R) induced by an RQF morphism phi: R -> S,
-    sending a filter B of S to its preimage in R."""
+    sending a filter B of S to its preimage in R: the member row of B read
+    at phi(a) for every element a of R, looked up among the member rows of
+    the filters of R."""
     phi = np.asarray(phi, dtype=np.int64)
-    members = bit_matrix(fc_dst.members, len(fc_dst.x_masks))
-    out = np.zeros(fc_dst.n, dtype=np.int64)
-    for j, pre in enumerate(row_masks(members[:, phi])):
-        out[j] = fc_src.filter_of(pre, "preimage filter")
+    out = word_lookup(pack_words(fc_src.members))(pack_words(fc_dst.members[:, phi]))
+    if (out < 0).any():
+        raise ValueError("preimage filter is not a completely prime filter")
     return _freeze(out)
 
 
@@ -335,10 +326,9 @@ def identity_space_vs_pt(q: EhresmannQuantale) -> tuple[bool, str]:
     if len(id_indices) != len(pt_filters):
         return False, (f"identity filters {len(id_indices)} != points of e-down {len(pt_filters)}")
 
-    proj_mask = q.projection_mask()
     bij = {}
     for slot, k in enumerate(id_indices):
-        sub_members = mask_of(pos[x] for x in iter_bits(fc.members[k] & proj_mask))
+        sub_members = mask_of(pos[x] for x in projs if fc.members[k, x])
         i = pt_index.get(sub_members)
         if i is None:
             return False, f"A /\\ e-down of filter {k} is not a point of e-down"

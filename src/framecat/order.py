@@ -100,9 +100,6 @@ class FinitePoset:
     def upset_mask(self, i: int) -> int:
         return mask_of(np.flatnonzero(self.leq[i, :]))
 
-    def downset_mask(self, i: int) -> int:
-        return mask_of(np.flatnonzero(self.leq[:, i]))
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteLattice(FinitePoset):

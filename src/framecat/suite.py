@@ -30,7 +30,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import corpus as cor
-from .bits import iter_bits, mask_of
 from .crm import (CompleteRestrictionMonoid, IdealCompletion,
                   l_vee, pi_restriction_monoid, preserves_finite_meets,
                   is_callitic, s_filter_bijection, s_filters, validate_crm,
@@ -38,7 +37,7 @@ from .crm import (CompleteRestrictionMonoid, IdealCompletion,
 from .duality import (AdjunctionReport, ChiResult, build_chi, build_omega_map,
                       check_naturality_in_category, check_naturality_in_quantale,
                       chi_is_isomorphism, is_sober,
-                      omega_is_isomorphism, quantale_isomorphism_ok,
+                      omega_is_isomorphism, positions, quantale_isomorphism_ok,
                       validate_rqf_morphism, verify_adjunction_I)
 from .functors import OmegaResult, c_object, omega_morphism, omega_object
 from .order import (BRUTEFORCE_MAX_ELEMENTS, cp_filters_bruteforce,
@@ -121,11 +120,9 @@ def chi_roundtrip(inst: Instance) -> CheckResult:
 
 def ideals_of_isometries_roundtrip(inst: Instance) -> CheckResult:
     """L^vee(PI(Q)) is isomorphic to Q by the join of each ideal."""
-    q = inst.rqf
-    _, carrier = inst.pi
-    lv = inst.lv
-    iso = np.array([q.join_fold([carrier[x] for x in iter_bits(m)])
-                    for m in lv.ideals], dtype=np.int64)
+    q, lv = inst.rqf, inst.lv
+    carrier = np.asarray(inst.pi[1], dtype=np.int64)
+    iso = np.array([q.join_fold(carrier[row]) for row in lv.members], dtype=np.int64)
     if not quantale_isomorphism_ok(iso, lv.rqf, q):
         return False, (lv.rqf.n, q.n), "explicit isomorphism fails"
     return True, None, ""
@@ -135,8 +132,7 @@ def isometries_of_ideals_roundtrip(inst: Instance) -> CheckResult:
     """PI(L^vee(S)) is isomorphic to S by the principal ideals."""
     s, lv = inst.crm, inst.lv
     s2, carrier2 = pi_restriction_monoid(lv.rqf)
-    pos = {e: i for i, e in enumerate(carrier2)}
-    iso = np.array([pos[lv.principal(x)] for x in range(s.n)], dtype=np.int64)
+    iso = positions(lv.rqf.n, carrier2)[lv.principal]
     if sorted(iso.tolist()) != list(range(s2.n)):
         return False, (s.n, s2.n), "not bijective"
     if not validate_crm_morphism(iso, s, s2).ok:
@@ -157,10 +153,11 @@ def filter_category_correspondence(inst: Instance) -> CheckResult:
     rep = validate_covering_functor(bij, sf.topcat.cat, fc.topcat.cat)
     if not rep.ok:
         return False, rep.violations[0].witness, "not a functor isomorphism"
-    for a in range(s.n):
-        lhs = mask_of(int(bij[k]) for k in iter_bits(sf.x_mask(a)))
-        if lhs != fc.x_mask(lv.principal(a)):
-            return False, (a,), "X-set correspondence fails"
+    image = np.zeros((s.n, fc.n), dtype=bool)  # [a, bij(k)]: S-filter k is in X_a
+    image[:, bij] = sf.members.T
+    bad = np.flatnonzero((image != fc.members[:, lv.principal].T).any(axis=1))
+    if bad.size:
+        return False, (int(bad[0]),), "X-set correspondence fails"
     return True, None, ""
 
 

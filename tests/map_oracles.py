@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 
 from framecat import duality
-from framecat.bits import has_bit, iter_bits, mask_of
+from framecat.bits import has_bit, iter_bits, mask_of, row_masks
 from framecat.corpus import etale_categories
 from framecat.crm import make_crm
 from framecat.order import FiniteLattice, join_irreducibles
@@ -96,18 +96,46 @@ def reversed_labels(n: int) -> np.ndarray:
     return np.arange(n)[::-1]
 
 
+class FilterMasks:
+    """The mask fields a FilterCategory held before it kept only bool member
+    rows, converted from them by bits.row_masks: members[k] is filter k as
+    an element bitmask, index maps such a mask to k, and x_masks[a] is X_a
+    as a filter bitmask."""
+
+    def __init__(self, fc):
+        self.members = row_masks(fc.members)
+        self.index = {m: k for k, m in enumerate(self.members)}
+        self.x_masks = row_masks(fc.members.T)
+
+    def filter_of(self, members: int, what: str = "set") -> int:
+        k = self.index.get(members)
+        if k is None:
+            raise ValueError(f"{what} is not a completely prime filter")
+        return k
+
+
+def ideal_masks(lv):
+    """The closed ideals of an IdealCompletion as element bitmasks, and the
+    index of each mask (bits.row_masks of its bool member rows)."""
+    ideals = row_masks(lv.members)
+    return ideals, {m: i for i, m in enumerate(ideals)}
+
+
 def build_omega_map_oracle(tc, om, fc):
-    """The omega map and the laws its report names, with their witnesses."""
+    """The omega map and the laws its report names, with their witnesses,
+    including omega^{-1}(X_U) = U, which build_omega_map holds by
+    construction."""
+    masks = FilterMasks(fc)
     omega = np.zeros(tc.n, dtype=np.int64)
     for x in range(tc.n):
         members = mask_of(i for i, u in enumerate(om.opens) if has_bit(u, x))
-        omega[x] = fc.filter_of(members, f"O_{x}")
+        omega[x] = masks.filter_of(members, f"O_{x}")
     rep = validate_covering_functor(omega, tc.cat, fc.topcat.cat)
     ok, wit = continuity_check(omega, tc, fc.topcat)
     if not ok:
         rep.add("omega.continuous", (wit,))
     for i in range(om.n):
-        xu = fc.x_mask(i)
+        xu = masks.x_masks[i]
         pre = mask_of(x for x in range(tc.n) if has_bit(xu, int(omega[x])))
         if pre != om.opens[i]:
             rep.add("omega.preimage_of_xset", (i,))

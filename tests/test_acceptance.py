@@ -13,7 +13,7 @@ import numpy as np
 from acceptance_log import acceptance_lines
 
 from framecat import corpus as cor
-from framecat.bits import iter_bits, mask_of
+from framecat.bits import iter_bits, mask_of, row_masks
 from framecat.crm import (l_vee, pi_restriction_monoid, preserves_finite_meets,
                           s_filter_bijection, s_filters, validate_crm_morphism, verify_adjunction_II)
 from framecat.duality import (build_chi, build_omega_map,
@@ -213,7 +213,7 @@ def test_criterion_08_crm_translation():
         s, carrier = pi_restriction_monoid(q)
         lv = l_vee(s)
         iso = np.array([q.join_fold([carrier[x] for x in iter_bits(m)])
-                        for m in lv.ideals], dtype=np.int64)
+                        for m in row_masks(lv.members)], dtype=np.int64)
         if not quantale_isomorphism_ok(iso, lv.rqf, q):
             announce(f"  {inst.name}: ideal completion does not recover the frame")
             ok = False
@@ -222,7 +222,7 @@ def test_criterion_08_crm_translation():
         lv = l_vee(s)
         s2, carrier2 = pi_restriction_monoid(lv.rqf)
         pos = {e: i for i, e in enumerate(carrier2)}
-        iso = np.array([pos[lv.principal(x)] for x in range(s.n)], dtype=np.int64)
+        iso = np.array([pos[int(lv.principal[x])] for x in range(s.n)], dtype=np.int64)
         if sorted(iso.tolist()) != list(range(s2.n)) \
                 or not validate_crm_morphism(iso, s, s2).ok \
                 or not preserves_finite_meets(iso, s, s2)[0]:
@@ -235,9 +235,10 @@ def test_criterion_08_crm_translation():
                 or not validate_covering_functor(bij, sf.topcat.cat, fc.topcat.cat).ok:
             announce(f"  {inst.name}: filter categories not isomorphic")
             ok = False
+        sf_x, fc_x = row_masks(sf.members.T), row_masks(fc.members.T)
         for a in range(s.n):
-            image = mask_of(int(bij[k]) for k in iter_bits(sf.x_mask(a)))
-            if image != fc.x_mask(lv.principal(a)):
+            image = mask_of(int(bij[k]) for k in iter_bits(sf_x[a]))
+            if image != fc_x[lv.principal[a]]:
                 announce(f"  {inst.name}: X-set correspondence fails at {a}")
                 ok = False
                 break

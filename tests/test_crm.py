@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from framecat.crm import (CompleteRestrictionMonoid, IdealCompletion,
                           crm_lub, enumerate_callitic_morphisms,
                           is_callitic, is_proper, join_primes, l_vee, make_crm,
                           pi_restriction_monoid, preserves_finite_meets,
-                          s_filter_bijection, s_filters, s_filters_list,
+                          s_filter_bijection, s_filters,
                           theta_extension,
                           validate_crm, validate_crm_morphism,
                           verify_adjunction_II)
@@ -29,13 +30,32 @@ from framecat.functors import FilterCategory, c_object, omega_object
 from framecat.order import lattice_from_leq
 from framecat.quantale import frame_as_quantale, make_eq, partial_isometries, validate_rqf
 from framecat.reports import BoundExceeded
-from framecat.suite import Instance, ideals_of_isometries_roundtrip, isometries_of_ideals_roundtrip
+from framecat.suite import (Instance, filter_category_correspondence,
+                            ideals_of_isometries_roundtrip, isometries_of_ideals_roundtrip)
 from framecat.topcat import (UNDEF, FiniteTopCategory, make_category, topology_from_base,
                              validate_covering_functor)
-from map_oracles import (assert_transposes_match_oracles, map_outcome,
-                         one_value_perturbations, relabel, relabel_crm, reversed_labels,
-                         small_corpus_categories)
+from map_oracles import (FilterMasks, assert_transposes_match_oracles, ideal_masks,
+                         map_outcome, one_value_perturbations, relabel, relabel_crm,
+                         reversed_labels, small_corpus_categories)
 from random_categories import small_categories
+
+
+def upset_mask(s, i: int) -> int:
+    return mask_of(np.flatnonzero(s.leq[i, :]))
+
+
+def downset_mask(s, i: int) -> int:
+    return mask_of(np.flatnonzero(s.leq[:, i]))
+
+
+def s_filters_list(s: CompleteRestrictionMonoid) -> list[int]:
+    """All completely prime filters of S, as member bitmasks, sorted.
+
+    A filter is closed upwards and under binary meets, hence principal, and
+    the up-set of g is completely prime iff g is a join-prime: these are the
+    up-sets of J(S) (join_primes).
+    """
+    return sorted(upset_mask(s, g) for g in join_primes(s))
 
 
 @pytest.fixture(scope="module")
@@ -368,7 +388,7 @@ def l_vee_by_ideal_search(s: CompleteRestrictionMonoid,
     join-fold over products of maximal generators.
     """
     n = s.n
-    down = [s.downset_mask(i) for i in range(n)]
+    down = [downset_mask(s, i) for i in range(n)]
     join_table = _partial_join_table(s)
 
     strict_down = [down[g] & ~(1 << g) for g in range(n)]
@@ -435,7 +455,7 @@ def l_vee_by_ideal_search(s: CompleteRestrictionMonoid,
         mul[i, :] = acc
 
     q = make_eq(lat, mul, int(pid[s.unit]), star, plus)
-    return IdealCompletion(rqf=q, ideals=tuple(ideal_list), index=index, source=s)
+    return IdealCompletion(rqf=q, members=bit_matrix(ideal_list, n), principal=pid, source=s)
 
 
 def test_ideal_completion_of_partial_bijections(i2):
@@ -444,7 +464,7 @@ def test_ideal_completion_of_partial_bijections(i2):
     assert lv.rqf.n == 16
     assert validate_rqf(lv.rqf).ok
     iso = np.array([q.join_fold([carrier[x] for x in iter_bits(m)])
-                    for m in lv.ideals], dtype=np.int64)
+                    for m in ideal_masks(lv)[0]], dtype=np.int64)
     assert quantale_isomorphism_ok(iso, lv.rqf, q)
 
 
@@ -480,13 +500,13 @@ def _small_completion_inputs():
 @pytest.mark.parametrize("s", _small_completion_inputs())
 def test_closed_ideals_match_bruteforce(s):
     found = closed_ideals_bruteforce(s)
-    assert sorted(found, key=lambda m: (m.bit_count(), m)) == list(l_vee(s).ideals)
+    assert sorted(found, key=lambda m: (m.bit_count(), m)) == ideal_masks(l_vee(s))[0]
 
 
 def closed_ideals_by_full_search(s):
     """Breadth-first search of the closed ideals that extends each ideal by
     every element outside it, not only by the minimal ones."""
-    down = [s.downset_mask(i) for i in range(s.n)]
+    down = [downset_mask(s, i) for i in range(s.n)]
     join_table = _partial_join_table(s)
     bottom_ideal = _ideal_closure(s, 0, down, join_table)
     ideals = {bottom_ideal}
@@ -507,7 +527,7 @@ def closed_ideals_by_full_search(s):
 
 def test_closed_ideals_match_full_search_on_pi_omega_pair3(omega_pair3):
     s, _ = pi_restriction_monoid(omega_pair3.rqf)
-    assert list(l_vee(s).ideals) == closed_ideals_by_full_search(s)
+    assert ideal_masks(l_vee(s))[0] == closed_ideals_by_full_search(s)
 
 
 def join_irreducibles_by_definition(s):
@@ -526,13 +546,13 @@ def assert_completion_matches_oracle(s, where=None):
     """l_vee and the ideal search give the same ideals and tables; returns
     the number of ideals."""
     fast, oracle = l_vee(s), l_vee_by_ideal_search(s)
-    assert fast.ideals == oracle.ideals, where
-    assert fast.index == oracle.index, where
+    assert np.array_equal(fast.members, oracle.members), where
+    assert np.array_equal(fast.principal, oracle.principal), where
     for table in ("leq", "meet", "join", "mul", "star", "plus"):
         assert np.array_equal(getattr(fast.rqf, table), getattr(oracle.rqf, table)), (where, table)
     for field in ("unit", "bottom", "top"):
         assert getattr(fast.rqf, field) == getattr(oracle.rqf, field), (where, field)
-    return len(fast.ideals)
+    return len(fast.members)
 
 
 def _raises_bound(build, s, bound):
@@ -596,7 +616,7 @@ def test_isometries_of_a_groupoid_form_an_inverse_monoid(name):
 def test_principal_ideals_are_the_partial_isometries(i2):
     s, carrier, q = i2
     lv = l_vee(s)
-    assert set(partial_isometries(lv.rqf)) == {lv.principal(x) for x in range(s.n)}
+    assert set(partial_isometries(lv.rqf)) == set(lv.principal.tolist())
 
 
 def test_ideal_completion_of_trivial_monoid():
@@ -612,7 +632,7 @@ def test_ideal_completion_of_frame_crm_is_the_frame():
     lv = l_vee(s)
     assert lv.rqf.n == 5
     iso = np.array([q.join_fold([carrier[x] for x in iter_bits(m)])
-                    for m in lv.ideals], dtype=np.int64)
+                    for m in ideal_masks(lv)[0]], dtype=np.int64)
     assert quantale_isomorphism_ok(iso, lv.rqf, q)
 
 
@@ -621,7 +641,7 @@ def test_isometries_of_ideals_roundtrip(i2):
     lv = l_vee(s)
     s2, carrier2 = pi_restriction_monoid(lv.rqf)
     pos = {e: i for i, e in enumerate(carrier2)}
-    iso = np.array([pos[lv.principal(x)] for x in range(s.n)], dtype=np.int64)
+    iso = np.array([pos[int(lv.principal[x])] for x in range(s.n)], dtype=np.int64)
     assert sorted(iso.tolist()) == list(range(s2.n))
     assert validate_crm_morphism(iso, s, s2).ok
     assert preserves_finite_meets(iso, s, s2) == (True, None)
@@ -712,16 +732,17 @@ def theta_extension_well_defined(theta, lv_src, lv_dst):
     theta = np.asarray(theta, dtype=np.int64)
     s, t = lv_src.source, lv_dst.source
     ext = theta_extension(theta, lv_src, lv_dst)
-    down_s = [s.downset_mask(i) for i in range(s.n)]
+    down_s = [downset_mask(s, i) for i in range(s.n)]
     jt_s = _partial_join_table(s)
-    down_t = [t.downset_mask(i) for i in range(t.n)]
+    down_t = [downset_mask(t, i) for i in range(t.n)]
     jt_t = _partial_join_table(t)
-    for i, mask in enumerate(lv_src.ideals):
+    dst_index = ideal_masks(lv_dst)[1]
+    for i, mask in enumerate(ideal_masks(lv_src)[0]):
         for dm in _submasks(mask):
             if _ideal_closure(s, dm, down_s, jt_s) != mask:
                 continue
             image = mask_of(int(theta[x]) for x in iter_bits(dm))
-            if lv_dst.index[_ideal_closure(t, image, down_t, jt_t)] != int(ext[i]):
+            if dst_index[_ideal_closure(t, image, down_t, jt_t)] != int(ext[i]):
                 return False, (i, dm)
     return True, None
 
@@ -765,7 +786,7 @@ def test_extension_restricted_to_principal_ideals_is_theta(i2):
     for theta in enumerate_callitic_morphisms(s, s):
         ext = theta_extension(theta, lv, lv)
         for x in range(s.n):
-            assert int(ext[lv.principal(x)]) == lv.principal(int(theta[x]))
+            assert ext[lv.principal[x]] == lv.principal[theta[x]]
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +806,7 @@ def s_filters_list_oracle(s):
     for g in range(s.n):
         if g == s.zero:
             continue
-        mask = s.upset_mask(g)
+        mask = upset_mask(s, g)
         prime = all(not (crm_compatible(s, a, b) and crm_lub(s, (a, b)) is not None
                          and has_bit(mask, crm_lub(s, (a, b))))
                     for a in range(s.n) if not has_bit(mask, a)
@@ -815,7 +836,7 @@ def s_filters_oracle(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> Fil
     filters = s_filters_list(s)
     index = {m: i for i, m in enumerate(filters)}
     nf = len(filters)
-    up = [s.upset_mask(i) for i in range(s.n)]
+    up = [upset_mask(s, i) for i in range(s.n)]
 
     def up_close(mask: int) -> int:
         out = 0
@@ -851,21 +872,18 @@ def s_filters_oracle(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> Fil
     generators = np.array([next(x for x in iter_bits(m) if up[x] == m) for m in filters],
                           dtype=np.int64)
     return FilterCategory(topcat=FiniteTopCategory(cat=cat, topology=topology),
-                          generators=generators, members=tuple(filters), index=index,
-                          x_masks=tuple(base))
+                          generators=generators, members=bit_matrix(filters, s.n))
 
 
 def assert_s_filters_match_oracle(s, where=None):
     fast, oracle = s_filters(s), s_filters_oracle(s)
-    assert (fast.members, dict(fast.index)) == (oracle.members, oracle.index), where
+    assert np.array_equal(fast.members, oracle.members), where
     assert np.array_equal(fast.generators, oracle.generators), where
     fast_cat, oracle_cat = fast.topcat.cat, oracle.topcat.cat
     for table in ("d", "r", "comp"):
         assert np.array_equal(getattr(fast_cat, table), getattr(oracle_cat, table)), (where, table)
     assert fast_cat.identity_mask == oracle_cat.identity_mask, where
     assert fast.topcat.topology.opens == oracle.topcat.topology.opens, where
-    assert fast.x_masks == oracle.x_masks, where
-    assert [fast.x_mask(a) for a in range(s.n)] == list(oracle.x_masks), where
 
 
 @pytest.mark.parametrize("s", _corpus_crm_inputs())
@@ -895,9 +913,10 @@ def test_s_filter_bijection_with_ideal_filter_category(i2):
     assert sorted(bij.tolist()) == list(range(fc.n))
     assert validate_covering_functor(bij, sf.topcat.cat, fc.topcat.cat).ok
     # opens correspond: X'_a maps onto the X-set of the principal ideal
+    sf_x, fc_x = FilterMasks(sf).x_masks, FilterMasks(fc).x_masks
     for a in range(s.n):
-        image = mask_of(int(bij[k]) for k in iter_bits(sf.x_mask(a)))
-        assert image == fc.x_mask(lv.principal(a))
+        image = mask_of(int(bij[k]) for k in iter_bits(sf_x[a]))
+        assert image == fc_x[lv.principal[a]]
 
 
 def test_s_filter_d_r_transfer(i2):
@@ -917,10 +936,11 @@ def test_s_filter_d_r_transfer(i2):
 def s_filter_bijection_by_ideals(sf, lv):
     """s_filter_bijection as it was: for each S-filter, the mask of the
     ideals meeting it, one ideal at a time."""
-    fc = c_object(lv.rqf)
+    fc = FilterMasks(c_object(lv.rqf))
+    ideals = ideal_masks(lv)[0]
     out = np.zeros(sf.n, dtype=np.int64)
-    for k, m in enumerate(sf.members):
-        members = mask_of(i for i, ideal in enumerate(lv.ideals) if ideal & m)
+    for k, m in enumerate(FilterMasks(sf).members):
+        members = mask_of(i for i, ideal in enumerate(ideals) if ideal & m)
         out[k] = fc.filter_of(members, "(A')^up")
     return out
 
@@ -942,6 +962,103 @@ def test_s_filter_bijection_matches_oracle_on_corpus_crms(name):
 @given(small_categories())
 def test_s_filter_bijection_matches_oracle_on_random_categories(tc):
     assert_s_filter_bijection_matches_oracle(pi_restriction_monoid(omega_object(tc).rqf)[0])
+
+
+# ---------------------------------------------------------------------------
+# l_vee, theta_extension and the X-set part of filter_category_correspondence
+# against the bodies they had before the ideals were bool member rows: the
+# closed ideals built as masks one generator step per element per down-set
+# and sorted by (bit count, mask), the extension ORing the join-primes below
+# each image as masks, and the X-set loop; on every S the suite builds
+# L^vee on, its reversed relabelling and random categories
+
+def closed_ideal_mask(below, d: int) -> int:
+    """The member bitmask of the closed ideal whose join-primes are the set
+    d: every x whose join-primes, below[x], lie in d."""
+    return mask_of(x for x, bx in enumerate(below) if bx & ~d == 0)
+
+
+def l_vee_listing_by_masks(s):
+    """The ideals of l_vee as masks in its order, and the index of each
+    principal ideal, as l_vee listed them before."""
+    primes = join_primes(s)
+    below = row_masks(s.leq[primes, :].T)  # below[x]: the join-primes <= x
+    downs = [0]
+    for k, g in enumerate(primes):
+        strictly_below = below[g] & ~(1 << k)
+        downs += [d | 1 << k for d in downs if strictly_below & ~d == 0]
+    ideals = sorted((closed_ideal_mask(below, d) for d in downs),
+                    key=lambda m: (m.bit_count(), m))
+    index = {m: i for i, m in enumerate(ideals)}
+    return ideals, [index[downset_mask(s, x)] for x in range(s.n)]
+
+
+def theta_extension_by_masks(theta, lv_src, lv_dst):
+    theta = np.asarray(theta, dtype=np.int64)
+    t = lv_dst.source
+    below = row_masks(t.leq[join_primes(t), :].T)  # below[y]: the join-primes <= y
+    index = ideal_masks(lv_dst)[1]
+    out = np.zeros(lv_src.rqf.n, dtype=np.int64)
+    for i, mask in enumerate(ideal_masks(lv_src)[0]):
+        d = 0
+        for x in iter_bits(mask):
+            d |= below[int(theta[x])]
+        out[i] = index[closed_ideal_mask(below, d)]
+    return out
+
+
+def filter_category_correspondence_by_loop(inst):
+    s, lv = inst.crm, inst.lv
+    sf, fc = s_filters(s), c_object(lv.rqf)
+    bij = s_filter_bijection(sf, lv)
+    if sorted(bij.tolist()) != list(range(fc.n)):
+        return False, (sf.n, fc.n), "filter map not bijective"
+    rep = validate_covering_functor(bij, sf.topcat.cat, fc.topcat.cat)
+    if not rep.ok:
+        return False, rep.violations[0].witness, "not a functor isomorphism"
+    sf_x, fc_x = FilterMasks(sf).x_masks, FilterMasks(fc).x_masks
+    for a in range(s.n):
+        lhs = mask_of(int(bij[k]) for k in iter_bits(sf_x[a]))
+        if lhs != fc_x[int(lv.principal[a])]:
+            return False, (a,), "X-set correspondence fails"
+    return True, None, ""
+
+
+def assert_ideal_bodies_match_masks(s):
+    """l_vee against its listing; theta_extension on the identity, the
+    relabelling s -> s' that renames element a reversed[a] and its inverse,
+    and on the one-value perturbations of each at its first 8 elements;
+    the correspondence on s, on s', and with the principal ideals rotated
+    by one or with the last two swapped, which breaks the X-set
+    correspondence only (at the first element, or at the last but one)."""
+    perm = reversed_labels(s.n)
+    s2 = relabel_crm(s, perm)
+    lv, lv2 = l_vee(s), l_vee(s2)
+    for t, lv_t in ((s, lv), (s2, lv2)):
+        assert (ideal_masks(lv_t)[0], lv_t.principal.tolist()) == l_vee_listing_by_masks(t)
+    for theta, src, dst in ((np.arange(s.n), lv, lv), (perm, lv, lv2),
+                            (np.argsort(perm), lv2, lv)):
+        for m in (theta, *one_value_perturbations(theta, s.n, range(min(s.n, 8)))):
+            assert (theta_extension(m, src, dst).tolist()
+                    == theta_extension_by_masks(m, src, dst).tolist()), m.tolist()
+    for t, lv_t in ((s, lv), (s2, lv2)):
+        swapped = np.concatenate([lv_t.principal[:-2], lv_t.principal[-2:][::-1]])
+        for principal in (lv_t.principal, np.roll(lv_t.principal, 1), swapped):
+            inst = SimpleNamespace(crm=t, lv=dataclasses.replace(lv_t, principal=principal))
+            assert (filter_category_correspondence(inst)
+                    == filter_category_correspondence_by_loop(inst))
+        assert filter_category_correspondence(SimpleNamespace(crm=t, lv=lv_t)) == (True, None, "")
+
+
+@pytest.mark.parametrize("s", _corpus_crm_inputs())
+def test_ideal_bodies_match_masks_on_corpus(s):
+    assert_ideal_bodies_match_masks(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_categories())
+def test_ideal_bodies_match_masks_on_random_categories(tc):
+    assert_ideal_bodies_match_masks(Instance(tc=tc).crm)
 
 
 # ---------------------------------------------------------------------------
@@ -1027,10 +1144,11 @@ def test_callitic_enumeration_on_semilattice_monoid():
 
 def transpose_forward_II_oracle(alpha, tc, s, sf, om, carrier):
     pos = {e: i for i, e in enumerate(carrier)}
+    filters = FilterMasks(sf).members
     theta = np.zeros(s.n, dtype=np.int64)
     for a in range(s.n):
         open_mask = mask_of(c for c in range(tc.n)
-                            if has_bit(sf.members[int(alpha[c])], a))
+                            if has_bit(filters[int(alpha[c])], a))
         i = om.index.get(open_mask)
         if i is None or i not in pos:
             return None
@@ -1039,11 +1157,12 @@ def transpose_forward_II_oracle(alpha, tc, s, sf, om, carrier):
 
 
 def transpose_backward_II_oracle(theta, tc, s, sf, om, carrier):
+    index = FilterMasks(sf).index
     alpha = np.zeros(tc.n, dtype=np.int64)
     for c in range(tc.n):
         members = mask_of(a for a in range(s.n)
                           if has_bit(om.opens[carrier[int(theta[a])]], c))
-        k = sf.index.get(members)
+        k = index.get(members)
         if k is None:
             return None
         alpha[c] = k
@@ -1051,8 +1170,8 @@ def transpose_backward_II_oracle(theta, tc, s, sf, om, carrier):
 
 
 def transpose_forward_II_bit_matrix(alpha, tc, s, sf, om, carrier):
-    n = len(sf.x_masks)  # the elements of S
-    members = bit_matrix(sf.members, n)
+    n = s.n
+    members = bit_matrix(FilterMasks(sf).members, n)
     pos = np.full(om.n + 1, -1, dtype=np.int64)
     pos[carrier] = np.arange(len(carrier))
     theta = np.zeros(n, dtype=np.int64)
@@ -1066,9 +1185,10 @@ def transpose_forward_II_bit_matrix(alpha, tc, s, sf, om, carrier):
 
 def transpose_backward_II_bit_matrix(theta, tc, s, sf, om, carrier):
     opens = [om.opens[carrier[e]] for e in np.asarray(theta, dtype=np.int64).tolist()]
+    index = FilterMasks(sf).index
     alpha = np.zeros(tc.n, dtype=np.int64)
     for c, members in enumerate(row_masks(bit_matrix(opens, tc.n).T)):
-        k = sf.index.get(members)
+        k = index.get(members)
         if k is None:
             return None
         alpha[c] = k
@@ -1091,7 +1211,7 @@ def adjunction_II_transposes(tc, s):
     bis = bisection_monoid(tc)
     assert list(bis.masks) == [om.opens[c] for c in carrier]
     assert_same_monoid(bis.crm, t)
-    forward, backward = transposes(s.leq[sf.generators], bis.members)
+    forward, backward = transposes(sf.members, bis.members)
     return (forward,
             [lambda m, body=body: body(m, tc, s, sf, om, carrier)
              for body in (transpose_forward_II_oracle, transpose_forward_II_bit_matrix)],

@@ -28,8 +28,10 @@ from framecat.functors import c_object, omega_morphism, omega_object
 from framecat.order import join_irreducibles
 from framecat.quantale import frame_as_quantale, partial_isometries
 from framecat.reports import BoundExceeded, Report
-from framecat.topcat import UNDEF, continuity_check, validate_covering_functor
-from map_oracles import (assert_j_decisions_match_scan,
+from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, continuity_check,
+                             make_category, validate_covering_functor, validate_topcategory)
+from map_oracles import (FilterMasks, assert_j_decisions_match_scan,
+                         ideal_masks,
                          assert_transposes_match_oracles, build_omega_map_oracle,
                          j_decision, map_outcome, one_value_perturbations, relabel,
                          relabel_rqf, reversed_labels, searched_arrow_maps,
@@ -77,7 +79,7 @@ def test_chi_at_bottom_top_unit(omega_pair2):
     chi = build_chi(q)
     assert chi.om.opens[chi.chi[q.bottom]] == 0
     assert chi.om.opens[chi.chi[q.top]] == (1 << chi.fc.n) - 1
-    id_mask = mask_of(k for k, members in enumerate(chi.fc.members)
+    id_mask = mask_of(k for k, members in enumerate(FilterMasks(chi.fc).members)
                       if members & q.projection_mask())
     assert chi.om.opens[chi.chi[q.unit]] == id_mask
 
@@ -119,13 +121,13 @@ def test_omega_map_identities_to_identity_filters(pair2):
     res = build_omega_map(pair2)
     for e in pair2.cat.identities():
         k = int(res.omega[e])
-        assert res.fc.members[k] & res.om.rqf.projection_mask()
+        assert FilterMasks(res.fc).members[k] & res.om.rqf.projection_mask()
 
 
 def test_omega_filter_contains_exactly_the_opens_containing_the_arrow(pair2):
     res = build_omega_map(pair2)
     for x in range(pair2.n):
-        members = res.fc.members[int(res.omega[x])]
+        members = FilterMasks(res.fc).members[int(res.omega[x])]
         for i, u in enumerate(res.om.opens):
             assert bool(members >> i & 1) == bool(u >> x & 1)
 
@@ -136,6 +138,26 @@ def test_parity_groupoid_is_not_sober():
     assert res.report.ok  # still a continuous covering functor
     ok, wit = is_sober(tc, res)
     assert not ok
+
+
+def chain_space_category():
+    """Three identity arrows (d = r = id) with the opens {}, {1}, {1, 2} and
+    {0, 1, 2}: a sober space that is not discrete, on which omega is the
+    3-cycle [2, 0, 1]."""
+    cat = make_category(3, [0, 1, 2], [0, 1, 2], [0, 1, 2],
+                        comp_entries=[(0, 0, 0), (1, 1, 1), (2, 2, 2)])
+    return FiniteTopCategory(cat, Topology(3, frozenset({0b000, 0b010, 0b110, 0b111})))
+
+
+def test_omega_isomorphism_inverts_a_three_cycle():
+    """omega is no involution here, so a check that took omega for its own
+    inverse would find the inverse discontinuous (at open 2)."""
+    tc = chain_space_category()
+    assert validate_topcategory(tc).ok
+    res = build_omega_map(tc)
+    assert res.omega.tolist() == [2, 0, 1]
+    assert omega_is_isomorphism(tc, res) == (True, "")
+    assert continuity_check(res.omega, res.fc.topcat, tc) == (False, 2)
 
 
 def test_sober_iff_identity_space_sober():
@@ -538,8 +560,8 @@ def _roundtrip_isomorphisms():
         q = inst.obj
         s, carrier = pi_restriction_monoid(q)
         lv = l_vee(s)
-        iso = np.array([q.join_fold([carrier[x] for x in iter_bits(m)]) for m in lv.ideals],
-                       dtype=np.int64)
+        iso = np.array([q.join_fold([carrier[x] for x in iter_bits(m)])
+                        for m in ideal_masks(lv)[0]], dtype=np.int64)
         out.append(pytest.param(iso, lv.rqf, q, id=inst.name))
     return out
 
@@ -573,10 +595,11 @@ def test_quantale_isomorphism_check_matches_two_scans(iso, q1, q2):
 
 def transpose_forward_oracle(alpha, tc, q, fc, om):
     alpha = np.asarray(alpha, dtype=np.int64)
+    filters = FilterMasks(fc).members
     out = np.zeros(q.n, dtype=np.int64)
     for a in range(q.n):
         members = mask_of(c for c in range(tc.n)
-                          if has_bit(fc.members[int(alpha[c])], a))
+                          if has_bit(filters[int(alpha[c])], a))
         i = om.index.get(members)
         if i is None:
             return None
@@ -586,10 +609,11 @@ def transpose_forward_oracle(alpha, tc, q, fc, om):
 
 def transpose_backward_oracle(beta, tc, q, fc, om):
     beta = np.asarray(beta, dtype=np.int64)
+    index = FilterMasks(fc).index
     out = np.zeros(tc.n, dtype=np.int64)
     for c in range(tc.n):
         members = mask_of(a for a in range(q.n) if has_bit(om.opens[int(beta[a])], c))
-        k = fc.index.get(members)
+        k = index.get(members)
         if k is None:
             return None
         out[c] = k
@@ -598,7 +622,7 @@ def transpose_backward_oracle(beta, tc, q, fc, om):
 
 def transpose_forward_bit_matrix(alpha, tc, q, fc, om):
     alpha = np.asarray(alpha, dtype=np.int64)
-    members = bit_matrix(fc.members, q.n)
+    members = bit_matrix(FilterMasks(fc).members, q.n)
     out = np.zeros(q.n, dtype=np.int64)
     for a, open_mask in enumerate(row_masks(members[alpha].T)):
         i = om.index.get(open_mask)
@@ -610,9 +634,10 @@ def transpose_forward_bit_matrix(alpha, tc, q, fc, om):
 
 def transpose_backward_bit_matrix(beta, tc, q, fc, om):
     opens = [om.opens[b] for b in np.asarray(beta, dtype=np.int64).tolist()]
+    index = FilterMasks(fc).index
     out = np.zeros(tc.n, dtype=np.int64)
     for c, members in enumerate(row_masks(bit_matrix(opens, tc.n).T)):
-        k = fc.index.get(members)
+        k = index.get(members)
         if k is None:
             return None
         out[c] = k
@@ -703,7 +728,8 @@ def chi_by_index(q):
     Omega(C(Q)), for each element a."""
     fc = c_object(q)
     om = omega_object(fc.topcat, max_elements=1 << 20)
-    return np.array([om.index[fc.x_mask(a)] for a in range(q.n)], dtype=np.int64)
+    x_masks = FilterMasks(fc).x_masks
+    return np.array([om.index[x_masks[a]] for a in range(q.n)], dtype=np.int64)
 
 
 def is_sober_by_opens(tc, res):
@@ -712,15 +738,47 @@ def is_sober_by_opens(tc, res):
     omega, fc = res.omega, res.fc
     if len(set(int(v) for v in omega)) != tc.n or fc.n != tc.n:
         return False, ("not_bijective", tc.n, fc.n)
+    x_masks = FilterMasks(fc).x_masks
     for i in range(res.om.n):
         image = mask_of(int(omega[x]) for x in iter_bits(res.om.opens[i]))
-        if image != fc.x_mask(i):
+        if image != x_masks[i]:
             return False, ("image_of_open", i)
+    return True, None
+
+
+def is_spatial_by_dict(q, fc):
+    """is_spatial as it was: the X-set mask of each element in a dict, the
+    witness being the first repeat and the element that had its mask."""
+    seen = {}
+    for a, m in enumerate(FilterMasks(fc).x_masks):
+        if m in seen:
+            return False, (seen[m], a)
+        seen[m] = a
     return True, None
 
 
 def assert_chi_matches_oracle(q):
     assert build_chi(q).chi.tolist() == chi_by_index(q).tolist()
+    assert is_spatial(q) == is_spatial_by_dict(q, c_object(q))
+
+
+@pytest.mark.parametrize("columns", [[0, 1, 0, 1, 2], [0, 1, 2, 3], [3, 3, 3], [0, 1, 2, 1, 0],
+                                     [5, 4, 3, 4, 5, 0]])
+def test_is_spatial_witness_on_repeated_x_sets(columns, monkeypatch):
+    """A stubbed C(Q) whose member rows repeat columns: is_spatial names the
+    least a whose X-set an earlier element has, with the first such, as the
+    dict loop did."""
+    from types import SimpleNamespace
+    from framecat import duality
+    rows = bit_matrix(range(8), 3)  # the eight subsets of three filters
+    stub = SimpleNamespace(members=rows[columns].T)  # X_a = the columns[a]-th subset
+    monkeypatch.setattr(duality, "c_object", lambda q: stub)
+    q = SimpleNamespace(n=len(columns))
+    got = is_spatial(q)
+    assert got == is_spatial_by_dict(q, stub)
+    first = {c: columns.index(c) for c in columns}
+    repeats = [a for a, c in enumerate(columns) if first[c] != a]
+    assert got == ((False, (first[columns[repeats[0]]], repeats[0])) if repeats else (True, None))
 
 
 def assert_unit_and_counit_match_oracles(tc):

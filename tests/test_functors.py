@@ -22,7 +22,8 @@ from framecat.topcat import (UNDEF, FiniteTopCategory, Topology,
                              identity_functor, is_etale, make_category, topology_from_base,
                              validate_category, validate_covering_functor,
                              validate_topcategory)
-from map_oracles import (build_omega_map_oracle, map_outcome, one_value_perturbations,
+from map_oracles import (FilterMasks, build_omega_map_oracle, map_outcome,
+                         one_value_perturbations, relabel_rqf, reversed_labels,
                          small_corpus_categories)
 from random_categories import small_categories
 
@@ -142,17 +143,18 @@ def oracle_c_object(q, max_opens: int = 4096):
 
 def assert_c_object_matches_oracle(q, name):
     fc = c_object(q)
+    masks = FilterMasks(fc)
     filters, cat, topology, base = oracle_c_object(q)
     got = fc.topcat.cat
-    assert list(fc.members) == [f.members for f in filters], name
+    assert masks.members == [f.members for f in filters], name
     assert fc.generators.tolist() == [q.meet_fold(iter_bits(f.members)) for f in filters], name
     assert np.array_equal(got.d, cat.d) and np.array_equal(got.r, cat.r), name
     assert np.array_equal(got.comp, cat.comp), name
     assert got.identity_mask == cat.identity_mask, name
     assert fc.topcat.topology.opens == topology.opens, name
-    assert {a: fc.x_mask(a) for a in partial_isometries(q)} == base, name
+    assert {a: masks.x_masks[a] for a in partial_isometries(q)} == base, name
     calc = FilterCalculus(q)
-    assert [fc.x_mask(a) for a in range(q.n)] == [calc.x_mask(a) for a in range(q.n)], name
+    assert masks.x_masks == [calc.x_mask(a) for a in range(q.n)], name
 
 
 def test_c_object_matches_filter_calculus_on_corpus_rqfs():
@@ -218,15 +220,16 @@ def filter_category_by_members(q):
 
 def assert_c_object_matches_member_loops(q):
     fc = c_object(q)
+    masks = FilterMasks(fc)
     filters, gens, cat, x_masks, base, topology = filter_category_by_members(q)
     assert enumerate_cp_filters(q) == filters
-    assert list(fc.members) == [f.members for f in filters]
-    assert fc.generators.tolist() == gens and list(fc.x_masks) == x_masks
+    assert masks.members == [f.members for f in filters]
+    assert fc.generators.tolist() == gens and masks.x_masks == x_masks
     got = fc.topcat.cat
     for table in ("d", "r", "comp"):
         assert np.array_equal(getattr(got, table), getattr(cat, table)), table
     assert got.identity_mask == cat.identity_mask
-    assert {a: fc.x_mask(a) for a in base} == base and fc.topcat.topology == topology
+    assert {a: masks.x_masks[a] for a in base} == base and fc.topcat.topology == topology
 
 
 def test_c_object_matches_member_loops_on_corpus_rqfs_and_ideal_completions():
@@ -243,13 +246,15 @@ def test_c_object_matches_member_loops_on_random_categories(tc):
 def test_s_filter_categories_match_member_loops_on_corpus_crms():
     for inst in corpus_crms():
         s = inst.obj
-        gens = sorted(join_primes(s), key=s.upset_mask)
+        upset_mask = [mask_of(np.flatnonzero(s.leq[g])) for g in range(s.n)]
+        gens = sorted(join_primes(s), key=upset_mask.__getitem__)
         sf = filter_category(s, gens, "completely prime S-filter", range(s.n))
         cat = sf.topcat.cat
         old_cat, old_x_masks = category_on_generators_by_members(
             s, gens, "completely prime S-filter")
-        assert list(sf.x_masks) == old_x_masks
-        assert list(sf.members) == [s.upset_mask(g) for g in gens]
+        masks = FilterMasks(sf)
+        assert masks.x_masks == old_x_masks
+        assert masks.members == [upset_mask[g] for g in gens]
         for table in ("d", "r", "comp"):
             assert np.array_equal(getattr(cat, table), getattr(old_cat, table)), table
         assert cat.identity_mask == old_cat.identity_mask
@@ -490,7 +495,7 @@ def test_filter_category_of_chain_quantale():
 def test_base_sets_are_open_local_bisections(fc_pair2, omega_pair2):
     from framecat.topcat import is_local_bisection
     for a in partial_isometries(omega_pair2.rqf):
-        x = fc_pair2.x_mask(a)
+        x = FilterMasks(fc_pair2).x_masks[a]
         assert fc_pair2.topcat.topology.is_open(x)
         assert is_local_bisection(fc_pair2.topcat.cat, x)
 
@@ -498,22 +503,24 @@ def test_base_sets_are_open_local_bisections(fc_pair2, omega_pair2):
 def test_d_image_of_base_is_base_of_star(fc_pair2, omega_pair2):
     # d(X_s) = X_{s*} for partial isometries s
     cat = fc_pair2.topcat.cat
+    x_masks = FilterMasks(fc_pair2).x_masks
     for s in partial_isometries(omega_pair2.rqf):
-        image = mask_of(int(cat.d[k]) for k in iter_bits(fc_pair2.x_mask(s)))
-        assert image == fc_pair2.x_mask(int(omega_pair2.rqf.star[s]))
+        image = mask_of(int(cat.d[k]) for k in iter_bits(x_masks[s]))
+        assert image == x_masks[int(omega_pair2.rqf.star[s])]
 
 
 def test_x_set_laws(fc_pair2, calc_pair2):
     q = calc_pair2.q
+    x_mask = FilterMasks(fc_pair2).x_masks
     full = (1 << fc_pair2.n) - 1
-    assert fc_pair2.x_mask(q.top) == full
+    assert x_mask[q.top] == full
     id_mask = mask_of(k for k, f in enumerate(calc_pair2.filters)
                       if calc_pair2.is_identity_filter(f.members))
-    assert fc_pair2.x_mask(q.unit) == id_mask
+    assert x_mask[q.unit] == id_mask
     for a in range(q.n):
         for b in range(q.n):
-            assert fc_pair2.x_mask(a) & fc_pair2.x_mask(b) == fc_pair2.x_mask(int(q.meet[a, b]))
-            assert fc_pair2.x_mask(a) | fc_pair2.x_mask(b) == fc_pair2.x_mask(int(q.join[a, b]))
+            assert x_mask[a] & x_mask[b] == x_mask[int(q.meet[a, b])]
+            assert x_mask[a] | x_mask[b] == x_mask[int(q.join[a, b])]
 
 
 def test_identity_space_matches_points_of_projections(omega_pair2):
@@ -647,12 +654,15 @@ def omega_morphism_oracle(fmap, om_src, om_dst):
 
 
 def c_morphism_oracle(phi, fc_src, fc_dst):
+    """c_morphism as it was: the preimage of each member mask of the target,
+    looked up among the member masks of the source one filter at a time."""
     phi = np.asarray(phi, dtype=np.int64)
-    n_r = len(fc_src.x_masks)
+    src = FilterMasks(fc_src)
+    n_r = len(src.x_masks)
     out = np.zeros(fc_dst.n, dtype=np.int64)
-    for j, members in enumerate(fc_dst.members):
+    for j, members in enumerate(FilterMasks(fc_dst).members):
         pre = mask_of(x for x in range(n_r) if has_bit(members, int(phi[x])))
-        out[j] = fc_src.filter_of(pre, "preimage filter")
+        out[j] = src.filter_of(pre, "preimage filter")
     return out
 
 
@@ -710,6 +720,92 @@ def test_c_morphism_matches_oracle_on_rqf_morphisms(omega_pair3):
     for phi in enumerate_rqf_morphisms(q3, q3, max_elements=1024):
         assert c_morphism(phi, fc3, fc3).tolist() == c_morphism_oracle(phi, fc3, fc3).tolist()
 
+
+def assert_c_morphism_matches_oracle_on_relabelling(q):
+    """c_morphism and its oracle on the identity of q, the relabelling
+    q -> q' that renames element a reversed[a] and its inverse, and on the
+    one-value perturbations of each at its first 16 elements."""
+    perm = reversed_labels(q.n)
+    fc, fc2 = c_object(q), c_object(relabel_rqf(q, perm))
+    for phi, src, dst in ((np.arange(q.n), fc, fc), (perm, fc, fc2), (np.argsort(perm), fc2, fc)):
+        for m in (phi, *one_value_perturbations(phi, q.n, range(min(q.n, 16)))):
+            assert (map_outcome(c_morphism, m, src, dst)
+                    == map_outcome(c_morphism_oracle, m, src, dst)), m.tolist()
+
+
+@pytest.mark.parametrize("name", [i.name for i in corpus_rqfs()])
+def test_c_morphism_matches_oracle_on_corpus_relabellings(name):
+    assert_c_morphism_matches_oracle_on_relabelling(
+        next(i.obj for i in corpus_rqfs() if i.name == name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_categories())
+def test_c_morphism_matches_oracle_on_random_categories(tc):
+    assert_c_morphism_matches_oracle_on_relabelling(omega_object(tc).rqf)
+
+
+# ---------------------------------------------------------------------------
+# the invariants _filter_category checks on the X-sets, against the loop it
+# had before it looked up all X-sets among the opens at once: the first a
+# whose X-set disagrees with its isometry decomposition or is not open, the
+# disagreement named first at one a; on valid input, with the topology of
+# the base alone (so that some X-set is not open), and with half of the
+# isometries (so that some X-set disagrees), and with both
+
+def filter_category_invariants_by_loop(q, fc, pis):
+    """The text of the first InternalError of the per-a loop, or None."""
+    x_masks = FilterMasks(fc).x_masks
+    via_pis = [0] * q.n
+    for p in pis:
+        for a in np.flatnonzero(q.leq[p]).tolist():
+            via_pis[a] |= x_masks[p]
+    for a in range(q.n):
+        if via_pis[a] != x_masks[a]:
+            return f"X_{a} disagrees with its isometry decomposition"
+        if not fc.topcat.topology.is_open(x_masks[a]):
+            return f"X_{a} is not open"
+    return None
+
+
+def base_only(n, base):
+    return Topology(n, frozenset(set(base) | {0}))
+
+
+def assert_filter_category_invariants_match_loop(q):
+    from unittest import mock
+    from framecat import functors
+    from framecat.order import cp_filter_generators
+    from framecat.reports import InternalError
+    pis = partial_isometries(q)
+    for topology, isometries in ((topology_from_base, pis), (base_only, pis),
+                                 (topology_from_base, pis[:len(pis) // 2]),
+                                 (base_only, pis[:len(pis) // 2])):
+        with mock.patch.object(functors, "topology_from_base", topology), \
+                mock.patch.object(functors, "partial_isometries", lambda q: isometries):
+            fc = filter_category(q, cp_filter_generators(q), "completely prime filter",
+                                 isometries)
+            try:
+                functors._filter_category(q)
+                got = None
+            except InternalError as e:
+                got = str(e)
+        assert got == filter_category_invariants_by_loop(q, fc, isometries)
+        if isometries is pis and topology is topology_from_base:
+            assert got is None
+
+
+@pytest.mark.parametrize("name", [i.name for i in corpus_rqfs()])
+def test_filter_category_invariants_match_loop_on_corpus_rqfs(name):
+    q = next(i.obj for i in corpus_rqfs() if i.name == name)
+    assert_filter_category_invariants_match_loop(q)
+    assert_filter_category_invariants_match_loop(relabel_rqf(q, reversed_labels(q.n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_categories())
+def test_filter_category_invariants_match_loop_on_random_categories(tc):
+    assert_filter_category_invariants_match_loop(omega_object(tc).rqf)
 
 # ---------------------------------------------------------------------------
 # Omega of a non-discrete topology against the element-by-element body
