@@ -23,7 +23,7 @@ from .quantale import (EhresmannQuantale, FiniteQuantale,
                        pi_is_order_ideal, validate_ehresmann, validate_quantale,
                        validate_rqf)
 from .topcat import (FiniteCategory, FiniteTopCategory, Topology,
-                     c_o_is_open, continuity_check, is_etale,
+                     continuity_check, is_etale,
                      local_bisections, make_category, open_local_bisections,
                      topology_from_base, validate_category,
                      validate_covering_functor, validate_topcategory)

@@ -2,10 +2,10 @@
 
 A subset held as a Python int has bit i set when index i belongs to it.
 The constructions compute on bool member rows instead, row k being set k:
-filters and their X-sets, closed ideals, the opens of an Omega result and
-the open local bisections.  Masks are kept where sets are listed or
-enumerated one at a time, as the opens of a Topology and the down-sets of
-J(S) that crm.l_vee walks, and as the names of opens and bisections.
+filters and their X-sets, closed ideals and the down-sets of J(S), the
+opens of an Omega result and the open local bisections.  Masks are kept
+where sets are listed one at a time, as the opens of a Topology, and as the
+names of opens and bisections.
 
 bit_matrix and row_masks turn a list of masks into a boolean matrix and
 back at those boundaries: the transpose of the membership matrix of
@@ -18,7 +18,8 @@ uint64 array, W = max(1, ceil(width / 64)), so that every width takes the
 same path.  pack_words packs bool rows and take_words gathers them;
 intersection, union and inclusion of whole families are &, | and
 `a & ~b == 0` on words.  word_lookup maps word rows back to the index of
-the equal row of a table, exactly, by binary search on W*8-byte keys.
+the first equal row of a table, exactly: by binary search on W*8-byte keys,
+or, where every key is one word below DIRECT_KEYS, by one gather.
 bool_product is the boolean matrix product (the image of a family of sets
 under a relation), and row_blocks cuts a row range into blocks, so that a
 temporary of many cells per row stays within BLOCK_CELLS cells.
@@ -45,20 +46,12 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def bit_count(mask: int) -> int:
-    return mask.bit_count()
-
-
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
 def has_bit(mask: int, i: int) -> bool:
     return bool((mask >> i) & 1)
-
-
-def is_submask(a: int, b: int) -> bool:
-    return a & ~b == 0
 
 
 def bit_matrix(masks: Sequence[int], width: int) -> np.ndarray:
@@ -96,14 +89,28 @@ def take_words(words: np.ndarray, index: np.ndarray) -> np.ndarray:
     return taken.view(words.dtype).reshape(*np.shape(index), words.shape[1])
 
 
+DIRECT_KEYS = 1 << 12  # one-word tables with all keys below this are looked up by index
+
+
 def word_lookup(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The exact lookup of word rows in the distinct rows of the (n, W)
-    table: the function it returns maps an (..., W) array of word rows to
-    the (...) array of their indices in table, -1 for a row that is not one
-    of table's (every row, when n = 0).  Rows are compared whole, as one
-    word when W = 1 and as W*8-byte keys otherwise."""
+    """The exact lookup of word rows in the (n, W) table: the function it
+    returns maps an (..., W) array of word rows to the (...) array of the
+    index in table of the first equal row, -1 for a row that is not one of
+    table's.  Rows are compared whole, as one word when W = 1 and as W*8-byte
+    keys otherwise, by binary search among the sorted keys, or by one gather
+    from an array indexed by the key when W = 1 and every key is below
+    DIRECT_KEYS."""
     key = table.dtype if table.shape[1] == 1 else np.dtype((np.void, table.shape[1] * 8))
     keys = np.ascontiguousarray(table).view(key).ravel()
+    if key.kind == "u" and keys.max(initial=0) < DIRECT_KEYS:
+        index = np.arange(len(keys))
+        direct = np.full(DIRECT_KEYS + 1, -1, dtype=np.int64)  # the last cell: every larger key
+        direct[keys] = index
+        if (direct[keys] != index).any():  # a repeated key: keep its first row
+            distinct, first = np.unique(keys, return_index=True)
+            direct[distinct] = first
+        return lambda rows: direct[np.minimum(  # at most DIRECT_KEYS, so a valid int64
+            np.asarray(rows, dtype=table.dtype)[..., 0], DIRECT_KEYS).view(np.int64)]
     order = np.argsort(keys, kind="stable")
     ranked = keys[order]
 

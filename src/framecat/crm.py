@@ -79,11 +79,11 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bits import bit_matrix, bool_product, pack_words, row_masks, word_lookup
+from .bits import bool_product, pack_words, word_lookup
 from .duality import (AdjunctionReport, check_transposes, enumerate_covering_functors,
                       generator_search, positions, transposes)
 from .functors import (FilterCategory, _require_open, arrow_set_tables, c_object,
-                       filter_category, require_etale)
+                       family_tables, filter_category, require_etale)
 from .order import FiniteLattice, FinitePoset, _freeze, cached, validate_poset
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
 from .reports import BoundExceeded, InternalError, Report
@@ -391,65 +391,41 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealComple
     on a valid S every element is the join of the join-primes J(S) below it
     (see join_primes), so I -> I & J(S) maps the closed ideals onto the
     down-sets D of J(S), with inverse D -> {x : J(S) & down(x) <= D}.  The
-    down-sets are enumerated, as masks over J(S), along a linear extension
-    of J(S), raising BoundExceeded past max_elements before any table is
-    allocated.  Their ideals are the rows of one boolean product, x being in
-    I_D iff no join-prime below x lies outside D, sorted by size and then
-    as member bitmasks (a lexsort on the columns from high to low).  On
-    down-sets, order, meet and join are inclusion, intersection and union;
-    by distributivity I_D.I_E has the union of J(S) & down(j.k) over j in
-    D and k in E, and I_D* (I_D+) that of J(S) & down(j*) (down(j+)) over
-    j in D.  Removing the last join-prime g of D leaves a down-set, its
-    parent D', and I_D is I_D' joined with down(g), so each row of a table
-    is its parent's row joined with what g adds.
+    down-sets are enumerated, as bool rows over J(S), along a linear
+    extension of J(S), raising BoundExceeded past max_elements before any
+    table is allocated.  Their ideals are the rows of one boolean product, x
+    being in I_D iff no join-prime below x lies outside D, sorted by size
+    and then as member bitmasks (a lexsort on the columns from high to low).
+    On down-sets, order, meet and join are inclusion, intersection and
+    union; by distributivity I_D.I_E has the union of J(S) & down(j.k) over
+    j in D and k in E, and I_D* (I_D+) that of J(S) & down(j*) (down(j+))
+    over j in D.  So the tables are those of the down-sets as a family of
+    sets of join-primes (functors.family_tables), with the product and the
+    images given on J(S): g_l <= g_j.g_k, g_l <= g_j* and g_l <= g_j+.
     """
-    primes = join_primes(s)
-    below = row_masks(s.leq[primes, :].T)  # below[x]: the join-primes <= x
-    downs = [0]
-    for k, g in enumerate(primes):
-        strictly_below = below[g] & ~(1 << k)
-        downs += [d | 1 << k for d in downs if strictly_below & ~d == 0]
+    primes = np.array(join_primes(s), dtype=np.int64)
+    m = len(primes)
+    below = s.leq[primes].T  # below[x, l]: the join-prime g_l is <= x
+    strictly_below = below[primes] & ~np.eye(m, dtype=bool)
+    downs = np.zeros((1, m), dtype=bool)
+    for last in range(m):  # the down-sets whose last join-prime is g_last
+        grown = downs[~(strictly_below[last] & ~downs).any(axis=1)]
+        grown[:, last] = True
+        downs = np.concatenate([downs, grown])
         if len(downs) > max_elements:
             break
     if len(downs) > max_elements:
         raise BoundExceeded(f"more than {max_elements} ideals")
 
-    nq, m = len(downs), len(primes)
-    members = ~bool_product(~bit_matrix(downs, m), s.leq[primes, :])
+    members = ~bool_product(~downs, below.T)
     order = np.lexsort(np.vstack([members.T, members.sum(axis=1)]))
-    members, downs = members[order], [downs[i] for i in order]
-    at = {d: i for i, d in enumerate(downs)}
-    principal = np.array([at[b] for b in below], dtype=np.int64)
-    tops = [d.bit_length() - 1 for d in downs]  # the last join-prime, a maximal one
-    parents = [at[d & ~(1 << k)] if d else 0 for d, k in zip(downs, tops)]
-
-    # with_prime[a, k] and cap[a, k]: the ideals of D_a | down(g_k) and D_a & down(g_k)
-    with_prime = np.array([[at[d | below[g]] for g in primes] for d in downs],
-                          dtype=np.int64).reshape(nq, m)
-    cap = np.array([[at[d & below[g]] for g in primes] for d in downs],
-                   dtype=np.int64).reshape(nq, m)
-    join = np.empty((nq, nq), dtype=np.int64)
-    join[0] = np.arange(nq)
-    for a in range(1, nq):
-        join[a] = with_prime[join[parents[a]], tops[a]]
-
-    g_arr = np.array(primes, dtype=np.int64)
-    meet = np.zeros((nq, nq), dtype=np.int64)
-    by_prime = np.zeros((nq, m), dtype=np.int64)  # by_prime[b, k]: down(g_k) . I_b
-    star = np.zeros(nq, dtype=np.int64)
-    plus = np.zeros(nq, dtype=np.int64)
-    for a in range(1, nq):
-        p, k = parents[a], tops[a]
-        g = primes[k]
-        meet[a] = join[meet[p], cap[:, k]]
-        by_prime[a] = join[by_prime[p], principal[s.mul[g_arr, g]]]
-        star[a] = join[star[p], principal[s.star[g]]]
-        plus[a] = join[plus[p], principal[s.plus[g]]]
-    mul = np.zeros((nq, nq), dtype=np.int64)
-    for a in range(1, nq):
-        mul[a] = join[mul[parents[a]], by_prime[:, tops[a]]]
-    lat = FiniteLattice(nq, _freeze(join == np.arange(nq)), _freeze(meet), _freeze(join),
-                        0, nq - 1)
+    members, downs = members[order], downs[order]
+    j, k = np.nonzero(s.mul[np.ix_(primes, primes)] != s.zero)  # the pairs g_j.g_k > 0
+    leq, meet, join, mul, star, plus = family_tables(
+        downs, j, k, below[s.mul[primes[j], primes[k]]],
+        below[s.star[primes]], below[s.plus[primes]])
+    principal = word_lookup(pack_words(downs))(pack_words(below))
+    lat = FiniteLattice(len(downs), _freeze(leq), _freeze(meet), _freeze(join), 0, len(downs) - 1)
     q = make_eq(lat, mul, int(principal[s.unit]), star, plus)
     return IdealCompletion(rqf=q, members=_freeze(members), principal=_freeze(principal),
                            source=s)

@@ -30,16 +30,15 @@ bitmask in ascending order, so for discrete topologies index == mask and
 the whole table construction vectorizes: _omega_discrete builds star, plus
 and the products {u}.V by doubling, the masks in [2^j, 2^(j+1)) being those
 below 2^j with arrow j added, and then mul one block of rows per arrow the
-same way.  For any other topology _omega_generic holds the opens as
-words of the `bits` kernel: inclusion, intersection and union are word
-AND/OR on whole rows of opens, the d- and r-images and the products are
-boolean products (the products over the composable pairs u.v), and
-`bits.word_lookup` maps every result back to its open, a result that is no
-open being an error.  An OmegaResult keeps the bool member rows of its
-opens, so omega_morphism is one gather of their columns and one word
-lookup, and so is c_morphism on the member rows of the filters; the
-transposes of both adjunctions (duality.transposes) read both as they
-are.
+same way.  For any other topology _omega_generic runs family_tables, the
+one table builder for a family of sets whose product, star and plus are
+given on points (arrow_set_tables: the composites and the graphs of d and
+r), as crm.bisection_monoid does on the open local bisections and
+crm.l_vee on the down-sets of J(S); a result that is no open is an error.
+An OmegaResult keeps the bool member rows of its opens, so omega_morphism is
+one gather of their columns and one word lookup, and so is c_morphism on
+the member rows of the filters; the transposes of both adjunctions
+(duality.transposes) read both as they are.
 """
 
 from __future__ import annotations
@@ -149,33 +148,50 @@ def _omega_generic(tc: FiniteTopCategory) -> OmegaResult:
 
 
 def arrow_set_tables(cat: FiniteCategory, member: np.ndarray) -> tuple[np.ndarray, ...]:
-    """leq, meet, join, mul, star and plus of the family of arrow sets U_i
-    whose bool rows are member[i, a] (arrow a is in U_i), on the words of
-    `bits.pack_words`: U_i <= U_j, and the index in the family of U_i & U_j,
-    U_i | U_j, the product U_i.U_j, d(U_i) and r(U_i), -1 where that set is
-    not in it.  Intersection and union of whole rows of sets are & and |,
-    and U_i <= U_j iff U_i & U_j = U_i, which is then in the family.  The
-    d- and r-images of all sets are one boolean product with the graphs of
-    d and r.  The product U.V holds w iff some composable pair u.v = w has
-    u in U and v in V: an AND of member columns over the composable pairs,
-    then a boolean product with their composites.  Temporaries are cut into
-    row blocks (`bits.row_blocks`), and every result is mapped back to its
-    set by `bits.word_lookup`."""
-    k, nq = cat.n, len(member)
+    """`family_tables` of the family of arrow sets with the bool rows
+    member[i, a] (arrow a is in U_i), over the composable pairs u.v landing
+    on their composites and the graphs of d and r."""
+    arrows = np.arange(cat.n)
+    u, v = np.nonzero(cat.comp != UNDEF)
+    return family_tables(member, u, v, cat.comp[u, v, None] == arrows,
+                         cat.d[:, None] == arrows, cat.r[:, None] == arrows)
+
+
+def family_tables(member: np.ndarray, u: np.ndarray, v: np.ndarray, lands: np.ndarray,
+                  star_of: np.ndarray, plus_of: np.ndarray) -> tuple[np.ndarray, ...]:
+    """leq, meet, join, mul, star and plus of the family of sets U_i of
+    points 0..k-1 with the bool rows member[i, p] (p is in U_i): U_i <= U_j,
+    and the index in the family of U_i & U_j, U_i | U_j, U_i.U_j, U_i* and
+    U_i+, -1 where that set is not in it.  The product and the images are
+    given on points and extended by unions: U.V holds w iff lands[t, w] for
+    a pair t with u[t] in U and v[t] in V (the pairs in ascending order of
+    u, as np.nonzero lists them), and U* (U+) holds w iff star_of[p, w]
+    (plus_of[p, w]) for some p in U.
+
+    On the words of `bits.pack_words`, & and | give intersection and union,
+    and U_i <= U_j iff U_i & U_j = U_i.  {p}.V is a boolean product of
+    member columns with the landing rows of the pairs from p, and U.V the OR
+    of the words of {p}.V over p in U, one row block at a time.  Every
+    result is mapped back to its set by `bits.word_lookup`."""
+    nq, k = member.shape
     words = pack_words(member)
     find = word_lookup(words)
-    arrows = np.arange(k)
-    u, v = np.nonzero(cat.comp != UNDEF)    # the composable pairs u.v
-    lands = cat.comp[u, v, None] == arrows  # lands[t, w]: the t-th composite is w
+    starts = np.searchsorted(u, np.arange(k + 1))  # the pairs from p: starts[p]:starts[p + 1]
+    single = np.empty((k, *words.shape), dtype=words.dtype)  # single[p, j] = {p}.U_j
+    for p in range(k):
+        pairs = slice(starts[p], starts[p + 1])
+        single[p] = pack_words(bool_product(member[:, v[pairs]], lands[pairs]))
     meet, join, mul = (np.empty((nq, nq), dtype=np.int64) for _ in range(3))
-    for rows in row_blocks(nq, nq * max(3 * words.shape[1], len(u), k)):
+    for rows in row_blocks(nq, 6 * nq * words.shape[1]):  # six temporaries of nq words a row
         a = words[rows, None]
-        both = member[rows, None, u] & member[None, :, v]  # [i, j, t]: u in U_i, v in U_j
-        products = pack_words(bool_product(both, lands))
-        found = find(np.stack([a & words, a | words, products], axis=2))
-        meet[rows], join[rows], mul[rows] = found[..., 0], found[..., 1], found[..., 2]
-    graphs = np.concatenate([cat.d[:, None] == arrows, cat.r[:, None] == arrows], axis=1)
-    star, plus = find(pack_words(bool_product(member, graphs).reshape(nq, 2, k))).T
+        products = np.zeros((len(a), nq, words.shape[1]), dtype=words.dtype)
+        for p in range(k):  # products[i, j] = the union of single[p, j] over p in U_i
+            np.bitwise_or(products, single[p], out=products, where=member[rows, p, None, None])
+        meet[rows] = find(a & words)
+        join[rows] = find(a | words)
+        mul[rows] = find(products)
+    images = bool_product(member, np.concatenate([star_of, plus_of], axis=1))
+    star, plus = find(pack_words(images.reshape(nq, 2, k))).T
     return meet == np.arange(nq)[:, None], meet, join, mul, star, plus
 
 

@@ -1,13 +1,13 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from framecat.bits import (BLOCK_CELLS, bit_matrix, bool_product, has_bit,
+from framecat.bits import (BLOCK_CELLS, DIRECT_KEYS, bit_matrix, bool_product, has_bit,
                            pack_words, row_blocks, row_masks, take_words, word_lookup)
 
 
 @st.composite
 def mask_lists(draw):
-    width = draw(st.sampled_from([0, 1, 63, 64, 65, 512]))
+    width = draw(st.sampled_from([0, 1, 12, 13, 63, 64, 65, 512]))
     masks = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=6))
     return width, masks
 
@@ -53,10 +53,29 @@ def test_words_hold_the_bits_of_the_masks(case):
 @given(mask_lists(), st.lists(st.integers(0, (1 << 130) - 1), max_size=6))
 def test_word_lookup_finds_exactly_the_rows_of_its_table(case, others):
     width, masks = case
-    table = sorted(set(masks))  # empty when masks is: every query is then missing
+    # empty when masks is: every query is then missing; a repeated row is
+    # found at its first place
+    table = masks + sorted(masks)
     queries = masks + [m & ((1 << width) - 1) for m in others]
     found = word_lookup(words_of(table, width))(words_of(queries, width))
     assert found.tolist() == [table.index(m) if m in table else -1 for m in queries]
+
+
+def test_word_lookup_misses_keys_past_a_direct_table():
+    """A one-word table whose keys are all below DIRECT_KEYS, queried at
+    and past that bound, at the top bit of the word, and at its own keys."""
+    table = np.array([[5], [DIRECT_KEYS - 1], [0], [5]], dtype="<u8")
+    queries = np.array([[DIRECT_KEYS], [DIRECT_KEYS + 5], [1 << 63], [(1 << 64) - 1],
+                        [5], [0], [DIRECT_KEYS - 1], [6]], dtype="<u8")
+    assert word_lookup(table)(queries).tolist() == [-1, -1, -1, -1, 0, 2, 1, -1]
+
+
+def test_word_lookup_in_an_empty_table_misses_every_row():
+    for words in (1, 2):
+        find = word_lookup(np.zeros((0, words), dtype="<u8"))
+        queries = np.array([[0] * words, [1] * words, [DIRECT_KEYS] * words], dtype="<u8")
+        assert find(queries).tolist() == [-1, -1, -1]
+        assert find(queries[:0]).shape == (0,)
 
 
 def test_word_lookup_keeps_the_shape_of_its_queries():

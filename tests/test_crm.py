@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framecat.bits import bit_matrix, has_bit, is_submask, iter_bits, mask_of, row_masks
+from framecat.bits import bit_matrix, has_bit, iter_bits, mask_of, row_masks
 from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, empty_category,
                              etale_categories, free_category_on_acyclic_graph,
                              hand_built_crms, monoid_category,
@@ -38,6 +38,10 @@ from map_oracles import (FilterMasks, assert_transposes_match_oracles, ideal_mas
                          map_outcome, one_value_perturbations, relabel, relabel_crm,
                          reversed_labels, small_corpus_categories)
 from random_categories import small_categories
+
+
+def is_submask(a: int, b: int) -> bool:
+    return a & ~b == 0
 
 
 def upset_mask(s, i: int) -> int:
@@ -579,6 +583,24 @@ def test_l_vee_matches_ideal_search_on_corpus(s):
     for bound in (count - 1, count):
         assert _raises_bound(l_vee, s, bound) == _raises_bound(l_vee_by_ideal_search, s, bound)
         assert _raises_bound(l_vee, s, bound) == (count > bound)
+
+
+def test_l_vee_refuses_past_its_bound_before_building_tables(omega_pair3, monkeypatch):
+    """One ideal past the bound is refused before functors.family_tables
+    is called: the down-sets of J(S) are counted first."""
+    s, _ = pi_restriction_monoid(omega_pair3.rqf)
+    trivial = make_crm(1, [[True]], [[0]], 0, 0, [0], [0], [[0]])
+    counts = [(s, len(l_vee(s).members)), (trivial, 1)]
+
+    def no_tables(*args):
+        raise AssertionError("tables built past the bound")
+
+    monkeypatch.setattr(crm, "family_tables", no_tables)
+    for monoid, count in counts:
+        with pytest.raises(BoundExceeded, match=f"more than {count - 1} ideals"):
+            l_vee(monoid, max_elements=count - 1)
+    with pytest.raises(AssertionError, match="tables built"):
+        l_vee(s, max_elements=512)
 
 
 @pytest.mark.parametrize("source", SUB_MONOID_SOURCES)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framecat.bits import has_bit, is_submask, iter_bits, mask_of, row_masks
+from framecat.bits import has_bit, iter_bits, mask_of, row_masks
 from framecat.corpus import (boolean_frame, chain_frame, corpus_frames, corpus_rqfs,
                              m3_lattice, negative_fixtures, product_frame)
 from framecat.order import (BRUTEFORCE_MAX_ELEMENTS, CPFilter, FiniteFrame,
@@ -672,7 +672,7 @@ def _is_filter_mask_reference(f, mask: int, ups: list, join_of=None) -> bool:
         return False
     members = list(iter_bits(mask))
     for x in members:
-        if not is_submask(ups[x], mask):
+        if ups[x] & ~mask:
             return False
     for x in members:
         for y in members:

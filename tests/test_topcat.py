@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framecat.bits import has_bit, is_submask, iter_bits, mask_of, row_masks
+from framecat.bits import full_mask, has_bit, iter_bits, mask_of, row_masks
 from framecat.corpus import (chain_frame, corpus_rqfs, empty_category, etale_categories,
                              indiscrete_pair_groupoid, monoid_category, negative_fixtures,
                              pair_groupoid, parallel_pair_category, parity_pair_groupoid,
                              path_category, truncated_free_monoid_category)
 from framecat.functors import c_object
 from framecat.quantale import frame_as_quantale
-from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, bisection_rows, c_o_is_open,
-                             continuity_check, identity_functor, is_etale,
+from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, bisection_rows,
+                             continuity_check, is_etale,
                              is_local_bisection, local_bisections,
                              make_category, open_local_bisections, open_rows,
                              topology_from_base, validate_category,
@@ -93,7 +93,7 @@ def test_discrete_categories_are_etale():
     for tc in (pair_groupoid(2), pair_groupoid(3), path_category(),
                monoid_category([[0, 1], [1, 1]])):
         assert is_etale(tc)[0]
-        assert c_o_is_open(tc)
+        assert tc.topology.is_open(tc.cat.identity_mask)
 
 
 def test_indiscrete_topology_is_not_etale():
@@ -107,7 +107,7 @@ def test_parity_topology_is_etale_and_valid():
     tc = parity_pair_groupoid()
     assert validate_topcategory(tc).ok
     assert is_etale(tc)[0]
-    assert c_o_is_open(tc)
+    assert tc.topology.is_open(tc.cat.identity_mask)
     assert open_local_bisections(tc) == [0, 0b0110, 0b1001]
 
 
@@ -199,7 +199,7 @@ def test_topology_from_base_is_every_union_of_basic_sets(base):
 
 def test_identity_functor_is_covering():
     c = pair_groupoid(2).cat
-    assert validate_covering_functor(identity_functor(c), c, c).ok
+    assert validate_covering_functor(np.arange(c.n, dtype=np.int64), c, c).ok
 
 
 def test_collapse_functor_fails_d_injectivity():
@@ -258,7 +258,7 @@ def test_map_into_the_empty_category_is_out_of_range():
 def test_continuity_between_topologies():
     disc = pair_groupoid(2)
     ind = indiscrete_pair_groupoid()
-    ident = identity_functor(disc.cat)
+    ident = np.arange(disc.n, dtype=np.int64)
     assert continuity_check(ident, disc, ind) == (True, None)
     ok, wit = continuity_check(ident, ind, disc)
     assert not ok and wit == 1
@@ -342,11 +342,56 @@ def _box_exists(cat, boxes, a, b, w):
     return False
 
 
+def validate_topology_by_pairs(t: Topology) -> Report:
+    rep = Report(subject="topology")
+    rep.layers_run.append("topology")
+    if t.opens is None:
+        return rep
+    full = full_mask(t.n)
+    if 0 not in t.opens:
+        rep.add("topology.contains_empty", ())
+    if full not in t.opens:
+        rep.add("topology.contains_all", ())
+    opens = sorted(t.opens)
+    for i, a in enumerate(opens):
+        for b in opens[i:]:
+            if a | b not in t.opens:
+                rep.add("topology.union_closed", (a, b))
+                return rep
+            if a & b not in t.opens:
+                rep.add("topology.intersection_closed", (a, b))
+                return rep
+    return rep
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0, 1, 3, 8, 64, 70]), st.data())
+def test_validate_topology_matches_pair_loop(width, data):
+    """Random families of arrow sets, most of them no topology, and the
+    unions-and-intersections closure of one, at widths of one and two
+    words; the same report, witness included."""
+    sets = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=8))
+    families = [frozenset(sets), topology_from_base(width, sets).opens | {full_mask(width)}]
+    for opens in families:
+        t = Topology(width, opens)
+        assert validate_topology(t) == validate_topology_by_pairs(t), sorted(opens)
+
+
+def test_validate_topology_names_the_first_pair():
+    t = Topology(3, frozenset([0, 0b001, 0b010, 0b100, 0b011, 0b111]))
+    assert validate_topology(t).violations[0].witness == (0b001, 0b100)
+    assert validate_topology(t).laws() == ["topology.union_closed"]
+    t = Topology(2, frozenset([0, 0b01, 0b10, 0b11]) - {0})
+    assert validate_topology(t).laws() == ["topology.contains_empty",
+                                           "topology.intersection_closed"]
+    assert validate_topology(t).violations[1].witness == (0b01, 0b10)
+
+
 def validate_topcategory_by_opens(tc) -> Report:
     rep = validate_category(tc.cat)
     if not rep.ok:
         return rep
-    rep.extend(validate_topology(tc.topology))
+    rep.extend(validate_topology_by_pairs(tc.topology))
     rep.subject = "topcategory"
     if not rep.ok or tc.topology.is_discrete:
         return rep
@@ -375,7 +420,7 @@ def is_etale_by_opens(tc):
     for o in top.iter_opens():
         cover = 0
         for b in olbs:
-            if is_submask(b, o):
+            if b & ~o == 0:
                 cover |= b
         if cover != o:
             return False, "etale.open_not_union_of_bisections", o
@@ -416,7 +461,7 @@ def test_topcategory_checks_match_oracles_on_corpus_and_negative_fixtures():
         tc = inst.obj
         assert_topcategory_checks_match_oracles(tc)
         assert_topcategory_checks_match_oracles(relabel(tc, np.arange(tc.n)[::-1]))
-        ident = identity_functor(tc.cat)
+        ident = np.arange(tc.n, dtype=np.int64)
         for m in (ident, *one_value_perturbations(ident, tc.n + 1)):
             assert_continuity_matches_oracle(m, tc, tc)
 
@@ -429,7 +474,7 @@ def test_topcategory_checks_match_oracles_on_c_of_corpus_rqfs(inst):
     tc = c_object(inst.obj).topcat
     assert_topcategory_checks_match_oracles(tc)
     discrete = FiniteTopCategory(tc.cat, Topology(tc.n, None))
-    ident = identity_functor(tc.cat)
+    ident = np.arange(tc.n, dtype=np.int64)
     for m in (ident, *one_value_perturbations(ident, tc.n + 1)):
         assert_continuity_matches_oracle(m, tc, tc)
         assert_continuity_matches_oracle(m, tc, discrete)
