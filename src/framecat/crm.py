@@ -15,11 +15,11 @@ categories hold their filters, so the extension of a callitic morphism
 and the bijection of the S-filters with the filters of C(L^vee(S)) are
 each one boolean product and one word lookup.
 
-The target PI(Omega(C)) is read off C, without building Omega(C)
-(bisection_monoid): it is the monoid of the open local bisections of C,
-with the set product, the d- and r-images as sets of identities,
-intersection and inclusion, and the partial join that is the union where
-the union is a bisection.  This is exact for an etale C.  An open U on
+The target PI(Omega(C)) is read off C, without building Omega(C), and
+cached on C (bisection_monoid): it is the monoid of the open local
+bisections of C, with the set product, the d- and r-images as sets of
+identities, intersection and inclusion, and the partial join that is the
+union where the union is a bisection.  This is exact for an etale C.  An open U on
 which d and r are injective is a partial isometry of Omega(C): every open
 V <= U has V+.U = {u in U : r(u) in r(V)} = V and U.V* = V.  An open U
 with d(u) = d(u') for arrows u != u' in U is not: C is etale, so u lies in
@@ -590,10 +590,14 @@ def bisection_monoid(tc: FiniteTopCategory, max_elements: int = 1024) -> Bisecti
     the union where it is a bisection, else -1.  Its tables are those of
     pi_restriction_monoid(omega_object(tc).rqf), element for element, and
     its join table is _partial_join_table of that monoid, without building
-    Omega(C); it raises what omega_object
-    raises for a category that is not etale or has more than max_elements
-    opens (`functors.require_etale`)."""
+    Omega(C).  Built once per category (`order.cached`); it raises what
+    omega_object raises, on every call, for a category that is not etale or
+    has more than max_elements opens (`functors.require_etale`)."""
     require_etale(tc, max_elements)
+    return cached(tc, "bisection_monoid", lambda: _bisection_monoid(tc))
+
+
+def _bisection_monoid(tc: FiniteTopCategory) -> BisectionMonoid:
     masks, members = bisection_rows(tc)
     leq, meet, joins, mul, star, plus = arrow_set_tables(tc.cat, members)
     _require_open(("intersection",), meet)
@@ -635,8 +639,8 @@ def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
     the first adjunction through the monoid/quantal-frame translation:
     T(alpha)(s) = {c : s in alpha(c)} and B(theta)(c) = {s : c in theta(s)}
     (duality.transposes), checked by duality.check_transposes.  PI(Omega(C)) is
-    read off C as its open local bisections (bisection_monoid), so Omega(C)
-    is never built.
+    read off C as its open local bisections (bisection_monoid, cached on C),
+    so Omega(C) is never built.
     """
     rep = AdjunctionReport()
     sf = s_filters(s)

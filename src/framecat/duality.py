@@ -25,8 +25,9 @@ backtracking over arrow maps that compiles composition and injectivity
 into the level of the last arrow alike.  The second adjunction in crm
 reuses the functor search, generator_search, transposes and
 check_transposes.  J, PI, C(Q) and the laws generator_search compiles on
-the generators are cached on their algebra (order.cached), so an
-adjunction check against an algebra it has seen before builds none of
+the generators are cached on their algebra, and Omega(C) and the open
+local bisections of C on the category (order.cached), so an adjunction
+check against an algebra or a category it has seen before builds none of
 them again.
 
 transposes reads the bool member rows of both sides, the filters (row k
@@ -54,7 +55,7 @@ from .order import _freeze, cached, join_irreducibles
 from .quantale import EhresmannQuantale, partial_isometries
 from .reports import BoundExceeded, InternalError, Report
 from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
-                     continuity_check, open_local_bisections, validate_covering_functor)
+                     continuity_check, validate_covering_functor)
 
 
 # ---------------------------------------------------------------------------
@@ -552,20 +553,15 @@ class AdjunctionReport:
 
 
 def verify_adjunction_I(tc: FiniteTopCategory, q: EhresmannQuantale,
-                        max_arrows: int = 12, max_elements: int = 64,
-                        om: Optional[OmegaResult] = None) -> AdjunctionReport:
+                        max_arrows: int = 12, max_elements: int = 64) -> AdjunctionReport:
     """Enumerate all continuous covering functors C -> C(Q) and all RQF
     morphisms Q -> Omega(C), and verify the two transposes are mutually
-    inverse bijections between the hom-sets.  `om` is Omega(C) when already
-    built.  An Omega(C) built here has its partial isometries read off C as
-    its open local bisections, not tested."""
+    inverse bijections between the hom-sets.  Omega(C) is cached on C
+    (functors.omega_object) and C(Q) on Q (functors.c_object), so a check
+    against a category or an algebra seen before builds neither again."""
     rep = AdjunctionReport()
     fc = c_object(q)
-    if om is None:
-        om = omega_object(tc)
-        # PI(Omega(C)) is the open local bisections (see crm.bisection_monoid)
-        cached(om.rqf, "partial_isometries",
-               lambda: tuple(om.index[m] for m in open_local_bisections(tc)))
+    om = omega_object(tc)
     if fc.n > max_arrows:
         raise BoundExceeded(f"C(Q) has {fc.n} arrows > {max_arrows}")
     rep.functor_homset = enumerate_covering_functors(tc, fc.topcat, max_arrows)
@@ -613,19 +609,12 @@ def check_transposes(rep: AdjunctionReport, forward, backward) -> None:
 
 
 def check_naturality_in_category(g, tc_src: FiniteTopCategory, tc_dst: FiniteTopCategory,
-                                 q: EhresmannQuantale,
-                                 om_src: Optional[OmegaResult] = None,
-                                 om_dst: Optional[OmegaResult] = None
-                                 ) -> tuple[bool, Optional[tuple]]:
+                                 q: EhresmannQuantale) -> tuple[bool, Optional[tuple]]:
     """For a continuous covering functor G: C' -> C, precomposition commutes
-    with the forward transpose: T(alpha o G) = Omega(G) o T(alpha).
-    `om_src` and `om_dst` are Omega(C') and Omega(C) when already built."""
+    with the forward transpose: T(alpha o G) = Omega(G) o T(alpha)."""
     g = np.asarray(g, dtype=np.int64)
     fc = c_object(q)
-    if om_src is None:
-        om_src = omega_object(tc_src)
-    if om_dst is None:
-        om_dst = omega_object(tc_dst)
+    om_src, om_dst = omega_object(tc_src), omega_object(tc_dst)
     omega_g = omega_morphism(g, om_src, om_dst)
     forward_src = transposes(fc.members, om_src.members)[0]
     forward_dst = transposes(fc.members, om_dst.members)[0]
@@ -638,16 +627,12 @@ def check_naturality_in_category(g, tc_src: FiniteTopCategory, tc_dst: FiniteTop
 
 
 def check_naturality_in_quantale(psi, q_src: EhresmannQuantale, q_dst: EhresmannQuantale,
-                                 tc: FiniteTopCategory,
-                                 om: Optional[OmegaResult] = None
-                                 ) -> tuple[bool, Optional[tuple]]:
+                                 tc: FiniteTopCategory) -> tuple[bool, Optional[tuple]]:
     """For an RQF morphism psi: Q -> Q', postcomposition by C(psi) commutes
-    with the forward transpose: T(C(psi) o alpha) = T(alpha) o psi.  `om`
-    is Omega(C) when already built."""
+    with the forward transpose: T(C(psi) o alpha) = T(alpha) o psi."""
     psi = np.asarray(psi, dtype=np.int64)
     fc_src, fc_dst = c_object(q_src), c_object(q_dst)
-    if om is None:
-        om = omega_object(tc)
+    om = omega_object(tc)
     c_psi = c_morphism(psi, fc_src, fc_dst)
     forward_src = transposes(fc_src.members, om.members)[0]
     forward_dst = transposes(fc_dst.members, om.members)[0]

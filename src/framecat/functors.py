@@ -38,13 +38,16 @@ crm.l_vee on the down-sets of J(S); a result that is no open is an error.
 An OmegaResult keeps the bool member rows of its opens, so omega_morphism is
 one gather of their columns and one word lookup, and so is c_morphism on
 the member rows of the filters; the transposes of both adjunctions
-(duality.transposes) read both as they are.
+(duality.transposes) read both as they are.  Omega(C) is cached on its
+category as C(Q) is on its quantale (`order.cached`), so it holds no
+reference to C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -65,8 +68,7 @@ from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
 class OmegaResult:
     rqf: EhresmannQuantale
     opens: tuple  # opens[i] = arrow bitmask of quantale element i
-    index: dict  # arrow bitmask -> element index
-    source: FiniteTopCategory
+    index: Mapping  # arrow bitmask -> element index, read-only
     members: np.ndarray  # members[i, a]: arrow a is in open i, read-only
 
     @property
@@ -75,10 +77,11 @@ class OmegaResult:
 
 
 def omega_object(tc: FiniteTopCategory, max_elements: int = 1024) -> OmegaResult:
+    """Omega(C), built once per category (`order.cached`); what
+    require_etale raises is raised on every call."""
     require_etale(tc, max_elements)
-    if tc.topology.is_discrete:
-        return _omega_discrete(tc)
-    return _omega_generic(tc)
+    build = _omega_discrete if tc.topology.is_discrete else _omega_generic
+    return cached(tc, "omega_object", lambda: build(tc))
 
 
 def require_etale(tc: FiniteTopCategory, max_elements: int) -> None:
@@ -123,7 +126,7 @@ def _omega_discrete(tc: FiniteTopCategory) -> OmegaResult:
     q = make_eq(frame, mul, int(cat.identity_mask), star, plus)
     opens = tuple(range(nq))
     members = (masks[:, None] >> np.arange(k) & 1).astype(bool)
-    return OmegaResult(rqf=q, opens=opens, index=dict(zip(opens, opens)), source=tc,
+    return OmegaResult(rqf=q, opens=opens, index=MappingProxyType(dict(zip(opens, opens))),
                        members=_freeze(members))
 
 
@@ -143,7 +146,7 @@ def _omega_generic(tc: FiniteTopCategory) -> OmegaResult:
     _require_open(("d-image", "r-image"), star, plus)
     _require_open(("product",), mul)
     q = make_eq(frame, mul, index[cat.identity_mask], star, plus)
-    return OmegaResult(rqf=q, opens=tuple(opens), index=index, source=tc,
+    return OmegaResult(rqf=q, opens=tuple(opens), index=MappingProxyType(index),
                        members=_freeze(members))
 
 

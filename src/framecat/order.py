@@ -11,10 +11,14 @@ frame is a lattice that passes `validate_frame`.
 What is derived from an algebra's tables and read many times (its
 join-irreducibles J here; PI, C(Q), J(S), the compatible joins and the
 S-filter category in `quantale`, `functors` and `crm`) is built once, on
-first use, into the algebra's `_cache` (`cached`).  Each cached value is
+first use, into the algebra's `_cache` (`cached`).  A topological category
+(`topcat.FiniteTopCategory`) has the same cache, for its etale verdict,
+Omega(C) and the monoid of its open local bisections.  Each cached value is
 immutable (tuples, frozen arrays, frozen dataclasses, read-only mappings)
-and holds no reference to its algebra, so the algebra is still freed by
-reference counting; `dataclasses.replace` starts with an empty cache.
+and holds no reference to its owner, so the owner is still freed by
+reference counting; `dataclasses.replace` starts with an empty cache.  A
+size bound, or the refusal of a category that is not etale, is checked on
+every call, not only on the build.
 
 Elements are dense integer indices.  The order is an n-by-n boolean table,
 meet/join are n-by-n element tables.  A finite frame is a finite bounded
@@ -78,8 +82,9 @@ T = TypeVar("T")
 
 
 def cached(alg, key: str, build: Callable[[], T]) -> T:
-    """alg._cache[key], built by build() on the first call.  The value must
-    be immutable and must not refer to alg (see the module docstring)."""
+    """alg._cache[key], built by build() on the first call, for an algebra
+    or a topological category alg.  The value must be immutable and must not
+    refer to alg (see the module docstring)."""
     cache = alg._cache
     if key not in cache:
         cache[key] = build()

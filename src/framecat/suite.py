@@ -3,8 +3,9 @@ the CLI shares with it.
 
 An Instance holds one etale category, restriction quantal frame or complete
 restriction monoid and builds each object derived from it once, on first
-use; C(Q) and the S-filter category are cached on their algebra instead
-(functors.c_object, crm.s_filters), and the check bodies ask for them
+use; Omega(C) is cached on its category, and C(Q) and the S-filter
+category on their algebra instead (functors.omega_object,
+functors.c_object, crm.s_filters), and the check bodies ask for them
 there.  The round-trip checks are module-level functions of an Instance: the
 suite runs them over the corpus, the CLI on a one-instance object built from
 a document.  The corpus is built once per run; the omega-X quantales and
@@ -74,7 +75,7 @@ class Instance:
         self._s = s
         self.max_elements = max_elements
 
-    @cached_property
+    @property
     def omega(self) -> OmegaResult:
         return omega_object(self.tc, max_elements=self.max_elements)
 
@@ -283,11 +284,11 @@ def adjunction_naturality(inst: Instance) -> CheckResult:
     tc, om = inst.tc, inst.omega
     q = om.rqf
     swap = np.array([3, 2, 1, 0], dtype=np.int64)
-    ok1, w1 = check_naturality_in_category(swap, tc, tc, q, om, om)
+    ok1, w1 = check_naturality_in_category(swap, tc, tc, q)
     if not ok1:
         return False, w1, "naturality square in the category argument"
     psi = omega_morphism(swap, om, om)
-    ok2, w2 = check_naturality_in_quantale(psi, q, q, tc, om)
+    ok2, w2 = check_naturality_in_quantale(psi, q, q, tc)
     if not ok2:
         return False, w2, "naturality square in the quantale argument"
     return True, None, ""
@@ -299,7 +300,7 @@ def adjunction_II_translated(inst: Instance) -> CheckResult:
     tc = inst.tc
     adj2 = verify_adjunction_II(tc, inst.crm)
     if adj2.ok:
-        adj1 = verify_adjunction_I(tc, inst.lv.rqf, om=inst.omega)
+        adj1 = verify_adjunction_I(tc, inst.lv.rqf)
         if adj1.sizes != adj2.sizes:
             return False, adj1.sizes + adj2.sizes, "sizes differ from translated pair"
     return adjunction_outcome(adj2)
@@ -373,7 +374,7 @@ def full_suite_pending() -> list[Pending]:
     out += [(c.name, "rejected-with-witness", partial(rejected_with_witness, c))
             for c in cor.negative_fixtures() + [cor.negative_crm_fixture()]]
     out += [(name, "adjunction-homsets", lambda inst=by_name[name]: adjunction_outcome(
-        verify_adjunction_I(inst.tc, inst.rqf, om=inst.omega)))
+        verify_adjunction_I(inst.tc, inst.rqf)))
         for name in ADJUNCTION_I_PAIRS]
     out.append(("pair2", "adjunction-naturality", partial(adjunction_naturality, by_name["pair2"])))
     out.append(("pair2/partial-bijections", "adjunction-II-homsets",

@@ -2,16 +2,21 @@
 local bisections and covering functors.
 
 Arrows are integer indices.  Composition is a partial table with -1 for
-"undefined"; comp[a, b] is defined exactly when d(a) = r(b).  A topology
-lists its opens as arrow masks, or None for the discrete topology (kept
-symbolic so large discrete instances stay cheap).  Every test on a listed
-topology reads its opens as member rows (`open_rows`), with no Python test
-per open.
+"undefined"; comp[a, b] is defined exactly when d(a) = r(b); d, r and comp
+are read-only.  A topology lists its opens as arrow masks, or None for the
+discrete topology (kept symbolic so large discrete instances stay cheap).
+Every test on a listed topology reads its opens as member rows
+(`open_rows`), with no Python test per open.
+
+A topological category caches what is derived from it alone, as the
+algebras do (`order.cached`): the etale verdict here, Omega(C)
+(`functors.omega_object`) and the monoid of its open local bisections
+(`crm.bisection_monoid`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -19,6 +24,7 @@ import numpy as np
 
 from .bits import (bit_matrix, bool_product, full_mask, has_bit, iter_bits, mask_of,
                    pack_words, row_blocks, word_lookup)
+from .order import cached
 from .reports import BoundExceeded, Report
 
 UNDEF = -1
@@ -31,6 +37,10 @@ class FiniteCategory:
     d: np.ndarray  # (n,) int: right identity of each arrow
     r: np.ndarray  # (n,) int: left identity of each arrow
     comp: np.ndarray  # (n, n) int, UNDEF where d(a) != r(b)
+
+    def __post_init__(self):
+        for table in (self.d, self.r, self.comp):
+            table.flags.writeable = False
 
     def identities(self) -> list[int]:
         return list(iter_bits(self.identity_mask))
@@ -92,6 +102,7 @@ def topology_from_base(n: int, base: Iterable[int]) -> Topology:
 class FiniteTopCategory:
     cat: FiniteCategory
     topology: Topology
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -107,8 +118,6 @@ def make_category(n: int, identities, d, r, comp_entries=None, comp_table=None) 
         comp = np.full((n, n), UNDEF, dtype=np.int64)
         for a, b, c in comp_entries or []:
             comp[a, b] = c
-    for arr in (d, r, comp):
-        arr.flags.writeable = False
     return FiniteCategory(n=n, identity_mask=mask_of(identities), d=d, r=r, comp=comp)
 
 
@@ -338,8 +347,13 @@ def is_etale(tc: FiniteTopCategory) -> tuple[bool, Optional[str], Optional[int]]
     ascending mask order, (i) tried on every open before (ii), d before r.
     The images are the boolean products of the member rows with the graphs
     of d and r.  Discrete topologies are always etale: singletons are open
-    local bisections and images are open.
+    local bisections and images are open.  Decided once per category
+    (`order.cached`).
     """
+    return cached(tc, "is_etale", lambda: _is_etale(tc))
+
+
+def _is_etale(tc: FiniteTopCategory) -> tuple[bool, Optional[str], Optional[int]]:
     if tc.topology.is_discrete:
         return True, None, None
     masks, rows, find = open_rows(tc.topology)

@@ -1115,18 +1115,20 @@ def _adjunction_key(adj):
 
 
 def test_suite_adjunction_II_check_reuses_the_instance_builds(pair2, monkeypatch):
-    """Once the Instance holds Omega(C), PI and L^vee, and the two filter
-    categories are cached on their algebras, the check builds none of them
-    again: neither Omega nor PI is built, and functors.filter_category,
-    which makes both filter categories, is not called."""
-    from framecat import crm, duality, functors, suite
+    """Once Omega(C) and the open local bisections are cached on C, the
+    Instance holds PI and L^vee, and the two filter categories are cached
+    on their algebras, the check builds none of them again: neither Omega,
+    the bisections nor PI is built, and functors.filter_category, which
+    makes both filter categories, is not called."""
+    from framecat import crm, functors, suite
     inst = suite.Instance(tc=pair2)
     inst.omega, inst.pi, inst.lv  # built before the check runs
     s_filters(inst.crm), c_object(inst.lv.rqf)
     without_builds = verify_adjunction_II(pair2, inst.crm)
 
     calls = []
-    for module, name in ((functors, "omega_object"), (duality, "omega_object"),
+    for module, name in ((functors, "_omega_discrete"), (functors, "_omega_generic"),
+                         (crm, "_bisection_monoid"),
                          (crm, "pi_restriction_monoid"), (functors, "filter_category"),
                          (crm, "filter_category")):
         original = getattr(module, name)

@@ -23,7 +23,7 @@ from framecat.duality import (AdjunctionReport, _is_rqf_morphism_on_j,
                               omega_is_isomorphism, quantale_isomorphism_ok,
                               transposes, validate_rqf_morphism,
                               verify_adjunction_I)
-from framecat.crm import l_vee, pi_restriction_monoid
+from framecat.crm import l_vee, pi_restriction_monoid, verify_adjunction_II
 from framecat.functors import c_object, omega_morphism, omega_object
 from framecat.order import join_irreducibles
 from framecat.quantale import frame_as_quantale, partial_isometries
@@ -342,29 +342,30 @@ def test_check_transposes_matches_the_two_direction_check_on_perturbed_homsets(
         assert_same_transpose_check(*homsets, forward, backward)
 
 
-def test_adjunction_I_reads_the_isometries_of_the_omega_it_builds_off_c(monkeypatch):
-    """The Omega(C) that verify_adjunction_I builds gets its partial
-    isometries from the open local bisections of C, not from the n-by-n
-    test, and they are the ones that test finds."""
-    from framecat import duality, quantale
-    built, tested = [], []
-    real_omega, real_test = duality.omega_object, quantale._partial_isometries
-
-    def recorded_omega(tc, *args, **kwargs):
-        built.append(real_omega(tc, *args, **kwargs))
-        return built[-1]
+def test_isometries_check_tests_the_omega_both_adjunctions_share(monkeypatch):
+    """Both adjunctions reuse the Omega(C) cached on C, and the PI of that
+    Omega comes from the n-by-n test, not from the open local bisections,
+    so isometries-are-open-bisections still compares two independent sets
+    after both ran.  The algebras are built on a copy of C with its own
+    cache, so only the adjunctions touch the cache of C."""
+    from framecat import quantale
+    from framecat.suite import Instance, isometries_are_open_bisections
+    tested = []
+    real_test = quantale._partial_isometries
 
     def recorded_test(q):
         tested.append(q)
         return real_test(q)
-    monkeypatch.setattr(duality, "omega_object", recorded_omega)
     monkeypatch.setattr(quantale, "_partial_isometries", recorded_test)
     for inst in etale_categories():
-        q = omega_object(inst.obj).rqf
-        verify_adjunction_I(inst.obj, q, max_elements=1024)
-        om = built[-1]
-        assert all(r is not om.rqf for r in tested), inst.name
-        assert partial_isometries(om.rqf) == real_test(om.rqf), inst.name
+        tc = inst.obj
+        q = omega_object(dataclasses.replace(tc)).rqf
+        s, _ = pi_restriction_monoid(q)
+        verify_adjunction_I(tc, q, max_elements=1024)
+        verify_adjunction_II(tc, s, max_elements=1024)
+        om = omega_object(tc)
+        assert any(r is om.rqf for r in tested), inst.name
+        assert isometries_are_open_bisections(Instance(tc=tc)) == (True, None, ""), inst.name
 
 
 @pytest.mark.parametrize("make,expected", [
@@ -644,12 +645,12 @@ def transpose_backward_bit_matrix(beta, tc, q, fc, om):
     return out
 
 
-def transposes_I_oracle(q, fc, om):
+def transposes_I_oracle(tc, q, fc, om):
     """duality.transposes_I as it was: the filter rows of C(Q) and the
     opens of Omega(C) read off their masks (bits.bit_matrix), and None
     where it raised ValueError."""
     filters = q.leq[fc.generators]              # [k, x]: x in filter k
-    opens = bit_matrix(om.opens, om.source.n)  # [i, c]: c in open i
+    opens = bit_matrix(om.opens, tc.n)         # [i, c]: c in open i
     find_filter, find_open = word_lookup(pack_words(filters)), word_lookup(pack_words(opens))
 
     def transposed(images, rows, find):
@@ -664,7 +665,7 @@ def adjunction_I_transposes(tc, q, fc, om):
     """forward, its oracles, backward, its oracles, each taking the map
     alone."""
     forward, backward = transposes(q.leq[fc.generators], om.members)
-    forward_I, backward_I = transposes_I_oracle(q, fc, om)
+    forward_I, backward_I = transposes_I_oracle(tc, q, fc, om)
     return (forward,
             [forward_I] + [lambda m, body=body: body(m, tc, q, fc, om)
                            for body in (transpose_forward_oracle, transpose_forward_bit_matrix)],
@@ -798,7 +799,7 @@ def assert_unit_and_counit_match_oracles(tc):
     assert_chi_matches_oracle(q)
     fc = c_object(q)
     forward, backward = transposes(q.leq[fc.generators], om.members)
-    forward_I, backward_I = transposes_I_oracle(q, fc, om)
+    forward_I, backward_I = transposes_I_oracle(tc, q, fc, om)
     assert_transposes_match_oracles(forward, [forward_I], backward, [backward_I],
                                     enumerate_covering_functors(tc, fc.topcat),
                                     enumerate_rqf_morphisms(q, om.rqf, max_elements=1024),
@@ -945,9 +946,9 @@ def test_j_decision_matches_scan_on_random_categories(tc1, tc2, data):
     have at most 64 elements, maps extended by joins from random values on
     J, and random maps; the same with C2 = C1."""
     om1 = omega_object(tc1)
-    for om2 in (om1, omega_object(tc2)):
+    for target, om2 in ((tc1, om1), (tc2, omega_object(tc2))):
         q, r = om2.rqf, om1.rqf
-        for f in enumerate_covering_functors(tc1, om2.source):
+        for f in enumerate_covering_functors(tc1, target):
             theta = omega_morphism(f, om1, om2)
             assert validate_rqf_morphism(theta, q, r).ok
             assert_j_decisions_match_scan(

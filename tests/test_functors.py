@@ -642,7 +642,7 @@ def test_omega_tables_match_oracle_on_random_categories(tc):
 
 def omega_morphism_oracle(fmap, om_src, om_dst):
     fmap = np.asarray(fmap, dtype=np.int64)
-    n_arrows = om_src.source.n
+    n_arrows = om_src.members.shape[1]
     out = np.zeros(om_dst.n, dtype=np.int64)
     for i, u_mask in enumerate(om_dst.opens):
         pre = mask_of(a for a in range(n_arrows) if has_bit(u_mask, int(fmap[a])))
