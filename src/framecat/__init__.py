@@ -14,22 +14,20 @@ from .order import (CPFilter, FiniteFrame, FiniteLattice, FinitePoset,
                     cp_filters_bruteforce, enumerate_cp_filters,
                     frame_from_leq, frame_spatial_check, is_frame,
                     join_irreducibles, lattice_from_leq, meet_prime_elements,
-                    pt_topology, validate_frame, validate_lattice,
-                    validate_poset)
+                    validate_frame, validate_lattice, validate_poset)
 from .quantale import (EhresmannQuantale, FiniteQuantale,
-                       RestrictionQuantalFrame, cat_of_ehresmann, compatible,
+                       RestrictionQuantalFrame, compatible,
                        compatibility_lemma_check, every_element_is_join_of_pi,
                        frame_as_quantale, make_eq, partial_isometries,
                        pi_is_order_ideal, validate_ehresmann, validate_quantale,
                        validate_rqf)
 from .topcat import (FiniteCategory, FiniteTopCategory, Topology,
                      continuity_check, is_etale,
-                     local_bisections, make_category, open_local_bisections,
+                     make_category, open_local_bisections,
                      topology_from_base, validate_category,
                      validate_covering_functor, validate_topcategory)
 from .functors import (FilterCategory, OmegaResult, c_morphism,
-                       c_object, identity_space_vs_pt, omega_morphism,
-                       omega_object)
+                       c_object, omega_morphism, omega_object)
 from .duality import (build_chi, build_omega_map, chi_is_isomorphism,
                       enumerate_covering_functors, enumerate_rqf_morphisms,
                       find_category_isomorphism, is_sober, is_spatial,

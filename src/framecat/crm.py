@@ -551,8 +551,9 @@ def s_filters(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> FilterCate
                                "completely prime S-filter", range(s.n))
 
     sf = cached(s, "s_filters", build)
-    if sf.topcat.topology.open_count() > max_opens:
-        raise BoundExceeded("S-filter topology too large")
+    count = sf.topcat.topology.open_count()
+    if count > max_opens:
+        raise BoundExceeded(f"S-filter topology has {count} opens > {max_opens}")
     return sf
 
 
@@ -640,7 +641,11 @@ def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
     T(alpha)(s) = {c : s in alpha(c)} and B(theta)(c) = {s : c in theta(s)}
     (duality.transposes), checked by duality.check_transposes.  PI(Omega(C)) is
     read off C as its open local bisections (bisection_monoid, cached on C),
-    so Omega(C) is never built.
+    so Omega(C) is never built.  bisection_monoid keeps its fixed bound of
+    1024 opens and is not given max_elements: that bounds the search's
+    target, the bisection monoid, which is far smaller than the opens (34
+    elements against 512 at pair3), so passing it on would refuse pair3 at
+    the default of 64.
     """
     rep = AdjunctionReport()
     sf = s_filters(s)

@@ -556,12 +556,14 @@ def verify_adjunction_I(tc: FiniteTopCategory, q: EhresmannQuantale,
                         max_arrows: int = 12, max_elements: int = 64) -> AdjunctionReport:
     """Enumerate all continuous covering functors C -> C(Q) and all RQF
     morphisms Q -> Omega(C), and verify the two transposes are mutually
-    inverse bijections between the hom-sets.  Omega(C) is cached on C
-    (functors.omega_object) and C(Q) on Q (functors.c_object), so a check
-    against a category or an algebra seen before builds neither again."""
+    inverse bijections between the hom-sets.  Omega(C) is the target of the
+    morphism search, so max_elements bounds its opens too.  Omega(C) is
+    cached on C (functors.omega_object) and C(Q) on Q (functors.c_object),
+    so a check against a category or an algebra seen before builds neither
+    again."""
     rep = AdjunctionReport()
     fc = c_object(q)
-    om = omega_object(tc)
+    om = omega_object(tc, max_elements)
     if fc.n > max_arrows:
         raise BoundExceeded(f"C(Q) has {fc.n} arrows > {max_arrows}")
     rep.functor_homset = enumerate_covering_functors(tc, fc.topcat, max_arrows)

@@ -51,10 +51,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .bits import (bit_matrix, bool_product, full_mask, iter_bits, mask_of, pack_words,
-                   row_blocks, row_masks, word_lookup)
-from .order import (FiniteLattice, FiniteTopSpace, _freeze, cached, cp_filter_generators,
-                    enumerate_cp_filters, pt_topology, subframe)
+from .bits import (bit_matrix, bool_product, full_mask, pack_words, row_blocks, row_masks,
+                   word_lookup)
+from .order import FiniteLattice, _freeze, cached, cp_filter_generators
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
 from .reports import BoundExceeded, InternalError
 from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
@@ -315,49 +314,3 @@ def c_morphism(phi, fc_src: FilterCategory, fc_dst: FilterCategory) -> np.ndarra
     if (out < 0).any():
         raise ValueError("preimage filter is not a completely prime filter")
     return _freeze(out)
-
-
-# ---------------------------------------------------------------------------
-# the identity space of C(Q) versus the points of the projection frame
-
-def subspace(space_n: int, opens, point_mask: int) -> FiniteTopSpace:
-    points = list(iter_bits(point_mask))
-    pos = {p: i for i, p in enumerate(points)}
-    sub_opens = set()
-    for o in opens:
-        sub_opens.add(mask_of(pos[p] for p in iter_bits(o & point_mask)))
-    return FiniteTopSpace(n_points=len(points), opens=frozenset(sub_opens))
-
-
-def identity_space_vs_pt(q: EhresmannQuantale) -> tuple[bool, str]:
-    """The identity arrows of C(Q) with the subspace topology are homeomorphic
-    to the points of the projection frame e-down, by A -> A /\\ e-down."""
-    fc = c_object(q)
-    id_indices = fc.topcat.cat.identities()
-    id_space = subspace(fc.n, fc.topcat.topology.iter_opens(), fc.topcat.cat.identity_mask)
-
-    projs = q.projections()
-    pframe, pos = subframe(q, projs)
-    pt_space = pt_topology(pframe)
-    pt_filters = enumerate_cp_filters(pframe)
-    pt_index = {f.members: i for i, f in enumerate(pt_filters)}
-
-    if len(id_indices) != len(pt_filters):
-        return False, (f"identity filters {len(id_indices)} != points of e-down {len(pt_filters)}")
-
-    bij = {}
-    for slot, k in enumerate(id_indices):
-        sub_members = mask_of(pos[x] for x in projs if fc.members[k, x])
-        i = pt_index.get(sub_members)
-        if i is None:
-            return False, f"A /\\ e-down of filter {k} is not a point of e-down"
-        bij[slot] = i
-    if len(set(bij.values())) != len(bij):
-        return False, "A -> A /\\ e-down is not injective on identity filters"
-
-    mapped = set()
-    for o in id_space.opens:
-        mapped.add(mask_of(bij[p] for p in iter_bits(o)))
-    if mapped != set(pt_space.opens):
-        return False, "open families do not correspond under the bijection"
-    return True, ""

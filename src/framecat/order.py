@@ -1,4 +1,4 @@
-"""Finite posets, lattices, frames, completely prime filters and points.
+"""Finite posets, lattices, frames, completely prime filters and spatiality.
 
 The algebras form one dataclass chain, each layer adding only its own
 fields: FinitePoset (n, leq), FiniteLattice (+ meet, join, bottom, top),
@@ -68,7 +68,7 @@ from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
-from .bits import (full_mask, has_bit, mask_of, pack_words, row_blocks, row_masks, take_words,
+from .bits import (has_bit, mask_of, pack_words, row_blocks, row_masks, take_words,
                    word_lookup)
 from .reports import InternalError, Report
 
@@ -134,16 +134,6 @@ class CPFilter:
 
     def contains(self, x: int) -> bool:
         return has_bit(self.members, x)
-
-
-@dataclass(frozen=True)
-class FiniteTopSpace:
-    n_points: int
-    opens: frozenset  # frozenset[int]; bitmasks over points
-
-    @property
-    def is_discrete(self) -> bool:
-        return len(self.opens) == 1 << self.n_points
 
 
 # ---------------------------------------------------------------------------
@@ -539,30 +529,7 @@ def cp_filters_bruteforce(f: FiniteFrame) -> list[CPFilter]:
 
 
 # ---------------------------------------------------------------------------
-# points and spatiality
-
-def x_set_mask(f: FiniteFrame, filters: list[CPFilter], a: int) -> int:
-    """X_a: the completely prime filters containing a, as a point bitmask."""
-    return mask_of(k for k, c in enumerate(filters) if c.contains(a))
-
-
-def pt_topology(f: FiniteFrame) -> FiniteTopSpace:
-    """The space of points with opens {X_a}; the X-laws are re-verified."""
-    filters = enumerate_cp_filters(f)
-    xs = [x_set_mask(f, filters, a) for a in range(f.n)]
-    npts = len(filters)
-    if xs[f.bottom] != 0:
-        raise InternalError("X_bottom must be empty")
-    if xs[f.top] != full_mask(npts):
-        raise InternalError("X_top must be the full point set")
-    for a in range(f.n):
-        for b in range(f.n):
-            if xs[a] & xs[b] != xs[int(f.meet[a, b])]:
-                raise InternalError(f"X-law for meet fails at ({a},{b})")
-            if xs[a] | xs[b] != xs[int(f.join[a, b])]:
-                raise InternalError(f"X-law for join fails at ({a},{b})")
-    return FiniteTopSpace(n_points=npts, opens=frozenset(xs))
-
+# spatiality
 
 def frame_spatial_check(f: FiniteFrame) -> tuple[bool, Optional[tuple[int, int]]]:
     """Whenever a not<= b some completely prime filter contains a and omits b."""
@@ -582,25 +549,3 @@ def frame_spatial_check(f: FiniteFrame) -> tuple[bool, Optional[tuple[int, int]]
         i, j = np.argwhere(bad)[0]
         return False, (int(i), int(j))
     return True, None
-
-
-# ---------------------------------------------------------------------------
-# subframes (used for the projection frame e-down of a quantale)
-
-def subframe(f: FiniteFrame, elements: list[int]) -> tuple[FiniteFrame, dict]:
-    """Restrict the frame to a sublattice given by a sorted element list.
-
-    Returns the restricted frame and the map old-index -> new-index.
-    Raises if the subset is not closed under meets and joins.
-    """
-    pos = {e: i for i, e in enumerate(elements)}
-    k = len(elements)
-    leq = np.zeros((k, k), dtype=bool)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            leq[i, j] = f.leq[a, b]
-    for a in elements:
-        for b in elements:
-            if int(f.meet[a, b]) not in pos or int(f.join[a, b]) not in pos:
-                raise ValueError(f"subset not closed under meet/join at ({a},{b})")
-    return lattice_from_leq(leq), pos

@@ -52,7 +52,6 @@ from .bits import mask_of, row_blocks
 from .order import (FiniteFrame, FiniteLattice, cached, join_irreducibles, join_splits,
                     validate_frame)
 from .reports import Report
-from .topcat import FiniteCategory, FiniteTopCategory, Topology
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,20 +397,3 @@ def validate_rqf(q: EhresmannQuantale) -> Report:
             rep.add("rqf.isometries_closed_under_mul", (a, b, bad[0]))
             break
     return rep
-
-
-def cat_of_ehresmann(q: EhresmannQuantale):
-    """The category with arrows = elements, a.b defined iff a* = b+,
-    d(a) = a*, r(a) = a+, identities = projections; discrete topology."""
-    n = q.n
-    comp = np.full((n, n), -1, dtype=np.int64)
-    eq_dr = q.star[:, None] == q.plus[None, :]
-    comp[eq_dr] = q.mul[eq_dr]
-    cat = FiniteCategory(
-        n=n,
-        identity_mask=q.projection_mask(),
-        d=q.star.copy(),
-        r=q.plus.copy(),
-        comp=comp,
-    )
-    return FiniteTopCategory(cat=cat, topology=Topology(n, None))

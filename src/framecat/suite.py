@@ -49,7 +49,7 @@ from .quantale import (EhresmannQuantale, compatibility_lemma_check,
                        pi_is_order_ideal, validate_quantale, validate_rqf)
 from .reports import CheckReport, Report, run_check, sort_reports
 from .topcat import (FiniteTopCategory, continuity_check, is_etale,
-                     local_bisections, validate_category,
+                     open_local_bisections, validate_category,
                      validate_covering_functor, validate_topcategory)
 
 CheckResult = tuple[bool, Optional[tuple], str]
@@ -202,10 +202,11 @@ def omega_nonsober(inst: Instance) -> CheckResult:
 
 
 def isometries_are_open_bisections(inst: Instance) -> CheckResult:
-    """PI(Omega(C)) is exactly the set of open local bisections of C."""
-    om, tc = inst.omega, inst.tc
+    """PI(Omega(C)), the n-by-n test on the opens, is exactly the set of
+    open local bisections of C, read off C alone (`topcat.bisection_rows`)."""
+    om = inst.omega
     pis = {om.opens[p] for p in partial_isometries(om.rqf)}
-    olbs = {m for m in local_bisections(tc.cat) if tc.topology.is_open(m)}
+    olbs = set(open_local_bisections(inst.tc))
     if pis != olbs:
         return False, (len(pis), len(olbs)), "sets differ"
     return True, None, ""

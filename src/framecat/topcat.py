@@ -280,25 +280,7 @@ def validate_topcategory(tc: FiniteTopCategory) -> Report:
 # ---------------------------------------------------------------------------
 # local bisections and etale structure
 
-def is_local_bisection(c: FiniteCategory, mask: int) -> bool:
-    seen_d, seen_r = set(), set()
-    for a in iter_bits(mask):
-        da, ra = int(c.d[a]), int(c.r[a])
-        if da in seen_d or ra in seen_r:
-            return False
-        seen_d.add(da)
-        seen_r.add(ra)
-    return True
-
-
-SUBSET_MAX_ARROWS = 20  # the most arrows whose subsets are all listed
-
-
-def local_bisections(c: FiniteCategory, max_arrows: int = SUBSET_MAX_ARROWS) -> list[int]:
-    """All arrow subsets on which both d and r are injective."""
-    if c.n > max_arrows:
-        raise BoundExceeded(f"{c.n} arrows > {max_arrows}; refusing 2^n enumeration")
-    return [m for m in range(1 << c.n) if is_local_bisection(c, m)]
+SUBSET_MAX_ARROWS = 20  # the most arrows of a discrete category whose bisections are listed
 
 
 def open_local_bisections(tc: FiniteTopCategory) -> list[int]:
@@ -328,8 +310,9 @@ def _discrete_bisections(c: FiniteCategory) -> list[int]:
     """All local bisections, every subset being open, as ascending masks,
     grown one arrow j at a time without listing the subsets: those with j
     as their largest arrow are those before with j added, kept when they
-    hold no arrow with the d or the r of j.  Refused, like
-    `local_bisections`, above SUBSET_MAX_ARROWS arrows."""
+    hold no arrow with the d or the r of j.  Refused above
+    SUBSET_MAX_ARROWS arrows: when every arrow is an identity, each of the
+    2^n subsets is a bisection."""
     if c.n > SUBSET_MAX_ARROWS:
         raise BoundExceeded(f"{c.n} arrows > {SUBSET_MAX_ARROWS}; refusing 2^n enumeration")
     d, r = c.d.tolist(), c.r.tolist()

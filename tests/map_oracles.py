@@ -4,8 +4,10 @@ c_morphism): each is compared with the element-by-element body it had
 before, on hom-set members and their one-value perturbations.  Also the rqf
 hom-set search's decision on join-irreducibles against
 validate_rqf_morphism, the relabellings of a category's arrows and of an
-algebra's elements that the tests search under, and the maps the arrow-map
-search yields to the covering functor search."""
+algebra's elements that the tests search under, the maps the arrow-map
+search yields to the covering functor search, the subset walk that lists the
+local bisections one arrow subset at a time (the oracle of
+topcat.bisection_rows), and the category of an Ehresmann quantale."""
 
 from unittest import mock
 
@@ -17,8 +19,10 @@ from framecat.corpus import etale_categories
 from framecat.crm import make_crm
 from framecat.order import FiniteLattice, join_irreducibles
 from framecat.quantale import make_eq, partial_isometries
-from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, continuity_check,
-                             make_category, validate_covering_functor)
+from framecat.reports import BoundExceeded
+from framecat.topcat import (SUBSET_MAX_ARROWS, UNDEF, FiniteCategory, FiniteTopCategory,
+                             Topology, continuity_check, make_category,
+                             validate_covering_functor)
 
 
 def map_outcome(construction, m, *args):
@@ -145,6 +149,37 @@ def build_omega_map_oracle(tc, om, fc):
 
 def small_corpus_categories():
     return [(i.name, i.obj) for i in etale_categories() if i.obj.n <= 6]
+
+
+def is_local_bisection(c: FiniteCategory, mask: int) -> bool:
+    """d and r are injective on the arrows of mask."""
+    seen_d, seen_r = set(), set()
+    for a in iter_bits(mask):
+        da, ra = int(c.d[a]), int(c.r[a])
+        if da in seen_d or ra in seen_r:
+            return False
+        seen_d.add(da)
+        seen_r.add(ra)
+    return True
+
+
+def local_bisections(c: FiniteCategory, max_arrows: int = SUBSET_MAX_ARROWS) -> list[int]:
+    """All arrow subsets on which both d and r are injective, as ascending
+    masks, each of the 2^n subsets tested on its own."""
+    if c.n > max_arrows:
+        raise BoundExceeded(f"{c.n} arrows > {max_arrows}; refusing 2^n enumeration")
+    return [m for m in range(1 << c.n) if is_local_bisection(c, m)]
+
+
+def cat_of_ehresmann(q) -> FiniteTopCategory:
+    """The category with arrows = elements, a.b defined iff a* = b+,
+    d(a) = a*, r(a) = a+, identities = projections; discrete topology."""
+    comp = np.full((q.n, q.n), UNDEF, dtype=np.int64)
+    eq_dr = q.star[:, None] == q.plus[None, :]
+    comp[eq_dr] = q.mul[eq_dr]
+    cat = FiniteCategory(n=q.n, identity_mask=q.projection_mask(), d=q.star.copy(),
+                         r=q.plus.copy(), comp=comp)
+    return FiniteTopCategory(cat=cat, topology=Topology(q.n, None))
 
 
 def j_decision(q, r):

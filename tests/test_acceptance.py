@@ -26,7 +26,8 @@ from framecat.order import cp_filters_bruteforce, enumerate_cp_filters
 from framecat.quantale import (compatibility_lemma_check, compatible,
                                partial_isometries, validate_rqf)
 from framecat.suite import _validate_any
-from framecat.topcat import local_bisections, validate_covering_functor
+from framecat.topcat import validate_covering_functor
+from map_oracles import local_bisections
 
 
 def announce(line: str) -> None:

@@ -24,10 +24,10 @@ from framecat.crm import (_compatible_join_table, bisection_monoid, join_primes,
 from framecat.duality import verify_adjunction_I
 from framecat.functors import c_object, omega_object
 from framecat.order import join_irreducibles
-from framecat.quantale import cat_of_ehresmann, partial_isometries
+from framecat.quantale import partial_isometries
 from framecat.reports import BoundExceeded
 from framecat.topcat import is_etale
-from map_oracles import relabel
+from map_oracles import cat_of_ehresmann, relabel
 
 QUANTALE_KEYS = {"join_irreducibles", "partial_isometries", "c_object", "law_skeleton"}
 MONOID_KEYS = {"join_primes", "compatible_joins", "s_filters", "law_skeleton"}

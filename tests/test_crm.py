@@ -889,8 +889,9 @@ def s_filters_oracle(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> Fil
     cat = make_category(nf, identities, d_idx, r_idx, comp_table=comp)
     base = [mask_of(k for k, f in enumerate(filters) if has_bit(f, a)) for a in range(s.n)]
     topology = topology_from_base(nf, base)
-    if topology.open_count() > max_opens:
-        raise BoundExceeded("S-filter topology too large")
+    count = topology.open_count()
+    if count > max_opens:
+        raise BoundExceeded(f"S-filter topology has {count} opens > {max_opens}")
     generators = np.array([next(x for x in iter_bits(m) if up[x] == m) for m in filters],
                           dtype=np.int64)
     return FilterCategory(topcat=FiniteTopCategory(cat=cat, topology=topology),
@@ -919,6 +920,17 @@ def test_s_filter_category_matches_oracle_on_valid_sub_monoids(source):
     assert valid
     for keep, sub in valid:
         assert_s_filters_match_oracle(sub, keep)
+
+
+def test_s_filters_refused_one_open_past_the_bound_names_count_and_bound(i2):
+    """Both after a cached build and in the reference copy."""
+    s = i2[0]
+    count = s_filters(s).topcat.topology.open_count()
+    for build in (s_filters, s_filters_oracle):
+        with pytest.raises(BoundExceeded,
+                           match=f"^S-filter topology has {count} opens > {count - 1}$"):
+            build(s, max_opens=count - 1)
+        assert build(s, max_opens=count).topcat.topology.open_count() == count
 
 
 def test_no_s_filters_on_the_trivial_monoid():

@@ -99,11 +99,11 @@ def test_spatiality_of_corpus_quantales(omega_pair2):
 
 def test_spatial_iff_projection_frame_spatial(omega_pair2):
     # both sides are always true at finite scale; check they agree anyway
-    from framecat.order import frame_spatial_check, subframe
+    from framecat.order import frame_from_leq, frame_spatial_check
     q = omega_pair2.rqf
     ok_q, _ = is_spatial(q)
-    pframe, _ = subframe(q, q.projections())
-    ok_p, _ = frame_spatial_check(pframe)
+    projs = q.projections()
+    ok_p, _ = frame_spatial_check(frame_from_leq(q.leq[np.ix_(projs, projs)]))
     assert ok_q == ok_p is True
 
 
@@ -397,6 +397,30 @@ def test_adjunction_cross_pair():
     adj = verify_adjunction_I(pair_groupoid(1), omega_object(pair_groupoid(2)).rqf)
     assert adj.ok
     assert adj.sizes == (0, 0)
+
+
+def test_adjunction_I_builds_omega_under_the_callers_bound():
+    """Omega(C) of two objects joined by nine arrows has 2048 opens, more
+    than omega_object's default bound of 1024, and is built under the
+    max_elements the caller passes."""
+    tc = free_category_on_acyclic_graph(2, [(0, 1)] * 9)
+    assert omega_object(tc, 4096).n == 2048
+    adj = verify_adjunction_I(tc, omega_object(pair_groupoid(1)).rqf, max_elements=4096)
+    assert adj.ok
+    assert adj.sizes == (0, 0)
+
+
+def test_adjunction_I_refuses_omega_past_the_bound_before_any_search(
+        pair3, omega_pair3, monkeypatch):
+    from framecat import duality
+
+    def no_search(*args):
+        raise AssertionError("hom-set searched past the bound")
+
+    monkeypatch.setattr(duality, "enumerate_covering_functors", no_search)
+    monkeypatch.setattr(duality, "enumerate_rqf_morphisms", no_search)
+    with pytest.raises(BoundExceeded, match="^512 opens > max_elements=511$"):
+        verify_adjunction_I(pair3, omega_pair3.rqf, max_elements=511)
 
 
 def test_naturality_squares(pair2, omega_pair2):

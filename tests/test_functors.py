@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framecat.bits import full_mask, has_bit, iter_bits, mask_of
+from framecat.bits import full_mask, has_bit, iter_bits, mask_of, pack_words, word_lookup
 from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, empty_category,
                              etale_categories, indiscrete_pair_groupoid, monoid_category,
                              parity_pair_groupoid)
@@ -12,19 +12,19 @@ from framecat.crm import join_primes, l_vee
 from framecat.duality import (build_omega_map, enumerate_covering_functors,
                               enumerate_rqf_morphisms, validate_rqf_morphism)
 from framecat.functors import (_omega_generic, c_morphism, c_object, filter_category,
-                               identity_space_vs_pt, omega_morphism, omega_object)
-from framecat.order import (CPFilter, enumerate_cp_filters, frame_from_leq, meet_prime_elements,
-                            subframe)
+                               omega_morphism, omega_object)
+from framecat.order import (CPFilter, cp_filter_generators, enumerate_cp_filters,
+                            frame_from_leq, meet_prime_elements)
 from framecat.quantale import (frame_as_quantale, partial_isometries,
                                validate_rqf)
 from framecat.reports import BoundExceeded
 from framecat.topcat import (UNDEF, FiniteTopCategory, Topology,
-                             is_etale, make_category, topology_from_base,
+                             is_etale, make_category, open_rows, topology_from_base,
                              validate_category, validate_covering_functor,
                              validate_topcategory)
-from map_oracles import (FilterMasks, build_omega_map_oracle, map_outcome,
-                         one_value_perturbations, relabel_rqf, reversed_labels,
-                         small_corpus_categories)
+from map_oracles import (FilterMasks, build_omega_map_oracle, is_local_bisection,
+                         map_outcome, one_value_perturbations, relabel_rqf,
+                         reversed_labels, small_corpus_categories)
 from random_categories import small_categories
 
 
@@ -493,7 +493,6 @@ def test_filter_category_of_chain_quantale():
 
 
 def test_base_sets_are_open_local_bisections(fc_pair2, omega_pair2):
-    from framecat.topcat import is_local_bisection
     for a in partial_isometries(omega_pair2.rqf):
         x = FilterMasks(fc_pair2).x_masks[a]
         assert fc_pair2.topcat.topology.is_open(x)
@@ -523,16 +522,75 @@ def test_x_set_laws(fc_pair2, calc_pair2):
             assert x_mask[a] | x_mask[b] == x_mask[int(q.join[a, b])]
 
 
+# ---------------------------------------------------------------------------
+# the identity arrows of C(Q) are the points of the projection frame e-down:
+# A -> A /\ e-down is a homeomorphism from the identity filters, with the
+# traces of the opens of C(Q), onto the completely prime filters of e-down,
+# with the X-sets (Resende, Etale groupoids and their quantales, 2007)
+
+def projection_frame(q):
+    """e-down as a frame, element x being the projection q.projections()[x]."""
+    projs = q.projections()
+    return frame_from_leq(q.leq[np.ix_(projs, projs)])
+
+
+def identity_space(q):
+    """The identity arrows of C(Q) as a subspace: the member rows [i, x] of
+    the identity filters read on e-down, and the distinct traces of the opens
+    on the identities, as rows [w, i]."""
+    fc = c_object(q)
+    ids = fc.topcat.cat.identities()
+    rows = open_rows(fc.topcat.topology)[1][:, ids]
+    traces = {row.tobytes(): row for row in rows}
+    return fc.members[np.ix_(ids, q.projections())], np.stack(list(traces.values()))
+
+
+def identity_space_vs_pt(q, points, traces) -> str:
+    """Why A -> A /\\ e-down is no homeomorphism from the identity space
+    given by points and traces (as identity_space gives them) onto the
+    points of e-down; '' when it is one."""
+    pframe = projection_frame(q)
+    pts = pframe.leq[cp_filter_generators(pframe)]  # [p, x]: x is in point p
+    if len(points) != len(pts):
+        return f"identity filters {len(points)} != points of e-down {len(pts)}"
+    slot = word_lookup(pack_words(pts))(pack_words(points))
+    if (slot < 0).any():
+        return f"A /\\ e-down of identity filter {np.flatnonzero(slot < 0)[0]} is no point"
+    if len(set(slot.tolist())) != len(slot):
+        return "A -> A /\\ e-down is not injective on the identity filters"
+    mapped = np.zeros_like(traces)
+    mapped[:, slot] = traces
+    if {row.tobytes() for row in mapped} != {row.tobytes() for row in pts.T}:
+        return "open families do not correspond under the bijection"
+    return ""
+
+
 def test_identity_space_matches_points_of_projections(omega_pair2):
-    assert identity_space_vs_pt(omega_pair2.rqf) == (True, "")
+    q = omega_pair2.rqf
+    assert identity_space_vs_pt(q, *identity_space(q)) == ""
 
 
 def test_identity_space_vs_pt_on_corpus():
-    for q in (frame_as_quantale(chain_frame(3)),
-              omega_object(monoid_category([[0, 1], [1, 1]])).rqf,
-              omega_object(parity_pair_groupoid()).rqf):
-        ok, why = identity_space_vs_pt(q)
-        assert ok, why
+    """On every corpus rqf.  Dropping any one open of the identity space
+    breaks it, and so does swapping two identity filters, exactly when the
+    swap moves an open."""
+    moved = []
+    for inst in corpus_rqfs():
+        q = inst.obj
+        points, traces = identity_space(q)
+        assert identity_space_vs_pt(q, points, traces) == "", inst.name
+        for w in range(len(traces)):
+            assert identity_space_vs_pt(q, points, np.delete(traces, w, axis=0)) == \
+                "open families do not correspond under the bijection", inst.name
+        if len(points) < 2:
+            continue
+        swapped = points[[1, 0, *range(2, len(points))]]
+        opens = {row.tobytes() for row in traces}
+        moves = opens != {row[[1, 0, *range(2, len(points))]].tobytes() for row in traces}
+        assert (identity_space_vs_pt(q, swapped, traces) != "") == moves, inst.name
+        if moves:
+            moved.append(inst.name)
+    assert {"qframe-chain3", "qframe-chain64"} <= set(moved)
 
 
 def test_identity_filter_bijection_with_projection_filters(calc_pair2):
@@ -540,11 +598,9 @@ def test_identity_filter_bijection_with_projection_filters(calc_pair2):
     calc = calc_pair2
     q = calc.q
     projs = q.projections()
-    pframe, pos = subframe(q, projs)
-    inv = {v: k for k, v in pos.items()}
     images = set()
-    for f in enumerate_cp_filters(pframe):
-        lifted = calc.up_close(mask_of(inv[x] for x in iter_bits(f.members)))
+    for f in enumerate_cp_filters(projection_frame(q)):
+        lifted = calc.up_close(mask_of(projs[x] for x in iter_bits(f.members)))
         k = calc.index[lifted]
         assert calc.is_identity_filter(calc.filters[k].members)
         images.add(k)

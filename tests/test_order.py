@@ -12,9 +12,19 @@ from framecat.order import (BRUTEFORCE_MAX_ELEMENTS, CPFilter, FiniteFrame,
                             cp_filters_bruteforce, enumerate_cp_filters,
                             frame_from_leq, frame_spatial_check, is_frame,
                             join_irreducibles, join_splits, join_words, lattice_from_leq,
-                            meet_prime_elements, pt_topology, subframe,
-                            validate_frame, validate_lattice, validate_poset)
+                            meet_prime_elements, validate_frame, validate_lattice,
+                            validate_poset)
+from framecat.duality import build_chi
+from framecat.functors import c_object
+from framecat.quantale import frame_as_quantale
 from framecat.reports import InternalError, Report
+
+
+def pt_space(f: FiniteFrame):
+    """pt(F), the completely prime filters of F with the opens X_a, read
+    as C(F) of F as a quantale (mul = meet, unit = top): its arrows are the
+    points, all of them identities, and X_a is column a of its member rows."""
+    return c_object(frame_as_quantale(f)).topcat
 
 
 def test_two_chain_is_a_poset():
@@ -76,7 +86,7 @@ def test_degenerate_frame_has_no_primes_and_no_points():
     f = frame_from_leq([[1]])
     assert meet_prime_elements(f) == []
     assert enumerate_cp_filters(f) == []
-    assert pt_topology(f).n_points == 0
+    assert pt_space(f).n == 0
 
 
 def test_chain_filters_match_spec_listing():
@@ -133,23 +143,24 @@ def test_filters_are_cogenerated_by_meet_primes():
 
 
 def test_pt_of_chain_is_sierpinski():
-    sp = pt_topology(chain_frame(3))
-    assert sp.n_points == 2
-    assert sp.opens == frozenset({0, 1, 3})
+    sp = pt_space(chain_frame(3))
+    assert sp.n == 2
+    assert sp.topology.opens == frozenset({0, 1, 3})
 
 
 def test_pt_of_boolean2_is_discrete():
-    sp = pt_topology(boolean_frame(2))
-    assert sp.n_points == 2
-    assert len(sp.opens) == 4
+    sp = pt_space(boolean_frame(2))
+    assert sp.n == 2
+    assert sp.topology.open_count() == 4 and sp.topology.is_discrete
 
 
 def test_pt_opens_closed_under_union_and_intersection():
-    sp = pt_topology(product_frame(chain_frame(3), chain_frame(4)))
-    for a in sp.opens:
-        for b in sp.opens:
-            assert a | b in sp.opens
-            assert a & b in sp.opens
+    sp = pt_space(product_frame(chain_frame(3), chain_frame(4)))
+    opens = sp.topology.opens
+    for a in opens:
+        for b in opens:
+            assert a | b in opens
+            assert a & b in opens
 
 
 def test_spatial_check_on_corpus_frames():
@@ -161,7 +172,7 @@ def test_spatial_check_on_corpus_frames():
 def test_subframe_of_downset():
     f = boolean_frame(3)
     elements = [x for x in range(8) if f.leq[x, 3]]  # down-set of {a, b}
-    sub, pos = subframe(f, elements)
+    sub = frame_from_leq(f.leq[np.ix_(elements, elements)])
     assert sub.n == 4
     assert validate_frame(sub).ok
 
@@ -215,7 +226,9 @@ def test_filter_oracle_agrees_on_downset_lattices(f):
 @settings(max_examples=25, deadline=None)
 @given(small_frames())
 def test_x_set_laws_on_downset_lattices(f):
-    pt_topology(f)  # raises if any X-law fails
+    # the X-laws: chi, a -> X_a, preserves joins and the product of F as a
+    # quantale, its meet
+    assert build_chi(frame_as_quantale(f)).report.ok
 
 
 # ---------------------------------------------------------------------------

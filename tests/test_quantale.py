@@ -12,13 +12,13 @@ from framecat.corpus import (boolean_frame, chain_frame, corpus_rqfs,
 from framecat.functors import omega_object
 from framecat.order import join_irreducibles, validate_frame
 from framecat.quantale import (EhresmannQuantale, FiniteQuantale, _ehresmann_laws_hold,
-                               _quantale_laws_hold,
-                               cat_of_ehresmann, compatibility_lemma_check,
+                               _quantale_laws_hold, compatibility_lemma_check,
                                compatible, every_element_is_join_of_pi,
                                frame_as_quantale, make_eq, partial_isometries,
                                pi_is_order_ideal, validate_ehresmann,
                                validate_quantale, validate_rqf)
 from framecat.reports import Report
+from map_oracles import cat_of_ehresmann
 from random_categories import small_categories
 from framecat.topcat import validate_category, validate_topcategory
 

@@ -13,14 +13,13 @@ from framecat.functors import c_object
 from framecat.quantale import frame_as_quantale
 from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, bisection_rows,
                              continuity_check, is_etale,
-                             is_local_bisection, local_bisections,
                              make_category, open_local_bisections, open_rows,
                              topology_from_base, validate_category,
                              validate_covering_functor, validate_topcategory,
                              validate_topology)
 from framecat.reports import BoundExceeded, Report
-from map_oracles import (one_value_perturbations, relabel, searched_arrow_maps,
-                         small_corpus_categories)
+from map_oracles import (is_local_bisection, local_bisections, one_value_perturbations,
+                         relabel, searched_arrow_maps, small_corpus_categories)
 from random_categories import small_categories
 
 
