@@ -19,7 +19,8 @@ same path.  pack_words packs bool rows and take_words gathers them;
 intersection, union and inclusion of whole families are &, | and
 `a & ~b == 0` on words.  word_lookup maps word rows back to the index of
 the first equal row of a table, exactly: by binary search on W*8-byte keys,
-or, where every key is one word below DIRECT_KEYS, by one gather.
+or, where every key is one word below DIRECT_KEYS, by one gather;
+row_lookup does the same for bool rows.
 bool_product is the boolean matrix product (the image of a family of sets
 under a relation), and row_blocks cuts a row range into blocks, so that a
 temporary of many cells per row stays within BLOCK_CELLS cells.
@@ -122,6 +123,15 @@ def word_lookup(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return np.where(ranked[at] == wanted, order[at], -1)
 
     return find
+
+
+def row_lookup(rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The `word_lookup` of the bool (n, width) rows, taking bool rows: the
+    function it returns maps an (..., width) bool array to the (...) array
+    of the index in rows of the first equal row, -1 for none.  It holds the
+    packed words of rows, not rows."""
+    find = word_lookup(pack_words(rows))
+    return lambda sets: find(pack_words(sets))
 
 
 def bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

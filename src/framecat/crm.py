@@ -7,9 +7,15 @@ transposes are duality.transposes over the member rows of the S-filters
 and of the open local bisections of C, checked by duality.check_transposes,
 and its S-filter category is read off J(S) by functors.filter_category, as
 C(Q) is off J(Q), into the same functors.FilterCategory type.  J(S), the
-compatible-join table and the S-filter category are cached on the monoid
-(order.cached); the join table of the target is built once per callitic
-enumeration and passed to validate_crm_morphism for every candidate.
+compatible-join table, the S-filter category and the laws
+duality.generator_search compiles on J(S) are cached on the monoid
+(order.cached), and the operations it reads on the candidates of a target
+monoid on that target, for a read-only join table such as that of the
+bisection monoid; a join table computed per call is built once per
+callitic enumeration and passed to validate_crm_morphism for every
+candidate.  The bisection monoid is cached on its category and carries
+the lookup of its member rows (BisectionMonoid.find), as the S-filter
+category does, so the transposes build no lookup per check.
 L^vee(S) holds its closed ideals as bool member rows, as the filter
 categories hold their filters, so the extension of a callitic morphism
 and the bijection of the S-filters with the filters of C(L^vee(S)) are
@@ -75,11 +81,12 @@ non-commutative frame theory*, Adv. Math. 311, 2017.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .bits import bool_product, pack_words, word_lookup
+from .bits import bool_product, row_lookup
 from .duality import (AdjunctionReport, check_transposes, enumerate_covering_functors,
                       generator_search, positions, transposes)
 from .functors import (FilterCategory, _require_open, arrow_set_tables, c_object,
@@ -424,7 +431,7 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealComple
     leq, meet, join, mul, star, plus = family_tables(
         downs, j, k, below[s.mul[primes[j], primes[k]]],
         below[s.star[primes]], below[s.plus[primes]])
-    principal = word_lookup(pack_words(downs))(pack_words(below))
+    principal = row_lookup(downs)(below)
     lat = FiniteLattice(len(downs), _freeze(leq), _freeze(meet), _freeze(join), 0, len(downs) - 1)
     q = make_eq(lat, mul, int(principal[s.unit]), star, plus)
     return IdealCompletion(rqf=q, members=_freeze(members), principal=_freeze(principal),
@@ -520,8 +527,7 @@ def theta_extension(theta, lv_src: IdealCompletion, lv_dst: IdealCompletion) -> 
     theta = np.asarray(theta, dtype=np.int64)
     primes = join_primes(lv_dst.source)
     below = lv_dst.source.leq[primes][:, theta]  # [k, x]: join-prime k <= theta(x)
-    find = word_lookup(pack_words(lv_dst.members[:, primes]))
-    out = find(pack_words(bool_product(lv_src.members, below.T)))
+    out = row_lookup(lv_dst.members[:, primes])(bool_product(lv_src.members, below.T))
     if (out < 0).any():
         raise InternalError("an image ideal is not an element of L^vee")
     return _freeze(out)
@@ -563,8 +569,7 @@ def s_filter_bijection(sf: FilterCategory, lv: IdealCompletion) -> np.ndarray:
     index -> C(L(S)) filter index: the rows of ideals meeting each A', one
     boolean product, looked up among the member rows of the filters of
     C(L(S)).  Raises ValueError if one of them is no such filter."""
-    meets = bool_product(sf.members, lv.members.T)
-    out = word_lookup(pack_words(c_object(lv.rqf).members))(pack_words(meets))
+    out = c_object(lv.rqf).find(bool_product(sf.members, lv.members.T))
     if (out < 0).any():
         raise ValueError("(A')^up is not a completely prime filter")
     return out
@@ -581,6 +586,12 @@ class BisectionMonoid:
     masks: tuple           # masks[i] = the arrow bitmask of element i, ascending
     members: np.ndarray    # members[i, a]: arrow a is in element i
     joins: np.ndarray      # the union where it is a bisection, else -1
+
+    @cached_property
+    def find(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The index of each bool row of arrows among the bisections, -1 for
+        a set that is none (`bits.row_lookup`), built on first use."""
+        return row_lookup(self.members)
 
 
 def bisection_monoid(tc: FiniteTopCategory, max_elements: int = 1024) -> BisectionMonoid:
@@ -654,5 +665,5 @@ def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
     bis = bisection_monoid(tc)
     rep.functor_homset = enumerate_covering_functors(tc, sf.topcat, max_arrows)
     rep.morphism_homset = enumerate_callitic_morphisms(s, bis.crm, max_elements, bis.joins)
-    check_transposes(rep, *transposes(sf.members, bis.members))
+    check_transposes(rep, *transposes(sf, bis))
     return rep

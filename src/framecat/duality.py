@@ -24,16 +24,30 @@ the functor hom-set, and an isomorphism of categories, by arrow_maps, one
 backtracking over arrow maps that compiles composition and injectivity
 into the level of the last arrow alike.  The second adjunction in crm
 reuses the functor search, generator_search, transposes and
-check_transposes.  J, PI, C(Q) and the laws generator_search compiles on
-the generators are cached on their algebra, and Omega(C) and the open
-local bisections of C on the category (order.cached), so an adjunction
-check against an algebra or a category it has seen before builds none of
-them again.
+check_transposes.
+
+What a hom-set search derives from one object is cached on that object
+(order.cached), holds no reference back to it, and dies with it:
+- on an algebra, J, PI and C(Q) (or J(S) and the S-filters), the laws
+  generator_search compiles on its generators (law_skeleton), and, as a
+  target, its operations on the candidates as tuples of rows
+  (search_target: pad and the join, leq, meet, mul, star and plus rows),
+  kept for the candidates and the read-only join table of its first
+  search;
+- on a topological category, Omega(C), the open local bisections, the
+  arrow laws of a functor search from it (arrow_laws) and the composition
+  rows of one into it (comp_rows);
+- on an OmegaResult, a FilterCategory and a crm.BisectionMonoid, the
+  lookup of its member rows (find), built on first use.
+So an adjunction check against objects it has seen before builds none of
+them again, binds the cached laws to the cached target tables and only
+searches.
 
 transposes reads the bool member rows of both sides, the filters (row k
 of the order at the least member of filter k) and the opens of Omega(C)
 (OmegaResult.members) or the open local bisections of C
-(crm.BisectionMonoid.members), with no Python int per element.
+(crm.BisectionMonoid.members), with no Python int per element, and looks
+each transposed set up by the other side's find.
 check_transposes runs the second direction only when the first leaves it
 open: once every functor has gone to a morphism and back to itself, and
 there are as many distinct functors as morphisms, forward is a bijection
@@ -43,12 +57,12 @@ with inverse backward.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
-from typing import Callable, Iterable, Iterator, Optional
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bits import pack_words, row_blocks, word_lookup
+from .bits import pack_words, row_blocks
 from .functors import (FilterCategory, OmegaResult, c_morphism, c_object, omega_morphism,
                        omega_object)
 from .order import _freeze, cached, join_irreducibles
@@ -165,31 +179,27 @@ def _is_rqf_morphism_on_j(theta: np.ndarray, q: EhresmannQuantale,
 # ---------------------------------------------------------------------------
 # the transposes, and chi and omega as the transposes of identities
 
-def transposes(filters: np.ndarray, sets: np.ndarray) -> tuple[Callable, Callable]:
+def transposes(filters: FilterCategory, sets) -> tuple[Callable, Callable]:
     """The two transposes of an adjunction between a category C and an
-    algebra A, over bool member rows: filters[k, x], element x of A is in
-    filter k (the arrows of the filter category of A), and sets[i, c], arrow
-    c of C is in set i (the opens of Omega(C), or its open local
-    bisections).
+    algebra A, over bool member rows: filters.members[k, x], element x of A
+    is in filter k (the arrows of the filter category of A), and
+    sets.members[i, c], arrow c of C is in set i (an OmegaResult, the opens
+    of Omega(C), or a crm.BisectionMonoid, its open local bisections).
 
     forward: arrow map alpha: C -> filters  |->  map A -> sets,
     x |-> {c : x in alpha(c)}; backward: map beta: A -> sets  |->  arrow
     map C -> filters, c |-> {x : c in beta(x)}.  Each reads one membership
-    relation the other way round, as one array map: column x (or c) of
-    filters[alpha] (or sets[beta]) is packed into words (bits.pack_words)
-    and looked up among the rows of the other side (bits.word_lookup).
-    Each returns None when one of these sets is not among those rows (no
-    open or bisection, no filter).  The lookup of each side is built on the
-    first call that needs it, so an empty hom-set builds none."""
-    find_set = cache(lambda: word_lookup(pack_words(sets)))
-    find_filter = cache(lambda: word_lookup(pack_words(filters)))
-
+    relation the other way round, as one array map: column x (or c) of the
+    member rows at alpha (or beta) is looked up among the member rows of the
+    other side (its `find`, built once per holder and on first use, so an
+    empty hom-set builds none).  Each returns None when one of these sets is
+    not among those rows (no open or bisection, no filter)."""
     def transposed(images, rows: np.ndarray, find: Callable) -> Optional[np.ndarray]:
-        out = find()(pack_words(rows[np.asarray(images, dtype=np.int64)].T))
+        out = find(rows[np.asarray(images, dtype=np.int64)].T)
         return None if (out < 0).any() else _freeze(out)
 
-    return (lambda alpha: transposed(alpha, filters, find_set),
-            lambda beta: transposed(beta, sets, find_filter))
+    return (lambda alpha: transposed(alpha, filters.members, sets.find),
+            lambda beta: transposed(beta, sets.members, filters.find))
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +218,7 @@ def build_chi(q: EhresmannQuantale) -> ChiResult:
     X_(a \\/ b)."""
     fc = c_object(q)
     om = omega_object(fc.topcat, max_elements=1 << 20)
-    chi = transposes(fc.members, om.members)[0](np.arange(fc.n))
+    chi = transposes(fc, om)[0](np.arange(fc.n))
     if chi is None:
         raise InternalError("an X-set of C(Q) is not an open of Omega(C(Q))")
     rep = validate_rqf_morphism(chi, q, om.rqf)
@@ -263,7 +273,7 @@ def build_omega_map(tc: FiniteTopCategory, om: Optional[OmegaResult] = None) -> 
     if om is None:
         om = omega_object(tc)
     fc = c_object(om.rqf, max_opens=1 << 20)
-    omega = transposes(fc.members, om.members)[1](np.arange(om.n))
+    omega = transposes(fc, om)[1](np.arange(om.n))
     if omega is None:
         raise InternalError("a filter O_x of Omega(C) is not a completely prime filter")
     rep = validate_covering_functor(omega, tc.cat, fc.topcat.cat)
@@ -310,23 +320,18 @@ def omega_is_isomorphism(tc: FiniteTopCategory, res: OmegaMapResult) -> tuple[bo
 # ---------------------------------------------------------------------------
 # hom-set enumeration
 
-def arrow_maps(cs: FiniteCategory, cd: FiniteCategory, order: list[int],
-               candidates: list[list[int]], iso: bool = False) -> Iterator[list[int]]:
-    """The arrow maps F: cs -> cd with each F(a) in candidates[a] that keep
-    F(x.y) = F(x).F(y) for every composable pair and send no two arrows
-    with the same d, or with the same r, to one arrow; with iso also no two
-    arrows at all, and F(x).F(y) undefined wherever x.y is.  The candidates
-    of an identity must be identities; then F(d a) = d F(a) and F(r a) =
-    r F(a) are the laws of the pairs (a, d a) and (r a, a).  Yielded as
-    lists in depth-first order: the arrows placed in `order`, the
-    candidates of each in the order given.  Each law is compiled once, into
-    the level of the last arrow it names, and checked when that arrow is
-    placed."""
+def arrow_laws(cs: FiniteCategory, order: Sequence[int], iso: bool = False) -> tuple[tuple, tuple]:
+    """The laws of arrow_maps on the arrows of cs placed in `order`, each
+    compiled into the level of the last arrow it names: per level, comps,
+    the (x, y, c) with F(x).F(y) = F(c) for every composable pair x.y = c,
+    and with iso also (x, y, UNDEF) for every pair whose composite is
+    undefined, UNDEF being read from the last slot of the image; and apart,
+    the (a, b), b < a, with F(a) != F(b) for arrows with the same d or the
+    same r, with iso for all.  Immutable and free of references to cs, so
+    that `order.cached` can hold it."""
     n = cs.n
-    s_d, s_r, s_comp, t_comp = cs.d.tolist(), cs.r.tolist(), cs.comp.tolist(), cd.comp.tolist()
+    s_d, s_r, s_comp = cs.d.tolist(), cs.r.tolist(), cs.comp.tolist()
     level = {a: k for k, a in enumerate(order)}
-    # per level: (x, y, c) with F(x).F(y) = F(c), where c = UNDEF reads
-    # UNDEF from the last slot of `image`; (a, b) with F(a) != F(b)
     comps: list[list[tuple]] = [[] for _ in range(n)]
     apart: list[list[tuple]] = [[] for _ in range(n)]
     for a in range(n):
@@ -338,6 +343,21 @@ def arrow_maps(cs: FiniteCategory, cd: FiniteCategory, order: list[int],
                 comps[max(level[a], level[b])].append((a, b, UNDEF))
             if b < a and (iso or s_d[a] == s_d[b] or s_r[a] == s_r[b]):
                 apart[max(level[a], level[b])].append((a, b))
+    return tuple(map(tuple, comps)), tuple(map(tuple, apart))
+
+
+def arrow_maps(laws: tuple[tuple, tuple], t_comp: tuple, order: Sequence[int],
+               candidates: list[list[int]]) -> Iterator[list[int]]:
+    """The arrow maps F with each F(a) in candidates[a] that keep `laws`,
+    the arrow_laws of the source for the same order, read on t_comp, the
+    composition rows of the target (`_rows`).  The candidates of an
+    identity must be identities; then F(d a) = d F(a) and F(r a) = r F(a)
+    are the laws of the pairs (a, d a) and (r a, a).  Yielded as lists in
+    depth-first order: the arrows placed in `order`, the candidates of each
+    in the order given; each law is checked when the last arrow it names is
+    placed."""
+    comps, apart = laws
+    n = len(order)
     image = [0] * n + [UNDEF]
 
     def keeps(k: int) -> bool:
@@ -363,23 +383,40 @@ def arrow_maps(cs: FiniteCategory, cd: FiniteCategory, order: list[int],
     yield from search(0)
 
 
+def _rows(table: np.ndarray) -> tuple:
+    """A table as a tuple of its rows, each a tuple of Python ints: what the
+    backtracking searches index in their inner loops."""
+    return tuple(map(tuple, table.tolist()))
+
+
 def enumerate_covering_functors(src: FiniteTopCategory, dst: FiniteTopCategory,
                                 max_arrows: int = 12) -> list[np.ndarray]:
     """All continuous covering functors src -> dst: the maps of arrow_maps,
     identities placed first and sent to identities, that pass
-    validate_covering_functor (for surjectivity) and continuity_check."""
+    validate_covering_functor (for surjectivity) and continuity_check.  The
+    order and the arrow laws of src for it are cached on src, and the
+    composition rows of dst on dst (`order.cached`)."""
     cs, cd = src.cat, dst.cat
     if cs.n > max_arrows or cd.n > max_arrows:
         raise BoundExceeded(f"hom-set enumeration bounded to {max_arrows} arrows")
-    order = sorted(range(cs.n), key=lambda a: (not cs.is_identity(a), a))
+    order, laws = cached(src, "arrow_laws", lambda: _covering_laws(cs))
+    t_comp = cached(dst, "comp_rows", lambda: _rows(cd.comp))
     dst_ids, every = cd.identities(), list(range(cd.n))
     candidates = [dst_ids if cs.is_identity(a) else every for a in range(cs.n)]
     out = []
-    for f in arrow_maps(cs, cd, order, candidates):
+    for f in arrow_maps(laws, t_comp, order, candidates):
         f = np.array(f, dtype=np.int64)
         if validate_covering_functor(f, cs, cd).ok and continuity_check(f, src, dst)[0]:
             out.append(_freeze(f))
     return out
+
+
+def _covering_laws(cs: FiniteCategory) -> tuple[tuple, tuple]:
+    """The order in which enumerate_covering_functors places the arrows of
+    cs, identities first, each part ascending, and the arrow_laws of cs for
+    it."""
+    order = tuple(sorted(range(cs.n), key=lambda a: (not cs.is_identity(a), a)))
+    return order, arrow_laws(cs, order)
 
 
 def positions(n: int, domain: list[int]) -> np.ndarray:
@@ -414,8 +451,10 @@ def generator_search(alg, gens: list[int], tgt, candidates: Iterable[int],
     law.  What depends on alg and gens alone, each law's support, level and
     operation name, is compiled once per algebra for the generators of its
     first search (`_law_skeleton`; both adjunctions always search on the
-    same J or J(S)), afresh for others; a call binds the target's
-    operations to it.  A map that keeps the laws need
+    same J or J(S)), afresh for others; what depends on tgt, the candidates
+    and the join table alone, the target's operations on the candidates, is
+    built once per target in the same way (`_search_target`); a call binds
+    the one to the other.  A map that keeps the laws need
     not be a morphism: the caller decides each one.  Every morphism that
     preserves these operations and joins, and sends the generators into
     `candidates`, is among the maps found, provided every element of alg is
@@ -426,17 +465,7 @@ def generator_search(alg, gens: list[int], tgt, candidates: Iterable[int],
         skeleton = _law_skeleton(alg, gens)
     below, named_laws, lower = skeleton
     m = len(below)
-    # the target's operations as lists, on the positions p of the candidates
-    # and with element values; pad[v, p] = v joined with candidate p, and
-    # its last row, read at v = -1, keeps a missing join missing
-    cands = np.fromiter(candidates, dtype=np.int64)
-    block = (cands[:, None], cands)
-    pad = np.full((tgt.n + 1, len(cands)), -1, dtype=np.int64)
-    pad[:-1] = joins[:, cands]
-    t_join, t_leq = pad.tolist(), tgt.leq[block].tolist()
-    ops = {"meet": tgt.meet[block].tolist(), "mul": tgt.mul[block].tolist(),
-           "star": tgt.star[cands].tolist(), "plus": tgt.plus[cands].tolist(),
-           "unit": tgt.unit}
+    pad, t_join, t_leq, ops = _search_target(tgt, np.fromiter(candidates, dtype=np.int64), joins)
     laws = [[(support, ops[name], i, k) for support, name, i, k in level] for level in named_laws]
     if top is not None:
         laws[m].append((np.flatnonzero(below[:, alg.top]).tolist(), top, None, None))
@@ -463,7 +492,7 @@ def generator_search(alg, gens: list[int], tgt, candidates: Iterable[int],
             if keeps(m):
                 found.append(list(images))
             return
-        for p in range(len(cands)):
+        for p in range(len(t_leq)):
             images[k] = p
             if keeps(k):
                 backtrack(k + 1)
@@ -477,6 +506,40 @@ def generator_search(alg, gens: list[int], tgt, candidates: Iterable[int],
         if (theta >= 0).all():
             out.append(theta)
     return out
+
+
+def _search_target(tgt, cands: np.ndarray, joins: np.ndarray) -> tuple:
+    """The tables of `_target_tables` for tgt, the candidates cands and the
+    join table joins: cached on tgt (`order.cached`) for the candidates and
+    the join table of its first search, when that table is read-only (the
+    same table object, which therefore cannot have changed), and built
+    afresh for any others."""
+    if joins.flags.writeable:
+        return _target_tables(tgt, cands, joins)
+    key = cands.tobytes()
+    held, held_joins, tables = cached(tgt, "search_target",
+                                      lambda: (key, joins, _target_tables(tgt, cands, joins)))
+    if held != key or held_joins is not joins:
+        return _target_tables(tgt, cands, joins)
+    return tables
+
+
+def _target_tables(tgt, cands: np.ndarray, joins: np.ndarray) -> tuple:
+    """The operations of tgt on the positions p of the candidates cands,
+    with element values: pad[v, p] = v joined with candidate p, its last
+    row, read at v = -1, keeping a missing join missing, as a read-only
+    array and as rows; leq on pairs of candidates, as rows; and the read-only
+    mapping from each operation name of `_law_skeleton` to its table, meet
+    and mul on pairs of candidates as rows, star and plus on candidates,
+    and the unit.  Rows are tuples of Python ints (`_rows`).  Immutable and
+    free of references to tgt, so that `order.cached` can hold it."""
+    block = (cands[:, None], cands)
+    pad = np.full((tgt.n + 1, len(cands)), -1, dtype=np.int64)
+    pad[:-1] = joins[:, cands]
+    ops = {"meet": _rows(tgt.meet[block]), "mul": _rows(tgt.mul[block]),
+           "star": tuple(tgt.star[cands].tolist()), "plus": tuple(tgt.plus[cands].tolist()),
+           "unit": tgt.unit}
+    return _freeze(pad), _rows(pad), _rows(tgt.leq[block]), MappingProxyType(ops)
 
 
 def _law_skeleton(alg, gens: tuple) -> tuple:
@@ -556,19 +619,24 @@ def verify_adjunction_I(tc: FiniteTopCategory, q: EhresmannQuantale,
                         max_arrows: int = 12, max_elements: int = 64) -> AdjunctionReport:
     """Enumerate all continuous covering functors C -> C(Q) and all RQF
     morphisms Q -> Omega(C), and verify the two transposes are mutually
-    inverse bijections between the hom-sets.  Omega(C) is the target of the
-    morphism search, so max_elements bounds its opens too.  Omega(C) is
-    cached on C (functors.omega_object) and C(Q) on Q (functors.c_object),
-    so a check against a category or an algebra seen before builds neither
-    again."""
+    inverse bijections between the hom-sets.  max_elements bounds the opens
+    of Omega(C), the target of the morphism search, which omega_object
+    checks before it builds Omega(C); then the elements of Q, before C(Q)
+    is built; and C(Q) is built under it too (its opens are X-sets, as
+    X_a | X_b = X_(a \\/ b), so they are at most as many as the elements of
+    Q).  Omega(C) is cached on C (functors.omega_object) and C(Q) on Q
+    (functors.c_object), so a check against a category or an algebra seen
+    before builds neither again."""
     rep = AdjunctionReport()
-    fc = c_object(q)
     om = omega_object(tc, max_elements)
+    if q.n > max_elements:
+        raise BoundExceeded(f"morphism enumeration bounded to {max_elements} elements")
+    fc = c_object(q, max_elements)
     if fc.n > max_arrows:
         raise BoundExceeded(f"C(Q) has {fc.n} arrows > {max_arrows}")
     rep.functor_homset = enumerate_covering_functors(tc, fc.topcat, max_arrows)
     rep.morphism_homset = enumerate_rqf_morphisms(q, om.rqf, max_elements)
-    check_transposes(rep, *transposes(fc.members, om.members))
+    check_transposes(rep, *transposes(fc, om))
     return rep
 
 
@@ -618,8 +686,8 @@ def check_naturality_in_category(g, tc_src: FiniteTopCategory, tc_dst: FiniteTop
     fc = c_object(q)
     om_src, om_dst = omega_object(tc_src), omega_object(tc_dst)
     omega_g = omega_morphism(g, om_src, om_dst)
-    forward_src = transposes(fc.members, om_src.members)[0]
-    forward_dst = transposes(fc.members, om_dst.members)[0]
+    forward_src = transposes(fc, om_src)[0]
+    forward_dst = transposes(fc, om_dst)[0]
     for alpha in enumerate_covering_functors(tc_dst, fc.topcat):
         lhs = forward_src(alpha[g])
         rhs = omega_g[forward_dst(alpha)]
@@ -636,8 +704,8 @@ def check_naturality_in_quantale(psi, q_src: EhresmannQuantale, q_dst: Ehresmann
     fc_src, fc_dst = c_object(q_src), c_object(q_dst)
     om = omega_object(tc)
     c_psi = c_morphism(psi, fc_src, fc_dst)
-    forward_src = transposes(fc_src.members, om.members)[0]
-    forward_dst = transposes(fc_dst.members, om.members)[0]
+    forward_src = transposes(fc_src, om)[0]
+    forward_dst = transposes(fc_dst, om)[0]
     for alpha in enumerate_covering_functors(tc, fc_dst.topcat):
         lhs = forward_src(c_psi[alpha])
         rhs = forward_dst(alpha)[psi]
@@ -668,7 +736,8 @@ def find_category_isomorphism(c1: FiniteCategory, c2: FiniteCategory,
     if sorted(f1) != sorted(f2):
         return None
     cand = [[b for b in range(c2.n) if f2[b] == f1[a]] for a in range(c1.n)]
-    f = next(arrow_maps(c1, c2, list(range(c1.n)), cand, iso=True), None)
+    order = list(range(c1.n))
+    f = next(arrow_maps(arrow_laws(c1, order, iso=True), _rows(c2.comp), order, cand), None)
     return None if f is None else _freeze(np.array(f, dtype=np.int64))
 
 

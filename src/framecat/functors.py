@@ -35,9 +35,11 @@ one table builder for a family of sets whose product, star and plus are
 given on points (arrow_set_tables: the composites and the graphs of d and
 r), as crm.bisection_monoid does on the open local bisections and
 crm.l_vee on the down-sets of J(S); a result that is no open is an error.
-An OmegaResult keeps the bool member rows of its opens, so omega_morphism is
-one gather of their columns and one word lookup, and so is c_morphism on
-the member rows of the filters; the transposes of both adjunctions
+An OmegaResult keeps the bool member rows of its opens, and a
+FilterCategory those of its filters, each with the lookup of those rows
+(`find`, built on first use and held by the object), so omega_morphism is
+one gather of their columns and one lookup, and so is c_morphism on the
+member rows of the filters; the transposes of both adjunctions
 (duality.transposes) read both as they are.  Omega(C) is cached on its
 category as C(Q) is on its quantale (`order.cached`), so it holds no
 reference to C.
@@ -46,13 +48,14 @@ reference to C.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .bits import (bit_matrix, bool_product, full_mask, pack_words, row_blocks, row_masks,
-                   word_lookup)
+from .bits import (bit_matrix, bool_product, full_mask, pack_words, row_blocks, row_lookup,
+                   row_masks, word_lookup)
 from .order import FiniteLattice, _freeze, cached, cp_filter_generators
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
 from .reports import BoundExceeded, InternalError
@@ -73,6 +76,12 @@ class OmegaResult:
     @property
     def n(self) -> int:
         return self.rqf.n
+
+    @cached_property
+    def find(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The index of each bool row of arrows among the opens, -1 for a
+        set that is no open (`bits.row_lookup`), built on first use."""
+        return row_lookup(self.members)
 
 
 def omega_object(tc: FiniteTopCategory, max_elements: int = 1024) -> OmegaResult:
@@ -211,10 +220,8 @@ def omega_morphism(fmap, om_src: OmegaResult, om_dst: OmegaResult) -> np.ndarray
     """The element map Omega(D) -> Omega(C) induced by a continuous covering
     functor F: C -> D, sending an open U of D to its preimage in C: the
     member row of U read at F(a) for every arrow a of C, looked up among the
-    member rows of the opens of C."""
-    fmap = np.asarray(fmap, dtype=np.int64)
-    find = word_lookup(pack_words(om_src.members))
-    out = find(pack_words(om_dst.members[:, fmap]))
+    member rows of the opens of C (`OmegaResult.find`)."""
+    out = om_src.find(om_dst.members[:, np.asarray(fmap, dtype=np.int64)])
     bad = np.flatnonzero(out < 0)
     if bad.size:
         raise ValueError(f"preimage of open {om_dst.opens[bad[0]]} is not open; "
@@ -238,6 +245,12 @@ class FilterCategory:
     @property
     def n(self) -> int:
         return len(self.generators)
+
+    @cached_property
+    def find(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The index of each bool row of elements among the filters, -1 for
+        a set that is no filter (`bits.row_lookup`), built on first use."""
+        return row_lookup(self.members)
 
 
 def filter_category(alg, gens, what: str, basic: Iterable[int]) -> FilterCategory:
@@ -308,9 +321,8 @@ def c_morphism(phi, fc_src: FilterCategory, fc_dst: FilterCategory) -> np.ndarra
     """The functor C(S) -> C(R) induced by an RQF morphism phi: R -> S,
     sending a filter B of S to its preimage in R: the member row of B read
     at phi(a) for every element a of R, looked up among the member rows of
-    the filters of R."""
-    phi = np.asarray(phi, dtype=np.int64)
-    out = word_lookup(pack_words(fc_src.members))(pack_words(fc_dst.members[:, phi]))
+    the filters of R (`FilterCategory.find`)."""
+    out = fc_src.find(fc_dst.members[:, np.asarray(phi, dtype=np.int64)])
     if (out < 0).any():
         raise ValueError("preimage filter is not a completely prime filter")
     return _freeze(out)

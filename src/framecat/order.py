@@ -10,10 +10,12 @@ frame is a lattice that passes `validate_frame`.
 
 What is derived from an algebra's tables and read many times (its
 join-irreducibles J here; PI, C(Q), J(S), the compatible joins and the
-S-filter category in `quantale`, `functors` and `crm`) is built once, on
-first use, into the algebra's `_cache` (`cached`).  A topological category
+S-filter category in `quantale`, `functors` and `crm`; the laws and the
+target tables of `duality.generator_search`) is built once, on first use,
+into the algebra's `_cache` (`cached`).  A topological category
 (`topcat.FiniteTopCategory`) has the same cache, for its etale verdict,
-Omega(C) and the monoid of its open local bisections.  Each cached value is
+Omega(C), the monoid of its open local bisections and the tables of the
+covering functor search.  Each cached value is
 immutable (tuples, frozen arrays, frozen dataclasses, read-only mappings)
 and holds no reference to its owner, so the owner is still freed by
 reference counting; `dataclasses.replace` starts with an empty cache.  A

@@ -10,8 +10,10 @@ Every test on a listed topology reads its opens as member rows
 
 A topological category caches what is derived from it alone, as the
 algebras do (`order.cached`): the etale verdict here, Omega(C)
-(`functors.omega_object`) and the monoid of its open local bisections
-(`crm.bisection_monoid`).
+(`functors.omega_object`), the monoid of its open local bisections
+(`crm.bisection_monoid`), and the arrow laws of a covering functor search
+from it and the composition rows of one into it
+(`duality.enumerate_covering_functors`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .bits import (bit_matrix, bool_product, full_mask, has_bit, iter_bits, mask_of,
-                   pack_words, row_blocks, word_lookup)
+                   pack_words, row_blocks, row_lookup, word_lookup)
 from .order import cached
 from .reports import BoundExceeded, Report
 
@@ -47,10 +49,6 @@ class FiniteCategory:
 
     def is_identity(self, a: int) -> bool:
         return has_bit(self.identity_mask, a)
-
-    def composable_pairs(self) -> Iterator[tuple[int, int]]:
-        for a, b in np.argwhere(self.comp != UNDEF):
-            yield int(a), int(b)
 
 
 @dataclass(frozen=True)
@@ -83,11 +81,10 @@ def open_rows(top: Topology) -> tuple[list[int], np.ndarray, Callable[[np.ndarra
     """A listed topology read as rows: its opens as ascending masks, their
     bool member rows [i, a], arrow a in the i-th open (`bits.bit_matrix`),
     and the lookup that maps bool rows (..., n) of arrow sets to the index
-    of the equal open, -1 for a set that is no open (`bits.word_lookup`)."""
+    of the equal open, -1 for a set that is no open (`bits.row_lookup`)."""
     masks = sorted(top.opens)
     rows = bit_matrix(masks, top.n)
-    find = word_lookup(pack_words(rows))
-    return masks, rows, lambda sets: find(pack_words(sets))
+    return masks, rows, row_lookup(rows)
 
 
 def topology_from_base(n: int, base: Iterable[int]) -> Topology:
@@ -359,7 +356,15 @@ def _is_etale(tc: FiniteTopCategory) -> tuple[bool, Optional[str], Optional[int]
 # functors
 
 def validate_covering_functor(fmap, src: FiniteCategory, dst: FiniteCategory) -> Report:
-    """Functoriality, then d/r-injectivity and d/r-surjectivity, with witnesses."""
+    """Functoriality, then d/r-injectivity and d/r-surjectivity, with witnesses.
+
+    After the range check the map and the tables are read as Python lists
+    once.  Each functoriality law names its first failing identity, arrow or
+    composable pair (row-major); injectivity the first pair a < b, in
+    lexicographic order, with F(a) = F(b) and d(a) = d(b) (r(a) = r(b)), the
+    least clash of the keys (F(a), d(a)) (`_first_clash`); surjectivity the
+    first (e, y), identities e ascending and then y, with d(y) = F(e) and no
+    x with d(x) = e and F(x) = y (r likewise)."""
     fmap = np.asarray(fmap, dtype=np.int64)
     rep = Report(subject="covering-functor")
     rep.layers_run.append("functor")
@@ -370,49 +375,50 @@ def validate_covering_functor(fmap, src: FiniteCategory, dst: FiniteCategory) ->
     if fmap.shape != (n,) or bad.size:
         rep.add("functor.map_range", (int(bad[0]) if bad.size else min(fmap.size, n),))
         return rep
-    for e in src.identities():
-        if not dst.is_identity(int(fmap[e])):
-            rep.add("functor.preserves_identities", (e,))
-            break
-    for a in range(n):
-        if int(dst.d[fmap[a]]) != int(fmap[src.d[a]]):
-            rep.add("functor.preserves_d", (a,))
-            break
-    for a in range(n):
-        if int(dst.r[fmap[a]]) != int(fmap[src.r[a]]):
-            rep.add("functor.preserves_r", (a,))
-            break
+    f = fmap.tolist()
+    s_d, s_r, t_d, t_r = src.d.tolist(), src.r.tolist(), dst.d.tolist(), dst.r.tolist()
+    ids = src.identities()
+    wit = next((e for e in ids if not dst.is_identity(f[e])), None)
+    if wit is not None:
+        rep.add("functor.preserves_identities", (wit,))
+    for t_proj, s_proj, law in ((t_d, s_d, "functor.preserves_d"),
+                                (t_r, s_r, "functor.preserves_r")):
+        wit = next((a for a in range(n) if t_proj[f[a]] != f[s_proj[a]]), None)
+        if wit is not None:
+            rep.add(law, (wit,))
     if rep.ok:
-        for a, b in src.composable_pairs():
-            lhs = int(dst.comp[fmap[a], fmap[b]])
-            rhs = int(fmap[src.comp[a, b]])
-            if lhs != rhs:
-                rep.add("functor.preserves_composition", (a, b))
+        t_comp = dst.comp.tolist()
+        for a, row in enumerate(src.comp.tolist()):
+            t_row = t_comp[f[a]]
+            wit = next((b for b, c in enumerate(row) if c != UNDEF and t_row[f[b]] != f[c]), None)
+            if wit is not None:
+                rep.add("functor.preserves_composition", (a, wit))
                 break
     if not rep.ok:
         return rep
     rep.layers_run.append("covering")
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if fmap[a] == fmap[b]]
-    wit = next(((a, b) for a, b in pairs if src.d[a] == src.d[b]), None)
-    if wit:
-        rep.add("covering.d_injective", wit)
-    wit = next(((a, b) for a, b in pairs if src.r[a] == src.r[b]), None)
-    if wit:
-        rep.add("covering.r_injective", wit)
-
-    # surjectivity: each y of dst with proj_dst[y] = F(e), for e an identity
-    # of src, must be F(x) for some x with proj_src[x] = e; the witness is
-    # the first such (e, y), identities first, that is not
-    ids = np.array(src.identities(), dtype=np.int64)
-    for proj_src, proj_dst, law in ((src.d, dst.d, "covering.d_surjective"),
-                                    (src.r, dst.r, "covering.r_surjective")):
-        hit = np.zeros((n, dst.n), dtype=bool)
-        hit[proj_src, fmap] = True
-        missing = (proj_dst[None, :] == fmap[ids, None]) & ~hit[ids]
-        if missing.any():
-            i, y = np.argwhere(missing)[0]
-            rep.add(law, (int(ids[i]), int(y)))
+    for s_proj, law in ((s_d, "covering.d_injective"), (s_r, "covering.r_injective")):
+        wit = _first_clash(list(zip(f, s_proj)))
+        if wit:
+            rep.add(law, wit)
+    for s_proj, t_proj, law in ((s_d, t_d, "covering.d_surjective"),
+                                (s_r, t_r, "covering.r_surjective")):
+        hit = set(zip(s_proj, f))  # (e, y): some x with proj(x) = e has F(x) = y
+        over: dict[int, list[int]] = {}  # over[z]: the y of dst with proj(y) = z, ascending
+        for y, z in enumerate(t_proj):
+            over.setdefault(z, []).append(y)
+        wit = next(((e, y) for e in ids for y in over.get(f[e], ()) if (e, y) not in hit), None)
+        if wit:
+            rep.add(law, wit)
     return rep
+
+
+def _first_clash(keys: list) -> Optional[tuple[int, int]]:
+    """The least pair (a, b), a < b in lexicographic order, with keys[a] ==
+    keys[b], or None: each b is paired with the first position of its key."""
+    first: dict = {}
+    pairs = ((first.setdefault(key, b), b) for b, key in enumerate(keys))
+    return min((p for p in pairs if p[0] != p[1]), default=None)
 
 
 def continuity_check(fmap, tc_src: FiniteTopCategory, tc_dst: FiniteTopCategory

@@ -7,7 +7,8 @@ validate_rqf_morphism, the relabellings of a category's arrows and of an
 algebra's elements that the tests search under, the maps the arrow-map
 search yields to the covering functor search, the subset walk that lists the
 local bisections one arrow subset at a time (the oracle of
-topcat.bisection_rows), and the category of an Ehresmann quantale."""
+topcat.bisection_rows), the category of an Ehresmann quantale, and the
+body of topcat.validate_covering_functor on NumPy arrays."""
 
 from unittest import mock
 
@@ -19,7 +20,7 @@ from framecat.corpus import etale_categories
 from framecat.crm import make_crm
 from framecat.order import FiniteLattice, join_irreducibles
 from framecat.quantale import make_eq, partial_isometries
-from framecat.reports import BoundExceeded
+from framecat.reports import BoundExceeded, Report
 from framecat.topcat import (SUBSET_MAX_ARROWS, UNDEF, FiniteCategory, FiniteTopCategory,
                              Topology, continuity_check, make_category,
                              validate_covering_functor)
@@ -224,3 +225,68 @@ def searched_arrow_maps(src, dst):
     with mock.patch.object(duality, "arrow_maps", spy):
         homset = duality.enumerate_covering_functors(src, dst)
     return homset, yielded
+
+
+def composable_pairs(c: FiniteCategory):
+    """The composable pairs (a, b) of c, row-major, as Python ints."""
+    for a, b in np.argwhere(c.comp != UNDEF):
+        yield int(a), int(b)
+
+
+def validate_covering_functor_oracle(fmap, src: FiniteCategory, dst: FiniteCategory) -> Report:
+    """The body topcat.validate_covering_functor had before it read its
+    tables as Python lists: functoriality on NumPy scalars, injectivity over
+    the listed pairs with equal images, surjectivity as whole arrays."""
+    fmap = np.asarray(fmap, dtype=np.int64)
+    rep = Report(subject="covering-functor")
+    rep.layers_run.append("functor")
+    n = src.n
+    # witness: the first value out of range, else the first position past
+    # the shorter of the map and the arrows of src
+    bad = np.flatnonzero((fmap < 0) | (fmap >= dst.n))
+    if fmap.shape != (n,) or bad.size:
+        rep.add("functor.map_range", (int(bad[0]) if bad.size else min(fmap.size, n),))
+        return rep
+    for e in src.identities():
+        if not dst.is_identity(int(fmap[e])):
+            rep.add("functor.preserves_identities", (e,))
+            break
+    for a in range(n):
+        if int(dst.d[fmap[a]]) != int(fmap[src.d[a]]):
+            rep.add("functor.preserves_d", (a,))
+            break
+    for a in range(n):
+        if int(dst.r[fmap[a]]) != int(fmap[src.r[a]]):
+            rep.add("functor.preserves_r", (a,))
+            break
+    if rep.ok:
+        for a, b in composable_pairs(src):
+            lhs = int(dst.comp[fmap[a], fmap[b]])
+            rhs = int(fmap[src.comp[a, b]])
+            if lhs != rhs:
+                rep.add("functor.preserves_composition", (a, b))
+                break
+    if not rep.ok:
+        return rep
+    rep.layers_run.append("covering")
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if fmap[a] == fmap[b]]
+    wit = next(((a, b) for a, b in pairs if src.d[a] == src.d[b]), None)
+    if wit:
+        rep.add("covering.d_injective", wit)
+    wit = next(((a, b) for a, b in pairs if src.r[a] == src.r[b]), None)
+    if wit:
+        rep.add("covering.r_injective", wit)
+
+    # surjectivity: each y of dst with proj_dst[y] = F(e), for e an identity
+    # of src, must be F(x) for some x with proj_src[x] = e; the witness is
+    # the first such (e, y), identities first, that is not
+    ids = np.array(src.identities(), dtype=np.int64)
+    for proj_src, proj_dst, law in ((src.d, dst.d, "covering.d_surjective"),
+                                    (src.r, dst.r, "covering.r_surjective")):
+        hit = np.zeros((n, dst.n), dtype=bool)
+        hit[proj_src, fmap] = True
+        missing = (proj_dst[None, :] == fmap[ids, None]) & ~hit[ids]
+        if missing.any():
+            i, y = np.argwhere(missing)[0]
+            rep.add(law, (int(ids[i]), int(y)))
+    return rep

@@ -1,17 +1,22 @@
 """The data built once per algebra or category and cached on it
 (order.cached): J, PI and C(Q) of a quantale; J(S), the compatible-join
 table and the S-filter category of a complete restriction monoid; the laws
-that duality.generator_search compiles on the generators of either; and
-the etale verdict, Omega(C) and the monoid of the open local bisections of
-a topological category.  Cached values equal fresh builds, cannot be
-changed through what a call returns, start empty on a dataclasses.replace
-copy, and hold no reference back to their algebra or category.  The size
-bounds, and the refusal of a category that is not etale, are checked on
-every call."""
+that duality.generator_search compiles on the generators of either, and
+the operations it reads on the candidates of either as a target; the etale
+verdict, Omega(C), the monoid of the open local bisections, the arrow laws
+of the covering functor search from a topological category and the
+composition rows of a search into it; and the lookup of the member rows
+that an OmegaResult, a FilterCategory and a BisectionMonoid each build
+once.  Cached values equal fresh builds, on every corpus algebra and
+category and on two relabellings of each, cannot be changed through what
+a call returns, start empty on a dataclasses.replace copy, and hold no
+reference back to their algebra or category.  The size bounds, and the
+refusal of a category that is not etale, are checked on every call."""
 
 import dataclasses
 import gc
 import weakref
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -21,17 +26,18 @@ from framecat.corpus import (corpus_crms, corpus_rqfs, etale_categories,
                              indiscrete_pair_groupoid, pair_groupoid)
 from framecat.crm import (_compatible_join_table, bisection_monoid, join_primes,
                           pi_restriction_monoid, s_filters, verify_adjunction_II)
-from framecat.duality import verify_adjunction_I
+from framecat.duality import enumerate_rqf_morphisms, verify_adjunction_I
 from framecat.functors import c_object, omega_object
 from framecat.order import join_irreducibles
 from framecat.quantale import partial_isometries
 from framecat.reports import BoundExceeded
 from framecat.topcat import is_etale
-from map_oracles import cat_of_ehresmann, relabel
+from map_oracles import cat_of_ehresmann, relabel, relabel_crm, relabel_rqf
 
-QUANTALE_KEYS = {"join_irreducibles", "partial_isometries", "c_object", "law_skeleton"}
-MONOID_KEYS = {"join_primes", "compatible_joins", "s_filters", "law_skeleton"}
-CATEGORY_KEYS = {"is_etale", "omega_object", "bisection_monoid"}
+QUANTALE_KEYS = {"join_irreducibles", "partial_isometries", "c_object", "law_skeleton",
+                 "search_target"}
+MONOID_KEYS = {"join_primes", "compatible_joins", "s_filters", "law_skeleton", "search_target"}
+CATEGORY_KEYS = {"is_etale", "omega_object", "bisection_monoid", "arrow_laws", "comp_rows"}
 QUANTALE_TABLES = ("leq", "meet", "join", "mul", "star", "plus", "bottom", "top", "unit")
 MONOID_TABLES = ("leq", "mul", "star", "plus", "meet", "unit", "zero")
 
@@ -45,6 +51,56 @@ def assert_same_skeleton(alg, gens):
     assert held == tuple(gens)
     assert np.array_equal(below, fresh_below) and not below.flags.writeable
     assert (laws, lower) == (fresh_laws, fresh_lower)
+
+
+def assert_same_target(tgt, cands, joins):
+    """The operations of tgt on the candidates that generator_search caches
+    on tgt for a read-only join table equal a fresh build, and the tables
+    of tgt read at the candidates; held with the candidates and the join
+    table they were built for."""
+    c = np.array(cands, dtype=np.int64)
+    tables = duality._search_target(tgt, c, joins)
+    held, held_joins, cached_tables = tgt._cache["search_target"]
+    assert cached_tables is tables and held == c.tobytes() and held_joins is joins
+    pad, join_rows, leq_rows, ops = tables
+    fresh = duality._target_tables(tgt, c, joins)
+    assert np.array_equal(pad, fresh[0]) and not pad.flags.writeable
+    assert (join_rows, leq_rows, dict(ops)) == (fresh[1], fresh[2], dict(fresh[3]))
+    block = np.ix_(c, c)
+    assert np.array_equal(pad, np.vstack([joins[:, c], np.full((1, len(c)), -1)]))
+    assert join_rows == tuple(map(tuple, pad.tolist()))
+    for rows, table in ((leq_rows, tgt.leq[block]), (ops["meet"], tgt.meet[block]),
+                        (ops["mul"], tgt.mul[block]), (ops["star"], tgt.star[c]),
+                        (ops["plus"], tgt.plus[c])):
+        assert np.array_equal(np.array(rows, dtype=table.dtype).reshape(table.shape), table)
+    assert ops["unit"] == tgt.unit
+
+
+def assert_same_arrow_tables(tc):
+    """The arrow laws of the covering functor search from tc and the
+    composition rows of one into tc, each filled by a search against
+    pair1, equal fresh builds."""
+    one = pair_groupoid(1)
+    duality.enumerate_covering_functors(tc, one)
+    duality.enumerate_covering_functors(one, tc)
+    assert tc._cache["arrow_laws"] == duality._covering_laws(tc.cat)
+    assert tc._cache["comp_rows"] == tuple(map(tuple, tc.cat.comp.tolist()))
+
+
+def assert_same_lookup(holder):
+    """holder.find, built once, gives each member row its first index and
+    every other row -1, as a dict of the rows' bytes does, on the member
+    rows and on each of them with its first column flipped."""
+    rows = holder.members
+    first = {}
+    for i, row in enumerate(rows):
+        first.setdefault(row.tobytes(), i)
+    flipped = rows.copy()
+    flipped[:, :1] ^= True
+    for sets in (rows, flipped):
+        expected = [first.get(row.tobytes(), -1) for row in sets]
+        assert holder.find(sets).tolist() == expected
+    assert holder.find is holder.find
 
 
 def assert_same_category(a, b):
@@ -87,30 +143,46 @@ def monoids():
     return [(i.name, i.obj) for i in corpus_crms()]
 
 
+def relabellings(alg, relabel_alg, seed: int):
+    """alg and two relabellings of its elements, drawn from seed."""
+    rng = np.random.default_rng(seed)
+    return [alg, *(relabel_alg(alg, rng.permutation(alg.n)) for _ in range(2))]
+
+
 def test_cached_values_equal_fresh_builds_on_corpus_rqfs(rqfs):
-    for name, q in rqfs:
-        for _ in range(2):  # the build, then the cached value
-            assert join_irreducibles(q) == order._irreducibles(q.leq), name
-            assert partial_isometries(q) == quantale._partial_isometries(q), name
-            fc = c_object(q)
-            fresh = functors._filter_category(q)
-            assert_same_category(fc, fresh)
-            assert_same_skeleton(q, join_irreducibles(q))
-        assert c_object(q) is fc
-        assert set(q._cache) == QUANTALE_KEYS, name
+    for name, rqf in rqfs:
+        for q in relabellings(rqf, relabel_rqf, 0):
+            # a relabelling's lattice tables are writeable, and a search
+            # caches the target's operations for a read-only join table only
+            joins = order._freeze(q.join.copy()) if q.join.flags.writeable else q.join
+            for _ in range(2):  # the build, then the cached value
+                assert join_irreducibles(q) == order._irreducibles(q.leq), name
+                assert partial_isometries(q) == quantale._partial_isometries(q), name
+                fc = c_object(q)
+                fresh = functors._filter_category(q)
+                assert_same_category(fc, fresh)
+                assert_same_lookup(fc)
+                assert_same_skeleton(q, join_irreducibles(q))
+                assert_same_target(q, partial_isometries(q), joins)
+            assert c_object(q) is fc
+            assert set(q._cache) == QUANTALE_KEYS, name
 
 
 def test_cached_values_equal_fresh_builds_on_corpus_crms(monoids):
-    for name, s in monoids:
-        for _ in range(2):
-            assert join_primes(s) == crm._join_primes(s), name
-            fresh = np.where(crm._compatibility_matrix(s), crm._partial_join_table(s), -1)
-            assert np.array_equal(_compatible_join_table(s), fresh), name
-            sf = s_filters(s)
-            assert_same_category(sf, s_filters(dataclasses.replace(s)))
-            assert_same_skeleton(s, join_primes(s))
-        assert s_filters(s) is sf
-        assert set(s._cache) == MONOID_KEYS, name
+    for name, monoid in monoids:
+        for s in relabellings(monoid, relabel_crm, 1):
+            joins = order._freeze(crm._partial_join_table(s))
+            for _ in range(2):
+                assert join_primes(s) == crm._join_primes(s), name
+                fresh = np.where(crm._compatibility_matrix(s), crm._partial_join_table(s), -1)
+                assert np.array_equal(_compatible_join_table(s), fresh), name
+                sf = s_filters(s)
+                assert_same_category(sf, s_filters(dataclasses.replace(s)))
+                assert_same_lookup(sf)
+                assert_same_skeleton(s, join_primes(s))
+                assert_same_target(s, range(s.n), joins)
+            assert s_filters(s) is sf
+            assert set(s._cache) == MONOID_KEYS, name
 
 
 def test_cached_values_equal_fresh_builds_on_corpus_categories():
@@ -122,10 +194,32 @@ def test_cached_values_equal_fresh_builds_on_corpus_categories():
                 assert is_etale(c) == topcat._is_etale(c) == (True, None, None), inst.name
                 om = omega_object(c)
                 assert_same_omega(om, fresh_omega(c))
+                assert_same_lookup(om)
                 bis = bisection_monoid(c)
                 assert_same_bisections(bis, crm._bisection_monoid(c))
+                assert_same_lookup(bis)
+                assert_same_target(bis.crm, range(bis.crm.n), bis.joins)
+                assert_same_arrow_tables(c)
             assert omega_object(c) is om and bisection_monoid(c) is bis
             assert set(c._cache) == CATEGORY_KEYS, inst.name
+
+
+def test_search_target_is_cached_for_its_first_read_only_join_table_only():
+    """A search with other candidates, another read-only join table, or a
+    writeable one builds the target's tables afresh and keeps the first."""
+    q = omega_object(pair_groupoid(2)).rqf
+    pis = partial_isometries(q)
+    first = duality._search_target(q, np.array(pis), q.join)
+    writeable = q.join.copy()
+    for cands, joins in ((pis[:-1], q.join), (pis, order._freeze(q.join.copy())),
+                         (pis, writeable)):
+        other = duality._search_target(q, np.array(cands), joins)
+        assert other is not first
+        assert other[1] == duality._target_tables(q, np.array(cands), joins)[1]
+        assert q._cache["search_target"][2] is first
+    fresh = [m.tolist() for m in enumerate_rqf_morphisms(dataclasses.replace(q), q)]
+    assert [m.tolist() for m in enumerate_rqf_morphisms(q, q)] == fresh
+    assert len(fresh) == 2 and q._cache["search_target"][2] is first
 
 
 def test_bounds_are_checked_on_every_call():
@@ -191,22 +285,75 @@ def test_returned_values_cannot_change_a_later_call():
     for table in tables:
         with pytest.raises(ValueError):
             table[0] = 0
+    # the maps a search returns, and the rows a lookup returns
+    pis = partial_isometries(q)
+    search = lambda: duality.generator_search(q, join_irreducibles(q), q, pis, q.join,  # noqa: E731
+                                              q.bottom, q.top)
+    found = search()
+    expected = [m.tolist() for m in found]
+    for m in found:
+        m[:] = 0
+    assert [m.tolist() for m in search()] == expected
+    for functor in duality.enumerate_covering_functors(tc, tc):
+        with pytest.raises(ValueError):
+            functor[0] = 0
+    for holder in (om, bis, c_object(q), s_filters(s)):
+        rows = holder.find(holder.members)
+        rows[:] = -1
+        assert holder.find(holder.members).tolist() == list(range(len(holder.members)))
+    for cache, keys in ((q._cache, ("law_skeleton", "search_target")),
+                        (tc._cache, ("arrow_laws", "comp_rows"))):
+        for key in keys:
+            assert_immutable(cache[key])
     assert_same_category(c_object(q), functors._filter_category(q))
     assert_same_category(s_filters(s), s_filters(dataclasses.replace(s)))
     assert_same_omega(omega_object(tc), fresh_omega(tc))
     assert_same_bisections(bisection_monoid(tc), crm._bisection_monoid(tc))
+    assert_same_target(q, pis, q.join)
+    assert_same_arrow_tables(tc)
+
+
+def assert_immutable(value):
+    """value is made of tuples, read-only mappings, read-only arrays and
+    immutable scalars only."""
+    if isinstance(value, (tuple, MappingProxyType)):
+        for part in value.values() if isinstance(value, MappingProxyType) else value:
+            assert_immutable(part)
+    elif isinstance(value, np.ndarray):
+        assert not value.flags.writeable
+    else:
+        assert value is None or isinstance(value, (int, str, bytes)), type(value)
+
+
+def assert_filled_by_both_adjunctions(tc, q, s):
+    """The keys that both adjunction checks of tc, against q = Omega(tc)
+    and s = PI(q), fill: all of q, which is also the target of the first;
+    all of s but the target's, which the second fills on the bisection
+    monoid; all of tc but the composition rows, which the functor searches
+    fill on C(Q) and C(S)."""
+    assert set(q._cache) == QUANTALE_KEYS
+    assert set(s._cache) == MONOID_KEYS - {"search_target"}
+    assert set(bisection_monoid(tc).crm._cache) == {"search_target"}
+    assert set(tc._cache) == CATEGORY_KEYS - {"comp_rows"}
+    assert set(c_object(q).topcat._cache) == set(s_filters(s).topcat._cache) == {"comp_rows"}
+
+
+def holders(tc, q, s) -> list:
+    """The objects that build the lookup of their member rows once."""
+    return [omega_object(tc), bisection_monoid(tc), c_object(q), s_filters(s)]
 
 
 def test_replace_starts_with_an_empty_cache():
     tc = pair_groupoid(2)
-    q = omega_object(pair_groupoid(2)).rqf
+    q = omega_object(tc).rqf
     s, _ = pi_restriction_monoid(q)
     verify_adjunction_I(tc, q)
     verify_adjunction_II(tc, s)
-    assert set(q._cache) == QUANTALE_KEYS and set(s._cache) == MONOID_KEYS
-    assert set(tc._cache) == CATEGORY_KEYS
+    assert_filled_by_both_adjunctions(tc, q, s)
     assert dataclasses.replace(q)._cache == {} and dataclasses.replace(s)._cache == {}
     assert dataclasses.replace(tc)._cache == {}
+    for holder in holders(tc, q, s):
+        assert "find" in vars(holder) and "find" not in vars(dataclasses.replace(holder))
     # the frame of q as its own quantale: every element is a partial isometry
     n = q.n
     frame = dataclasses.replace(q, mul=q.meet, unit=q.top, star=np.arange(n),
@@ -217,8 +364,9 @@ def test_replace_starts_with_an_empty_cache():
 
 def test_algebras_are_freed_by_reference_counting():
     """With the cycle collector off, a category and the algebras built on
-    it, whose caches are all filled, die with their last references: no
-    cached value refers back to its category or algebra."""
+    it, whose caches and lookups are all filled by both adjunction checks,
+    die with their last references: no cached value refers back to its
+    category, algebra or holder."""
     gc.disable()
     try:
         tc = pair_groupoid(2)
@@ -226,10 +374,10 @@ def test_algebras_are_freed_by_reference_counting():
         s, _ = pi_restriction_monoid(q)
         verify_adjunction_I(tc, q)
         verify_adjunction_II(tc, s)
-        assert set(q._cache) == QUANTALE_KEYS and set(s._cache) == MONOID_KEYS
-        assert set(tc._cache) == CATEGORY_KEYS
-        refs = [weakref.ref(tc), weakref.ref(q), weakref.ref(s)]
+        assert_filled_by_both_adjunctions(tc, q, s)
+        refs = [weakref.ref(x) for x in (tc, q, s, *holders(tc, q, s))]
+        assert all("find" in vars(ref()) for ref in refs[3:])
         del tc, q, s
-        assert [ref() for ref in refs] == [None, None, None]
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()

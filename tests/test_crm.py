@@ -1247,7 +1247,7 @@ def adjunction_II_transposes(tc, s):
     bis = bisection_monoid(tc)
     assert list(bis.masks) == [om.opens[c] for c in carrier]
     assert_same_monoid(bis.crm, t)
-    forward, backward = transposes(sf.members, bis.members)
+    forward, backward = transposes(sf, bis)
     return (forward,
             [lambda m, body=body: body(m, tc, s, sf, om, carrier)
              for body in (transpose_forward_II_oracle, transpose_forward_II_bit_matrix)],

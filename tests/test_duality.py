@@ -191,7 +191,7 @@ def test_transpose_of_omega_map_is_the_identity(pair2, omega_pair2):
     fc = c_object(q)
     om = omega_pair2
     res = build_omega_map(pair2, om)
-    beta = transposes(q.leq[fc.generators], om.members)[0](res.omega)
+    beta = transposes(fc, om)[0](res.omega)
     assert np.array_equal(beta, np.arange(16))
     assert validate_rqf_morphism(beta, q, om.rqf).ok
 
@@ -200,7 +200,7 @@ def test_transpose_of_identity_morphism_is_omega(pair2, omega_pair2):
     # beta = id : Q -> Omega(C) with Q = Omega(C) transposes to omega
     q = omega_pair2.rqf
     fc = c_object(q)
-    alpha = transposes(q.leq[fc.generators], omega_pair2.members)[1](np.arange(16))
+    alpha = transposes(fc, omega_pair2)[1](np.arange(16))
     res = build_omega_map(pair2, omega_pair2)
     assert np.array_equal(alpha, res.omega)
 
@@ -209,7 +209,7 @@ def test_transposes_are_mutually_inverse_on_all_pairs(pair2, omega_pair2):
     q = omega_pair2.rqf
     fc = c_object(q)
     om = omega_pair2
-    forward, backward = transposes(q.leq[fc.generators], om.members)
+    forward, backward = transposes(fc, om)
     for alpha in enumerate_covering_functors(pair2, fc.topcat):
         beta = forward(alpha)
         assert validate_rqf_morphism(beta, q, om.rqf).ok
@@ -326,7 +326,7 @@ def test_check_transposes_matches_the_two_direction_check_on_perturbed_homsets(
     hom-sets with a member moved at one value, dropped or repeated."""
     q, om = omega_pair2.rqf, omega_pair2
     fc = c_object(q)
-    forward, backward = transposes(q.leq[fc.generators], om.members)
+    forward, backward = transposes(fc, om)
 
     functors = enumerate_covering_functors(pair2, fc.topcat)
     morphisms = enumerate_rqf_morphisms(q, om.rqf)
@@ -421,6 +421,33 @@ def test_adjunction_I_refuses_omega_past_the_bound_before_any_search(
     monkeypatch.setattr(duality, "enumerate_rqf_morphisms", no_search)
     with pytest.raises(BoundExceeded, match="^512 opens > max_elements=511$"):
         verify_adjunction_I(pair3, omega_pair3.rqf, max_elements=511)
+
+
+def test_adjunction_I_builds_c_q_under_the_callers_bound(pair2, omega_pair2, monkeypatch):
+    """C(Q) is built under max_elements, not under c_object's default
+    bound: with that default patched down to 4, C(Omega(pair2)) and its 16
+    opens are still built for max_elements=16.  (Past the real default of
+    4096 opens, Q would need 8192 elements, too large for a test.)"""
+    from framecat import functors
+    monkeypatch.setattr(functors.c_object, "__defaults__", (4,))
+    with pytest.raises(BoundExceeded, match="^filter topology has 16 opens > 4$"):
+        c_object(dataclasses.replace(omega_pair2.rqf))
+    adj = verify_adjunction_I(pair2, dataclasses.replace(omega_pair2.rqf), max_elements=16)
+    assert adj.ok
+    assert adj.sizes == (2, 2)
+
+
+def test_adjunction_I_refuses_q_past_the_bound_before_building_c_q(omega_pair2, monkeypatch):
+    """Q = Omega(pair2) has 16 elements: max_elements=15 refuses it before
+    C(Q) is built, against a C whose Omega is within the bound."""
+    from framecat import duality
+
+    def no_build(*args):
+        raise AssertionError("C(Q) built past the bound")
+
+    monkeypatch.setattr(duality, "c_object", no_build)
+    with pytest.raises(BoundExceeded, match="^morphism enumeration bounded to 15 elements$"):
+        verify_adjunction_I(pair_groupoid(1), omega_pair2.rqf, max_elements=15)
 
 
 def test_naturality_squares(pair2, omega_pair2):
@@ -688,7 +715,7 @@ def transposes_I_oracle(tc, q, fc, om):
 def adjunction_I_transposes(tc, q, fc, om):
     """forward, its oracles, backward, its oracles, each taking the map
     alone."""
-    forward, backward = transposes(q.leq[fc.generators], om.members)
+    forward, backward = transposes(fc, om)
     forward_I, backward_I = transposes_I_oracle(tc, q, fc, om)
     return (forward,
             [forward_I] + [lambda m, body=body: body(m, tc, q, fc, om)
@@ -822,7 +849,7 @@ def assert_unit_and_counit_match_oracles(tc):
     q = om.rqf
     assert_chi_matches_oracle(q)
     fc = c_object(q)
-    forward, backward = transposes(q.leq[fc.generators], om.members)
+    forward, backward = transposes(fc, om)
     forward_I, backward_I = transposes_I_oracle(tc, q, fc, om)
     assert_transposes_match_oracles(forward, [forward_I], backward, [backward_I],
                                     enumerate_covering_functors(tc, fc.topcat),
@@ -860,7 +887,7 @@ def test_adjunction_I_records_a_transpose_outside_the_homset(monkeypatch):
     om = omega_object(pair2)
     alpha = build_omega_map(pair2, om).omega
     fc = c_object(om.rqf)
-    assert transposes(om.rqf.leq[fc.generators], omega_object(parity).members)[0](alpha) is None
+    assert transposes(fc, omega_object(parity))[0](alpha) is None
     monkeypatch.setattr(duality, "enumerate_covering_functors", lambda *args: [alpha])
     rep = verify_adjunction_I(parity, om.rqf)
     assert not rep.ok

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -18,8 +19,9 @@ from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, bisection_rows,
                              validate_covering_functor, validate_topcategory,
                              validate_topology)
 from framecat.reports import BoundExceeded, Report
-from map_oracles import (is_local_bisection, local_bisections, one_value_perturbations,
-                         relabel, searched_arrow_maps, small_corpus_categories)
+from map_oracles import (composable_pairs, is_local_bisection, local_bisections,
+                         one_value_perturbations, relabel, searched_arrow_maps,
+                         small_corpus_categories, validate_covering_functor_oracle)
 from random_categories import small_categories
 
 
@@ -404,7 +406,7 @@ def validate_topcategory_by_opens(tc) -> Report:
             return rep
     boxes = sorted(top.opens)
     for w in boxes:
-        for a, b in cat.composable_pairs():
+        for a, b in composable_pairs(cat):
             if has_bit(w, int(cat.comp[a, b])) and not _box_exists(cat, boxes, a, b, w):
                 rep.add("topcategory.m_continuous", (int(a), int(b), w))
                 return rep
@@ -534,7 +536,7 @@ def validate_covering_functor_reference(fmap, src, dst) -> Report:
             rep.add("functor.preserves_r", (a,))
             break
     if rep.ok:
-        for a, b in src.composable_pairs():
+        for a, b in composable_pairs(src):
             if int(dst.comp[fmap[a], fmap[b]]) != int(fmap[src.comp[a, b]]):
                 rep.add("functor.preserves_composition", (a, b))
                 break
@@ -585,3 +587,56 @@ def test_covering_functor_report_matches_reference(name, tc):
                 laws.update(rep.laws())
     if tc.n > 1:
         assert {"covering.d_surjective", "covering.r_surjective"} <= laws
+
+
+# validate_covering_functor against its body on NumPy arrays
+# (map_oracles.validate_covering_functor_oracle): the same report on random
+# maps between small corpus categories
+
+SMALL_CATEGORIES = [tc for _, tc in small_corpus_categories()]
+
+
+@functools.cache
+def yielded_maps(i: int, j: int) -> tuple:
+    """The maps the arrow-map search yields from small category i to j:
+    functors that keep d/r-injectivity, each a candidate covering functor."""
+    return tuple(searched_arrow_maps(SMALL_CATEGORIES[i], SMALL_CATEGORIES[j])[1])
+
+
+@st.composite
+def maps_between_small_categories(draw):
+    """(map, src, dst) for small corpus categories src and dst: a map the
+    arrow-map search yields, with up to two values changed; a map that
+    sends identities to identities and every other arrow to one with the
+    images of its d and r, where there is one, so that composition and the
+    covering laws decide; or a list of values in -1..dst.n of length n - 1,
+    n or n + 1, so that some are out of range or of the wrong length."""
+    i, j = (draw(st.integers(0, len(SMALL_CATEGORIES) - 1)) for _ in range(2))
+    src, dst = SMALL_CATEGORIES[i].cat, SMALL_CATEGORIES[j].cat
+    kind = draw(st.sampled_from(["yielded", "keeps d and r", "any"]))
+    if kind == "yielded" and yielded_maps(i, j):
+        fmap = list(draw(st.sampled_from(yielded_maps(i, j))))
+        for _ in range(draw(st.integers(0, 2)) if src.n else 0):
+            fmap[draw(st.integers(0, src.n - 1))] = draw(st.integers(0, dst.n - 1))
+    elif kind == "keeps d and r" and dst.identities():
+        fmap = [0] * src.n
+        for e in src.identities():
+            fmap[e] = draw(st.sampled_from(dst.identities()))
+        for a in range(src.n):
+            if not src.is_identity(a):
+                fits = [y for y in range(dst.n) if dst.d[y] == fmap[src.d[a]]
+                        and dst.r[y] == fmap[src.r[a]]]
+                fmap[a] = draw(st.sampled_from(fits or list(range(dst.n))))
+    else:
+        length = draw(st.sampled_from(sorted({max(src.n - 1, 0), src.n, src.n + 1})))
+        fmap = draw(st.lists(st.integers(-1, dst.n), min_size=length, max_size=length))
+    return fmap, src, dst
+
+
+@settings(max_examples=400, deadline=None)
+@given(maps_between_small_categories())
+def test_covering_functor_report_matches_array_oracle(drawn):
+    """Reports are equal in subject, laws, witnesses and layers_run."""
+    fmap, src, dst = drawn
+    assert validate_covering_functor(fmap, src, dst) \
+        == validate_covering_functor_oracle(fmap, src, dst), fmap
