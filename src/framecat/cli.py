@@ -117,14 +117,8 @@ def cmd_omega(args, out: _Output) -> int:
     if not rep.ok:
         raise WorkbenchError(f"input is not an etale topological category: {rep.violations[0]}")
     om = omega_object(tc, max_elements=args.max_elements)
-    result = WorkbenchDocument(kind="rqf", name=f"omega-{doc.name or 'category'}",
-                               obj=om.rqf)
-    text = serialize_document(result)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write(WorkbenchDocument(kind="rqf", name=f"omega-{doc.name or 'category'}",
+                                    obj=om.rqf), args.out)
 
 
 def cmd_cpoints(args, out: _Output) -> int:
@@ -135,11 +129,15 @@ def cmd_cpoints(args, out: _Output) -> int:
     if not rep.ok:
         raise WorkbenchError(f"input is not a restriction quantal frame: {rep.violations[0]}")
     fc = c_object(doc.obj)
-    result = WorkbenchDocument(kind="topcategory",
-                               name=f"cpoints-{doc.name or 'rqf'}", obj=fc.topcat)
-    text = serialize_document(result)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    return _write(WorkbenchDocument(kind="topcategory", name=f"cpoints-{doc.name or 'rqf'}",
+                                    obj=fc.topcat), args.out)
+
+
+def _write(doc: WorkbenchDocument, path: Optional[str]) -> int:
+    """Serialize doc to the file at path, or to stdout without one."""
+    text = serialize_document(doc)
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EXIT_OK

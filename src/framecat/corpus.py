@@ -380,7 +380,7 @@ def negative_fixtures() -> list[CorpusInstance]:
     q = om.rqf
     star = q.star.copy()
     plus = q.plus.copy()
-    a = om.index[0b0010]  # the open {(0,1)}: star is (1,1), plus is (0,0)
+    a = om.opens.index(0b0010)  # the open {(0,1)}: star is (1,1), plus is (0,0)
     star[a], plus[a] = plus[a], star[a]
     out.append(CorpusInstance("ehresmann-swapped-star", "rqf",
                               make_eq(q, q.mul.copy(), q.unit, star, plus),
@@ -434,7 +434,7 @@ def negative_crm_fixture() -> CorpusInstance:
     transposition singletons stay compatible but their join is gone."""
     om = omega_object(pair_groupoid(2))
     s, carrier = pi_restriction_monoid(om.rqf)
-    swap_q = om.index[0b0110]
+    swap_q = om.opens.index(0b0110)
     keep = [i for i, e in enumerate(carrier) if e != swap_q]
     pos = {old: new for new, old in enumerate(keep)}
     k = len(keep)

@@ -6,16 +6,10 @@ found by duality.generator_search over the join-primes J(S), its
 transposes are duality.transposes over the member rows of the S-filters
 and of the open local bisections of C, checked by duality.check_transposes,
 and its S-filter category is read off J(S) by functors.filter_category, as
-C(Q) is off J(Q), into the same functors.FilterCategory type.  J(S), the
-compatible-join table, the S-filter category and the laws
-duality.generator_search compiles on J(S) are cached on the monoid
-(order.cached), and the operations it reads on the candidates of a target
-monoid on that target, for a read-only join table such as that of the
-bisection monoid; a join table computed per call is built once per
-callitic enumeration and passed to validate_crm_morphism for every
-candidate.  The bisection monoid is cached on its category and carries
-the lookup of its member rows (BisectionMonoid.find), as the S-filter
-category does, so the transposes build no lookup per check.
+C(Q) is off J(Q), into the same functors.FilterCategory type.  What is
+derived from a monoid (J(S), its partial and compatible joins, the
+S-filter category, its search tables) and the bisection monoid of a
+category are cached on their object (order.cached).
 L^vee(S) holds its closed ideals as bool member rows, as the filter
 categories hold their filters, so the extension of a callitic morphism
 and the bijection of the S-filters with the filters of C(L^vee(S)) are
@@ -94,7 +88,7 @@ from .functors import (FilterCategory, _require_open, arrow_set_tables, c_object
 from .order import FiniteLattice, FinitePoset, _freeze, cached, validate_poset
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
 from .reports import BoundExceeded, InternalError, Report
-from .topcat import FiniteTopCategory, bisection_rows
+from .topcat import FiniteTopCategory, bisection_rows, require_bisections_at_most
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,7 +316,9 @@ def _partial_join_table(s: CompleteRestrictionMonoid) -> np.ndarray:
     """join_table[a, b] = the least upper bound of a and b in the stored
     order, or -1 where it does not exist; the table is symmetric.  As in
     crm_lub, that is the first common upper bound u with u <= v for every
-    common upper bound v, for any relation leq.
+    common upper bound v, for any relation leq.  Built once per monoid
+    (`order.cached`), read-only; bisection_monoid puts in the union table
+    it builds.
 
     u = a v b exactly when u is a common upper bound of a and b and as many
     common upper bounds lie above u as there are in all.  When leq is
@@ -331,20 +327,23 @@ def _partial_join_table(s: CompleteRestrictionMonoid) -> np.ndarray:
     elements above u, read once; otherwise it takes a matrix product.
     Whole-array work, one block of rows a at a time, so that no temporary
     has more than JOIN_BLOCK_CELLS cells."""
-    n = s.n
-    leq = s.leq.astype(np.float32)
-    transitive = not ((leq @ leq > 0) & ~s.leq).any()
-    up_count = s.leq.sum(axis=1)  # up_count[u] = the elements above u
-    join_table = np.full((n, n), -1, dtype=np.int64)
-    rows = max(1, JOIN_BLOCK_CELLS // max(1, n * n))
-    for a0 in range(0, n, rows):
-        common = s.leq[a0:a0 + rows, None, :] & s.leq[None, :, :]  # [a, b, u]: a, b <= u
-        above = up_count if transitive else \
-            (common.reshape(-1, n).astype(np.float32) @ leq.T).reshape(common.shape)
-        least = common & (above == common.sum(axis=2)[..., None])
-        found = least.any(axis=2)
-        join_table[a0:a0 + rows][found] = least[found].argmax(axis=1)
-    return join_table
+    def build() -> np.ndarray:
+        n = s.n
+        leq = s.leq.astype(np.float32)
+        transitive = not ((leq @ leq > 0) & ~s.leq).any()
+        up_count = s.leq.sum(axis=1)  # up_count[u] = the elements above u
+        join_table = np.full((n, n), -1, dtype=np.int64)
+        rows = max(1, JOIN_BLOCK_CELLS // max(1, n * n))
+        for a0 in range(0, n, rows):
+            common = s.leq[a0:a0 + rows, None, :] & s.leq[None, :, :]  # [a, b, u]: a, b <= u
+            above = up_count if transitive else \
+                (common.reshape(-1, n).astype(np.float32) @ leq.T).reshape(common.shape)
+            least = common & (above == common.sum(axis=2)[..., None])
+            found = least.any(axis=2)
+            join_table[a0:a0 + rows][found] = least[found].argmax(axis=1)
+        return _freeze(join_table)
+
+    return cached(s, "partial_joins", build)
 
 
 def _compatibility_matrix(s: CompleteRestrictionMonoid) -> np.ndarray:
@@ -442,11 +441,10 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealComple
 # morphisms of complete restriction monoids
 
 def validate_crm_morphism(theta, s: CompleteRestrictionMonoid,
-                          t: CompleteRestrictionMonoid,
-                          t_joins: Optional[np.ndarray] = None) -> Report:
+                          t: CompleteRestrictionMonoid) -> Report:
     """Monoid + Ehresmann morphism preserving compatible (binary) joins.
-    The compatible join table of s is cached on s; the partial join table
-    of t is computed unless given as t_joins."""
+    The compatible join table of s and the partial join table of t are
+    cached on them."""
     theta = np.asarray(theta, dtype=np.int64)
     rep = Report(subject="crm-morphism")
     rep.layers_run.append("crm-morphism")
@@ -464,11 +462,9 @@ def validate_crm_morphism(theta, s: CompleteRestrictionMonoid,
     bad = np.flatnonzero(theta[s.plus] != t.plus[theta])
     if bad.size:
         rep.add("crm_morphism.plus", (int(bad[0]),))
-    s_joins = _compatible_join_table(s)
-    if t_joins is None:
-        t_joins = _partial_join_table(t)
-    xs, ys = np.nonzero(np.triu(s_joins >= 0))
-    bad = np.flatnonzero(t_joins[theta[xs], theta[ys]] != theta[s_joins[xs, ys]])
+    compatible, partial = _compatible_join_table(s), _partial_join_table(t)
+    xs, ys = np.nonzero(np.triu(compatible >= 0))
+    bad = np.flatnonzero(partial[theta[xs], theta[ys]] != theta[compatible[xs, ys]])
     if bad.size:
         rep.add("crm_morphism.compatible_joins", (int(xs[bad[0]]), int(ys[bad[0]])))
     return rep
@@ -585,7 +581,6 @@ class BisectionMonoid:
     crm: CompleteRestrictionMonoid
     masks: tuple           # masks[i] = the arrow bitmask of element i, ascending
     members: np.ndarray    # members[i, a]: arrow a is in element i
-    joins: np.ndarray      # the union where it is a bisection, else -1
 
     @cached_property
     def find(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -598,36 +593,37 @@ def bisection_monoid(tc: FiniteTopCategory, max_elements: int = 1024) -> Bisecti
     """The monoid of the open local bisections of tc (`topcat.bisection_rows`),
     in ascending mask order: the set product, the d- and r-images (as sets
     of identities), intersection and inclusion, the identities as the unit
-    and the empty set as the zero, with the partial join table that holds
-    the union where it is a bisection, else -1.  Its tables are those of
+    and the empty set as the zero.  Its tables are those of
     pi_restriction_monoid(omega_object(tc).rqf), element for element, and
-    its join table is _partial_join_table of that monoid, without building
-    Omega(C).  Built once per category (`order.cached`); it raises what
-    omega_object raises, on every call, for a category that is not etale or
-    has more than max_elements opens (`functors.require_etale`)."""
-    require_etale(tc, max_elements)
-    return cached(tc, "bisection_monoid", lambda: _bisection_monoid(tc))
+    so is its partial join table, the union where it is a bisection, which
+    goes into the monoid's cache (`_partial_join_table`), without building
+    Omega(C).  Built once per category (`order.cached`).  On every call it
+    raises ValueError for a category that is not etale
+    (`functors.require_etale`) and BoundExceeded for more than
+    max_elements bisections, counted before any table is built."""
+    require_etale(tc)
+    bis = cached(tc, "bisection_monoid", lambda: _bisection_monoid(tc, max_elements))
+    require_bisections_at_most(bis.crm.n, max_elements)
+    return bis
 
 
-def _bisection_monoid(tc: FiniteTopCategory) -> BisectionMonoid:
-    masks, members = bisection_rows(tc)
+def _bisection_monoid(tc: FiniteTopCategory, max_elements: int) -> BisectionMonoid:
+    masks, members = bisection_rows(tc, max_elements)
     leq, meet, joins, mul, star, plus = arrow_set_tables(tc.cat, members)
     _require_open(("intersection",), meet)
     _require_open(("d-image", "r-image"), star, plus)
     _require_open(("product",), mul)
     s = make_crm(len(masks), leq, mul, masks.index(tc.cat.identity_mask), 0, star, plus, meet)
-    return BisectionMonoid(crm=s, masks=tuple(masks), members=_freeze(members),
-                           joins=_freeze(joins))
+    cached(s, "partial_joins", lambda: _freeze(joins))
+    return BisectionMonoid(crm=s, masks=tuple(masks), members=_freeze(members))
 
 
 def enumerate_callitic_morphisms(s: CompleteRestrictionMonoid,
                                  t: CompleteRestrictionMonoid,
-                                 max_elements: int = 64,
-                                 t_joins: Optional[np.ndarray] = None) -> list[np.ndarray]:
+                                 max_elements: int = 64) -> list[np.ndarray]:
     """All callitic morphisms s -> t, for s and t that pass validate_crm:
     duality.generator_search over the join-primes J(s), with every element
-    of t as a candidate and the partial joins of t (`t_joins`, computed
-    unless given), then validate_crm_morphism and is_callitic.
+    of t as a candidate, then validate_crm_morphism and is_callitic.
 
     No morphism is lost: every element of s is the compatible join of the
     join-primes below it (see l_vee), and a callitic morphism preserves
@@ -636,12 +632,8 @@ def enumerate_callitic_morphisms(s: CompleteRestrictionMonoid,
     None is added, since every map is kept only if both checks pass."""
     if s.n > max_elements or t.n > max_elements:
         raise BoundExceeded(f"callitic enumeration bounded to {max_elements} elements")
-    if t_joins is None:
-        t_joins = _partial_join_table(t)
-    return [_freeze(theta)
-            for theta in generator_search(s, join_primes(s), t, range(t.n), t_joins, t.zero)
-            if validate_crm_morphism(theta, s, t, t_joins).ok
-            and is_callitic(theta, s, t)[0]]
+    return [_freeze(theta) for theta in generator_search(s, t)
+            if validate_crm_morphism(theta, s, t).ok and is_callitic(theta, s, t)[0]]
 
 
 def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
@@ -652,18 +644,16 @@ def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
     T(alpha)(s) = {c : s in alpha(c)} and B(theta)(c) = {s : c in theta(s)}
     (duality.transposes), checked by duality.check_transposes.  PI(Omega(C)) is
     read off C as its open local bisections (bisection_monoid, cached on C),
-    so Omega(C) is never built.  bisection_monoid keeps its fixed bound of
-    1024 opens and is not given max_elements: that bounds the search's
-    target, the bisection monoid, which is far smaller than the opens (34
-    elements against 512 at pair3), so passing it on would refuse pair3 at
-    the default of 64.
+    so Omega(C) is never built.  max_elements bounds the bisections, the
+    search's target, before their tables are built (34 at pair3, against
+    512 opens), and then the elements of S.
     """
     rep = AdjunctionReport()
     sf = s_filters(s)
     if sf.n > max_arrows:
         raise BoundExceeded(f"C(S) has {sf.n} arrows > {max_arrows}")
-    bis = bisection_monoid(tc)
+    bis = bisection_monoid(tc, max_elements)
     rep.functor_homset = enumerate_covering_functors(tc, sf.topcat, max_arrows)
-    rep.morphism_homset = enumerate_callitic_morphisms(s, bis.crm, max_elements, bis.joins)
+    rep.morphism_homset = enumerate_callitic_morphisms(s, bis.crm, max_elements)
     check_transposes(rep, *transposes(sf, bis))
     return rep

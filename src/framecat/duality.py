@@ -27,20 +27,13 @@ reuses the functor search, generator_search, transposes and
 check_transposes.
 
 What a hom-set search derives from one object is cached on that object
-(order.cached), holds no reference back to it, and dies with it:
-- on an algebra, J, PI and C(Q) (or J(S) and the S-filters), the laws
-  generator_search compiles on its generators (law_skeleton), and, as a
-  target, its operations on the candidates as tuples of rows
-  (search_target: pad and the join, leq, meet, mul, star and plus rows),
-  kept for the candidates and the read-only join table of its first
-  search;
-- on a topological category, Omega(C), the open local bisections, the
-  arrow laws of a functor search from it (arrow_laws) and the composition
-  rows of one into it (comp_rows);
-- on an OmegaResult, a FilterCategory and a crm.BisectionMonoid, the
-  lookup of its member rows (find), built on first use.
-So an adjunction check against objects it has seen before builds none of
-them again, binds the cached laws to the cached target tables and only
+(order.cached), holds no reference back to it, and dies with it: on an
+algebra, J, PI and C(Q) (or J(S) and the S-filters), the laws of
+generator_search as a source and its tables as a target; on a
+topological category, Omega(C), the open local bisections and the tables
+of a functor search from it or into it; on an OmegaResult, a
+FilterCategory and a crm.BisectionMonoid, the lookup of its member rows
+(find).  So an adjunction check against objects it has seen before only
 searches.
 
 transposes reads the bool member rows of both sides, the filters (row k
@@ -58,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -135,11 +128,11 @@ def _first_unkept(theta: np.ndarray, q_table: np.ndarray,
 
 
 def _is_rqf_morphism_on_j(theta: np.ndarray, q: EhresmannQuantale,
-                          r: EhresmannQuantale, q_js: list[int], q_pis: list[int],
-                          r_is_pi: np.ndarray) -> bool:
+                          r: EhresmannQuantale) -> bool:
     """validate_rqf_morphism(theta, q, r).ok, decided on the join-irreducibles
-    q_js of q, for valid rqfs q and r only; r_is_pi[e] tells whether e is a
-    partial isometry of r.
+    J of q, for valid rqfs q and r only.  J(q) and PI(q) are cached on q,
+    and whether an element of r is a partial isometry is read from the
+    search target of r (`search_target`).
 
     Every j in J is join-prime in q and every element is the join of the j
     below it.  With theta in range:
@@ -160,6 +153,7 @@ def _is_rqf_morphism_on_j(theta: np.ndarray, q: EhresmannQuantale,
     other two."""
     if theta.shape != (q.n,) or ((theta < 0) | (theta >= r.n)).any():
         return False
+    q_js = join_irreducibles(q)
     joins = np.full(q.n, r.bottom, dtype=np.int64)  # joins[a]: of theta(j), j <= a
     for j in q_js:
         joins = np.where(q.leq[j], r.join[joins, theta[j]], joins)
@@ -173,7 +167,7 @@ def _is_rqf_morphism_on_j(theta: np.ndarray, q: EhresmannQuantale,
                 and np.array_equal(theta[q.star[js]], r.star[tj])
                 and np.array_equal(theta[q.plus[js]], r.plus[tj])
                 and theta[q.top] == r.top and theta[q.unit] == r.unit
-                and r_is_pi[theta[q_pis]].all())
+                and search_target(r).candidate[theta[partial_isometries(q)]].all())
 
 
 # ---------------------------------------------------------------------------
@@ -428,47 +422,37 @@ def positions(n: int, domain: list[int]) -> np.ndarray:
     return pos
 
 
-def generator_search(alg, gens: list[int], tgt, candidates: Iterable[int],
-                     joins: np.ndarray, zero: int,
-                     top: Optional[int] = None) -> list[np.ndarray]:
-    """The maps theta: alg -> tgt (quantales or restriction monoids) given by
-    images of the generators `gens` of alg, each image in `candidates`, and
-    theta(a) = the join of the theta(g) over the generators g <= a; in
-    depth-first order, the maps whose extension meets a missing join left
-    out.  `joins` is the join table of tgt, -1 where a join is missing,
-    `zero` the least element of tgt and `top`, when given, the image of the
-    top of alg.
+def generator_search(alg, tgt) -> list[np.ndarray]:
+    """The maps theta: alg -> tgt, two rqfs or two complete restriction
+    monoids, given by images of the generators of alg (J(q) of an rqf, J(S)
+    of a monoid), each image a candidate of tgt (PI(r) of an rqf, every
+    element of a monoid), and theta(a) = the join of the theta(g) over the
+    generators g <= a; in depth-first order, the maps whose extension meets
+    a missing join of tgt (none in an rqf, the partial joins of a monoid)
+    left out.
 
     The generators are assigned in a linear extension of the order (by
-    down-set size, ties in index order), each candidate in the order given.
+    down-set size, ties in index order), each candidate in ascending order.
     Each law is compiled once, into the level of its last generator:
     theta(g) <= theta(h) for generators g <= h; theta(x) = theta(g) /\\
     theta(h) for x = g /\\ h and theta(x) = theta(g).theta(h) for x = g.h,
     over all pairs of generators; theta(x) = theta(g)* for x = g* and
-    likewise for plus; theta(unit) = the unit; and theta(top) = top.  Here
-    theta(x) of a derived element x is the join of the images of the
-    generators below x, so those generators count toward the level of the
-    law.  What depends on alg and gens alone, each law's support, level and
-    operation name, is compiled once per algebra for the generators of its
-    first search (`_law_skeleton`; both adjunctions always search on the
-    same J or J(S)), afresh for others; what depends on tgt, the candidates
-    and the join table alone, the target's operations on the candidates, is
-    built once per target in the same way (`_search_target`); a call binds
-    the one to the other.  A map that keeps the laws need
-    not be a morphism: the caller decides each one.  Every morphism that
-    preserves these operations and joins, and sends the generators into
-    `candidates`, is among the maps found, provided every element of alg is
-    the join of the generators below it."""
-    gens = tuple(gens)
-    held, skeleton = cached(alg, "law_skeleton", lambda: (gens, _law_skeleton(alg, gens)))
-    if held != gens:
-        skeleton = _law_skeleton(alg, gens)
-    below, named_laws, lower = skeleton
+    likewise for plus; theta(unit) = the unit; and, between rqfs,
+    theta(top) = top at the leaf.  Here theta(x) of a derived element x is
+    the join of the images of the generators below x, so those generators
+    count toward the level of the law.  The laws (`law_skeleton`) and the
+    target's operations on its candidates (`search_target`) are each cached
+    on their object; a call binds the one to the other.  A map that keeps
+    the laws need not be a morphism: the caller decides each one.  Every morphism that preserves these
+    operations and joins, and sends the generators to candidates, is among
+    the maps found, provided every element of alg is the join of the
+    generators below it."""
+    below, named_laws, lower = law_skeleton(alg)
     m = len(below)
-    pad, t_join, t_leq, ops = _search_target(tgt, np.fromiter(candidates, dtype=np.int64), joins)
-    laws = [[(support, ops[name], i, k) for support, name, i, k in level] for level in named_laws]
-    if top is not None:
-        laws[m].append((np.flatnonzero(below[:, alg.top]).tolist(), top, None, None))
+    target = search_target(tgt)
+    t_join, t_leq, zero = target.join_rows, target.leq_rows, target.zero
+    laws = [[(support, target.ops[name], i, k) for support, name, i, k in level]
+            for level in named_laws]
 
     images = [0] * m  # candidate positions
     found: list[list[int]] = []
@@ -502,48 +486,67 @@ def generator_search(alg, gens: list[int], tgt, candidates: Iterable[int],
     for assigned in found:
         theta = np.full(alg.n, zero, dtype=np.int64)
         for i, p in enumerate(assigned):
-            theta = np.where(below[i], pad[theta, p], theta)
+            theta = np.where(below[i], target.pad[theta, p], theta)
         if (theta >= 0).all():
             out.append(theta)
     return out
 
 
-def _search_target(tgt, cands: np.ndarray, joins: np.ndarray) -> tuple:
-    """The tables of `_target_tables` for tgt, the candidates cands and the
-    join table joins: cached on tgt (`order.cached`) for the candidates and
-    the join table of its first search, when that table is read-only (the
-    same table object, which therefore cannot have changed), and built
-    afresh for any others."""
-    if joins.flags.writeable:
-        return _target_tables(tgt, cands, joins)
-    key = cands.tobytes()
-    held, held_joins, tables = cached(tgt, "search_target",
-                                      lambda: (key, joins, _target_tables(tgt, cands, joins)))
-    if held != key or held_joins is not joins:
-        return _target_tables(tgt, cands, joins)
-    return tables
+class SearchTarget(NamedTuple):
+    """The operations of a search target on the positions p of its
+    candidates, with element values: pad[v, p] = v joined with candidate p,
+    its last row, read at v = -1, keeping a missing join missing; pad and
+    leq on pairs of candidates as rows; the read-only mapping from each
+    operation name of `_law_skeleton` to its table, meet and mul on pairs
+    of candidates as rows, star and plus on candidates, the unit and, of an
+    rqf, the top; the zero; and candidate[e], element e is a candidate.
+    Rows are tuples of Python ints (`_rows`).  Immutable and free of
+    references to the target, so that `order.cached` can hold it."""
+    pad: np.ndarray
+    join_rows: tuple
+    leq_rows: tuple
+    ops: MappingProxyType
+    zero: int
+    candidate: np.ndarray
 
 
-def _target_tables(tgt, cands: np.ndarray, joins: np.ndarray) -> tuple:
-    """The operations of tgt on the positions p of the candidates cands,
-    with element values: pad[v, p] = v joined with candidate p, its last
-    row, read at v = -1, keeping a missing join missing, as a read-only
-    array and as rows; leq on pairs of candidates, as rows; and the read-only
-    mapping from each operation name of `_law_skeleton` to its table, meet
-    and mul on pairs of candidates as rows, star and plus on candidates,
-    and the unit.  Rows are tuples of Python ints (`_rows`).  Immutable and
-    free of references to tgt, so that `order.cached` can hold it."""
+def search_target(tgt) -> SearchTarget:
+    """The SearchTarget of tgt (`_target_tables`), cached on tgt
+    (`order.cached`)."""
+    return cached(tgt, "search_target", lambda: _target_tables(tgt))
+
+
+def _target_tables(tgt) -> SearchTarget:
+    """The SearchTarget of an rqf r, for its candidates PI(r) and its join,
+    or of a complete restriction monoid, for all its elements and its
+    partial joins (crm._partial_join_table)."""
+    if isinstance(tgt, EhresmannQuantale):
+        cands, joins, zero, ops = partial_isometries(tgt), tgt.join, tgt.bottom, {"top": tgt.top}
+    else:
+        from .crm import _partial_join_table  # crm imports this module
+        cands, joins, zero, ops = range(tgt.n), _partial_join_table(tgt), tgt.zero, {}
+    cands = np.asarray(cands, dtype=np.int64)
     block = (cands[:, None], cands)
     pad = np.full((tgt.n + 1, len(cands)), -1, dtype=np.int64)
     pad[:-1] = joins[:, cands]
-    ops = {"meet": _rows(tgt.meet[block]), "mul": _rows(tgt.mul[block]),
-           "star": tuple(tgt.star[cands].tolist()), "plus": tuple(tgt.plus[cands].tolist()),
-           "unit": tgt.unit}
-    return _freeze(pad), _rows(pad), _rows(tgt.leq[block]), MappingProxyType(ops)
+    candidate = np.zeros(tgt.n, dtype=bool)
+    candidate[cands] = True
+    ops.update(meet=_rows(tgt.meet[block]), mul=_rows(tgt.mul[block]),
+               star=tuple(tgt.star[cands].tolist()), plus=tuple(tgt.plus[cands].tolist()),
+               unit=tgt.unit)
+    return SearchTarget(_freeze(pad), _rows(pad), _rows(tgt.leq[block]),
+                        MappingProxyType(ops), int(zero), _freeze(candidate))
 
 
-def _law_skeleton(alg, gens: tuple) -> tuple:
-    """The laws of generator_search on alg and gens, without a target:
+def law_skeleton(alg) -> tuple:
+    """The laws of generator_search on alg (`_law_skeleton`), cached on alg
+    (`order.cached`)."""
+    return cached(alg, "law_skeleton", lambda: _law_skeleton(alg))
+
+
+def _law_skeleton(alg) -> tuple:
+    """The laws of generator_search on alg, on its generators (J(q) of an
+    rqf, J(S) of a complete restriction monoid), without a target:
     below[i, x] (the i-th generator in the linear extension is <= x), the
     laws of each level as (support, operation name, i, k), with the join of
     the images at the positions `support` to equal op[image i][image k],
@@ -551,6 +554,11 @@ def _law_skeleton(alg, gens: tuple) -> tuple:
     level being the leaf's; and lower[k], the positions of the generators
     below the k-th, whose images must lie below its image.  Immutable and
     free of references to alg, so that `order.cached` can hold it."""
+    if isinstance(alg, EhresmannQuantale):
+        gens, top = join_irreducibles(alg), alg.top
+    else:
+        from .crm import join_primes  # crm imports this module
+        gens, top = join_primes(alg), None
     order = sorted(gens, key=lambda g: int(alg.leq[:, g].sum()))
     m = len(order)
     below = _freeze(alg.leq[order, :])
@@ -573,6 +581,8 @@ def _law_skeleton(alg, gens: tuple) -> tuple:
         law(int(alg.star[h]), "star", k)
         law(int(alg.plus[h]), "plus", k)
     law(alg.unit, "unit")
+    if top is not None:
+        laws[m].append((tuple(np.flatnonzero(below[:, top]).tolist()), "top", None, None))
     lower = tuple(tuple(i for i in range(k) if below[i, order[k]]) for k in range(m)) + ((),)
     return below, tuple(map(tuple, laws)), lower
 
@@ -582,7 +592,7 @@ def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
     """All RQF morphisms q -> r, for valid rqfs q and r: generator_search
     over the join-irreducibles J(q), with the partial isometries (PIs) of r
     as candidates, then the morphism laws decided on J(q)
-    (_is_rqf_morphism_on_j).  J(q), PI(q) and PI(r) are cached on q and r.
+    (_is_rqf_morphism_on_j).
 
     No morphism is lost: a morphism preserves joins, and every element of q
     is the join of the j <= it in J, so it is fixed by its values on J; J is
@@ -592,12 +602,8 @@ def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
     kept only if it passes what validate_rqf_morphism checks."""
     if q.n > max_elements or r.n > max_elements:
         raise BoundExceeded(f"morphism enumeration bounded to {max_elements} elements")
-    q_js, q_pis, r_pis = join_irreducibles(q), partial_isometries(q), partial_isometries(r)
-    r_is_pi = np.zeros(r.n, dtype=bool)
-    r_is_pi[r_pis] = True
-    return [_freeze(theta)
-            for theta in generator_search(q, q_js, r, r_pis, r.join, r.bottom, r.top)
-            if _is_rqf_morphism_on_j(theta, q, r, q_js, q_pis, r_is_pi)]
+    return [_freeze(theta) for theta in generator_search(q, r)
+            if _is_rqf_morphism_on_j(theta, q, r)]
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -69,8 +68,7 @@ from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
 @dataclass(frozen=True, eq=False)
 class OmegaResult:
     rqf: EhresmannQuantale
-    opens: tuple  # opens[i] = arrow bitmask of quantale element i
-    index: Mapping  # arrow bitmask -> element index, read-only
+    opens: tuple  # opens[i] = arrow bitmask of quantale element i, ascending
     members: np.ndarray  # members[i, a]: arrow a is in open i, read-only
 
     @property
@@ -85,22 +83,22 @@ class OmegaResult:
 
 
 def omega_object(tc: FiniteTopCategory, max_elements: int = 1024) -> OmegaResult:
-    """Omega(C), built once per category (`order.cached`); what
-    require_etale raises is raised on every call."""
-    require_etale(tc, max_elements)
+    """Omega(C), built once per category (`order.cached`).  On every call
+    it raises what require_etale raises, then BoundExceeded for more than
+    max_elements opens."""
+    require_etale(tc)
+    count = tc.topology.open_count()
+    if count > max_elements:
+        raise BoundExceeded(f"{count} opens > max_elements={max_elements}")
     build = _omega_discrete if tc.topology.is_discrete else _omega_generic
     return cached(tc, "omega_object", lambda: build(tc))
 
 
-def require_etale(tc: FiniteTopCategory, max_elements: int) -> None:
-    """Raise ValueError naming the failed law unless tc is etale, then
-    BoundExceeded if it has more than max_elements opens."""
+def require_etale(tc: FiniteTopCategory) -> None:
+    """Raise ValueError naming the failed law unless tc is etale."""
     ok, law, wit = is_etale(tc)
     if not ok:
         raise ValueError(f"not etale: {law} witness open={wit}")
-    count = tc.topology.open_count()
-    if count > max_elements:
-        raise BoundExceeded(f"{count} opens > max_elements={max_elements}")
 
 
 def _omega_discrete(tc: FiniteTopCategory) -> OmegaResult:
@@ -132,10 +130,8 @@ def _omega_discrete(tc: FiniteTopCategory) -> OmegaResult:
         np.bitwise_or(mul[:lo], single[j], out=mul[lo:2 * lo])
 
     q = make_eq(frame, mul, int(cat.identity_mask), star, plus)
-    opens = tuple(range(nq))
     members = (masks[:, None] >> np.arange(k) & 1).astype(bool)
-    return OmegaResult(rqf=q, opens=opens, index=MappingProxyType(dict(zip(opens, opens))),
-                       members=_freeze(members))
+    return OmegaResult(rqf=q, opens=tuple(range(nq)), members=_freeze(members))
 
 
 def _omega_generic(tc: FiniteTopCategory) -> OmegaResult:
@@ -145,17 +141,15 @@ def _omega_generic(tc: FiniteTopCategory) -> OmegaResult:
     before the r-image, then the product."""
     cat = tc.cat
     opens = sorted(tc.topology.opens)
-    index = {m: i for i, m in enumerate(opens)}
     members = bit_matrix(opens, cat.n)
     leq, meet, join, mul, star, plus = arrow_set_tables(cat, members)
     _require_open(("intersection", "union"), meet, join)
     frame = FiniteLattice(len(opens), _freeze(leq), _freeze(meet), _freeze(join),
-                          bottom=index[0], top=index[full_mask(cat.n)])
+                          bottom=opens.index(0), top=opens.index(full_mask(cat.n)))
     _require_open(("d-image", "r-image"), star, plus)
     _require_open(("product",), mul)
-    q = make_eq(frame, mul, index[cat.identity_mask], star, plus)
-    return OmegaResult(rqf=q, opens=tuple(opens), index=MappingProxyType(index),
-                       members=_freeze(members))
+    q = make_eq(frame, mul, opens.index(cat.identity_mask), star, plus)
+    return OmegaResult(rqf=q, opens=tuple(opens), members=_freeze(members))
 
 
 def arrow_set_tables(cat: FiniteCategory, member: np.ndarray) -> tuple[np.ndarray, ...]:

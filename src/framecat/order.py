@@ -8,19 +8,13 @@ and a poset, and every function of a frame or poset takes it as it is.
 A frame adds no fields: FiniteFrame is an alias of FiniteLattice, and a
 frame is a lattice that passes `validate_frame`.
 
-What is derived from an algebra's tables and read many times (its
-join-irreducibles J here; PI, C(Q), J(S), the compatible joins and the
-S-filter category in `quantale`, `functors` and `crm`; the laws and the
-target tables of `duality.generator_search`) is built once, on first use,
-into the algebra's `_cache` (`cached`).  A topological category
-(`topcat.FiniteTopCategory`) has the same cache, for its etale verdict,
-Omega(C), the monoid of its open local bisections and the tables of the
-covering functor search.  Each cached value is
-immutable (tuples, frozen arrays, frozen dataclasses, read-only mappings)
-and holds no reference to its owner, so the owner is still freed by
-reference counting; `dataclasses.replace` starts with an empty cache.  A
-size bound, or the refusal of a category that is not etale, is checked on
-every call, not only on the build.
+What is derived from an algebra or a topological category and read many
+times is built once, on first use, and cached on its object (`cached`).
+Each cached value is immutable (tuples, frozen arrays, frozen
+dataclasses, read-only mappings) and holds no reference to its owner, so
+the owner is still freed by reference counting; `dataclasses.replace`
+starts with an empty cache.  A size bound, or the refusal of a category
+that is not etale, is checked on every call, not only on the build.
 
 Elements are dense integer indices.  The order is an n-by-n boolean table,
 meet/join are n-by-n element tables.  A finite frame is a finite bounded
@@ -118,9 +112,6 @@ class FiniteLattice(FinitePoset):
     def join_fold(self, indices) -> int:
         return reduce(lambda a, b: int(self.join[a, b]), indices, self.bottom)
 
-    def meet_fold(self, indices) -> int:
-        return reduce(lambda a, b: int(self.meet[a, b]), indices, self.top)
-
 
 # The finite frames are the FiniteLattice instances for which validate_frame
 # passes; no extra fields are involved.
@@ -133,9 +124,6 @@ class CPFilter:
 
     cogenerator: int
     members: int  # bitmask over frame elements
-
-    def contains(self, x: int) -> bool:
-        return has_bit(self.members, x)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bits import mask_of, row_blocks
+from .bits import row_blocks
 from .order import (FiniteFrame, FiniteLattice, cached, join_irreducibles, join_splits,
                     validate_frame)
 from .reports import Report
@@ -70,9 +70,6 @@ class EhresmannQuantale(FiniteQuantale):
     def projections(self) -> list[int]:
         """P = e-down, never stored."""
         return [int(i) for i in np.flatnonzero(self.leq[:, self.unit])]
-
-    def projection_mask(self) -> int:
-        return mask_of(self.projections())
 
 
 # The restriction quantal frames are the EhresmannQuantale instances for

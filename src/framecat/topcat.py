@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -60,21 +60,8 @@ class Topology:
     def is_discrete(self) -> bool:
         return self.opens is None or len(self.opens) == 1 << self.n
 
-    def is_open(self, mask: int) -> bool:
-        if self.opens is None:
-            return True
-        return mask in self.opens
-
     def open_count(self) -> int:
         return (1 << self.n) if self.opens is None else len(self.opens)
-
-    def iter_opens(self, max_opens: int = 1 << 20) -> Iterator[int]:
-        if self.open_count() > max_opens:
-            raise BoundExceeded(f"topology has {self.open_count()} opens > {max_opens}")
-        if self.opens is None:
-            yield from range(1 << self.n)
-        else:
-            yield from sorted(self.opens)
 
 
 def open_rows(top: Topology) -> tuple[list[int], np.ndarray, Callable[[np.ndarray], np.ndarray]]:
@@ -285,39 +272,51 @@ def open_local_bisections(tc: FiniteTopCategory) -> list[int]:
     return bisection_rows(tc)[0]
 
 
-def bisection_rows(tc: FiniteTopCategory) -> tuple[list[int], np.ndarray]:
+def bisection_rows(tc: FiniteTopCategory,
+                   max_count: Optional[int] = None) -> tuple[list[int], np.ndarray]:
     """The open local bisections as ascending masks and as the bool rows
-    [i, a]: arrow a is in the i-th one.  Of a listed topology, an open is a
+    [i, a]: arrow a is in the i-th one; BoundExceeded for more than
+    max_count of them, when given.  Of a listed topology, an open is a
     bisection iff no identity is the d, or the r, of two of its arrows: one
     count product of the member rows of all opens (`open_rows`, exact at
     any width) with the graphs of d and r.  Of a discrete topology, see
     `_discrete_bisections`."""
     c, n = tc.cat, tc.n
     if tc.topology.opens is None:
-        masks = _discrete_bisections(c)
+        masks = _discrete_bisections(c, max_count)
         return masks, (np.array(masks)[:, None] >> np.arange(n) & 1).astype(bool)
     masks, rows, _ = open_rows(tc.topology)
     arrows = np.arange(n)
     graphs = np.concatenate([c.d[:, None] == arrows, c.r[:, None] == arrows], axis=1)
     keep = (rows.astype(np.float32) @ graphs.astype(np.float32) <= 1).all(axis=1)
+    require_bisections_at_most(int(keep.sum()), max_count)
     return list(compress(masks, keep)), rows[keep]
 
 
-def _discrete_bisections(c: FiniteCategory) -> list[int]:
+def _discrete_bisections(c: FiniteCategory, max_count: Optional[int]) -> list[int]:
     """All local bisections, every subset being open, as ascending masks,
     grown one arrow j at a time without listing the subsets: those with j
     as their largest arrow are those before with j added, kept when they
-    hold no arrow with the d or the r of j.  Refused above
-    SUBSET_MAX_ARROWS arrows: when every arrow is an identity, each of the
-    2^n subsets is a bisection."""
-    if c.n > SUBSET_MAX_ARROWS:
+    hold no arrow with the d or the r of j.  Refused as soon as they are
+    more than max_count, when given, and else above SUBSET_MAX_ARROWS
+    arrows, since when every arrow is an identity each of the 2^n subsets
+    is a bisection."""
+    if max_count is None and c.n > SUBSET_MAX_ARROWS:
         raise BoundExceeded(f"{c.n} arrows > {SUBSET_MAX_ARROWS}; refusing 2^n enumeration")
     d, r = c.d.tolist(), c.r.tolist()
     found = [0]
     for j in range(c.n):
         clash = sum(1 << i for i in range(j) if d[i] == d[j] or r[i] == r[j])
         found += [b | 1 << j for b in found if not b & clash]
+        require_bisections_at_most(len(found), max_count)
     return found
+
+
+def require_bisections_at_most(count: int, max_count: Optional[int]) -> None:
+    """Raise BoundExceeded for more than max_count open local bisections,
+    when max_count is given."""
+    if max_count is not None and count > max_count:
+        raise BoundExceeded(f"more than max_elements={max_count} open local bisections")
 
 
 def is_etale(tc: FiniteTopCategory) -> tuple[bool, Optional[str], Optional[int]]:

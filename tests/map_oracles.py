@@ -7,9 +7,11 @@ validate_rqf_morphism, the relabellings of a category's arrows and of an
 algebra's elements that the tests search under, the maps the arrow-map
 search yields to the covering functor search, the subset walk that lists the
 local bisections one arrow subset at a time (the oracle of
-topcat.bisection_rows), the category of an Ehresmann quantale, and the
-body of topcat.validate_covering_functor on NumPy arrays."""
+topcat.bisection_rows), the category of an Ehresmann quantale, the
+body of topcat.validate_covering_functor on NumPy arrays, and the small
+readings of a topology, a quantale and a lattice that only tests use."""
 
+from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -18,8 +20,8 @@ from framecat import duality
 from framecat.bits import has_bit, iter_bits, mask_of, row_masks
 from framecat.corpus import etale_categories
 from framecat.crm import make_crm
-from framecat.order import FiniteLattice, join_irreducibles
-from framecat.quantale import make_eq, partial_isometries
+from framecat.order import FiniteLattice
+from framecat.quantale import make_eq
 from framecat.reports import BoundExceeded, Report
 from framecat.topcat import (SUBSET_MAX_ARROWS, UNDEF, FiniteCategory, FiniteTopCategory,
                              Topology, continuity_check, make_category,
@@ -172,26 +174,47 @@ def local_bisections(c: FiniteCategory, max_arrows: int = SUBSET_MAX_ARROWS) -> 
     return [m for m in range(1 << c.n) if is_local_bisection(c, m)]
 
 
+def open_index(om) -> dict:
+    """The index of each open of an OmegaResult om, by its arrow mask."""
+    return {mask: i for i, mask in enumerate(om.opens)}
+
+
+def is_open(top: Topology, mask: int) -> bool:
+    """Whether the arrow set mask is open in top."""
+    return top.opens is None or mask in top.opens
+
+
+def iter_opens(top: Topology):
+    """The opens of top as ascending masks."""
+    return range(1 << top.n) if top.opens is None else sorted(top.opens)
+
+
+def projection_mask(q) -> int:
+    """The projections of q (its elements below the unit) as a mask."""
+    return mask_of(q.projections())
+
+
+def meet_fold(lat, indices) -> int:
+    """The meet of the elements indices of lat, the top for none."""
+    return reduce(lambda a, b: int(lat.meet[a, b]), indices, lat.top)
+
+
 def cat_of_ehresmann(q) -> FiniteTopCategory:
     """The category with arrows = elements, a.b defined iff a* = b+,
     d(a) = a*, r(a) = a+, identities = projections; discrete topology."""
     comp = np.full((q.n, q.n), UNDEF, dtype=np.int64)
     eq_dr = q.star[:, None] == q.plus[None, :]
     comp[eq_dr] = q.mul[eq_dr]
-    cat = FiniteCategory(n=q.n, identity_mask=q.projection_mask(), d=q.star.copy(),
+    cat = FiniteCategory(n=q.n, identity_mask=projection_mask(q), d=q.star.copy(),
                          r=q.plus.copy(), comp=comp)
     return FiniteTopCategory(cat=cat, topology=Topology(q.n, None))
 
 
 def j_decision(q, r):
     """theta -> the rqf hom-set search's decision on J(q)
-    (duality._is_rqf_morphism_on_j), with J(q), PI(q) and PI(r) computed
-    once."""
-    q_js, q_pis = join_irreducibles(q), partial_isometries(q)
-    r_is_pi = np.zeros(r.n, dtype=bool)
-    r_is_pi[partial_isometries(r)] = True
+    (duality._is_rqf_morphism_on_j)."""
     return lambda theta: duality._is_rqf_morphism_on_j(
-        np.asarray(theta, dtype=np.int64), q, r, q_js, q_pis, r_is_pi)
+        np.asarray(theta, dtype=np.int64), q, r)
 
 
 def assert_j_decisions_match_scan(maps, q, r):

@@ -27,7 +27,7 @@ from framecat.quantale import (compatibility_lemma_check, compatible,
                                partial_isometries, validate_rqf)
 from framecat.suite import _validate_any
 from framecat.topcat import validate_covering_functor
-from map_oracles import local_bisections
+from map_oracles import is_open, local_bisections
 
 
 def announce(line: str) -> None:
@@ -89,7 +89,7 @@ def test_criterion_03_isometries_are_open_bisections():
             continue
         om = omega_object(tc)
         pis = {om.opens[p] for p in partial_isometries(om.rqf)}
-        olbs = {m for m in local_bisections(tc.cat) if tc.topology.is_open(m)}
+        olbs = {m for m in local_bisections(tc.cat) if is_open(tc.topology, m)}
         if pis != olbs:
             announce(f"  {inst.name}: isometries differ from open bisections")
             ok = False

@@ -1,8 +1,9 @@
 """The data built once per algebra or category and cached on it
-(order.cached): J, PI and C(Q) of a quantale; J(S), the compatible-join
-table and the S-filter category of a complete restriction monoid; the laws
-that duality.generator_search compiles on the generators of either, and
-the operations it reads on the candidates of either as a target; the etale
+(order.cached): J, PI and C(Q) of a quantale; J(S), the partial and the
+compatible join tables and the S-filter category of a complete
+restriction monoid; the laws that duality.generator_search compiles on
+the generators of either, and the operations it reads on the candidates
+of either as a target; the etale
 verdict, Omega(C), the monoid of the open local bisections, the arrow laws
 of the covering functor search from a topological category and the
 composition rows of a search into it; and the lookup of the member rows
@@ -26,7 +27,7 @@ from framecat.corpus import (corpus_crms, corpus_rqfs, etale_categories,
                              indiscrete_pair_groupoid, pair_groupoid)
 from framecat.crm import (_compatible_join_table, bisection_monoid, join_primes,
                           pi_restriction_monoid, s_filters, verify_adjunction_II)
-from framecat.duality import enumerate_rqf_morphisms, verify_adjunction_I
+from framecat.duality import verify_adjunction_I
 from framecat.functors import c_object, omega_object
 from framecat.order import join_irreducibles
 from framecat.quantale import partial_isometries
@@ -36,44 +37,48 @@ from map_oracles import cat_of_ehresmann, relabel, relabel_crm, relabel_rqf
 
 QUANTALE_KEYS = {"join_irreducibles", "partial_isometries", "c_object", "law_skeleton",
                  "search_target"}
-MONOID_KEYS = {"join_primes", "compatible_joins", "s_filters", "law_skeleton", "search_target"}
+MONOID_KEYS = {"join_primes", "partial_joins", "compatible_joins", "s_filters", "law_skeleton",
+               "search_target"}
 CATEGORY_KEYS = {"is_etale", "omega_object", "bisection_monoid", "arrow_laws", "comp_rows"}
 QUANTALE_TABLES = ("leq", "meet", "join", "mul", "star", "plus", "bottom", "top", "unit")
 MONOID_TABLES = ("leq", "mul", "star", "plus", "meet", "unit", "zero")
 
 
-def assert_same_skeleton(alg, gens):
-    """The cached laws of generator_search on alg and gens, filled by a
-    search with no candidates, equal a fresh compile."""
-    duality.generator_search(alg, gens, alg, [], np.zeros((alg.n, 0), dtype=np.int64), 0)
-    held, (below, laws, lower) = alg._cache["law_skeleton"]
-    fresh_below, fresh_laws, fresh_lower = duality._law_skeleton(alg, tuple(gens))
-    assert held == tuple(gens)
+def assert_same_skeleton(alg):
+    """The laws of generator_search cached on alg equal a fresh compile."""
+    skeleton = duality.law_skeleton(alg)
+    assert alg._cache["law_skeleton"] is skeleton
+    below, laws, lower = skeleton
+    fresh_below, fresh_laws, fresh_lower = duality._law_skeleton(alg)
     assert np.array_equal(below, fresh_below) and not below.flags.writeable
     assert (laws, lower) == (fresh_laws, fresh_lower)
 
 
-def assert_same_target(tgt, cands, joins):
-    """The operations of tgt on the candidates that generator_search caches
-    on tgt for a read-only join table equal a fresh build, and the tables
-    of tgt read at the candidates; held with the candidates and the join
-    table they were built for."""
+def assert_same_target(tgt, cands, joins, zero, top=None):
+    """The operations of tgt on its candidates cands that generator_search
+    caches on tgt equal a fresh build, and the tables of tgt read at the
+    candidates, with the join table joins, the zero and, of an rqf, the
+    top."""
+    target = duality.search_target(tgt)
+    assert tgt._cache["search_target"] is target
+    fresh = duality._target_tables(tgt)
+    for table in (target.pad, target.candidate):
+        assert not table.flags.writeable
+    assert np.array_equal(target.pad, fresh.pad)
+    assert np.array_equal(target.candidate, fresh.candidate)
+    assert (target.join_rows, target.leq_rows, dict(target.ops), target.zero) == \
+        (fresh.join_rows, fresh.leq_rows, dict(fresh.ops), fresh.zero)
     c = np.array(cands, dtype=np.int64)
-    tables = duality._search_target(tgt, c, joins)
-    held, held_joins, cached_tables = tgt._cache["search_target"]
-    assert cached_tables is tables and held == c.tobytes() and held_joins is joins
-    pad, join_rows, leq_rows, ops = tables
-    fresh = duality._target_tables(tgt, c, joins)
-    assert np.array_equal(pad, fresh[0]) and not pad.flags.writeable
-    assert (join_rows, leq_rows, dict(ops)) == (fresh[1], fresh[2], dict(fresh[3]))
     block = np.ix_(c, c)
-    assert np.array_equal(pad, np.vstack([joins[:, c], np.full((1, len(c)), -1)]))
-    assert join_rows == tuple(map(tuple, pad.tolist()))
-    for rows, table in ((leq_rows, tgt.leq[block]), (ops["meet"], tgt.meet[block]),
+    assert np.flatnonzero(target.candidate).tolist() == sorted(c.tolist())
+    assert np.array_equal(target.pad, np.vstack([joins[:, c], np.full((1, len(c)), -1)]))
+    assert target.join_rows == tuple(map(tuple, target.pad.tolist()))
+    ops = target.ops
+    for rows, table in ((target.leq_rows, tgt.leq[block]), (ops["meet"], tgt.meet[block]),
                         (ops["mul"], tgt.mul[block]), (ops["star"], tgt.star[c]),
                         (ops["plus"], tgt.plus[c])):
         assert np.array_equal(np.array(rows, dtype=table.dtype).reshape(table.shape), table)
-    assert ops["unit"] == tgt.unit
+    assert (ops["unit"], target.zero, ops.get("top")) == (tgt.unit, zero, top)
 
 
 def assert_same_arrow_tables(tc):
@@ -119,14 +124,14 @@ def assert_same_tables(a, b, tables):
 
 def assert_same_omega(a, b):
     assert_same_tables(a.rqf, b.rqf, QUANTALE_TABLES)
-    assert a.opens == b.opens and dict(a.index) == dict(b.index)
+    assert a.opens == b.opens
     assert np.array_equal(a.members, b.members)
 
 
 def assert_same_bisections(a, b):
     assert_same_tables(a.crm, b.crm, MONOID_TABLES)
-    assert a.masks == b.masks
-    assert np.array_equal(a.members, b.members) and np.array_equal(a.joins, b.joins)
+    assert a.masks == b.masks and np.array_equal(a.members, b.members)
+    assert np.array_equal(crm._partial_join_table(a.crm), crm._partial_join_table(b.crm))
 
 
 def fresh_omega(tc):
@@ -152,9 +157,6 @@ def relabellings(alg, relabel_alg, seed: int):
 def test_cached_values_equal_fresh_builds_on_corpus_rqfs(rqfs):
     for name, rqf in rqfs:
         for q in relabellings(rqf, relabel_rqf, 0):
-            # a relabelling's lattice tables are writeable, and a search
-            # caches the target's operations for a read-only join table only
-            joins = order._freeze(q.join.copy()) if q.join.flags.writeable else q.join
             for _ in range(2):  # the build, then the cached value
                 assert join_irreducibles(q) == order._irreducibles(q.leq), name
                 assert partial_isometries(q) == quantale._partial_isometries(q), name
@@ -162,8 +164,8 @@ def test_cached_values_equal_fresh_builds_on_corpus_rqfs(rqfs):
                 fresh = functors._filter_category(q)
                 assert_same_category(fc, fresh)
                 assert_same_lookup(fc)
-                assert_same_skeleton(q, join_irreducibles(q))
-                assert_same_target(q, partial_isometries(q), joins)
+                assert_same_skeleton(q)
+                assert_same_target(q, partial_isometries(q), q.join, q.bottom, q.top)
             assert c_object(q) is fc
             assert set(q._cache) == QUANTALE_KEYS, name
 
@@ -171,16 +173,17 @@ def test_cached_values_equal_fresh_builds_on_corpus_rqfs(rqfs):
 def test_cached_values_equal_fresh_builds_on_corpus_crms(monoids):
     for name, monoid in monoids:
         for s in relabellings(monoid, relabel_crm, 1):
-            joins = order._freeze(crm._partial_join_table(s))
+            joins = crm._partial_join_table(dataclasses.replace(s))
             for _ in range(2):
                 assert join_primes(s) == crm._join_primes(s), name
-                fresh = np.where(crm._compatibility_matrix(s), crm._partial_join_table(s), -1)
+                assert np.array_equal(crm._partial_join_table(s), joins), name
+                fresh = np.where(crm._compatibility_matrix(s), joins, -1)
                 assert np.array_equal(_compatible_join_table(s), fresh), name
                 sf = s_filters(s)
                 assert_same_category(sf, s_filters(dataclasses.replace(s)))
                 assert_same_lookup(sf)
-                assert_same_skeleton(s, join_primes(s))
-                assert_same_target(s, range(s.n), joins)
+                assert_same_skeleton(s)
+                assert_same_target(s, range(s.n), joins, s.zero)
             assert s_filters(s) is sf
             assert set(s._cache) == MONOID_KEYS, name
 
@@ -196,30 +199,13 @@ def test_cached_values_equal_fresh_builds_on_corpus_categories():
                 assert_same_omega(om, fresh_omega(c))
                 assert_same_lookup(om)
                 bis = bisection_monoid(c)
-                assert_same_bisections(bis, crm._bisection_monoid(c))
+                assert_same_bisections(bis, crm._bisection_monoid(c, 1024))
                 assert_same_lookup(bis)
-                assert_same_target(bis.crm, range(bis.crm.n), bis.joins)
+                joins = crm._partial_join_table(dataclasses.replace(bis.crm))
+                assert_same_target(bis.crm, range(bis.crm.n), joins, bis.crm.zero)
                 assert_same_arrow_tables(c)
             assert omega_object(c) is om and bisection_monoid(c) is bis
             assert set(c._cache) == CATEGORY_KEYS, inst.name
-
-
-def test_search_target_is_cached_for_its_first_read_only_join_table_only():
-    """A search with other candidates, another read-only join table, or a
-    writeable one builds the target's tables afresh and keeps the first."""
-    q = omega_object(pair_groupoid(2)).rqf
-    pis = partial_isometries(q)
-    first = duality._search_target(q, np.array(pis), q.join)
-    writeable = q.join.copy()
-    for cands, joins in ((pis[:-1], q.join), (pis, order._freeze(q.join.copy())),
-                         (pis, writeable)):
-        other = duality._search_target(q, np.array(cands), joins)
-        assert other is not first
-        assert other[1] == duality._target_tables(q, np.array(cands), joins)[1]
-        assert q._cache["search_target"][2] is first
-    fresh = [m.tolist() for m in enumerate_rqf_morphisms(dataclasses.replace(q), q)]
-    assert [m.tolist() for m in enumerate_rqf_morphisms(q, q)] == fresh
-    assert len(fresh) == 2 and q._cache["search_target"][2] is first
 
 
 def test_bounds_are_checked_on_every_call():
@@ -233,13 +219,14 @@ def test_bounds_are_checked_on_every_call():
     assert c_object(q, max_opens=16) is c_object(q)
     assert s_filters(s, max_opens=16) is s_filters(s)
     for inst in etale_categories():
-        tc, count = inst.obj, inst.obj.topology.open_count()
+        tc = inst.obj
         built = omega_object(tc), bisection_monoid(tc)
-        for build in (omega_object, bisection_monoid):
+        opens, bisections = tc.topology.open_count(), built[1].crm.n
+        for build, count in ((omega_object, opens), (bisection_monoid, bisections)):
             with pytest.raises(BoundExceeded):
                 build(tc, max_elements=count - 1)
-        assert (omega_object(tc, max_elements=count), bisection_monoid(tc, max_elements=count)) \
-            == built, inst.name
+        assert (omega_object(tc, max_elements=opens),
+                bisection_monoid(tc, max_elements=bisections)) == built, inst.name
 
 
 def test_a_category_that_is_not_etale_is_refused_on_every_call():
@@ -275,9 +262,8 @@ def test_returned_values_cannot_change_a_later_call():
     for derived in (om, bis):
         with pytest.raises(dataclasses.FrozenInstanceError):
             derived.members = ()
-    with pytest.raises(TypeError):
-        om.index[0] = 1
-    tables = [om.members, bis.members, bis.joins]
+    tables = [om.members, bis.members, crm._partial_join_table(bis.crm),
+              crm._partial_join_table(s)]
     tables += [getattr(q, t) for t in QUANTALE_TABLES[:6]]
     tables += [getattr(bis.crm, t) for t in MONOID_TABLES[:5]]
     for cat in (tc.cat, cat_of_ehresmann(q).cat):
@@ -287,8 +273,7 @@ def test_returned_values_cannot_change_a_later_call():
             table[0] = 0
     # the maps a search returns, and the rows a lookup returns
     pis = partial_isometries(q)
-    search = lambda: duality.generator_search(q, join_irreducibles(q), q, pis, q.join,  # noqa: E731
-                                              q.bottom, q.top)
+    search = lambda: duality.generator_search(q, q)  # noqa: E731
     found = search()
     expected = [m.tolist() for m in found]
     for m in found:
@@ -302,14 +287,15 @@ def test_returned_values_cannot_change_a_later_call():
         rows[:] = -1
         assert holder.find(holder.members).tolist() == list(range(len(holder.members)))
     for cache, keys in ((q._cache, ("law_skeleton", "search_target")),
+                        (bis.crm._cache, ("partial_joins",)),
                         (tc._cache, ("arrow_laws", "comp_rows"))):
         for key in keys:
             assert_immutable(cache[key])
     assert_same_category(c_object(q), functors._filter_category(q))
     assert_same_category(s_filters(s), s_filters(dataclasses.replace(s)))
     assert_same_omega(omega_object(tc), fresh_omega(tc))
-    assert_same_bisections(bisection_monoid(tc), crm._bisection_monoid(tc))
-    assert_same_target(q, pis, q.join)
+    assert_same_bisections(bisection_monoid(tc), crm._bisection_monoid(tc, 1024))
+    assert_same_target(q, pis, q.join, q.bottom, q.top)
     assert_same_arrow_tables(tc)
 
 
@@ -329,11 +315,12 @@ def assert_filled_by_both_adjunctions(tc, q, s):
     """The keys that both adjunction checks of tc, against q = Omega(tc)
     and s = PI(q), fill: all of q, which is also the target of the first;
     all of s but the target's, which the second fills on the bisection
-    monoid; all of tc but the composition rows, which the functor searches
-    fill on C(Q) and C(S)."""
+    monoid, with the partial joins that monoid is built with; all of tc but
+    the composition rows, which the functor searches fill on C(Q) and
+    C(S)."""
     assert set(q._cache) == QUANTALE_KEYS
     assert set(s._cache) == MONOID_KEYS - {"search_target"}
-    assert set(bisection_monoid(tc).crm._cache) == {"search_target"}
+    assert set(bisection_monoid(tc).crm._cache) == {"partial_joins", "search_target"}
     assert set(tc._cache) == CATEGORY_KEYS - {"comp_rows"}
     assert set(c_object(q).topcat._cache) == set(s_filters(s).topcat._cache) == {"comp_rows"}
 

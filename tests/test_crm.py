@@ -12,7 +12,7 @@ from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, empty_catego
                              hand_built_crms, monoid_category,
                              negative_crm_fixture, pair_groupoid,
                              semilattice_monoid_category)
-from framecat import crm
+from framecat import crm, topcat
 from framecat.crm import (CompleteRestrictionMonoid, IdealCompletion,
                           _compatible_join_table, _partial_join_table, bisection_monoid,
                           crm_compatible,
@@ -32,9 +32,9 @@ from framecat.quantale import frame_as_quantale, make_eq, partial_isometries, va
 from framecat.reports import BoundExceeded
 from framecat.suite import (Instance, filter_category_correspondence,
                             ideals_of_isometries_roundtrip, isometries_of_ideals_roundtrip)
-from framecat.topcat import (UNDEF, FiniteTopCategory, make_category, topology_from_base,
-                             validate_covering_functor)
-from map_oracles import (FilterMasks, assert_transposes_match_oracles, ideal_masks,
+from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, make_category,
+                             topology_from_base, validate_covering_functor)
+from map_oracles import (FilterMasks, assert_transposes_match_oracles, ideal_masks, open_index,
                          map_outcome, one_value_perturbations, relabel, relabel_crm,
                          reversed_labels, small_corpus_categories)
 from random_categories import small_categories
@@ -285,8 +285,8 @@ def test_completeness_on_one_sided_distributivity_failures(omega_pair3):
     # breaks distributivity on the left only, so its opposite breaks it on
     # the right only
     s, carrier = pi_restriction_monoid(omega_pair3.rqf)
-    e0 = carrier.index(omega_pair3.index[0b000000001])
-    swap02 = carrier.index(omega_pair3.index[0b001010100])
+    e0 = carrier.index(omega_pair3.opens.index(0b000000001))
+    swap02 = carrier.index(omega_pair3.opens.index(0b001010100))
     sub = generated_sub_monoid(s, [e0, swap02])
     law, (c, x, y) = _assert_completeness_agrees(sub, "sub")
     assert law == "crm.mul_distributes_over_joins"
@@ -1181,11 +1181,12 @@ def test_callitic_enumeration_on_semilattice_monoid():
 def transpose_forward_II_oracle(alpha, tc, s, sf, om, carrier):
     pos = {e: i for i, e in enumerate(carrier)}
     filters = FilterMasks(sf).members
+    index = open_index(om)
     theta = np.zeros(s.n, dtype=np.int64)
     for a in range(s.n):
         open_mask = mask_of(c for c in range(tc.n)
                             if has_bit(filters[int(alpha[c])], a))
-        i = om.index.get(open_mask)
+        i = index.get(open_mask)
         if i is None or i not in pos:
             return None
         theta[a] = pos[i]
@@ -1210,9 +1211,10 @@ def transpose_forward_II_bit_matrix(alpha, tc, s, sf, om, carrier):
     members = bit_matrix(FilterMasks(sf).members, n)
     pos = np.full(om.n + 1, -1, dtype=np.int64)
     pos[carrier] = np.arange(len(carrier))
+    index = open_index(om)
     theta = np.zeros(n, dtype=np.int64)
     for a, open_mask in enumerate(row_masks(members[np.asarray(alpha, dtype=np.int64)].T)):
-        i = om.index.get(open_mask)
+        i = index.get(open_mask)
         if i is None or pos[i] < 0:
             return None
         theta[a] = pos[i]
@@ -1286,8 +1288,10 @@ def assert_bisection_monoid_is_pi_of_omega(tc):
     assert list(bis.masks) == [om.opens[c] for c in carrier]
     assert row_masks(bis.members) == list(bis.masks)
     assert_same_monoid(bis.crm, t)
-    assert np.array_equal(bis.joins, pi_join_table(om.rqf, carrier))
-    assert np.array_equal(bis.joins, _partial_join_table(bis.crm))
+    # the union table bisection_monoid puts into the cache of its monoid
+    joins = _partial_join_table(bis.crm)
+    assert np.array_equal(joins, pi_join_table(om.rqf, carrier))
+    assert np.array_equal(joins, _partial_join_table(dataclasses.replace(bis.crm)))
 
 
 def wide_categories():
@@ -1321,6 +1325,10 @@ def test_bisection_monoid_is_pi_of_omega_on_random_categories(tc, rnd):
 
 
 def test_adjunction_II_raises_what_omega_raises():
+    """A category that is not etale is refused by Omega(C), by its
+    bisection monoid and by adjunction II alike.  The bound on the opens is
+    Omega(C)'s only: the 2048 opens of two objects joined by nine arrows
+    hold 13 bisections, which both build under the default bound."""
     from framecat.corpus import indiscrete_pair_groupoid
     s = make_crm(1, [[True]], [[0]], 0, 0, [0], [0], [[0]])
     kinds = []
@@ -1334,9 +1342,58 @@ def test_adjunction_II_raises_what_omega_raises():
                 outcomes.append(None)
             except (ValueError, BoundExceeded) as e:
                 outcomes.append((type(e), str(e)))
-        assert outcomes[0] == outcomes[1] == outcomes[2], outcomes
-        kinds.append(outcomes[0] and outcomes[0][0])
-    assert kinds == [ValueError, None, BoundExceeded]
+        kinds.append([outcome and outcome[0] for outcome in outcomes])
+        if outcomes[0] is None or outcomes[0][0] is ValueError:
+            assert outcomes[0] == outcomes[1] == outcomes[2], outcomes
+    assert kinds == [[ValueError] * 3, [None] * 3, [BoundExceeded, None, None]]
+
+
+def test_adjunction_II_builds_the_bisection_monoid_under_the_callers_bound():
+    """The bisection monoid, the target of the callitic search, is bounded
+    by the max_elements the caller passes, not by a bound of its own: the
+    2048 opens of two objects joined by nine arrows, past omega_object's
+    default of 1024, hold 13 bisections; the 21 discrete arrows of two
+    objects joined by nineteen, past the 20 arrows whose subsets are listed
+    without a bound, hold 23."""
+    s, _ = pi_restriction_monoid(omega_object(pair_groupoid(1)).rqf)
+    for arrows, bisections in ((9, 13), (19, 23)):
+        tc = free_category_on_acyclic_graph(2, [(0, 1)] * arrows)
+        adj = verify_adjunction_II(tc, s, max_arrows=tc.n, max_elements=4096)
+        assert bisection_monoid(tc).crm.n == bisections
+        assert adj.ok and adj.sizes == (0, 0)
+        with pytest.raises(BoundExceeded, match=f"^more than max_elements={bisections - 1} "):
+            verify_adjunction_II(tc, s, max_elements=bisections - 1)
+
+
+def test_adjunction_II_refuses_the_bisections_past_the_bound_before_any_search(
+        pair3, omega_pair3, monkeypatch):
+    """pair3 has 34 open local bisections: 33 allowed is refused before
+    either hom-set is searched, on the first call and on a cached monoid."""
+    def no_search(*args):
+        raise AssertionError("hom-set searched past the bound")
+
+    s, _ = pi_restriction_monoid(omega_pair3.rqf)
+    monkeypatch.setattr(crm, "enumerate_covering_functors", no_search)
+    monkeypatch.setattr(crm, "enumerate_callitic_morphisms", no_search)
+    for _ in range(2):
+        with pytest.raises(BoundExceeded, match="^more than max_elements=33 open local"):
+            verify_adjunction_II(pair3, s, max_elements=33)
+    assert bisection_monoid(pair3, max_elements=34).crm.n == 34
+
+
+def test_discrete_bisections_are_counted_against_the_bound_as_they_grow(monkeypatch):
+    """A discrete category of twelve identities has 4096 local bisections:
+    a bound of 100 is passed at the seventh identity, before the rest are
+    listed."""
+    c = make_category(12, range(12), range(12), range(12), [(a, a, a) for a in range(12)])
+    tc = FiniteTopCategory(c, Topology(12, None))
+    grown = []
+    real = topcat.require_bisections_at_most
+    monkeypatch.setattr(topcat, "require_bisections_at_most",
+                        lambda count, bound: grown.append(count) or real(count, bound))
+    with pytest.raises(BoundExceeded, match="^more than max_elements=100 open local"):
+        bisection_monoid(tc, max_elements=100)
+    assert grown == [2, 4, 8, 16, 32, 64, 128]
 
 
 @pytest.mark.parametrize("name2,tc2", small_corpus_categories())
@@ -1431,7 +1488,7 @@ def test_partial_join_table_on_blocks_of_rows(monkeypatch):
     whole = _partial_join_table(s)
     for rows in (1, 3):
         monkeypatch.setattr(crm, "JOIN_BLOCK_CELLS", rows * s.n * s.n)
-        assert np.array_equal(_partial_join_table(s), whole), rows
+        assert np.array_equal(_partial_join_table(dataclasses.replace(s)), whole), rows
 
 
 def test_pi_join_table_is_the_partial_join_table_on_corpus():

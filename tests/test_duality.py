@@ -33,9 +33,9 @@ from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, continuity_chec
 from map_oracles import (FilterMasks, assert_j_decisions_match_scan,
                          ideal_masks,
                          assert_transposes_match_oracles, build_omega_map_oracle,
-                         j_decision, map_outcome, one_value_perturbations, relabel,
-                         relabel_rqf, reversed_labels, searched_arrow_maps,
-                         searched_rqf_morphisms, small_corpus_categories)
+                         j_decision, map_outcome, one_value_perturbations, open_index,
+                         projection_mask, relabel, relabel_rqf, reversed_labels,
+                         searched_arrow_maps, searched_rqf_morphisms, small_corpus_categories)
 from random_categories import small_categories
 
 
@@ -80,7 +80,7 @@ def test_chi_at_bottom_top_unit(omega_pair2):
     assert chi.om.opens[chi.chi[q.bottom]] == 0
     assert chi.om.opens[chi.chi[q.top]] == (1 << chi.fc.n) - 1
     id_mask = mask_of(k for k, members in enumerate(FilterMasks(chi.fc).members)
-                      if members & q.projection_mask())
+                      if members & projection_mask(q))
     assert chi.om.opens[chi.chi[q.unit]] == id_mask
 
 
@@ -121,7 +121,7 @@ def test_omega_map_identities_to_identity_filters(pair2):
     res = build_omega_map(pair2)
     for e in pair2.cat.identities():
         k = int(res.omega[e])
-        assert FilterMasks(res.fc).members[k] & res.om.rqf.projection_mask()
+        assert FilterMasks(res.fc).members[k] & projection_mask(res.om.rqf)
 
 
 def test_omega_filter_contains_exactly_the_opens_containing_the_arrow(pair2):
@@ -648,11 +648,12 @@ def test_quantale_isomorphism_check_matches_two_scans(iso, q1, q2):
 def transpose_forward_oracle(alpha, tc, q, fc, om):
     alpha = np.asarray(alpha, dtype=np.int64)
     filters = FilterMasks(fc).members
+    index = open_index(om)
     out = np.zeros(q.n, dtype=np.int64)
     for a in range(q.n):
         members = mask_of(c for c in range(tc.n)
                           if has_bit(filters[int(alpha[c])], a))
-        i = om.index.get(members)
+        i = index.get(members)
         if i is None:
             return None
         out[a] = i
@@ -675,9 +676,10 @@ def transpose_backward_oracle(beta, tc, q, fc, om):
 def transpose_forward_bit_matrix(alpha, tc, q, fc, om):
     alpha = np.asarray(alpha, dtype=np.int64)
     members = bit_matrix(FilterMasks(fc).members, q.n)
+    index = open_index(om)
     out = np.zeros(q.n, dtype=np.int64)
     for a, open_mask in enumerate(row_masks(members[alpha].T)):
-        i = om.index.get(open_mask)
+        i = index.get(open_mask)
         if i is None:
             return None
         out[a] = i
@@ -781,7 +783,7 @@ def chi_by_index(q):
     fc = c_object(q)
     om = omega_object(fc.topcat, max_elements=1 << 20)
     x_masks = FilterMasks(fc).x_masks
-    return np.array([om.index[x_masks[a]] for a in range(q.n)], dtype=np.int64)
+    return np.array([om.opens.index(x_masks[a]) for a in range(q.n)], dtype=np.int64)
 
 
 def is_sober_by_opens(tc, res):

@@ -24,10 +24,10 @@ from framecat.crm import (CompleteRestrictionMonoid, _compatible_join_table,
                           is_callitic, pi_restriction_monoid, validate_crm_morphism,
                           verify_adjunction_II)
 from framecat.duality import (_is_rqf_morphism_on_j, enumerate_rqf_morphisms,
-                              find_category_isomorphism, generator_search, positions,
+                              find_category_isomorphism, positions,
                               validate_rqf_morphism, verify_adjunction_I)
 from framecat.functors import omega_object
-from framecat.order import _freeze, join_irreducibles
+from framecat.order import _freeze
 from framecat.quantale import EhresmannQuantale, partial_isometries
 from framecat.reports import BoundExceeded
 from map_oracles import relabel
@@ -279,9 +279,6 @@ def rqf_morphisms_by_element_search(q: EhresmannQuantale, r: EhresmannQuantale,
         raise BoundExceeded(f"morphism enumeration bounded to {max_elements} elements")
     q_pis = partial_isometries(q)
     r_pis = partial_isometries(r)
-    q_js = join_irreducibles(q)
-    r_is_pi = np.zeros(r.n, dtype=bool)
-    r_is_pi[r_pis] = True
     found = morphism_search(search_tables(q, q_pis, q.bottom, q.join),
                             search_tables(r, r_pis, r.bottom, r.join))
     above = q.leq[q_pis, :]  # above[i, e]: the i-th PI is below e
@@ -295,7 +292,7 @@ def rqf_morphisms_by_element_search(q: EhresmannQuantale, r: EhresmannQuantale,
         if key in seen:
             continue
         seen.add(key)
-        if _is_rqf_morphism_on_j(theta, q, r, q_js, q_pis, r_is_pi):
+        if _is_rqf_morphism_on_j(theta, q, r):
             out.append(_freeze(theta))
     return out
 
@@ -312,7 +309,7 @@ def callitic_morphisms_by_element_search(s: CompleteRestrictionMonoid,
                             search_tables(t, list(range(t.n)), t.zero, t_joins))
     thetas = (np.array(images, dtype=np.int64) for images in found)
     return [_freeze(theta) for theta in thetas
-            if validate_crm_morphism(theta, s, t, t_joins).ok
+            if validate_crm_morphism(theta, s, t).ok
             and is_callitic(theta, s, t)[0]]
 
 
@@ -367,21 +364,18 @@ def test_callitic_search_matches_oracle_on_pi_omega_pair3(omega_pair3):
 
 def test_second_search_on_an_algebra_returns_the_same_homsets(algebras):
     """generator_search caches the laws it compiles on its source
-    (law_skeleton): a first and a second search against each target, and a
-    search on other generators of the same source, return what a search on
+    (law_skeleton) and the tables it reads on its target (search_target): a
+    first and a second search against each target return what a search on
     a copy with an empty cache returns."""
     for q, s in algebras.values():
         for r, t in algebras.values():
-            fresh = (enumerate_rqf_morphisms(dataclasses.replace(q), r, MAX_ELEMENTS),
-                     enumerate_callitic_morphisms(dataclasses.replace(s), t, MAX_ELEMENTS))
+            fresh = (enumerate_rqf_morphisms(dataclasses.replace(q), dataclasses.replace(r),
+                                             MAX_ELEMENTS),
+                     enumerate_callitic_morphisms(dataclasses.replace(s), dataclasses.replace(t),
+                                                  MAX_ELEMENTS))
             for _ in range(2):
                 assert_same_lists(enumerate_rqf_morphisms(q, r, MAX_ELEMENTS), fresh[0])
                 assert_same_lists(enumerate_callitic_morphisms(s, t, MAX_ELEMENTS), fresh[1])
-        pis = partial_isometries(q)
-        assert_same_lists(generator_search(q, pis, q, pis, q.join, q.bottom, q.top),
-                          generator_search(dataclasses.replace(q), pis, q, pis, q.join,
-                                           q.bottom, q.top))
-        assert q._cache["law_skeleton"][0] == tuple(join_irreducibles(q))
 
 
 # ---------------------------------------------------------------------------

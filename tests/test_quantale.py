@@ -29,7 +29,7 @@ def q2(request):
 
 
 def arrow_set(om, *arrows):
-    return om.index[mask_of(arrows)]
+    return om.opens.index(mask_of(arrows))
 
 
 def test_relation_quantale_is_ehresmann(q2):
@@ -52,7 +52,7 @@ def test_swapped_star_fails_with_witness(q2):
     om = omega_object(pair_groupoid(2))
     star = q2.star.copy()
     plus = q2.plus.copy()
-    a = om.index[0b0010]  # {(0,1)} is not symmetric
+    a = om.opens.index(0b0010)  # {(0,1)} is not symmetric
     star[a], plus[a] = plus[a], star[a]
     rep = validate_ehresmann(make_eq(q2, q2.mul.copy(), q2.unit, star, plus))
     assert not rep.ok
@@ -68,7 +68,7 @@ def test_partial_isometries_of_relation_quantale(q2):
     for f in q2.projections():
         assert f in pis
     # the non-bisection full relation is not
-    assert om.index[0b1111] not in pis
+    assert om.opens.index(0b1111) not in pis
 
 
 def test_isometries_of_frame_quantale_are_everything():
@@ -137,7 +137,7 @@ def test_compatibility_lemma_matches_pairwise_check(inst):
 def test_every_element_is_join_of_isometries(q2):
     assert every_element_is_join_of_pi(q2) == (True, None)
     om = omega_object(pair_groupoid(2))
-    swap = om.index[0b0110]
+    swap = om.opens.index(0b0110)
     a, b = arrow_set(om, 1), arrow_set(om, 2)
     assert int(q2.join[a, b]) == swap
 

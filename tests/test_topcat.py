@@ -19,7 +19,8 @@ from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, bisection_rows,
                              validate_covering_functor, validate_topcategory,
                              validate_topology)
 from framecat.reports import BoundExceeded, Report
-from map_oracles import (composable_pairs, is_local_bisection, local_bisections,
+from map_oracles import (composable_pairs, is_local_bisection, is_open, iter_opens,
+                         local_bisections,
                          one_value_perturbations, relabel, searched_arrow_maps,
                          small_corpus_categories, validate_covering_functor_oracle)
 from random_categories import small_categories
@@ -94,7 +95,7 @@ def test_discrete_categories_are_etale():
     for tc in (pair_groupoid(2), pair_groupoid(3), path_category(),
                monoid_category([[0, 1], [1, 1]])):
         assert is_etale(tc)[0]
-        assert tc.topology.is_open(tc.cat.identity_mask)
+        assert is_open(tc.topology, tc.cat.identity_mask)
 
 
 def test_indiscrete_topology_is_not_etale():
@@ -108,14 +109,14 @@ def test_parity_topology_is_etale_and_valid():
     tc = parity_pair_groupoid()
     assert validate_topcategory(tc).ok
     assert is_etale(tc)[0]
-    assert tc.topology.is_open(tc.cat.identity_mask)
+    assert is_open(tc.topology, tc.cat.identity_mask)
     assert open_local_bisections(tc) == [0, 0b0110, 0b1001]
 
 
 def test_etale_opens_are_unions_of_open_bisections():
     tc = parity_pair_groupoid()
     olbs = open_local_bisections(tc)
-    for o in tc.topology.iter_opens():
+    for o in iter_opens(tc.topology):
         cover = 0
         for b in olbs:
             if b & ~o == 0:
@@ -397,11 +398,11 @@ def validate_topcategory_by_opens(tc) -> Report:
     if not rep.ok or tc.topology.is_discrete:
         return rep
     cat, top = tc.cat, tc.topology
-    for o in top.iter_opens():
-        if not top.is_open(_preimage(cat.d, o)):
+    for o in iter_opens(top):
+        if not is_open(top, _preimage(cat.d, o)):
             rep.add("topcategory.d_continuous", (o,))
             return rep
-        if not top.is_open(_preimage(cat.r, o)):
+        if not is_open(top, _preimage(cat.r, o)):
             rep.add("topcategory.r_continuous", (o,))
             return rep
     boxes = sorted(top.opens)
@@ -418,17 +419,17 @@ def is_etale_by_opens(tc):
         return True, None, None
     cat, top = tc.cat, tc.topology
     olbs = open_local_bisections(tc)
-    for o in top.iter_opens():
+    for o in iter_opens(top):
         cover = 0
         for b in olbs:
             if b & ~o == 0:
                 cover |= b
         if cover != o:
             return False, "etale.open_not_union_of_bisections", o
-    for o in top.iter_opens():
-        if not top.is_open(_image(cat.d, o)):
+    for o in iter_opens(top):
+        if not is_open(top, _image(cat.d, o)):
             return False, "etale.d_not_open", o
-        if not top.is_open(_image(cat.r, o)):
+        if not is_open(top, _image(cat.r, o)):
             return False, "etale.r_not_open", o
     return True, None, None
 
@@ -442,7 +443,7 @@ def continuity_check_by_opens(fmap, tc_src, tc_dst):
     else:
         opens = iter(sorted(tc_dst.topology.opens))
     for o in opens:
-        if not tc_src.topology.is_open(_preimage(fmap, o)):
+        if not is_open(tc_src.topology, _preimage(fmap, o)):
             return False, o
     return True, None
 
