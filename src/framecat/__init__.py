@@ -23,7 +23,7 @@ from .quantale import (EhresmannQuantale, FiniteQuantale,
                        validate_rqf)
 from .topcat import (FiniteCategory, FiniteTopCategory, Topology,
                      continuity_check, is_etale,
-                     make_category, open_local_bisections,
+                     make_category,
                      topology_from_base, validate_category,
                      validate_covering_functor, validate_topcategory)
 from .functors import (FilterCategory, OmegaResult, c_morphism,

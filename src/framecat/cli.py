@@ -128,7 +128,7 @@ def cmd_cpoints(args, out: _Output) -> int:
     rep = validate_rqf(doc.obj)
     if not rep.ok:
         raise WorkbenchError(f"input is not a restriction quantal frame: {rep.violations[0]}")
-    fc = c_object(doc.obj)
+    fc = c_object(doc.obj, args.max_elements)
     return _write(WorkbenchDocument(kind="topcategory", name=f"cpoints-{doc.name or 'rqf'}",
                                     obj=fc.topcat), args.out)
 
@@ -253,7 +253,7 @@ def cmd_corpus(args, out: _Output) -> int:
                         return False, tuple(rep.laws()[:3]), f"expected {law}"
                 return True, None, ""
             out.emit(run_check(path.name, "parses", fn))
-    run_pending(full_suite_pending(), stream=out.emit)
+    run_pending(full_suite_pending(args.max_arrows, args.max_elements), stream=out.emit)
     return out.finish()
 
 

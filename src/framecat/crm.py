@@ -80,15 +80,15 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .bits import bool_product, row_lookup
+from .bits import bit_matrix, bool_product, row_lookup
 from .duality import (AdjunctionReport, check_transposes, enumerate_covering_functors,
                       generator_search, positions, transposes)
 from .functors import (FilterCategory, _require_open, arrow_set_tables, c_object,
                        family_tables, filter_category, require_etale)
 from .order import FiniteLattice, FinitePoset, _freeze, cached, validate_poset
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
-from .reports import BoundExceeded, InternalError, Report
-from .topcat import FiniteTopCategory, bisection_rows, require_bisections_at_most
+from .reports import MAX_TABLE_SIDE, BoundExceeded, InternalError, Report, require_at_most
+from .topcat import FiniteTopCategory, Topology, bisection_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,7 +387,27 @@ def _join_primes(s: CompleteRestrictionMonoid) -> list[int]:
     return sorted(primes, key=lambda g: int(s.leq[:, g].sum()))
 
 
-def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealCompletion:
+def _down_sets(s: CompleteRestrictionMonoid, max_elements: int,
+               what: str) -> tuple[np.ndarray, list[int]]:
+    """J(S) ordered by up-sets as member bitmasks (a lexsort on the columns
+    from high to low), and the down-sets of J(S) as masks over that order,
+    grown along join_primes(s), a linear extension: those whose last
+    join-prime is g are those before that hold every join-prime below g,
+    with g added.  Refused as they grow past max_elements
+    (`reports.require_at_most`), so at most twice that many are listed."""
+    primes = np.array(join_primes(s), dtype=np.int64)
+    order = np.lexsort(s.leq[primes].T)
+    bits = [1 << int(k) for k in np.argsort(order)]  # bits[l]: that of join-prime l
+    downs = [0]  # the empty down-set
+    require_at_most(1, max_elements, what)
+    for last, bit in enumerate(bits):
+        below = sum(bits[i] for i in np.flatnonzero(s.leq[primes[:last], primes[last]]))
+        downs += [d | bit for d in downs if not below & ~d]
+        require_at_most(len(downs), max_elements, what)
+    return primes[order], downs
+
+
+def l_vee(s: CompleteRestrictionMonoid, max_elements: int = MAX_TABLE_SIDE) -> IdealCompletion:
     """The restriction quantal frame L^vee(S) of order-ideals of S closed
     under all existing joins, ordered by inclusion.  Precondition: S passes
     validate_crm; the CLI validates documents before building L^vee, and the
@@ -397,11 +417,11 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealComple
     on a valid S every element is the join of the join-primes J(S) below it
     (see join_primes), so I -> I & J(S) maps the closed ideals onto the
     down-sets D of J(S), with inverse D -> {x : J(S) & down(x) <= D}.  The
-    down-sets are enumerated, as bool rows over J(S), along a linear
-    extension of J(S), raising BoundExceeded past max_elements before any
-    table is allocated.  Their ideals are the rows of one boolean product, x
-    being in I_D iff no join-prime below x lies outside D, sorted by size
-    and then as member bitmasks (a lexsort on the columns from high to low).
+    down-sets are listed by _down_sets, refused as they grow past
+    max_elements, before any table is allocated.  Their ideals are the rows
+    of one boolean product, x being in I_D iff no join-prime below x lies
+    outside D, sorted by size and then as member bitmasks (a lexsort on the
+    columns from high to low).
     On down-sets, order, meet and join are inclusion, intersection and
     union; by distributivity I_D.I_E has the union of J(S) & down(j.k) over
     j in D and k in E, and I_D* (I_D+) that of J(S) & down(j*) (down(j+))
@@ -409,20 +429,9 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = 1024) -> IdealComple
     sets of join-primes (functors.family_tables), with the product and the
     images given on J(S): g_l <= g_j.g_k, g_l <= g_j* and g_l <= g_j+.
     """
-    primes = np.array(join_primes(s), dtype=np.int64)
-    m = len(primes)
+    primes, masks = _down_sets(s, max_elements, "L^vee(S) has at least {} ideals")
+    downs = bit_matrix(masks, len(primes))
     below = s.leq[primes].T  # below[x, l]: the join-prime g_l is <= x
-    strictly_below = below[primes] & ~np.eye(m, dtype=bool)
-    downs = np.zeros((1, m), dtype=bool)
-    for last in range(m):  # the down-sets whose last join-prime is g_last
-        grown = downs[~(strictly_below[last] & ~downs).any(axis=1)]
-        grown[:, last] = True
-        downs = np.concatenate([downs, grown])
-        if len(downs) > max_elements:
-            break
-    if len(downs) > max_elements:
-        raise BoundExceeded(f"more than {max_elements} ideals")
-
     members = ~bool_product(~downs, below.T)
     order = np.lexsort(np.vstack([members.T, members.sum(axis=1)]))
     members, downs = members[order], downs[order]
@@ -532,9 +541,9 @@ def theta_extension(theta, lv_src: IdealCompletion, lv_dst: IdealCompletion) -> 
 # ---------------------------------------------------------------------------
 # S-filters and their category
 
-def s_filters(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> FilterCategory:
+def s_filters(s: CompleteRestrictionMonoid, max_elements: int = MAX_TABLE_SIDE) -> FilterCategory:
     """The category of completely prime S-filters with A.B = (AB)^up-in-S,
-    topologized by the sets of filters containing a given element.
+    topologized by the sets X_a of filters containing a given element a.
 
     A filter is closed upwards and under binary meets, hence principal, and
     the up-set of g is completely prime iff g is a join-prime: the filters
@@ -545,17 +554,17 @@ def s_filters(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> FilterCate
     Then star, plus and mul are monotone, so d(up-g) = up-(g*), r(up-g) = up-(g+) and
     (up-g . up-h)^up = up-(g.h), and the category is read off the
     join-primes by functors.filter_category, ordered by their up-sets as
-    member bitmasks (a lexsort on the columns from high to low).  Built
-    once per monoid (`order.cached`); the bound is checked on every call."""
+    member bitmasks, as _down_sets orders them.  The opens are the
+    down-sets of J(S) (X_a that of the join-primes below a), listed by
+    _down_sets under max_elements.  Built once per monoid (`order.cached`);
+    the bound is checked on every call."""
     def build() -> FilterCategory:
-        primes = np.array(join_primes(s), dtype=np.int64)
-        return filter_category(s, primes[np.lexsort(s.leq[primes].T)],
-                               "completely prime S-filter", range(s.n))
+        gens, downs = _down_sets(s, max_elements, "C(S) has at least {} opens")
+        return filter_category(s, gens, "completely prime S-filter",
+                               Topology(len(gens), frozenset(downs)))
 
     sf = cached(s, "s_filters", build)
-    count = sf.topcat.topology.open_count()
-    if count > max_opens:
-        raise BoundExceeded(f"S-filter topology has {count} opens > {max_opens}")
+    require_at_most(sf.topcat.topology.open_count(), max_elements, "C(S) has {} opens")
     return sf
 
 
@@ -589,7 +598,7 @@ class BisectionMonoid:
         return row_lookup(self.members)
 
 
-def bisection_monoid(tc: FiniteTopCategory, max_elements: int = 1024) -> BisectionMonoid:
+def bisection_monoid(tc: FiniteTopCategory, max_elements: int = MAX_TABLE_SIDE) -> BisectionMonoid:
     """The monoid of the open local bisections of tc (`topcat.bisection_rows`),
     in ascending mask order: the set product, the d- and r-images (as sets
     of identities), intersection and inclusion, the identities as the unit
@@ -600,10 +609,11 @@ def bisection_monoid(tc: FiniteTopCategory, max_elements: int = 1024) -> Bisecti
     Omega(C).  Built once per category (`order.cached`).  On every call it
     raises ValueError for a category that is not etale
     (`functors.require_etale`) and BoundExceeded for more than
-    max_elements bisections, counted before any table is built."""
+    max_elements bisections, counted before any table is built
+    (`topcat.bisection_rows`)."""
     require_etale(tc)
     bis = cached(tc, "bisection_monoid", lambda: _bisection_monoid(tc, max_elements))
-    require_bisections_at_most(bis.crm.n, max_elements)
+    require_at_most(bis.crm.n, max_elements, "C has {} open local bisections")
     return bis
 
 
@@ -644,14 +654,17 @@ def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
     T(alpha)(s) = {c : s in alpha(c)} and B(theta)(c) = {s : c in theta(s)}
     (duality.transposes), checked by duality.check_transposes.  PI(Omega(C)) is
     read off C as its open local bisections (bisection_monoid, cached on C),
-    so Omega(C) is never built.  max_elements bounds the bisections, the
-    search's target, before their tables are built (34 at pair3, against
-    512 opens), and then the elements of S.
+    so Omega(C) is never built.  More than max_arrows join-primes, the
+    arrows of C(S), are refused first; then C(S) has at most 1 << max_arrows
+    opens, its bound.  max_elements bounds the bisections, the search's
+    target, before their tables are built (34 at pair3, against 512
+    opens), and then the elements of S.
     """
     rep = AdjunctionReport()
-    sf = s_filters(s)
-    if sf.n > max_arrows:
-        raise BoundExceeded(f"C(S) has {sf.n} arrows > {max_arrows}")
+    arrows = len(join_primes(s))
+    if arrows > max_arrows:
+        raise BoundExceeded(f"C(S) has {arrows} arrows > {max_arrows}")
+    sf = s_filters(s, 1 << max_arrows)
     bis = bisection_monoid(tc, max_elements)
     rep.functor_homset = enumerate_covering_functors(tc, sf.topcat, max_arrows)
     rep.morphism_homset = enumerate_callitic_morphisms(s, bis.crm, max_elements)

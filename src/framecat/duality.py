@@ -60,7 +60,7 @@ from .functors import (FilterCategory, OmegaResult, c_morphism, c_object, omega_
                        omega_object)
 from .order import _freeze, cached, join_irreducibles
 from .quantale import EhresmannQuantale, partial_isometries
-from .reports import BoundExceeded, InternalError, Report
+from .reports import MAX_TABLE_SIDE, BoundExceeded, InternalError, Report
 from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
                      continuity_check, validate_covering_functor)
 
@@ -204,14 +204,14 @@ class ChiResult:
     report: Report
 
 
-def build_chi(q: EhresmannQuantale) -> ChiResult:
+def build_chi(q: EhresmannQuantale, max_elements: int = MAX_TABLE_SIDE) -> ChiResult:
     """chi: Q -> Omega(C(Q)), a |-> X_a, the unit of adjunction I: the
     forward transpose of the identity of C(Q).  Every X_a is open in C(Q),
-    so an X-set missing from Omega(C(Q)) is an InternalError.  Omega(C(Q))
-    has at most n elements: its opens are the X-sets, as X_a | X_b =
-    X_(a \\/ b)."""
-    fc = c_object(q)
-    om = omega_object(fc.topcat, max_elements=1 << 20)
+    so an X-set missing from Omega(C(Q)) is an InternalError.  Both C(Q)
+    and Omega(C(Q)) are built under max_elements: the opens of C(Q), the
+    elements of Omega(C(Q)), are the X-sets, as X_a | X_b = X_(a \\/ b)."""
+    fc = c_object(q, max_elements)
+    om = omega_object(fc.topcat, max_elements)
     chi = transposes(fc, om)[0](np.arange(fc.n))
     if chi is None:
         raise InternalError("an X-set of C(Q) is not an open of Omega(C(Q))")
@@ -253,20 +253,18 @@ class OmegaMapResult:
     report: Report
 
 
-def build_omega_map(tc: FiniteTopCategory, om: Optional[OmegaResult] = None) -> OmegaMapResult:
+def build_omega_map(tc: FiniteTopCategory, om: OmegaResult) -> OmegaMapResult:
     """omega: C -> C(Omega(C)), x |-> O_x, the opens containing x, the
     counit of adjunction I: the backward transpose of the identity of
-    Omega(C).  `om` is Omega(C) when already built.  Every O_x is a
-    completely prime filter, so one missing from C(Omega(C)) is an
-    InternalError.
+    Omega(C), om.  C(Omega(C)) is built under om.n, which its opens, the
+    X-sets, never pass.  Every O_x is a completely prime filter, so one
+    missing from C(Omega(C)) is an InternalError.
 
     omega^{-1}(X_U) = U holds by construction and is not tested: omega(x)
     is found by an exact lookup of the row {U : x in U} among the member
     rows of the filters, so filter omega(x) holds U iff x is in U.  The
     oracle in the tests checks the law open by open."""
-    if om is None:
-        om = omega_object(tc)
-    fc = c_object(om.rqf, max_opens=1 << 20)
+    fc = c_object(om.rqf, om.n)
     omega = transposes(fc, om)[1](np.arange(om.n))
     if omega is None:
         raise InternalError("a filter O_x of Omega(C) is not a completely prime filter")
@@ -278,15 +276,12 @@ def build_omega_map(tc: FiniteTopCategory, om: Optional[OmegaResult] = None) -> 
     return OmegaMapResult(omega=omega, om=om, fc=fc, report=rep)
 
 
-def is_sober(tc: FiniteTopCategory,
-             res: Optional[OmegaMapResult] = None) -> tuple[bool, Optional[tuple]]:
+def is_sober(tc: FiniteTopCategory, res: OmegaMapResult) -> tuple[bool, Optional[tuple]]:
     """omega bijective; omega is then open, via omega(U) = X_U.  That law
     holds by construction and is not tested: filter omega(x) holds U iff x
     is in U (see build_omega_map), so omega(U) is the set of filters
     omega(x) that hold U, and once omega is onto that is X_U.  The oracle in
     the tests checks it open by open."""
-    if res is None:
-        res = build_omega_map(tc)
     if len(np.unique(res.omega)) != tc.n or res.fc.n != tc.n:
         return False, ("not_bijective", tc.n, res.fc.n)
     return True, None
@@ -625,12 +620,10 @@ def verify_adjunction_I(tc: FiniteTopCategory, q: EhresmannQuantale,
                         max_arrows: int = 12, max_elements: int = 64) -> AdjunctionReport:
     """Enumerate all continuous covering functors C -> C(Q) and all RQF
     morphisms Q -> Omega(C), and verify the two transposes are mutually
-    inverse bijections between the hom-sets.  max_elements bounds the opens
-    of Omega(C), the target of the morphism search, which omega_object
-    checks before it builds Omega(C); then the elements of Q, before C(Q)
-    is built; and C(Q) is built under it too (its opens are X-sets, as
-    X_a | X_b = X_(a \\/ b), so they are at most as many as the elements of
-    Q).  Omega(C) is cached on C (functors.omega_object) and C(Q) on Q
+    inverse bijections between the hom-sets.  max_elements bounds Omega(C),
+    the target of the morphism search, before it is built; then the
+    elements of Q, before C(Q), which has no more opens, is built under it.
+    Omega(C) is cached on C (functors.omega_object) and C(Q) on Q
     (functors.c_object), so a check against a category or an algebra seen
     before builds neither again."""
     rep = AdjunctionReport()

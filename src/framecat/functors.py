@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -57,8 +57,8 @@ from .bits import (bit_matrix, bool_product, full_mask, pack_words, row_blocks, 
                    row_masks, word_lookup)
 from .order import FiniteLattice, _freeze, cached, cp_filter_generators
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
-from .reports import BoundExceeded, InternalError
-from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
+from .reports import MAX_TABLE_SIDE, InternalError, require_at_most
+from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory, Topology,
                      is_etale, make_category, open_rows, topology_from_base)
 
 
@@ -82,14 +82,12 @@ class OmegaResult:
         return row_lookup(self.members)
 
 
-def omega_object(tc: FiniteTopCategory, max_elements: int = 1024) -> OmegaResult:
+def omega_object(tc: FiniteTopCategory, max_elements: int = MAX_TABLE_SIDE) -> OmegaResult:
     """Omega(C), built once per category (`order.cached`).  On every call
     it raises what require_etale raises, then BoundExceeded for more than
-    max_elements opens."""
+    max_elements opens (`reports.require_at_most`), counted unlisted."""
     require_etale(tc)
-    count = tc.topology.open_count()
-    if count > max_elements:
-        raise BoundExceeded(f"{count} opens > max_elements={max_elements}")
+    require_at_most(tc.topology.open_count(), max_elements, "Omega(C) has {} opens")
     build = _omega_discrete if tc.topology.is_discrete else _omega_generic
     return cached(tc, "omega_object", lambda: build(tc))
 
@@ -247,14 +245,13 @@ class FilterCategory:
         return row_lookup(self.members)
 
 
-def filter_category(alg, gens, what: str, basic: Iterable[int]) -> FilterCategory:
+def filter_category(alg, gens, what: str, topology: Topology) -> FilterCategory:
     """The category of the principal filters up-g, g in gens (of a quantale
-    or a restriction monoid whose star, plus and mul are monotone),
-    topologized by the X-sets of the elements `basic` as a base: filter k
-    is up-gens[k], d(up-g) = up-(g*), r(up-g) = up-(g+), (up-g . up-h)^up =
-    up-(g.h), the identities are the filters containing the unit, and X_a
-    = {k : gens[k] <= a}.  A d, r or product outside the filters raises
-    ValueError, naming `what`."""
+    or a restriction monoid whose star, plus and mul are monotone), with
+    the given topology on the filters: filter k is up-gens[k], d(up-g) =
+    up-(g*), r(up-g) = up-(g+), (up-g . up-h)^up = up-(g.h), the identities
+    are the filters containing the unit, and X_a = {k : gens[k] <= a}.  A d,
+    r or product outside the filters raises ValueError, naming `what`."""
     nf = len(gens)
     gens = _freeze(np.array(gens, dtype=np.int64))
     filter_at = np.full(alg.n, UNDEF, dtype=np.int64)  # filter_at[gens[k]] = k
@@ -276,20 +273,17 @@ def filter_category(alg, gens, what: str, basic: Iterable[int]) -> FilterCategor
     members = _freeze(alg.leq[gens])  # [k, a]: gens[k] <= a, that is, a is in filter k
     cat = make_category(nf, np.flatnonzero(members[:, alg.unit]), d_idx, r_idx,
                         comp_table=comp)
-    basic = np.fromiter(basic, dtype=np.int64)
-    topology = topology_from_base(nf, row_masks(members[:, basic].T))
     return FilterCategory(topcat=FiniteTopCategory(cat=cat, topology=topology),
                           generators=gens, members=members)
 
 
-def c_object(q: EhresmannQuantale, max_opens: int = 4096) -> FilterCategory:
+def c_object(q: EhresmannQuantale, max_elements: int = MAX_TABLE_SIDE) -> FilterCategory:
     """C(Q), read off the join-irreducibles as the module docstring says.
-    Built once per quantale (`order.cached`); the bound is checked on every
-    call."""
+    Built once per quantale (`order.cached`); on every call, BoundExceeded
+    for more than max_elements opens (`reports.require_at_most`), counted
+    once built: they are X-sets, as X_a | X_b = X_(a \\/ b), at most q.n."""
     fc = cached(q, "c_object", lambda: _filter_category(q))
-    count = fc.topcat.topology.open_count()
-    if count > max_opens:
-        raise BoundExceeded(f"filter topology has {count} opens > {max_opens}")
+    require_at_most(fc.topcat.topology.open_count(), max_elements, "C(Q) has {} opens")
     return fc
 
 
@@ -297,7 +291,9 @@ def _filter_category(q: EhresmannQuantale) -> FilterCategory:
     """The filter category on the least members of the completely prime
     filters, with the X_p of the partial isometries p as its base."""
     pis = partial_isometries(q)
-    fc = filter_category(q, cp_filter_generators(q), "completely prime filter", pis)
+    gens = cp_filter_generators(q)
+    x_pis = row_masks(q.leq[np.ix_(gens, pis)].T)  # X_p for each isometry p
+    fc = filter_category(q, gens, "completely prime filter", topology_from_base(len(gens), x_pis))
     # every X_a is open and is the union of the X_p over isometries p <= a
     x_sets = fc.members.T  # [a, k]: filter k is in X_a
     disagrees = (bool_product(q.leq[pis].T, x_sets[pis]) != x_sets).any(axis=1)

@@ -27,8 +27,17 @@ class InternalError(Exception):
 
 
 # hard limit on the side of a table built from outside input: the arrows of
-# a document's category, the elements of a generated corpus
+# a document's category, the elements of a generated corpus; also the
+# default max_elements of every builder, which --max-elements cannot pass
 MAX_TABLE_SIDE = 4096
+
+
+def require_at_most(count: int, max_elements: int, what: str) -> None:
+    """The refusal of every builder past its max_elements: `what` names the
+    object and what is counted, with the count at {} ("at least" while a
+    listing grows), and the message ends "> max_elements=<bound>"."""
+    if count > max_elements:
+        raise BoundExceeded(f"{what.format(count)} > max_elements={max_elements}")
 
 
 @dataclass(frozen=True)

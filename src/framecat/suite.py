@@ -47,9 +47,9 @@ from .order import (BRUTEFORCE_MAX_ELEMENTS, cp_filters_bruteforce,
 from .quantale import (EhresmannQuantale, compatibility_lemma_check,
                        every_element_is_join_of_pi, partial_isometries,
                        pi_is_order_ideal, validate_quantale, validate_rqf)
-from .reports import CheckReport, Report, run_check, sort_reports
-from .topcat import (FiniteTopCategory, continuity_check, is_etale,
-                     open_local_bisections, validate_category,
+from .reports import MAX_TABLE_SIDE, CheckReport, Report, run_check, sort_reports
+from .topcat import (FiniteTopCategory, bisection_rows, continuity_check, is_etale,
+                     validate_category,
                      validate_covering_functor, validate_topcategory)
 
 CheckResult = tuple[bool, Optional[tuple], str]
@@ -63,16 +63,18 @@ class Instance:
     """An etale category `tc`, a restriction quantal frame `q` or a complete
     restriction monoid `s`, with the objects derived from it.  The levels
     below the given one are derived too: the rqf of a category is Omega(C)
-    and the monoid of an rqf is PI(Q).  `max_elements` bounds Omega and
-    L^vee."""
+    and the monoid of an rqf is PI(Q).  Every builder that the instance and
+    its check bodies start is given `max_elements`, and the adjunction
+    checks both bounds."""
 
     def __init__(self, tc: Optional[FiniteTopCategory] = None,
                  q: Optional[EhresmannQuantale] = None,
                  s: Optional[CompleteRestrictionMonoid] = None,
-                 max_elements: int = 1024):
+                 max_arrows: int = 12, max_elements: int = MAX_TABLE_SIDE):
         self.tc = tc
         self._q = q
         self._s = s
+        self.max_arrows = max_arrows
         self.max_elements = max_elements
 
     @property
@@ -85,7 +87,7 @@ class Instance:
 
     @cached_property
     def chi(self) -> ChiResult:
-        return build_chi(self.rqf)
+        return build_chi(self.rqf, self.max_elements)
 
     @cached_property
     def pi(self) -> tuple[CompleteRestrictionMonoid, list[int]]:
@@ -147,7 +149,7 @@ def isometries_of_ideals_roundtrip(inst: Instance) -> CheckResult:
 def filter_category_correspondence(inst: Instance) -> CheckResult:
     """The S-filter category is isomorphic to C(L^vee(S)), X-sets to X-sets."""
     s, lv = inst.crm, inst.lv
-    sf, fc = s_filters(s), c_object(lv.rqf)
+    sf, fc = s_filters(s, inst.max_elements), c_object(lv.rqf, inst.max_elements)
     bij = s_filter_bijection(sf, lv)
     if sorted(bij.tolist()) != list(range(fc.n)):
         return False, (sf.n, fc.n), "filter map not bijective"
@@ -206,7 +208,7 @@ def isometries_are_open_bisections(inst: Instance) -> CheckResult:
     open local bisections of C, read off C alone (`topcat.bisection_rows`)."""
     om = inst.omega
     pis = {om.opens[p] for p in partial_isometries(om.rqf)}
-    olbs = set(open_local_bisections(inst.tc))
+    olbs = set(bisection_rows(inst.tc, inst.max_elements)[0])
     if pis != olbs:
         return False, (len(pis), len(olbs)), "sets differ"
     return True, None, ""
@@ -299,9 +301,9 @@ def adjunction_II_translated(inst: Instance) -> CheckResult:
     """Adjunction II for (C, PI(Omega(C))), with the hom-set sizes of
     adjunction I for the translated pair (C, L^vee(PI(Omega(C))))."""
     tc = inst.tc
-    adj2 = verify_adjunction_II(tc, inst.crm)
+    adj2 = verify_adjunction_II(tc, inst.crm, inst.max_arrows, inst.max_elements)
     if adj2.ok:
-        adj1 = verify_adjunction_I(tc, inst.lv.rqf)
+        adj1 = verify_adjunction_I(tc, inst.lv.rqf, inst.max_arrows, inst.max_elements)
         if adj1.sizes != adj2.sizes:
             return False, adj1.sizes + adj2.sizes, "sizes differ from translated pair"
     return adjunction_outcome(adj2)
@@ -347,13 +349,15 @@ def _per_instance(named: list[tuple[str, Instance]], checks) -> list[Pending]:
             for name, inst in named for check, body in checks]
 
 
-def full_suite_pending() -> list[Pending]:
-    """Every check of the suite over one build of the corpus."""
-    cats = [(c, Instance(tc=c.obj)) for c in cor.etale_categories()]
+def full_suite_pending(max_arrows: int, max_elements: int) -> list[Pending]:
+    """Every check of the suite over one build of the corpus, each instance
+    under the bounds given."""
+    bounds = {"max_arrows": max_arrows, "max_elements": max_elements}
+    cats = [(c, Instance(tc=c.obj, **bounds)) for c in cor.etale_categories()]
     by_name = {c.name: inst for c, inst in cats}
     rqfs = [(name, by_name[c.name]) for name, c in cor.omega_images()]
-    rqfs += [(c.name, Instance(q=c.obj)) for c in cor.quantale_frames()]
-    crms = [(c.name, Instance(s=c.obj)) for c in cor.hand_built_crms()]
+    rqfs += [(c.name, Instance(q=c.obj, **bounds)) for c in cor.quantale_frames()]
+    crms = [(c.name, Instance(s=c.obj, **bounds)) for c in cor.hand_built_crms()]
     crms += [(f"pi-{name}", inst) for name, inst in rqfs if name in cor.PI_OF_RQFS]
 
     out = _per_instance([(c.name, inst) for c, inst in cats], CATEGORY_CHECKS)
@@ -375,7 +379,7 @@ def full_suite_pending() -> list[Pending]:
     out += [(c.name, "rejected-with-witness", partial(rejected_with_witness, c))
             for c in cor.negative_fixtures() + [cor.negative_crm_fixture()]]
     out += [(name, "adjunction-homsets", lambda inst=by_name[name]: adjunction_outcome(
-        verify_adjunction_I(inst.tc, inst.rqf)))
+        verify_adjunction_I(inst.tc, inst.rqf, max_arrows, max_elements)))
         for name in ADJUNCTION_I_PAIRS]
     out.append(("pair2", "adjunction-naturality", partial(adjunction_naturality, by_name["pair2"])))
     out.append(("pair2/partial-bijections", "adjunction-II-homsets",

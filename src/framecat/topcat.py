@@ -27,7 +27,7 @@ import numpy as np
 from .bits import (bit_matrix, bool_product, full_mask, has_bit, iter_bits, mask_of,
                    pack_words, row_blocks, row_lookup, word_lookup)
 from .order import cached
-from .reports import BoundExceeded, Report
+from .reports import Report, require_at_most
 
 UNDEF = -1
 
@@ -264,59 +264,42 @@ def validate_topcategory(tc: FiniteTopCategory) -> Report:
 # ---------------------------------------------------------------------------
 # local bisections and etale structure
 
-SUBSET_MAX_ARROWS = 20  # the most arrows of a discrete category whose bisections are listed
-
-
-def open_local_bisections(tc: FiniteTopCategory) -> list[int]:
-    """The open local bisections, as ascending masks (`bisection_rows`)."""
-    return bisection_rows(tc)[0]
-
-
-def bisection_rows(tc: FiniteTopCategory,
-                   max_count: Optional[int] = None) -> tuple[list[int], np.ndarray]:
+def bisection_rows(tc: FiniteTopCategory, max_elements: int) -> tuple[list[int], np.ndarray]:
     """The open local bisections as ascending masks and as the bool rows
     [i, a]: arrow a is in the i-th one; BoundExceeded for more than
-    max_count of them, when given.  Of a listed topology, an open is a
-    bisection iff no identity is the d, or the r, of two of its arrows: one
-    count product of the member rows of all opens (`open_rows`, exact at
-    any width) with the graphs of d and r.  Of a discrete topology, see
-    `_discrete_bisections`."""
+    max_elements of them, counted before they are listed.  Of a listed
+    topology, an open is a bisection iff no identity is the d, or the r, of
+    two of its arrows: one count product of the member rows of all opens
+    (`open_rows`, exact at any width) with the graphs of d and r.  Of a
+    discrete topology, see `_discrete_bisections`."""
     c, n = tc.cat, tc.n
     if tc.topology.opens is None:
-        masks = _discrete_bisections(c, max_count)
+        masks = _discrete_bisections(c, max_elements)
         return masks, (np.array(masks)[:, None] >> np.arange(n) & 1).astype(bool)
     masks, rows, _ = open_rows(tc.topology)
     arrows = np.arange(n)
     graphs = np.concatenate([c.d[:, None] == arrows, c.r[:, None] == arrows], axis=1)
     keep = (rows.astype(np.float32) @ graphs.astype(np.float32) <= 1).all(axis=1)
-    require_bisections_at_most(int(keep.sum()), max_count)
+    require_at_most(int(keep.sum()), max_elements, "C has {} open local bisections")
     return list(compress(masks, keep)), rows[keep]
 
 
-def _discrete_bisections(c: FiniteCategory, max_count: Optional[int]) -> list[int]:
+def _discrete_bisections(c: FiniteCategory, max_elements: int) -> list[int]:
     """All local bisections, every subset being open, as ascending masks,
     grown one arrow j at a time without listing the subsets: those with j
     as their largest arrow are those before with j added, kept when they
     hold no arrow with the d or the r of j.  Refused as soon as they are
-    more than max_count, when given, and else above SUBSET_MAX_ARROWS
-    arrows, since when every arrow is an identity each of the 2^n subsets
-    is a bisection."""
-    if max_count is None and c.n > SUBSET_MAX_ARROWS:
-        raise BoundExceeded(f"{c.n} arrows > {SUBSET_MAX_ARROWS}; refusing 2^n enumeration")
+    more than max_elements, since when every arrow is an identity each of
+    the 2^n subsets is a bisection."""
+    what = "C has at least {} open local bisections"
     d, r = c.d.tolist(), c.r.tolist()
-    found = [0]
+    found = [0]  # the empty bisection
+    require_at_most(1, max_elements, what)
     for j in range(c.n):
         clash = sum(1 << i for i in range(j) if d[i] == d[j] or r[i] == r[j])
         found += [b | 1 << j for b in found if not b & clash]
-        require_bisections_at_most(len(found), max_count)
+        require_at_most(len(found), max_elements, what)
     return found
-
-
-def require_bisections_at_most(count: int, max_count: Optional[int]) -> None:
-    """Raise BoundExceeded for more than max_count open local bisections,
-    when max_count is given."""
-    if max_count is not None and count > max_count:
-        raise BoundExceeded(f"more than max_elements={max_count} open local bisections")
 
 
 def is_etale(tc: FiniteTopCategory) -> tuple[bool, Optional[str], Optional[int]]:
@@ -336,7 +319,7 @@ def _is_etale(tc: FiniteTopCategory) -> tuple[bool, Optional[str], Optional[int]
     if tc.topology.is_discrete:
         return True, None, None
     masks, rows, find = open_rows(tc.topology)
-    olbs = bisection_rows(tc)[1]
+    olbs = bisection_rows(tc, len(masks))[1]  # some of the opens, never refused
     within = ~bool_product(~rows, olbs.T)   # [i, j]: bisection j lies in open i
     bad = np.flatnonzero((bool_product(within, olbs) != rows).any(axis=1))
     if bad.size:

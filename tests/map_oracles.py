@@ -22,10 +22,9 @@ from framecat.corpus import etale_categories
 from framecat.crm import make_crm
 from framecat.order import FiniteLattice
 from framecat.quantale import make_eq
-from framecat.reports import BoundExceeded, Report
-from framecat.topcat import (SUBSET_MAX_ARROWS, UNDEF, FiniteCategory, FiniteTopCategory,
-                             Topology, continuity_check, make_category,
-                             validate_covering_functor)
+from framecat.reports import Report
+from framecat.topcat import (UNDEF, FiniteCategory, FiniteTopCategory, Topology,
+                             continuity_check, make_category, validate_covering_functor)
 
 
 def map_outcome(construction, m, *args):
@@ -166,11 +165,10 @@ def is_local_bisection(c: FiniteCategory, mask: int) -> bool:
     return True
 
 
-def local_bisections(c: FiniteCategory, max_arrows: int = SUBSET_MAX_ARROWS) -> list[int]:
+def local_bisections(c: FiniteCategory) -> list[int]:
     """All arrow subsets on which both d and r are injective, as ascending
-    masks, each of the 2^n subsets tested on its own."""
-    if c.n > max_arrows:
-        raise BoundExceeded(f"{c.n} arrows > {max_arrows}; refusing 2^n enumeration")
+    masks, each of the 2^n subsets tested on its own: for small categories
+    only."""
     return [m for m in range(1 << c.n) if is_local_bisection(c, m)]
 
 

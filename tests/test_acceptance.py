@@ -154,7 +154,7 @@ def test_criterion_06_omega_roundtrip():
     ok = True
     for inst in cor.etale_categories():
         tc = inst.obj
-        res = build_omega_map(tc)
+        res = build_omega_map(tc, omega_object(tc))
         if inst.sober:
             good, why = omega_is_isomorphism(tc, res)
             sober, _ = is_sober(tc, res)

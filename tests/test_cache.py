@@ -11,8 +11,9 @@ that an OmegaResult, a FilterCategory and a BisectionMonoid each build
 once.  Cached values equal fresh builds, on every corpus algebra and
 category and on two relabellings of each, cannot be changed through what
 a call returns, start empty on a dataclasses.replace copy, and hold no
-reference back to their algebra or category.  The size bounds, and the
-refusal of a category that is not etale, are checked on every call."""
+reference back to their algebra or category.  The refusal of a category
+that is not etale is checked on every call, as the size bounds are
+(test_bounds)."""
 
 import dataclasses
 import gc
@@ -31,7 +32,6 @@ from framecat.duality import verify_adjunction_I
 from framecat.functors import c_object, omega_object
 from framecat.order import join_irreducibles
 from framecat.quantale import partial_isometries
-from framecat.reports import BoundExceeded
 from framecat.topcat import is_etale
 from map_oracles import cat_of_ehresmann, relabel, relabel_crm, relabel_rqf
 
@@ -206,27 +206,6 @@ def test_cached_values_equal_fresh_builds_on_corpus_categories():
                 assert_same_arrow_tables(c)
             assert omega_object(c) is om and bisection_monoid(c) is bis
             assert set(c._cache) == CATEGORY_KEYS, inst.name
-
-
-def test_bounds_are_checked_on_every_call():
-    q = omega_object(pair_groupoid(2)).rqf
-    s, _ = pi_restriction_monoid(q)
-    assert c_object(q).topcat.topology.open_count() == 16
-    with pytest.raises(BoundExceeded):
-        c_object(q, max_opens=15)
-    with pytest.raises(BoundExceeded):
-        s_filters(s, max_opens=15)
-    assert c_object(q, max_opens=16) is c_object(q)
-    assert s_filters(s, max_opens=16) is s_filters(s)
-    for inst in etale_categories():
-        tc = inst.obj
-        built = omega_object(tc), bisection_monoid(tc)
-        opens, bisections = tc.topology.open_count(), built[1].crm.n
-        for build, count in ((omega_object, opens), (bisection_monoid, bisections)):
-            with pytest.raises(BoundExceeded):
-                build(tc, max_elements=count - 1)
-        assert (omega_object(tc, max_elements=opens),
-                bisection_monoid(tc, max_elements=bisections)) == built, inst.name
 
 
 def test_a_category_that_is_not_etale_is_refused_on_every_call():

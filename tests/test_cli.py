@@ -209,6 +209,16 @@ def test_cpoints_bytes_are_pinned_on_corpus_rqfs(fixture_dir, tmp_path, capsys):
     assert got == CPOINTS_SHA256
 
 
+@pytest.mark.parametrize("bound,code", [(511, 3), (512, 0)])
+def test_cpoints_builds_c_q_under_max_elements(fixture_dir, tmp_path, capsys, bound, code):
+    """C(Omega(pair3)) has 512 opens."""
+    argv = ["--max-elements", str(bound), "cpoints", str(fixture_dir / "omega-pair3.rqf.json"),
+            "--out", str(tmp_path / "c.json")]
+    assert main(argv) == code
+    refused = "bound exceeded: C(Q) has 512 opens > max_elements=511\n"
+    assert capsys.readouterr().err == (refused if code else "")
+
+
 def test_roundtrip_command_on_category(fixture_dir, capsys):
     code = main(["roundtrip", str(fixture_dir / "pair2.topcategory.json")])
     out = capsys.readouterr().out
@@ -313,6 +323,17 @@ def test_corpus_run_matches_expected_summary(capsys):
         return [{k: v for k, v in c.items() if k != "seconds"} for c in checks]
     assert without_seconds(payload["checks"]) == without_seconds(expected["checks"])
     assert (payload["total"], payload["failed"]) == (expected["total"], expected["failed"])
+
+
+@pytest.mark.parametrize("flag,bound,refused", [
+    ("--max-elements", 511, "Omega(C) has 512 opens > max_elements=511"),
+    ("--max-arrows", 3, "C(Q) has 4 arrows > 3"),
+])
+def test_corpus_run_checks_under_both_bounds(capsys, flag, bound, refused):
+    """Omega(pair3) has 512 opens, and C(Omega(pair2)), searched by the
+    first adjunction check, 4 arrows."""
+    assert main([flag, str(bound), "corpus", "run"]) == 3
+    assert capsys.readouterr().err == f"bound exceeded: {refused}\n"
 
 
 def test_category_document_above_arrow_limit_exits_3(tmp_path):
@@ -476,7 +497,7 @@ def test_corpus_run_checks_fixture_documents_of_every_kind(tmp_path, monkeypatch
     for name, doc in docs.items():
         (tmp_path / name).write_text(serialize_document(doc))
     monkeypatch.setenv("WORKBENCH_CORPUS_DIR", str(tmp_path))
-    monkeypatch.setattr(cli, "full_suite_pending", lambda: [])
+    monkeypatch.setattr(cli, "full_suite_pending", lambda *bounds: [])
     assert main(["--format", "json", "corpus", "run"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert [(c["instance"], c["check"], c["status"], c.get("detail")) for c in checks] == [

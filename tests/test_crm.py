@@ -29,7 +29,7 @@ from framecat.duality import (enumerate_covering_functors, find_category_isomorp
 from framecat.functors import FilterCategory, c_object, omega_object
 from framecat.order import lattice_from_leq
 from framecat.quantale import frame_as_quantale, make_eq, partial_isometries, validate_rqf
-from framecat.reports import BoundExceeded
+from framecat.reports import MAX_TABLE_SIDE, BoundExceeded
 from framecat.suite import (Instance, filter_category_correspondence,
                             ideals_of_isometries_roundtrip, isometries_of_ideals_roundtrip)
 from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, make_category,
@@ -585,24 +585,6 @@ def test_l_vee_matches_ideal_search_on_corpus(s):
         assert _raises_bound(l_vee, s, bound) == (count > bound)
 
 
-def test_l_vee_refuses_past_its_bound_before_building_tables(omega_pair3, monkeypatch):
-    """One ideal past the bound is refused before functors.family_tables
-    is called: the down-sets of J(S) are counted first."""
-    s, _ = pi_restriction_monoid(omega_pair3.rqf)
-    trivial = make_crm(1, [[True]], [[0]], 0, 0, [0], [0], [[0]])
-    counts = [(s, len(l_vee(s).members)), (trivial, 1)]
-
-    def no_tables(*args):
-        raise AssertionError("tables built past the bound")
-
-    monkeypatch.setattr(crm, "family_tables", no_tables)
-    for monoid, count in counts:
-        with pytest.raises(BoundExceeded, match=f"more than {count - 1} ideals"):
-            l_vee(monoid, max_elements=count - 1)
-    with pytest.raises(AssertionError, match="tables built"):
-        l_vee(s, max_elements=512)
-
-
 @pytest.mark.parametrize("source", SUB_MONOID_SOURCES)
 def test_l_vee_matches_ideal_search_on_valid_sub_monoids(source):
     valid = [(keep, sub) for keep, sub in sub_monoids(source)[1] if validate_crm(sub).ok]
@@ -849,7 +831,7 @@ def test_s_filters_match_oracle_on_sub_monoids(source):
         assert s_filters_list(sub) == s_filters_list_oracle(sub), keep
 
 
-def s_filters_oracle(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> FilterCategory:
+def s_filters_oracle(s: CompleteRestrictionMonoid) -> FilterCategory:
     """The S-filter category by the definitions on whole member sets: d(A)
     and r(A) are the up-closures of {x* : x in A} and {x+ : x in A}, A.B
     that of {x.y : x in A, y in B}, the identities are the filters holding a
@@ -889,9 +871,6 @@ def s_filters_oracle(s: CompleteRestrictionMonoid, max_opens: int = 4096) -> Fil
     cat = make_category(nf, identities, d_idx, r_idx, comp_table=comp)
     base = [mask_of(k for k, f in enumerate(filters) if has_bit(f, a)) for a in range(s.n)]
     topology = topology_from_base(nf, base)
-    count = topology.open_count()
-    if count > max_opens:
-        raise BoundExceeded(f"S-filter topology has {count} opens > {max_opens}")
     generators = np.array([next(x for x in iter_bits(m) if up[x] == m) for m in filters],
                           dtype=np.int64)
     return FilterCategory(topcat=FiniteTopCategory(cat=cat, topology=topology),
@@ -920,17 +899,6 @@ def test_s_filter_category_matches_oracle_on_valid_sub_monoids(source):
     assert valid
     for keep, sub in valid:
         assert_s_filters_match_oracle(sub, keep)
-
-
-def test_s_filters_refused_one_open_past_the_bound_names_count_and_bound(i2):
-    """Both after a cached build and in the reference copy."""
-    s = i2[0]
-    count = s_filters(s).topcat.topology.open_count()
-    for build in (s_filters, s_filters_oracle):
-        with pytest.raises(BoundExceeded,
-                           match=f"^S-filter topology has {count} opens > {count - 1}$"):
-            build(s, max_opens=count - 1)
-        assert build(s, max_opens=count).topcat.topology.open_count() == count
 
 
 def test_no_s_filters_on_the_trivial_monoid():
@@ -1078,10 +1046,12 @@ def assert_ideal_bodies_match_masks(s):
     for t, lv_t in ((s, lv), (s2, lv2)):
         swapped = np.concatenate([lv_t.principal[:-2], lv_t.principal[-2:][::-1]])
         for principal in (lv_t.principal, np.roll(lv_t.principal, 1), swapped):
-            inst = SimpleNamespace(crm=t, lv=dataclasses.replace(lv_t, principal=principal))
+            inst = SimpleNamespace(crm=t, lv=dataclasses.replace(lv_t, principal=principal),
+                                   max_elements=MAX_TABLE_SIDE)
             assert (filter_category_correspondence(inst)
                     == filter_category_correspondence_by_loop(inst))
-        assert filter_category_correspondence(SimpleNamespace(crm=t, lv=lv_t)) == (True, None, "")
+        assert filter_category_correspondence(
+            SimpleNamespace(crm=t, lv=lv_t, max_elements=MAX_TABLE_SIDE)) == (True, None, "")
 
 
 @pytest.mark.parametrize("s", _corpus_crm_inputs())
@@ -1328,7 +1298,8 @@ def test_adjunction_II_raises_what_omega_raises():
     """A category that is not etale is refused by Omega(C), by its
     bisection monoid and by adjunction II alike.  The bound on the opens is
     Omega(C)'s only: the 2048 opens of two objects joined by nine arrows
-    hold 13 bisections, which both build under the default bound."""
+    are refused under a bound of 1024, and hold 13 bisections, which both
+    build under it."""
     from framecat.corpus import indiscrete_pair_groupoid
     s = make_crm(1, [[True]], [[0]], 0, 0, [0], [0], [[0]])
     kinds = []
@@ -1336,9 +1307,10 @@ def test_adjunction_II_raises_what_omega_raises():
     for tc in (indiscrete_pair_groupoid(), monoid_category([[0]]),
                free_category_on_acyclic_graph(2, [(0, 1)] * 9)):
         outcomes = []
-        for build in (omega_object, bisection_monoid, lambda tc: verify_adjunction_II(tc, s)):
+        for build in (omega_object, bisection_monoid,
+                      lambda tc, bound: verify_adjunction_II(tc, s, max_elements=bound)):
             try:
-                build(tc)
+                build(tc, 1024)
                 outcomes.append(None)
             except (ValueError, BoundExceeded) as e:
                 outcomes.append((type(e), str(e)))
@@ -1350,18 +1322,17 @@ def test_adjunction_II_raises_what_omega_raises():
 
 def test_adjunction_II_builds_the_bisection_monoid_under_the_callers_bound():
     """The bisection monoid, the target of the callitic search, is bounded
-    by the max_elements the caller passes, not by a bound of its own: the
-    2048 opens of two objects joined by nine arrows, past omega_object's
-    default of 1024, hold 13 bisections; the 21 discrete arrows of two
-    objects joined by nineteen, past the 20 arrows whose subsets are listed
-    without a bound, hold 23."""
+    by the max_elements the caller passes: the 2048 opens of two objects
+    joined by nine arrows hold 13 bisections, and the 21 discrete arrows of
+    two objects joined by nineteen hold 23.  One fewer allowed is refused."""
     s, _ = pi_restriction_monoid(omega_object(pair_groupoid(1)).rqf)
     for arrows, bisections in ((9, 13), (19, 23)):
         tc = free_category_on_acyclic_graph(2, [(0, 1)] * arrows)
-        adj = verify_adjunction_II(tc, s, max_arrows=tc.n, max_elements=4096)
+        adj = verify_adjunction_II(tc, s, max_arrows=tc.n, max_elements=bisections)
         assert bisection_monoid(tc).crm.n == bisections
         assert adj.ok and adj.sizes == (0, 0)
-        with pytest.raises(BoundExceeded, match=f"^more than max_elements={bisections - 1} "):
+        with pytest.raises(BoundExceeded, match=f"^C has {bisections} open local bisections "
+                                                f"> max_elements={bisections - 1}$"):
             verify_adjunction_II(tc, s, max_elements=bisections - 1)
 
 
@@ -1376,7 +1347,7 @@ def test_adjunction_II_refuses_the_bisections_past_the_bound_before_any_search(
     monkeypatch.setattr(crm, "enumerate_covering_functors", no_search)
     monkeypatch.setattr(crm, "enumerate_callitic_morphisms", no_search)
     for _ in range(2):
-        with pytest.raises(BoundExceeded, match="^more than max_elements=33 open local"):
+        with pytest.raises(BoundExceeded, match=" 34 open local bisections > max_elements=33$"):
             verify_adjunction_II(pair3, s, max_elements=33)
     assert bisection_monoid(pair3, max_elements=34).crm.n == 34
 
@@ -1388,12 +1359,13 @@ def test_discrete_bisections_are_counted_against_the_bound_as_they_grow(monkeypa
     c = make_category(12, range(12), range(12), range(12), [(a, a, a) for a in range(12)])
     tc = FiniteTopCategory(c, Topology(12, None))
     grown = []
-    real = topcat.require_bisections_at_most
-    monkeypatch.setattr(topcat, "require_bisections_at_most",
-                        lambda count, bound: grown.append(count) or real(count, bound))
-    with pytest.raises(BoundExceeded, match="^more than max_elements=100 open local"):
+    real = topcat.require_at_most
+    monkeypatch.setattr(topcat, "require_at_most",
+                        lambda count, bound, what: grown.append(count) or real(count, bound, what))
+    with pytest.raises(BoundExceeded, match="^C has at least 128 open local bisections > "
+                                            "max_elements=100$"):
         bisection_monoid(tc, max_elements=100)
-    assert grown == [2, 4, 8, 16, 32, 64, 128]
+    assert grown == [1, 2, 4, 8, 16, 32, 64, 128]
 
 
 @pytest.mark.parametrize("name2,tc2", small_corpus_categories())

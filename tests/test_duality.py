@@ -111,21 +111,21 @@ def test_spatial_iff_projection_frame_spatial(omega_pair2):
 # omega map and sobriety
 
 def test_omega_map_is_bijective_covering_functor(pair2):
-    res = build_omega_map(pair2)
+    res = build_omega_map(pair2, omega_object(pair2))
     assert res.report.ok
     assert is_sober(pair2, res) == (True, None)
     assert omega_is_isomorphism(pair2, res) == (True, "")
 
 
 def test_omega_map_identities_to_identity_filters(pair2):
-    res = build_omega_map(pair2)
+    res = build_omega_map(pair2, omega_object(pair2))
     for e in pair2.cat.identities():
         k = int(res.omega[e])
         assert FilterMasks(res.fc).members[k] & projection_mask(res.om.rqf)
 
 
 def test_omega_filter_contains_exactly_the_opens_containing_the_arrow(pair2):
-    res = build_omega_map(pair2)
+    res = build_omega_map(pair2, omega_object(pair2))
     for x in range(pair2.n):
         members = FilterMasks(res.fc).members[int(res.omega[x])]
         for i, u in enumerate(res.om.opens):
@@ -134,7 +134,7 @@ def test_omega_filter_contains_exactly_the_opens_containing_the_arrow(pair2):
 
 def test_parity_groupoid_is_not_sober():
     tc = parity_pair_groupoid()
-    res = build_omega_map(tc)
+    res = build_omega_map(tc, omega_object(tc))
     assert res.report.ok  # still a continuous covering functor
     ok, wit = is_sober(tc, res)
     assert not ok
@@ -154,7 +154,7 @@ def test_omega_isomorphism_inverts_a_three_cycle():
     inverse would find the inverse discontinuous (at open 2)."""
     tc = chain_space_category()
     assert validate_topcategory(tc).ok
-    res = build_omega_map(tc)
+    res = build_omega_map(tc, omega_object(tc))
     assert res.omega.tolist() == [2, 0, 1]
     assert omega_is_isomorphism(tc, res) == (True, "")
     assert continuity_check(res.omega, res.fc.topcat, tc) == (False, 2)
@@ -163,10 +163,10 @@ def test_omega_isomorphism_inverts_a_three_cycle():
 def test_sober_iff_identity_space_sober():
     # the parity groupoid's identity space is indiscrete: both fail together
     tc = parity_pair_groupoid()
-    res = build_omega_map(tc)
+    res = build_omega_map(tc, omega_object(tc))
     assert not is_sober(tc, res)[0]
     disc = pair_groupoid(2)
-    assert is_sober(disc, build_omega_map(disc))[0]
+    assert is_sober(disc, build_omega_map(disc, omega_object(disc)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +400,14 @@ def test_adjunction_cross_pair():
 
 
 def test_adjunction_I_builds_omega_under_the_callers_bound():
-    """Omega(C) of two objects joined by nine arrows has 2048 opens, more
-    than omega_object's default bound of 1024, and is built under the
-    max_elements the caller passes."""
+    """Omega(C) of two objects joined by nine arrows has 2048 opens: it is
+    built under the max_elements the caller passes, and one fewer allowed
+    is refused, naming that bound."""
     tc = free_category_on_acyclic_graph(2, [(0, 1)] * 9)
-    assert omega_object(tc, 4096).n == 2048
-    adj = verify_adjunction_I(tc, omega_object(pair_groupoid(1)).rqf, max_elements=4096)
+    q = omega_object(pair_groupoid(1)).rqf
+    with pytest.raises(BoundExceeded, match="^Omega\\(C\\) has 2048 opens > max_elements=2047$"):
+        verify_adjunction_I(tc, q, max_elements=2047)
+    adj = verify_adjunction_I(tc, q, max_elements=2048)
     assert adj.ok
     assert adj.sizes == (0, 0)
 
@@ -419,22 +421,8 @@ def test_adjunction_I_refuses_omega_past_the_bound_before_any_search(
 
     monkeypatch.setattr(duality, "enumerate_covering_functors", no_search)
     monkeypatch.setattr(duality, "enumerate_rqf_morphisms", no_search)
-    with pytest.raises(BoundExceeded, match="^512 opens > max_elements=511$"):
+    with pytest.raises(BoundExceeded, match="^Omega\\(C\\) has 512 opens > max_elements=511$"):
         verify_adjunction_I(pair3, omega_pair3.rqf, max_elements=511)
-
-
-def test_adjunction_I_builds_c_q_under_the_callers_bound(pair2, omega_pair2, monkeypatch):
-    """C(Q) is built under max_elements, not under c_object's default
-    bound: with that default patched down to 4, C(Omega(pair2)) and its 16
-    opens are still built for max_elements=16.  (Past the real default of
-    4096 opens, Q would need 8192 elements, too large for a test.)"""
-    from framecat import functors
-    monkeypatch.setattr(functors.c_object, "__defaults__", (4,))
-    with pytest.raises(BoundExceeded, match="^filter topology has 16 opens > 4$"):
-        c_object(dataclasses.replace(omega_pair2.rqf))
-    adj = verify_adjunction_I(pair2, dataclasses.replace(omega_pair2.rqf), max_elements=16)
-    assert adj.ok
-    assert adj.sizes == (2, 2)
 
 
 def test_adjunction_I_refuses_q_past_the_bound_before_building_c_q(omega_pair2, monkeypatch):
@@ -781,7 +769,7 @@ def chi_by_index(q):
     """build_chi's map as it was: the index of X_a among the opens of
     Omega(C(Q)), for each element a."""
     fc = c_object(q)
-    om = omega_object(fc.topcat, max_elements=1 << 20)
+    om = omega_object(fc.topcat)
     x_masks = FilterMasks(fc).x_masks
     return np.array([om.opens.index(x_masks[a]) for a in range(q.n)], dtype=np.int64)
 

@@ -13,17 +13,22 @@ from framecat.corpus import (chain_frame, corpus_rqfs, empty_category, etale_cat
 from framecat.functors import c_object
 from framecat.quantale import frame_as_quantale
 from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, bisection_rows,
-                             continuity_check, is_etale,
-                             make_category, open_local_bisections, open_rows,
+                             continuity_check, is_etale, make_category, open_rows,
                              topology_from_base, validate_category,
                              validate_covering_functor, validate_topcategory,
                              validate_topology)
-from framecat.reports import BoundExceeded, Report
+from framecat.reports import Report
 from map_oracles import (composable_pairs, is_local_bisection, is_open, iter_opens,
                          local_bisections,
                          one_value_perturbations, relabel, searched_arrow_maps,
                          small_corpus_categories, validate_covering_functor_oracle)
 from random_categories import small_categories
+
+
+def open_local_bisections(tc):
+    """The open local bisections as ascending masks, under a bound of 2^n,
+    which none passes."""
+    return bisection_rows(tc, 1 << tc.n)[0]
 
 
 def test_pair_groupoid_valid():
@@ -135,7 +140,7 @@ def open_local_bisections_by_masks(tc):
 
 
 def assert_open_local_bisections_match_loop(tc):
-    masks, rows = bisection_rows(tc)
+    masks, rows = bisection_rows(tc, 1 << tc.n)
     assert open_local_bisections(tc) == masks == open_local_bisections_by_masks(tc)
     assert rows.shape == (len(masks), tc.n)
     assert row_masks(rows) == masks
@@ -167,17 +172,6 @@ def test_open_local_bisections_match_loop_on_random_topologies(tc, base):
     assert_open_local_bisections_match_loop(tc)
     listed = Topology(tc.n, topology_from_base(tc.n, [b & (1 << tc.n) - 1 for b in base]).opens)
     assert_open_local_bisections_match_loop(FiniteTopCategory(tc.cat, listed))
-
-
-def test_discrete_bisections_refused_past_the_subset_bound():
-    tc = monoid_category([[0]])
-    big = FiniteTopCategory(make_category(21, range(21), range(21), range(21),
-                                          [(a, a, a) for a in range(21)]),
-                            Topology(21, None))
-    for listing in (open_local_bisections, open_local_bisections_by_masks):
-        with pytest.raises(BoundExceeded, match="21 arrows > 20"):
-            listing(big)
-    assert open_local_bisections(tc) == [0, 1]
 
 
 def test_topology_from_base_closes_unions():
