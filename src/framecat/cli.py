@@ -25,8 +25,8 @@ from .documents import ParseError, WorkbenchDocument, parse_document, serialize_
 from .duality import build_omega_map, is_sober, is_spatial, verify_adjunction_I
 from .functors import c_object, omega_object
 from .quantale import validate_rqf
-from .reports import (MAX_TABLE_SIDE, BoundExceeded, CheckReport, InternalError, Report,
-                      WorkbenchError, run_check, sort_reports)
+from .reports import (MAX_ARROWS, MAX_TABLE_SIDE, BoundExceeded, CheckReport, InternalError,
+                      Report, WorkbenchError, run_check, sort_reports)
 from .suite import (DOCUMENT_VALIDATORS, Instance, _validate_any, adjunction_outcome,
                     chi_roundtrip, filter_category_correspondence, full_suite_pending,
                     ideals_of_isometries_roundtrip, isometries_of_ideals_roundtrip,
@@ -163,8 +163,9 @@ def cmd_roundtrip(args, out: _Output) -> int:
         inst = Instance(q=doc.obj, max_elements=args.max_elements)
         out.emit(run_check(name, "chi-isomorphism", lambda: chi_roundtrip(inst)))
         out.emit(run_check(name, "spatial", lambda: (*is_spatial(inst.rqf), "")))
+        fc = c_object(inst.rqf, args.max_elements).topcat
         out.emit(run_check(name, "filter-category-sober", lambda: (*is_sober(
-            inst.chi.fc.topcat, build_omega_map(inst.chi.fc.topcat, inst.chi.om)), "")))
+            fc, build_omega_map(fc, omega_object(fc, args.max_elements))), "")))
     else:
         raise WorkbenchError(f"roundtrip expects a category or rqf document, got '{doc.kind}'")
     return out.finish()
@@ -312,6 +313,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.max_elements > MAX_TABLE_SIDE:  # before any table is allocated
             raise BoundExceeded(f"max_elements {args.max_elements} exceeds hard limit "
                                 f"{MAX_TABLE_SIDE}")
+        if args.max_arrows > MAX_ARROWS:  # before any hom-set is searched
+            raise BoundExceeded(f"max_arrows {args.max_arrows} exceeds hard limit {MAX_ARROWS}")
         return _COMMANDS[args.command](args, out)
     except BoundExceeded as e:
         print(f"bound exceeded: {e}", file=sys.stderr)

@@ -281,11 +281,16 @@ def validate_crm(s: CompleteRestrictionMonoid) -> Report:
 # PI(Q) as a complete restriction monoid
 
 def pi_restriction_monoid(q: EhresmannQuantale) -> tuple[CompleteRestrictionMonoid, list[int]]:
-    """The partial isometries of a restriction quantal frame with the
-    restricted operations; returns the monoid and the carrier list mapping
-    monoid index -> quantale element.  Raises ValueError naming the
-    operation whose value leaves PI(Q), which a valid Q never does."""
-    carrier = sorted(partial_isometries(q))
+    """PI(Q): the partial isometries of a restriction quantal frame with the
+    restricted operations, cached on q (`order.cached`), and a fresh carrier
+    list mapping monoid index -> quantale element.  Raises ValueError naming
+    the operation whose value leaves PI(Q), which a valid Q never does."""
+    s, carrier = cached(q, "pi_restriction_monoid", lambda: _pi_restriction_monoid(q))
+    return s, list(carrier)
+
+
+def _pi_restriction_monoid(q: EhresmannQuantale) -> tuple[CompleteRestrictionMonoid, tuple]:
+    carrier = partial_isometries(q)
     pos = positions(q.n, carrier)
     block = np.ix_(carrier, carrier)
     mul, meet = pos[q.mul[block]], pos[q.meet[block]]
@@ -295,7 +300,7 @@ def pi_restriction_monoid(q: EhresmannQuantale) -> tuple[CompleteRestrictionMono
                          ("unit", unit), ("bottom", zero)):
         if (values < 0).any():
             raise ValueError(f"{name} leaves the partial isometries")
-    return make_crm(len(carrier), q.leq[block], mul, unit, zero, star, plus, meet), carrier
+    return make_crm(len(carrier), q.leq[block], mul, unit, zero, star, plus, meet), tuple(carrier)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +311,6 @@ class IdealCompletion:
     rqf: EhresmannQuantale
     members: np.ndarray    # members[i, x]: monoid element x is in ideal i, read-only
     principal: np.ndarray  # principal[x] = the element index of the ideal x-down, read-only
-    source: CompleteRestrictionMonoid
 
 
 JOIN_BLOCK_CELLS = 1 << 22  # cells of the largest temporary of _partial_join_table
@@ -388,7 +392,7 @@ def _join_primes(s: CompleteRestrictionMonoid) -> list[int]:
 
 
 def _down_sets(s: CompleteRestrictionMonoid, max_elements: int,
-               what: str) -> tuple[np.ndarray, list[int]]:
+               what: str) -> tuple[np.ndarray, tuple]:
     """J(S) ordered by up-sets as member bitmasks (a lexsort on the columns
     from high to low), and the down-sets of J(S) as masks over that order,
     grown along join_primes(s), a linear extension: those whose last
@@ -404,24 +408,25 @@ def _down_sets(s: CompleteRestrictionMonoid, max_elements: int,
         below = sum(bits[i] for i in np.flatnonzero(s.leq[primes[:last], primes[last]]))
         downs += [d | bit for d in downs if not below & ~d]
         require_at_most(len(downs), max_elements, what)
-    return primes[order], downs
+    return _freeze(primes[order]), tuple(downs)
 
 
 def l_vee(s: CompleteRestrictionMonoid, max_elements: int = MAX_TABLE_SIDE) -> IdealCompletion:
     """The restriction quantal frame L^vee(S) of order-ideals of S closed
     under all existing joins, ordered by inclusion.  Precondition: S passes
     validate_crm; the CLI validates documents before building L^vee, and the
-    suite builds it only on corpus monoids, which all pass.
+    suite builds it only on corpus monoids, which all pass.  Cached on S
+    (`order.cached`), the bound checked on every call.
 
     Birkhoff (Davey & Priestley, Introduction to Lattices and Order, ch. 5):
     on a valid S every element is the join of the join-primes J(S) below it
     (see join_primes), so I -> I & J(S) maps the closed ideals onto the
     down-sets D of J(S), with inverse D -> {x : J(S) & down(x) <= D}.  The
-    down-sets are listed by _down_sets, refused as they grow past
-    max_elements, before any table is allocated.  Their ideals are the rows
-    of one boolean product, x being in I_D iff no join-prime below x lies
-    outside D, sorted by size and then as member bitmasks (a lexsort on the
-    columns from high to low).
+    down-sets are listed once per monoid by _down_sets, refused as they grow
+    past max_elements, before any table is allocated.  Their ideals are the
+    rows of one boolean product, x being in I_D iff no join-prime below x
+    lies outside D, sorted by size and then as member bitmasks (a lexsort
+    on the columns from high to low).
     On down-sets, order, meet and join are inclusion, intersection and
     union; by distributivity I_D.I_E has the union of J(S) & down(j.k) over
     j in D and k in E, and I_D* (I_D+) that of J(S) & down(j*) (down(j+))
@@ -429,7 +434,13 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = MAX_TABLE_SIDE) -> I
     sets of join-primes (functors.family_tables), with the product and the
     images given on J(S): g_l <= g_j.g_k, g_l <= g_j* and g_l <= g_j+.
     """
-    primes, masks = _down_sets(s, max_elements, "L^vee(S) has at least {} ideals")
+    primes, masks = cached(s, "down_sets", lambda: _down_sets(
+        s, max_elements, "L^vee(S) has at least {} ideals"))
+    require_at_most(len(masks), max_elements, "L^vee(S) has {} ideals")
+    return cached(s, "l_vee", lambda: _l_vee(s, primes, masks))
+
+
+def _l_vee(s: CompleteRestrictionMonoid, primes: np.ndarray, masks: tuple) -> IdealCompletion:
     downs = bit_matrix(masks, len(primes))
     below = s.leq[primes].T  # below[x, l]: the join-prime g_l is <= x
     members = ~bool_product(~downs, below.T)
@@ -442,8 +453,7 @@ def l_vee(s: CompleteRestrictionMonoid, max_elements: int = MAX_TABLE_SIDE) -> I
     principal = row_lookup(downs)(below)
     lat = FiniteLattice(len(downs), _freeze(leq), _freeze(meet), _freeze(join), 0, len(downs) - 1)
     q = make_eq(lat, mul, int(principal[s.unit]), star, plus)
-    return IdealCompletion(rqf=q, members=_freeze(members), principal=_freeze(principal),
-                           source=s)
+    return IdealCompletion(rqf=q, members=_freeze(members), principal=_freeze(principal))
 
 
 # ---------------------------------------------------------------------------
@@ -522,17 +532,16 @@ def is_callitic(theta, s: CompleteRestrictionMonoid,
     return preserves_finite_meets(theta, s, t)
 
 
-def theta_extension(theta, lv_src: IdealCompletion, lv_dst: IdealCompletion) -> np.ndarray:
-    """Extend a callitic morphism to the ideal completions: an ideal maps to
-    the closed ideal generated by the images of its elements, the one whose
-    join-primes are those below some image.  The join-primes of every image
-    ideal are one boolean product, looked up among the join-prime columns
-    of the target's ideals; a miss, which l_vee never leaves, is an
-    InternalError."""
+def theta_extension(theta, lv_src: IdealCompletion, t: CompleteRestrictionMonoid) -> np.ndarray:
+    """Extend a callitic morphism s -> t to the ideal completions, lv_src
+    of s to l_vee(t): an ideal maps to the closed ideal generated by the
+    images of its elements, whose join-primes are those below some image,
+    one boolean product looked up among the join-prime columns of the
+    ideals of l_vee(t); a miss, which l_vee never leaves, is InternalError."""
     theta = np.asarray(theta, dtype=np.int64)
-    primes = join_primes(lv_dst.source)
-    below = lv_dst.source.leq[primes][:, theta]  # [k, x]: join-prime k <= theta(x)
-    out = row_lookup(lv_dst.members[:, primes])(bool_product(lv_src.members, below.T))
+    primes = join_primes(t)
+    below = t.leq[primes][:, theta]  # [k, x]: join-prime k <= theta(x)
+    out = row_lookup(l_vee(t).members[:, primes])(bool_product(lv_src.members, below.T))
     if (out < 0).any():
         raise InternalError("an image ideal is not an element of L^vee")
     return _freeze(out)
@@ -555,22 +564,19 @@ def s_filters(s: CompleteRestrictionMonoid, max_elements: int = MAX_TABLE_SIDE) 
     (up-g . up-h)^up = up-(g.h), and the category is read off the
     join-primes by functors.filter_category, ordered by their up-sets as
     member bitmasks, as _down_sets orders them.  The opens are the
-    down-sets of J(S) (X_a that of the join-primes below a), listed by
-    _down_sets under max_elements.  Built once per monoid (`order.cached`);
-    the bound is checked on every call."""
-    def build() -> FilterCategory:
-        gens, downs = _down_sets(s, max_elements, "C(S) has at least {} opens")
-        return filter_category(s, gens, "completely prime S-filter",
-                               Topology(len(gens), frozenset(downs)))
-
-    sf = cached(s, "s_filters", build)
-    require_at_most(sf.topcat.topology.open_count(), max_elements, "C(S) has {} opens")
-    return sf
+    down-sets of J(S) (X_a that of the join-primes below a), the listing
+    that l_vee reads too, made under max_elements.  Built once per monoid
+    (`order.cached`); the bound is checked on every call."""
+    gens, downs = cached(s, "down_sets", lambda: _down_sets(
+        s, max_elements, "C(S) has at least {} opens"))
+    require_at_most(len(downs), max_elements, "C(S) has {} opens")
+    return cached(s, "s_filters", lambda: filter_category(
+        s, gens, "completely prime S-filter", Topology(len(gens), frozenset(downs))))
 
 
 def s_filter_bijection(sf: FilterCategory, lv: IdealCompletion) -> np.ndarray:
     """A' -> (A')^up-in-R: the R-filter of all ideals meeting A', for the
-    S-filter category sf of lv.source.  Returns the arrow map S-filter
+    S-filter category sf of the monoid of lv.  Returns the arrow map S-filter
     index -> C(L(S)) filter index: the rows of ideals meeting each A', one
     boolean product, looked up among the member rows of the filters of
     C(L(S)).  Raises ValueError if one of them is no such filter."""
@@ -630,7 +636,7 @@ def _bisection_monoid(tc: FiniteTopCategory, max_elements: int) -> BisectionMono
 
 def enumerate_callitic_morphisms(s: CompleteRestrictionMonoid,
                                  t: CompleteRestrictionMonoid,
-                                 max_elements: int = 64) -> list[np.ndarray]:
+                                 max_elements: int = MAX_TABLE_SIDE) -> list[np.ndarray]:
     """All callitic morphisms s -> t, for s and t that pass validate_crm:
     duality.generator_search over the join-primes J(s), with every element
     of t as a candidate, then validate_crm_morphism and is_callitic.
@@ -640,8 +646,8 @@ def enumerate_callitic_morphisms(s: CompleteRestrictionMonoid,
     compatible joins, so it is fixed by its values on J(s); it keeps the
     order, meets, mul, star, plus and the unit, every law the search tests.
     None is added, since every map is kept only if both checks pass."""
-    if s.n > max_elements or t.n > max_elements:
-        raise BoundExceeded(f"callitic enumeration bounded to {max_elements} elements")
+    require_at_most(s.n, max_elements, "S has {} elements")
+    require_at_most(t.n, max_elements, "T has {} elements")
     return [_freeze(theta) for theta in generator_search(s, t)
             if validate_crm_morphism(theta, s, t).ok and is_callitic(theta, s, t)[0]]
 

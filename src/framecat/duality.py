@@ -27,14 +27,15 @@ reuses the functor search, generator_search, transposes and
 check_transposes.
 
 What a hom-set search derives from one object is cached on that object
-(order.cached), holds no reference back to it, and dies with it: on an
-algebra, J, PI and C(Q) (or J(S) and the S-filters), the laws of
-generator_search as a source and its tables as a target; on a
-topological category, Omega(C), the open local bisections and the tables
-of a functor search from it or into it; on an OmegaResult, a
-FilterCategory and a crm.BisectionMonoid, the lookup of its member rows
-(find).  So an adjunction check against objects it has seen before only
-searches.
+(order.cached), holds no reference back to it, and dies with it: on a
+quantale, J, the partial isometries, the monoid PI(Q) and C(Q); on a
+monoid, J(S), the down-sets of J(S), L^vee(S) and the S-filters; on
+either, the laws of generator_search as a source and its tables as a
+target; on a topological category, Omega(C), the open local bisections
+and the tables of a functor search from it or into it; on an
+OmegaResult, a FilterCategory and a crm.BisectionMonoid, the lookup of
+its member rows (find).  So an adjunction check against objects it has
+seen before only searches.
 
 transposes reads the bool member rows of both sides, the filters (row k
 of the order at the least member of filter k) and the opens of Omega(C)
@@ -60,7 +61,8 @@ from .functors import (FilterCategory, OmegaResult, c_morphism, c_object, omega_
                        omega_object)
 from .order import _freeze, cached, join_irreducibles
 from .quantale import EhresmannQuantale, partial_isometries
-from .reports import MAX_TABLE_SIDE, BoundExceeded, InternalError, Report
+from .reports import (MAX_ARROWS, MAX_TABLE_SIDE, BoundExceeded, InternalError, Report,
+                      require_at_most)
 from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
                      continuity_check, validate_covering_functor)
 
@@ -583,7 +585,7 @@ def _law_skeleton(alg) -> tuple:
 
 
 def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
-                            max_elements: int = 64) -> list[np.ndarray]:
+                            max_elements: int = MAX_TABLE_SIDE) -> list[np.ndarray]:
     """All RQF morphisms q -> r, for valid rqfs q and r: generator_search
     over the join-irreducibles J(q), with the partial isometries (PIs) of r
     as candidates, then the morphism laws decided on J(q)
@@ -595,8 +597,8 @@ def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
     join-irreducible equals one of its joinands, and PIs go to PIs; and it
     keeps every law the search tests.  None is added, since each map is
     kept only if it passes what validate_rqf_morphism checks."""
-    if q.n > max_elements or r.n > max_elements:
-        raise BoundExceeded(f"morphism enumeration bounded to {max_elements} elements")
+    require_at_most(q.n, max_elements, "Q has {} elements")
+    require_at_most(r.n, max_elements, "R has {} elements")
     return [_freeze(theta) for theta in generator_search(q, r)
             if _is_rqf_morphism_on_j(theta, q, r)]
 
@@ -628,8 +630,7 @@ def verify_adjunction_I(tc: FiniteTopCategory, q: EhresmannQuantale,
     before builds neither again."""
     rep = AdjunctionReport()
     om = omega_object(tc, max_elements)
-    if q.n > max_elements:
-        raise BoundExceeded(f"morphism enumeration bounded to {max_elements} elements")
+    require_at_most(q.n, max_elements, "Q has {} elements")
     fc = c_object(q, max_elements)
     if fc.n > max_arrows:
         raise BoundExceeded(f"C(Q) has {fc.n} arrows > {max_arrows}")
@@ -717,7 +718,7 @@ def check_naturality_in_quantale(psi, q_src: EhresmannQuantale, q_dst: Ehresmann
 # isomorphism search: arrow_maps with iso, over arrows of equal fingerprint
 
 def find_category_isomorphism(c1: FiniteCategory, c2: FiniteCategory,
-                              max_arrows: int = 16) -> Optional[np.ndarray]:
+                              max_arrows: int = MAX_ARROWS) -> Optional[np.ndarray]:
     """The first isomorphism c1 -> c2 in lexicographic order, or None: the
     arrows placed in index order, each over the arrows of c2 with its
     fingerprint, which an isomorphism keeps."""

@@ -30,6 +30,9 @@ class InternalError(Exception):
 # a document's category, the elements of a generated corpus; also the
 # default max_elements of every builder, which --max-elements cannot pass
 MAX_TABLE_SIDE = 4096
+# hard limit on the arrows a hom-set or isomorphism search maps, which
+# --max-arrows cannot pass: adjunction II lists up to 2^max_arrows S-filter opens
+MAX_ARROWS = 16
 
 
 def require_at_most(count: int, max_elements: int, what: str) -> None:

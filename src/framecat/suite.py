@@ -2,14 +2,13 @@
 the CLI shares with it.
 
 An Instance holds one etale category, restriction quantal frame or complete
-restriction monoid and builds each object derived from it once, on first
-use; Omega(C) is cached on its category, and C(Q) and the S-filter
-category on their algebra instead (functors.omega_object,
-functors.c_object, crm.s_filters), and the check bodies ask for them
-there.  The round-trip checks are module-level functions of an Instance: the
-suite runs them over the corpus, the CLI on a one-instance object built from
-a document.  The corpus is built once per run; the omega-X quantales and
-the pi-omega-X monoids are checked on the Instance of the category X.
+restriction monoid, and reads each object derived from it from the cache
+of its owner (order.cached): Omega(C) from C, PI(Q) and C(Q) from Q, and
+L^vee(S) and the S-filter category from S.  The round-trip checks are
+module-level functions of an Instance: the suite runs them over the
+corpus, the CLI on a one-instance object built from a document.  The
+corpus is built once per run; the omega-X quantales and the pi-omega-X
+monoids are checked on the Instance of the category X.
 
 Check builders return pending (instance, check, thunk) triples; run_pending
 executes them in order, streaming each CheckReport as it completes, and
@@ -25,7 +24,7 @@ and the suite's negative fixtures read their verdicts from it.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +34,7 @@ from .crm import (CompleteRestrictionMonoid, IdealCompletion,
                   l_vee, pi_restriction_monoid, preserves_finite_meets,
                   is_callitic, s_filter_bijection, s_filters, validate_crm,
                   validate_crm_morphism, verify_adjunction_II)
-from .duality import (AdjunctionReport, ChiResult, build_chi, build_omega_map,
+from .duality import (AdjunctionReport, build_chi, build_omega_map,
                       check_naturality_in_category, check_naturality_in_quantale,
                       chi_is_isomorphism, is_sober,
                       omega_is_isomorphism, positions, quantale_isomorphism_ok,
@@ -85,23 +84,17 @@ class Instance:
     def rqf(self) -> EhresmannQuantale:
         return self.omega.rqf if self._q is None else self._q
 
-    @cached_property
-    def chi(self) -> ChiResult:
-        return build_chi(self.rqf, self.max_elements)
-
-    @cached_property
+    @property
     def pi(self) -> tuple[CompleteRestrictionMonoid, list[int]]:
-        """PI(Q) and its carrier list in Q."""
         return pi_restriction_monoid(self.rqf)
 
     @property
     def crm(self) -> CompleteRestrictionMonoid:
         return self.pi[0] if self._s is None else self._s
 
-    @cached_property
+    @property
     def lv(self) -> IdealCompletion:
         return l_vee(self.crm, max_elements=self.max_elements)
-
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +110,7 @@ def omega_roundtrip(inst: Instance) -> CheckResult:
 def chi_roundtrip(inst: Instance) -> CheckResult:
     """chi: Q -> Omega(C(Q)) is an isomorphism.  Q is then spatial
     (is_spatial), since chi(a) = chi(b) exactly when X_a = X_b."""
-    ok, why = chi_is_isomorphism(inst.chi)
+    ok, why = chi_is_isomorphism(build_chi(inst.rqf, inst.max_elements))
     return ok, None if ok else (inst.rqf.n,), why
 
 

@@ -1,9 +1,10 @@
 """The data built once per algebra or category and cached on it
-(order.cached): J, PI and C(Q) of a quantale; J(S), the partial and the
-compatible join tables and the S-filter category of a complete
-restriction monoid; the laws that duality.generator_search compiles on
-the generators of either, and the operations it reads on the candidates
-of either as a target; the etale
+(order.cached): J, the partial isometries, the monoid PI(Q) and C(Q) of a
+quantale; J(S), the partial and the compatible join tables, the one
+listing of the down-sets of J(S), L^vee(S) and the S-filter category of a
+complete restriction monoid; the laws that duality.generator_search
+compiles on the generators of either, and the operations it reads on the
+candidates of either as a target; the etale
 verdict, Omega(C), the monoid of the open local bisections, the arrow laws
 of the covering functor search from a topological category and the
 composition rows of a search into it; and the lookup of the member rows
@@ -26,19 +27,21 @@ import pytest
 from framecat import crm, duality, functors, order, quantale, topcat
 from framecat.corpus import (corpus_crms, corpus_rqfs, etale_categories,
                              indiscrete_pair_groupoid, pair_groupoid)
-from framecat.crm import (_compatible_join_table, bisection_monoid, join_primes,
+from framecat.crm import (_compatible_join_table, bisection_monoid, join_primes, l_vee,
                           pi_restriction_monoid, s_filters, verify_adjunction_II)
 from framecat.duality import verify_adjunction_I
 from framecat.functors import c_object, omega_object
 from framecat.order import join_irreducibles
 from framecat.quantale import partial_isometries
+from framecat.reports import MAX_TABLE_SIDE
+from framecat.suite import full_suite_pending, run_pending
 from framecat.topcat import is_etale
 from map_oracles import cat_of_ehresmann, relabel, relabel_crm, relabel_rqf
 
-QUANTALE_KEYS = {"join_irreducibles", "partial_isometries", "c_object", "law_skeleton",
-                 "search_target"}
-MONOID_KEYS = {"join_primes", "partial_joins", "compatible_joins", "s_filters", "law_skeleton",
-               "search_target"}
+QUANTALE_KEYS = {"join_irreducibles", "partial_isometries", "pi_restriction_monoid", "c_object",
+                 "law_skeleton", "search_target"}
+MONOID_KEYS = {"join_primes", "partial_joins", "compatible_joins", "down_sets", "l_vee",
+               "s_filters", "law_skeleton", "search_target"}
 CATEGORY_KEYS = {"is_etale", "omega_object", "bisection_monoid", "arrow_laws", "comp_rows"}
 QUANTALE_TABLES = ("leq", "meet", "join", "mul", "star", "plus", "bottom", "top", "unit")
 MONOID_TABLES = ("leq", "mul", "star", "plus", "meet", "unit", "zero")
@@ -128,6 +131,11 @@ def assert_same_omega(a, b):
     assert np.array_equal(a.members, b.members)
 
 
+def assert_same_ideals(a, b):
+    assert_same_tables(a.rqf, b.rqf, QUANTALE_TABLES)
+    assert np.array_equal(a.members, b.members) and np.array_equal(a.principal, b.principal)
+
+
 def assert_same_bisections(a, b):
     assert_same_tables(a.crm, b.crm, MONOID_TABLES)
     assert a.masks == b.masks and np.array_equal(a.members, b.members)
@@ -160,13 +168,17 @@ def test_cached_values_equal_fresh_builds_on_corpus_rqfs(rqfs):
             for _ in range(2):  # the build, then the cached value
                 assert join_irreducibles(q) == order._irreducibles(q.leq), name
                 assert partial_isometries(q) == quantale._partial_isometries(q), name
+                s, carrier = pi_restriction_monoid(q)
+                fresh_s, fresh_carrier = crm._pi_restriction_monoid(q)
+                assert_same_tables(s, fresh_s, MONOID_TABLES)
+                assert carrier == list(fresh_carrier) == partial_isometries(q), name
                 fc = c_object(q)
                 fresh = functors._filter_category(q)
                 assert_same_category(fc, fresh)
                 assert_same_lookup(fc)
                 assert_same_skeleton(q)
                 assert_same_target(q, partial_isometries(q), q.join, q.bottom, q.top)
-            assert c_object(q) is fc
+            assert c_object(q) is fc and pi_restriction_monoid(q)[0] is s
             assert set(q._cache) == QUANTALE_KEYS, name
 
 
@@ -182,9 +194,14 @@ def test_cached_values_equal_fresh_builds_on_corpus_crms(monoids):
                 sf = s_filters(s)
                 assert_same_category(sf, s_filters(dataclasses.replace(s)))
                 assert_same_lookup(sf)
+                lv = l_vee(s)
+                assert_same_ideals(lv, l_vee(dataclasses.replace(s)))
+                fresh_primes, fresh_downs = crm._down_sets(s, MAX_TABLE_SIDE, "{}")
+                assert np.array_equal(s._cache["down_sets"][0], fresh_primes), name
+                assert s._cache["down_sets"][1] == fresh_downs, name
                 assert_same_skeleton(s)
                 assert_same_target(s, range(s.n), joins, s.zero)
-            assert s_filters(s) is sf
+            assert s_filters(s) is sf and l_vee(s) is lv
             assert set(s._cache) == MONOID_KEYS, name
 
 
@@ -224,7 +241,10 @@ def test_returned_values_cannot_change_a_later_call():
     om, bis = omega_object(tc), bisection_monoid(tc)
     q = om.rqf
     s, _ = pi_restriction_monoid(q)
-    for build, alg in ((join_irreducibles, q), (partial_isometries, q), (join_primes, s)):
+    lv = l_vee(s)
+    carrier = lambda q: pi_restriction_monoid(q)[1]  # noqa: E731
+    for build, alg in ((join_irreducibles, q), (partial_isometries, q), (carrier, q),
+                       (join_primes, s)):
         first = build(alg)
         expected = list(first)
         first[0] = -1
@@ -238,12 +258,12 @@ def test_returned_values_cannot_change_a_later_call():
         for table in (derived.members, derived.generators, derived.topcat.cat.comp):
             with pytest.raises(ValueError):
                 table[0] = 0
-    for derived in (om, bis):
+    for derived in (om, bis, lv):
         with pytest.raises(dataclasses.FrozenInstanceError):
             derived.members = ()
     tables = [om.members, bis.members, crm._partial_join_table(bis.crm),
-              crm._partial_join_table(s)]
-    tables += [getattr(q, t) for t in QUANTALE_TABLES[:6]]
+              crm._partial_join_table(s), lv.members, lv.principal]
+    tables += [getattr(alg, t) for alg in (q, lv.rqf) for t in QUANTALE_TABLES[:6]]
     tables += [getattr(bis.crm, t) for t in MONOID_TABLES[:5]]
     for cat in (tc.cat, cat_of_ehresmann(q).cat):
         tables += [cat.d, cat.r, cat.comp]
@@ -266,12 +286,14 @@ def test_returned_values_cannot_change_a_later_call():
         rows[:] = -1
         assert holder.find(holder.members).tolist() == list(range(len(holder.members)))
     for cache, keys in ((q._cache, ("law_skeleton", "search_target")),
+                        (s._cache, ("down_sets",)),
                         (bis.crm._cache, ("partial_joins",)),
                         (tc._cache, ("arrow_laws", "comp_rows"))):
         for key in keys:
             assert_immutable(cache[key])
     assert_same_category(c_object(q), functors._filter_category(q))
     assert_same_category(s_filters(s), s_filters(dataclasses.replace(s)))
+    assert_same_ideals(l_vee(s), l_vee(dataclasses.replace(s)))
     assert_same_omega(omega_object(tc), fresh_omega(tc))
     assert_same_bisections(bisection_monoid(tc), crm._bisection_monoid(tc, 1024))
     assert_same_target(q, pis, q.join, q.bottom, q.top)
@@ -290,18 +312,63 @@ def assert_immutable(value):
         assert value is None or isinstance(value, (int, str, bytes)), type(value)
 
 
-def assert_filled_by_both_adjunctions(tc, q, s):
-    """The keys that both adjunction checks of tc, against q = Omega(tc)
-    and s = PI(q), fill: all of q, which is also the target of the first;
-    all of s but the target's, which the second fills on the bisection
-    monoid, with the partial joins that monoid is built with; all of tc but
-    the composition rows, which the functor searches fill on C(Q) and
-    C(S)."""
+def test_pi_and_l_vee_are_cached_on_their_algebras():
+    """A second call returns the same PI(Q) and the same L^vee(S), and a
+    fresh carrier list: changing the one returned does not change a later
+    call."""
+    q = omega_object(pair_groupoid(2)).rqf
+    s, carrier = pi_restriction_monoid(q)
+    expected = list(carrier)
+    carrier[0] = -1
+    carrier.append(-1)
+    again, carrier_again = pi_restriction_monoid(q)
+    assert again is s and carrier_again == expected
+    assert l_vee(s) is l_vee(s)
+
+
+def test_a_second_adjunction_II_check_builds_no_down_sets_and_no_search_target(monkeypatch):
+    tc = pair_groupoid(2)
+    q = omega_object(tc).rqf
+    first = verify_adjunction_II(tc, pi_restriction_monoid(q)[0])
+
+    def no_build(*args):
+        raise AssertionError("built again")
+
+    monkeypatch.setattr(crm, "_down_sets", no_build)
+    monkeypatch.setattr(duality, "_target_tables", no_build)
+    second = verify_adjunction_II(tc, pi_restriction_monoid(q)[0])
+    assert first.ok and second.ok and second.sizes == first.sizes == (2, 2)
+
+
+def test_a_corpus_run_lists_the_down_sets_once_per_monoid(monkeypatch):
+    """L^vee(S) and the S-filters of every monoid of the suite read one
+    listing of the down-sets of J(S)."""
+    listed = []  # the monoids, held so that no two share an id
+    real = crm._down_sets
+    monkeypatch.setattr(crm, "_down_sets", lambda s, *args: listed.append(s) or real(s, *args))
+    reports = run_pending(full_suite_pending(12, 1024))
+    assert all(r.status == "pass" for r in reports)
+    assert listed and len({id(s) for s in listed}) == len(listed)
+
+
+def filled(tc):
+    """q = Omega(tc) and s = PI(q), after L^vee(s) and both adjunction
+    checks of tc against q and s.  These fill every key of q, which is also
+    the target of the first check; every key of s but the target's, which
+    the second fills on the bisection monoid, with the partial joins that
+    monoid is built with; and every key of tc but the composition rows,
+    which the functor searches fill on C(Q) and C(S)."""
+    q = omega_object(tc).rqf
+    s, _ = pi_restriction_monoid(q)
+    l_vee(s)
+    verify_adjunction_I(tc, q)
+    verify_adjunction_II(tc, s)
     assert set(q._cache) == QUANTALE_KEYS
     assert set(s._cache) == MONOID_KEYS - {"search_target"}
     assert set(bisection_monoid(tc).crm._cache) == {"partial_joins", "search_target"}
     assert set(tc._cache) == CATEGORY_KEYS - {"comp_rows"}
     assert set(c_object(q).topcat._cache) == set(s_filters(s).topcat._cache) == {"comp_rows"}
+    return q, s
 
 
 def holders(tc, q, s) -> list:
@@ -311,11 +378,7 @@ def holders(tc, q, s) -> list:
 
 def test_replace_starts_with_an_empty_cache():
     tc = pair_groupoid(2)
-    q = omega_object(tc).rqf
-    s, _ = pi_restriction_monoid(q)
-    verify_adjunction_I(tc, q)
-    verify_adjunction_II(tc, s)
-    assert_filled_by_both_adjunctions(tc, q, s)
+    q, s = filled(tc)
     assert dataclasses.replace(q)._cache == {} and dataclasses.replace(s)._cache == {}
     assert dataclasses.replace(tc)._cache == {}
     for holder in holders(tc, q, s):
@@ -330,20 +393,17 @@ def test_replace_starts_with_an_empty_cache():
 
 def test_algebras_are_freed_by_reference_counting():
     """With the cycle collector off, a category and the algebras built on
-    it, whose caches and lookups are all filled by both adjunction checks,
-    die with their last references: no cached value refers back to its
-    category, algebra or holder."""
+    it, whose caches and lookups are all filled by PI, L^vee and both
+    adjunction checks, die with their last references: no cached value
+    refers back to its category, algebra or holder."""
     gc.disable()
     try:
         tc = pair_groupoid(2)
-        q = omega_object(tc).rqf
-        s, _ = pi_restriction_monoid(q)
-        verify_adjunction_I(tc, q)
-        verify_adjunction_II(tc, s)
-        assert_filled_by_both_adjunctions(tc, q, s)
-        refs = [weakref.ref(x) for x in (tc, q, s, *holders(tc, q, s))]
-        assert all("find" in vars(ref()) for ref in refs[3:])
-        del tc, q, s
+        q, s = filled(tc)
+        lv = l_vee(s)
+        refs = [weakref.ref(x) for x in (tc, q, s, lv, lv.rqf, *holders(tc, q, s))]
+        assert all("find" in vars(ref()) for ref in refs[5:])
+        del tc, q, s, lv
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()

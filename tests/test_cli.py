@@ -121,17 +121,33 @@ def test_max_elements_at_table_side_is_accepted(fixture_dir, capsys):
                  str(fixture_dir / "pair2.topcategory.json")]) == 0
 
 
-def test_roundtrip_on_rqf_builds_omega_of_c_once(fixture_dir, monkeypatch, capsys):
-    """chi and the sobriety of C(Q) share one Omega(C(Q)), under one bound."""
-    from framecat import cli, duality, functors, suite
-    built = []
-    real = functors.omega_object
+def test_max_arrows_above_its_limit_exits_3_before_any_file_is_read(tmp_path, capsys):
+    """--max-arrows 17 would let adjunction II list 2^17 S-filter opens; it
+    is refused before any command runs, so the missing files, which the
+    command would refuse with exit 2, are never read."""
+    missing = [str(tmp_path / "missing.topcategory.json"), str(tmp_path / "missing.crm.json")]
+    assert main(["--max-arrows", "17", "adjoint", *missing]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "bound exceeded: max_arrows 17 exceeds hard limit 16\n"
 
-    def counted(*args, **kwargs):
-        built.append(args[0])
-        return real(*args, **kwargs)
-    for module in (cli, duality, functors, suite):
-        monkeypatch.setattr(module, "omega_object", counted)
+
+def test_max_arrows_at_its_limit_is_accepted(fixture_dir, capsys):
+    assert main(["--max-arrows", "16", "adjoint", str(fixture_dir / "pair2.topcategory.json"),
+                 str(fixture_dir / "pi-omega-pair2.crm.json")]) == 0
+    assert "homset sizes (2, 2)" in capsys.readouterr().out
+
+
+def test_roundtrip_on_rqf_builds_omega_of_c_once(fixture_dir, monkeypatch, capsys):
+    """chi and the sobriety of C(Q) share one Omega(C(Q)), built once and
+    cached on C(Q)."""
+    from framecat import functors
+    built = []
+    for name in ("_omega_discrete", "_omega_generic"):
+        def counted(tc, real=getattr(functors, name)):
+            built.append(tc)
+            return real(tc)
+        monkeypatch.setattr(functors, name, counted)
     assert main(["roundtrip", str(fixture_dir / "omega-pair3.rqf.json")]) == 0
     assert len(built) == 1
     assert "-- 3 checks, 0 failed" in capsys.readouterr().out

@@ -459,7 +459,7 @@ def l_vee_by_ideal_search(s: CompleteRestrictionMonoid,
         mul[i, :] = acc
 
     q = make_eq(lat, mul, int(pid[s.unit]), star, plus)
-    return IdealCompletion(rqf=q, members=bit_matrix(ideal_list, n), principal=pid, source=s)
+    return IdealCompletion(rqf=q, members=bit_matrix(ideal_list, n), principal=pid)
 
 
 def test_ideal_completion_of_partial_bijections(i2):
@@ -730,12 +730,12 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def theta_extension_well_defined(theta, lv_src, lv_dst):
+def theta_extension_well_defined(theta, s, t):
     """Every generating subset of an ideal gives the same extension value:
     exhaustive over all subsets of every ideal of the source."""
     theta = np.asarray(theta, dtype=np.int64)
-    s, t = lv_src.source, lv_dst.source
-    ext = theta_extension(theta, lv_src, lv_dst)
+    lv_src, lv_dst = l_vee(s), l_vee(t)
+    ext = theta_extension(theta, lv_src, t)
     down_s = [downset_mask(s, i) for i in range(s.n)]
     jt_s = _partial_join_table(s)
     down_t = [downset_mask(t, i) for i in range(t.n)]
@@ -755,9 +755,9 @@ def test_theta_extension_of_identity_is_identity(i2):
     s, _, _ = i2
     lv = l_vee(s)
     ident = np.arange(s.n, dtype=np.int64)
-    ext = theta_extension(ident, lv, lv)
+    ext = theta_extension(ident, lv, s)
     assert np.array_equal(ext, np.arange(lv.rqf.n))
-    assert theta_extension_well_defined(ident, lv, lv) == (True, None)
+    assert theta_extension_well_defined(ident, s, s) == (True, None)
 
 
 def test_theta_extension_of_swap(i2):
@@ -772,11 +772,11 @@ def test_theta_extension_of_swap(i2):
                      dtype=np.int64)
     assert validate_crm_morphism(theta, s, s).ok
     assert is_callitic(theta, s, s) == (True, None)
-    ext = theta_extension(theta, lv, lv)
+    ext = theta_extension(theta, lv, s)
     assert validate_rqf_morphism_ok(ext, lv)
     assert not np.array_equal(ext, np.arange(lv.rqf.n))
     assert np.array_equal(ext[ext], np.arange(lv.rqf.n))
-    assert theta_extension_well_defined(theta, lv, lv) == (True, None)
+    assert theta_extension_well_defined(theta, s, s) == (True, None)
 
 
 def validate_rqf_morphism_ok(ext, lv):
@@ -788,7 +788,7 @@ def test_extension_restricted_to_principal_ideals_is_theta(i2):
     s, _, _ = i2
     lv = l_vee(s)
     for theta in enumerate_callitic_morphisms(s, s):
-        ext = theta_extension(theta, lv, lv)
+        ext = theta_extension(theta, lv, s)
         for x in range(s.n):
             assert ext[lv.principal[x]] == lv.principal[theta[x]]
 
@@ -995,9 +995,9 @@ def l_vee_listing_by_masks(s):
     return ideals, [index[downset_mask(s, x)] for x in range(s.n)]
 
 
-def theta_extension_by_masks(theta, lv_src, lv_dst):
+def theta_extension_by_masks(theta, lv_src, t):
     theta = np.asarray(theta, dtype=np.int64)
-    t = lv_dst.source
+    lv_dst = l_vee(t)
     below = row_masks(t.leq[join_primes(t), :].T)  # below[y]: the join-primes <= y
     index = ideal_masks(lv_dst)[1]
     out = np.zeros(lv_src.rqf.n, dtype=np.int64)
@@ -1038,8 +1038,8 @@ def assert_ideal_bodies_match_masks(s):
     lv, lv2 = l_vee(s), l_vee(s2)
     for t, lv_t in ((s, lv), (s2, lv2)):
         assert (ideal_masks(lv_t)[0], lv_t.principal.tolist()) == l_vee_listing_by_masks(t)
-    for theta, src, dst in ((np.arange(s.n), lv, lv), (perm, lv, lv2),
-                            (np.argsort(perm), lv2, lv)):
+    for theta, src, dst in ((np.arange(s.n), lv, s), (perm, lv, s2),
+                            (np.argsort(perm), lv2, s)):
         for m in (theta, *one_value_perturbations(theta, s.n, range(min(s.n, 8)))):
             assert (theta_extension(m, src, dst).tolist()
                     == theta_extension_by_masks(m, src, dst).tolist()), m.tolist()
@@ -1097,11 +1097,12 @@ def _adjunction_key(adj):
 
 
 def test_suite_adjunction_II_check_reuses_the_instance_builds(pair2, monkeypatch):
-    """Once Omega(C) and the open local bisections are cached on C, the
-    Instance holds PI and L^vee, and the two filter categories are cached
-    on their algebras, the check builds none of them again: neither Omega,
-    the bisections nor PI is built, and functors.filter_category, which
-    makes both filter categories, is not called."""
+    """Once Omega(C) and the open local bisections are cached on C, PI on
+    Omega(C), L^vee and the down-sets of J(S) on PI, and the two filter
+    categories on their algebras, the check builds none of them again:
+    neither Omega, the bisections, PI, L^vee nor the down-sets is built,
+    and functors.filter_category, which makes both filter categories, is
+    not called."""
     from framecat import crm, functors, suite
     inst = suite.Instance(tc=pair2)
     inst.omega, inst.pi, inst.lv  # built before the check runs
@@ -1111,7 +1112,8 @@ def test_suite_adjunction_II_check_reuses_the_instance_builds(pair2, monkeypatch
     calls = []
     for module, name in ((functors, "_omega_discrete"), (functors, "_omega_generic"),
                          (crm, "_bisection_monoid"),
-                         (crm, "pi_restriction_monoid"), (functors, "filter_category"),
+                         (crm, "_pi_restriction_monoid"), (crm, "_l_vee"), (crm, "_down_sets"),
+                         (functors, "filter_category"),
                          (crm, "filter_category")):
         original = getattr(module, name)
 

@@ -434,7 +434,7 @@ def test_adjunction_I_refuses_q_past_the_bound_before_building_c_q(omega_pair2, 
         raise AssertionError("C(Q) built past the bound")
 
     monkeypatch.setattr(duality, "c_object", no_build)
-    with pytest.raises(BoundExceeded, match="^morphism enumeration bounded to 15 elements$"):
+    with pytest.raises(BoundExceeded, match="^Q has 16 elements > max_elements=15$"):
         verify_adjunction_I(pair_groupoid(1), omega_pair2.rqf, max_elements=15)
 
 
