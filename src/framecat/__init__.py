@@ -22,9 +22,7 @@ from .quantale import (EhresmannQuantale, FiniteQuantale,
                        pi_is_order_ideal, validate_ehresmann, validate_quantale,
                        validate_rqf)
 from .topcat import (FiniteCategory, FiniteTopCategory, Topology,
-                     continuity_check, is_etale,
-                     make_category,
-                     topology_from_base, validate_category,
+                     continuity_check, is_etale, make_category, validate_category,
                      validate_covering_functor, validate_topcategory)
 from .functors import (FilterCategory, OmegaResult, c_morphism,
                        c_object, omega_morphism, omega_object)

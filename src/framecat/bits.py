@@ -20,7 +20,8 @@ intersection, union and inclusion of whole families are &, | and
 `a & ~b == 0` on words.  word_lookup maps word rows back to the index of
 the first equal row of a table, exactly: by binary search on W*8-byte keys,
 or, where every key is one word below DIRECT_KEYS, by one gather;
-row_lookup does the same for bool rows.
+row_lookup does the same for bool rows, and a MemberRows object holds the
+row_lookup of its member rows.
 bool_product is the boolean matrix product (the image of a family of sets
 under a relation), and row_blocks cuts a row range into blocks, so that a
 temporary of many cells per row stays within BLOCK_CELLS cells.
@@ -28,6 +29,7 @@ temporary of many cells per row stays within BLOCK_CELLS cells.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -132,6 +134,18 @@ def row_lookup(rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     packed words of rows, not rows."""
     find = word_lookup(pack_words(rows))
     return lambda sets: find(pack_words(sets))
+
+
+class MemberRows:
+    """The base of a family of sets held as the bool rows of its field
+    `members`: OmegaResult, FilterCategory and crm.BisectionMonoid."""
+
+    @cached_property
+    def find(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The index of each bool row among the member rows, -1 for a row
+        that is none (`row_lookup`), built on first use and held by the
+        object."""
+        return row_lookup(self.members)
 
 
 def bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -47,6 +47,10 @@ them and fix them, a.a* = a = a+.a, and star and plus are congruences; the
 restriction identities f.a = a.(f.a)* and a.f = (a.f)+.a for projections f;
 the order is the algebraic one, a <= b iff a = a+.b = b.a*; multiplication
 is monotone and the meet table gives binary meets.  Each costs O(n^3).
+The associativity, a.a* / a+.a / congruence, restriction-identity and
+meet scans are those of the quantale and order validators
+(quantale.associativity_scan, star_plus_scan and restriction_scan, over
+every element, and order.meet_scan), under the prefix crm.
 
 Completeness (every compatible set has a join, and multiplication
 distributes over it; a ~ b iff a.b* = b.a* and b+.a = a+.b) is decided on
@@ -75,18 +79,18 @@ non-commutative frame theory*, Adv. Math. 311, 2017.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .bits import bit_matrix, bool_product, row_lookup
+from .bits import MemberRows, bit_matrix, bool_product, row_lookup
 from .duality import (AdjunctionReport, check_transposes, enumerate_covering_functors,
                       generator_search, positions, transposes)
 from .functors import (FilterCategory, _require_open, arrow_set_tables, c_object,
                        family_tables, filter_category, require_etale)
-from .order import FiniteLattice, FinitePoset, _freeze, cached, validate_poset
-from .quantale import EhresmannQuantale, make_eq, partial_isometries
+from .order import FiniteLattice, FinitePoset, _freeze, cached, meet_scan, validate_poset
+from .quantale import (EhresmannQuantale, associativity_scan, make_eq, partial_isometries,
+                       restriction_scan, star_plus_scan)
 from .reports import MAX_TABLE_SIDE, BoundExceeded, InternalError, Report, require_at_most
 from .topcat import FiniteTopCategory, Topology, bisection_rows
 
@@ -148,12 +152,7 @@ def validate_crm(s: CompleteRestrictionMonoid) -> Report:
     arange = np.arange(n)
 
     # monoid with zero
-    for a in range(n):
-        diff = s.mul[s.mul[a, :], :] != s.mul[a, s.mul]
-        if diff.any():
-            b, c = np.argwhere(diff)[0]
-            rep.add("crm.associativity", (a, int(b), int(c)))
-            break
+    associativity_scan(rep, "crm", s.mul)
     if (s.mul[s.unit, :] != arange).any() or (s.mul[:, s.unit] != arange).any():
         bad = np.flatnonzero(s.mul[s.unit, :] != arange)
         w = int(bad[0]) if bad.size else int(np.flatnonzero(s.mul[:, s.unit] != arange)[0])
@@ -183,31 +182,8 @@ def validate_crm(s: CompleteRestrictionMonoid) -> Report:
                     (int(projs[np.flatnonzero(m[projs] != projs)[0]]),))
     if not rep.ok:
         return rep
-    if (s.mul[arange, s.star] != arange).any():
-        rep.add("crm.a_mul_star", (int(np.flatnonzero(s.mul[arange, s.star] != arange)[0]),))
-    if (s.mul[s.plus, arange] != arange).any():
-        rep.add("crm.plus_mul_a", (int(np.flatnonzero(s.mul[s.plus, arange] != arange)[0]),))
-    diff = s.star[s.mul] != s.star[s.mul[s.star, :]]
-    if diff.any():
-        a, b = np.argwhere(diff)[0]
-        rep.add("crm.congruence_star", (int(a), int(b)))
-    diff = s.plus[s.mul] != s.plus[s.mul[:, s.plus]]
-    if diff.any():
-        a, b = np.argwhere(diff)[0]
-        rep.add("crm.congruence_plus", (int(a), int(b)))
-
-    # restriction identities, all elements
-    for f in s.projections():
-        fa = s.mul[f, :]
-        if (s.mul[arange, s.star[fa]] != fa).any():
-            a = int(np.flatnonzero(s.mul[arange, s.star[fa]] != fa)[0])
-            rep.add("crm.restriction_identity_star", (f, a))
-            break
-        af = s.mul[:, f]
-        if (s.mul[s.plus[af], arange] != af).any():
-            a = int(np.flatnonzero(s.mul[s.plus[af], arange] != af)[0])
-            rep.add("crm.restriction_identity_plus", (a, f))
-            break
+    star_plus_scan(rep, "crm", s.mul, s.star, s.plus)
+    restriction_scan(rep, "crm", s.mul, s.star, s.plus, s.projections(), np.ones(n, dtype=bool))
     if not rep.ok:
         return rep
 
@@ -236,20 +212,7 @@ def validate_crm(s: CompleteRestrictionMonoid) -> Report:
             rep.add("crm.mul_monotone", (int(a), int(b), c))
             break
 
-    # binary meets
-    for i in range(n):
-        m = s.meet[i, :]
-        bad = ~(s.leq[m, i] & s.leq[m, arange])
-        if bad.any():
-            j = int(np.flatnonzero(bad)[0])
-            rep.add("crm.meet_not_lower_bound", (i, j, int(m[j])))
-            break
-        common = s.leq[:, i][:, None] & s.leq
-        viol = common & ~s.leq[:, m]
-        if viol.any():
-            x, j = np.argwhere(viol)[0]
-            rep.add("crm.meet_not_greatest", (i, int(j), int(x)))
-            break
+    meet_scan(rep, "crm", s.leq, s.meet)
     if not rep.ok:
         return rep
 
@@ -590,18 +553,12 @@ def s_filter_bijection(sf: FilterCategory, lv: IdealCompletion) -> np.ndarray:
 # PI(Omega(C)) read off C, and Adjunction Theorem II
 
 @dataclass(frozen=True, eq=False)
-class BisectionMonoid:
+class BisectionMonoid(MemberRows):
     """The complete restriction monoid of the open local bisections of an
     etale category, equal to PI(Omega(C)) (see the module docstring)."""
     crm: CompleteRestrictionMonoid
     masks: tuple           # masks[i] = the arrow bitmask of element i, ascending
     members: np.ndarray    # members[i, a]: arrow a is in element i
-
-    @cached_property
-    def find(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The index of each bool row of arrows among the bisections, -1 for
-        a set that is none (`bits.row_lookup`), built on first use."""
-        return row_lookup(self.members)
 
 
 def bisection_monoid(tc: FiniteTopCategory, max_elements: int = MAX_TABLE_SIDE) -> BisectionMonoid:
@@ -653,7 +610,7 @@ def enumerate_callitic_morphisms(s: CompleteRestrictionMonoid,
 
 
 def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
-                         max_arrows: int = 12, max_elements: int = 64):
+                         max_arrows: int = 12, max_elements: int = MAX_TABLE_SIDE):
     """Hom-set bijection between continuous covering functors C -> C(S) and
     callitic morphisms S -> PI(Omega(C)), with the transposes inherited from
     the first adjunction through the monoid/quantal-frame translation:

@@ -618,8 +618,8 @@ class AdjunctionReport:
         return len(self.functor_homset), len(self.morphism_homset)
 
 
-def verify_adjunction_I(tc: FiniteTopCategory, q: EhresmannQuantale,
-                        max_arrows: int = 12, max_elements: int = 64) -> AdjunctionReport:
+def verify_adjunction_I(tc: FiniteTopCategory, q: EhresmannQuantale, max_arrows: int = 12,
+                        max_elements: int = MAX_TABLE_SIDE) -> AdjunctionReport:
     """Enumerate all continuous covering functors C -> C(Q) and all RQF
     morphisms Q -> Omega(C), and verify the two transposes are mutually
     inverse bijections between the hom-sets.  max_elements bounds Omega(C),

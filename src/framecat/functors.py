@@ -6,9 +6,9 @@ star/plus collect d/r images, the unit is the identity set and the order is
 inclusion.
 
 c_object sends a restriction quantal frame Q to its category of completely
-prime filters with the product A.B = (AB)^up, topologized by the sets X_a
-over partial isometries a.  It reads all of this off the join-irreducible
-elements J of Q.  In a finite frame the completely prime filters are
+prime filters with the product A.B = (AB)^up, topologized by the sets X_a,
+which the X_a of the partial isometries a generate.  It reads all of this
+off the join-irreducible elements J of Q.  In a finite frame the completely prime filters are
 exactly the principal up-sets up-j for j in J, so filter k is named by its
 least member j_k.  Star, plus and multiplication are monotone, so the least
 element of {x* : x in up-j} is j*, d(up-j) = up-(j*), r(up-j) = up-(j+),
@@ -48,25 +48,23 @@ reference to C.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
-from .bits import (bit_matrix, bool_product, full_mask, pack_words, row_blocks, row_lookup,
+from .bits import (MemberRows, bit_matrix, bool_product, full_mask, pack_words, row_blocks,
                    row_masks, word_lookup)
 from .order import FiniteLattice, _freeze, cached, cp_filter_generators
 from .quantale import EhresmannQuantale, make_eq, partial_isometries
 from .reports import MAX_TABLE_SIDE, InternalError, require_at_most
 from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory, Topology,
-                     is_etale, make_category, open_rows, topology_from_base)
+                     is_etale, make_category)
 
 
 # ---------------------------------------------------------------------------
 # omega: etale category -> restriction quantal frame
 
 @dataclass(frozen=True, eq=False)
-class OmegaResult:
+class OmegaResult(MemberRows):
     rqf: EhresmannQuantale
     opens: tuple  # opens[i] = arrow bitmask of quantale element i, ascending
     members: np.ndarray  # members[i, a]: arrow a is in open i, read-only
@@ -74,12 +72,6 @@ class OmegaResult:
     @property
     def n(self) -> int:
         return self.rqf.n
-
-    @cached_property
-    def find(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The index of each bool row of arrows among the opens, -1 for a
-        set that is no open (`bits.row_lookup`), built on first use."""
-        return row_lookup(self.members)
 
 
 def omega_object(tc: FiniteTopCategory, max_elements: int = MAX_TABLE_SIDE) -> OmegaResult:
@@ -225,7 +217,7 @@ def omega_morphism(fmap, om_src: OmegaResult, om_dst: OmegaResult) -> np.ndarray
 # c: restriction quantal frame -> etale topological category
 
 @dataclass(frozen=True, eq=False)
-class FilterCategory:
+class FilterCategory(MemberRows):
     """The category of the principal filters up-g on generators g of an
     algebra (`filter_category`): C(Q) (`c_object`) or the S-filter category
     (`crm.s_filters`).  It is cached on its algebra, so it holds no
@@ -237,12 +229,6 @@ class FilterCategory:
     @property
     def n(self) -> int:
         return len(self.generators)
-
-    @cached_property
-    def find(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The index of each bool row of elements among the filters, -1 for
-        a set that is no filter (`bits.row_lookup`), built on first use."""
-        return row_lookup(self.members)
 
 
 def filter_category(alg, gens, what: str, topology: Topology) -> FilterCategory:
@@ -289,21 +275,20 @@ def c_object(q: EhresmannQuantale, max_elements: int = MAX_TABLE_SIDE) -> Filter
 
 def _filter_category(q: EhresmannQuantale) -> FilterCategory:
     """The filter category on the least members of the completely prime
-    filters, with the X_p of the partial isometries p as its base."""
-    pis = partial_isometries(q)
+    filters, topologized by the X-sets X_a of all elements a: for
+    completely prime filters X_a | X_b = X_(a \\/ b) and
+    X_a & X_b = X_(a /\\ b), so the X-sets are already a topology.  It is
+    the one the X_p of the partial isometries p generate, as every X_a is
+    the union of the X_p over isometries p <= a; an X_a that is not raises
+    InternalError."""
     gens = cp_filter_generators(q)
-    x_pis = row_masks(q.leq[np.ix_(gens, pis)].T)  # X_p for each isometry p
-    fc = filter_category(q, gens, "completely prime filter", topology_from_base(len(gens), x_pis))
-    # every X_a is open and is the union of the X_p over isometries p <= a
-    x_sets = fc.members.T  # [a, k]: filter k is in X_a
-    disagrees = (bool_product(q.leq[pis].T, x_sets[pis]) != x_sets).any(axis=1)
-    _, _, find_open = open_rows(fc.topcat.topology)
-    bad = np.flatnonzero(disagrees | (find_open(x_sets) < 0))
+    x_sets = q.leq[gens].T  # [a, k]: filter k is in X_a
+    topology = Topology(len(gens), frozenset(row_masks(x_sets)))
+    fc = filter_category(q, gens, "completely prime filter", topology)
+    pis = partial_isometries(q)
+    bad = np.flatnonzero((bool_product(q.leq[pis].T, x_sets[pis]) != x_sets).any(axis=1))
     if bad.size:
-        a = bad[0]
-        if disagrees[a]:
-            raise InternalError(f"X_{a} disagrees with its isometry decomposition")
-        raise InternalError(f"X_{a} is not open")
+        raise InternalError(f"X_{bad[0]} disagrees with its isometry decomposition")
     return fc
 
 

@@ -246,21 +246,7 @@ def validate_lattice(l: FiniteLattice) -> Report:
         if t.shape != (n, n) or (t < 0).any() or (t >= n).any():
             rep.add(f"lattice.{name}_table_range", (int(t.flat[0]) if t.size else 0,))
             return rep
-    for i in range(n):
-        m = l.meet[i, :]
-        # meet[i,j] is a lower bound of i and j
-        bad = ~(leq[m, i] & leq[m, idx])
-        if bad.any():
-            j = int(np.flatnonzero(bad)[0])
-            rep.add("lattice.meet_not_lower_bound", (i, j, int(m[j])))
-            break
-        # every common lower bound is below meet[i,j]
-        common = leq[:, i][:, None] & leq  # common[x, j]: x <= i and x <= j
-        viol = common & ~leq[:, m]
-        if viol.any():
-            x, j = np.argwhere(viol)[0]
-            rep.add("lattice.meet_not_greatest", (i, int(j), int(x)))
-            break
+    meet_scan(rep, "lattice", leq, l.meet)
     for i in range(n):
         jn = l.join[i, :]
         bad = ~(leq[i, jn] & leq[idx, jn])
@@ -279,6 +265,30 @@ def validate_lattice(l: FiniteLattice) -> Report:
     if not leq[:, l.top].all():
         rep.add("lattice.top", (l.top,))
     return rep
+
+
+def meet_scan(rep: Report, prefix: str, leq: np.ndarray, meet: np.ndarray) -> None:
+    """The law-by-law scan of binary meets in the order leq, for
+    validate_lattice and crm.validate_crm.  At the first row i that breaks
+    a law: prefix.meet_not_lower_bound with (i, j, meet[i, j]) for the
+    first j at which meet[i, j] is no lower bound of i and j, else
+    prefix.meet_not_greatest with (i, j, x) for a common lower bound x of
+    i and j not below meet[i, j].  O(n^3)."""
+    n = len(leq)
+    idx = np.arange(n)
+    for i in range(n):
+        m = meet[i, :]
+        bad = ~(leq[m, i] & leq[m, idx])
+        if bad.any():
+            j = int(np.flatnonzero(bad)[0])
+            rep.add(f"{prefix}.meet_not_lower_bound", (i, j, int(m[j])))
+            return
+        common = leq[:, i][:, None] & leq  # common[x, j]: x <= i and x <= j
+        viol = common & ~leq[:, m]
+        if viol.any():
+            x, j = np.argwhere(viol)[0]
+            rep.add(f"{prefix}.meet_not_greatest", (i, int(j), int(x)))
+            return
 
 
 def _has_lattice_tables(l: FiniteLattice) -> bool:

@@ -38,7 +38,10 @@ the bottom and splits at every split joins over G(x).
   x* = rest* \\/ j* at every split, and the same for plus, which say that
   star and plus preserve joins; then, by distributivity, the congruences
   (ab)* = (a*b)* and (ab)+ = (ab+)+ on J x J.  The scan is O(n^2).
-The rqf layer is O(n^2).
+The rqf layer is O(n^2).  The law-by-law scans of associativity, of
+a.a* = a, a+.a = a and the congruences, and of the restriction identities
+are public (associativity_scan, star_plus_scan, restriction_scan): each
+takes the prefix of the laws it names, and crm.validate_crm runs them too.
 """
 
 from __future__ import annotations
@@ -112,14 +115,7 @@ def validate_quantale(q: FiniteQuantale) -> Report:
         return rep
     if _quantale_laws_hold(q):
         return rep
-    for a in range(n):
-        lhs = mul[mul[a, :], :]       # (a b) c
-        rhs = mul[a, mul]             # a (b c)
-        diff = lhs != rhs
-        if diff.any():
-            b, c = np.argwhere(diff)[0]
-            rep.add("quantale.associativity", (a, int(b), int(c)))
-            break
+    associativity_scan(rep, "quantale", mul)
     e = q.unit
     bad = np.flatnonzero(mul[e, :] != np.arange(n))
     if bad.size:
@@ -149,6 +145,18 @@ def validate_quantale(q: FiniteQuantale) -> Report:
     if bad.size:
         rep.add("quantale.zero_left", (int(bad[0]),))
     return rep
+
+
+def associativity_scan(rep: Report, prefix: str, mul: np.ndarray) -> None:
+    """The law-by-law scan of (ab)c = a(bc), for validate_quantale and
+    crm.validate_crm: prefix.associativity with the first failing (a, b, c)
+    in row-major order.  O(n^3)."""
+    for a in range(len(mul)):
+        diff = mul[mul[a, :], :] != mul[a, mul]  # (a b) c against a (b c)
+        if diff.any():
+            b, c = np.argwhere(diff)[0]
+            rep.add(f"{prefix}.associativity", (a, int(b), int(c)))
+            return
 
 
 def _quantale_laws_hold(q: FiniteQuantale) -> bool:
@@ -260,26 +268,7 @@ def validate_ehresmann(q: EhresmannQuantale) -> Report:
     if not rep.ok:
         return rep
 
-    bad = np.flatnonzero(mul[np.arange(n), star] != np.arange(n))
-    if bad.size:
-        rep.add("ehresmann.a_mul_star", (int(bad[0]),))
-    bad = np.flatnonzero(mul[plus, np.arange(n)] != np.arange(n))
-    if bad.size:
-        rep.add("ehresmann.plus_mul_a", (int(bad[0]),))
-
-    # congruence identities (ab)* = (a*b)* and (ab)+ = (ab+)+
-    lhs = star[mul]
-    rhs = star[mul[star, :]]
-    diff = lhs != rhs
-    if diff.any():
-        a, b = np.argwhere(diff)[0]
-        rep.add("ehresmann.congruence_star", (int(a), int(b)))
-    lhs = plus[mul]
-    rhs = plus[mul[:, plus]]
-    diff = lhs != rhs
-    if diff.any():
-        a, b = np.argwhere(diff)[0]
-        rep.add("ehresmann.congruence_plus", (int(a), int(b)))
+    star_plus_scan(rep, "ehresmann", mul, star, plus)
 
     # star and plus preserve joins (binary plus the empty join)
     for name, m in (("star", star), ("plus", plus)):
@@ -293,6 +282,53 @@ def validate_ehresmann(q: EhresmannQuantale) -> Report:
             a, b = np.argwhere(diff)[0]
             rep.add(f"ehresmann.{name}_join_map", (int(a), int(b)))
     return rep
+
+
+def star_plus_scan(rep: Report, prefix: str, mul: np.ndarray, star: np.ndarray,
+                   plus: np.ndarray) -> None:
+    """The law-by-law scans of a.a* = a and a+.a = a (prefix.a_mul_star and
+    prefix.plus_mul_a, with the first failing a) and of the congruences
+    (ab)* = (a*b)* and (ab)+ = (ab+)+ (prefix.congruence_star and
+    prefix.congruence_plus, with the first failing (a, b) in row-major
+    order), for validate_ehresmann and crm.validate_crm.  O(n^2)."""
+    ident = np.arange(len(mul))
+    bad = np.flatnonzero(mul[ident, star] != ident)
+    if bad.size:
+        rep.add(f"{prefix}.a_mul_star", (int(bad[0]),))
+    bad = np.flatnonzero(mul[plus, ident] != ident)
+    if bad.size:
+        rep.add(f"{prefix}.plus_mul_a", (int(bad[0]),))
+    diff = star[mul] != star[mul[star, :]]
+    if diff.any():
+        a, b = np.argwhere(diff)[0]
+        rep.add(f"{prefix}.congruence_star", (int(a), int(b)))
+    diff = plus[mul] != plus[mul[:, plus]]
+    if diff.any():
+        a, b = np.argwhere(diff)[0]
+        rep.add(f"{prefix}.congruence_plus", (int(a), int(b)))
+
+
+def restriction_scan(rep: Report, prefix: str, mul: np.ndarray, star: np.ndarray,
+                     plus: np.ndarray, projections: list[int], among: np.ndarray) -> None:
+    """The law-by-law scan of the restriction identities f.a = a.(f.a)* and
+    a.f = (a.f)+.a for the projections f and the elements a with among[a],
+    for validate_rqf (among: the partial isometries) and crm.validate_crm
+    (every element).  At the first f that breaks one, star first:
+    prefix.restriction_identity_star with (f, a) or
+    prefix.restriction_identity_plus with (a, f), for the first such a.
+    O(|projections| n)."""
+    ident = np.arange(len(mul))
+    for f in projections:
+        fa = mul[f, :]
+        bad = np.flatnonzero((mul[ident, star[fa]] != fa) & among)
+        if bad.size:
+            rep.add(f"{prefix}.restriction_identity_star", (f, int(bad[0])))
+            return
+        af = mul[:, f]
+        bad = np.flatnonzero((mul[plus[af], ident] != af) & among)
+        if bad.size:
+            rep.add(f"{prefix}.restriction_identity_plus", (int(bad[0]), f))
+            return
 
 
 PI_BLOCK = 32  # columns per block of the partial-isometry test
@@ -365,32 +401,19 @@ def validate_rqf(q: EhresmannQuantale) -> Report:
         return rep
     rep.subject = "rqf"
     rep.layers_run.append("rqf")
-    mul, star, plus = q.mul, q.star, q.plus
     pis = partial_isometries(q)
-    pi_set = set(pis)
-
-    for f in q.projections():
-        fa = mul[f, :]
-        bad = np.flatnonzero(mul[np.arange(q.n), star[fa]] != fa)
-        bad = [b for b in bad if b in pi_set]
-        if bad:
-            rep.add("rqf.restriction_identity_star", (f, int(bad[0])))
-            break
-        af = mul[:, f]
-        bad = np.flatnonzero(mul[plus[af], np.arange(q.n)] != af)
-        bad = [b for b in bad if b in pi_set]
-        if bad:
-            rep.add("rqf.restriction_identity_plus", (int(bad[0]), f))
-            break
+    is_pi = np.zeros(q.n, dtype=bool)
+    is_pi[pis] = True
+    restriction_scan(rep, "rqf", q.mul, q.star, q.plus, q.projections(), is_pi)
 
     top_join = q.join_fold(pis)
     if top_join != q.top:
         rep.add("rqf.etale_top_is_join_of_isometries", (q.top, top_join))
     for a in pis:
-        prods = mul[a, pis]
-        bad = [int(p) for p in prods if int(p) not in pi_set]
-        if bad:
-            b = pis[int(np.flatnonzero(prods == bad[0])[0])]
-            rep.add("rqf.isometries_closed_under_mul", (a, b, bad[0]))
+        prods = q.mul[a, pis]
+        bad = np.flatnonzero(~is_pi[prods])
+        if bad.size:
+            i = int(bad[0])
+            rep.add("rqf.isometries_closed_under_mul", (a, pis[i], int(prods[i])))
             break
     return rep

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -72,14 +72,6 @@ def open_rows(top: Topology) -> tuple[list[int], np.ndarray, Callable[[np.ndarra
     masks = sorted(top.opens)
     rows = bit_matrix(masks, top.n)
     return masks, rows, row_lookup(rows)
-
-
-def topology_from_base(n: int, base: Iterable[int]) -> Topology:
-    """Close a family of basic open masks under union; adds the empty set."""
-    opens = {0}
-    for b in set(base):  # opens = the unions of the basic sets seen so far
-        opens |= {o | b for o in opens}
-    return Topology(n, frozenset(opens))
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,20 +8,23 @@ algebra's elements that the tests search under, the maps the arrow-map
 search yields to the covering functor search, the subset walk that lists the
 local bisections one arrow subset at a time (the oracle of
 topcat.bisection_rows), the category of an Ehresmann quantale, the
-body of topcat.validate_covering_functor on NumPy arrays, and the small
-readings of a topology, a quantale and a lattice that only tests use."""
+body of topcat.validate_covering_functor on NumPy arrays, the union
+closure of a base (the oracle of the topology of C(Q)), the bodies of
+crm.validate_crm and quantale.validate_rqf before they shared their law
+scans, and the small readings of a topology, a quantale and a lattice that
+only tests use."""
 
 from functools import reduce
 from unittest import mock
 
 import numpy as np
 
-from framecat import duality
+from framecat import crm, duality
 from framecat.bits import has_bit, iter_bits, mask_of, row_masks
 from framecat.corpus import etale_categories
 from framecat.crm import make_crm
-from framecat.order import FiniteLattice
-from framecat.quantale import make_eq
+from framecat.order import FiniteLattice, FinitePoset, validate_poset
+from framecat.quantale import make_eq, partial_isometries, validate_ehresmann
 from framecat.reports import Report
 from framecat.topcat import (UNDEF, FiniteCategory, FiniteTopCategory, Topology,
                              continuity_check, make_category, validate_covering_functor)
@@ -177,6 +180,15 @@ def open_index(om) -> dict:
     return {mask: i for i, mask in enumerate(om.opens)}
 
 
+def topology_from_base(n: int, base) -> Topology:
+    """Close a family of basic open masks under union; adds the empty set.
+    The oracle of the topology of C(Q), which is its set of X-sets."""
+    opens = {0}
+    for b in set(base):  # opens = the unions of the basic sets seen so far
+        opens |= {o | b for o in opens}
+    return Topology(n, frozenset(opens))
+
+
 def is_open(top: Topology, mask: int) -> bool:
     """Whether the arrow set mask is open in top."""
     return top.opens is None or mask in top.opens
@@ -311,3 +323,193 @@ def validate_covering_functor_oracle(fmap, src: FiniteCategory, dst: FiniteCateg
             i, y = np.argwhere(missing)[0]
             rep.add(law, (int(ids[i]), int(y)))
     return rep
+
+
+def validate_crm_oracle(s) -> Report:
+    """The body crm.validate_crm had before it shared the associativity,
+    a.a* / a+.a / congruence, restriction-identity and meet scans of the
+    quantale and order validators."""
+    rep = Report(subject="crm")
+    rep.layers_run.append("crm")
+    n = s.n
+    prep = validate_poset(FinitePoset.from_leq(s.leq))
+    if not prep.ok:
+        rep.extend(prep)
+        return rep
+    arange = np.arange(n)
+
+    # monoid with zero
+    for a in range(n):
+        diff = s.mul[s.mul[a, :], :] != s.mul[a, s.mul]
+        if diff.any():
+            b, c = np.argwhere(diff)[0]
+            rep.add("crm.associativity", (a, int(b), int(c)))
+            break
+    if (s.mul[s.unit, :] != arange).any() or (s.mul[:, s.unit] != arange).any():
+        bad = np.flatnonzero(s.mul[s.unit, :] != arange)
+        w = int(bad[0]) if bad.size else int(np.flatnonzero(s.mul[:, s.unit] != arange)[0])
+        rep.add("crm.unit", (w,))
+    if not s.leq[s.zero, :].all():
+        rep.add("crm.zero_is_bottom", (s.zero,))
+    if (s.mul[s.zero, :] != s.zero).any() or (s.mul[:, s.zero] != s.zero).any():
+        rep.add("crm.zero_absorbs", (s.zero,))
+    if not rep.ok:
+        return rep
+
+    # Ehresmann structure with projections = unit-downset
+    projs = np.array(s.projections())
+    pm = s.mul[np.ix_(projs, projs)]
+    if (pm != pm.T).any():
+        i, j = np.argwhere(pm != pm.T)[0]
+        rep.add("crm.projections_commute", (int(projs[i]), int(projs[j])))
+    if (s.mul[projs, projs] != projs).any():
+        rep.add("crm.projections_idempotent",
+                (int(projs[np.flatnonzero(s.mul[projs, projs] != projs)[0]]),))
+    for name, m in (("star", s.star), ("plus", s.plus)):
+        if (~s.leq[m, s.unit]).any():
+            rep.add(f"crm.{name}_lands_in_projections",
+                    (int(np.flatnonzero(~s.leq[m, s.unit])[0]),))
+        if (m[projs] != projs).any():
+            rep.add(f"crm.{name}_fixes_projections",
+                    (int(projs[np.flatnonzero(m[projs] != projs)[0]]),))
+    if not rep.ok:
+        return rep
+    if (s.mul[arange, s.star] != arange).any():
+        rep.add("crm.a_mul_star", (int(np.flatnonzero(s.mul[arange, s.star] != arange)[0]),))
+    if (s.mul[s.plus, arange] != arange).any():
+        rep.add("crm.plus_mul_a", (int(np.flatnonzero(s.mul[s.plus, arange] != arange)[0]),))
+    diff = s.star[s.mul] != s.star[s.mul[s.star, :]]
+    if diff.any():
+        a, b = np.argwhere(diff)[0]
+        rep.add("crm.congruence_star", (int(a), int(b)))
+    diff = s.plus[s.mul] != s.plus[s.mul[:, s.plus]]
+    if diff.any():
+        a, b = np.argwhere(diff)[0]
+        rep.add("crm.congruence_plus", (int(a), int(b)))
+
+    # restriction identities, all elements
+    for f in s.projections():
+        fa = s.mul[f, :]
+        if (s.mul[arange, s.star[fa]] != fa).any():
+            a = int(np.flatnonzero(s.mul[arange, s.star[fa]] != fa)[0])
+            rep.add("crm.restriction_identity_star", (f, a))
+            break
+        af = s.mul[:, f]
+        if (s.mul[s.plus[af], arange] != af).any():
+            a = int(np.flatnonzero(s.mul[s.plus[af], arange] != af)[0])
+            rep.add("crm.restriction_identity_plus", (a, f))
+            break
+    if not rep.ok:
+        return rep
+
+    # the stored order is the algebraic one: a <= b iff a = a+.b = b.a*
+    alg = np.zeros((n, n), dtype=bool)
+    for a in range(n):
+        alg[a, :] = (s.mul[s.plus[a], :] == a) & (s.mul[:, s.star[a]] == a)
+    diff = alg != s.leq
+    if diff.any():
+        a, b = np.argwhere(diff)[0]
+        rep.add("crm.order_is_algebraic", (int(a), int(b)))
+        return rep
+
+    # multiplication is monotone (used by the ideal completion)
+    for c in range(n):
+        rows = s.mul[c, :]
+        bad = s.leq & ~s.leq[np.ix_(rows, rows)]
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
+            rep.add("crm.mul_monotone", (c, int(a), int(b)))
+            break
+        cols = s.mul[:, c]
+        bad = s.leq & ~s.leq[np.ix_(cols, cols)]
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
+            rep.add("crm.mul_monotone", (int(a), int(b), c))
+            break
+
+    # binary meets
+    for i in range(n):
+        m = s.meet[i, :]
+        bad = ~(s.leq[m, i] & s.leq[m, arange])
+        if bad.any():
+            j = int(np.flatnonzero(bad)[0])
+            rep.add("crm.meet_not_lower_bound", (i, j, int(m[j])))
+            break
+        common = s.leq[:, i][:, None] & s.leq
+        viol = common & ~s.leq[:, m]
+        if viol.any():
+            x, j = np.argwhere(viol)[0]
+            rep.add("crm.meet_not_greatest", (i, int(j), int(x)))
+            break
+    if not rep.ok:
+        return rep
+
+    # completeness, decided on compatible pairs (see the module docstring)
+    joins = crm._compatible_join_table(s)
+    xs, ys = np.nonzero(np.triu(crm._compatibility_matrix(s)))
+    missing = np.flatnonzero(joins[xs, ys] < 0)
+    if missing.size:
+        p = missing[0]
+        rep.add("crm.compatible_join_missing", (int(xs[p]), int(ys[p])))
+        return rep
+    js = joins[xs, ys]
+    first = None  # (pair, c, 0 left / 1 right) of the first failure
+    for c in range(n):
+        left = joins[s.mul[c, xs], s.mul[c, ys]] != s.mul[c, js]
+        right = joins[s.mul[xs, c], s.mul[ys, c]] != s.mul[js, c]
+        for side, bad in enumerate((left, right)):
+            hits = np.flatnonzero(bad)
+            if hits.size and (first is None or (hits[0], c, side) < first):
+                first = (int(hits[0]), c, side)
+    if first is not None:
+        p, c, side = first
+        x, y = int(xs[p]), int(ys[p])
+        rep.add("crm.mul_distributes_over_joins", (x, y, c) if side else (c, x, y))
+    return rep
+
+
+def validate_rqf_oracle(q) -> Report:
+    """The body quantale.validate_rqf had before it shared the
+    restriction-identity scan of crm.validate_crm, on the Ehresmann layer
+    (whose own scans the tests compare with their oracles)."""
+    rep = validate_ehresmann(q)
+    if not rep.ok:
+        return rep
+    rep.subject = "rqf"
+    rep.layers_run.append("rqf")
+    mul = q.mul
+    pis = partial_isometries(q)
+    pi_set = set(pis)
+    restriction_identities_oracle(rep, "rqf", mul, q.star, q.plus, q.projections(), pi_set)
+
+    top_join = q.join_fold(pis)
+    if top_join != q.top:
+        rep.add("rqf.etale_top_is_join_of_isometries", (q.top, top_join))
+    for a in pis:
+        prods = mul[a, pis]
+        bad = [int(p) for p in prods if int(p) not in pi_set]
+        if bad:
+            b = pis[int(np.flatnonzero(prods == bad[0])[0])]
+            rep.add("rqf.isometries_closed_under_mul", (a, b, bad[0]))
+            break
+    return rep
+
+
+def restriction_identities_oracle(rep, prefix, mul, star, plus, projections, among: set):
+    """The restriction-identity loop of the body validate_rqf had before
+    it shared quantale.restriction_scan, on the elements of among."""
+    n = len(mul)
+    for f in projections:
+        fa = mul[f, :]
+        bad = np.flatnonzero(mul[np.arange(n), star[fa]] != fa)
+        bad = [b for b in bad if b in among]
+        if bad:
+            rep.add(f"{prefix}.restriction_identity_star", (f, int(bad[0])))
+            break
+        af = mul[:, f]
+        bad = np.flatnonzero(mul[plus[af], np.arange(n)] != af)
+        bad = [b for b in bad if b in among]
+        if bad:
+            rep.add(f"{prefix}.restriction_identity_plus", (int(bad[0]), f))
+            break
+

@@ -1,6 +1,7 @@
 """The one bound contract of the builders of bounded objects: omega_object,
 bisection_monoid, c_object, s_filters and l_vee each take max_elements,
-default MAX_TABLE_SIDE, and count what they list against it on every call.
+default MAX_TABLE_SIDE, and count what they list against it on every call;
+both adjunction checks pass max_elements to them, with the same default.
 At bound = count the build passes; at count - 1 it is refused with a
 message that names max_elements, on a fresh object before any table is
 built (c_object alone counts once built), and on a cached one.  The
@@ -15,6 +16,7 @@ import pytest
 from framecat import crm, functors
 from framecat.corpus import corpus_crms, corpus_rqfs, etale_categories, monoid_category
 from framecat.crm import bisection_monoid, pi_restriction_monoid, verify_adjunction_II
+from framecat.duality import verify_adjunction_I
 from framecat.reports import MAX_TABLE_SIDE, BoundExceeded
 
 
@@ -76,6 +78,13 @@ def test_every_builder_refuses_one_past_its_count_on_fresh_and_cached_objects(
             build(fresh, count - 1)
     assert size(build(fresh)) == count  # the default, MAX_TABLE_SIDE, admits every corpus object
     assert build.__defaults__ == (MAX_TABLE_SIDE,)
+
+
+@pytest.mark.parametrize("check", [verify_adjunction_I, verify_adjunction_II])
+def test_adjunction_checks_default_to_the_builders_bound(check):
+    """Both adjunction checks pass max_elements on to the builders, with
+    their default: (max_arrows, max_elements) = (12, MAX_TABLE_SIDE)."""
+    assert check.__defaults__ == (12, MAX_TABLE_SIDE)
 
 
 def test_down_sets_stop_at_the_first_count_past_the_bound(monkeypatch):

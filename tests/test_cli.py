@@ -372,19 +372,6 @@ def test_table_side_above_limit_exits_3_before_allocating(tmp_path, capsys, kind
     assert "$.payload.n" in capsys.readouterr().err
 
 
-def test_failed_invariant_in_c_object_exits_4(fixture_dir, monkeypatch, capsys):
-    from framecat import functors
-    from framecat.topcat import Topology
-
-    def topology_missing_one_x_set(n, base):
-        # the opens of the base alone, not their unions: some X_a is not open
-        return Topology(n, frozenset(set(base) | {0}))
-    monkeypatch.setattr(functors, "topology_from_base", topology_missing_one_x_set)
-    code = main(["cpoints", str(fixture_dir / "omega-pair2.rqf.json")])
-    assert code == 4
-    assert capsys.readouterr().err.startswith("internal error: X_")
-
-
 def test_x_set_without_isometry_decomposition_exits_4(fixture_dir, monkeypatch, capsys):
     from framecat import functors
     # with the bottom as the only isometry, no nonzero X_a is a union of X_p

@@ -28,15 +28,17 @@ from framecat.duality import (enumerate_covering_functors, find_category_isomorp
                               verify_adjunction_I)
 from framecat.functors import FilterCategory, c_object, omega_object
 from framecat.order import lattice_from_leq
-from framecat.quantale import frame_as_quantale, make_eq, partial_isometries, validate_rqf
-from framecat.reports import MAX_TABLE_SIDE, BoundExceeded
+from framecat.quantale import (frame_as_quantale, make_eq, partial_isometries, restriction_scan,
+                               validate_rqf)
+from framecat.reports import MAX_TABLE_SIDE, BoundExceeded, Report
 from framecat.suite import (Instance, filter_category_correspondence,
                             ideals_of_isometries_roundtrip, isometries_of_ideals_roundtrip)
 from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, make_category,
-                             topology_from_base, validate_covering_functor)
+                             validate_covering_functor)
 from map_oracles import (FilterMasks, assert_transposes_match_oracles, ideal_masks, open_index,
                          map_outcome, one_value_perturbations, relabel, relabel_crm,
-                         reversed_labels, small_corpus_categories)
+                         reversed_labels, small_corpus_categories, topology_from_base,
+                         restriction_identities_oracle, validate_crm_oracle)
 from random_categories import small_categories
 
 
@@ -113,6 +115,68 @@ def test_missing_compatible_join_detected():
     assert wit == (2, 3)
     assert crm_compatible(inst.obj, *wit)
     assert crm_lub(inst.obj, wit) is None
+
+
+# ---------------------------------------------------------------------------
+# every law of validate_crm against its body before it shared the scans of
+# the quantale and order validators (map_oracles.validate_crm_oracle): the
+# same report on every one-cell mutation of the small corpus monoids
+
+def one_cell_crm_mutations(s):
+    """s with one cell changed: an entry of leq flipped, or one value of
+    mul, star, plus or meet moved to each other element."""
+    tables = {"leq": s.leq, "mul": s.mul, "star": s.star, "plus": s.plus, "meet": s.meet}
+    for name, table in tables.items():
+        for cell in np.ndindex(table.shape):
+            values = [not table[cell]] if name == "leq" else \
+                [v for v in range(s.n) if v != table[cell]]
+            for v in values:
+                changed = dict(tables)
+                changed[name] = np.array(table)
+                changed[name][cell] = v
+                yield make_crm(s.n, changed["leq"], changed["mul"], s.unit, s.zero,
+                               changed["star"], changed["plus"], changed["meet"])
+
+
+SHARED_SCAN_LAWS = {f"crm.{law}" for law in (
+    "associativity", "a_mul_star", "plus_mul_a", "congruence_star", "congruence_plus",
+    "restriction_identity_star", "restriction_identity_plus", "meet_not_lower_bound",
+    "meet_not_greatest")}
+
+
+def test_crm_reports_match_oracle_on_one_cell_mutations():
+    """The 1324 mutations of the corpus monoids of at most 16 elements and
+    of crm-missing-join, which between them break every law of the shared
+    scans."""
+    monoids = [i.obj for i in corpus_crms() if i.obj.n <= 16] + [negative_crm_fixture().obj]
+    laws = set()
+    for s in monoids:
+        assert validate_crm(s) == validate_crm_oracle(s)
+        for bad in one_cell_crm_mutations(s):
+            rep = validate_crm(bad)
+            assert rep == validate_crm_oracle(bad)
+            laws.update(rep.laws())
+    assert SHARED_SCAN_LAWS <= laws, sorted(SHARED_SCAN_LAWS - laws)
+
+
+def test_restriction_scan_matches_oracle_on_subsets_of_elements():
+    """quantale.restriction_scan reads the identities on the elements of
+    its mask alone, as validate_rqf's loop read them on the partial
+    isometries: on the one-cell mutations of the small corpus monoids,
+    under every element, the even elements, the odd ones and none."""
+    monoids = [i.obj for i in corpus_crms() if i.obj.n <= 16]
+    broken = 0
+    for bad in (m for s in monoids for m in one_cell_crm_mutations(s)):
+        mul, star, plus = bad.mul, bad.star, bad.plus
+        for among in (np.ones(bad.n, dtype=bool), np.arange(bad.n) % 2 == 0,
+                      np.arange(bad.n) % 2 == 1, np.zeros(bad.n, dtype=bool)):
+            got, want = Report(subject="x"), Report(subject="x")
+            restriction_scan(got, "x", mul, star, plus, bad.projections(), among)
+            restriction_identities_oracle(want, "x", mul, star, plus, bad.projections(),
+                                          set(np.flatnonzero(among).tolist()))
+            assert got == want
+            broken += not got.ok
+    assert broken
 
 
 # ---------------------------------------------------------------------------

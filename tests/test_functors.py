@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framecat.bits import (full_mask, has_bit, iter_bits, mask_of, pack_words, row_masks,
-                           word_lookup)
+from framecat.bits import full_mask, has_bit, iter_bits, mask_of, pack_words, word_lookup
 from framecat.corpus import (chain_frame, corpus_crms, corpus_rqfs, empty_category,
                              etale_categories, indiscrete_pair_groupoid, monoid_category,
                              parity_pair_groupoid)
@@ -19,13 +18,13 @@ from framecat.order import (CPFilter, cp_filter_generators, enumerate_cp_filters
 from framecat.quantale import (frame_as_quantale, partial_isometries,
                                validate_rqf)
 from framecat.reports import BoundExceeded
-from framecat.topcat import (UNDEF, FiniteTopCategory, Topology,
-                             is_etale, make_category, open_rows, topology_from_base,
-                             validate_category, validate_covering_functor,
+from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, is_etale, make_category,
+                             open_rows, validate_category, validate_covering_functor,
                              validate_topcategory)
 from map_oracles import (FilterMasks, build_omega_map_oracle, is_local_bisection, is_open,
                          map_outcome, meet_fold, one_value_perturbations, open_index,
-                         projection_mask, relabel_rqf, reversed_labels, small_corpus_categories)
+                         projection_mask, relabel_rqf, reversed_labels, small_corpus_categories,
+                         topology_from_base)
 from random_categories import small_categories
 
 
@@ -804,12 +803,10 @@ def test_c_morphism_matches_oracle_on_random_categories(tc):
 
 
 # ---------------------------------------------------------------------------
-# the invariants _filter_category checks on the X-sets, against the loop it
-# had before it looked up all X-sets among the opens at once: the first a
-# whose X-set disagrees with its isometry decomposition or is not open, the
-# disagreement named first at one a; on valid input, with the topology of
-# the base alone (so that some X-set is not open), and with half of the
-# isometries (so that some X-set disagrees), and with both
+# the invariant _filter_category checks on the X-sets, against the loop it
+# had before it compared all X-sets at once: the first a whose X-set
+# disagrees with its isometry decomposition; on valid input, and with half
+# of the isometries (so that some X-set disagrees)
 
 def filter_category_invariants_by_loop(q, fc, pis):
     """The text of the first InternalError of the per-a loop, or None."""
@@ -821,13 +818,7 @@ def filter_category_invariants_by_loop(q, fc, pis):
     for a in range(q.n):
         if via_pis[a] != x_masks[a]:
             return f"X_{a} disagrees with its isometry decomposition"
-        if not is_open(fc.topcat.topology, x_masks[a]):
-            return f"X_{a} is not open"
     return None
-
-
-def base_only(n, base):
-    return Topology(n, frozenset(set(base) | {0}))
 
 
 def assert_filter_category_invariants_match_loop(q):
@@ -836,21 +827,17 @@ def assert_filter_category_invariants_match_loop(q):
     from framecat.order import cp_filter_generators
     from framecat.reports import InternalError
     pis = partial_isometries(q)
-    for topology, isometries in ((topology_from_base, pis), (base_only, pis),
-                                 (topology_from_base, pis[:len(pis) // 2]),
-                                 (base_only, pis[:len(pis) // 2])):
-        with mock.patch.object(functors, "topology_from_base", topology), \
-                mock.patch.object(functors, "partial_isometries", lambda q: isometries):
-            gens = cp_filter_generators(q)
-            x_sets = row_masks(q.leq[np.ix_(gens, isometries)].T)
-            fc = filter_category(q, gens, "completely prime filter", topology(len(gens), x_sets))
+    gens = cp_filter_generators(q)
+    fc = filter_category(q, gens, "completely prime filter", Topology(len(gens), None))
+    for isometries in (pis, pis[:len(pis) // 2]):
+        with mock.patch.object(functors, "partial_isometries", lambda q: isometries):
             try:
                 functors._filter_category(q)
                 got = None
             except InternalError as e:
                 got = str(e)
         assert got == filter_category_invariants_by_loop(q, fc, isometries)
-        if isometries is pis and topology is topology_from_base:
+        if isometries is pis:
             assert got is None
 
 

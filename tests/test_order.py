@@ -676,6 +676,31 @@ def test_order_layers_match_oracles_on_mutated_tables(lat):
         assert_order_layers_match_oracles(bad)
 
 
+def one_cell_lattice_mutations(lat: FiniteLattice):
+    """lat with one entry of leq flipped, or one value of meet or join
+    moved to the next element."""
+    for cell in np.ndindex(lat.leq.shape):
+        leq = np.array(lat.leq)
+        leq[cell] = not leq[cell]
+        yield FiniteLattice(lat.n, leq, lat.meet, lat.join, lat.bottom, lat.top)
+    for name in ("meet", "join"):
+        for cell in np.ndindex(lat.meet.shape):
+            tables = {"meet": lat.meet, "join": lat.join}
+            tables[name] = np.array(tables[name])
+            tables[name][cell] = (tables[name][cell] + 1) % lat.n
+            yield FiniteLattice(lat.n, lat.leq, tables["meet"], tables["join"], lat.bottom,
+                                lat.top)
+
+
+@pytest.mark.parametrize("lat", [p for p in _corpus_lattices() if p.values[0].n <= 16])
+def test_lattice_layer_matches_oracle_on_one_cell_mutations(lat):
+    """Every one-cell mutation of the small corpus lattices, including the
+    meet table that validate_lattice scans with order.meet_scan, shared
+    with crm.validate_crm."""
+    for bad in (lat, *one_cell_lattice_mutations(lat)):
+        assert validate_lattice(bad) == validate_lattice_oracle(bad)
+
+
 # ---------------------------------------------------------------------------
 # the filter oracle and the lattice fast test against the element-by-element
 # bodies they had before they tested whole arrays: same CPFilter list, same

@@ -18,7 +18,7 @@ from framecat.quantale import (EhresmannQuantale, FiniteQuantale, _ehresmann_law
                                pi_is_order_ideal, validate_ehresmann,
                                validate_quantale, validate_rqf)
 from framecat.reports import Report
-from map_oracles import cat_of_ehresmann
+from map_oracles import cat_of_ehresmann, validate_rqf_oracle
 from random_categories import small_categories
 from framecat.topcat import validate_category, validate_topcategory
 
@@ -486,3 +486,29 @@ def test_ehresmann_layer_matches_oracle_on_random_star_and_plus(tc, data):
             star[a] = data.draw(st.sampled_from([p for p in projs if q.mul[a, p] == a]))
             plus[a] = data.draw(st.sampled_from([p for p in projs if q.mul[p, a] == a]))
     assert_ehresmann_layer_matches_oracle(make_eq(q, q.mul, q.unit, star, plus))
+
+
+# ---------------------------------------------------------------------------
+# the quantale, Ehresmann and rqf layers against their bodies before they
+# shared their associativity, a.a* / a+.a / congruence and
+# restriction-identity scans with crm.validate_crm: the same reports on
+# every one-cell mutation of the small corpus quantales
+
+def one_cell_eq_mutations(q):
+    """q with one value of mul, star or plus moved to the next element."""
+    tables = {"mul": q.mul, "star": q.star, "plus": q.plus}
+    for name, table in tables.items():
+        for cell in np.ndindex(table.shape):
+            changed = dict(tables)
+            changed[name] = np.array(table)
+            changed[name][cell] = (table[cell] + 1) % q.n
+            yield make_eq(q, changed["mul"], q.unit, changed["star"], changed["plus"])
+
+
+@pytest.mark.parametrize("q", [p for p in _corpus_quantales() if p.values[0].n <= 16])
+def test_layers_match_oracles_on_one_cell_mutations(q):
+    for bad in (q, *one_cell_eq_mutations(q)):
+        assert validate_quantale(bad) == validate_quantale_oracle(bad)
+        assert validate_ehresmann(bad) == validate_ehresmann_oracle(bad)
+        assert validate_rqf(bad) == validate_rqf_oracle(bad)
+

@@ -14,14 +14,15 @@ from framecat.functors import c_object
 from framecat.quantale import frame_as_quantale
 from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, bisection_rows,
                              continuity_check, is_etale, make_category, open_rows,
-                             topology_from_base, validate_category,
+                             validate_category,
                              validate_covering_functor, validate_topcategory,
                              validate_topology)
 from framecat.reports import Report
 from map_oracles import (composable_pairs, is_local_bisection, is_open, iter_opens,
                          local_bisections,
                          one_value_perturbations, relabel, searched_arrow_maps,
-                         small_corpus_categories, validate_covering_functor_oracle)
+                         small_corpus_categories, topology_from_base,
+                         validate_covering_functor_oracle)
 from random_categories import small_categories
 
 
