@@ -274,7 +274,7 @@ PI_OF_RQFS = ("omega-pair1", "omega-pair2", "omega-pair3", "omega-semilattice-mo
               "qframe-chain3")
 
 
-def omega_images(max_elements: int = 1024) -> list[tuple[str, CorpusInstance]]:
+def omega_images(max_elements: int = MAX_TABLE_SIDE) -> list[tuple[str, CorpusInstance]]:
     """The corpus rqf names omega-<name> of the etale categories with at most
     `max_elements` opens, each with its category."""
     return [(f"omega-{inst.name}", inst) for inst in etale_categories()
@@ -288,7 +288,7 @@ def quantale_frames() -> list[CorpusInstance]:
             for name in ("chain3", "chain64", "bool2", "bool6", "prod-3x3")]
 
 
-def corpus_rqfs(max_elements: int = 1024) -> list[CorpusInstance]:
+def corpus_rqfs(max_elements: int = MAX_TABLE_SIDE) -> list[CorpusInstance]:
     """Omega images of the etale categories plus frames as quantales."""
     out = [CorpusInstance(name, "rqf", omega_object(inst.obj, max_elements=max_elements).rqf)
            for name, inst in omega_images(max_elements)]
@@ -305,9 +305,11 @@ def hand_built_crms() -> list[CorpusInstance]:
     ]
 
 
-def corpus_crms() -> list[CorpusInstance]:
+def corpus_crms(max_elements: int = MAX_TABLE_SIDE) -> list[CorpusInstance]:
+    """The hand-built monoids and PI(Q) of the corpus rqfs named in
+    PI_OF_RQFS, each Q built under `max_elements` as in corpus_rqfs."""
     out = hand_built_crms()
-    for inst in corpus_rqfs():
+    for inst in corpus_rqfs(max_elements):
         if inst.name in PI_OF_RQFS:
             s, _ = pi_restriction_monoid(inst.obj)
             out.append(CorpusInstance(f"pi-{inst.name}", "crm", s))
@@ -408,10 +410,11 @@ def negative_fixtures() -> list[CorpusInstance]:
     return out
 
 
-def generate_corpus(max_elements: int = 1024):
+def generate_corpus(max_elements: int = MAX_TABLE_SIDE):
     """The whole corpus as workbench documents: categories with their
     quantale images, frames, monoids, and the perturbed negative fixtures
-    (those carry the violated law in their expected block)."""
+    (those carry the violated law in their expected block).  An Omega image
+    with more than max_elements opens is left out, and so is its PI."""
     if max_elements > MAX_TABLE_SIDE:
         raise BoundExceeded(f"max_elements {max_elements} exceeds hard limit {MAX_TABLE_SIDE}")
     docs = []
@@ -421,7 +424,7 @@ def generate_corpus(max_elements: int = 1024):
         docs.append(WorkbenchDocument("frame", inst.name, inst.obj))
     for inst in corpus_rqfs(max_elements=max_elements):
         docs.append(WorkbenchDocument("rqf", inst.name, inst.obj))
-    for inst in corpus_crms():
+    for inst in corpus_crms(max_elements):
         docs.append(WorkbenchDocument("crm", inst.name, inst.obj))
     for inst in negative_fixtures() + [negative_crm_fixture()]:
         docs.append(WorkbenchDocument(inst.kind, inst.name, inst.obj,

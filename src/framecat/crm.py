@@ -47,10 +47,11 @@ them and fix them, a.a* = a = a+.a, and star and plus are congruences; the
 restriction identities f.a = a.(f.a)* and a.f = (a.f)+.a for projections f;
 the order is the algebraic one, a <= b iff a = a+.b = b.a*; multiplication
 is monotone and the meet table gives binary meets.  Each costs O(n^3).
-The associativity, a.a* / a+.a / congruence, restriction-identity and
-meet scans are those of the quantale and order validators
-(quantale.associativity_scan, star_plus_scan and restriction_scan, over
-every element, and order.meet_scan), under the prefix crm.
+The associativity, a.a* / a+.a / congruence and meet scans are those of
+the quantale and order validators (quantale.associativity_scan and
+star_plus_scan, and order.meet_scan), under the prefix crm.  The
+restriction identities, which validate_rqf need not test (see quantale),
+are scanned here alone (restriction_scan).
 
 Completeness (every compatible set has a join, and multiplication
 distributes over it; a ~ b iff a.b* = b.a* and b+.a = a+.b) is decided on
@@ -79,7 +80,7 @@ non-commutative frame theory*, Adv. Math. 311, 2017.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -90,8 +91,8 @@ from .functors import (FilterCategory, _require_open, arrow_set_tables, c_object
                        family_tables, filter_category, require_etale)
 from .order import FiniteLattice, FinitePoset, _freeze, cached, meet_scan, validate_poset
 from .quantale import (EhresmannQuantale, associativity_scan, make_eq, partial_isometries,
-                       restriction_scan, star_plus_scan)
-from .reports import MAX_TABLE_SIDE, BoundExceeded, InternalError, Report, require_at_most
+                       star_plus_scan)
+from .reports import MAX_ARROWS, MAX_TABLE_SIDE, InternalError, Report, require_at_most
 from .topcat import FiniteTopCategory, Topology, bisection_rows
 
 
@@ -125,20 +126,6 @@ def make_crm(n, leq, mul, unit, zero, star, plus, meet) -> CompleteRestrictionMo
 def crm_compatible(s: CompleteRestrictionMonoid, a: int, b: int) -> bool:
     return bool(s.mul[a, s.star[b]] == s.mul[b, s.star[a]]
                 and s.mul[s.plus[b], a] == s.mul[s.plus[a], b])
-
-
-def crm_lub(s: CompleteRestrictionMonoid, elements: Iterable[int]) -> Optional[int]:
-    """Least upper bound in the stored order, or None if it does not exist."""
-    uppers = np.ones(s.n, dtype=bool)
-    for x in elements:
-        uppers &= s.leq[x, :]
-    idx = np.flatnonzero(uppers)
-    if idx.size == 0:
-        return None
-    for u in idx:
-        if s.leq[u, idx].all():
-            return int(u)
-    return None
 
 
 def validate_crm(s: CompleteRestrictionMonoid) -> Report:
@@ -183,7 +170,7 @@ def validate_crm(s: CompleteRestrictionMonoid) -> Report:
     if not rep.ok:
         return rep
     star_plus_scan(rep, "crm", s.mul, s.star, s.plus)
-    restriction_scan(rep, "crm", s.mul, s.star, s.plus, s.projections(), np.ones(n, dtype=bool))
+    restriction_scan(rep, s)
     if not rep.ok:
         return rep
 
@@ -240,6 +227,27 @@ def validate_crm(s: CompleteRestrictionMonoid) -> Report:
     return rep
 
 
+def restriction_scan(rep: Report, s: CompleteRestrictionMonoid) -> None:
+    """The law-by-law scan of the restriction identities f.a = a.(f.a)* and
+    a.f = (a.f)+.a for the projections f and every element a.  At the
+    first f that breaks one, star first: crm.restriction_identity_star with
+    (f, a) or crm.restriction_identity_plus with (a, f), for the first such
+    a.  O(|projections| n)."""
+    mul, star, plus = s.mul, s.star, s.plus
+    ident = np.arange(s.n)
+    for f in s.projections():
+        fa = mul[f, :]
+        bad = np.flatnonzero(mul[ident, star[fa]] != fa)
+        if bad.size:
+            rep.add("crm.restriction_identity_star", (f, int(bad[0])))
+            return
+        af = mul[:, f]
+        bad = np.flatnonzero(mul[plus[af], ident] != af)
+        if bad.size:
+            rep.add("crm.restriction_identity_plus", (int(bad[0]), f))
+            return
+
+
 # ---------------------------------------------------------------------------
 # PI(Q) as a complete restriction monoid
 
@@ -282,10 +290,10 @@ JOIN_BLOCK_CELLS = 1 << 22  # cells of the largest temporary of _partial_join_ta
 def _partial_join_table(s: CompleteRestrictionMonoid) -> np.ndarray:
     """join_table[a, b] = the least upper bound of a and b in the stored
     order, or -1 where it does not exist; the table is symmetric.  As in
-    crm_lub, that is the first common upper bound u with u <= v for every
-    common upper bound v, for any relation leq.  Built once per monoid
-    (`order.cached`), read-only; bisection_monoid puts in the union table
-    it builds.
+    crm_lub, the tests' oracle (tests/map_oracles.py), that is the first
+    common upper bound u with u <= v for every common upper bound v, for
+    any relation leq.  Built once per monoid (`order.cached`), read-only;
+    bisection_monoid puts in the union table it builds.
 
     u = a v b exactly when u is a common upper bound of a and b and as many
     common upper bounds lie above u as there are in all.  When leq is
@@ -455,9 +463,10 @@ def validate_crm_morphism(theta, s: CompleteRestrictionMonoid,
 def is_proper(theta, s: CompleteRestrictionMonoid,
               t: CompleteRestrictionMonoid) -> tuple[bool, Optional[tuple[int]]]:
     """Every element of the target is a join of elements below image
-    elements: for each x, crm_lub of the elements below x and below some
-    image (of the zero when there are none) is x; the witness is the first
-    x that fails.
+    elements: for each x, the least upper bound of the elements below x
+    and below some image (of the zero when there are none) is x; the
+    witness is the first x that fails.  crm_lub, the tests' oracle
+    (tests/map_oracles.py), reads it element by element.
 
     For all x at once, with G[x, g] for the generators g of x: the upper
     bounds of G[x] are the u with no g in G[x] outside down(u), and the
@@ -610,23 +619,23 @@ def enumerate_callitic_morphisms(s: CompleteRestrictionMonoid,
 
 
 def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,
-                         max_arrows: int = 12, max_elements: int = MAX_TABLE_SIDE):
+                         max_arrows: int = MAX_ARROWS, max_elements: int = MAX_TABLE_SIDE):
     """Hom-set bijection between continuous covering functors C -> C(S) and
     callitic morphisms S -> PI(Omega(C)), with the transposes inherited from
     the first adjunction through the monoid/quantal-frame translation:
     T(alpha)(s) = {c : s in alpha(c)} and B(theta)(c) = {s : c in theta(s)}
     (duality.transposes), checked by duality.check_transposes.  PI(Omega(C)) is
     read off C as its open local bisections (bisection_monoid, cached on C),
-    so Omega(C) is never built.  More than max_arrows join-primes, the
-    arrows of C(S), are refused first; then C(S) has at most 1 << max_arrows
-    opens, its bound.  max_elements bounds the bisections, the search's
-    target, before their tables are built (34 at pair3, against 512
-    opens), and then the elements of S.
+    so Omega(C) is never built.  More than max_arrows arrows of C, then
+    more than max_arrows join-primes, the arrows of C(S), are refused
+    before anything is built; then C(S) has at most 1 << max_arrows opens,
+    its bound.  max_elements bounds the bisections, the search's target,
+    before their tables are built (34 at pair3, against 512 opens), and
+    then the elements of S.
     """
     rep = AdjunctionReport()
-    arrows = len(join_primes(s))
-    if arrows > max_arrows:
-        raise BoundExceeded(f"C(S) has {arrows} arrows > {max_arrows}")
+    require_at_most(tc.n, max_arrows, "C has {} arrows", name="max_arrows")
+    require_at_most(len(join_primes(s)), max_arrows, "C(S) has {} arrows", name="max_arrows")
     sf = s_filters(s, 1 << max_arrows)
     bis = bisection_monoid(tc, max_elements)
     rep.functor_homset = enumerate_covering_functors(tc, sf.topcat, max_arrows)

@@ -61,8 +61,7 @@ from .functors import (FilterCategory, OmegaResult, c_morphism, c_object, omega_
                        omega_object)
 from .order import _freeze, cached, join_irreducibles
 from .quantale import EhresmannQuantale, partial_isometries
-from .reports import (MAX_ARROWS, MAX_TABLE_SIDE, BoundExceeded, InternalError, Report,
-                      require_at_most)
+from .reports import MAX_ARROWS, MAX_TABLE_SIDE, InternalError, Report, require_at_most
 from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
                      continuity_check, validate_covering_functor)
 
@@ -381,15 +380,17 @@ def _rows(table: np.ndarray) -> tuple:
 
 
 def enumerate_covering_functors(src: FiniteTopCategory, dst: FiniteTopCategory,
-                                max_arrows: int = 12) -> list[np.ndarray]:
-    """All continuous covering functors src -> dst: the maps of arrow_maps,
-    identities placed first and sent to identities, that pass
-    validate_covering_functor (for surjectivity) and continuity_check.  The
-    order and the arrow laws of src for it are cached on src, and the
-    composition rows of dst on dst (`order.cached`)."""
+                                max_arrows: int = MAX_ARROWS) -> list[np.ndarray]:
+    """All continuous covering functors src = C -> dst = D: the maps of
+    arrow_maps, identities placed first and sent to identities, that pass
+    validate_covering_functor (for surjectivity) and continuity_check.  More
+    than max_arrows arrows in C, then in D, are refused
+    (`reports.require_at_most`).  The order and the arrow laws of src for it
+    are cached on src, and the composition rows of dst on dst
+    (`order.cached`)."""
     cs, cd = src.cat, dst.cat
-    if cs.n > max_arrows or cd.n > max_arrows:
-        raise BoundExceeded(f"hom-set enumeration bounded to {max_arrows} arrows")
+    require_at_most(cs.n, max_arrows, "C has {} arrows", name="max_arrows")
+    require_at_most(cd.n, max_arrows, "D has {} arrows", name="max_arrows")
     order, laws = cached(src, "arrow_laws", lambda: _covering_laws(cs))
     t_comp = cached(dst, "comp_rows", lambda: _rows(cd.comp))
     dst_ids, every = cd.identities(), list(range(cd.n))
@@ -618,22 +619,24 @@ class AdjunctionReport:
         return len(self.functor_homset), len(self.morphism_homset)
 
 
-def verify_adjunction_I(tc: FiniteTopCategory, q: EhresmannQuantale, max_arrows: int = 12,
+def verify_adjunction_I(tc: FiniteTopCategory, q: EhresmannQuantale,
+                        max_arrows: int = MAX_ARROWS,
                         max_elements: int = MAX_TABLE_SIDE) -> AdjunctionReport:
     """Enumerate all continuous covering functors C -> C(Q) and all RQF
     morphisms Q -> Omega(C), and verify the two transposes are mutually
-    inverse bijections between the hom-sets.  max_elements bounds Omega(C),
-    the target of the morphism search, before it is built; then the
-    elements of Q, before C(Q), which has no more opens, is built under it.
-    Omega(C) is cached on C (functors.omega_object) and C(Q) on Q
-    (functors.c_object), so a check against a category or an algebra seen
-    before builds neither again."""
+    inverse bijections between the hom-sets.  More than max_arrows arrows
+    of C are refused before anything is built.  max_elements then bounds
+    Omega(C), the target of the morphism search, before it is built; then
+    the elements of Q, before C(Q), which has no more opens, is built under
+    it; then max_arrows bounds the arrows of C(Q).  Omega(C) is cached on C
+    (functors.omega_object) and C(Q) on Q (functors.c_object), so a check
+    against a category or an algebra seen before builds neither again."""
     rep = AdjunctionReport()
+    require_at_most(tc.n, max_arrows, "C has {} arrows", name="max_arrows")
     om = omega_object(tc, max_elements)
     require_at_most(q.n, max_elements, "Q has {} elements")
     fc = c_object(q, max_elements)
-    if fc.n > max_arrows:
-        raise BoundExceeded(f"C(Q) has {fc.n} arrows > {max_arrows}")
+    require_at_most(fc.n, max_arrows, "C(Q) has {} arrows", name="max_arrows")
     rep.functor_homset = enumerate_covering_functors(tc, fc.topcat, max_arrows)
     rep.morphism_homset = enumerate_rqf_morphisms(q, om.rqf, max_elements)
     check_transposes(rep, *transposes(fc, om))
@@ -721,11 +724,11 @@ def find_category_isomorphism(c1: FiniteCategory, c2: FiniteCategory,
                               max_arrows: int = MAX_ARROWS) -> Optional[np.ndarray]:
     """The first isomorphism c1 -> c2 in lexicographic order, or None: the
     arrows placed in index order, each over the arrows of c2 with its
-    fingerprint, which an isomorphism keeps."""
+    fingerprint, which an isomorphism keeps.  More than max_arrows arrows
+    are refused (`reports.require_at_most`)."""
     if c1.n != c2.n:
         return None
-    if c1.n > max_arrows:
-        raise BoundExceeded(f"isomorphism search bounded to {max_arrows} arrows")
+    require_at_most(c1.n, max_arrows, "C has {} arrows", name="max_arrows")
 
     def fingerprint(c: FiniteCategory, a: int) -> tuple:
         return (c.is_identity(a), int((c.d == c.d[a]).sum()), int((c.r == c.r[a]).sum()),

@@ -11,9 +11,11 @@ validate_lattice and validate_poset.
 A restriction quantal frame is an Ehresmann quantal frame that is etale
 (the top element is a join of partial isometries) and whose partial
 isometries are closed under multiplication.  The restriction identities
-f.a = a.(f.a)* and a.f = (a.f)+.a hold automatically for every partial
-isometry a; `validate_rqf` checks them there, which is exactly the content
-of "the partial isometries form a restriction monoid".
+f.a = a.(f.a)* and a.f = (a.f)+.a hold for every partial isometry a and
+projection f once the Ehresmann layer has passed, so `validate_rqf` has no
+test of them: f <= e gives f.a <= a and a.f <= a, and every b <= a
+satisfies b = a.b* = b+.a.  So the partial isometries form a restriction
+monoid.
 
 How the quantale and Ehresmann layers are decided (after the frame layer,
 see `order`).  Each runs one exact test of its whole layer first, and only
@@ -38,10 +40,10 @@ the bottom and splits at every split joins over G(x).
   x* = rest* \\/ j* at every split, and the same for plus, which say that
   star and plus preserve joins; then, by distributivity, the congruences
   (ab)* = (a*b)* and (ab)+ = (ab+)+ on J x J.  The scan is O(n^2).
-The rqf layer is O(n^2).  The law-by-law scans of associativity, of
-a.a* = a, a+.a = a and the congruences, and of the restriction identities
-are public (associativity_scan, star_plus_scan, restriction_scan): each
-takes the prefix of the laws it names, and crm.validate_crm runs them too.
+The rqf layer is O(n^2).  The law-by-law scans of associativity and of
+a.a* = a, a+.a = a and the congruences are public (associativity_scan,
+star_plus_scan): each takes the prefix of the laws it names, and
+crm.validate_crm runs them too.
 """
 
 from __future__ import annotations
@@ -308,29 +310,6 @@ def star_plus_scan(rep: Report, prefix: str, mul: np.ndarray, star: np.ndarray,
         rep.add(f"{prefix}.congruence_plus", (int(a), int(b)))
 
 
-def restriction_scan(rep: Report, prefix: str, mul: np.ndarray, star: np.ndarray,
-                     plus: np.ndarray, projections: list[int], among: np.ndarray) -> None:
-    """The law-by-law scan of the restriction identities f.a = a.(f.a)* and
-    a.f = (a.f)+.a for the projections f and the elements a with among[a],
-    for validate_rqf (among: the partial isometries) and crm.validate_crm
-    (every element).  At the first f that breaks one, star first:
-    prefix.restriction_identity_star with (f, a) or
-    prefix.restriction_identity_plus with (a, f), for the first such a.
-    O(|projections| n)."""
-    ident = np.arange(len(mul))
-    for f in projections:
-        fa = mul[f, :]
-        bad = np.flatnonzero((mul[ident, star[fa]] != fa) & among)
-        if bad.size:
-            rep.add(f"{prefix}.restriction_identity_star", (f, int(bad[0])))
-            return
-        af = mul[:, f]
-        bad = np.flatnonzero((mul[plus[af], ident] != af) & among)
-        if bad.size:
-            rep.add(f"{prefix}.restriction_identity_plus", (int(bad[0]), f))
-            return
-
-
 PI_BLOCK = 32  # columns per block of the partial-isometry test
 
 
@@ -394,8 +373,10 @@ def every_element_is_join_of_pi(q: EhresmannQuantale) -> tuple[bool, Optional[tu
 
 
 def validate_rqf(q: EhresmannQuantale) -> Report:
-    """Layered composite: poset, lattice, frame, quantale, Ehresmann,
-    restriction identities on partial isometries, etale, PI closed under mul."""
+    """Layered composite: poset, lattice, frame, quantale, Ehresmann, then
+    etale and PI closed under mul (the restriction identities on the
+    partial isometries follow from the Ehresmann layer; see the module
+    docstring)."""
     rep = validate_ehresmann(q)
     if not rep.ok:
         return rep
@@ -404,8 +385,6 @@ def validate_rqf(q: EhresmannQuantale) -> Report:
     pis = partial_isometries(q)
     is_pi = np.zeros(q.n, dtype=bool)
     is_pi[pis] = True
-    restriction_scan(rep, "rqf", q.mul, q.star, q.plus, q.projections(), is_pi)
-
     top_join = q.join_fold(pis)
     if top_join != q.top:
         rep.add("rqf.etale_top_is_join_of_isometries", (q.top, top_join))

@@ -31,16 +31,18 @@ class InternalError(Exception):
 # default max_elements of every builder, which --max-elements cannot pass
 MAX_TABLE_SIDE = 4096
 # hard limit on the arrows a hom-set or isomorphism search maps, which
-# --max-arrows cannot pass: adjunction II lists up to 2^max_arrows S-filter opens
+# --max-arrows cannot pass: adjunction II lists up to 2^max_arrows S-filter
+# opens; also the default max_arrows of every search and adjunction check
 MAX_ARROWS = 16
 
 
-def require_at_most(count: int, max_elements: int, what: str) -> None:
-    """The refusal of every builder past its max_elements: `what` names the
-    object and what is counted, with the count at {} ("at least" while a
-    listing grows), and the message ends "> max_elements=<bound>"."""
-    if count > max_elements:
-        raise BoundExceeded(f"{what.format(count)} > max_elements={max_elements}")
+def require_at_most(count: int, bound: int, what: str, name: str = "max_elements") -> None:
+    """The one refusal past a bound: of every builder past its max_elements
+    and of every arrow search past its max_arrows.  `what` names the object
+    and what is counted, with the count at {} ("at least" while a listing
+    grows), and the message ends "> <name>=<bound>"."""
+    if count > bound:
+        raise BoundExceeded(f"{what.format(count)} > {name}={bound}")
 
 
 @dataclass(frozen=True)
@@ -75,13 +77,6 @@ class Report:
 
     def laws(self) -> list[str]:
         return [v.law for v in self.violations]
-
-    def summary(self) -> str:
-        if self.ok:
-            return f"{self.subject}: ok"
-        lines = [f"{self.subject}: {len(self.violations)} violation(s)"]
-        lines += [f"  {v}" for v in self.violations]
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from .order import (BRUTEFORCE_MAX_ELEMENTS, cp_filters_bruteforce,
 from .quantale import (EhresmannQuantale, compatibility_lemma_check,
                        every_element_is_join_of_pi, partial_isometries,
                        pi_is_order_ideal, validate_quantale, validate_rqf)
-from .reports import MAX_TABLE_SIDE, CheckReport, Report, run_check, sort_reports
+from .reports import MAX_ARROWS, MAX_TABLE_SIDE, CheckReport, Report, run_check, sort_reports
 from .topcat import (FiniteTopCategory, bisection_rows, continuity_check, is_etale,
                      validate_category,
                      validate_covering_functor, validate_topcategory)
@@ -69,7 +69,7 @@ class Instance:
     def __init__(self, tc: Optional[FiniteTopCategory] = None,
                  q: Optional[EhresmannQuantale] = None,
                  s: Optional[CompleteRestrictionMonoid] = None,
-                 max_arrows: int = 12, max_elements: int = MAX_TABLE_SIDE):
+                 max_arrows: int = MAX_ARROWS, max_elements: int = MAX_TABLE_SIDE):
         self.tc = tc
         self._q = q
         self._s = s

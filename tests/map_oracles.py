@@ -11,10 +11,12 @@ topcat.bisection_rows), the category of an Ehresmann quantale, the
 body of topcat.validate_covering_functor on NumPy arrays, the union
 closure of a base (the oracle of the topology of C(Q)), the bodies of
 crm.validate_crm and quantale.validate_rqf before they shared their law
-scans, and the small readings of a topology, a quantale and a lattice that
-only tests use."""
+scans, the least upper bound in a monoid's stored order (crm_lub), and the
+small readings of a topology, a quantale and a lattice that only tests
+use."""
 
 from functools import reduce
+from typing import Optional
 from unittest import mock
 
 import numpy as np
@@ -325,10 +327,25 @@ def validate_covering_functor_oracle(fmap, src: FiniteCategory, dst: FiniteCateg
     return rep
 
 
+def crm_lub(s, elements) -> Optional[int]:
+    """Least upper bound in the stored order, or None if it does not exist:
+    the oracle of crm._partial_join_table and crm.is_proper."""
+    uppers = np.ones(s.n, dtype=bool)
+    for x in elements:
+        uppers &= s.leq[x, :]
+    idx = np.flatnonzero(uppers)
+    if idx.size == 0:
+        return None
+    for u in idx:
+        if s.leq[u, idx].all():
+            return int(u)
+    return None
+
+
 def validate_crm_oracle(s) -> Report:
     """The body crm.validate_crm had before it shared the associativity,
-    a.a* / a+.a / congruence, restriction-identity and meet scans of the
-    quantale and order validators."""
+    a.a* / a+.a / congruence and meet scans of the quantale and order
+    validators."""
     rep = Report(subject="crm")
     rep.layers_run.append("crm")
     n = s.n
@@ -469,18 +486,32 @@ def validate_crm_oracle(s) -> Report:
 
 
 def validate_rqf_oracle(q) -> Report:
-    """The body quantale.validate_rqf had before it shared the
-    restriction-identity scan of crm.validate_crm, on the Ehresmann layer
-    (whose own scans the tests compare with their oracles)."""
+    """The body quantale.validate_rqf had while it still scanned the
+    restriction identities on the partial isometries, which cannot fail
+    once the Ehresmann layer (whose own scans the tests compare with their
+    oracles) has passed."""
     rep = validate_ehresmann(q)
     if not rep.ok:
         return rep
     rep.subject = "rqf"
     rep.layers_run.append("rqf")
-    mul = q.mul
+    mul, star, plus = q.mul, q.star, q.plus
     pis = partial_isometries(q)
     pi_set = set(pis)
-    restriction_identities_oracle(rep, "rqf", mul, q.star, q.plus, q.projections(), pi_set)
+
+    for f in q.projections():
+        fa = mul[f, :]
+        bad = np.flatnonzero(mul[np.arange(q.n), star[fa]] != fa)
+        bad = [b for b in bad if b in pi_set]
+        if bad:
+            rep.add("rqf.restriction_identity_star", (f, int(bad[0])))
+            break
+        af = mul[:, f]
+        bad = np.flatnonzero(mul[plus[af], np.arange(q.n)] != af)
+        bad = [b for b in bad if b in pi_set]
+        if bad:
+            rep.add("rqf.restriction_identity_plus", (int(bad[0]), f))
+            break
 
     top_join = q.join_fold(pis)
     if top_join != q.top:
@@ -493,23 +524,3 @@ def validate_rqf_oracle(q) -> Report:
             rep.add("rqf.isometries_closed_under_mul", (a, b, bad[0]))
             break
     return rep
-
-
-def restriction_identities_oracle(rep, prefix, mul, star, plus, projections, among: set):
-    """The restriction-identity loop of the body validate_rqf had before
-    it shared quantale.restriction_scan, on the elements of among."""
-    n = len(mul)
-    for f in projections:
-        fa = mul[f, :]
-        bad = np.flatnonzero(mul[np.arange(n), star[fa]] != fa)
-        bad = [b for b in bad if b in among]
-        if bad:
-            rep.add(f"{prefix}.restriction_identity_star", (f, int(bad[0])))
-            break
-        af = mul[:, f]
-        bad = np.flatnonzero(mul[plus[af], np.arange(n)] != af)
-        bad = [b for b in bad if b in among]
-        if bad:
-            rep.add(f"{prefix}.restriction_identity_plus", (int(bad[0]), f))
-            break
-

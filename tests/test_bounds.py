@@ -6,8 +6,11 @@ At bound = count the build passes; at count - 1 it is refused with a
 message that names max_elements, on a fresh object before any table is
 built (c_object alone counts once built), and on a cached one.  The
 listings that count as they grow stop at the first count past the bound.
-Adjunction II builds the S-filters under its arrow bound, and refuses the
-arrows of C(S) before it builds anything."""
+The arrow searches and both adjunction checks take max_arrows, default
+MAX_ARROWS, and refuse through the same helper with a message that names
+max_arrows; the adjunction checks refuse the arrows of C, and adjunction
+II those of C(S), before they build anything.  Adjunction II builds the
+S-filters under its arrow bound."""
 
 import dataclasses
 
@@ -16,8 +19,11 @@ import pytest
 from framecat import crm, functors
 from framecat.corpus import corpus_crms, corpus_rqfs, etale_categories, monoid_category
 from framecat.crm import bisection_monoid, pi_restriction_monoid, verify_adjunction_II
-from framecat.duality import verify_adjunction_I
-from framecat.reports import MAX_TABLE_SIDE, BoundExceeded
+from framecat.corpus import pair_groupoid
+from framecat.duality import (enumerate_covering_functors, find_category_isomorphism,
+                              verify_adjunction_I)
+from framecat.functors import omega_object
+from framecat.reports import MAX_ARROWS, MAX_TABLE_SIDE, BoundExceeded
 
 
 def open_count(fc) -> int:
@@ -83,8 +89,35 @@ def test_every_builder_refuses_one_past_its_count_on_fresh_and_cached_objects(
 @pytest.mark.parametrize("check", [verify_adjunction_I, verify_adjunction_II])
 def test_adjunction_checks_default_to_the_builders_bound(check):
     """Both adjunction checks pass max_elements on to the builders, with
-    their default: (max_arrows, max_elements) = (12, MAX_TABLE_SIDE)."""
-    assert check.__defaults__ == (12, MAX_TABLE_SIDE)
+    their default: (max_arrows, max_elements) = (MAX_ARROWS, MAX_TABLE_SIDE)."""
+    assert check.__defaults__ == (MAX_ARROWS, MAX_TABLE_SIDE)
+
+
+@pytest.mark.parametrize("search", [enumerate_covering_functors, find_category_isomorphism])
+def test_arrow_searches_default_to_the_arrow_limit(search):
+    assert search.__defaults__ == (MAX_ARROWS,)
+
+
+def test_arrows_of_c_are_refused_before_anything_is_built():
+    """pair4 has 16 arrows: under max_arrows=12 both adjunction checks
+    refuse it before they build Omega(pair4), its 2^16 opens past
+    MAX_TABLE_SIDE, or its bisection monoid, and leave its cache empty;
+    the functor and isomorphism searches refuse it with the same text."""
+    refused = "^C has 16 arrows > max_arrows=12$"
+    tc = pair_groupoid(4)
+    rqf = omega_object(pair_groupoid(2)).rqf
+    s = pi_restriction_monoid(rqf)[0]
+    with pytest.raises(BoundExceeded, match=refused):
+        verify_adjunction_I(tc, rqf, max_arrows=12, max_elements=MAX_TABLE_SIDE)
+    with pytest.raises(BoundExceeded, match=refused):
+        verify_adjunction_II(tc, s, max_arrows=12)
+    assert tc._cache == {}
+    with pytest.raises(BoundExceeded, match=refused):
+        enumerate_covering_functors(tc, pair_groupoid(2), max_arrows=12)
+    with pytest.raises(BoundExceeded, match=refused):
+        find_category_isomorphism(tc.cat, pair_groupoid(4).cat, max_arrows=12)
+    with pytest.raises(BoundExceeded, match="^D has 16 arrows > max_arrows=12$"):
+        enumerate_covering_functors(pair_groupoid(2), tc, max_arrows=12)
 
 
 def test_down_sets_stop_at_the_first_count_past_the_bound(monkeypatch):
@@ -116,10 +149,10 @@ def test_adjunction_II_builds_s_filters_under_the_arrow_bound():
 
 def test_adjunction_II_refuses_the_arrows_of_c_s_before_it_builds_s_filters():
     """The bisection monoid of Z_20 has 21 elements, and C(S) 20 arrows and
-    2^20 opens: max_arrows=12 refuses it with none of them listed."""
-    tc = zk(20)
-    s = bisection_monoid(tc, 64).crm
+    2^20 opens: max_arrows=12 refuses it, against the one arrow of Z_1,
+    with none of them listed."""
+    s = bisection_monoid(zk(20), 64).crm
     assert s.n == 21
-    with pytest.raises(BoundExceeded, match="^C\\(S\\) has 20 arrows > 12$"):
-        verify_adjunction_II(tc, s, max_arrows=12)
+    with pytest.raises(BoundExceeded, match="^C\\(S\\) has 20 arrows > max_arrows=12$"):
+        verify_adjunction_II(zk(1), s, max_arrows=12)
     assert "s_filters" not in s._cache

@@ -27,6 +27,18 @@ def test_corpus_emit_writes_documents(fixture_dir):
     assert "pi-omega-pair2.crm.json" in files
 
 
+@pytest.mark.parametrize("bound,written", [(511, False), (512, True)])
+def test_corpus_emit_writes_omega_pair3_and_its_pi_under_one_bound(tmp_path, capsys,
+                                                                   bound, written):
+    """Omega(pair3) has 512 opens: under --max-elements 511 neither it nor
+    PI(Omega(pair3)) is written, 56 documents of 58, and under 512 both are."""
+    assert main(["--max-elements", str(bound), "corpus", "emit", str(tmp_path)]) == 0
+    files = {p.name for p in tmp_path.glob("*.json")}
+    assert len(files) == (58 if written else 56)
+    assert ("omega-pair3.rqf.json" in files) == written
+    assert ("pi-omega-pair3.crm.json" in files) == written
+
+
 def test_validate_passes_on_corpus_document(fixture_dir, capsys):
     code = main(["validate", str(fixture_dir / "pair3.topcategory.json")])
     out = capsys.readouterr().out
@@ -343,11 +355,11 @@ def test_corpus_run_matches_expected_summary(capsys):
 
 @pytest.mark.parametrize("flag,bound,refused", [
     ("--max-elements", 511, "Omega(C) has 512 opens > max_elements=511"),
-    ("--max-arrows", 3, "C(Q) has 4 arrows > 3"),
+    ("--max-arrows", 3, "C has 4 arrows > max_arrows=3"),
 ])
 def test_corpus_run_checks_under_both_bounds(capsys, flag, bound, refused):
-    """Omega(pair3) has 512 opens, and C(Omega(pair2)), searched by the
-    first adjunction check, 4 arrows."""
+    """Omega(pair3) has 512 opens, and pair2, the first category of an
+    adjunction check, 4 arrows."""
     assert main([flag, str(bound), "corpus", "run"]) == 3
     assert capsys.readouterr().err == f"bound exceeded: {refused}\n"
 

@@ -15,8 +15,6 @@ PACKAGE = ROOT / "src" / "framecat"
 
 # each allowed name with why it stays in src/ unreached
 ALLOWED = {
-    "crm.crm_lub": "the oracle that crm._partial_join_table and crm.is_proper are "
-                   "specified against; the tests compare both with it",
     "crm.theta_extension": "L^vee on morphisms, which the check of PI -| L^vee as a "
                            "bijection of hom-sets (ROADMAP item 7) will call",
 }

@@ -489,10 +489,12 @@ def test_ehresmann_layer_matches_oracle_on_random_star_and_plus(tc, data):
 
 
 # ---------------------------------------------------------------------------
-# the quantale, Ehresmann and rqf layers against their bodies before they
-# shared their associativity, a.a* / a+.a / congruence and
-# restriction-identity scans with crm.validate_crm: the same reports on
-# every one-cell mutation of the small corpus quantales
+# the quantale and Ehresmann layers against their bodies before they
+# shared their associativity and a.a* / a+.a / congruence scans with
+# crm.validate_crm, and the rqf layer against its body with the
+# restriction-identity loop, which cannot fire once the Ehresmann layer
+# passed: the same reports on every one-cell mutation of the small corpus
+# quantales
 
 def one_cell_eq_mutations(q):
     """q with one value of mul, star or plus moved to the next element."""
