@@ -305,11 +305,12 @@ def hand_built_crms() -> list[CorpusInstance]:
     ]
 
 
-def corpus_crms(max_elements: int = MAX_TABLE_SIDE) -> list[CorpusInstance]:
+def corpus_crms(rqfs: Optional[list[CorpusInstance]] = None) -> list[CorpusInstance]:
     """The hand-built monoids and PI(Q) of the corpus rqfs named in
-    PI_OF_RQFS, each Q built under `max_elements` as in corpus_rqfs."""
+    PI_OF_RQFS, read off rqfs, a listing of corpus_rqfs (corpus_rqfs() when
+    None), so that a caller that holds one builds no Omega image again."""
     out = hand_built_crms()
-    for inst in corpus_rqfs(max_elements):
+    for inst in corpus_rqfs() if rqfs is None else rqfs:
         if inst.name in PI_OF_RQFS:
             s, _ = pi_restriction_monoid(inst.obj)
             out.append(CorpusInstance(f"pi-{inst.name}", "crm", s))
@@ -422,9 +423,10 @@ def generate_corpus(max_elements: int = MAX_TABLE_SIDE):
         docs.append(WorkbenchDocument("topcategory", inst.name, inst.obj))
     for inst in corpus_frames():
         docs.append(WorkbenchDocument("frame", inst.name, inst.obj))
-    for inst in corpus_rqfs(max_elements=max_elements):
+    rqfs = corpus_rqfs(max_elements=max_elements)
+    for inst in rqfs:
         docs.append(WorkbenchDocument("rqf", inst.name, inst.obj))
-    for inst in corpus_crms(max_elements):
+    for inst in corpus_crms(rqfs):
         docs.append(WorkbenchDocument("crm", inst.name, inst.obj))
     for inst in negative_fixtures() + [negative_crm_fixture()]:
         docs.append(WorkbenchDocument(inst.kind, inst.name, inst.obj,

@@ -433,8 +433,8 @@ def _l_vee(s: CompleteRestrictionMonoid, primes: np.ndarray, masks: tuple) -> Id
 def validate_crm_morphism(theta, s: CompleteRestrictionMonoid,
                           t: CompleteRestrictionMonoid) -> Report:
     """Monoid + Ehresmann morphism preserving compatible (binary) joins.
-    The compatible join table of s and the partial join table of t are
-    cached on them."""
+    The compatible pairs of s with their joins (`_compatible_pairs`) and
+    the partial join table of t are cached on them."""
     theta = np.asarray(theta, dtype=np.int64)
     rep = Report(subject="crm-morphism")
     rep.layers_run.append("crm-morphism")
@@ -452,12 +452,23 @@ def validate_crm_morphism(theta, s: CompleteRestrictionMonoid,
     bad = np.flatnonzero(theta[s.plus] != t.plus[theta])
     if bad.size:
         rep.add("crm_morphism.plus", (int(bad[0]),))
-    compatible, partial = _compatible_join_table(s), _partial_join_table(t)
-    xs, ys = np.nonzero(np.triu(compatible >= 0))
-    bad = np.flatnonzero(partial[theta[xs], theta[ys]] != theta[compatible[xs, ys]])
+    xs, ys, js = _compatible_pairs(s)
+    bad = np.flatnonzero(_partial_join_table(t)[theta[xs], theta[ys]] != theta[js])
     if bad.size:
         rep.add("crm_morphism.compatible_joins", (int(xs[bad[0]]), int(ys[bad[0]])))
     return rep
+
+
+def _compatible_pairs(s: CompleteRestrictionMonoid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The compatible pairs (x, y) of s with x <= y as indices that have a
+    join, row-major, as the arrays xs, ys and their joins js; built once
+    per monoid (`order.cached`), read-only."""
+    def build() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        joins = _compatible_join_table(s)
+        xs, ys = np.nonzero(np.triu(joins >= 0))
+        return _freeze(xs), _freeze(ys), _freeze(joins[xs, ys])
+
+    return cached(s, "compatible_pairs", build)
 
 
 def is_proper(theta, s: CompleteRestrictionMonoid,
@@ -471,12 +482,13 @@ def is_proper(theta, s: CompleteRestrictionMonoid,
     For all x at once, with G[x, g] for the generators g of x: the upper
     bounds of G[x] are the u with no g in G[x] outside down(u), and the
     least of them is the first upper bound u with no upper bound v outside
-    up(u), each test one matrix product."""
+    up(u), each test one matrix product.  The float32 table of not g <= u
+    is built once per target (`order.cached`), read-only."""
     theta = np.asarray(theta, dtype=np.int64)
     below_image = t.leq[:, theta].any(axis=1)
     gens = t.leq.T & below_image                        # [x, g]: g <= x, g below an image
     gens[~gens.any(axis=1), t.zero] = True
-    not_leq = (~t.leq).astype(np.float32)               # [g, u]: not g <= u
+    not_leq = cached(t, "not_leq", lambda: _freeze((~t.leq).astype(np.float32)))  # [g, u]
     uppers = (gens.astype(np.float32) @ not_leq) == 0   # [x, u]: u bounds gens[x]
     least = uppers & ((uppers.astype(np.float32) @ not_leq.T) == 0)  # [x, u]
     lub = np.where(least.any(axis=1), least.argmax(axis=1), -1)
@@ -604,18 +616,37 @@ def enumerate_callitic_morphisms(s: CompleteRestrictionMonoid,
                                  t: CompleteRestrictionMonoid,
                                  max_elements: int = MAX_TABLE_SIDE) -> list[np.ndarray]:
     """All callitic morphisms s -> t, for s and t that pass validate_crm:
-    duality.generator_search over the join-primes J(s), with every element
-    of t as a candidate, then validate_crm_morphism and is_callitic.
+    the maps of duality.generator_search over the join-primes J(s), with
+    every element of t as a candidate, that pass is_callitic (proper, and
+    finite meets kept), the laws the search does not compile.
 
     No morphism is lost: every element of s is the compatible join of the
     join-primes below it (see l_vee), and a callitic morphism preserves
     compatible joins, so it is fixed by its values on J(s); it keeps the
-    order, meets, mul, star, plus and the unit, every law the search tests.
-    None is added, since every map is kept only if both checks pass."""
+    order, meets, mul, star, plus and the unit, every law the search
+    compiles.
+
+    None is added: every map found passes validate_crm_morphism.  A map
+    found is theta(x) = the join in t of the theta(g) over the g <= x in
+    J(s), every such join existing, and theta(g) is the image of g.  For a
+    compatible set A of s with a join, the join-primes below the join are
+    those below some a in A (join_primes), so theta(join A) = the join of
+    the theta(a): a join of the joins of parts is the join of the whole,
+    and in t the elements below a common upper bound are compatible, so
+    every join met on the way exists.  With that:
+    - compatible joins are kept, and the zero, the empty join;
+    - mul: x.y is the join of the g.h over g <= x, h <= y in J(s), since
+      mul distributes over compatible joins in s (validate_crm), so
+      theta(x.y) is the join of the theta(g.h) = theta(g).theta(h), the
+      law compiled on J(s) x J(s), which is theta(x).theta(y) by the same
+      distributivity in t;
+    - star and plus: (a v b)* = a* v b* in a valid monoid (see the module
+      docstring), so theta(x*) is the join of the theta(g*) = theta(g)*,
+      compiled on J(s), which is theta(x)*; plus likewise;
+    - the unit is compiled."""
     require_at_most(s.n, max_elements, "S has {} elements")
     require_at_most(t.n, max_elements, "T has {} elements")
-    return [_freeze(theta) for theta in generator_search(s, t)
-            if validate_crm_morphism(theta, s, t).ok and is_callitic(theta, s, t)[0]]
+    return [_freeze(theta) for theta in generator_search(s, t) if is_callitic(theta, s, t)[0]]
 
 
 def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,

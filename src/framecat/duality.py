@@ -2,12 +2,16 @@
 enumeration and the machine check of the first adjunction theorem.
 
 validate_rqf_morphism checks every law on all elements and pairs, for any
-endpoints.  The rqf hom-set search, whose endpoints are valid rqfs, decides
-each candidate on the join-irreducibles J of its source instead
-(_is_rqf_morphism_on_j): joins as "theta(a) is the join of the theta(j)
-below a", meets and mul on J x J, star and plus on J, by distributivity and
-join-primeness (Birkhoff; Davey & Priestley, Introduction to Lattices and
-Order, ch. 5).  That is O(n |J| + |J|^2) instead of three n-by-n gathers.
+endpoints.  The hom-set searches decide each law once.  generator_search
+compiles the laws on the generators J of its source (joins, meets and mul
+on J x J, star, plus, unit and top) and joins the earlier images each law
+reads once per node, not once per candidate.  Each map it finds then
+needs only what it did not compile: between valid rqfs, that partial
+isometries go to partial isometries, one gather; the rest follows by
+distributivity and join-primeness (Birkhoff; Davey & Priestley,
+Introduction to Lattices and Order, ch. 5; see enumerate_rqf_morphisms).
+The functor search decides d- and r-surjectivity and continuity alone, and
+the callitic search in crm is_callitic alone.
 
 chi sends a quantale element a to the set X_a of completely prime filters
 containing it; omega sends an arrow x to the filter O_x of opens containing
@@ -62,8 +66,8 @@ from .functors import (FilterCategory, OmegaResult, c_morphism, c_object, omega_
 from .order import _freeze, cached, join_irreducibles
 from .quantale import EhresmannQuantale, partial_isometries
 from .reports import MAX_ARROWS, MAX_TABLE_SIDE, InternalError, Report, require_at_most
-from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory,
-                     continuity_check, validate_covering_functor)
+from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory, continuity_check,
+                     surjectivity_failures, validate_covering_functor)
 
 
 # ---------------------------------------------------------------------------
@@ -126,49 +130,6 @@ def _first_unkept(theta: np.ndarray, q_table: np.ndarray,
             a, b = np.argwhere(diff)[0]
             return rows.start + int(a), int(b)
     return None
-
-
-def _is_rqf_morphism_on_j(theta: np.ndarray, q: EhresmannQuantale,
-                          r: EhresmannQuantale) -> bool:
-    """validate_rqf_morphism(theta, q, r).ok, decided on the join-irreducibles
-    J of q, for valid rqfs q and r only.  J(q) and PI(q) are cached on q,
-    and whether an element of r is a partial isometry is read from the
-    search target of r (`search_target`).
-
-    Every j in J is join-prime in q and every element is the join of the j
-    below it.  With theta in range:
-    - joins: theta(a) is the join of the theta(j) over the j <= a in J, for
-      every a (at a = 0 the empty join, so theta(0) = 0).  The j below
-      a \\/ b are those below a with those below b, so theta preserves all
-      joins.  |J| whole-array steps;
-    - finite meets and mul: on J x J only.  a /\\ b is the join of the
-      j /\\ k over j <= a, k <= b in J (distributivity in q), theta(a) /\\
-      theta(b) the join of the theta(j) /\\ theta(k) (distributivity in r),
-      and theta preserves joins; mul likewise, distributing over joins on
-      both sides, the empty join included;
-    - star and plus: on J only, since they preserve joins in q and r;
-    - top, unit and partial isometries: directly.
-    Without the precondition this can pass a map that is no morphism: three
-    atoms of a boolean frame sent onto those of the non-distributive M3
-    keep every law on J but not the meet of one atom with the join of the
-    other two."""
-    if theta.shape != (q.n,) or ((theta < 0) | (theta >= r.n)).any():
-        return False
-    q_js = join_irreducibles(q)
-    joins = np.full(q.n, r.bottom, dtype=np.int64)  # joins[a]: of theta(j), j <= a
-    for j in q_js:
-        joins = np.where(q.leq[j], r.join[joins, theta[j]], joins)
-    if not np.array_equal(joins, theta):
-        return False
-    js = np.asarray(q_js, dtype=np.int64)
-    tj = theta[js]
-    pairs, images = np.ix_(js, js), np.ix_(tj, tj)
-    return bool(np.array_equal(theta[q.meet[pairs]], r.meet[images])
-                and np.array_equal(theta[q.mul[pairs]], r.mul[images])
-                and np.array_equal(theta[q.star[js]], r.star[tj])
-                and np.array_equal(theta[q.plus[js]], r.plus[tj])
-                and theta[q.top] == r.top and theta[q.unit] == r.unit
-                and search_target(r).candidate[theta[partial_isometries(q)]].all())
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +343,13 @@ def _rows(table: np.ndarray) -> tuple:
 def enumerate_covering_functors(src: FiniteTopCategory, dst: FiniteTopCategory,
                                 max_arrows: int = MAX_ARROWS) -> list[np.ndarray]:
     """All continuous covering functors src = C -> dst = D: the maps of
-    arrow_maps, identities placed first and sent to identities, that pass
-    validate_covering_functor (for surjectivity) and continuity_check.  More
-    than max_arrows arrows in C, then in D, are refused
+    arrow_maps, identities placed first and sent to identities, that are
+    d- and r-surjective and continuous (`_is_continuous_covering`).  The
+    arrow laws compile the rest of validate_covering_functor: identities go
+    to identities, d and r are kept (the laws of the pairs (a, d a) and
+    (r a, a)), and so is composition, and arrows with the same d or the
+    same r go to distinct arrows (d- and r-injectivity).  More than
+    max_arrows arrows in C, then in D, are refused
     (`reports.require_at_most`).  The order and the arrow laws of src for it
     are cached on src, and the composition rows of dst on dst
     (`order.cached`)."""
@@ -395,12 +360,16 @@ def enumerate_covering_functors(src: FiniteTopCategory, dst: FiniteTopCategory,
     t_comp = cached(dst, "comp_rows", lambda: _rows(cd.comp))
     dst_ids, every = cd.identities(), list(range(cd.n))
     candidates = [dst_ids if cs.is_identity(a) else every for a in range(cs.n)]
-    out = []
-    for f in arrow_maps(laws, t_comp, order, candidates):
-        f = np.array(f, dtype=np.int64)
-        if validate_covering_functor(f, cs, cd).ok and continuity_check(f, src, dst)[0]:
-            out.append(_freeze(f))
-    return out
+    return [_freeze(np.array(f, dtype=np.int64))
+            for f in arrow_maps(laws, t_comp, order, candidates)
+            if _is_continuous_covering(f, src, dst)]
+
+
+def _is_continuous_covering(f: list[int], src: FiniteTopCategory, dst: FiniteTopCategory) -> bool:
+    """What enumerate_covering_functors decides of a map of arrow_maps:
+    d- and r-surjectivity (`topcat.surjectivity_failures`, which
+    validate_covering_functor reports too) and continuity_check."""
+    return not surjectivity_failures(f, src.cat, dst.cat) and continuity_check(f, src, dst)[0]
 
 
 def _covering_laws(cs: FiniteCategory) -> tuple[tuple, tuple]:
@@ -436,48 +405,55 @@ def generator_search(alg, tgt) -> list[np.ndarray]:
     theta(h) for x = g /\\ h and theta(x) = theta(g).theta(h) for x = g.h,
     over all pairs of generators; theta(x) = theta(g)* for x = g* and
     likewise for plus; theta(unit) = the unit; and, between rqfs,
-    theta(top) = top at the leaf.  Here theta(x) of a derived element x is
-    the join of the images of the generators below x, so those generators
-    count toward the level of the law.  The laws (`law_skeleton`) and the
-    target's operations on its candidates (`search_target`) are each cached
-    on their object; a call binds the one to the other.  A map that keeps
-    the laws need not be a morphism: the caller decides each one.  Every morphism that preserves these
+    theta(top) = top.  Here theta(x) of a derived element x is the join of
+    the images of the generators below x, so those generators count toward
+    the level of the law.
+
+    The laws (`law_skeleton`) and the target's operations on its
+    candidates (`search_target`) are each cached on their object, and a
+    call reads both as they are.  At each node the join of the images of
+    the earlier generators below each law's derived element is computed
+    once, and each candidate is then tested against it.  A law that names
+    no generator (the unit or the top, when it is the zero) is checked once
+    before the search.  The maps found keep every law above; what they need
+    not keep is decided by the caller (enumerate_rqf_morphisms,
+    crm.enumerate_callitic_morphisms).  Every morphism that preserves these
     operations and joins, and sends the generators to candidates, is among
     the maps found, provided every element of alg is the join of the
     generators below it."""
-    below, named_laws, lower = law_skeleton(alg)
+    below, lower, laws, constant = law_skeleton(alg)
     m = len(below)
     target = search_target(tgt)
-    t_join, t_leq, zero = target.join_rows, target.leq_rows, target.zero
-    laws = [[(support, target.ops[name], i, k) for support, name, i, k in level]
-            for level in named_laws]
+    t_join, t_leq, zero, ops = target.join_rows, target.leq_rows, target.zero, target.ops
+    if any(ops[name] != zero for name in constant):
+        return []
 
     images = [0] * m  # candidate positions
     found: list[list[int]] = []
 
-    def keeps(k: int) -> bool:
-        """Whether the images assigned so far keep the laws of level k."""
-        for i in lower[k]:
-            if not t_leq[images[i]][images[k]]:
-                return False
-        for support, op, i, j in laws[k]:
-            v = zero
-            for p in support:
-                v = t_join[v][images[p]]
-            if v != (op if i is None else op[images[i]] if j is None
-                     else op[images[i]][images[j]]):
-                return False
-        return True
-
     def backtrack(k: int) -> None:
         if k == m:
-            if keeps(m):
-                found.append(list(images))
+            found.append(list(images))
             return
-        for p in range(len(t_leq)):
-            images[k] = p
-            if keeps(k):
-                backtrack(k + 1)
+        checks = []
+        for rest, name, a, b, joined in laws[k]:
+            v = zero
+            for p in rest:
+                v = t_join[v][images[p]]
+            checks.append((t_join[v] if joined else None, v, ops[name], a, b))
+        for c in range(len(t_leq)):
+            images[k] = c
+            for i in lower[k]:
+                if not t_leq[images[i]][c]:
+                    break
+            else:
+                for row, v, op, a, b in checks:
+                    if (v if row is None else row[c]) != (
+                            op if a is None else op[images[a]] if b is None
+                            else op[images[a]][images[b]]):
+                        break
+                else:
+                    backtrack(k + 1)
 
     backtrack(0)
     out = []
@@ -536,22 +512,34 @@ def _target_tables(tgt) -> SearchTarget:
                         MappingProxyType(ops), int(zero), _freeze(candidate))
 
 
-def law_skeleton(alg) -> tuple:
+class LawSkeleton(NamedTuple):
+    """The laws of generator_search on a source (`_law_skeleton`)."""
+    below: np.ndarray
+    lower: tuple
+    laws: tuple
+    constant: tuple
+
+
+def law_skeleton(alg) -> LawSkeleton:
     """The laws of generator_search on alg (`_law_skeleton`), cached on alg
     (`order.cached`)."""
     return cached(alg, "law_skeleton", lambda: _law_skeleton(alg))
 
 
-def _law_skeleton(alg) -> tuple:
+def _law_skeleton(alg) -> LawSkeleton:
     """The laws of generator_search on alg, on its generators (J(q) of an
     rqf, J(S) of a complete restriction monoid), without a target:
-    below[i, x] (the i-th generator in the linear extension is <= x), the
-    laws of each level as (support, operation name, i, k), with the join of
-    the images at the positions `support` to equal op[image i][image k],
-    op[image i] when k is None, and op itself when i is None, the last
-    level being the leaf's; and lower[k], the positions of the generators
-    below the k-th, whose images must lie below its image.  Immutable and
-    free of references to alg, so that `order.cached` can hold it."""
+    below[i, x] (the i-th generator in the linear extension is <= x);
+    lower[k], the positions of the generators below the k-th, whose images
+    must lie below its image; laws[k], the laws whose last generator is the
+    k-th, as (rest, operation name, a, b, joined), with the join of the
+    images at the positions of rest, joined with the k-th image when
+    joined (the k-th generator lies below the derived element), to equal
+    op[image a][image b], op[image a] when b is None, and op itself when a
+    is None; and constant, the names of the operations (the unit, the top)
+    whose law names no generator, the derived element being the zero.
+    Immutable and free of references to alg, so that `order.cached` can
+    hold it."""
     if isinstance(alg, EhresmannQuantale):
         gens, top = join_irreducibles(alg), alg.top
     else:
@@ -560,15 +548,20 @@ def _law_skeleton(alg) -> tuple:
     order = sorted(gens, key=lambda g: int(alg.leq[:, g].sum()))
     m = len(order)
     below = _freeze(alg.leq[order, :])
-    laws: list[list[tuple]] = [[] for _ in range(m + 1)]
+    laws: list[list[tuple]] = [[] for _ in range(m)]
+    constant: list[str] = []
     supports: dict[int, tuple] = {}
 
-    def law(derived: int, name: str, i=None, k=None) -> None:
+    def law(derived: int, name: str, a=None, b=None) -> None:
         if derived not in supports:
             supports[derived] = tuple(np.flatnonzero(below[:, derived]).tolist())
         support = supports[derived]
-        level = max([p for p in (i, k) if p is not None] + list(support), default=m)
-        laws[level].append((support, name, i, k))
+        operands = [p for p in (a, b) if p is not None]
+        if not operands and not support:
+            constant.append(name)
+            return
+        k = max(operands + list(support))
+        laws[k].append((tuple(p for p in support if p != k), name, a, b, k in support))
 
     for k, h in enumerate(order):
         for i, g in enumerate(order[:k + 1]):
@@ -580,28 +573,53 @@ def _law_skeleton(alg) -> tuple:
         law(int(alg.plus[h]), "plus", k)
     law(alg.unit, "unit")
     if top is not None:
-        laws[m].append((tuple(np.flatnonzero(below[:, top]).tolist()), "top", None, None))
-    lower = tuple(tuple(i for i in range(k) if below[i, order[k]]) for k in range(m)) + ((),)
-    return below, tuple(map(tuple, laws)), lower
+        law(top, "top")
+    lower = tuple(tuple(i for i in range(k) if below[i, order[k]]) for k in range(m))
+    return LawSkeleton(below, lower, tuple(map(tuple, laws)), tuple(constant))
 
 
 def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
                             max_elements: int = MAX_TABLE_SIDE) -> list[np.ndarray]:
-    """All RQF morphisms q -> r, for valid rqfs q and r: generator_search
-    over the join-irreducibles J(q), with the partial isometries (PIs) of r
-    as candidates, then the morphism laws decided on J(q)
-    (_is_rqf_morphism_on_j).
+    """All RQF morphisms q -> r, for valid rqfs q and r: the maps of
+    generator_search over the join-irreducibles J(q), with the partial
+    isometries (PIs) of r as candidates, that send every PI of q to a PI of
+    r (`_keeps_isometries`), the one law the search does not compile.
 
     No morphism is lost: a morphism preserves joins, and every element of q
     is the join of the j <= it in J, so it is fixed by its values on J; J is
     inside PI(q), since every element is a join of PIs and a
     join-irreducible equals one of its joinands, and PIs go to PIs; and it
-    keeps every law the search tests.  None is added, since each map is
-    kept only if it passes what validate_rqf_morphism checks."""
+    keeps every law the search compiles.
+
+    None is added: every map found passes validate_rqf_morphism.  Every j
+    in J is join-prime in q (q is distributive) and every element is the
+    join of the j below it.  A map found is theta(a) = the join of the
+    theta(j) over the j <= a in J, in range, and theta(j) is the image of
+    j, since the images of the j' <= j lie below it:
+    - joins: the j below a \\/ b are those below a with those below b, so
+      theta preserves all joins, the empty one (theta(0) = 0) included;
+    - finite meets and mul: a /\\ b is the join of the j /\\ k over j <= a,
+      k <= b in J (distributivity in q), theta(a) /\\ theta(b) the join of
+      the theta(j) /\\ theta(k) (distributivity in r), and the search
+      compiles theta(j /\\ k) = theta(j) /\\ theta(k) on J x J; mul
+      likewise, distributing over joins on both sides;
+    - star and plus preserve joins in q and in r, and are compiled on J;
+    - top and unit are compiled; PIs to PIs is decided here.
+    (Birkhoff; Davey & Priestley, Introduction to Lattices and Order,
+    ch. 5.)  Without valid endpoints this can keep a map that is no
+    morphism: three atoms of a boolean frame sent onto those of the
+    non-distributive M3 keep every law on J but not the meet of one atom
+    with the join of the other two."""
     require_at_most(q.n, max_elements, "Q has {} elements")
     require_at_most(r.n, max_elements, "R has {} elements")
-    return [_freeze(theta) for theta in generator_search(q, r)
-            if _is_rqf_morphism_on_j(theta, q, r)]
+    return [_freeze(theta) for theta in generator_search(q, r) if _keeps_isometries(theta, q, r)]
+
+
+def _keeps_isometries(theta: np.ndarray, q: EhresmannQuantale, r: EhresmannQuantale) -> bool:
+    """Whether theta sends every partial isometry of q to one of r: one
+    gather, with PI(q) cached on q and the PIs of r read from the search
+    target of r (`search_target`)."""
+    return bool(search_target(r).candidate[theta[partial_isometries(q)]].all())
 
 
 # ---------------------------------------------------------------------------
@@ -682,16 +700,21 @@ def check_transposes(rep: AdjunctionReport, forward, backward) -> None:
 
 
 def check_naturality_in_category(g, tc_src: FiniteTopCategory, tc_dst: FiniteTopCategory,
-                                 q: EhresmannQuantale) -> tuple[bool, Optional[tuple]]:
+                                 q: EhresmannQuantale, max_arrows: int = MAX_ARROWS,
+                                 max_elements: int = MAX_TABLE_SIDE
+                                 ) -> tuple[bool, Optional[tuple]]:
     """For a continuous covering functor G: C' -> C, precomposition commutes
-    with the forward transpose: T(alpha o G) = Omega(G) o T(alpha)."""
+    with the forward transpose: T(alpha o G) = Omega(G) o T(alpha).  C(Q),
+    Omega(C') and Omega(C) are built under max_elements, and the functor
+    search C -> C(Q) refuses more than max_arrows arrows, as in
+    verify_adjunction_I."""
     g = np.asarray(g, dtype=np.int64)
-    fc = c_object(q)
-    om_src, om_dst = omega_object(tc_src), omega_object(tc_dst)
+    fc = c_object(q, max_elements)
+    om_src, om_dst = omega_object(tc_src, max_elements), omega_object(tc_dst, max_elements)
     omega_g = omega_morphism(g, om_src, om_dst)
     forward_src = transposes(fc, om_src)[0]
     forward_dst = transposes(fc, om_dst)[0]
-    for alpha in enumerate_covering_functors(tc_dst, fc.topcat):
+    for alpha in enumerate_covering_functors(tc_dst, fc.topcat, max_arrows):
         lhs = forward_src(alpha[g])
         rhs = omega_g[forward_dst(alpha)]
         if not np.array_equal(lhs, rhs):
@@ -700,16 +723,21 @@ def check_naturality_in_category(g, tc_src: FiniteTopCategory, tc_dst: FiniteTop
 
 
 def check_naturality_in_quantale(psi, q_src: EhresmannQuantale, q_dst: EhresmannQuantale,
-                                 tc: FiniteTopCategory) -> tuple[bool, Optional[tuple]]:
+                                 tc: FiniteTopCategory, max_arrows: int = MAX_ARROWS,
+                                 max_elements: int = MAX_TABLE_SIDE
+                                 ) -> tuple[bool, Optional[tuple]]:
     """For an RQF morphism psi: Q -> Q', postcomposition by C(psi) commutes
-    with the forward transpose: T(C(psi) o alpha) = T(alpha) o psi."""
+    with the forward transpose: T(C(psi) o alpha) = T(alpha) o psi.  C(Q),
+    C(Q') and Omega(C) are built under max_elements, and the functor
+    search C -> C(Q') refuses more than max_arrows arrows, as in
+    verify_adjunction_I."""
     psi = np.asarray(psi, dtype=np.int64)
-    fc_src, fc_dst = c_object(q_src), c_object(q_dst)
-    om = omega_object(tc)
+    fc_src, fc_dst = c_object(q_src, max_elements), c_object(q_dst, max_elements)
+    om = omega_object(tc, max_elements)
     c_psi = c_morphism(psi, fc_src, fc_dst)
     forward_src = transposes(fc_src, om)[0]
     forward_dst = transposes(fc_dst, om)[0]
-    for alpha in enumerate_covering_functors(tc, fc_dst.topcat):
+    for alpha in enumerate_covering_functors(tc, fc_dst.topcat, max_arrows):
         lhs = forward_src(c_psi[alpha])
         rhs = forward_dst(alpha)[psi]
         if not np.array_equal(lhs, rhs):

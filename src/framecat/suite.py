@@ -276,15 +276,17 @@ DOCUMENT_VALIDATORS: dict[str, Callable[[object], Validated]] = {
 
 
 def adjunction_naturality(inst: Instance) -> CheckResult:
-    """Both naturality squares, for the swap automorphism of a category."""
+    """Both naturality squares, for the swap automorphism of a category,
+    under the bounds of the instance."""
     tc, om = inst.tc, inst.omega
     q = om.rqf
+    bounds = inst.max_arrows, inst.max_elements
     swap = np.array([3, 2, 1, 0], dtype=np.int64)
-    ok1, w1 = check_naturality_in_category(swap, tc, tc, q)
+    ok1, w1 = check_naturality_in_category(swap, tc, tc, q, *bounds)
     if not ok1:
         return False, w1, "naturality square in the category argument"
     psi = omega_morphism(swap, om, om)
-    ok2, w2 = check_naturality_in_quantale(psi, q, q, tc)
+    ok2, w2 = check_naturality_in_quantale(psi, q, q, tc, *bounds)
     if not ok2:
         return False, w2, "naturality square in the quantale argument"
     return True, None, ""

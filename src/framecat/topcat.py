@@ -375,16 +375,31 @@ def validate_covering_functor(fmap, src: FiniteCategory, dst: FiniteCategory) ->
         wit = _first_clash(list(zip(f, s_proj)))
         if wit:
             rep.add(law, wit)
-    for s_proj, t_proj, law in ((s_d, t_d, "covering.d_surjective"),
-                                (s_r, t_r, "covering.r_surjective")):
-        hit = set(zip(s_proj, f))  # (e, y): some x with proj(x) = e has F(x) = y
+    for law, wit in surjectivity_failures(f, src, dst):
+        rep.add(law, wit)
+    return rep
+
+
+def surjectivity_failures(f: list[int], src: FiniteCategory,
+                          dst: FiniteCategory) -> list[tuple[str, tuple[int, int]]]:
+    """covering.d_surjective and covering.r_surjective, each with its first
+    witness, for a functor f: src -> dst given as a list: the first (e, y),
+    identities e ascending and then y, with d(y) = F(e) and no x with
+    d(x) = e and F(x) = y (r likewise).  validate_covering_functor reports
+    them, and duality.enumerate_covering_functors decides them, as the
+    part of the covering condition its search does not compile."""
+    out = []
+    ids = src.identities()
+    for s_proj, t_proj, law in ((src.d, dst.d, "covering.d_surjective"),
+                                (src.r, dst.r, "covering.r_surjective")):
+        hit = set(zip(s_proj.tolist(), f))  # (e, y): some x with proj(x) = e has F(x) = y
         over: dict[int, list[int]] = {}  # over[z]: the y of dst with proj(y) = z, ascending
-        for y, z in enumerate(t_proj):
+        for y, z in enumerate(t_proj.tolist()):
             over.setdefault(z, []).append(y)
         wit = next(((e, y) for e in ids for y in over.get(f[e], ()) if (e, y) not in hit), None)
         if wit:
-            rep.add(law, wit)
-    return rep
+            out.append((law, wit))
+    return out
 
 
 def _first_clash(keys: list) -> Optional[tuple[int, int]]:

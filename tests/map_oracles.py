@@ -1,9 +1,9 @@
 """Shared by the oracle tests of the maps built on member rows (the
 transposes of both adjunctions, chi and omega, omega_morphism and
 c_morphism): each is compared with the element-by-element body it had
-before, on hom-set members and their one-value perturbations.  Also the rqf
-hom-set search's decision on join-irreducibles against
-validate_rqf_morphism, the relabellings of a category's arrows and of an
+before, on hom-set members and their one-value perturbations.  Also the
+decision each hom-set search keeps against the full validators, on every
+map the search gives, the relabellings of a category's arrows and of an
 algebra's elements that the tests search under, the maps the arrow-map
 search yields to the covering functor search, the subset walk that lists the
 local bisections one arrow subset at a time (the oracle of
@@ -28,6 +28,7 @@ from framecat.crm import make_crm
 from framecat.order import FiniteLattice, FinitePoset, validate_poset
 from framecat.quantale import make_eq, partial_isometries, validate_ehresmann
 from framecat.reports import Report
+from framecat.functors import c_object, omega_object
 from framecat.topcat import (UNDEF, FiniteCategory, FiniteTopCategory, Topology,
                              continuity_check, make_category, validate_covering_functor)
 
@@ -222,44 +223,70 @@ def cat_of_ehresmann(q) -> FiniteTopCategory:
     return FiniteTopCategory(cat=cat, topology=Topology(q.n, None))
 
 
-def j_decision(q, r):
-    """theta -> the rqf hom-set search's decision on J(q)
-    (duality._is_rqf_morphism_on_j)."""
-    return lambda theta: duality._is_rqf_morphism_on_j(
-        np.asarray(theta, dtype=np.int64), q, r)
+def searched(module, search: str, call):
+    """What call() returns with module.<search> spied on, and every map
+    that search gave on the way, as an int64 array."""
+    real, given = getattr(module, search), []
 
+    def spy(*args, **kwargs):
+        for f in real(*args, **kwargs):
+            given.append(np.array(f, dtype=np.int64))
+            yield f
 
-def assert_j_decisions_match_scan(maps, q, r):
-    """The decision on J(q) of each map is validate_rqf_morphism's verdict,
-    which checks every law on all elements and pairs."""
-    decide = j_decision(q, r)
-    for theta in maps:
-        assert decide(theta) == duality.validate_rqf_morphism(theta, q, r).ok, \
-            np.asarray(theta).tolist()
-
-
-def searched_rqf_morphisms(q, r, max_elements: int = 1024):
-    """The hom-set enumerate_rqf_morphisms(q, r) finds, and the argument
-    tuples of every decision on J it made on the way."""
-    with mock.patch.object(duality, "_is_rqf_morphism_on_j",
-                           wraps=duality._is_rqf_morphism_on_j) as spy:
-        homset = duality.enumerate_rqf_morphisms(q, r, max_elements)
-    return homset, [c.args for c in spy.call_args_list]
+    with mock.patch.object(module, search, spy):
+        result = call()
+    return result, given
 
 
 def searched_arrow_maps(src, dst):
     """The hom-set enumerate_covering_functors(src, dst) finds, and every
     map arrow_maps yielded to it on the way."""
-    search, yielded = duality.arrow_maps, []
+    homset, yielded = searched(duality, "arrow_maps",
+                               lambda: duality.enumerate_covering_functors(src, dst))
+    return homset, [f.tolist() for f in yielded]
 
-    def spy(*args, **kwargs):
-        for f in search(*args, **kwargs):
-            yielded.append(list(f))
-            yield f
 
-    with mock.patch.object(duality, "arrow_maps", spy):
-        homset = duality.enumerate_covering_functors(src, dst)
-    return homset, yielded
+def assert_kept(homset, maps, decide):
+    """The hom-set is the maps the search gave that pass decide, in order."""
+    assert [m.tolist() for m in homset] == [m.tolist() for m in maps if decide(m)]
+
+
+def assert_residual_decisions_match_validators(tc, q, s) -> dict:
+    """Each search of both adjunction checks of (tc, q) and (tc, s) against
+    its full validators, on every map the search gives: the decision each
+    search keeps equals the verdict of the validators, every law they
+    report of a map is one the search leaves to its decision, and the
+    hom-set is the maps that pass it, in order.  Returns, per search, the
+    hom-set and the maps the search gave: "rqf" (q -> Omega(C)),
+    "callitic" (s -> PI(Omega(C))), "functors-I" (C -> C(Q)) and
+    "functors-II" (C -> C(S))."""
+    r, t = omega_object(tc).rqf, crm.bisection_monoid(tc).crm
+    out = {}
+    homset, maps = out["rqf"] = searched(duality, "generator_search",
+                                         lambda: duality.enumerate_rqf_morphisms(q, r, 1024))
+    for m in maps:
+        rep = duality.validate_rqf_morphism(m, q, r)
+        assert duality._keeps_isometries(m, q, r) == rep.ok, m.tolist()
+        assert set(rep.laws()) <= {"morphism.preserves_isometries"}, m.tolist()
+    assert_kept(homset, maps, lambda m: duality._keeps_isometries(m, q, r))
+
+    homset, maps = out["callitic"] = searched(
+        crm, "generator_search", lambda: crm.enumerate_callitic_morphisms(s, t, 1024))
+    for m in maps:
+        assert crm.validate_crm_morphism(m, s, t).ok, m.tolist()
+    assert_kept(homset, maps, lambda m: crm.is_callitic(m, s, t)[0])
+
+    surjective = {"covering.d_surjective", "covering.r_surjective"}
+    for key, dst in (("functors-I", c_object(q).topcat), ("functors-II", crm.s_filters(s).topcat)):
+        homset, maps = out[key] = searched(
+            duality, "arrow_maps", lambda: duality.enumerate_covering_functors(tc, dst))
+        for f in maps:
+            rep = validate_covering_functor(f, tc.cat, dst.cat)
+            full = rep.ok and continuity_check(f, tc, dst)[0]
+            assert duality._is_continuous_covering(f.tolist(), tc, dst) == full, f.tolist()
+            assert set(rep.laws()) <= surjective, f.tolist()
+        assert_kept(homset, maps, lambda f: duality._is_continuous_covering(f.tolist(), tc, dst))
+    return out
 
 
 def composable_pairs(c: FiniteCategory):

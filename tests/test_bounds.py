@@ -10,7 +10,9 @@ The arrow searches and both adjunction checks take max_arrows, default
 MAX_ARROWS, and refuse through the same helper with a message that names
 max_arrows; the adjunction checks refuse the arrows of C, and adjunction
 II those of C(S), before they build anything.  Adjunction II builds the
-S-filters under its arrow bound."""
+S-filters under its arrow bound.  The naturality checks take both bounds,
+with the same defaults, and the suite's naturality check passes those of
+its instance."""
 
 import dataclasses
 
@@ -20,10 +22,12 @@ from framecat import crm, functors
 from framecat.corpus import corpus_crms, corpus_rqfs, etale_categories, monoid_category
 from framecat.crm import bisection_monoid, pi_restriction_monoid, verify_adjunction_II
 from framecat.corpus import pair_groupoid
-from framecat.duality import (enumerate_covering_functors, find_category_isomorphism,
+from framecat.duality import (check_naturality_in_category, check_naturality_in_quantale,
+                              enumerate_covering_functors, find_category_isomorphism,
                               verify_adjunction_I)
-from framecat.functors import omega_object
+from framecat.functors import omega_morphism, omega_object
 from framecat.reports import MAX_ARROWS, MAX_TABLE_SIDE, BoundExceeded
+from framecat.suite import Instance, adjunction_naturality
 
 
 def open_count(fc) -> int:
@@ -91,6 +95,35 @@ def test_adjunction_checks_default_to_the_builders_bound(check):
     """Both adjunction checks pass max_elements on to the builders, with
     their default: (max_arrows, max_elements) = (MAX_ARROWS, MAX_TABLE_SIDE)."""
     assert check.__defaults__ == (MAX_ARROWS, MAX_TABLE_SIDE)
+
+
+@pytest.mark.parametrize("check", [check_naturality_in_category, check_naturality_in_quantale])
+def test_naturality_checks_default_to_the_builders_bound(check):
+    assert check.__defaults__ == (MAX_ARROWS, MAX_TABLE_SIDE)
+
+
+def test_naturality_refuses_what_adjunction_I_refuses():
+    """C(Omega(pair2)) has 4 arrows and Omega(pair2) 16 opens: the suite's
+    naturality check refuses the first past the max_arrows of its instance
+    as verify_adjunction_I does, and both naturality checks refuse the
+    second past max_elements."""
+    tc = pair_groupoid(2)
+    om = omega_object(tc)
+    q = om.rqf
+    with pytest.raises(BoundExceeded, match="^C has 4 arrows > max_arrows=3$"):
+        verify_adjunction_I(tc, q, max_arrows=3)
+    with pytest.raises(BoundExceeded, match="^C has 4 arrows > max_arrows=3$"):
+        adjunction_naturality(Instance(tc=tc, max_arrows=3))
+    assert adjunction_naturality(Instance(tc=tc, max_arrows=4)) == (True, None, "")
+    swap = [3, 2, 1, 0]
+    psi = omega_morphism(swap, om, om)
+    for check, args in ((check_naturality_in_category, (swap, tc, tc, q)),
+                        (check_naturality_in_quantale, (psi, q, q, tc))):
+        with pytest.raises(BoundExceeded, match="> max_elements=15$"):
+            check(*args, max_elements=15)
+        with pytest.raises(BoundExceeded, match="^C has 4 arrows > max_arrows=3$"):
+            check(*args, max_arrows=3)
+        assert check(*args, 4, 16) == (True, None)
 
 
 @pytest.mark.parametrize("search", [enumerate_covering_functors, find_category_isomorphism])

@@ -2,9 +2,11 @@
 (order.cached): J, the partial isometries, the monoid PI(Q) and C(Q) of a
 quantale; J(S), the partial and the compatible join tables, the one
 listing of the down-sets of J(S), L^vee(S) and the S-filter category of a
-complete restriction monoid; the laws that duality.generator_search
-compiles on the generators of either, and the operations it reads on the
-candidates of either as a target; the etale
+complete restriction monoid, with its compatible pairs that
+validate_crm_morphism reads and the float32 table of its order that
+is_proper reads; the laws that duality.generator_search compiles on the
+generators of either, and the operations it reads on the candidates of
+either as a target; the etale
 verdict, Omega(C), the monoid of the open local bisections, the arrow laws
 of the covering functor search from a topological category and the
 composition rows of a search into it; and the lookup of the member rows
@@ -41,7 +43,7 @@ from map_oracles import cat_of_ehresmann, relabel, relabel_crm, relabel_rqf
 QUANTALE_KEYS = {"join_irreducibles", "partial_isometries", "pi_restriction_monoid", "c_object",
                  "law_skeleton", "search_target"}
 MONOID_KEYS = {"join_primes", "partial_joins", "compatible_joins", "down_sets", "l_vee",
-               "s_filters", "law_skeleton", "search_target"}
+               "s_filters", "law_skeleton", "search_target", "compatible_pairs", "not_leq"}
 CATEGORY_KEYS = {"is_etale", "omega_object", "bisection_monoid", "arrow_laws", "comp_rows"}
 QUANTALE_TABLES = ("leq", "meet", "join", "mul", "star", "plus", "bottom", "top", "unit")
 MONOID_TABLES = ("leq", "mul", "star", "plus", "meet", "unit", "zero")
@@ -51,10 +53,9 @@ def assert_same_skeleton(alg):
     """The laws of generator_search cached on alg equal a fresh compile."""
     skeleton = duality.law_skeleton(alg)
     assert alg._cache["law_skeleton"] is skeleton
-    below, laws, lower = skeleton
-    fresh_below, fresh_laws, fresh_lower = duality._law_skeleton(alg)
-    assert np.array_equal(below, fresh_below) and not below.flags.writeable
-    assert (laws, lower) == (fresh_laws, fresh_lower)
+    fresh = duality._law_skeleton(alg)
+    assert np.array_equal(skeleton.below, fresh.below) and not skeleton.below.flags.writeable
+    assert skeleton[1:] == fresh[1:]
 
 
 def assert_same_target(tgt, cands, joins, zero, top=None):
@@ -82,6 +83,24 @@ def assert_same_target(tgt, cands, joins, zero, top=None):
                         (ops["plus"], tgt.plus[c])):
         assert np.array_equal(np.array(rows, dtype=table.dtype).reshape(table.shape), table)
     assert (ops["unit"], target.zero, ops.get("top")) == (tgt.unit, zero, top)
+
+
+def assert_same_morphism_tables(s):
+    """The compatible pairs of s with their joins, which
+    validate_crm_morphism reads, and the float32 table of not x <= y, which
+    is_proper reads, each filled by a check of the identity of s, equal
+    fresh builds."""
+    ident = np.arange(s.n)
+    assert crm.validate_crm_morphism(ident, s, s).ok and crm.is_proper(ident, s, s)[0]
+    joins = _compatible_join_table(dataclasses.replace(s))
+    xs, ys = np.nonzero(np.triu(joins >= 0))
+    cached_xs, cached_ys, cached_js = s._cache["compatible_pairs"]
+    assert np.array_equal(cached_xs, xs) and np.array_equal(cached_ys, ys)
+    assert np.array_equal(cached_js, joins[xs, ys])
+    not_leq = s._cache["not_leq"]
+    assert not_leq.dtype == np.float32 and np.array_equal(not_leq, ~s.leq)
+    for table in (cached_xs, cached_ys, cached_js, not_leq):
+        assert not table.flags.writeable
 
 
 def assert_same_arrow_tables(tc):
@@ -201,6 +220,7 @@ def test_cached_values_equal_fresh_builds_on_corpus_crms(monoids):
                 assert s._cache["down_sets"][1] == fresh_downs, name
                 assert_same_skeleton(s)
                 assert_same_target(s, range(s.n), joins, s.zero)
+                assert_same_morphism_tables(s)
             assert s_filters(s) is sf and l_vee(s) is lv
             assert set(s._cache) == MONOID_KEYS, name
 
@@ -285,8 +305,9 @@ def test_returned_values_cannot_change_a_later_call():
         rows = holder.find(holder.members)
         rows[:] = -1
         assert holder.find(holder.members).tolist() == list(range(len(holder.members)))
+    assert_same_morphism_tables(s)
     for cache, keys in ((q._cache, ("law_skeleton", "search_target")),
-                        (s._cache, ("down_sets",)),
+                        (s._cache, ("down_sets", "compatible_pairs", "not_leq")),
                         (bis.crm._cache, ("partial_joins",)),
                         (tc._cache, ("arrow_laws", "comp_rows"))):
         for key in keys:
@@ -356,16 +377,20 @@ def filled(tc):
     checks of tc against q and s.  These fill every key of q, which is also
     the target of the first check; every key of s but the target's, which
     the second fills on the bisection monoid, with the partial joins that
-    monoid is built with; and every key of tc but the composition rows,
-    which the functor searches fill on C(Q) and C(S)."""
+    monoid is built with, and the table of its order that is_proper reads
+    for the decisions of the callitic search; and every key of tc but the
+    composition rows, which the functor searches fill on C(Q) and C(S).
+    The morphism tables of s are filled by a check of its identity."""
     q = omega_object(tc).rqf
     s, _ = pi_restriction_monoid(q)
     l_vee(s)
     verify_adjunction_I(tc, q)
     verify_adjunction_II(tc, s)
+    ident = np.arange(s.n)
+    assert crm.validate_crm_morphism(ident, s, s).ok and crm.is_proper(ident, s, s)[0]
     assert set(q._cache) == QUANTALE_KEYS
     assert set(s._cache) == MONOID_KEYS - {"search_target"}
-    assert set(bisection_monoid(tc).crm._cache) == {"partial_joins", "search_target"}
+    assert set(bisection_monoid(tc).crm._cache) == {"partial_joins", "search_target", "not_leq"}
     assert set(tc._cache) == CATEGORY_KEYS - {"comp_rows"}
     assert set(c_object(q).topcat._cache) == set(s_filters(s).topcat._cache) == {"comp_rows"}
     return q, s
@@ -379,6 +404,7 @@ def holders(tc, q, s) -> list:
 def test_replace_starts_with_an_empty_cache():
     tc = pair_groupoid(2)
     q, s = filled(tc)
+    assert "compatible_pairs" in s._cache and "not_leq" in s._cache
     assert dataclasses.replace(q)._cache == {} and dataclasses.replace(s)._cache == {}
     assert dataclasses.replace(tc)._cache == {}
     for holder in holders(tc, q, s):

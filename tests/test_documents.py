@@ -1,12 +1,14 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from framecat.corpus import (boolean_frame, chain_frame, generate_corpus, pair_groupoid,
-                             parity_pair_groupoid)
+from framecat import corpus, functors
+from framecat.corpus import (boolean_frame, chain_frame, generate_corpus, omega_images,
+                             pair_groupoid, parity_pair_groupoid)
 from framecat.crm import pi_restriction_monoid
 from framecat.documents import (ParseError, StructMorphism, WorkbenchDocument,
                                 _bool_matrix, _canonical, _int_in_range, _int_matrix,
@@ -143,6 +145,30 @@ def test_writer_matches_oracle_on_corpus_documents():
     assert len(docs) == 58
     for doc in docs:
         assert serialize_document(doc) == oracle_text(doc), doc.name
+
+
+def category_key(tc) -> tuple:
+    """tc by its tables, so that equal categories built apart are one key."""
+    cat = tc.cat
+    return cat.n, cat.d.tobytes(), cat.r.tobytes(), cat.comp.tobytes(), tc.topology.opens
+
+
+def test_generate_corpus_builds_no_omega_image_twice(monkeypatch):
+    """Each corpus category with an Omega image has it built once, the crm
+    documents reading PI off the rqf documents; counted at the two builders
+    of functors.omega_object, with the negative fixtures built beforehand
+    and left out of the count."""
+    negatives, negative_crm = corpus.negative_fixtures(), corpus.negative_crm_fixture()
+    monkeypatch.setattr(corpus, "negative_fixtures", lambda: list(negatives))
+    monkeypatch.setattr(corpus, "negative_crm_fixture", lambda: negative_crm)
+    built = []
+    for name in ("_omega_discrete", "_omega_generic"):
+        real = getattr(functors, name)
+        monkeypatch.setattr(functors, name,
+                            lambda tc, real=real: built.append(category_key(tc)) or real(tc))
+    assert len(generate_corpus()) == 58
+    assert Counter(built) == Counter(category_key(inst.obj) for _, inst in omega_images())
+    assert len(built) == len(omega_images()) == 11
 
 
 def test_writer_matches_oracle_on_morphism_and_functor():

@@ -12,8 +12,7 @@ from framecat.corpus import (boolean_frame, chain_frame, corpus_rqfs, etale_cate
                              free_category_on_acyclic_graph, m3_lattice,
                              monoid_category, pair_groupoid,
                              parallel_pair_category, parity_pair_groupoid)
-from framecat.duality import (AdjunctionReport, _is_rqf_morphism_on_j,
-                              build_chi, build_omega_map,
+from framecat.duality import (AdjunctionReport, build_chi, build_omega_map,
                               check_transposes,
                               check_naturality_in_category,
                               check_naturality_in_quantale, chi_is_isomorphism,
@@ -30,12 +29,12 @@ from framecat.quantale import frame_as_quantale, partial_isometries
 from framecat.reports import BoundExceeded, Report
 from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, continuity_check,
                              make_category, validate_covering_functor, validate_topcategory)
-from map_oracles import (FilterMasks, assert_j_decisions_match_scan,
+from map_oracles import (FilterMasks, assert_residual_decisions_match_validators,
                          ideal_masks,
                          assert_transposes_match_oracles, build_omega_map_oracle,
-                         j_decision, map_outcome, one_value_perturbations, open_index,
+                         map_outcome, one_value_perturbations, open_index,
                          projection_mask, relabel, relabel_rqf, reversed_labels,
-                         searched_arrow_maps, searched_rqf_morphisms, small_corpus_categories)
+                         searched_arrow_maps, small_corpus_categories)
 from random_categories import small_categories
 
 
@@ -885,72 +884,74 @@ def test_adjunction_I_records_a_transpose_outside_the_homset(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the rqf hom-set search decides each candidate on J (_is_rqf_morphism_on_j);
-# validate_rqf_morphism, which checks all elements and pairs, must agree on
-# every candidate the search decides, on hom-set members and their
-# one-value perturbations, on chi of every corpus rqf and on maps of random
-# instances
-
-def perturbed_positions(q):
-    """Every element of q up to 64 elements.  Above that, J, bottom, top and
-    unit: a map moved at another element fails the join test on J at once,
-    so those perturbations only repeat the scan."""
-    if q.n <= 64:
-        return None
-    return sorted({*join_irreducibles(q), q.bottom, q.top, q.unit})
-
-
-def assert_homset_search_matches_scan(q, r):
-    """Every map the search decides and every hom-set member, perturbed."""
-    homset, calls = searched_rqf_morphisms(q, r)
-    decided = {args[0].tobytes() for args in calls}
-    assert all(theta.tobytes() in decided for theta in homset)
-    for args in calls:
-        assert _is_rqf_morphism_on_j(*args) == \
-            validate_rqf_morphism(args[0], q, r).ok, args[0].tolist()
-    for theta in homset:
-        assert_j_decisions_match_scan(
-            one_value_perturbations(theta, r.n, perturbed_positions(q)), q, r)
-    return homset
-
+# each hom-set search keeps one decision per map, for the laws it does not
+# compile (enumerate_rqf_morphisms, enumerate_covering_functors and
+# crm.enumerate_callitic_morphisms); on every map each search gives, that
+# decision must equal the verdict of the full validators
 
 @pytest.mark.parametrize("name2,tc2", small_corpus_categories())
-def test_j_decision_matches_scan_on_small_corpus_homsets(name2, tc2):
-    """Omega(C2) against Omega(C1) for every small C1: the morphism hom-sets
-    of the homsets benchmark, whose candidates fail too."""
+def test_residual_decisions_match_validators_on_small_corpus_pairs(name2, tc2):
+    """Both adjunction checks of every small C1 against Omega(C2) and
+    PI(Omega(C2)): the hom-sets of the homsets benchmark."""
     q = omega_object(tc2).rqf
+    s, _ = pi_restriction_monoid(q)
     for name1, tc1 in small_corpus_categories():
-        assert_homset_search_matches_scan(q, omega_object(tc1).rqf)
+        assert_residual_decisions_match_validators(tc1, q, s)
 
 
-def test_j_decision_matches_scan_on_pair3_homsets(pair3, omega_pair3):
-    """The six automorphisms of Omega(pair3), n = 512, and the six morphisms
-    into Omega of a relabelled pair3."""
+def test_residual_decisions_match_validators_on_pair3(pair3, omega_pair3):
+    """pair3 and a relabelled pair3 against Omega(pair3), n = 512, and
+    PI(Omega(pair3)): six maps in every hom-set."""
     q = omega_pair3.rqf
+    s, _ = pi_restriction_monoid(q)
     relabelled = relabel(pair3, np.random.default_rng(2).permutation(pair3.n))
-    for r in (q, omega_object(relabelled).rqf):
-        assert len(assert_homset_search_matches_scan(q, r)) == 6
+    for tc in (pair3, relabelled):
+        found = assert_residual_decisions_match_validators(tc, q, s)
+        assert {key: len(homset) for key, (homset, _) in found.items()} == \
+            {"rqf": 6, "callitic": 6, "functors-I": 6, "functors-II": 6}
 
 
-def test_j_decision_matches_scan_on_chi_of_corpus_rqfs():
-    for inst in corpus_rqfs():
-        q = inst.obj
-        chi = build_chi(q)
-        assert chi.report.ok, inst.name
-        assert_j_decisions_match_scan(
-            [chi.chi, *one_value_perturbations(chi.chi, chi.om.n, perturbed_positions(q))],
-            q, chi.om.rqf)
+def test_residual_decisions_reject_maps_on_two_empty_homsets(pair2, pair3, omega_pair3):
+    """Two pairs with empty hom-sets on which the searches give maps that
+    their decisions reject: six arrow maps pair2 -> C(PI(Omega(pair3)))
+    that are not surjective, and eight maps PI(qframe-chain3) ->
+    PI(Omega(pair3)) that are not callitic."""
+    pi3, _ = pi_restriction_monoid(omega_pair3.rqf)
+    found = assert_residual_decisions_match_validators(pair2, omega_pair3.rqf, pi3)
+    homset, maps = found["functors-II"]
+    assert (len(homset), len(maps)) == (0, 6)
+    chain3 = next(i.obj for i in corpus_rqfs() if i.name == "qframe-chain3")
+    found = assert_residual_decisions_match_validators(
+        pair3, chain3, pi_restriction_monoid(chain3)[0])
+    homset, maps = found["callitic"]
+    assert (len(homset), len(maps)) == (0, 8)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_categories(), small_categories())
+def test_residual_decisions_match_validators_on_random_categories(tc1, tc2):
+    """C1 against Omega(C2) and PI(Omega(C2)), and against its own; and
+    Omega(F): Omega(C2) -> Omega(C1) is an rqf morphism for every covering
+    functor F: C1 -> C2, and for every F: C1 -> C1."""
+    om1 = omega_object(tc1)
+    for target in (tc2, tc1):
+        om2 = omega_object(target)
+        q = om2.rqf
+        assert_residual_decisions_match_validators(tc1, q, pi_restriction_monoid(q)[0])
+        for f in enumerate_covering_functors(tc1, target):
+            assert validate_rqf_morphism(omega_morphism(f, om1, om2), q, om1.rqf).ok, f
 
 
 def test_validate_rqf_morphism_needs_no_valid_endpoints():
     """The atoms of the boolean frame on three atoms onto those of the
-    non-distributive M3: every law holds on J, so the decision on J passes
-    the map, but the meet of {0} and {1, 2} (and so the product, which is
-    the meet in a frame) is not preserved, and validate_rqf_morphism, which
-    scans all pairs, says so."""
+    non-distributive M3: the rqf search keeps the map, which keeps every
+    law it compiles on J and sends partial isometries to partial
+    isometries, but the meet of {0} and {1, 2} (and so the product, which
+    is the meet in a frame) is not preserved, and validate_rqf_morphism,
+    which scans all pairs, says so."""
     q, r = frame_as_quantale(boolean_frame(3)), frame_as_quantale(m3_lattice())
     theta = np.array([0, 1, 2, 4, 3, 4, 4, 4])
-    assert j_decision(q, r)(theta)
+    assert theta.tolist() in [m.tolist() for m in enumerate_rqf_morphisms(q, r)]
     rep = validate_rqf_morphism(theta, q, r)
     assert rep.laws() == ["morphism.preserves_finite_meets", "morphism.semigroup"]
     assert [v.witness for v in rep.violations] == [(1, 6), (1, 6)]
@@ -966,41 +967,25 @@ def join_extension(q, r, images):
 
 
 @pytest.mark.parametrize("name2,tc2", small_corpus_categories())
-def test_j_decision_matches_scan_on_join_extensions(name2, tc2):
+def test_join_extensions_that_are_morphisms_are_in_the_homset(name2, tc2):
     """Omega(C2) -> Omega(C1) for every small C1: maps extended by joins
-    from seeded random values on J.  They pass the join test, and for each
-    of the other laws some of them fail that law alone."""
+    from seeded random values on J, and the hom-set members with one value
+    on J moved.  Each that validate_rqf_morphism passes is in the hom-set
+    the search finds."""
     q = omega_object(tc2).rqf
-    k = len(join_irreducibles(q))
+    js = join_irreducibles(q)
     rng = np.random.default_rng(0)
     for name1, tc1 in small_corpus_categories():
         r = omega_object(tc1).rqf
-        assert_j_decisions_match_scan(
-            [join_extension(q, r, rng.integers(0, r.n, k)) for _ in range(100)], q, r)
-
-
-@settings(max_examples=20, deadline=None)
-@given(small_categories(), small_categories(), st.data())
-def test_j_decision_matches_scan_on_random_categories(tc1, tc2, data):
-    """Omega(C2) -> Omega(C1): the maps Omega(F) of the covering functors
-    F: C1 -> C2 and their perturbations, the searched hom-set when both
-    have at most 64 elements, maps extended by joins from random values on
-    J, and random maps; the same with C2 = C1."""
-    om1 = omega_object(tc1)
-    for target, om2 in ((tc1, om1), (tc2, omega_object(tc2))):
-        q, r = om2.rqf, om1.rqf
-        for f in enumerate_covering_functors(tc1, target):
-            theta = omega_morphism(f, om1, om2)
-            assert validate_rqf_morphism(theta, q, r).ok
-            assert_j_decisions_match_scan(
-                [theta, *one_value_perturbations(theta, r.n, perturbed_positions(q))], q, r)
-        if max(q.n, r.n) <= 64:
-            assert_homset_search_matches_scan(q, r)
-        values = st.integers(0, r.n - 1)
-        js = join_irreducibles(q)
-        images = data.draw(st.lists(values, min_size=len(js), max_size=len(js)))
-        theta = np.array(data.draw(st.lists(values, min_size=q.n, max_size=q.n)))
-        assert_j_decisions_match_scan([join_extension(q, r, images), theta], q, r)
+        found = enumerate_rqf_morphisms(q, r)
+        homset = {m.tobytes() for m in found}
+        maps = [join_extension(q, r, rng.integers(0, r.n, len(js))) for _ in range(100)]
+        for m in found:
+            maps += [join_extension(q, r, images)
+                     for images in one_value_perturbations(m[js], r.n)]
+        for theta in maps:
+            assert validate_rqf_morphism(theta, q, r).ok == (theta.tobytes() in homset), \
+                theta.tolist()
 
 
 # ---------------------------------------------------------------------------

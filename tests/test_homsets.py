@@ -23,8 +23,7 @@ from framecat.crm import (CompleteRestrictionMonoid, _compatible_join_table,
                           _partial_join_table, enumerate_callitic_morphisms,
                           is_callitic, pi_restriction_monoid, validate_crm_morphism,
                           verify_adjunction_II)
-from framecat.duality import (_is_rqf_morphism_on_j, enumerate_rqf_morphisms,
-                              find_category_isomorphism, positions,
+from framecat.duality import (enumerate_rqf_morphisms, find_category_isomorphism, positions,
                               validate_rqf_morphism, verify_adjunction_I)
 from framecat.functors import omega_object
 from framecat.order import _freeze
@@ -274,7 +273,7 @@ def morphism_search(s: SearchTables, t: SearchTables) -> list[list[int]]:
 def rqf_morphisms_by_element_search(q: EhresmannQuantale, r: EhresmannQuantale,
                                     max_elements: int = 64) -> list[np.ndarray]:
     """morphism_search over the PIs of q and r, with the frame joins, then
-    extension by joins and the decision on J(q)."""
+    extension by joins and validate_rqf_morphism."""
     if q.n > max_elements or r.n > max_elements:
         raise BoundExceeded(f"morphism enumeration bounded to {max_elements} elements")
     q_pis = partial_isometries(q)
@@ -292,7 +291,7 @@ def rqf_morphisms_by_element_search(q: EhresmannQuantale, r: EhresmannQuantale,
         if key in seen:
             continue
         seen.add(key)
-        if _is_rqf_morphism_on_j(theta, q, r):
+        if validate_rqf_morphism(theta, q, r).ok:
             out.append(_freeze(theta))
     return out
 
