@@ -288,10 +288,13 @@ def quantale_frames() -> list[CorpusInstance]:
             for name in ("chain3", "chain64", "bool2", "bool6", "prod-3x3")]
 
 
-def corpus_rqfs(max_elements: int = MAX_TABLE_SIDE) -> list[CorpusInstance]:
-    """Omega images of the etale categories plus frames as quantales."""
+def corpus_rqfs(max_elements: int = MAX_TABLE_SIDE,
+                images: Optional[list[tuple[str, CorpusInstance]]] = None) -> list[CorpusInstance]:
+    """Omega images of the etale categories plus frames as quantales; the
+    categories are those of images, a listing of omega_images
+    (omega_images(max_elements) when None), on which Omega is cached."""
     out = [CorpusInstance(name, "rqf", omega_object(inst.obj, max_elements=max_elements).rqf)
-           for name, inst in omega_images(max_elements)]
+           for name, inst in (omega_images(max_elements) if images is None else images)]
     return out + quantale_frames()
 
 
@@ -326,7 +329,11 @@ def _mutate_poset(leq, i, j, value):
     return a
 
 
-def negative_fixtures() -> list[CorpusInstance]:
+def negative_fixtures(pair2: Optional[FiniteTopCategory] = None) -> list[CorpusInstance]:
+    """The negative fixtures but the crm one.  The Ehresmann fixture
+    perturbs Omega(pair2), read off pair2, a pair groupoid on two points
+    (a new one when None), on which it is cached, so that a caller that
+    holds one builds no Omega image again."""
     out: list[CorpusInstance] = []
 
     chain = chain_frame(3)
@@ -379,7 +386,7 @@ def negative_fixtures() -> list[CorpusInstance]:
                               "quantale.join_distributivity_left"))
 
     # Ehresmann: swap star and plus on one non-symmetric element of omega(pair2)
-    om = omega_object(pair_groupoid(2))
+    om = omega_object(pair_groupoid(2) if pair2 is None else pair2)
     q = om.rqf
     star = q.star.copy()
     plus = q.plus.copy()
@@ -415,7 +422,9 @@ def generate_corpus(max_elements: int = MAX_TABLE_SIDE):
     """The whole corpus as workbench documents: categories with their
     quantale images, frames, monoids, and the perturbed negative fixtures
     (those carry the violated law in their expected block).  An Omega image
-    with more than max_elements opens is left out, and so is its PI."""
+    with more than max_elements opens is left out, and so is its PI.  Each
+    Omega image is built once: the negative fixtures read Omega(pair2) off
+    the corpus pair2, on which it is cached."""
     if max_elements > MAX_TABLE_SIDE:
         raise BoundExceeded(f"max_elements {max_elements} exceeds hard limit {MAX_TABLE_SIDE}")
     docs = []
@@ -423,21 +432,24 @@ def generate_corpus(max_elements: int = MAX_TABLE_SIDE):
         docs.append(WorkbenchDocument("topcategory", inst.name, inst.obj))
     for inst in corpus_frames():
         docs.append(WorkbenchDocument("frame", inst.name, inst.obj))
-    rqfs = corpus_rqfs(max_elements=max_elements)
+    images = omega_images(max_elements)
+    rqfs = corpus_rqfs(max_elements, images)
     for inst in rqfs:
         docs.append(WorkbenchDocument("rqf", inst.name, inst.obj))
     for inst in corpus_crms(rqfs):
         docs.append(WorkbenchDocument("crm", inst.name, inst.obj))
-    for inst in negative_fixtures() + [negative_crm_fixture()]:
+    pair2 = next((inst.obj for name, inst in images if name == "omega-pair2"), pair_groupoid(2))
+    for inst in negative_fixtures(pair2) + [negative_crm_fixture(pair2)]:
         docs.append(WorkbenchDocument(inst.kind, inst.name, inst.obj,
                                       expected={"violated_law": inst.expect_fail}))
     return docs
 
 
-def negative_crm_fixture() -> CorpusInstance:
+def negative_crm_fixture(pair2: Optional[FiniteTopCategory] = None) -> CorpusInstance:
     """The partial-bijection monoid on a 2-set minus the swap: the two
-    transposition singletons stay compatible but their join is gone."""
-    om = omega_object(pair_groupoid(2))
+    transposition singletons stay compatible but their join is gone.  Read
+    off Omega(pair2), as negative_fixtures reads it."""
+    om = omega_object(pair_groupoid(2) if pair2 is None else pair2)
     s, carrier = pi_restriction_monoid(om.rqf)
     swap_q = om.opens.index(0b0110)
     keep = [i for i, e in enumerate(carrier) if e != swap_q]

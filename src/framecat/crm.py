@@ -483,7 +483,9 @@ def is_proper(theta, s: CompleteRestrictionMonoid,
     bounds of G[x] are the u with no g in G[x] outside down(u), and the
     least of them is the first upper bound u with no upper bound v outside
     up(u), each test one matrix product.  The float32 table of not g <= u
-    is built once per target (`order.cached`), read-only."""
+    is built once per target (`order.cached`), read-only.  On a valid
+    target the callitic search decides it on J(t) instead
+    (`_is_proper_on_j`)."""
     theta = np.asarray(theta, dtype=np.int64)
     below_image = t.leq[:, theta].any(axis=1)
     gens = t.leq.T & below_image                        # [x, g]: g <= x, g below an image
@@ -617,8 +619,9 @@ def enumerate_callitic_morphisms(s: CompleteRestrictionMonoid,
                                  max_elements: int = MAX_TABLE_SIDE) -> list[np.ndarray]:
     """All callitic morphisms s -> t, for s and t that pass validate_crm:
     the maps of duality.generator_search over the join-primes J(s), with
-    every element of t as a candidate, that pass is_callitic (proper, and
-    finite meets kept), the laws the search does not compile.
+    every element of t as a candidate, that are callitic, the laws the
+    search does not compile: finite meets kept (preserves_finite_meets),
+    and proper, decided on J(t) (`_is_proper_on_j`).
 
     No morphism is lost: every element of s is the compatible join of the
     join-primes below it (see l_vee), and a callitic morphism preserves
@@ -646,7 +649,22 @@ def enumerate_callitic_morphisms(s: CompleteRestrictionMonoid,
     - the unit is compiled."""
     require_at_most(s.n, max_elements, "S has {} elements")
     require_at_most(t.n, max_elements, "T has {} elements")
-    return [_freeze(theta) for theta in generator_search(s, t) if is_callitic(theta, s, t)[0]]
+    return [_freeze(theta) for theta in generator_search(s, t)
+            if _is_proper_on_j(theta, t) and preserves_finite_meets(theta, s, t)[0]]
+
+
+def _is_proper_on_j(theta: np.ndarray, t: CompleteRestrictionMonoid) -> bool:
+    """is_proper for a t that passes validate_crm, one gather: every
+    join-prime of t lies below some theta(x).
+
+    If it does, the elements below x and below an image hold every
+    join-prime below x, whose join is x (see l_vee), so their least upper
+    bound is x.  If a join-prime j lies below no image, the elements below
+    j and below an image lie strictly below j, and so does their join, a
+    compatible one: j is join-prime, so a join equal to j would have a
+    joinand above j.  Their least upper bound, the zero when there are
+    none, is then not j."""
+    return bool(t.leq[join_primes(t)][:, theta].any(axis=1).all())
 
 
 def verify_adjunction_II(tc: FiniteTopCategory, s: CompleteRestrictionMonoid,

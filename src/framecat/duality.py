@@ -2,16 +2,25 @@
 enumeration and the machine check of the first adjunction theorem.
 
 validate_rqf_morphism checks every law on all elements and pairs, for any
-endpoints.  The hom-set searches decide each law once.  generator_search
-compiles the laws on the generators J of its source (joins, meets and mul
-on J x J, star, plus, unit and top) and joins the earlier images each law
-reads once per node, not once per candidate.  Each map it finds then
-needs only what it did not compile: between valid rqfs, that partial
-isometries go to partial isometries, one gather; the rest follows by
-distributivity and join-primeness (Birkhoff; Davey & Priestley,
-Introduction to Lattices and Order, ch. 5; see enumerate_rqf_morphisms).
-The functor search decides d- and r-surjectivity and continuity alone, and
-the callitic search in crm is_callitic alone.
+endpoints.  The hom-set searches decide each law once, and draw each image
+from where the laws already put it.  Under the adjunction d and r are star
+and plus (the Ehresmann structure; Resende, Etale groupoids and their
+quantales, Adv. Math. 208, 2007), and both searches are typed by them.
+arrow_maps draws an arrow with placed ends from the hom-set between their
+images, and the functor search an identity from the identities with the
+same fibre sizes, which decides d- and r-surjectivity (see
+enumerate_covering_functors).  generator_search draws a generator whose
+star and plus laws read only earlier generators from the class of
+candidates with those star and plus values.  It compiles the laws on the
+generators J of its source (joins, meets and mul on J x J, star, plus,
+unit and top) and joins the earlier images each law reads once per node,
+not once per candidate.  Each map it finds then needs only what it did
+not compile: between valid rqfs, that partial isometries go to partial
+isometries, one gather; the rest follows by distributivity and
+join-primeness (Birkhoff; Davey & Priestley, Introduction to Lattices and
+Order, ch. 5; see enumerate_rqf_morphisms).  The functor search decides
+continuity alone, and the callitic search in crm properness on J(t) and
+finite meets.
 
 chi sends a quantale element a to the set X_a of completely prime filters
 containing it; omega sends an arrow x to the filter O_x of opens containing
@@ -35,8 +44,10 @@ What a hom-set search derives from one object is cached on that object
 quantale, J, the partial isometries, the monoid PI(Q) and C(Q); on a
 monoid, J(S), the down-sets of J(S), L^vee(S) and the S-filters; on
 either, the laws of generator_search as a source and its tables as a
-target; on a topological category, Omega(C), the open local bisections
-and the tables of a functor search from it or into it; on an
+target, with the classes of its candidates by star and plus; on a
+topological category, Omega(C), the open local bisections, the laws and
+identity fibres of a functor search from it and the composition rows,
+hom-sets and identity fibres of one into it; on an
 OmegaResult, a FilterCategory and a crm.BisectionMonoid, the lookup of
 its member rows (find).  So an adjunction check against objects it has
 seen before only searches.
@@ -45,16 +56,18 @@ transposes reads the bool member rows of both sides, the filters (row k
 of the order at the least member of filter k) and the opens of Omega(C)
 (OmegaResult.members) or the open local bisections of C
 (crm.BisectionMonoid.members), with no Python int per element, and looks
-each transposed set up by the other side's find.
-check_transposes runs the second direction only when the first leaves it
-open: once every functor has gone to a morphism and back to itself, and
-there are as many distinct functors as morphisms, forward is a bijection
-with inverse backward.
+each transposed set up by the other side's find, a whole stack of maps
+at once.  check_transposes transposes each hom-set as one stack, and runs
+the second direction only when the first leaves it open: once every
+functor has gone to a morphism and back to itself, and there are as many
+distinct functors as morphisms, forward is a bijection with inverse
+backward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from types import MappingProxyType
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -67,7 +80,7 @@ from .order import _freeze, cached, join_irreducibles
 from .quantale import EhresmannQuantale, partial_isometries
 from .reports import MAX_ARROWS, MAX_TABLE_SIDE, InternalError, Report, require_at_most
 from .topcat import (UNDEF, FiniteCategory, FiniteTopCategory, continuity_check,
-                     surjectivity_failures, validate_covering_functor)
+                     validate_covering_functor)
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +158,20 @@ def transposes(filters: FilterCategory, sets) -> tuple[Callable, Callable]:
     forward: arrow map alpha: C -> filters  |->  map A -> sets,
     x |-> {c : x in alpha(c)}; backward: map beta: A -> sets  |->  arrow
     map C -> filters, c |-> {x : c in beta(x)}.  Each reads one membership
-    relation the other way round, as one array map: column x (or c) of the
-    member rows at alpha (or beta) is looked up among the member rows of the
-    other side (its `find`, built once per holder and on first use, so an
-    empty hom-set builds none).  Each returns None when one of these sets is
-    not among those rows (no open or bisection, no filter)."""
-    def transposed(images, rows: np.ndarray, find: Callable) -> Optional[np.ndarray]:
-        out = find(rows[np.asarray(images, dtype=np.int64)].T)
-        return None if (out < 0).any() else _freeze(out)
+    relation the other way round, as one array map, on a stack of maps at
+    once, of shape (..., |C|) or (..., |A|): the member rows at each map,
+    transposed, are looked up among the member rows of the other side (its
+    `find`, built once per holder and on first use, so an empty hom-set
+    builds none), one block of maps at a time (`bits.row_blocks`).  Each
+    returns the stack of the transposes, with -1 for a set that is not
+    among those rows (no open or bisection, no filter)."""
+    def transposed(images, rows: np.ndarray, find: Callable) -> np.ndarray:
+        images = np.asarray(images, dtype=np.int64)
+        flat = images.reshape(prod(images.shape[:-1]), images.shape[-1])
+        out = np.empty((len(flat), rows.shape[1]), dtype=np.int64)
+        for block in row_blocks(len(flat), flat.shape[1] * rows.shape[1]):
+            out[block] = find(rows[flat[block]].transpose(0, 2, 1))
+        return out.reshape(*images.shape[:-1], rows.shape[1])
 
     return (lambda alpha: transposed(alpha, filters.members, sets.find),
             lambda beta: transposed(beta, sets.members, filters.find))
@@ -175,11 +194,11 @@ def build_chi(q: EhresmannQuantale, max_elements: int = MAX_TABLE_SIDE) -> ChiRe
     fc = c_object(q, max_elements)
     om = omega_object(fc.topcat, max_elements)
     chi = transposes(fc, om)[0](np.arange(fc.n))
-    if chi is None:
+    if (chi < 0).any():
         raise InternalError("an X-set of C(Q) is not an open of Omega(C(Q))")
     rep = validate_rqf_morphism(chi, q, om.rqf)
     rep.subject = "chi"
-    return ChiResult(chi=chi, fc=fc, om=om, report=rep)
+    return ChiResult(chi=_freeze(chi), fc=fc, om=om, report=rep)
 
 
 def is_spatial(q: EhresmannQuantale) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -228,8 +247,9 @@ def build_omega_map(tc: FiniteTopCategory, om: OmegaResult) -> OmegaMapResult:
     oracle in the tests checks the law open by open."""
     fc = c_object(om.rqf, om.n)
     omega = transposes(fc, om)[1](np.arange(om.n))
-    if omega is None:
+    if (omega < 0).any():
         raise InternalError("a filter O_x of Omega(C) is not a completely prime filter")
+    omega = _freeze(omega)
     rep = validate_covering_functor(omega, tc.cat, fc.topcat.cat)
     rep.subject = "omega-map"
     ok, wit = continuity_check(omega, tc, fc.topcat)
@@ -271,15 +291,16 @@ def omega_is_isomorphism(tc: FiniteTopCategory, res: OmegaMapResult) -> tuple[bo
 # ---------------------------------------------------------------------------
 # hom-set enumeration
 
-def arrow_laws(cs: FiniteCategory, order: Sequence[int], iso: bool = False) -> tuple[tuple, tuple]:
+def arrow_laws(cs: FiniteCategory, order: Sequence[int], iso: bool = False) -> tuple[tuple, ...]:
     """The laws of arrow_maps on the arrows of cs placed in `order`, each
     compiled into the level of the last arrow it names: per level, comps,
     the (x, y, c) with F(x).F(y) = F(c) for every composable pair x.y = c,
     and with iso also (x, y, UNDEF) for every pair whose composite is
-    undefined, UNDEF being read from the last slot of the image; and apart,
-    the (a, b), b < a, with F(a) != F(b) for arrows with the same d or the
-    same r, with iso for all.  Immutable and free of references to cs, so
-    that `order.cached` can hold it."""
+    undefined, UNDEF being read from the last slot of the image; apart, the
+    (a, b), b < a, with F(a) != F(b) for arrows with the same d or the same
+    r, with iso for all; and ends, the (d a, r a) of the arrow a placed at
+    the level when both are placed before it, else None.  Immutable and
+    free of references to cs, so that `order.cached` can hold it."""
     n = cs.n
     s_d, s_r, s_comp = cs.d.tolist(), cs.r.tolist(), cs.comp.tolist()
     level = {a: k for k, a in enumerate(order)}
@@ -294,20 +315,27 @@ def arrow_laws(cs: FiniteCategory, order: Sequence[int], iso: bool = False) -> t
                 comps[max(level[a], level[b])].append((a, b, UNDEF))
             if b < a and (iso or s_d[a] == s_d[b] or s_r[a] == s_r[b]):
                 apart[max(level[a], level[b])].append((a, b))
-    return tuple(map(tuple, comps)), tuple(map(tuple, apart))
+    ends = tuple((s_d[a], s_r[a]) if max(level[s_d[a]], level[s_r[a]]) < k else None
+                 for k, a in enumerate(order))
+    return tuple(map(tuple, comps)), tuple(map(tuple, apart)), ends
 
 
-def arrow_maps(laws: tuple[tuple, tuple], t_comp: tuple, order: Sequence[int],
-               candidates: list[list[int]]) -> Iterator[list[int]]:
-    """The arrow maps F with each F(a) in candidates[a] that keep `laws`,
-    the arrow_laws of the source for the same order, read on t_comp, the
-    composition rows of the target (`_rows`).  The candidates of an
-    identity must be identities; then F(d a) = d F(a) and F(r a) = r F(a)
-    are the laws of the pairs (a, d a) and (r a, a).  Yielded as lists in
-    depth-first order: the arrows placed in `order`, the candidates of each
-    in the order given; each law is checked when the last arrow it names is
-    placed."""
-    comps, apart = laws
+def arrow_maps(laws: tuple[tuple, ...], target: ArrowTarget, order: Sequence[int],
+               candidates: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    """The arrow maps F that keep `laws`, the arrow_laws of the source for
+    the same order, read on the composition rows of target (`arrow_target`).
+    An arrow a whose ends d a and r a are placed before it draws F(a) from
+    the hom-set of the target from F(d a) to F(r a), which keeps d and r.
+    Any other arrow draws from candidates[a], which for an identity must
+    hold identities only; F(d a) = d F(a) and F(r a) = r F(a) are then the
+    laws of the pairs (a, d a) and (r a, a).  Yielded as lists in
+    depth-first order: the arrows placed in `order`, the images of each
+    ascending or in the order given; each law is checked when the last
+    arrow it names is placed.  A hom-set holds every arrow with those
+    ends, ascending, so a search that draws from it yields the maps of one
+    that tries every arrow there, in the same order."""
+    comps, apart, ends = laws
+    t_comp, homs = target.comp, target.homs
     n = len(order)
     image = [0] * n + [UNDEF]
 
@@ -326,12 +354,48 @@ def arrow_maps(laws: tuple[tuple, tuple], t_comp: tuple, order: Sequence[int],
             yield image[:n]
             return
         a = order[k]
-        for y in candidates[a]:
+        if ends[k] is None:
+            drawn = candidates[a]
+        else:
+            da, ra = ends[k]
+            drawn = homs[image[da]][image[ra]]
+        for y in drawn:
             image[a] = y
             if keeps(k):
                 yield from search(k + 1)
 
     yield from search(0)
+
+
+class ArrowTarget(NamedTuple):
+    """What arrow_maps reads of its target category: comp, its composition
+    rows (`_rows`); homs[u][v], the arrows y with d y = u and r y = v,
+    ascending, empty unless u and v are identities; and fibres, each pair
+    (|d^-1(e)|, |r^-1(e)|) of an identity e with the identities that have
+    it, ascending.  Immutable and free of references to the category, so
+    that `order.cached` can hold it."""
+    comp: tuple
+    homs: tuple
+    fibres: MappingProxyType
+
+
+def arrow_target(cd: FiniteCategory) -> ArrowTarget:
+    """The ArrowTarget of cd."""
+    d, r = cd.d.tolist(), cd.r.tolist()
+    homs = [[[] for _ in range(cd.n)] for _ in range(cd.n)]
+    for y in range(cd.n):
+        homs[d[y]][r[y]].append(y)
+    fibres: dict[tuple, list[int]] = {}
+    for e, key in _fibre_sizes(cd).items():
+        fibres.setdefault(key, []).append(e)
+    return ArrowTarget(_rows(cd.comp), tuple(tuple(map(tuple, row)) for row in homs),
+                       MappingProxyType({key: tuple(ids) for key, ids in fibres.items()}))
+
+
+def _fibre_sizes(c: FiniteCategory) -> dict[int, tuple[int, int]]:
+    """(|d^-1(e)|, |r^-1(e)|) for each identity e of c, ascending."""
+    d_sizes, r_sizes = np.bincount(c.d, minlength=c.n), np.bincount(c.r, minlength=c.n)
+    return {e: (int(d_sizes[e]), int(r_sizes[e])) for e in c.identities()}
 
 
 def _rows(table: np.ndarray) -> tuple:
@@ -343,41 +407,45 @@ def _rows(table: np.ndarray) -> tuple:
 def enumerate_covering_functors(src: FiniteTopCategory, dst: FiniteTopCategory,
                                 max_arrows: int = MAX_ARROWS) -> list[np.ndarray]:
     """All continuous covering functors src = C -> dst = D: the maps of
-    arrow_maps, identities placed first and sent to identities, that are
-    d- and r-surjective and continuous (`_is_continuous_covering`).  The
-    arrow laws compile the rest of validate_covering_functor: identities go
-    to identities, d and r are kept (the laws of the pairs (a, d a) and
-    (r a, a)), and so is composition, and arrows with the same d or the
-    same r go to distinct arrows (d- and r-injectivity).  More than
+    arrow_maps, identities placed first, that are continuous
+    (continuity_check), the one law the search does not compile.  More than
     max_arrows arrows in C, then in D, are refused
-    (`reports.require_at_most`).  The order and the arrow laws of src for it
-    are cached on src, and the composition rows of dst on dst
-    (`order.cached`)."""
+    (`reports.require_at_most`).  The order, the arrow laws and the
+    identity domains of src are cached on src, and the arrow_target of dst
+    on dst (`order.cached`).
+
+    The arrow laws compile the rest of validate_covering_functor.
+    Identities go to identities, and every other arrow a is drawn from the
+    hom-set from F(d a) to F(r a), so d and r are kept.  Composition is
+    kept, and arrows with the same d or the same r go to distinct arrows
+    (d- and r-injectivity).  The domains decide d- and r-surjectivity: an
+    identity e is drawn only from the identities of D whose d- and
+    r-fibres are as large as those of e.  The laws keep d and make F
+    injective on d^-1(e), into d^-1(F(e)), so F is onto d^-1(F(e)), as
+    d-surjectivity at e asks, iff |d^-1(e)| = |d^-1(F(e))|; r likewise.
+    So the search yields exactly the covering functors, in the order of a
+    search that draws every identity from every identity of D and every
+    other arrow from every arrow of D (tests/map_oracles.py)."""
     cs, cd = src.cat, dst.cat
     require_at_most(cs.n, max_arrows, "C has {} arrows", name="max_arrows")
     require_at_most(cd.n, max_arrows, "D has {} arrows", name="max_arrows")
-    order, laws = cached(src, "arrow_laws", lambda: _covering_laws(cs))
-    t_comp = cached(dst, "comp_rows", lambda: _rows(cd.comp))
-    dst_ids, every = cd.identities(), list(range(cd.n))
-    candidates = [dst_ids if cs.is_identity(a) else every for a in range(cs.n)]
+    order, laws, fibres = cached(src, "arrow_laws", lambda: _covering_laws(cs))
+    target = cached(dst, "arrow_target", lambda: arrow_target(cd))
+    every = range(cd.n)
+    candidates = [target.fibres.get(fibres[a], ()) if a in fibres else every
+                  for a in range(cs.n)]
     return [_freeze(np.array(f, dtype=np.int64))
-            for f in arrow_maps(laws, t_comp, order, candidates)
-            if _is_continuous_covering(f, src, dst)]
+            for f in arrow_maps(laws, target, order, candidates)
+            if continuity_check(f, src, dst)[0]]
 
 
-def _is_continuous_covering(f: list[int], src: FiniteTopCategory, dst: FiniteTopCategory) -> bool:
-    """What enumerate_covering_functors decides of a map of arrow_maps:
-    d- and r-surjectivity (`topcat.surjectivity_failures`, which
-    validate_covering_functor reports too) and continuity_check."""
-    return not surjectivity_failures(f, src.cat, dst.cat) and continuity_check(f, src, dst)[0]
-
-
-def _covering_laws(cs: FiniteCategory) -> tuple[tuple, tuple]:
+def _covering_laws(cs: FiniteCategory) -> tuple[tuple, tuple, MappingProxyType]:
     """The order in which enumerate_covering_functors places the arrows of
-    cs, identities first, each part ascending, and the arrow_laws of cs for
-    it."""
+    cs, identities first, each part ascending; the arrow_laws of cs for it;
+    and the fibre sizes of each identity of cs (`_fibre_sizes`), the key
+    of its domain in the fibres of an ArrowTarget."""
     order = tuple(sorted(range(cs.n), key=lambda a: (not cs.is_identity(a), a)))
-    return order, arrow_laws(cs, order)
+    return order, arrow_laws(cs, order), MappingProxyType(_fibre_sizes(cs))
 
 
 def positions(n: int, domain: list[int]) -> np.ndarray:
@@ -387,6 +455,9 @@ def positions(n: int, domain: list[int]) -> np.ndarray:
     pos = np.full(n + 1, -1, dtype=np.int64)
     pos[domain] = np.arange(len(domain))
     return pos
+
+
+ANY, FIXED = None, -2  # class keys: no law keys the class; star[c] = c (plus[c] = c)
 
 
 def generator_search(alg, tgt) -> list[np.ndarray]:
@@ -409,9 +480,21 @@ def generator_search(alg, tgt) -> list[np.ndarray]:
     the images of the generators below x, so those generators count toward
     the level of the law.
 
-    The laws (`law_skeleton`) and the target's operations on its
-    candidates (`search_target`) are each cached on their object, and a
-    call reads both as they are.  At each node the join of the images of
+    The star and plus laws of the k-th generator g type its image, star
+    and plus being d and r of the etale category.  When every generator
+    below g* comes before g, theta(g*) is known before theta(g) is drawn,
+    and theta(g) must be a candidate c with star[c] = theta(g*).  When g
+    lies below g* and no other generator does (g is a projection with
+    nothing below it), theta(g*) = theta(g), and c must have star[c] = c.
+    Plus likewise.  Those laws (`LawSkeleton.keys`) name the class of the
+    target's candidates that keep them (`SearchTarget.classes`), and
+    theta(g) is drawn from that class alone, ascending.  So the search
+    yields the maps of one that tries every candidate and tests those laws
+    with the others, in the same order.
+
+    The laws (`law_skeleton`) and the target's operations and classes on
+    its candidates (`search_target`) are each cached on their object, and
+    a call reads both as they are.  At each node the join of the images of
     the earlier generators below each law's derived element is computed
     once, and each candidate is then tested against it.  A law that names
     no generator (the unit or the top, when it is the zero) is checked once
@@ -421,15 +504,28 @@ def generator_search(alg, tgt) -> list[np.ndarray]:
     operations and joins, and sends the generators to candidates, is among
     the maps found, provided every element of alg is the join of the
     generators below it."""
-    below, lower, laws, constant = law_skeleton(alg)
+    below, lower, laws, keys, constant = law_skeleton(alg)
     m = len(below)
     target = search_target(tgt)
     t_join, t_leq, zero, ops = target.join_rows, target.leq_rows, target.zero, target.ops
+    classes = target.classes
     if any(ops[name] != zero for name in constant):
         return []
 
     images = [0] * m  # candidate positions
     found: list[list[int]] = []
+
+    def key(law: Optional[tuple]):
+        """The class key that a keyed law of the node reads."""
+        if law is None:
+            return ANY
+        rest, joined = law
+        if joined:
+            return FIXED
+        v = zero
+        for p in rest:
+            v = t_join[v][images[p]]
+        return v
 
     def backtrack(k: int) -> None:
         if k == m:
@@ -441,7 +537,8 @@ def generator_search(alg, tgt) -> list[np.ndarray]:
             for p in rest:
                 v = t_join[v][images[p]]
             checks.append((t_join[v] if joined else None, v, ops[name], a, b))
-        for c in range(len(t_leq)):
+        star, plus = keys[k]
+        for c in classes.get((key(star), key(plus)), ()):
             images[k] = c
             for i in lower[k]:
                 if not t_leq[images[i]][c]:
@@ -473,15 +570,19 @@ class SearchTarget(NamedTuple):
     leq on pairs of candidates as rows; the read-only mapping from each
     operation name of `_law_skeleton` to its table, meet and mul on pairs
     of candidates as rows, star and plus on candidates, the unit and, of an
-    rqf, the top; the zero; and candidate[e], element e is a candidate.
-    Rows are tuples of Python ints (`_rows`).  Immutable and free of
-    references to the target, so that `order.cached` can hold it."""
+    rqf, the top; the zero; candidate[e], element e is a candidate; and
+    classes, the read-only mapping from each key (s, p) to the positions of
+    the candidates c, ascending, with star[c] = s, or star[c] = c when s is
+    FIXED, or any star when s is ANY, and plus[c] likewise by p.  Rows are
+    tuples of Python ints (`_rows`).  Immutable and free of references to
+    the target, so that `order.cached` can hold it."""
     pad: np.ndarray
     join_rows: tuple
     leq_rows: tuple
     ops: MappingProxyType
     zero: int
     candidate: np.ndarray
+    classes: MappingProxyType
 
 
 def search_target(tgt) -> SearchTarget:
@@ -505,11 +606,17 @@ def _target_tables(tgt) -> SearchTarget:
     pad[:-1] = joins[:, cands]
     candidate = np.zeros(tgt.n, dtype=bool)
     candidate[cands] = True
-    ops.update(meet=_rows(tgt.meet[block]), mul=_rows(tgt.mul[block]),
-               star=tuple(tgt.star[cands].tolist()), plus=tuple(tgt.plus[cands].tolist()),
+    stars, pluses = tuple(tgt.star[cands].tolist()), tuple(tgt.plus[cands].tolist())
+    classes: dict[tuple, list[int]] = {}
+    for p, (c, star, plus) in enumerate(zip(cands.tolist(), stars, pluses)):
+        for star_key in (ANY, star, FIXED) if star == c else (ANY, star):
+            for plus_key in (ANY, plus, FIXED) if plus == c else (ANY, plus):
+                classes.setdefault((star_key, plus_key), []).append(p)
+    ops.update(meet=_rows(tgt.meet[block]), mul=_rows(tgt.mul[block]), star=stars, plus=pluses,
                unit=tgt.unit)
     return SearchTarget(_freeze(pad), _rows(pad), _rows(tgt.leq[block]),
-                        MappingProxyType(ops), int(zero), _freeze(candidate))
+                        MappingProxyType(ops), int(zero), _freeze(candidate),
+                        MappingProxyType({key: tuple(ps) for key, ps in classes.items()}))
 
 
 class LawSkeleton(NamedTuple):
@@ -517,6 +624,7 @@ class LawSkeleton(NamedTuple):
     below: np.ndarray
     lower: tuple
     laws: tuple
+    keys: tuple
     constant: tuple
 
 
@@ -536,10 +644,15 @@ def _law_skeleton(alg) -> LawSkeleton:
     images at the positions of rest, joined with the k-th image when
     joined (the k-th generator lies below the derived element), to equal
     op[image a][image b], op[image a] when b is None, and op itself when a
-    is None; and constant, the names of the operations (the unit, the top)
-    whose law names no generator, the derived element being the zero.
-    Immutable and free of references to alg, so that `order.cached` can
-    hold it."""
+    is None; keys[k], the star and the plus law of the k-th generator g
+    when they key the class of its image, each as (rest, joined), else
+    None: when the law lies in level k and is not joined, the class key is
+    the join of the images at rest, and when it is joined with rest empty,
+    it is FIXED (see generator_search); and constant, the names of the
+    operations (the unit, the top) whose law names no generator, the
+    derived element being the zero.  A keyed law is in keys[k] and not in
+    laws[k].  Immutable and free of references to alg, so that
+    `order.cached` can hold it."""
     if isinstance(alg, EhresmannQuantale):
         gens, top = join_irreducibles(alg), alg.top
     else:
@@ -549,6 +662,7 @@ def _law_skeleton(alg) -> LawSkeleton:
     m = len(order)
     below = _freeze(alg.leq[order, :])
     laws: list[list[tuple]] = [[] for _ in range(m)]
+    keys: list[list] = [[None, None] for _ in range(m)]
     constant: list[str] = []
     supports: dict[int, tuple] = {}
 
@@ -561,7 +675,11 @@ def _law_skeleton(alg) -> LawSkeleton:
             constant.append(name)
             return
         k = max(operands + list(support))
-        laws[k].append((tuple(p for p in support if p != k), name, a, b, k in support))
+        rest, joined = tuple(p for p in support if p != k), k in support
+        if name in ("star", "plus") and a == k and not (joined and rest):
+            keys[k][name == "plus"] = (rest, joined)
+        else:
+            laws[k].append((rest, name, a, b, joined))
 
     for k, h in enumerate(order):
         for i, g in enumerate(order[:k + 1]):
@@ -575,7 +693,8 @@ def _law_skeleton(alg) -> LawSkeleton:
     if top is not None:
         law(top, "top")
     lower = tuple(tuple(i for i in range(k) if below[i, order[k]]) for k in range(m))
-    return LawSkeleton(below, lower, tuple(map(tuple, laws)), tuple(constant))
+    return LawSkeleton(below, lower, tuple(map(tuple, laws)), tuple(map(tuple, keys)),
+                       tuple(constant))
 
 
 def enumerate_rqf_morphisms(q: EhresmannQuantale, r: EhresmannQuantale,
@@ -665,8 +784,10 @@ def check_transposes(rep: AdjunctionReport, forward, backward) -> None:
     """Check that forward (functor -> morphism) and backward (morphism ->
     functor) are mutually inverse bijections between the hom-sets of rep,
     appending each failure to rep.failures with the index of the map it
-    starts from: first the functors, then the morphisms, then the sizes.  A
-    transpose that returns None is not in the hom-set.
+    starts from: first the functors, then the morphisms, then the sizes.
+    Each transpose takes a whole hom-set, stacked, and marks with -1 a set
+    that is not there (see transposes); a transpose with a -1 is not in
+    the hom-set.
 
     The second direction is skipped when the first had no failure and
     there are as many distinct functors as morphisms, since it cannot fail
@@ -685,14 +806,18 @@ def check_transposes(rep: AdjunctionReport, forward, backward) -> None:
     for k, (homset, other, there, back, not_in_homset, not_identity) in enumerate(directions):
         if k and not rep.failures and len({f.tobytes() for f in other}) == len(homset):
             break
+        if not homset:
+            continue
+        maps = np.stack(homset)
+        images = there(maps)
         keys = {m.tobytes() for m in other}
-        for i, m in enumerate(homset):
-            image = there(m)
-            if image is None or image.tobytes() not in keys:
+        inside = [found and image.tobytes() in keys
+                  for found, image in zip((images >= 0).all(axis=1).tolist(), images)]
+        again = iter((back(images[inside]) == maps[inside]).all(axis=1).tolist())
+        for i, kept in enumerate(inside):
+            if not kept:
                 rep.failures.append((not_in_homset, i))
-                continue
-            again = back(image)
-            if again is None or not np.array_equal(again, m):
+            elif not next(again):
                 rep.failures.append((not_identity, i))
     if len(rep.functor_homset) != len(rep.morphism_homset):
         rep.failures.append(("homset_sizes_differ", rep.sizes))
@@ -715,9 +840,8 @@ def check_naturality_in_category(g, tc_src: FiniteTopCategory, tc_dst: FiniteTop
     forward_src = transposes(fc, om_src)[0]
     forward_dst = transposes(fc, om_dst)[0]
     for alpha in enumerate_covering_functors(tc_dst, fc.topcat, max_arrows):
-        lhs = forward_src(alpha[g])
-        rhs = omega_g[forward_dst(alpha)]
-        if not np.array_equal(lhs, rhs):
+        lhs, rhs = forward_src(alpha[g]), forward_dst(alpha)
+        if (lhs < 0).any() or (rhs < 0).any() or not np.array_equal(lhs, omega_g[rhs]):
             return False, ("naturality_category", alpha.tolist())
     return True, None
 
@@ -738,9 +862,8 @@ def check_naturality_in_quantale(psi, q_src: EhresmannQuantale, q_dst: Ehresmann
     forward_src = transposes(fc_src, om)[0]
     forward_dst = transposes(fc_dst, om)[0]
     for alpha in enumerate_covering_functors(tc, fc_dst.topcat, max_arrows):
-        lhs = forward_src(c_psi[alpha])
-        rhs = forward_dst(alpha)[psi]
-        if not np.array_equal(lhs, rhs):
+        lhs, rhs = forward_src(c_psi[alpha]), forward_dst(alpha)
+        if (lhs < 0).any() or (rhs < 0).any() or not np.array_equal(lhs, rhs[psi]):
             return False, ("naturality_quantale", alpha.tolist())
     return True, None
 
@@ -751,9 +874,18 @@ def check_naturality_in_quantale(psi, q_src: EhresmannQuantale, q_dst: Ehresmann
 def find_category_isomorphism(c1: FiniteCategory, c2: FiniteCategory,
                               max_arrows: int = MAX_ARROWS) -> Optional[np.ndarray]:
     """The first isomorphism c1 -> c2 in lexicographic order, or None: the
-    arrows placed in index order, each over the arrows of c2 with its
-    fingerprint, which an isomorphism keeps.  More than max_arrows arrows
-    are refused (`reports.require_at_most`)."""
+    arrows placed in index order; an arrow whose ends come before it drawn
+    from the hom-set between the images of its ends, any other from the
+    arrows of c2 with its fingerprint, which an isomorphism keeps.  More
+    than max_arrows arrows are refused (`reports.require_at_most`).
+
+    The maps that arrow_maps completes are the isomorphisms, each draw
+    ascending, so the first is the least.  An isomorphism keeps d, r and
+    the fingerprints, so it is among them.  Conversely such a map sends
+    identities to identities, and so, drawn from the fingerprints, onto
+    them; it is injective on arrows as many as those of c2, so bijective;
+    and it keeps every composite and every undefined one, so its inverse
+    keeps composition."""
     if c1.n != c2.n:
         return None
     require_at_most(c1.n, max_arrows, "C has {} arrows", name="max_arrows")
@@ -768,7 +900,7 @@ def find_category_isomorphism(c1: FiniteCategory, c2: FiniteCategory,
         return None
     cand = [[b for b in range(c2.n) if f2[b] == f1[a]] for a in range(c1.n)]
     order = list(range(c1.n))
-    f = next(arrow_maps(arrow_laws(c1, order, iso=True), _rows(c2.comp), order, cand), None)
+    f = next(arrow_maps(arrow_laws(c1, order, iso=True), arrow_target(c2), order, cand), None)
     return None if f is None else _freeze(np.array(f, dtype=np.int64))
 
 

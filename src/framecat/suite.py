@@ -355,6 +355,7 @@ def full_suite_pending(max_arrows: int, max_elements: int) -> list[Pending]:
     crms = [(c.name, Instance(s=c.obj, **bounds)) for c in cor.hand_built_crms()]
     crms += [(f"pi-{name}", inst) for name, inst in rqfs if name in cor.PI_OF_RQFS]
 
+    pair2 = by_name["pair2"].tc  # the negative fixtures read Omega(pair2) off it
     out = _per_instance([(c.name, inst) for c, inst in cats], CATEGORY_CHECKS)
     for c, inst in cats:
         if c.sober:
@@ -372,7 +373,7 @@ def full_suite_pending(max_arrows: int, max_elements: int) -> list[Pending]:
     out += [(name, "filter-oracle", partial(filter_oracle, f))
             for name, f in frames if f.n <= BRUTEFORCE_MAX_ELEMENTS]
     out += [(c.name, "rejected-with-witness", partial(rejected_with_witness, c))
-            for c in cor.negative_fixtures() + [cor.negative_crm_fixture()]]
+            for c in cor.negative_fixtures(pair2) + [cor.negative_crm_fixture(pair2)]]
     out += [(name, "adjunction-homsets", lambda inst=by_name[name]: adjunction_outcome(
         verify_adjunction_I(inst.tc, inst.rqf, max_arrows, max_elements)))
         for name in ADJUNCTION_I_PAIRS]

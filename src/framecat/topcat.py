@@ -386,8 +386,8 @@ def surjectivity_failures(f: list[int], src: FiniteCategory,
     witness, for a functor f: src -> dst given as a list: the first (e, y),
     identities e ascending and then y, with d(y) = F(e) and no x with
     d(x) = e and F(x) = y (r likewise).  validate_covering_functor reports
-    them, and duality.enumerate_covering_functors decides them, as the
-    part of the covering condition its search does not compile."""
+    them; the covering functor search decides both by the fibre sizes of
+    the identities (duality.enumerate_covering_functors)."""
     out = []
     ids = src.identities()
     for s_proj, t_proj, law in ((src.d, dst.d, "covering.d_surjective"),

@@ -3,7 +3,8 @@ transposes of both adjunctions, chi and omega, omega_morphism and
 c_morphism): each is compared with the element-by-element body it had
 before, on hom-set members and their one-value perturbations.  Also the
 decision each hom-set search keeps against the full validators, on every
-map the search gives, the relabellings of a category's arrows and of an
+map the search gives, the hom-set searches as they were before they drew
+each image from its hom (the oracles of the searches), the relabellings of a category's arrows and of an
 algebra's elements that the tests search under, the maps the arrow-map
 search yields to the covering functor search, the subset walk that lists the
 local bisections one arrow subset at a time (the oracle of
@@ -30,7 +31,8 @@ from framecat.quantale import make_eq, partial_isometries, validate_ehresmann
 from framecat.reports import Report
 from framecat.functors import c_object, omega_object
 from framecat.topcat import (UNDEF, FiniteCategory, FiniteTopCategory, Topology,
-                             continuity_check, make_category, validate_covering_functor)
+                             continuity_check, make_category, surjectivity_failures,
+                             validate_covering_functor)
 
 
 def map_outcome(construction, m, *args):
@@ -67,6 +69,16 @@ def assert_transposes_match_oracles(forward, forward_oracles, backward, backward
         for m in (beta, *one_value_perturbations(beta, morphism_size)):
             for oracle in backward_oracles:
                 assert map_outcome(backward, m) == map_outcome(oracle, m), m.tolist()
+
+
+def one_map(transpose):
+    """A transpose of duality.transposes on one map, as the transposes were
+    before they took stacks of maps: the image, or None where a set is not
+    among the other side's rows."""
+    def one(m):
+        image = transpose(m)
+        return None if (image < 0).any() else image
+    return one
 
 
 def relabel(tc: FiniteTopCategory, perm) -> FiniteTopCategory:
@@ -256,10 +268,12 @@ def assert_residual_decisions_match_validators(tc, q, s) -> dict:
     its full validators, on every map the search gives: the decision each
     search keeps equals the verdict of the validators, every law they
     report of a map is one the search leaves to its decision, and the
-    hom-set is the maps that pass it, in order.  Returns, per search, the
-    hom-set and the maps the search gave: "rqf" (q -> Omega(C)),
-    "callitic" (s -> PI(Omega(C))), "functors-I" (C -> C(Q)) and
-    "functors-II" (C -> C(S))."""
+    hom-set is the maps that pass it, in order.  The functor search leaves
+    continuity alone: every map it gives is a covering functor.  The
+    callitic search decides properness on J(t), as is_proper does on every
+    element.  Returns, per search, the hom-set and the maps the search
+    gave: "rqf" (q -> Omega(C)), "callitic" (s -> PI(Omega(C))),
+    "functors-I" (C -> C(Q)) and "functors-II" (C -> C(S))."""
     r, t = omega_object(tc).rqf, crm.bisection_monoid(tc).crm
     out = {}
     homset, maps = out["rqf"] = searched(duality, "generator_search",
@@ -274,19 +288,128 @@ def assert_residual_decisions_match_validators(tc, q, s) -> dict:
         crm, "generator_search", lambda: crm.enumerate_callitic_morphisms(s, t, 1024))
     for m in maps:
         assert crm.validate_crm_morphism(m, s, t).ok, m.tolist()
+        assert crm._is_proper_on_j(m, t) == crm.is_proper(m, s, t)[0], m.tolist()
     assert_kept(homset, maps, lambda m: crm.is_callitic(m, s, t)[0])
 
-    surjective = {"covering.d_surjective", "covering.r_surjective"}
     for key, dst in (("functors-I", c_object(q).topcat), ("functors-II", crm.s_filters(s).topcat)):
         homset, maps = out[key] = searched(
             duality, "arrow_maps", lambda: duality.enumerate_covering_functors(tc, dst))
         for f in maps:
-            rep = validate_covering_functor(f, tc.cat, dst.cat)
-            full = rep.ok and continuity_check(f, tc, dst)[0]
-            assert duality._is_continuous_covering(f.tolist(), tc, dst) == full, f.tolist()
-            assert set(rep.laws()) <= surjective, f.tolist()
-        assert_kept(homset, maps, lambda f: duality._is_continuous_covering(f.tolist(), tc, dst))
+            assert validate_covering_functor(f, tc.cat, dst.cat).ok, f.tolist()
+        assert_kept(homset, maps, lambda f: continuity_check(f, tc, dst)[0])
     return out
+
+
+# ---------------------------------------------------------------------------
+# the hom-set searches as they were before they drew each image from its
+# hom: every target identity for an identity and every target arrow for any
+# other arrow, with d- and r-surjectivity decided per map; every candidate
+# at every generator; properness decided by is_proper on every element
+
+def arrow_maps_oracle(laws, t_comp, order, candidates):
+    """duality.arrow_maps before it drew from hom-sets: each F(a) from
+    candidates[a], each law of the comps and apart of arrow_laws checked
+    when the last arrow it names is placed."""
+    comps, apart = laws[:2]
+    n = len(order)
+    image = [0] * n + [UNDEF]
+
+    def keeps(k):
+        return (all(t_comp[image[x]][image[y]] == image[c] for x, y, c in comps[k])
+                and all(image[a] != image[b] for a, b in apart[k]))
+
+    def search(k):
+        if k == n:
+            yield image[:n]
+            return
+        a = order[k]
+        for y in candidates[a]:
+            image[a] = y
+            if keeps(k):
+                yield from search(k + 1)
+
+    yield from search(0)
+
+
+def covering_functors_by_unpruned_search(src, dst):
+    """enumerate_covering_functors before the arrows drew from hom-sets and
+    the identities from fibre domains: the maps of arrow_maps_oracle, with
+    d- and r-surjectivity (surjectivity_failures) and continuity decided
+    per map."""
+    cs, cd = src.cat, dst.cat
+    order = sorted(range(cs.n), key=lambda a: (not cs.is_identity(a), a))
+    every = list(range(cd.n))
+    candidates = [cd.identities() if cs.is_identity(a) else every for a in range(cs.n)]
+    maps = arrow_maps_oracle(duality.arrow_laws(cs, order), cd.comp.tolist(), order, candidates)
+    return [np.array(f, dtype=np.int64) for f in maps
+            if not surjectivity_failures(f, cs, cd) and continuity_check(f, src, dst)[0]]
+
+
+def generator_search_oracle(alg, tgt):
+    """duality.generator_search before it drew images from typed classes:
+    every candidate at every generator, the keyed star and plus laws
+    tested with the others."""
+    below, lower, laws, keys, constant = duality.law_skeleton(alg)
+    m = len(below)
+    target = duality.search_target(tgt)
+    t_join, t_leq, zero, ops = target.join_rows, target.leq_rows, target.zero, target.ops
+    if any(ops[name] != zero for name in constant):
+        return []
+    typed = [tuple((spec[0], name, k, None, spec[1])
+                   for name, spec in zip(("star", "plus"), keys[k]) if spec is not None)
+             for k in range(m)]
+    images = [0] * m
+    found = []
+
+    def backtrack(k):
+        if k == m:
+            found.append(list(images))
+            return
+        checks = []
+        for rest, name, a, b, joined in laws[k] + typed[k]:
+            v = zero
+            for p in rest:
+                v = t_join[v][images[p]]
+            checks.append((t_join[v] if joined else None, v, ops[name], a, b))
+        for c in range(len(t_leq)):
+            images[k] = c
+            if all(t_leq[images[i]][c] for i in lower[k]) and all(
+                    (v if row is None else row[c]) == (
+                        op if a is None else op[images[a]] if b is None
+                        else op[images[a]][images[b]])
+                    for row, v, op, a, b in checks):
+                backtrack(k + 1)
+
+    backtrack(0)
+    out = []
+    for assigned in found:
+        theta = np.full(alg.n, zero, dtype=np.int64)
+        for i, p in enumerate(assigned):
+            theta = np.where(below[i], target.pad[theta, p], theta)
+        if (theta >= 0).all():
+            out.append(theta)
+    return out
+
+
+def assert_searches_match_oracles(tc, q, s) -> dict:
+    """Each hom-set of both adjunction checks of (tc, q) and (tc, s) against
+    the search it had before it drew each image from its hom, map for map
+    and in order: "functors-I" (C -> C(Q)), "functors-II" (C -> C(S)),
+    "rqf" (q -> Omega(C)) and "callitic" (s -> PI(Omega(C)), with
+    is_proper decided on every element).  Returns the hom-sets."""
+    r, t = omega_object(tc).rqf, crm.bisection_monoid(tc).crm
+    got = {"functors-I": duality.enumerate_covering_functors(tc, c_object(q).topcat),
+           "functors-II": duality.enumerate_covering_functors(tc, crm.s_filters(s).topcat),
+           "rqf": duality.enumerate_rqf_morphisms(q, r, 1024),
+           "callitic": crm.enumerate_callitic_morphisms(s, t, 1024)}
+    expected = {
+        "functors-I": covering_functors_by_unpruned_search(tc, c_object(q).topcat),
+        "functors-II": covering_functors_by_unpruned_search(tc, crm.s_filters(s).topcat),
+        "rqf": [m for m in generator_search_oracle(q, r) if duality._keeps_isometries(m, q, r)],
+        "callitic": [m for m in generator_search_oracle(s, t) if crm.is_callitic(m, s, t)[0]]}
+    for key, homset in got.items():
+        assert [m.tolist() for m in homset] == [m.tolist() for m in expected[key]], key
+    return got
 
 
 def composable_pairs(c: FiniteCategory):

@@ -5,11 +5,12 @@ listing of the down-sets of J(S), L^vee(S) and the S-filter category of a
 complete restriction monoid, with its compatible pairs that
 validate_crm_morphism reads and the float32 table of its order that
 is_proper reads; the laws that duality.generator_search compiles on the
-generators of either, and the operations it reads on the candidates of
-either as a target; the etale
+generators of either, and the operations and classes it reads on the
+candidates of either as a target; the etale
 verdict, Omega(C), the monoid of the open local bisections, the arrow laws
-of the covering functor search from a topological category and the
-composition rows of a search into it; and the lookup of the member rows
+of the covering functor search from a topological category and the arrow
+target (composition rows, hom-sets and identity fibres) of a search into
+it; and the lookup of the member rows
 that an OmegaResult, a FilterCategory and a BisectionMonoid each build
 once.  Cached values equal fresh builds, on every corpus algebra and
 category and on two relabellings of each, cannot be changed through what
@@ -44,7 +45,7 @@ QUANTALE_KEYS = {"join_irreducibles", "partial_isometries", "pi_restriction_mono
                  "law_skeleton", "search_target"}
 MONOID_KEYS = {"join_primes", "partial_joins", "compatible_joins", "down_sets", "l_vee",
                "s_filters", "law_skeleton", "search_target", "compatible_pairs", "not_leq"}
-CATEGORY_KEYS = {"is_etale", "omega_object", "bisection_monoid", "arrow_laws", "comp_rows"}
+CATEGORY_KEYS = {"is_etale", "omega_object", "bisection_monoid", "arrow_laws", "arrow_target"}
 QUANTALE_TABLES = ("leq", "meet", "join", "mul", "star", "plus", "bottom", "top", "unit")
 MONOID_TABLES = ("leq", "mul", "star", "plus", "meet", "unit", "zero")
 
@@ -70,8 +71,9 @@ def assert_same_target(tgt, cands, joins, zero, top=None):
         assert not table.flags.writeable
     assert np.array_equal(target.pad, fresh.pad)
     assert np.array_equal(target.candidate, fresh.candidate)
-    assert (target.join_rows, target.leq_rows, dict(target.ops), target.zero) == \
-        (fresh.join_rows, fresh.leq_rows, dict(fresh.ops), fresh.zero)
+    assert (target.join_rows, target.leq_rows, dict(target.ops), target.zero,
+            dict(target.classes)) == (fresh.join_rows, fresh.leq_rows, dict(fresh.ops),
+                                      fresh.zero, dict(fresh.classes))
     c = np.array(cands, dtype=np.int64)
     block = np.ix_(c, c)
     assert np.flatnonzero(target.candidate).tolist() == sorted(c.tolist())
@@ -83,6 +85,15 @@ def assert_same_target(tgt, cands, joins, zero, top=None):
                         (ops["plus"], tgt.plus[c])):
         assert np.array_equal(np.array(rows, dtype=table.dtype).reshape(table.shape), table)
     assert (ops["unit"], target.zero, ops.get("top")) == (tgt.unit, zero, top)
+
+    def fits(key, value, x):
+        """value = the key, or value = x when the key is FIXED."""
+        return key is duality.ANY or value == (x if key == duality.FIXED else key)
+
+    for (s_key, p_key), positions in target.classes.items():
+        assert positions == tuple(p for p, x in enumerate(c.tolist())
+                                  if fits(s_key, tgt.star[x], x) and fits(p_key, tgt.plus[x], x))
+    assert target.classes[duality.ANY, duality.ANY] == tuple(range(len(c)))
 
 
 def assert_same_morphism_tables(s):
@@ -104,14 +115,23 @@ def assert_same_morphism_tables(s):
 
 
 def assert_same_arrow_tables(tc):
-    """The arrow laws of the covering functor search from tc and the
-    composition rows of one into tc, each filled by a search against
-    pair1, equal fresh builds."""
+    """The arrow laws of the covering functor search from tc and the arrow
+    target of one into tc, each filled by a search against pair1, equal
+    fresh builds, and the arrow target holds the composition rows, the
+    hom-sets and the identities by fibre sizes of tc."""
     one = pair_groupoid(1)
     duality.enumerate_covering_functors(tc, one)
     duality.enumerate_covering_functors(one, tc)
     assert tc._cache["arrow_laws"] == duality._covering_laws(tc.cat)
-    assert tc._cache["comp_rows"] == tuple(map(tuple, tc.cat.comp.tolist()))
+    target = tc._cache["arrow_target"]
+    assert target == duality.arrow_target(tc.cat)
+    c = tc.cat
+    assert target.comp == tuple(map(tuple, c.comp.tolist()))
+    assert target.homs == tuple(tuple(tuple(y for y in range(c.n) if c.d[y] == u and c.r[y] == v)
+                                      for v in range(c.n)) for u in range(c.n))
+    sizes = {e: (int((c.d == e).sum()), int((c.r == e).sum())) for e in c.identities()}
+    assert dict(target.fibres) == {key: tuple(e for e in c.identities() if sizes[e] == key)
+                                   for key in sizes.values()}
 
 
 def assert_same_lookup(holder):
@@ -309,7 +329,7 @@ def test_returned_values_cannot_change_a_later_call():
     for cache, keys in ((q._cache, ("law_skeleton", "search_target")),
                         (s._cache, ("down_sets", "compatible_pairs", "not_leq")),
                         (bis.crm._cache, ("partial_joins",)),
-                        (tc._cache, ("arrow_laws", "comp_rows"))):
+                        (tc._cache, ("arrow_laws", "arrow_target"))):
         for key in keys:
             assert_immutable(cache[key])
     assert_same_category(c_object(q), functors._filter_category(q))
@@ -377,9 +397,10 @@ def filled(tc):
     checks of tc against q and s.  These fill every key of q, which is also
     the target of the first check; every key of s but the target's, which
     the second fills on the bisection monoid, with the partial joins that
-    monoid is built with, and the table of its order that is_proper reads
-    for the decisions of the callitic search; and every key of tc but the
-    composition rows, which the functor searches fill on C(Q) and C(S).
+    monoid is built with, and its join-primes and compatible joins, which
+    the callitic search reads to decide properness on J(t); and every key
+    of tc but the arrow target, which the functor searches fill on C(Q) and
+    C(S).
     The morphism tables of s are filled by a check of its identity."""
     q = omega_object(tc).rqf
     s, _ = pi_restriction_monoid(q)
@@ -390,9 +411,10 @@ def filled(tc):
     assert crm.validate_crm_morphism(ident, s, s).ok and crm.is_proper(ident, s, s)[0]
     assert set(q._cache) == QUANTALE_KEYS
     assert set(s._cache) == MONOID_KEYS - {"search_target"}
-    assert set(bisection_monoid(tc).crm._cache) == {"partial_joins", "search_target", "not_leq"}
-    assert set(tc._cache) == CATEGORY_KEYS - {"comp_rows"}
-    assert set(c_object(q).topcat._cache) == set(s_filters(s).topcat._cache) == {"comp_rows"}
+    assert set(bisection_monoid(tc).crm._cache) == {"partial_joins", "search_target",
+                                                    "join_primes", "compatible_joins"}
+    assert set(tc._cache) == CATEGORY_KEYS - {"arrow_target"}
+    assert set(c_object(q).topcat._cache) == set(s_filters(s).topcat._cache) == {"arrow_target"}
     return q, s
 
 

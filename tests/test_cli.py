@@ -174,8 +174,8 @@ def test_chi_or_omega_outside_the_other_side_exits_4(fixture_dir, monkeypatch, c
     """chi and omega are transposes of identities, which valid input always
     has; a transpose that finds no set is an internal error."""
     from framecat import duality
-    monkeypatch.setattr(duality, "transposes",
-                        lambda filters, sets: (lambda alpha: None, lambda beta: None))
+    monkeypatch.setattr(duality, "transposes", lambda filters, sets: (
+        lambda alpha: np.array([-1]), lambda beta: np.array([-1])))
     assert main(["roundtrip", str(fixture_dir / name)]) == 4
     assert capsys.readouterr().err.startswith("internal error: " + text)
 

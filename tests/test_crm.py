@@ -34,7 +34,8 @@ from framecat.suite import (Instance, filter_category_correspondence,
 from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, make_category,
                              validate_covering_functor)
 from map_oracles import (FilterMasks, assert_transposes_match_oracles, crm_lub, ideal_masks,
-                         open_index, map_outcome, one_value_perturbations, relabel, relabel_crm,
+                         open_index, map_outcome, one_map, one_value_perturbations, relabel,
+                         relabel_crm,
                          reversed_labels, small_corpus_categories, topology_from_base,
                          validate_crm_oracle)
 from random_categories import small_categories
@@ -1263,7 +1264,7 @@ def adjunction_II_transposes(tc, s):
     bis = bisection_monoid(tc)
     assert list(bis.masks) == [om.opens[c] for c in carrier]
     assert_same_monoid(bis.crm, t)
-    forward, backward = transposes(sf, bis)
+    forward, backward = map(one_map, transposes(sf, bis))
     return (forward,
             [lambda m, body=body: body(m, tc, s, sf, om, carrier)
              for body in (transpose_forward_II_oracle, transpose_forward_II_bit_matrix)],

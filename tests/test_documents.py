@@ -155,12 +155,9 @@ def category_key(tc) -> tuple:
 
 def test_generate_corpus_builds_no_omega_image_twice(monkeypatch):
     """Each corpus category with an Omega image has it built once, the crm
-    documents reading PI off the rqf documents; counted at the two builders
-    of functors.omega_object, with the negative fixtures built beforehand
-    and left out of the count."""
-    negatives, negative_crm = corpus.negative_fixtures(), corpus.negative_crm_fixture()
-    monkeypatch.setattr(corpus, "negative_fixtures", lambda: list(negatives))
-    monkeypatch.setattr(corpus, "negative_crm_fixture", lambda: negative_crm)
+    documents reading PI off the rqf documents and the negative fixtures
+    reading Omega(pair2) off the corpus pair2; counted at the two builders
+    of functors.omega_object, the negative fixtures included."""
     built = []
     for name in ("_omega_discrete", "_omega_generic"):
         real = getattr(functors, name)

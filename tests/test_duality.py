@@ -22,18 +22,20 @@ from framecat.duality import (AdjunctionReport, build_chi, build_omega_map,
                               omega_is_isomorphism, quantale_isomorphism_ok,
                               transposes, validate_rqf_morphism,
                               verify_adjunction_I)
-from framecat.crm import l_vee, pi_restriction_monoid, verify_adjunction_II
+from framecat.crm import l_vee, pi_restriction_monoid, s_filters, verify_adjunction_II
 from framecat.functors import c_object, omega_morphism, omega_object
 from framecat.order import join_irreducibles
 from framecat.quantale import frame_as_quantale, partial_isometries
 from framecat.reports import BoundExceeded, Report
 from framecat.topcat import (UNDEF, FiniteTopCategory, Topology, continuity_check,
-                             make_category, validate_covering_functor, validate_topcategory)
+                             make_category, surjectivity_failures, validate_covering_functor,
+                             validate_topcategory)
+import map_oracles
 from map_oracles import (FilterMasks, assert_residual_decisions_match_validators,
-                         ideal_masks,
+                         covering_functors_by_unpruned_search, ideal_masks,
                          assert_transposes_match_oracles, build_omega_map_oracle,
-                         map_outcome, one_value_perturbations, open_index,
-                         projection_mask, relabel, relabel_rqf, reversed_labels,
+                         map_outcome, one_map, one_value_perturbations, open_index,
+                         projection_mask, relabel, relabel_rqf, reversed_labels, searched,
                          searched_arrow_maps, small_corpus_categories)
 from random_categories import small_categories
 
@@ -219,11 +221,14 @@ def test_transposes_are_mutually_inverse_on_all_pairs(pair2, omega_pair2):
 
 
 def _stub_transpose(table):
-    """The transpose that looks each map up by its single value in table;
-    a value missing from table gives None."""
-    def transpose(m):
-        image = table.get(int(m[0]))
-        return None if image is None else np.array([image], dtype=np.int64)
+    """The transpose that looks each map of a stack of one-value maps up by
+    its value in table; a value missing from table, or sent to None, gives
+    -1, a set that is not there."""
+    def transpose(maps):
+        maps = np.asarray(maps, dtype=np.int64)
+        images = [table.get(int(v)) for v in maps[..., 0].ravel()]
+        return np.array([-1 if v is None else v for v in images],
+                        dtype=np.int64).reshape(maps.shape)
     return transpose
 
 
@@ -259,7 +264,9 @@ def test_check_transposes_names_each_failure_in_order():
 
 
 def check_transposes_both_directions(rep, forward, backward):
-    """check_transposes as it was before it skipped the second direction."""
+    """check_transposes as it was before it skipped the second direction and
+    before it transposed each hom-set as one stack: one map at a time."""
+    forward, backward = one_map(forward), one_map(backward)
     directions = (
         (rep.functor_homset, rep.morphism_homset, forward, backward,
          "forward_transpose_not_in_homset", "backward_of_forward_not_identity"),
@@ -704,7 +711,7 @@ def transposes_I_oracle(tc, q, fc, om):
 def adjunction_I_transposes(tc, q, fc, om):
     """forward, its oracles, backward, its oracles, each taking the map
     alone."""
-    forward, backward = transposes(fc, om)
+    forward, backward = map(one_map, transposes(fc, om))
     forward_I, backward_I = transposes_I_oracle(tc, q, fc, om)
     return (forward,
             [forward_I] + [lambda m, body=body: body(m, tc, q, fc, om)
@@ -838,7 +845,7 @@ def assert_unit_and_counit_match_oracles(tc):
     q = om.rqf
     assert_chi_matches_oracle(q)
     fc = c_object(q)
-    forward, backward = transposes(fc, om)
+    forward, backward = map(one_map, transposes(fc, om))
     forward_I, backward_I = transposes_I_oracle(tc, q, fc, om)
     assert_transposes_match_oracles(forward, [forward_I], backward, [backward_I],
                                     enumerate_covering_functors(tc, fc.topcat),
@@ -876,7 +883,7 @@ def test_adjunction_I_records_a_transpose_outside_the_homset(monkeypatch):
     om = omega_object(pair2)
     alpha = build_omega_map(pair2, om).omega
     fc = c_object(om.rqf)
-    assert transposes(fc, omega_object(parity))[0](alpha) is None
+    assert (transposes(fc, omega_object(parity))[0](alpha) < 0).any()
     monkeypatch.setattr(duality, "enumerate_covering_functors", lambda *args: [alpha])
     rep = verify_adjunction_I(parity, om.rqf)
     assert not rep.ok
@@ -912,14 +919,24 @@ def test_residual_decisions_match_validators_on_pair3(pair3, omega_pair3):
 
 
 def test_residual_decisions_reject_maps_on_two_empty_homsets(pair2, pair3, omega_pair3):
-    """Two pairs with empty hom-sets on which the searches give maps that
-    their decisions reject: six arrow maps pair2 -> C(PI(Omega(pair3)))
-    that are not surjective, and eight maps PI(qframe-chain3) ->
-    PI(Omega(pair3)) that are not callitic."""
+    """Two pairs with empty hom-sets.  pair2 -> C(PI(Omega(pair3))): the
+    two identities of pair2 have fibres of two arrows and those of C(S)
+    fibres of three, so the functor search gives no map, where the search
+    without fibre domains gives six arrow maps, none of them surjective.
+    PI(qframe-chain3) -> PI(Omega(pair3)): the search gives eight maps that
+    are not callitic."""
     pi3, _ = pi_restriction_monoid(omega_pair3.rqf)
     found = assert_residual_decisions_match_validators(pair2, omega_pair3.rqf, pi3)
     homset, maps = found["functors-II"]
-    assert (len(homset), len(maps)) == (0, 6)
+    assert (len(homset), len(maps)) == (0, 0)
+    dst = s_filters(pi3).topcat
+    homset, unpruned = searched(map_oracles, "arrow_maps_oracle",
+                                lambda: covering_functors_by_unpruned_search(pair2, dst))
+    assert (len(homset), len(unpruned)) == (0, 6)
+    surjective = {"covering.d_surjective", "covering.r_surjective"}
+    for f in unpruned:
+        assert surjectivity_failures(f.tolist(), pair2.cat, dst.cat), f.tolist()
+        assert set(validate_covering_functor(f, pair2.cat, dst.cat).laws()) <= surjective
     chain3 = next(i.obj for i in corpus_rqfs() if i.name == "qframe-chain3")
     found = assert_residual_decisions_match_validators(
         pair3, chain3, pi_restriction_monoid(chain3)[0])
@@ -1044,12 +1061,11 @@ def covering_functors_oracle(src, dst, max_arrows=12):
 
 def assert_search_sound(src, dst):
     """Every map arrow_maps yields for enumerate_covering_functors(src, dst)
-    is a functor that keeps the injective half of the covering condition:
-    validate_covering_functor rejects it for surjectivity only."""
+    is a covering functor, injective and surjective: validate_covering_functor
+    passes it, and only continuity is left to decide."""
     homset, yielded = searched_arrow_maps(src, dst)
-    surjective = {"covering.d_surjective", "covering.r_surjective"}
     for f in yielded:
-        assert set(validate_covering_functor(f, src.cat, dst.cat).laws()) <= surjective, f
+        assert validate_covering_functor(f, src.cat, dst.cat).ok, f
     assert len(yielded) >= len(homset)
 
 

@@ -29,7 +29,7 @@ from framecat.functors import omega_object
 from framecat.order import _freeze
 from framecat.quantale import EhresmannQuantale, partial_isometries
 from framecat.reports import BoundExceeded
-from map_oracles import relabel
+from map_oracles import assert_searches_match_oracles, relabel, small_corpus_categories
 from random_categories import small_categories
 
 MAX_ELEMENTS = 1024
@@ -420,6 +420,44 @@ def test_searches_match_element_search_on_random_categories(tc1, tc2):
     r = omega_object(tc1).rqf
     assert_searches_match_element_search(q, r, s, pi_restriction_monoid(r)[0])
     assert_searches_match_element_search(q, q, s, s)
+
+
+# ---------------------------------------------------------------------------
+# the searches against the searches they were before they drew each image
+# from its hom (map_oracles.assert_searches_match_oracles): the same maps in
+# the same order, for both adjunction checks of a category against an rqf
+# and a monoid
+
+@pytest.mark.parametrize("name2,tc2", small_corpus_categories())
+def test_searches_match_unpruned_searches_on_small_corpus_pairs(name2, tc2):
+    """Every small C1 against Omega(C2) and PI(Omega(C2)): the 100 small
+    pairs of the homsets benchmark."""
+    q = omega_object(tc2).rqf
+    s, _ = pi_restriction_monoid(q)
+    for name1, tc1 in small_corpus_categories():
+        assert_searches_match_oracles(tc1, q, s)
+
+
+def test_searches_match_unpruned_searches_on_relabelled_pair3(pair3, omega_pair3):
+    """pair3 under six seeded relabellings, and with its identities last,
+    against Omega(pair3) and PI(Omega(pair3)): six maps in every hom-set."""
+    q = omega_pair3.rqf
+    s, _ = pi_restriction_monoid(q)
+    relabelled = [relabel(pair3, np.random.default_rng(seed).permutation(pair3.n))
+                  for seed in range(1, 7)]
+    for tc in relabelled + [identities_last(pair3)]:
+        got = assert_searches_match_oracles(tc, q, s)
+        assert {key: len(homset) for key, homset in got.items()} == \
+            {"functors-I": 6, "functors-II": 6, "rqf": 6, "callitic": 6}
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_categories(), small_categories())
+def test_searches_match_unpruned_searches_on_random_categories(tc1, tc2):
+    """C1 against Omega(C2) and PI(Omega(C2)), and against its own."""
+    for target in (tc2, tc1):
+        q = omega_object(target).rqf
+        assert_searches_match_oracles(tc1, q, pi_restriction_monoid(q)[0])
 
 
 # ---------------------------------------------------------------------------

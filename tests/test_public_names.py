@@ -16,7 +16,7 @@ PACKAGE = ROOT / "src" / "framecat"
 # each allowed name with why it stays in src/ unreached
 ALLOWED = {
     "crm.theta_extension": "L^vee on morphisms, which the check of PI -| L^vee as a "
-                           "bijection of hom-sets (ROADMAP item 7) will call",
+                           "bijection of hom-sets (ROADMAP item 2) will call",
 }
 
 
